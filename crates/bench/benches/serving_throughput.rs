@@ -32,22 +32,17 @@ use greedy_spanner::serve::{Answer, Query, ServeError, SpannerServer};
 use greedy_spanner::workload::QueryWorkload;
 use greedy_spanner::{Spanner, SpannerOutput};
 use spanner_bench::workloads::{random_graph, DEFAULT_SEED};
-use spanner_graph::QueuePolicy;
 
 const N: usize = 2000;
 const BATCH: usize = 2048;
 
 /// The point-query engine configurations the `point_query_engines` group
-/// compares: (name, queue policy, relayout, landmark count).
-const ENGINE_CONFIGS: [(&str, QueuePolicy, bool, usize); 3] = [
-    ("heap", QueuePolicy::Heap, false, 0),
-    ("bucket", QueuePolicy::Auto, true, 0),
-    ("bucket_alt", QueuePolicy::Auto, true, 4),
-];
+/// compares: (name, relayout, landmark count).
+const ENGINE_CONFIGS: [(&str, bool, usize); 2] = [("heap", false, 0), ("heap_alt", true, 4)];
 
 /// Freezes a fresh server off one shared construction result — the ~1s
 /// n=2000 greedy build runs once per bench invocation, not once per server.
-/// Uses the builder defaults: bucket queue, relayout, landmarks.
+/// Uses the builder defaults: relayout, landmarks, `Auto` relax kernel.
 fn build_server(output: &SpannerOutput, threads: usize, cache: usize) -> SpannerServer {
     output
         .clone()
@@ -62,7 +57,6 @@ fn build_engine_server(
     output: &SpannerOutput,
     threads: usize,
     cache: usize,
-    policy: QueuePolicy,
     reorder: bool,
     landmarks: usize,
 ) -> SpannerServer {
@@ -71,7 +65,6 @@ fn build_engine_server(
         .serve()
         .threads(threads)
         .cache_capacity(cache)
-        .queue_policy(policy)
         .reorder(reorder)
         .landmarks(landmarks)
         .finish()
@@ -82,7 +75,7 @@ fn build_engine_server(
 /// and every point-query engine configuration — the determinism contract
 /// this bench publishes numbers under.
 fn assert_identical_answers(output: &SpannerOutput, batch: &[Query]) -> Vec<Answer> {
-    let mut reference_server = build_engine_server(output, 1, 0, QueuePolicy::Heap, false, 0);
+    let mut reference_server = build_engine_server(output, 1, 0, false, 0);
     let reference = reference_server.answer_batch(batch).expect("valid batch");
     for threads in [1, 2, 8] {
         for cache in [0, 64] {
@@ -93,8 +86,8 @@ fn assert_identical_answers(output: &SpannerOutput, batch: &[Query]) -> Vec<Answ
             assert_eq!(warm, reference, "warm, threads={threads} cache={cache}");
         }
     }
-    for (name, policy, reorder, landmarks) in ENGINE_CONFIGS {
-        let mut server = build_engine_server(output, 2, 64, policy, reorder, landmarks);
+    for (name, reorder, landmarks) in ENGINE_CONFIGS {
+        let mut server = build_engine_server(output, 2, 64, reorder, landmarks);
         let cold = server.answer_batch(batch).expect("valid batch");
         let warm = server.answer_batch(batch).expect("valid batch");
         assert_eq!(cold, reference, "engine config {name}");
@@ -179,9 +172,9 @@ fn bench_serving(c: &mut Criterion) {
     group.finish();
 
     // The point-query acceleration stack through the serving layer:
-    // tight-bound uniform distance traffic (the workload the bucket queue
-    // and ALT pruning target — a loose bound degenerates to full searches
-    // no queue can save) with the engine pinned to each configuration.
+    // tight-bound uniform distance traffic (the workload ALT pruning
+    // targets — a loose bound degenerates to full searches no pruning can
+    // save) with the engine pinned to each configuration.
     // Answers were asserted identical above; these rows record what the
     // stack buys end-to-end, serving overhead included.
     let bounded = QueryWorkload::uniform(N)
@@ -193,8 +186,8 @@ fn bench_serving(c: &mut Criterion) {
     assert_identical_answers(&output, &bounded);
     let mut engines = c.benchmark_group("point_query_engines");
     engines.sample_size(10);
-    for (name, policy, reorder, landmarks) in ENGINE_CONFIGS {
-        let mut server = build_engine_server(&output, 1, 0, policy, reorder, landmarks);
+    for (name, reorder, landmarks) in ENGINE_CONFIGS {
+        let mut server = build_engine_server(&output, 1, 0, reorder, landmarks);
         engines.bench_function(BenchmarkId::new("bounded_uniform", name), |b| {
             b.iter(|| server.answer_batch(&bounded).expect("valid batch").len())
         });

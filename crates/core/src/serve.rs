@@ -58,14 +58,11 @@
 //! # The point-query acceleration stack
 //!
 //! Three answer-invariant accelerations sit in the serving hot path; all
-//! are on by default for fresh build outputs and all are pure speed knobs
-//! — `tests/engine_variant_determinism.rs` asserts bit-identical answers
-//! across every combination:
+//! are pure speed knobs — `tests/engine_variant_determinism.rs` asserts
+//! bit-identical answers across every combination, and
+//! `tests/alt_exact_bounds.rs` does so at bounds equal to the exact
+//! distance:
 //!
-//! * **Bucket-queue search** ([`ServeBuilder::queue_policy`]): bounded
-//!   point queries run on a delta-stepping-style bucket queue instead of
-//!   the binary heap whenever the bound and the spanner's weight
-//!   statistics allow (see `spanner_graph::bucket_queue`).
 //! * **Cache-conscious relayout** ([`ServeBuilder::reorder`]): the spanner
 //!   is renumbered by descending degree at freeze time
 //!   ([`SpannerHandle::reordered`]); queries and answers are translated at
@@ -73,8 +70,10 @@
 //! * **ALT landmark pruning** ([`ServeBuilder::landmarks`]): frozen
 //!   servers carry a degree-ranked landmark table on their handle; live
 //!   servers re-derive theirs from accumulated query demand each epoch.
-//!   Triangle lower bounds prune bounded `distance`/`stretch_audit`
-//!   searches; [`spanner_graph::EngineStats::settled_vertices`] and
+//!   Triangle lower bounds, reduced by a rounding margin
+//!   ([`spanner_graph::path_rounding_margin`]) so they stay sound at exact
+//!   bounds, prune bounded `distance`/`stretch_audit` searches;
+//!   [`spanner_graph::EngineStats::settled_vertices`] and
 //!   [`spanner_graph::EngineStats::pruned_by_bound`] make the reduction
 //!   observable.
 //! * **Batched relax kernel** ([`ServeBuilder::relax_kernel`]): engine
@@ -83,8 +82,10 @@
 //!   `dist`/`state` lanes ahead of use, and branchlessly compact the
 //!   surviving candidates before relaxing (see
 //!   [`spanner_graph::RelaxKernel`]). The default `Auto` policy batches
-//!   when rows are long enough to amortize staging or a live server has
-//!   pending deletions; [`ServeStats::kernel`] exposes the counters.
+//!   only when a live server has pending deletions or the spanner's search
+//!   lanes outgrow the cache
+//!   ([`spanner_graph::engine::AUTO_KERNEL_WORKING_SET_BYTES`]);
+//!   [`ServeStats::kernel`] exposes the counters.
 //!
 //! # Quick start
 //!
@@ -108,8 +109,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, QueuePolicy,
-    RelaxKernel, SptTree, VertexId, VertexPerm, WeightedGraph,
+    CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, RelaxKernel,
+    SptTree, VertexId, VertexPerm, WeightedGraph,
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
@@ -1522,7 +1523,6 @@ pub struct ServeBuilder {
     cache_capacity: usize,
     cache_admit_threshold: usize,
     baseline: Option<WeightedGraph>,
-    queue_policy: QueuePolicy,
     /// `None` = default (reorder fresh outputs, keep a handle's layout).
     reorder: Option<bool>,
     /// `None` = default ([`DEFAULT_LANDMARK_COUNT`] for fresh outputs and
@@ -1550,7 +1550,6 @@ impl ServeBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
             baseline: None,
-            queue_policy: QueuePolicy::Auto,
             reorder: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
@@ -1587,20 +1586,13 @@ impl ServeBuilder {
         self
     }
 
-    /// Which frontier the serving engines use for bounded queries.
-    /// [`QueuePolicy::Auto`] (the default) picks the bucket queue whenever
-    /// the query bound and the spanner's weight statistics allow; answers
-    /// are bit-identical at every setting — this is purely a speed knob.
-    pub fn queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.queue_policy = policy;
-        self
-    }
-
     /// Which relaxation kernel the serving engines run.
-    /// [`RelaxKernel::Auto`] (the default) batches whenever adjacency rows
-    /// are long enough to amortize staging or the served spanner has
-    /// pending deletions; answers, settle orders and search counters are
-    /// bit-identical at every setting — this is purely a speed knob.
+    /// [`RelaxKernel::Auto`] (the default) batches only when the served
+    /// spanner has pending deletions or its search lanes (16 B per vertex)
+    /// exceed [`spanner_graph::engine::AUTO_KERNEL_WORKING_SET_BYTES`], and
+    /// runs the scalar loop on cache-resident spanners; answers, settle
+    /// orders and search counters are bit-identical at every setting —
+    /// this is purely a speed knob.
     pub fn relax_kernel(mut self, kernel: RelaxKernel) -> Self {
         self.relax_kernel = kernel;
         self
@@ -1706,7 +1698,6 @@ impl ServeBuilder {
                 Served::Frozen(_) => 0,
             });
         let mut pool = EnginePool::with_capacity_for(threads, n, m);
-        pool.set_queue_policy(self.queue_policy);
         pool.set_relax_kernel(self.relax_kernel);
         SpannerServer {
             served,
@@ -2032,7 +2023,6 @@ pub struct ShardedServeBuilder {
     cache_capacity: usize,
     cache_admit_threshold: usize,
     baseline: Option<WeightedGraph>,
-    queue_policy: QueuePolicy,
     reorder: Option<bool>,
     landmark_count: Option<usize>,
     relax_kernel: RelaxKernel,
@@ -2047,7 +2037,6 @@ impl ShardedServeBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
             baseline: None,
-            queue_policy: QueuePolicy::Auto,
             reorder: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
@@ -2079,13 +2068,6 @@ impl ShardedServeBuilder {
     /// [`ServeBuilder::cache_admit_threshold`]).
     pub fn cache_admit_threshold(mut self, threshold: usize) -> Self {
         self.cache_admit_threshold = threshold.max(1);
-        self
-    }
-
-    /// Frontier policy for bounded queries (see
-    /// [`ServeBuilder::queue_policy`]); purely a speed knob.
-    pub fn queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.queue_policy = policy;
         self
     }
 
@@ -2144,7 +2126,6 @@ impl ShardedServeBuilder {
                     .threads(self.threads)
                     .cache_capacity(self.cache_capacity)
                     .cache_admit_threshold(self.cache_admit_threshold)
-                    .queue_policy(self.queue_policy)
                     .relax_kernel(self.relax_kernel);
                 if let Some(baseline) = &self.baseline {
                     builder = builder.audit_against(baseline);
@@ -2715,28 +2696,28 @@ mod tests {
                 }
             })
             .collect();
-        // Reference: heap queue, identity layout, no landmarks.
+        // Reference: scalar kernel, identity layout, no landmarks.
         let mut reference_server = output
             .clone()
             .serve()
-            .queue_policy(QueuePolicy::Heap)
+            .relax_kernel(RelaxKernel::Scalar)
             .reorder(false)
             .landmarks(0)
             .audit_against(&g)
             .finish();
         let reference = reference_server.answer_batch(&queries).unwrap();
         // Every acceleration combination must reproduce it bit for bit.
-        for (policy, reorder, landmarks) in [
-            (QueuePolicy::Auto, false, 0),
-            (QueuePolicy::Auto, true, 0),
-            (QueuePolicy::Heap, true, 4),
-            (QueuePolicy::Auto, true, 4),
-            (QueuePolicy::Auto, true, 16),
+        for (kernel, reorder, landmarks) in [
+            (RelaxKernel::Batched, false, 0),
+            (RelaxKernel::Auto, true, 0),
+            (RelaxKernel::Scalar, true, 4),
+            (RelaxKernel::Batched, true, 4),
+            (RelaxKernel::Auto, true, 16),
         ] {
             let mut server = output
                 .clone()
                 .serve()
-                .queue_policy(policy)
+                .relax_kernel(kernel)
                 .reorder(reorder)
                 .landmarks(landmarks)
                 .audit_against(&g)
@@ -2745,16 +2726,16 @@ mod tests {
             let warm = server.answer_batch(&queries).unwrap();
             assert_eq!(
                 cold, reference,
-                "policy={policy:?} reorder={reorder} landmarks={landmarks}"
+                "kernel={kernel:?} reorder={reorder} landmarks={landmarks}"
             );
             assert_eq!(
                 warm, reference,
-                "warm, policy={policy:?} reorder={reorder} landmarks={landmarks}"
+                "warm, kernel={kernel:?} reorder={reorder} landmarks={landmarks}"
             );
             let engine = server.engine_stats();
             assert_eq!(
                 engine.reuse_hits, engine.queries,
-                "policy={policy:?} reorder={reorder} landmarks={landmarks}: engine allocated"
+                "kernel={kernel:?} reorder={reorder} landmarks={landmarks}: engine allocated"
             );
         }
     }

@@ -47,7 +47,9 @@ use std::time::{Duration, Instant};
 
 use spanner_graph::parallel::fill_chunked;
 use spanner_graph::partition::{CutEdge, Partition, PartitionConfig, DEFAULT_BALANCE};
-use spanner_graph::{CsrGraph, DijkstraEngine, EnginePool, VertexId, WeightedGraph};
+use spanner_graph::{
+    path_rounding_margin, CsrGraph, DijkstraEngine, EnginePool, VertexId, WeightedGraph,
+};
 
 use crate::algorithm::{
     Provenance, RunStats, SpannerAlgorithm, SpannerConfig, SpannerInput, SpannerOutput,
@@ -60,7 +62,14 @@ use crate::error::SpannerError;
 /// association differences between summing a path shard-by-shard and
 /// summing it edge-by-edge, so the bound can never exclude the true
 /// distance.
+///
+/// Both sums are computed path distances, each within
+/// [`path_rounding_margin`]`(hops)` of the exact value, so the slack must
+/// cover twice that margin; `1e-9` does for paths of up to 2²¹ edges
+/// (checked at compile time).
 pub const SKELETON_SLACK: f64 = 1.0 + 1e-9;
+
+const _: () = assert!(SKELETON_SLACK - 1.0 >= 2.0 * path_rounding_margin(1 << 21));
 
 /// Fluent entry point for sharded construction, mirroring
 /// [`Spanner`](crate::Spanner): `ShardedSpanner::greedy().shards(4).build(&g)`.

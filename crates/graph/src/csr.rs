@@ -187,10 +187,6 @@ pub struct CsrGraph {
     overlay: DeltaOverlay,
     /// Monotonically increasing mutation counter; see [`CsrGraph::epoch`].
     epoch: u64,
-    /// Running sum of live edge weights — maintained incrementally by
-    /// appends/removals, recomputed exactly at every re-pack. Backs the
-    /// `O(1)` [`CsrGraph::mean_live_weight`].
-    live_weight_sum: f64,
     /// Running lower bound on the minimum live edge weight
     /// (`f64::INFINITY` when edgeless); exact after every re-pack. Backs
     /// the `O(1)` [`CsrGraph::min_live_weight`].
@@ -218,7 +214,6 @@ impl CsrGraph {
             edge_ids: Vec::new(),
             overlay: DeltaOverlay::new(num_vertices),
             epoch: 0,
-            live_weight_sum: 0.0,
             min_live_weight: f64::INFINITY,
         }
     }
@@ -379,19 +374,11 @@ impl CsrGraph {
     /// Between re-packs the value is a **lower bound**: deleting the
     /// current minimum does not trigger a rescan, so a stale smaller weight
     /// may be reported until the next [`CsrGraph::compact`] makes it exact
-    /// again. The consumer (the engine's bucket-width rule, see
-    /// [`crate::bucket_queue`]) only needs a lower bound — a too-small
-    /// width means more buckets, never a wrong answer.
+    /// again. The consumer (the batched relax kernel's cohort slack) only
+    /// needs a lower bound — a too-small slack means smaller cohorts, never
+    /// a wrong answer.
     pub fn min_live_weight(&self) -> Option<f64> {
         (!self.is_edgeless()).then_some(self.min_live_weight)
-    }
-
-    /// Mean live edge weight, or `None` for an edgeless graph. `O(1)`: the
-    /// weight sum is maintained incrementally by appends/removals
-    /// (float-accumulated, so it can drift slightly between re-packs) and
-    /// recomputed exactly at every re-pack.
-    pub fn mean_live_weight(&self) -> Option<f64> {
-        (!self.is_edgeless()).then(|| self.live_weight_sum / self.num_edges() as f64)
     }
 
     /// Returns `true` if the overlay is empty: every live half-edge lives in
@@ -460,7 +447,6 @@ impl CsrGraph {
             "too many edges for u32 ids"
         );
         self.edge_list.push((ui as u32, vi as u32, weight));
-        self.live_weight_sum += weight;
         if weight < self.min_live_weight {
             self.min_live_weight = weight;
         }
@@ -490,9 +476,8 @@ impl CsrGraph {
         if !self.is_edge_live(id) {
             return Err(GraphError::UnknownEdge { edge: id.index() });
         }
-        // The sum shrinks exactly; the minimum is left possibly stale-low
-        // until the next re-pack (see `min_live_weight`).
-        self.live_weight_sum -= self.edge_list[id.index()].2;
+        // The minimum is left possibly stale-low until the next re-pack
+        // (see `min_live_weight`).
         self.overlay.mark_dead(id.index());
         self.epoch += 1;
         self.maybe_compact();
@@ -565,9 +550,8 @@ impl CsrGraph {
         counts.clear();
         counts.resize(n + 1, 0);
         // The live scan doubles as the exact resync of the incremental
-        // weight statistics (every constructor that fills `edge_list`
-        // directly funnels through here).
-        let mut weight_sum = 0.0f64;
+        // minimum weight (every constructor that fills `edge_list` directly
+        // funnels through here).
         let mut min_weight = f64::INFINITY;
         for (id, &(u, v, w)) in self.edge_list.iter().enumerate() {
             if self.overlay.is_dead(id) {
@@ -575,12 +559,10 @@ impl CsrGraph {
             }
             counts[u as usize + 1] += 1;
             counts[v as usize + 1] += 1;
-            weight_sum += w;
             if w < min_weight {
                 min_weight = w;
             }
         }
-        self.live_weight_sum = weight_sum;
         self.min_live_weight = min_weight;
         for i in 0..n {
             counts[i + 1] += counts[i];
@@ -1474,29 +1456,25 @@ mod tests {
         assert!(csr.dead_edges() > 0, "the loop must delete something");
     }
 
-    /// The `O(1)` live-weight statistics decline (`None`) instead of
-    /// dividing by a zero edge count — on a fresh edgeless graph and on one
+    /// The `O(1)` live-weight statistic declines (`None`) instead of
+    /// reporting a ghost weight — on a fresh edgeless graph and on one
     /// re-emptied by tombstoning every edge.
     #[test]
     fn live_weight_stats_decline_on_edgeless_graphs() {
         let mut csr = CsrGraph::new(4);
         assert!(csr.is_edgeless());
         assert_eq!(csr.min_live_weight(), None);
-        assert_eq!(csr.mean_live_weight(), None);
         assert_eq!(csr.tombstoned_fraction(), 0.0);
         let a = csr.append_edge(VertexId(0), VertexId(1), 2.0);
         let b = csr.append_edge(VertexId(1), VertexId(2), 4.0);
         assert_eq!(csr.min_live_weight(), Some(2.0));
-        assert_eq!(csr.mean_live_weight(), Some(3.0));
         csr.remove_edge(a).unwrap();
         csr.remove_edge(b).unwrap();
-        // Zero live edges again: the divisors are zero and the maintained
-        // min/sum are stale — both stats must refuse, not report NaN or a
-        // ghost weight.
+        // Zero live edges again: the maintained minimum is stale — the stat
+        // must refuse, not report a ghost weight.
         assert_eq!(csr.num_edges(), 0);
         assert!(csr.is_edgeless());
         assert_eq!(csr.min_live_weight(), None);
-        assert_eq!(csr.mean_live_weight(), None);
     }
 
     #[test]
@@ -1689,20 +1667,16 @@ mod tests {
     fn weight_statistics_track_mutations_and_resync_at_compaction() {
         let mut csr = CsrGraph::new(4);
         assert_eq!(csr.min_live_weight(), None, "edgeless: no statistics");
-        assert_eq!(csr.mean_live_weight(), None);
         csr.append_edge(VertexId(0), VertexId(1), 2.0);
         csr.append_edge(VertexId(1), VertexId(2), 0.5);
         csr.append_edge(VertexId(2), VertexId(3), 3.5);
         assert_eq!(csr.min_live_weight(), Some(0.5));
-        assert_eq!(csr.mean_live_weight(), Some(2.0));
         // Deleting the minimum leaves the reported minimum as a (stale)
-        // lower bound until the next re-pack, while the mean is exact.
+        // lower bound until the next re-pack.
         csr.remove_edge(EdgeId(1)).unwrap();
         assert!(csr.min_live_weight().unwrap() <= 2.0);
-        assert!((csr.mean_live_weight().unwrap() - 2.75).abs() < 1e-12);
         csr.compact();
         assert_eq!(csr.min_live_weight(), Some(2.0), "exact after re-pack");
-        assert_eq!(csr.mean_live_weight(), Some(2.75));
         // All constructors that bypass append_edge resync via compact().
         let from_parts = CsrGraph::from_parts(
             4,
@@ -1715,13 +1689,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(from_parts.min_live_weight(), Some(2.0));
-        assert_eq!(from_parts.mean_live_weight(), Some(2.75));
         let rebuilt = csr.rebuild_compacted().graph;
         assert_eq!(rebuilt.min_live_weight(), Some(2.0));
-        assert_eq!(rebuilt.mean_live_weight(), Some(2.75));
         let from_weighted = CsrGraph::from(&diamond());
         assert_eq!(from_weighted.min_live_weight(), Some(1.0));
-        assert_eq!(from_weighted.mean_live_weight(), Some(2.25));
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! * `dist` / `parent` arrays are *generation-stamped*: a query bumps one
 //!   counter instead of clearing `O(n)` state, so per-query cost is
 //!   proportional to the explored ball, not to the graph;
-//! * the priority queue is a lazy-deletion binary heap whose buffer is
-//!   retained across queries; its pushes are bounded by the number of
-//!   half-edge improvements (`≤ 2m + 1`), so an engine created with
+//! * the priority queue is one lazy-deletion binary heap for every query
+//!   shape, popping in exact `(distance, vertex)` order (so every tie-break
+//!   is deterministic); its buffer is retained across queries and its
+//!   pushes are bounded by the number of half-edge improvements
+//!   (`≤ 2m + 1`), so an engine created with
 //!   [`DijkstraEngine::with_capacity_for`] performs **zero heap allocation
 //!   per query**, ever (an engine sized on the fly stops allocating once its
 //!   buffers reach the workload's high-water mark);
@@ -24,7 +26,15 @@
 //!   software-prefetched a fixed distance ahead, and candidates are
 //!   branchlessly compacted before the exact relax step — hiding the
 //!   dependent random-access load latency that dominates the scalar loop,
-//!   with answers, settle order and counters bit-identical to it.
+//!   with answers, settle order and counters bit-identical to it. The
+//!   default [`RelaxKernel::Auto`] keys on working-set size: it batches only
+//!   while deletions are pending or once the `dist`/`state`/`parent` lanes
+//!   (16 B per vertex) outgrow [`AUTO_KERNEL_WORKING_SET_BYTES`], because
+//!   in cache there is no latency to hide;
+//! * landmark (ALT) pruning ([`DijkstraEngine::bounded_distance_landmarked`])
+//!   subtracts a rounding margin from its lower bound
+//!   ([`path_rounding_margin`]), so it never prunes the answer path even
+//!   when the query bound equals the distance exactly.
 //!
 //! ```
 //! use spanner_graph::csr::CsrGraph;
@@ -42,7 +52,6 @@
 
 use std::collections::BinaryHeap;
 
-use crate::bucket_queue::{bucket_delta, BucketQueue, HeapSlot};
 use crate::csr::CsrGraph;
 use crate::graph::VertexId;
 use crate::landmarks::Landmarks;
@@ -77,10 +86,63 @@ const PREFETCH_DISTANCE: usize = 8;
 /// covers DRAM latency at commit throughput without outrunning L1.
 const EDGE_PREFETCH_AHEAD: usize = 6;
 
-/// [`RelaxKernel::Auto`] picks the batched kernel when the mean degree
-/// (`2m / n`) reaches this value; below it, rows are too short for the
-/// staging copy to pay for itself.
-const AUTO_KERNEL_MEAN_DEGREE: f64 = 3.0;
+/// Bytes of per-vertex search state a query touches at random: the `dist`
+/// (8), `state` (4) and `parent` (4) lanes.
+const WORKING_SET_BYTES_PER_VERTEX: usize = 16;
+
+/// [`RelaxKernel::Auto`] picks the batched kernel (absent pending
+/// deletions) once the search lanes, `n × 16 B` (`dist` + `state` +
+/// `parent`), exceed this many bytes. Below it the lanes stay
+/// cache-resident, there is no load latency to hide, and the staging work
+/// only costs.
+///
+/// Measured with `substrate_micro`'s `relax_kernel` group
+/// (`BENCH_RELAX_KERNEL=1 BENCH_RELAX_N=<n>`: an ER-like graph of mean
+/// degree ≈ 12, 128 bounded queries, best of 5 per kernel) on a 2-core
+/// Xeon VM with 2 MiB of L2 per core and a 105 MiB shared L3. Speedup is
+/// scalar time ÷ batched time, three runs per row:
+///
+/// | n | lanes | batched speedup |
+/// |---|---|---|
+/// | 2 k | 32 KiB | 0.55, 0.69, 0.95 |
+/// | 20 k | 0.3 MiB | 0.83, 1.28, 0.81 |
+/// | 50 k | 0.8 MiB | 0.57, 0.92, 1.02 |
+/// | 100 k | 1.5 MiB | 1.17, 1.02, 1.54 |
+/// | 150 k | 2.3 MiB | 1.32, 1.06, 1.15 |
+/// | 200 k | 3.1 MiB | 1.07, 1.26, 1.13 |
+/// | 300 k | 4.6 MiB | 1.45, 1.21, 1.20 |
+/// | 500 k | 7.6 MiB | 1.29, 1.23, 1.33 |
+/// | 1 M | 15 MiB | 1.75, 1.42, 1.46 |
+/// | 4 M | 61 MiB | 1.19, 1.45, 1.55 |
+///
+/// Batched never wins reliably while the lanes fit in one core's L2 and
+/// always wins once they do not, so the crossover is set at the L2 size.
+/// On hardware with a larger L2 the rule errs toward batching slightly
+/// early, which costs little next to the out-of-cache gain.
+pub const AUTO_KERNEL_WORKING_SET_BYTES: usize = 2 << 20;
+
+/// A relative bound on the floating-point error of any shortest-path
+/// distance computed over a path of at most `hops` edges: a computed
+/// distance `D` and the exact real distance `δ` satisfy
+/// `|D − δ| ≤ path_rounding_margin(hops) · δ`.
+///
+/// Argument. Every distance this crate computes — engine searches,
+/// landmark tables, the legacy free functions — is a left-to-right sum
+/// `((w₁ + w₂) + w₃) + …` along some simple path, taking the minimum over
+/// paths. A recursive sum of `k ≤ hops` non-negative terms carries a
+/// relative error of at most `γ_k = k·u / (1 − k·u)`, `u = 2⁻⁵³`
+/// (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2), and
+/// rounding is monotone, so the minimum over paths inherits the bound from
+/// both sides: `D ≤ fl(sum along the exact shortest path) ≤ (1 + γ)·δ` and
+/// `D ≥ (1 − γ)·(exact sum of D's own path) ≥ (1 − γ)·δ`. The returned
+/// `(hops + 1) · 2⁻⁵²` exceeds `γ_hops + u` (one further rounding of a
+/// derived quantity) for every `hops < 2⁵¹`.
+///
+/// Callers size `hops` by the vertex count: a simple path has fewer edges
+/// than the graph has vertices.
+pub const fn path_rounding_margin(hops: usize) -> f64 {
+    (hops as f64 + 1.0) * f64::EPSILON
+}
 
 /// Requests that the cache line holding `slice[index]` be pulled toward L1.
 /// Bounds-checked and side-effect-free: prefetching cannot fault, cannot
@@ -200,8 +262,7 @@ pub struct EngineStats {
     /// sized on the fly reports the (few) growth queries as misses.
     pub reuse_hits: u64,
     /// Total heap pops across all queries, including stale lazy-deletion
-    /// entries (the same accounting as the legacy free functions; bucket
-    /// queue pops are counted here too).
+    /// entries (the same accounting as the legacy free functions).
     pub heap_pops: u64,
     /// Vertices settled (popped fresh and expanded) across all queries —
     /// always at most `heap_pops`. This is the work metric landmark (ALT)
@@ -265,22 +326,6 @@ impl KernelStats {
     }
 }
 
-/// Which priority queue a query runs on; see
-/// [`DijkstraEngine::set_queue_policy`] and the [queue selection
-/// rule](crate::bucket_queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    /// Pick per query: the bucket queue for bounded queries whose
-    /// `(bound, weight statistics)` pass [`crate::bucket_queue`]'s
-    /// eligibility rule, the binary heap otherwise (unbounded searches,
-    /// edgeless graphs, degenerate widths). Answers and settle order are
-    /// bit-identical either way — this is purely a performance choice.
-    #[default]
-    Auto,
-    /// Always the lazy-deletion binary heap (the reference queue).
-    Heap,
-}
-
 /// Which relaxation kernel a query runs — the scalar reference loop (one
 /// dependent `dist`/`state` load per half-edge) or the batched gather →
 /// filter → commit kernel (whole same-cohort queue drains staged into a
@@ -288,16 +333,15 @@ pub enum QueuePolicy {
 /// compaction). See [`DijkstraEngine::set_relax_kernel`].
 ///
 /// Answers, settle order and every non-[`KernelStats`] counter are
-/// bit-identical under every setting — like [`QueuePolicy`], this is purely
-/// a performance choice.
+/// bit-identical under every setting — this is purely a performance
+/// choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RelaxKernel {
-    /// Pick per query: the batched kernel when adjacency rows are long
-    /// enough to amortize the staging copy (mean degree `2m/n ≥ 3`) or when
-    /// deletions are pending (the gather resolves liveness against the raw
-    /// tombstone bitmap instead of per-edge calls), the scalar loop
-    /// otherwise (short-row graphs, where staging overhead would exceed the
-    /// memory-latency win).
+    /// Pick per query: the batched kernel when deletions are pending (the
+    /// gather resolves liveness against the raw tombstone bitmap instead of
+    /// per-edge calls) or when the search lanes outgrow the cache
+    /// (`n × 16 B >` [`AUTO_KERNEL_WORKING_SET_BYTES`]), the scalar loop
+    /// otherwise (cache-resident lanes, where staging only adds work).
     #[default]
     Auto,
     /// Always the scalar reference loop.
@@ -306,66 +350,44 @@ pub enum RelaxKernel {
     Batched,
 }
 
-/// What a search loop needs from its priority queue. Implemented by the
-/// lazy-deletion [`BinaryHeap`] and by [`BucketQueue`]; both pop in exactly
-/// non-decreasing `(key, vertex)` order, which is why every engine answer is
-/// bit-identical across queue implementations.
-trait Frontier {
-    fn push(&mut self, key: f64, vertex: u32);
-    fn pop(&mut self) -> Option<(f64, u32)>;
-    /// Pops the global minimum only when its key is strictly below
-    /// `threshold` — the batched kernel's cohort drain, which collects every
-    /// entry provably settleable in one pass without disturbing the exact
-    /// pop order of the rest.
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)>;
-    fn len(&self) -> usize;
+/// One priority-queue entry: the key is stored alongside the vertex so
+/// comparisons stay inside the heap array instead of chasing `dist`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HeapSlot {
+    dist: f64,
+    vertex: u32,
 }
 
-impl Frontier for BinaryHeap<HeapSlot> {
-    #[inline(always)]
-    fn push(&mut self, key: f64, vertex: u32) {
-        BinaryHeap::push(self, HeapSlot { dist: key, vertex });
-    }
+impl Eq for HeapSlot {}
 
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        BinaryHeap::pop(self).map(|slot| (slot.dist, slot.vertex))
-    }
-
-    #[inline(always)]
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)> {
-        if self.peek()?.dist < threshold {
-            BinaryHeap::pop(self).map(|slot| (slot.dist, slot.vertex))
-        } else {
-            None
-        }
-    }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        BinaryHeap::len(self)
+impl Ord for HeapSlot {
+    /// Reversed, so the max-heap pops the smallest distance first, ties by
+    /// smaller vertex id (matching the legacy free functions, so settle
+    /// order is identical).
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then_with(|| other.vertex.cmp(&self.vertex))
     }
 }
 
-impl Frontier for BucketQueue {
-    #[inline(always)]
-    fn push(&mut self, key: f64, vertex: u32) {
-        BucketQueue::push(self, key, vertex);
+impl PartialOrd for HeapSlot {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        BucketQueue::pop(self)
-    }
-
-    #[inline(always)]
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)> {
-        BucketQueue::pop_if_below(self, threshold)
-    }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        BucketQueue::len(self)
+/// Pops the heap minimum only when its key is strictly below `threshold` —
+/// the batched kernel's cohort drain, which collects every entry provably
+/// settleable in one pass without disturbing the exact pop order of the
+/// rest.
+#[inline(always)]
+fn pop_if_below(heap: &mut BinaryHeap<HeapSlot>, threshold: f64) -> Option<HeapSlot> {
+    if heap.peek()?.dist < threshold {
+        heap.pop()
+    } else {
+        None
     }
 }
 
@@ -374,10 +396,12 @@ impl Frontier for BucketQueue {
 /// ordering — so answers stay bit-identical with and without one (see
 /// [`crate::landmarks`]).
 trait Heuristic {
-    /// Whether [`Heuristic::estimate`] can return anything but `0.0`; lets
+    /// Whether [`Heuristic::prunes`] can return anything but `false`; lets
     /// the no-heuristic search compile the pruning branch away.
     const ACTIVE: bool;
-    fn estimate(&self, v: usize) -> f64;
+    /// Whether a vertex `v` reached at tentative distance `nd` provably
+    /// cannot lie on a within-bound path to the target.
+    fn prunes(&self, nd: f64, v: usize) -> bool;
 }
 
 /// The plain Dijkstra searches: no remaining-distance information.
@@ -387,24 +411,64 @@ impl Heuristic for NoHeuristic {
     const ACTIVE: bool = false;
 
     #[inline(always)]
-    fn estimate(&self, _v: usize) -> f64 {
-        0.0
+    fn prunes(&self, _nd: f64, _v: usize) -> bool {
+        false
     }
 }
 
 /// The ALT bound: max over landmarks of `|d(l, v) − d(l, target)|`, with
-/// the target column pre-copied into the engine's scratch buffer.
-/// `INFINITY` when some landmark proves `v` and the target disconnected.
+/// the target column pre-copied into the engine's scratch buffer, made
+/// sound under floating point by two margins (see
+/// [`LandmarkHeuristic::new`]).
 struct LandmarkHeuristic<'a> {
     /// Vertex-major distance table, `table[v * k + l]`.
     table: &'a [f64],
     /// Distances from every landmark to the target (`k` entries).
     target_column: &'a [f64],
+    /// `2 · path_rounding_margin(n)`: the relative error allowance of one
+    /// computed distance, doubled for headroom.
+    margin: f64,
+    /// The query bound inflated by `margin` — the pruning threshold.
+    threshold: f64,
 }
 
-impl Heuristic for LandmarkHeuristic<'_> {
-    const ACTIVE: bool = true;
+impl<'a> LandmarkHeuristic<'a> {
+    /// The heuristic for one query over an `n`-vertex graph.
+    ///
+    /// In exact arithmetic, `|δ(l, v) − δ(l, t)| ≤ δ(v, t)` and a vertex on
+    /// the answer path satisfies `δ(s, v) + δ(v, t) ≤ bound`. The table and
+    /// the search both hold *computed* distances, so that comparison can
+    /// flip at exact bounds: when `v` lies on a shortest landmark-to-target
+    /// path the inequality is tight and one rounding prunes the answer
+    /// path. With `ρ = path_rounding_margin(n)` (every path here is simple,
+    /// so it has fewer than `n` edges):
+    ///
+    /// * each table entry is within `ρ·δ` of its exact value, so
+    ///   `|D(l,v) − D(l,t)| − ρ'·(D(l,v) + D(l,t))` is a lower bound on
+    ///   `δ(v, t)` for `ρ' ≥ ρ` (the subtraction's own rounding is bounded
+    ///   by the same sum, since `δ(v, t) ≤ δ(l, v) + δ(l, t)`);
+    /// * the search's computed distance at the target is the computed
+    ///   distance at `v` plus the rest of the path, summed with at most
+    ///   `ρ` relative error of the total, so a vertex on the answer path
+    ///   has `D(s, v) + δ(v, t) ≤ bound · (1 + ρ')`.
+    ///
+    /// `ρ' = 2ρ` covers both, and the remaining roundings of the margin
+    /// arithmetic itself, with room to spare. The first margin scales with
+    /// the landmark distances, the second with the bound; both are
+    /// `O(n · 2⁻⁵²)` relative, so pruning power is unchanged in practice.
+    fn new(table: &'a [f64], target_column: &'a [f64], n: usize, bound: f64) -> Self {
+        let margin = 2.0 * path_rounding_margin(n);
+        LandmarkHeuristic {
+            table,
+            target_column,
+            margin,
+            threshold: bound + margin * bound,
+        }
+    }
 
+    /// The certified lower bound on `d(v, target)`: `INFINITY` when some
+    /// landmark proves `v` and the target disconnected (finiteness is
+    /// exact, no margin applies).
     #[inline(always)]
     fn estimate(&self, v: usize) -> f64 {
         let k = self.target_column.len();
@@ -412,7 +476,7 @@ impl Heuristic for LandmarkHeuristic<'_> {
         let mut h = 0.0f64;
         for (&dv, &dt) in row.iter().zip(self.target_column) {
             if dv.is_finite() && dt.is_finite() {
-                let diff = (dv - dt).abs();
+                let diff = (dv - dt).abs() - self.margin * (dv + dt);
                 if diff > h {
                     h = diff;
                 }
@@ -423,6 +487,16 @@ impl Heuristic for LandmarkHeuristic<'_> {
             }
         }
         h
+    }
+}
+
+impl Heuristic for LandmarkHeuristic<'_> {
+    const ACTIVE: bool = true;
+
+    #[inline(always)]
+    fn prunes(&self, nd: f64, v: usize) -> bool {
+        let rem = self.estimate(v);
+        rem == f64::INFINITY || nd + rem > self.threshold
     }
 }
 
@@ -445,9 +519,6 @@ pub struct DijkstraEngine {
     /// entries are skipped at pop time via `state`. The buffer is retained
     /// across queries.
     heap: BinaryHeap<HeapSlot>,
-    /// The bounded-query bucket queue (see [`crate::bucket_queue`]); its
-    /// buffers are likewise retained across queries.
-    bucket: BucketQueue,
     /// Per-query landmark target column (see [`Landmarks`]); retained
     /// across queries like every other buffer.
     h_scratch: Vec<f64>,
@@ -464,7 +535,6 @@ pub struct DijkstraEngine {
     /// Candidate indices (into the gather lanes) that survived the
     /// branchless filter of one row, awaiting the exact relax step.
     commit: Vec<u32>,
-    queue_policy: QueuePolicy,
     relax_kernel: RelaxKernel,
     generation: u32,
     stats: EngineStats,
@@ -506,7 +576,6 @@ impl DijkstraEngine {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
         e.reserve_heap(2 * num_edges + 2);
-        e.bucket.reserve(2 * num_edges + 2);
         if e.h_scratch.capacity() < LANDMARK_SCRATCH_RESERVE {
             e.h_scratch.reserve_exact(LANDMARK_SCRATCH_RESERVE);
         }
@@ -530,18 +599,6 @@ impl DijkstraEngine {
         e
     }
 
-    /// Sets the queue-selection policy for subsequent queries (default:
-    /// [`QueuePolicy::Auto`]). Answers are bit-identical under every
-    /// policy; this only trades constant factors.
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.queue_policy = policy;
-    }
-
-    /// The current queue-selection policy.
-    pub fn queue_policy(&self) -> QueuePolicy {
-        self.queue_policy
-    }
-
     /// Sets the relaxation-kernel policy for subsequent queries (default:
     /// [`RelaxKernel::Auto`]). Answers, settle order and every
     /// non-[`KernelStats`] counter are bit-identical under every setting;
@@ -557,24 +614,26 @@ impl DijkstraEngine {
 
     /// Resolves [`RelaxKernel::Auto`] for one query on `graph`: batched
     /// when deletions are pending (the gather's bitmap filter beats
-    /// per-edge liveness calls) or the mean degree reaches
-    /// [`AUTO_KERNEL_MEAN_DEGREE`] (rows long enough to amortize staging).
+    /// per-edge liveness calls) or the search lanes exceed
+    /// [`AUTO_KERNEL_WORKING_SET_BYTES`] (out of cache, where hiding load
+    /// latency pays).
     fn use_batched_kernel(&self, graph: &CsrGraph) -> bool {
         match self.relax_kernel {
             RelaxKernel::Scalar => false,
             RelaxKernel::Batched => true,
             RelaxKernel::Auto => {
-                let n = graph.num_vertices();
-                n > 0
-                    && (graph.has_pending_deletions()
-                        || 2.0 * graph.num_edges() as f64 >= AUTO_KERNEL_MEAN_DEGREE * n as f64)
+                graph.has_pending_deletions()
+                    || graph
+                        .num_vertices()
+                        .saturating_mul(WORKING_SET_BYTES_PER_VERTEX)
+                        > AUTO_KERNEL_WORKING_SET_BYTES
             }
         }
     }
 
     /// The combined capacity of the batched kernel's scratch buffers —
     /// compared before and after a query for the workspace-reuse
-    /// accounting, like [`BucketQueue::capacity_signature`].
+    /// accounting.
     fn gather_capacity_signature(&self) -> usize {
         self.gather_targets.capacity()
             + self.gather_weights.capacity()
@@ -722,7 +781,7 @@ impl DijkstraEngine {
     /// `TRACK_PARENTS` is off for bounded-distance and ball queries (nothing
     /// reads parents there), which removes a random store per improvement
     /// from the greedy hot loop. With an active heuristic, an improvement
-    /// whose `distance + lower bound` exceeds the query bound is dropped
+    /// the heuristic proves useless ([`Heuristic::prunes`]) is dropped
     /// instead of pushed — pruning only; queue keys stay plain distances,
     /// so the settle order of surviving vertices is untouched.
     ///
@@ -732,9 +791,9 @@ impl DijkstraEngine {
     /// happens, so `peak_frontier` adds them back to stay bit-identical.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn relax<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         u: u32,
         v: usize,
@@ -755,19 +814,19 @@ impl DijkstraEngine {
             return;
         }
         if s < gen || nd < self.dist[v] {
-            if H::ACTIVE {
-                let rem = h.estimate(v);
-                if rem == f64::INFINITY || nd + rem > bound {
-                    self.stats.pruned_by_bound += 1;
-                    return;
-                }
+            if H::ACTIVE && h.prunes(nd, v) {
+                self.stats.pruned_by_bound += 1;
+                return;
             }
             self.state[v] = gen;
             self.dist[v] = nd;
             if TRACK_PARENTS {
                 self.parent[v] = u;
             }
-            queue.push(nd, v as u32);
+            queue.push(HeapSlot {
+                dist: nd,
+                vertex: v as u32,
+            });
             self.last_frontier = self.last_frontier.max(queue.len() + lag);
         }
     }
@@ -778,9 +837,9 @@ impl DijkstraEngine {
     /// pending-deletions and fast paths share it so they cannot drift.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax_row<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn relax_row<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         u: u32,
@@ -800,7 +859,7 @@ impl DijkstraEngine {
                     continue;
                 }
             }
-            self.relax::<TRACK_PARENTS, Q, H>(
+            self.relax::<TRACK_PARENTS, H>(
                 queue,
                 h,
                 u,
@@ -815,33 +874,34 @@ impl DijkstraEngine {
         // Live overflow half-edges appended since the last re-pack (short;
         // the iterator itself skips tombstoned entries).
         for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-            self.relax::<TRACK_PARENTS, Q, H>(queue, h, u, v as usize, w, d, gen, bound, 0);
+            self.relax::<TRACK_PARENTS, H>(queue, h, u, v as usize, w, d, gen, bound, 0);
         }
     }
 
-    /// The shared search loop, monomorphized per queue implementation and
-    /// heuristic. Settles vertices in non-decreasing `(distance, vertex)`
-    /// order; never pushes a vertex whose tentative distance (plus the
+    /// The scalar search loop, monomorphized per heuristic. Settles
+    /// vertices in non-decreasing `(distance, vertex)` order; never pushes
+    /// a vertex whose tentative distance (plus the
     /// heuristic's lower bound on the remaining distance, when active)
     /// exceeds `bound`; stops early once `target` settles. When `collect`
     /// is set, the settle order is recorded in `ball_buf`.
     ///
-    /// `source_h` is the heuristic's estimate at the source: if it already
-    /// exceeds the bound (or proves the pair disconnected), the search is
-    /// over before it starts and the source is never touched.
+    /// `source_pruned` is the heuristic's verdict at the source: if the
+    /// landmarks already rule out a within-bound path (or prove the pair
+    /// disconnected), the search is over before it starts and the source is
+    /// never touched.
     #[allow(clippy::too_many_arguments)]
-    fn search<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        source_h: f64,
+        source_pruned: bool,
     ) {
-        if H::ACTIVE && (source_h == f64::INFINITY || source_h > bound) {
+        if source_pruned {
             self.stats.pruned_by_bound += 1;
             return;
         }
@@ -854,9 +914,12 @@ impl DijkstraEngine {
             self.parent[source] = NO_VERTEX;
         }
         self.state[source] = gen;
-        queue.push(0.0, source as u32);
+        queue.push(HeapSlot {
+            dist: 0.0,
+            vertex: source as u32,
+        });
         self.last_frontier = self.last_frontier.max(queue.len());
-        while let Some((d, u)) = queue.pop() {
+        while let Some(HeapSlot { dist: d, vertex: u }) = queue.pop() {
             self.stats.heap_pops += 1;
             if self.state[u as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -869,7 +932,7 @@ impl DijkstraEngine {
             if Some(u) == target {
                 break;
             }
-            self.relax_row::<TRACK_PARENTS, Q, H>(
+            self.relax_row::<TRACK_PARENTS, H>(
                 queue,
                 h,
                 graph,
@@ -917,18 +980,18 @@ impl DijkstraEngine {
     ///    under intra-row mutation: distances only decrease, nothing
     ///    settles mid-row, and the bound comparison is static.
     #[allow(clippy::too_many_arguments)]
-    fn search_batched<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search_batched<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        source_h: f64,
+        source_pruned: bool,
     ) {
-        if H::ACTIVE && (source_h == f64::INFINITY || source_h > bound) {
+        if source_pruned {
             self.stats.pruned_by_bound += 1;
             return;
         }
@@ -940,7 +1003,10 @@ impl DijkstraEngine {
             self.parent[source] = NO_VERTEX;
         }
         self.state[source] = gen;
-        queue.push(0.0, source as u32);
+        queue.push(HeapSlot {
+            dist: 0.0,
+            vertex: source as u32,
+        });
         self.last_frontier = self.last_frontier.max(queue.len());
         // Cohort slack: every queued key strictly below `popped key + slack`
         // can be drained alongside the popped minimum (see the doc comment).
@@ -953,7 +1019,11 @@ impl DijkstraEngine {
         let mut gather_weights = std::mem::take(&mut self.gather_weights);
         let mut rows = std::mem::take(&mut self.rows);
         let mut commit = std::mem::take(&mut self.commit);
-        'outer: while let Some((d0, u0)) = queue.pop() {
+        'outer: while let Some(HeapSlot {
+            dist: d0,
+            vertex: u0,
+        }) = queue.pop()
+        {
             self.stats.heap_pops += 1;
             if self.state[u0 as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -981,7 +1051,7 @@ impl DijkstraEngine {
                 drained,
             );
             while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
-                let Some((d, u)) = queue.pop_if_below(threshold) else {
+                let Some(HeapSlot { dist: d, vertex: u }) = pop_if_below(queue, threshold) else {
                     break;
                 };
                 self.stats.heap_pops += 1;
@@ -1079,7 +1149,7 @@ impl DijkstraEngine {
                     self.filter_row(targets, weights, d, gen, bound, &mut commit);
                     for &j in &commit {
                         let j = j as usize;
-                        self.relax::<TRACK_PARENTS, Q, H>(
+                        self.relax::<TRACK_PARENTS, H>(
                             queue,
                             h,
                             u,
@@ -1102,7 +1172,7 @@ impl DijkstraEngine {
                     );
                     for &j in &commit {
                         let j = start + j as usize;
-                        self.relax::<TRACK_PARENTS, Q, H>(
+                        self.relax::<TRACK_PARENTS, H>(
                             queue,
                             h,
                             u,
@@ -1128,34 +1198,48 @@ impl DijkstraEngine {
     /// kernel; `batched` is resolved once per query by
     /// [`DijkstraEngine::use_batched_kernel`].
     #[allow(clippy::too_many_arguments)]
-    fn search_dispatch<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search_dispatch<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
         batched: bool,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        source_h: f64,
+        source_pruned: bool,
     ) {
         if batched {
-            self.search_batched::<TRACK_PARENTS, Q, H>(
-                queue, h, graph, source, target, bound, collect, source_h,
+            self.search_batched::<TRACK_PARENTS, H>(
+                queue,
+                h,
+                graph,
+                source,
+                target,
+                bound,
+                collect,
+                source_pruned,
             );
         } else {
-            self.search::<TRACK_PARENTS, Q, H>(
-                queue, h, graph, source, target, bound, collect, source_h,
+            self.search::<TRACK_PARENTS, H>(
+                queue,
+                h,
+                graph,
+                source,
+                target,
+                bound,
+                collect,
+                source_pruned,
             );
         }
     }
 
     /// Query entry point: validates, advances the generation, resolves the
-    /// queue (per [`QueuePolicy`]) and the landmark heuristic, runs the
-    /// monomorphized search, and keeps the workspace-reuse accounting (a
-    /// query is a reuse hit only if **no** buffer — vertex arrays, either
-    /// queue, or the landmark scratch — grew).
+    /// kernel and the landmark heuristic, runs the monomorphized search, and
+    /// keeps the workspace-reuse accounting (a query is a reuse hit only if
+    /// **no** buffer — vertex arrays, the heap, the gather scratch, or the
+    /// landmark scratch — grew).
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
         graph: &CsrGraph,
@@ -1188,90 +1272,40 @@ impl DijkstraEngine {
         }
         grew |= self.begin_query(n);
         let s = source.index();
-        let delta = match self.queue_policy {
-            QueuePolicy::Auto => bucket_delta(graph, bound),
-            QueuePolicy::Heap => None,
-        };
         let batched = self.use_batched_kernel(graph);
         let gather_cap = self.gather_capacity_signature();
-        let reused = match (delta, lm) {
-            (None, None) => {
-                let mut heap = std::mem::take(&mut self.heap);
-                let cap = heap.capacity();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
+        let mut heap = std::mem::take(&mut self.heap);
+        let heap_cap = heap.capacity();
+        match lm {
+            None => self.search_dispatch::<TRACK_PARENTS, _>(
+                batched,
+                &mut heap,
+                &NoHeuristic,
+                graph,
+                s,
+                target,
+                bound,
+                collect,
+                false,
+            ),
+            Some(lm) => {
+                let h = LandmarkHeuristic::new(lm.table(), &scratch, n, bound);
+                let source_pruned = h.prunes(0.0, s);
+                self.search_dispatch::<TRACK_PARENTS, _>(
                     batched,
                     &mut heap,
-                    &NoHeuristic,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    0.0,
-                );
-                let ok = heap.capacity() == cap;
-                self.heap = heap;
-                ok
-            }
-            (Some(delta), None) => {
-                let mut bucket = std::mem::take(&mut self.bucket);
-                bucket.begin(delta, bound);
-                let cap = bucket.capacity_signature();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched,
-                    &mut bucket,
-                    &NoHeuristic,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    0.0,
-                );
-                let ok = bucket.capacity_signature() == cap;
-                self.bucket = bucket;
-                ok
-            }
-            (None, Some(lm)) => {
-                let h = LandmarkHeuristic {
-                    table: lm.table(),
-                    target_column: &scratch,
-                };
-                let source_h = h.estimate(s);
-                let mut heap = std::mem::take(&mut self.heap);
-                let cap = heap.capacity();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched, &mut heap, &h, graph, s, target, bound, collect, source_h,
-                );
-                let ok = heap.capacity() == cap;
-                self.heap = heap;
-                ok
-            }
-            (Some(delta), Some(lm)) => {
-                let h = LandmarkHeuristic {
-                    table: lm.table(),
-                    target_column: &scratch,
-                };
-                let source_h = h.estimate(s);
-                let mut bucket = std::mem::take(&mut self.bucket);
-                bucket.begin(delta, bound);
-                let cap = bucket.capacity_signature();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched,
-                    &mut bucket,
                     &h,
                     graph,
                     s,
                     target,
                     bound,
                     collect,
-                    source_h,
+                    source_pruned,
                 );
-                let ok = bucket.capacity_signature() == cap;
-                self.bucket = bucket;
-                ok
             }
-        };
+        }
+        let reused = heap.capacity() == heap_cap;
+        self.heap = heap;
         let reused = reused && self.gather_capacity_signature() == gather_cap;
         self.h_scratch = scratch;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
@@ -1318,9 +1352,11 @@ impl DijkstraEngine {
     /// Like [`DijkstraEngine::bounded_distance`], additionally pruning the
     /// search with a [`Landmarks`] table: vertices whose tentative distance
     /// plus max-over-landmarks triangle lower bound exceeds `bound` are never
-    /// pushed. The pruning is answer-invariant — the result is bit-identical
-    /// to [`DijkstraEngine::bounded_distance`] for every landmark set — it
-    /// only shrinks the explored ball.
+    /// pushed. Both sides of that comparison carry a rounding margin
+    /// ([`path_rounding_margin`]), so the pruning is answer-invariant even
+    /// when `bound` equals the distance exactly — the result is
+    /// bit-identical to [`DijkstraEngine::bounded_distance`] for every
+    /// landmark set — it only shrinks the explored ball.
     ///
     /// # Panics
     ///
@@ -1389,11 +1425,10 @@ impl DijkstraEngine {
     /// buffer and is valid until the next query.
     ///
     /// **Tie handling.** Vertices at equal distance appear in ascending
-    /// vertex-id order. This holds for *every* queue implementation the
-    /// engine selects (binary heap and bucket queue alike): both pop in
-    /// exact `(distance, vertex)` order, so the settle order — and therefore
-    /// this slice, and any [`SptTree::k_nearest`] truncation derived from
-    /// it — is identical across [`QueuePolicy`] settings.
+    /// vertex-id order: the heap pops in exact `(distance, vertex)` order
+    /// under both relax kernels, so the settle order — and therefore this
+    /// slice, and any [`SptTree::k_nearest`] truncation derived from it — is
+    /// identical across [`RelaxKernel`] settings.
     ///
     /// # Panics
     ///
@@ -1626,7 +1661,7 @@ impl SptTree {
     ///
     /// **Tie handling.** Equal-distance vertices are ordered by ascending
     /// vertex id, so the truncation point at a distance tie is
-    /// deterministic and identical across queue implementations (see
+    /// deterministic and identical across relax kernels (see
     /// [`DijkstraEngine::ball`]).
     pub fn k_nearest(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.members[..k.min(self.members.len())].to_vec()
@@ -2071,69 +2106,28 @@ mod tests {
     fn settled_and_pruned_counters_are_monotone_sane() {
         let g = diamond();
         let csr = CsrGraph::from(&g);
-        for policy in [QueuePolicy::Heap, QueuePolicy::Auto] {
-            let mut e = DijkstraEngine::new();
-            e.set_queue_policy(policy);
-            assert_eq!(e.queue_policy(), policy);
-            let stats0 = e.stats();
-            assert_eq!(stats0.settled_vertices, 0);
-            assert_eq!(stats0.pruned_by_bound, 0);
-            // Tight bound: the 0-2 edge (weight 5) and anything through
-            // vertex 3 are pruned.
-            e.bounded_distance(&csr, VertexId(0), VertexId(2), 2.0);
-            let s1 = e.stats();
-            assert!(s1.settled_vertices >= 1, "{policy:?}: source must settle");
-            assert!(
-                s1.settled_vertices <= s1.heap_pops,
-                "{policy:?}: every settle consumes a pop"
-            );
-            assert!(
-                s1.pruned_by_bound >= 1,
-                "{policy:?}: the weight-5 edge must be pruned at bound 2"
-            );
-            // An unbounded SPT settles the whole component, prunes nothing new.
-            e.shortest_path_tree(&csr, VertexId(0));
-            let s2 = e.stats();
-            assert_eq!(s2.settled_vertices, s1.settled_vertices + 4);
-            assert_eq!(s2.pruned_by_bound, s1.pruned_by_bound);
-        }
-    }
-
-    #[test]
-    fn queue_policies_agree_on_bounded_queries_and_balls() {
-        let mut rng = SmallRng::seed_from_u64(72_026);
-        let n = 40;
-        let mut g = WeightedGraph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_bool(0.15) {
-                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(0.25..8.0));
-                }
-            }
-        }
-        let csr = CsrGraph::from(&g);
-        let mut heap_engine = DijkstraEngine::new();
-        heap_engine.set_queue_policy(QueuePolicy::Heap);
-        let mut auto_engine = DijkstraEngine::new();
-        for case in 0..60 {
-            let s = VertexId(rng.gen_range(0..n));
-            let t = VertexId(rng.gen_range(0..n));
-            let bound = rng.gen_range(0.1..20.0);
-            assert_eq!(
-                heap_engine.bounded_distance(&csr, s, t, bound),
-                auto_engine.bounded_distance(&csr, s, t, bound),
-                "case {case}: bounded distance differs between queue policies"
-            );
-            let heap_ball = heap_engine.ball(&csr, s, bound).to_vec();
-            let auto_ball = auto_engine.ball(&csr, s, bound).to_vec();
-            assert_eq!(
-                heap_ball, auto_ball,
-                "case {case}: ball membership/order differs between queue policies"
-            );
-        }
-        // Auto actually took the bucket path: it settles the same vertices
-        // but reports the same answers, so distinguish via the policy getter.
-        assert_eq!(auto_engine.queue_policy(), QueuePolicy::Auto);
+        let mut e = DijkstraEngine::new();
+        let stats0 = e.stats();
+        assert_eq!(stats0.settled_vertices, 0);
+        assert_eq!(stats0.pruned_by_bound, 0);
+        // Tight bound: the 0-2 edge (weight 5) and anything through vertex
+        // 3 are pruned.
+        e.bounded_distance(&csr, VertexId(0), VertexId(2), 2.0);
+        let s1 = e.stats();
+        assert!(s1.settled_vertices >= 1, "source must settle");
+        assert!(
+            s1.settled_vertices <= s1.heap_pops,
+            "every settle consumes a pop"
+        );
+        assert!(
+            s1.pruned_by_bound >= 1,
+            "the weight-5 edge must be pruned at bound 2"
+        );
+        // An unbounded SPT settles the whole component, prunes nothing new.
+        e.shortest_path_tree(&csr, VertexId(0));
+        let s2 = e.stats();
+        assert_eq!(s2.settled_vertices, s1.settled_vertices + 4);
+        assert_eq!(s2.pruned_by_bound, s1.pruned_by_bound);
     }
 
     #[test]
@@ -2205,7 +2199,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_stays_allocation_free_under_bucket_and_landmarks() {
+    fn warm_engine_stays_allocation_free_under_landmarks() {
         use crate::landmarks::Landmarks;
         let mut rng = SmallRng::seed_from_u64(99);
         let n = 64;
@@ -2224,7 +2218,7 @@ mod tests {
             let s = VertexId((i * 13) % n);
             let t = VertexId((i * 29 + 7) % n);
             let bound = 2.0 + (i % 5) as f64;
-            // Alternate bucket-only and bucket+ALT queries on one engine.
+            // Alternate plain and ALT queries on one engine.
             if i % 2 == 0 {
                 e.bounded_distance(&csr, s, t, bound);
             } else {
@@ -2234,7 +2228,7 @@ mod tests {
         let stats = e.stats();
         assert_eq!(
             stats.reuse_hits, stats.queries,
-            "a pre-sized engine must never allocate, bucket and ALT paths included"
+            "a pre-sized engine must never allocate, ALT path included"
         );
     }
 
@@ -2267,42 +2261,37 @@ mod tests {
                 }
             }
             let csr = CsrGraph::from(&g);
-            for policy in [QueuePolicy::Heap, QueuePolicy::Auto] {
-                let mut scalar = DijkstraEngine::new();
-                scalar.set_queue_policy(policy);
-                scalar.set_relax_kernel(RelaxKernel::Scalar);
-                let mut batched = DijkstraEngine::new();
-                batched.set_queue_policy(policy);
-                batched.set_relax_kernel(RelaxKernel::Batched);
-                assert_eq!(batched.relax_kernel(), RelaxKernel::Batched);
-                for case in 0..40 {
-                    let s = VertexId(rng.gen_range(0..n));
-                    let t = VertexId(rng.gen_range(0..n));
-                    let bound = rng.gen_range(0.1..18.0);
-                    assert_eq!(
-                        scalar.bounded_distance(&csr, s, t, bound),
-                        batched.bounded_distance(&csr, s, t, bound),
-                        "round {round} case {case} ({policy:?}): distance differs"
-                    );
-                    let sb = scalar.ball(&csr, s, bound).to_vec();
-                    let bb = batched.ball(&csr, s, bound).to_vec();
-                    assert_eq!(
-                        sb, bb,
-                        "round {round} case {case} ({policy:?}): ball settle order differs"
-                    );
-                }
+            let mut scalar = DijkstraEngine::new();
+            scalar.set_relax_kernel(RelaxKernel::Scalar);
+            let mut batched = DijkstraEngine::new();
+            batched.set_relax_kernel(RelaxKernel::Batched);
+            assert_eq!(batched.relax_kernel(), RelaxKernel::Batched);
+            for case in 0..40 {
+                let s = VertexId(rng.gen_range(0..n));
+                let t = VertexId(rng.gen_range(0..n));
+                let bound = rng.gen_range(0.1..18.0);
                 assert_eq!(
-                    stats_sans_kernel(scalar.stats()),
-                    stats_sans_kernel(batched.stats()),
-                    "round {round} ({policy:?}): pops/settles/prunes/frontier must be \
-                     bit-identical across kernels"
+                    scalar.bounded_distance(&csr, s, t, bound),
+                    batched.bounded_distance(&csr, s, t, bound),
+                    "round {round} case {case}: distance differs"
                 );
-                assert_eq!(scalar.stats().kernel, KernelStats::default());
-                let k = batched.stats().kernel;
-                assert!(k.rows_batched > 0, "batched kernel must have run");
-                assert!(k.candidates_committed <= k.edges_gathered);
-                assert_eq!(k.prefetch_distance, PREFETCH_DISTANCE);
+                let sb = scalar.ball(&csr, s, bound).to_vec();
+                let bb = batched.ball(&csr, s, bound).to_vec();
+                assert_eq!(
+                    sb, bb,
+                    "round {round} case {case}: ball settle order differs"
+                );
             }
+            assert_eq!(
+                stats_sans_kernel(scalar.stats()),
+                stats_sans_kernel(batched.stats()),
+                "round {round}: pops/settles/prunes/frontier must be bit-identical across kernels"
+            );
+            assert_eq!(scalar.stats().kernel, KernelStats::default());
+            let k = batched.stats().kernel;
+            assert!(k.rows_batched > 0, "batched kernel must have run");
+            assert!(k.candidates_committed <= k.edges_gathered);
+            assert_eq!(k.prefetch_distance, PREFETCH_DISTANCE);
         }
     }
 
@@ -2370,6 +2359,30 @@ mod tests {
             0,
             "Auto must pick the scalar loop on short-row graphs"
         );
+        // Long rows alone do not flip it: a dense graph whose lanes fit in
+        // cache (mean degree ≥ 3, small n) stays scalar too.
+        let mut rng = SmallRng::seed_from_u64(2_000);
+        let dense_n = 200;
+        let mut dense = WeightedGraph::new(dense_n);
+        for u in 0..dense_n {
+            for v in (u + 1)..dense_n {
+                if rng.gen_bool(0.06) {
+                    dense.add_edge(VertexId(u), VertexId(v), rng.gen_range(1.0..10.0));
+                }
+            }
+        }
+        assert!(2 * dense.num_edges() >= 3 * dense_n, "mean degree ≥ 3");
+        let dense_csr = CsrGraph::from(&dense);
+        let mut dense_engine = DijkstraEngine::new();
+        for i in 0..32 {
+            dense_engine.bounded_distance(&dense_csr, VertexId(i), VertexId(dense_n - 1 - i), 12.0);
+        }
+        assert!(dense_engine.stats().settled_vertices > 32);
+        assert_eq!(
+            dense_engine.stats().kernel.rows_batched,
+            0,
+            "Auto must keep an in-cache dense graph on the scalar loop"
+        );
         // Pending deletions flip Auto to the batched kernel (bitmap gather).
         csr.remove_edge(crate::graph::EdgeId(0)).unwrap();
         assert!(csr.has_pending_deletions());
@@ -2378,6 +2391,26 @@ mod tests {
             e.stats().kernel.rows_batched > 0,
             "Auto must pick the batched kernel while deletions are pending"
         );
+        // Lanes past the working-set crossover flip it too, whatever the
+        // degree: a short path inside a graph just over the threshold.
+        let big_n = AUTO_KERNEL_WORKING_SET_BYTES / WORKING_SET_BYTES_PER_VERTEX + 1;
+        let mut big = CsrGraph::new(big_n);
+        big.append_edge(VertexId(0), VertexId(1), 1.0);
+        big.append_edge(VertexId(1), VertexId(2), 1.0);
+        big.compact();
+        let mut big_engine = DijkstraEngine::new();
+        assert_eq!(
+            big_engine.bounded_distance(&big, VertexId(0), VertexId(2), 10.0),
+            Some(2.0)
+        );
+        assert!(
+            big_engine.stats().kernel.rows_batched > 0,
+            "Auto must pick the batched kernel once the lanes outgrow the cache"
+        );
+        let small = CsrGraph::new(big_n - 1);
+        let mut small_engine = DijkstraEngine::new();
+        small_engine.bounded_distance(&small, VertexId(0), VertexId(1), 10.0);
+        assert_eq!(small_engine.stats().kernel.rows_batched, 0);
     }
 
     #[test]

@@ -84,16 +84,11 @@
 //!
 //! # Query engine internals
 //!
-//! Three cooperating accelerations keep the point-query hot path fast while
-//! preserving bit-identical answers:
+//! Every search runs on one lazy-deletion binary heap that pops in exact
+//! `(distance, vertex)` order, so distances, paths, balls and every
+//! tie-break are deterministic. Three cooperating accelerations keep the
+//! point-query hot path fast while preserving bit-identical answers:
 //!
-//! * **Queue selection** ([`QueuePolicy`]): under the default `Auto` policy a
-//!   bounded query runs on a bucket queue ([`bucket_queue`]) whenever the
-//!   bound is finite and positive and the graph's live-weight statistics
-//!   yield a usable bucket width; unbounded and degenerate queries fall back
-//!   to the binary heap. Both queues pop in exact `(distance, vertex)`
-//!   order, so distances, paths, balls, and every tie-break are bit-identical
-//!   across policies.
 //! * **Cache-conscious relayout** ([`VertexPerm`],
 //!   [`csr::CsrGraph::reorder`]): vertices can be renumbered (the serving
 //!   layer uses descending live degree at freeze time) so hot adjacency rows
@@ -104,7 +99,10 @@
 //!   lower bounds let a bounded point-to-point search skip vertices that
 //!   provably cannot lie on a within-bound path to the target. Pruning never
 //!   reorders the queue (keys stay plain distances), so answers are
-//!   identical for *every* landmark set — including none. Tables are
+//!   identical for *every* landmark set — including none, and including
+//!   bounds equal to the exact distance: the lower bound is reduced by a
+//!   rounding margin ([`path_rounding_margin`]) so floating-point error can
+//!   never prune the answer path. Tables are
 //!   epoch-stamped ([`csr::CsrGraph::epoch`]) and must be rebuilt after any
 //!   mutation; the engine refuses stale tables.
 //! * **Batched relax kernel** ([`RelaxKernel`]): instead of one dependent
@@ -117,10 +115,12 @@
 //!   prefetched a few rows ahead, `state` lanes primed ahead of the filter —
 //!   branchlessly compact the surviving candidates into a commit buffer and
 //!   only then relax them. Under the default `Auto` policy the batched
-//!   kernel runs when rows are long enough to amortize staging (mean degree
-//!   ≥ 3) or deletions are pending (the bitmap gather beats per-edge
-//!   liveness calls); every answer, settle order and counter stays
-//!   bit-identical to the scalar reference path.
+//!   kernel runs when deletions are pending (the bitmap gather beats
+//!   per-edge liveness calls) or when the search lanes (16 B per vertex)
+//!   exceed [`engine::AUTO_KERNEL_WORKING_SET_BYTES`] — out of cache, where
+//!   hiding load latency pays; in cache the scalar loop is faster. Every
+//!   answer, settle order and counter stays bit-identical to the scalar
+//!   reference path.
 
 // `deny` rather than `forbid`: the batched relax kernel's bounds-checked
 // `_mm_prefetch` helper in `engine` carries the crate's only `unsafe` block
@@ -130,7 +130,6 @@
 #![warn(missing_docs)]
 
 pub mod apsp;
-pub mod bucket_queue;
 pub mod builder;
 pub mod connectivity;
 pub mod csr;
@@ -151,7 +150,8 @@ pub mod union_find;
 pub use builder::GraphBuilder;
 pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, DeltaOverlay, VertexPerm};
 pub use engine::{
-    DijkstraEngine, EngineStats, EngineTree, KernelStats, QueuePolicy, RelaxKernel, SptTree,
+    path_rounding_margin, DijkstraEngine, EngineStats, EngineTree, KernelStats, RelaxKernel,
+    SptTree,
 };
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, VertexId, WeightedGraph};

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::csr::{CsrGraph, CsrSnapshot};
-use crate::engine::{DijkstraEngine, EngineStats, QueuePolicy, RelaxKernel};
+use crate::engine::{DijkstraEngine, EngineStats, RelaxKernel};
 use crate::error::GraphError;
 
 /// Below this many items per worker the pool shrinks the worker count so no
@@ -204,15 +204,6 @@ impl EnginePool {
             total.kernel.merge(&s.kernel);
         }
         total
-    }
-
-    /// Sets the [`QueuePolicy`] on every engine in the pool (including the
-    /// commit engine). Answers are bit-identical under every policy; this
-    /// only selects the frontier data structure for bounded queries.
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        for e in &mut self.engines {
-            e.set_queue_policy(policy);
-        }
     }
 
     /// Sets the [`RelaxKernel`] on every engine in the pool (including the

@@ -1,9 +1,9 @@
-//! Property tests pinning the bucket-queue frontier (and the landmark-pruned
-//! search) to the binary heap and to the reference free functions: every
-//! queue the engine can select must produce **bit-identical** distances,
-//! paths, balls, and tie-breaks — on Erdős–Rényi, dense, and
-//! high-weight-spread graphs, including graphs with tombstoned edges and
-//! live overlay insertions.
+//! Property tests pinning the engine's priority queue to the reference free
+//! functions under both of its pop disciplines — the scalar loop's one pop
+//! per settle and the batched kernel's cohort drain (`pop_if_below`): both
+//! must produce **bit-identical** distances, paths, balls, and tie-breaks,
+//! on Erdős–Rényi, dense, and high-weight-spread graphs, including graphs
+//! with tombstoned edges and live overlay insertions.
 
 use proptest::prelude::*;
 
@@ -11,13 +11,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_graph::dijkstra::{ball, bounded_distance};
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EdgeId, Landmarks, QueuePolicy, VertexId, WeightedGraph,
+    CsrGraph, DijkstraEngine, EdgeId, Landmarks, RelaxKernel, VertexId, WeightedGraph,
 };
 
-/// Graph families whose weight distributions stress the bucket-width rule
-/// differently: sparse ER (mixed bucket occupancy), dense (many
-/// equal-bucket entries), and high-spread (weights across three orders of
-/// magnitude, so the mean-derived width is far from the min).
+/// Graph families whose weight distributions stress the cohort drain
+/// differently: sparse ER (mixed cohort sizes), dense narrow weights (many
+/// keys within one min-weight window), and high spread (weights across
+/// three orders of magnitude, so the min-weight slack is tiny).
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (2usize..28, 0u64..1000, 0usize..3).prop_map(|(n, seed, family)| {
         let mut rng = SmallRng::seed_from_u64(seed ^ (family as u64) << 32);
@@ -38,58 +38,59 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
-/// One engine per queue policy, both pre-sized so the zero-allocation
-/// contract is co-tested for free.
+/// One engine per pop discipline — the scalar loop and the batched
+/// kernel's cohort drain — both pre-sized so the zero-allocation contract
+/// is co-tested for free.
 fn engine_pair(n: usize, m: usize) -> (DijkstraEngine, DijkstraEngine) {
-    let mut heap = DijkstraEngine::with_capacity_for(n, m);
-    heap.set_queue_policy(QueuePolicy::Heap);
-    let auto = DijkstraEngine::with_capacity_for(n, m);
-    (heap, auto)
+    let mut scalar = DijkstraEngine::with_capacity_for(n, m);
+    scalar.set_relax_kernel(RelaxKernel::Scalar);
+    let mut drain = DijkstraEngine::with_capacity_for(n, m);
+    drain.set_relax_kernel(RelaxKernel::Batched);
+    (scalar, drain)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bounded distances: heap, bucket (`Auto`), and the reference free
+    /// Bounded distances: both pop disciplines and the reference free
     /// function agree exactly for arbitrary (source, target, bound) triples.
     #[test]
     fn bounded_distances_agree_across_queues(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..20 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..20.0);
-            let via_heap = heap.bounded_distance(&csr, s, t, bound);
-            let via_bucket = auto.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(via_heap, via_bucket, "s={} t={} bound={}", s, t, bound);
-            prop_assert_eq!(via_heap, bounded_distance(&g, s, t, bound));
+            let via_scalar = scalar.bounded_distance(&csr, s, t, bound);
+            let via_drain = drain.bounded_distance(&csr, s, t, bound);
+            prop_assert_eq!(via_scalar, via_drain, "s={} t={} bound={}", s, t, bound);
+            prop_assert_eq!(via_scalar, bounded_distance(&g, s, t, bound));
         }
-        prop_assert_eq!(heap.stats().reuse_hits, heap.stats().queries);
-        prop_assert_eq!(auto.stats().reuse_hits, auto.stats().queries);
+        prop_assert_eq!(scalar.stats().reuse_hits, scalar.stats().queries);
+        prop_assert_eq!(drain.stats().reuse_hits, drain.stats().queries);
     }
 
     /// Balls: membership AND order (including every equal-distance
-    /// tie-break) are identical across queue policies and match the
-    /// reference. This is the satellite tie-handling property: equal
-    /// distances settle in ascending vertex-id order no matter which
-    /// frontier ran the search.
+    /// tie-break) are identical across pop disciplines and match the
+    /// reference: equal distances settle in ascending vertex-id order no
+    /// matter how the queue was drained.
     #[test]
     fn balls_and_ties_agree_across_queues(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..8 {
             let s = VertexId(rng.gen_range(0..n));
             let radius = rng.gen_range(0.0..15.0);
-            let via_heap = heap.ball(&csr, s, radius).to_vec();
-            let via_bucket = auto.ball(&csr, s, radius).to_vec();
-            prop_assert_eq!(&via_heap, &via_bucket, "s={} radius={}", s, radius);
-            prop_assert_eq!(&via_heap[..], &ball(&g, s, radius)[..]);
-            for w in via_heap.windows(2) {
+            let via_scalar = scalar.ball(&csr, s, radius).to_vec();
+            let via_drain = drain.ball(&csr, s, radius).to_vec();
+            prop_assert_eq!(&via_scalar, &via_drain, "s={} radius={}", s, radius);
+            prop_assert_eq!(&via_scalar[..], &ball(&g, s, radius)[..]);
+            for w in via_scalar.windows(2) {
                 prop_assert!(
                     w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
                     "ties must be in ascending vertex-id order"
@@ -100,7 +101,7 @@ proptest! {
 
     /// Unit-weight graphs maximize exact distance ties (every vertex at hop
     /// distance d ties); ball order and k-nearest truncation must still be
-    /// identical across queues.
+    /// identical across pop disciplines.
     #[test]
     fn unit_weight_tie_storms_are_deterministic(n in 3usize..24, seed in 0u64..500) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -113,28 +114,27 @@ proptest! {
             }
         }
         let csr = CsrGraph::from(&g);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let s = VertexId(rng.gen_range(0..n));
-        let heap_ball = heap.ball(&csr, s, n as f64).to_vec();
-        let auto_ball = auto.ball(&csr, s, n as f64).to_vec();
-        prop_assert_eq!(&heap_ball, &auto_ball);
+        let scalar_ball = scalar.ball(&csr, s, n as f64).to_vec();
+        let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
+        prop_assert_eq!(&scalar_ball, &drain_ball);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = heap.shortest_path_tree(&csr, s).to_owned_tree();
-        for k in 0..=heap_ball.len() {
-            prop_assert_eq!(&tree.k_nearest(k)[..], &heap_ball[..k]);
+        let tree = scalar.shortest_path_tree(&csr, s).to_owned_tree();
+        for k in 0..=scalar_ball.len() {
+            prop_assert_eq!(&tree.k_nearest(k)[..], &scalar_ball[..k]);
         }
-        prop_assert_eq!(tree.members(), &heap_ball[..]);
+        prop_assert_eq!(tree.members(), &scalar_ball[..]);
     }
 
-    /// Shortest-path trees (unbounded, so both policies route to the heap)
-    /// and bounded paths agree across policies after the engines have been
-    /// through bucket queries — i.e. policy switching mid-stream never
-    /// corrupts the workspace.
+    /// Shortest-path trees agree across pop disciplines after the engines
+    /// have been through bounded queries — i.e. switching query shapes
+    /// mid-stream never corrupts the workspace.
     #[test]
     fn trees_agree_after_mixed_policy_streams(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         // Warm both engines with bounded queries first.
         for _ in 0..5 {
@@ -142,27 +142,27 @@ proptest! {
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.1..10.0);
             prop_assert_eq!(
-                heap.bounded_distance(&csr, s, t, bound),
-                auto.bounded_distance(&csr, s, t, bound)
+                scalar.bounded_distance(&csr, s, t, bound),
+                drain.bounded_distance(&csr, s, t, bound)
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let heap_tree = heap.shortest_path_tree(&csr, s).to_owned_tree();
-        let auto_tree = auto.shortest_path_tree(&csr, s).to_owned_tree();
+        let scalar_tree = scalar.shortest_path_tree(&csr, s).to_owned_tree();
+        let drain_tree = drain.shortest_path_tree(&csr, s).to_owned_tree();
         for v in 0..n {
-            prop_assert_eq!(heap_tree.distance(VertexId(v)), auto_tree.distance(VertexId(v)));
-            prop_assert_eq!(heap_tree.path_to(VertexId(v)), auto_tree.path_to(VertexId(v)));
+            prop_assert_eq!(scalar_tree.distance(VertexId(v)), drain_tree.distance(VertexId(v)));
+            prop_assert_eq!(scalar_tree.path_to(VertexId(v)), drain_tree.path_to(VertexId(v)));
         }
     }
 
     /// Landmark-pruned bounded distances equal unpruned ones for every
-    /// (source, target, bound) — on both queue policies.
+    /// (source, target, bound) — under both pop disciplines.
     #[test]
     fn landmark_pruning_is_answer_invariant(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
         let lm = Landmarks::build_degree_ranked(&csr, 3.min(n));
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..20 {
             let s = VertexId(rng.gen_range(0..n));
@@ -172,16 +172,16 @@ proptest! {
             } else {
                 rng.gen_range(0.0..20.0)
             };
-            let plain = heap.bounded_distance(&csr, s, t, bound);
+            let plain = scalar.bounded_distance(&csr, s, t, bound);
             prop_assert_eq!(
                 plain,
-                heap.bounded_distance_landmarked(&csr, &lm, s, t, bound),
-                "heap+ALT diverged: s={} t={} bound={}", s, t, bound
+                scalar.bounded_distance_landmarked(&csr, &lm, s, t, bound),
+                "scalar+ALT diverged: s={} t={} bound={}", s, t, bound
             );
             prop_assert_eq!(
                 plain,
-                auto.bounded_distance_landmarked(&csr, &lm, s, t, bound),
-                "bucket+ALT diverged: s={} t={} bound={}", s, t, bound
+                drain.bounded_distance_landmarked(&csr, &lm, s, t, bound),
+                "batched+ALT diverged: s={} t={} bound={}", s, t, bound
             );
         }
     }
@@ -194,7 +194,7 @@ proptest! {
         let n = g.num_vertices();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut csr = CsrGraph::from(&g);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges() + 24);
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges() + 24);
         let mut surviving: Vec<(VertexId, VertexId, f64)> =
             g.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
         let mut ids: Vec<usize> = (0..g.num_edges()).collect();
@@ -224,15 +224,15 @@ proptest! {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..25.0);
-            let via_heap = heap.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(via_heap, auto.bounded_distance(&csr, s, t, bound),
-                "step {}: queue divergence under churn", step);
-            prop_assert_eq!(via_heap, bounded_distance(&reference, s, t, bound),
+            let via_scalar = scalar.bounded_distance(&csr, s, t, bound);
+            prop_assert_eq!(via_scalar, drain.bounded_distance(&csr, s, t, bound),
+                "step {}: pop-discipline divergence under churn", step);
+            prop_assert_eq!(via_scalar, bounded_distance(&reference, s, t, bound),
                 "step {}: engine diverged from fresh rebuild", step);
             let radius = rng.gen_range(0.0..12.0);
             prop_assert_eq!(
-                heap.ball(&csr, s, radius).to_vec(),
-                auto.ball(&csr, s, radius).to_vec(),
+                scalar.ball(&csr, s, radius).to_vec(),
+                drain.ball(&csr, s, radius).to_vec(),
                 "step {}: ball divergence under churn", step
             );
         }
@@ -240,7 +240,7 @@ proptest! {
 
     /// Reordering the CSR relabels answers but never changes them: a query
     /// in external-id space answered through the permutation equals the
-    /// query on the original layout, under both queue policies.
+    /// query on the original layout, under both pop disciplines.
     #[test]
     fn reorder_is_answer_preserving_across_queues(g in arb_graph(), seed in 0u64..500) {
         use spanner_graph::VertexPerm;
@@ -248,15 +248,15 @@ proptest! {
         let csr = CsrGraph::from(&g);
         let perm = VertexPerm::degree_sorted(&csr);
         let reordered = csr.reorder(&perm);
-        let (mut heap, mut auto) = engine_pair(n, g.num_edges());
+        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut reordered_engine = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..12 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..20.0);
-            let original = heap.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(original, auto.bounded_distance(&csr, s, t, bound));
+            let original = scalar.bounded_distance(&csr, s, t, bound);
+            prop_assert_eq!(original, drain.bounded_distance(&csr, s, t, bound));
             let translated = reordered_engine.bounded_distance(
                 &reordered,
                 perm.to_internal(s),

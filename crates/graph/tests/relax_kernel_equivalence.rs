@@ -1,7 +1,7 @@
 //! Property tests pinning the batched gather → relax kernel to the scalar
 //! reference across the full configuration grid the engine can run:
-//! `RelaxKernel` × `QueuePolicy` × CSR layout (original vs degree-sorted
-//! relayout) × landmarks (none vs ALT pruning) — distances, paths, balls,
+//! `RelaxKernel` × CSR layout (original vs degree-sorted relayout) ×
+//! landmarks (none vs ALT pruning) — distances, paths, balls,
 //! settle order, and the search counters must be **bit-identical** in every
 //! cell, including graphs with tombstoned edges and live overlay
 //! insertions.
@@ -12,27 +12,30 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_graph::dijkstra::bounded_distance;
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EdgeId, EngineStats, KernelStats, Landmarks, QueuePolicy,
-    RelaxKernel, VertexId, VertexPerm, WeightedGraph,
+    CsrGraph, DijkstraEngine, EdgeId, EngineStats, KernelStats, Landmarks, RelaxKernel, VertexId,
+    VertexPerm, WeightedGraph,
 };
 
-/// The same graph families as the queue-equivalence suite: sparse ER,
-/// dense narrow-weight (long rows — the batched kernel's sweet spot), and
-/// high weight spread (degenerate cohort slack vs the mean-derived bucket
-/// width).
+/// The queue-equivalence suite's graph families — sparse ER, dense
+/// narrow-weight (long rows — the batched kernel's sweet spot), and high
+/// weight spread (a tiny cohort slack) — plus integer weights in {1, 2, 3},
+/// where most distances tie and every tie-break is exercised.
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
-    (2usize..28, 0u64..1000, 0usize..3).prop_map(|(n, seed, family)| {
+    (2usize..28, 0u64..1000, 0usize..4).prop_map(|(n, seed, family)| {
         let mut rng = SmallRng::seed_from_u64(seed ^ (family as u64) << 32);
         let (p, lo, hi) = match family {
             0 => (0.15, 0.5, 6.0),   // ER
             1 => (0.6, 1.0, 2.0),    // dense, narrow weights
-            _ => (0.25, 0.01, 10.0), // high weight spread
+            2 => (0.25, 0.01, 10.0), // high weight spread
+            _ => (0.3, 1.0, 4.0),    // integer weights, tie-heavy
         };
         let mut g = WeightedGraph::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
                 if rng.gen_bool(p) {
-                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(lo..hi));
+                    let w = rng.gen_range(lo..hi);
+                    let w = if family == 3 { w.floor() } else { w };
+                    g.add_edge(VertexId(u), VertexId(v), w);
                 }
             }
         }
@@ -40,20 +43,18 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
-/// One pre-sized engine per `(kernel, queue)` grid cell, scalar/heap first
-/// (the reference). Pre-sizing co-tests the zero-allocation contract of the
-/// gather scratch for free.
-fn grid_engines(n: usize, m: usize) -> Vec<(RelaxKernel, QueuePolicy, DijkstraEngine)> {
-    let mut engines = Vec::new();
-    for kernel in [RelaxKernel::Scalar, RelaxKernel::Batched, RelaxKernel::Auto] {
-        for queue in [QueuePolicy::Heap, QueuePolicy::Auto] {
+/// One pre-sized engine per kernel, scalar first (the reference).
+/// Pre-sizing co-tests the zero-allocation contract of the gather scratch
+/// for free.
+fn grid_engines(n: usize, m: usize) -> Vec<(RelaxKernel, DijkstraEngine)> {
+    [RelaxKernel::Scalar, RelaxKernel::Batched, RelaxKernel::Auto]
+        .into_iter()
+        .map(|kernel| {
             let mut e = DijkstraEngine::with_capacity_for(n, m);
             e.set_relax_kernel(kernel);
-            e.set_queue_policy(queue);
-            engines.push((kernel, queue, e));
-        }
-    }
-    engines
+            (kernel, e)
+        })
+        .collect()
 }
 
 /// The kernel block is the only counter allowed to differ across kernels.
@@ -69,8 +70,8 @@ proptest! {
 
     /// Bounded distances and balls (answers AND settle order) agree across
     /// every grid cell and match the reference free function; search
-    /// counters are bit-identical between kernels at a fixed queue policy,
-    /// and pre-sized engines never allocate under either kernel.
+    /// counters are bit-identical between kernels, and pre-sized engines
+    /// never allocate under either kernel.
     #[test]
     fn kernel_grid_agrees_on_distances_and_balls(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
@@ -84,41 +85,32 @@ proptest! {
             let want = bounded_distance(&g, s, t, bound);
             let radius = rng.gen_range(0.0..12.0);
             let mut want_ball: Option<Vec<(VertexId, f64)>> = None;
-            for (kernel, queue, e) in engines.iter_mut() {
+            for (kernel, e) in engines.iter_mut() {
                 prop_assert_eq!(
                     e.bounded_distance(&csr, s, t, bound),
                     want,
-                    "case {}: {:?}/{:?} distance diverged", case, kernel, queue
+                    "case {}: {:?} distance diverged", case, kernel
                 );
                 let got_ball = e.ball(&csr, s, radius).to_vec();
                 match &want_ball {
                     None => want_ball = Some(got_ball),
                     Some(w) => prop_assert_eq!(
                         w, &got_ball,
-                        "case {}: {:?}/{:?} ball settle order diverged", case, kernel, queue
+                        "case {}: {:?} ball settle order diverged", case, kernel
                     ),
                 }
             }
         }
-        for queue in [QueuePolicy::Heap, QueuePolicy::Auto] {
-            let per_queue: Vec<EngineStats> = engines
-                .iter()
-                .filter(|(_, q, _)| *q == queue)
-                .map(|(_, _, e)| e.stats())
-                .collect();
-            for s in &per_queue {
-                prop_assert_eq!(
-                    s.reuse_hits, s.queries,
-                    "a pre-sized engine must never allocate ({:?})", queue
-                );
-                prop_assert!(s.kernel.candidates_committed <= s.kernel.edges_gathered);
-            }
-            for s in &per_queue[1..] {
-                prop_assert_eq!(
-                    comparable(per_queue[0]), comparable(*s),
-                    "kernels must agree on every search counter ({:?})", queue
-                );
-            }
+        let stats: Vec<EngineStats> = engines.iter().map(|(_, e)| e.stats()).collect();
+        for s in &stats {
+            prop_assert_eq!(s.reuse_hits, s.queries, "a pre-sized engine must never allocate");
+            prop_assert!(s.kernel.candidates_committed <= s.kernel.edges_gathered);
+        }
+        for s in &stats[1..] {
+            prop_assert_eq!(
+                comparable(stats[0]), comparable(*s),
+                "kernels must agree on every search counter"
+            );
         }
     }
 
@@ -133,21 +125,21 @@ proptest! {
         for _ in 0..4 {
             let s = VertexId(rng.gen_range(0..n));
             let reference = {
-                let (_, _, e) = &mut engines[0];
+                let (_, e) = &mut engines[0];
                 e.shortest_path_tree(&csr, s).to_owned_tree()
             };
-            for (kernel, queue, e) in engines.iter_mut().skip(1) {
+            for (kernel, e) in engines.iter_mut().skip(1) {
                 let tree = e.shortest_path_tree(&csr, s).to_owned_tree();
                 for v in 0..n {
                     prop_assert_eq!(
                         reference.distance(VertexId(v)),
                         tree.distance(VertexId(v)),
-                        "{:?}/{:?}: SPT distance diverged", kernel, queue
+                        "{:?}: SPT distance diverged", kernel
                     );
                     prop_assert_eq!(
                         reference.path_to(VertexId(v)),
                         tree.path_to(VertexId(v)),
-                        "{:?}/{:?}: SPT parent chain diverged", kernel, queue
+                        "{:?}: SPT parent chain diverged", kernel
                     );
                 }
             }
@@ -177,19 +169,19 @@ proptest! {
                 rng.gen_range(0.0..20.0)
             };
             let want = bounded_distance(&g, s, t, bound);
-            for (kernel, queue, e) in engines.iter_mut() {
+            for (kernel, e) in engines.iter_mut() {
                 prop_assert_eq!(
                     e.bounded_distance_landmarked(&csr, &lm, s, t, bound),
                     want,
-                    "case {}: {:?}/{:?}+ALT diverged", case, kernel, queue
+                    "case {}: {:?}+ALT diverged", case, kernel
                 );
             }
             let (si, ti) = (perm.to_internal(s), perm.to_internal(t));
-            for (kernel, queue, e) in reordered_engines.iter_mut() {
+            for (kernel, e) in reordered_engines.iter_mut() {
                 prop_assert_eq!(
                     e.bounded_distance_landmarked(&reordered, &lm_reordered, si, ti, bound),
                     want,
-                    "case {}: {:?}/{:?}+ALT on relayout diverged", case, kernel, queue
+                    "case {}: {:?}+ALT on relayout diverged", case, kernel
                 );
             }
         }
@@ -237,28 +229,28 @@ proptest! {
             let want = bounded_distance(&reference, s, t, bound);
             let radius = rng.gen_range(0.0..12.0);
             let mut want_ball: Option<Vec<(VertexId, f64)>> = None;
-            for (kernel, queue, e) in engines.iter_mut() {
+            for (kernel, e) in engines.iter_mut() {
                 prop_assert_eq!(
                     e.bounded_distance(&csr, s, t, bound),
                     want,
-                    "step {}: {:?}/{:?} diverged under churn", step, kernel, queue
+                    "step {}: {:?} diverged under churn", step, kernel
                 );
                 let got_ball = e.ball(&csr, s, radius).to_vec();
                 match &want_ball {
                     None => want_ball = Some(got_ball),
                     Some(w) => prop_assert_eq!(
                         w, &got_ball,
-                        "step {}: {:?}/{:?} ball diverged under churn", step, kernel, queue
+                        "step {}: {:?} ball diverged under churn", step, kernel
                     ),
                 }
             }
         }
         // With deletions pending, Auto must have routed through the batched
-        // kernel on at least one engine (the bitmap-gather satellite).
+        // kernel (the bitmap gather).
         let auto_kernel: u64 = engines
             .iter()
-            .filter(|(k, _, _)| *k == RelaxKernel::Auto)
-            .map(|(_, _, e)| e.stats().kernel.rows_batched)
+            .filter(|(k, _)| *k == RelaxKernel::Auto)
+            .map(|(_, e)| e.stats().kernel.rows_batched)
             .sum();
         prop_assert!(auto_kernel > 0, "Auto never took the batched path under churn");
     }

@@ -1,9 +1,9 @@
 //! Acceptance matrix for the point-query acceleration stack: every engine
-//! variant — binary-heap queue, bucket queue, and bucket + ALT landmark
-//! pruning, with and without the cache-conscious relayout, under the
-//! scalar, batched, and auto-selected relaxation kernels — must serve
-//! answers **bit-identical** to the plain reference configuration, across
-//! thread counts {1, 2, 8} and cache capacities {0, 64}, cold and warm.
+//! variant — ALT landmark pruning on or off, with and without the
+//! cache-conscious relayout, under the scalar, batched, and auto-selected
+//! relaxation kernels — must serve answers **bit-identical** to the plain
+//! reference configuration, across thread counts {1, 2, 8} and cache
+//! capacities {0, 64}, cold and warm.
 //!
 //! The live half of the matrix drives servers through update batches that
 //! force generation compaction (an epoch bump), so stale landmark tables
@@ -18,77 +18,62 @@ use greedy_spanner::Spanner;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spanner_graph::generators::erdos_renyi_connected;
-use spanner_graph::{QueuePolicy, RelaxKernel, WeightedGraph};
+use spanner_graph::{RelaxKernel, WeightedGraph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CACHE_CAPACITIES: [usize; 2] = [0, 64];
 
-/// One engine configuration under test: queue policy, whether the frozen
-/// handle is relayouted, how many landmarks to derive (0 = none), and which
+/// One engine configuration under test: whether the frozen handle is
+/// relayouted, how many landmarks to derive (0 = none), and which
 /// relaxation kernel the engines run.
 struct Variant {
     name: &'static str,
-    policy: QueuePolicy,
     reorder: bool,
     landmarks: usize,
     kernel: RelaxKernel,
 }
 
-/// The frozen-handle matrix. `heap/plain/scalar` is the reference: the
-/// exact pre-acceleration serving configuration.
-const FROZEN_VARIANTS: [Variant; 8] = [
+/// The frozen-handle matrix. `plain/scalar` is the reference: the exact
+/// pre-acceleration serving configuration.
+const FROZEN_VARIANTS: [Variant; 7] = [
     Variant {
-        name: "heap/plain/scalar",
-        policy: QueuePolicy::Heap,
+        name: "plain/scalar",
         reorder: false,
         landmarks: 0,
         kernel: RelaxKernel::Scalar,
     },
     Variant {
-        name: "heap/plain/batched",
-        policy: QueuePolicy::Heap,
+        name: "plain/batched",
         reorder: false,
         landmarks: 0,
         kernel: RelaxKernel::Batched,
     },
     Variant {
-        name: "bucket/plain/batched",
-        policy: QueuePolicy::Auto,
-        reorder: false,
-        landmarks: 0,
-        kernel: RelaxKernel::Batched,
-    },
-    Variant {
-        name: "bucket/reordered/auto",
-        policy: QueuePolicy::Auto,
+        name: "reordered/auto",
         reorder: true,
         landmarks: 0,
         kernel: RelaxKernel::Auto,
     },
     Variant {
-        name: "heap/reordered+alt/scalar",
-        policy: QueuePolicy::Heap,
+        name: "plain+alt/batched",
+        reorder: false,
+        landmarks: 4,
+        kernel: RelaxKernel::Batched,
+    },
+    Variant {
+        name: "reordered+alt/scalar",
         reorder: true,
         landmarks: 4,
         kernel: RelaxKernel::Scalar,
     },
     Variant {
-        name: "heap/reordered+alt/batched",
-        policy: QueuePolicy::Heap,
+        name: "reordered+alt/batched",
         reorder: true,
         landmarks: 4,
         kernel: RelaxKernel::Batched,
     },
     Variant {
-        name: "bucket/reordered+alt/batched",
-        policy: QueuePolicy::Auto,
-        reorder: true,
-        landmarks: 4,
-        kernel: RelaxKernel::Batched,
-    },
-    Variant {
-        name: "bucket/reordered+alt/auto",
-        policy: QueuePolicy::Auto,
+        name: "reordered+alt/auto",
         reorder: true,
         landmarks: 4,
         kernel: RelaxKernel::Auto,
@@ -111,7 +96,7 @@ fn frozen_engine_variants_answer_bit_identically() {
         .seed(0xA17)
         .bound(3.0 * stretch)
         .generate();
-    // The reference: binary heap, original layout, no landmarks — the
+    // The reference: scalar kernel, original layout, no landmarks — the
     // serving configuration that predates the acceleration stack.
     let reference: Vec<Answer> = {
         let mut server = output
@@ -119,7 +104,6 @@ fn frozen_engine_variants_answer_bit_identically() {
             .serve()
             .threads(1)
             .cache_capacity(0)
-            .queue_policy(QueuePolicy::Heap)
             .relax_kernel(RelaxKernel::Scalar)
             .reorder(false)
             .landmarks(0)
@@ -135,7 +119,6 @@ fn frozen_engine_variants_answer_bit_identically() {
                     .serve()
                     .threads(threads)
                     .cache_capacity(cache)
-                    .queue_policy(variant.policy)
                     .relax_kernel(variant.kernel)
                     .reorder(variant.reorder)
                     .landmarks(variant.landmarks)
@@ -165,8 +148,8 @@ fn frozen_engine_variants_answer_bit_identically() {
 }
 
 /// The from-scratch oracle for a live server: freeze its current spanner
-/// into a fresh frozen handle served with **no** accelerator state — heap
-/// queue, inherited (identity) layout, whatever landmark state the handle
+/// into a fresh frozen handle served with **no** accelerator state — scalar
+/// kernel, inherited (identity) layout, whatever landmark state the handle
 /// carries (none, for a live-born handle) — and a cold cache.
 fn rebuilt_reference(server: &SpannerServer, queries: &[Query]) -> Vec<Answer> {
     let original = server
@@ -177,7 +160,6 @@ fn rebuilt_reference(server: &SpannerServer, queries: &[Query]) -> Vec<Answer> {
     let mut reference = ServeBuilder::from_handle(server.freeze_current())
         .threads(1)
         .cache_capacity(0)
-        .queue_policy(QueuePolicy::Heap)
         .relax_kernel(RelaxKernel::Scalar)
         .audit_against(&original)
         .finish();
@@ -202,39 +184,19 @@ fn live_engine_variants_survive_compacting_update_batches() {
         .bound(1e6)
         .seed(0xBEE5)
         .generate(&g);
-    // Live servers never relayout; the live matrix varies queue policy, the
-    // demand-derived landmark table (0 disables it), and the relax kernel.
+    // Live servers never relayout; the live matrix varies the
+    // demand-derived landmark table (0 disables it) and the relax kernel.
     // Tombstoning update batches are exactly what flips `Auto` onto the
     // batched path mid-stream, so the kernel dimension matters most here.
-    let live_variants: [(&str, QueuePolicy, usize, RelaxKernel); 6] = [
-        (
-            "heap/plain/scalar",
-            QueuePolicy::Heap,
-            0,
-            RelaxKernel::Scalar,
-        ),
-        (
-            "heap/plain/batched",
-            QueuePolicy::Heap,
-            0,
-            RelaxKernel::Batched,
-        ),
-        ("bucket/plain/auto", QueuePolicy::Auto, 0, RelaxKernel::Auto),
-        (
-            "heap/alt/batched",
-            QueuePolicy::Heap,
-            4,
-            RelaxKernel::Batched,
-        ),
-        (
-            "bucket/alt/batched",
-            QueuePolicy::Auto,
-            4,
-            RelaxKernel::Batched,
-        ),
-        ("bucket/alt/auto", QueuePolicy::Auto, 4, RelaxKernel::Auto),
+    let live_variants: [(&str, usize, RelaxKernel); 6] = [
+        ("plain/scalar", 0, RelaxKernel::Scalar),
+        ("plain/batched", 0, RelaxKernel::Batched),
+        ("plain/auto", 0, RelaxKernel::Auto),
+        ("alt/scalar", 4, RelaxKernel::Scalar),
+        ("alt/batched", 4, RelaxKernel::Batched),
+        ("alt/auto", 4, RelaxKernel::Auto),
     ];
-    for (name, policy, landmark_count, kernel) in live_variants {
+    for (name, landmark_count, kernel) in live_variants {
         for threads in THREAD_COUNTS {
             for cache in CACHE_CAPACITIES {
                 // A near-zero threshold makes every tombstoning batch
@@ -250,7 +212,6 @@ fn live_engine_variants_survive_compacting_update_batches() {
                     .serve()
                     .threads(threads)
                     .cache_capacity(cache)
-                    .queue_policy(policy)
                     .relax_kernel(kernel)
                     .landmarks(landmark_count)
                     .finish();
