@@ -1,5 +1,5 @@
-//! Sharded-pipeline scaling: the n × shards construction grid, cross-shard
-//! serving over boundary-targeted traffic, the shards=4 vs shards=1
+//! Sharded-pipeline scaling: the n × shards construction grid, serving a
+//! sharded build's boundary-targeted traffic, the shards=4 vs shards=1
 //! wall-time gate at n ≥ 10⁵, and the per-shard peak-memory bound at fixed
 //! n/k.
 //!
@@ -9,8 +9,8 @@
 //! single core (smaller per-shard spanners keep the per-edge bounded
 //! searches and their working sets small). Before timing anything the bench
 //! asserts the sharded determinism contract: the build artifact is
-//! bit-identical across thread counts and serving answers are bit-identical
-//! across serve-shard counts.
+//! bit-identical across thread counts, and serving it answers exactly like
+//! a plain server over the stitched output.
 //!
 //! CI smokes this bench at `SPANNER_THREADS` 1, 2 and 8 and archives the
 //! JSON summary (`BENCH_JSON`) as `bench-sharding.jsonl`; the
@@ -51,8 +51,8 @@ fn build(g: &WeightedGraph, shards: usize) -> ShardedOutput {
 }
 
 /// The determinism contract the numbers below are published under: the
-/// build artifact is a function of (graph, shards, seed) alone, and every
-/// serve-shard count answers bit-identically to the plain server.
+/// build artifact is a function of (graph, shards, seed) alone, and serving
+/// it answers bit-identically to a plain server over the stitched output.
 fn assert_sharded_determinism() {
     let g = grid(50, 50);
     let reference = ShardedSpanner::greedy()
@@ -82,17 +82,11 @@ fn assert_sharded_determinism() {
         .generate();
     let mut plain = reference.output.clone().serve().finish();
     let expected = plain.answer_batch(&queries).expect("valid batch");
-    for serve_shards in SHARD_COUNTS {
-        let mut server = reference
-            .clone()
-            .serve()
-            .serve_shards(serve_shards)
-            .finish();
-        let cold = server.answer_batch(&queries).expect("valid batch");
-        let warm = server.answer_batch(&queries).expect("valid batch");
-        assert_eq!(cold, expected, "serve_shards={serve_shards}");
-        assert_eq!(warm, expected, "warm, serve_shards={serve_shards}");
-    }
+    let mut server = reference.serve().finish();
+    let cold = server.answer_batch(&queries).expect("valid batch");
+    let warm = server.answer_batch(&queries).expect("valid batch");
+    assert_eq!(cold, expected, "cold");
+    assert_eq!(warm, expected, "warm");
 }
 
 fn bench_sharded(c: &mut Criterion) {
@@ -115,7 +109,7 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 
     // Serving: boundary-targeted distance traffic (every query crosses
-    // shards) through the sharded server at several serve-shard counts.
+    // shards) from one plain server over the stitched spanner.
     let g = grid(100, 100);
     let out = build(&g, 4);
     let boundary: Vec<VertexId> = (0..out.skeleton.num_vertices())
@@ -129,13 +123,11 @@ fn bench_sharded(c: &mut Criterion) {
         .generate();
     let mut serve_group = c.benchmark_group("sharded_serving");
     serve_group.sample_size(10);
-    for serve_shards in SHARD_COUNTS {
-        let mut server = out.clone().serve().serve_shards(serve_shards).finish();
-        server.answer_batch(&queries).expect("warms the caches");
-        serve_group.bench_function(BenchmarkId::new("boundary_batch", serve_shards), |b| {
-            b.iter(|| server.answer_batch(&queries).expect("valid batch").len())
-        });
-    }
+    let mut server = out.clone().serve().finish();
+    server.answer_batch(&queries).expect("warms the cache");
+    serve_group.bench_function("boundary_batch", |b| {
+        b.iter(|| server.answer_batch(&queries).expect("valid batch").len())
+    });
     serve_group.finish();
 
     // The acceptance gate at n ≥ 10⁵: a sharded build must complete with a

@@ -204,6 +204,11 @@ pub(crate) fn filter_commit_greedy(
 
         // Filter: independent bounded queries against the frozen snapshot.
         // Coverage here is final — distances only shrink as edges commit.
+        // That holds bit-exactly in floating point: the engine's distance
+        // is the minimum over paths of the left-to-right sum along each
+        // path, and adding edges only adds paths to that minimum. The
+        // admission comparison itself is exact; see `run_greedy_sequential`
+        // for its error argument.
         covered.clear();
         covered.resize(batch.len(), false);
         pool.map_batch(
@@ -299,6 +304,28 @@ pub(crate) fn run_greedy(
 
 /// The single-threaded engine-backed loop — the `threads = 1` fast path,
 /// with no batching or snapshot bookkeeping whatsoever.
+///
+/// # The admission comparison `d ≤ t·w`
+///
+/// An edge is rejected when the bounded search finds a spanner distance
+/// `D ≤ fl(t·w)`; the comparison is exact, with no tolerance. Every greedy
+/// path (this loop, the batched filter-then-commit loop and
+/// [`greedy_spanner_reference`]) evaluates the same `t * w` and computes `D`
+/// as the same left-to-right sums along the same paths, so all three make
+/// the same decision on every edge, ties included — which is what makes
+/// their outputs bit-identical.
+///
+/// What the exact comparison guarantees in real arithmetic: with
+/// `ρ = path_rounding_margin(n − 1)` (a simple path has fewer than `n`
+/// edges; see [`spanner_graph::path_rounding_margin`]), a rejected edge's
+/// true spanner distance `δ` satisfies `δ ≤ D / (1 − ρ)` and
+/// `fl(t·w) ≤ t·w·(1 + 2⁻⁵³)`, so `δ ≤ t·w·(1 + 2ρ)`. The spanner is a
+/// `t`-spanner up to that relative error, which is why
+/// [`crate::analysis::is_t_spanner`] verifies with a `1e-9` relative
+/// tolerance (`≥ 2ρ` for `n ≤ 2²¹`). An admitted edge only means
+/// `D > fl(t·w)`; on an exact real tie rounding may admit an edge that
+/// exact arithmetic would drop. Admitting an extra edge never breaks the
+/// stretch guarantee.
 fn run_greedy_sequential(graph: &WeightedGraph, t: f64) -> Result<GreedySpanner, SpannerError> {
     let mut spanner = CsrGraph::new(graph.num_vertices());
     let mut engine = DijkstraEngine::with_capacity_for(graph.num_vertices(), graph.num_edges());

@@ -224,7 +224,7 @@
 //! # The sharded architecture
 //!
 //! For graphs past single-pipeline scale, [`shard`] partitions the build
-//! and the serving while keeping the global stretch certificate:
+//! while keeping the global stretch certificate:
 //!
 //! 1. **Partition** (`spanner_graph::partition`): `k` BFS-grown,
 //!    size-balanced regions from seed-ranked roots — deterministic, and
@@ -242,55 +242,55 @@
 //!    and every cut edge is then re-audited, so
 //!    [`ShardedOutput::certified_stretch`] is a **global** certificate
 //!    ([`StitchStats::max_cut_stretch`] records the audited maximum).
-//! 4. **Serve** ([`serve::ShardedServer`] via [`ShardedOutput::serve`]):
-//!    queries route to the owning shard's [`serve::SpannerServer`];
-//!    cross-shard `Distance` bounds are tightened through the skeleton
-//!    first (a true upper bound, so the clamp is answer-invariant);
-//!    [`serve::ServeStats::merge`] aggregates per-shard stats.
+//! 4. **Serve** ([`ShardedOutput::serve`] = `output.serve()`): one plain
+//!    [`serve::SpannerServer`] over the stitched spanner. Shards are a
+//!    construction-time decomposition; serving holds one graph copy.
 //!
 //! The build artifact is a function of (graph, shards, seed) alone —
-//! bit-identical across thread counts — and serving answers are
-//! bit-identical across serve-shard counts, thread counts and cache
-//! states; `serve_shards(1)` reproduces the plain [`serve::SpannerServer`]
-//! exactly (root suites `tests/sharded_determinism.rs`,
-//! `tests/sharded_matrix.rs`).
+//! bit-identical across thread counts — and `k = 1` (or an empty graph at
+//! any `k`) reproduces the unsharded build exactly (root suites
+//! `tests/sharded_determinism.rs`, `tests/sharded_matrix.rs`).
+//!
+//! **Migration note (0.7):** the k-replica sharded server, its builder and
+//! the skeleton clamp are gone. [`ShardedOutput::serve`] returns the plain
+//! [`serve::ServeBuilder`]; drop the serve-shard-count setter. Measured on a
+//! 90k-vertex grid, k replica caches hit no more often than one shared
+//! cache, and the clamp slowed bounded cross-shard queries.
 //!
 //! # The serving runtime
 //!
-//! As of 0.5 every server kind answers through one front door: the
-//! [`runtime`] module's QoS-classed scheduler with adaptive admission
-//! control.
+//! [`serve::SpannerServer::answer_batch`] is the direct path. For overload
+//! behavior, wrap a server in the [`runtime`] module's QoS-classed
+//! scheduler with adaptive admission control.
 //!
 //! 1. **Backends.** The [`runtime::Backend`] trait abstracts "something
-//!    that answers query batches" — implemented by the frozen
-//!    [`serve::SpannerServer`], live servers (same type, update-capable
-//!    handle) and the sharded front door [`serve::ShardedServer`]. The
-//!    shed decision never consults the backend, so the admitted/shed
-//!    partition is one and the same across backend kinds.
+//!    that answers query batches" — implemented by
+//!    [`serve::SpannerServer`], frozen or live. The shed decision never
+//!    consults the backend, so the admitted/shed partition is one and the
+//!    same across backend kinds.
 //! 2. **Admission + QoS.** [`runtime::Router`] classifies each batch
 //!    ([`runtime::QosClass::of_batch`]: point lookups are `Interactive`,
 //!    ball/audit scans are `Bulk`), keeps per-class FIFO queues with
 //!    interactive-over-bulk preemption, dispatches in limit-sized chunks,
-//!    and **sheds** offers that would run the queue past the knee with
-//!    [`serve::ServeError::Overloaded`] carrying a `retry_after_hint`.
-//!    Admitted answers are **bit-identical to the unlimited path** —
-//!    chunked dispatch rides the batch-boundary-invariance guarantee.
-//! 3. **Limiters.** [`runtime::Limiter`] hosts the dynamic concurrency
-//!    limit behind a shared inflight gauge ([`spanner_graph::EnginePool`]
-//!    permits): [`runtime::AimdLimit`] (multiplicative backoff on breach,
-//!    additive growth when saturated-and-clean) and
-//!    [`runtime::GradientLimit`] (long-EWMA baseline vs short window),
-//!    both fed windowed p50/p99 from a [`runtime::WindowedHistogram`].
+//!    and **sheds** offers that would push a non-empty queue past the knee
+//!    with [`serve::ServeError::Overloaded`] carrying a `retry_after_hint`
+//!    (an idle router admits any batch). Admitted answers are
+//!    **bit-identical to the direct path** — chunked dispatch rides the
+//!    batch-boundary-invariance guarantee.
+//! 3. **Limiters.** [`runtime::Limiter`] is unlimited, fixed, or an
+//!    adaptive [`runtime::AimdLimit`] (multiplicative backoff on breach,
+//!    additive growth when saturated-and-clean) fed windowed p50 from a
+//!    [`runtime::WindowedHistogram`].
 //! 4. **Deterministic time.** Under a seeded [`runtime::VirtualClock`]
 //!    (splitmix64 service jitter over [`runtime::QueryCosts`]) the whole
 //!    simulation — arrivals, queueing, shed decisions, limit trajectory —
 //!    reproduces bit-for-bit at every thread count (root suite
 //!    `tests/admission_determinism.rs`).
 //!
-//! [`serve::ServeStats`] grew the front-door counters
-//! (`admitted`/`shed`/`queued`/`queue_wait`, merged across sharded
-//! replicas) and the busy-window vs wall-clock split
-//! ([`serve::ServeStats::qps`] vs [`serve::ServeStats::lifetime_qps`]);
+//! Admission counters (`admitted`/`shed`/`queued`/`queue_wait`) live on
+//! [`runtime::RouterStats`]; [`serve::ServeStats`] splits busy-window vs
+//! wall-clock rates ([`serve::ServeStats::qps`] vs
+//! [`serve::ServeStats::lifetime_qps`]);
 //! [`workload::QueryWorkload::open_loop`] generates seeded Poisson arrival
 //! schedules (optionally bursty) for driving routers open-loop.
 //!
@@ -314,12 +314,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! **Migration note (0.5):** [`serve::SpannerServer::answer_batch`] and
-//! [`serve::ShardedServer::answer_batch`] are now thin shims over an
-//! *unlimited* router core — no limit, no shedding, whole-batch chunks —
-//! so their behavior, answers and errors are unchanged; the direct path
-//! remains as `answer_batch_unlimited`. Wrap a server in
-//! [`runtime::Router`] to opt into admission control.
+//! **Migration note (0.7):** the unlimited direct-dispatch method →
+//! `answer_batch` (it is the direct path again); `ServeStats.{admitted, shed, queued,
+//! queue_wait}` → [`runtime::Router::stats`]; `Limiter::gradient` →
+//! [`runtime::Limiter::aimd`].
 //!
 //! **Migration note (0.3):** `SpannerServer` no longer owns a bare frozen
 //! graph — it serves through an epoch-stamped handle, and
@@ -342,8 +340,7 @@
 //! * [`persist`] — snapshots, write-ahead logging and crash recovery for
 //!   live spanners, described above.
 //! * [`shard`] — the sharded pipeline described above: partitioned builds,
-//!   the boundary skeleton and the global stretch re-audit (serving lives
-//!   in [`serve`] as [`serve::ShardedServer`]).
+//!   the boundary skeleton and the global stretch re-audit.
 //! * [`greedy`] / [`greedy_metric`] — Algorithm 1 engines (graph / metric).
 //! * [`bounded_degree`] — the net-tree `(1+ε)`-spanner substrate
 //!   (Theorem 2).
@@ -387,12 +384,12 @@ pub use greedy::GreedySpanner;
 pub use matrix::{aggregate_stats, run_matrix, MatrixCell, MatrixStats};
 pub use persist::{PersistError, Recovered, RecoveryReport};
 pub use runtime::{
-    AimdLimit, Backend, GradientLimit, Limiter, QosClass, QueryCosts, Router, RouterBuilder,
-    RouterStats, Ticket, VirtualClock, WindowedHistogram,
+    AimdLimit, Backend, Limiter, QosClass, QueryCosts, Router, RouterBuilder, RouterStats, Ticket,
+    VirtualClock, WindowedHistogram,
 };
+pub use serve::LatencyHistogram;
 pub use serve::SpannerHandle;
 pub use serve::{Answer, Query, ServeBuilder, ServeError, ServeStats, SpannerServer};
-pub use serve::{LatencyHistogram, ShardedServeBuilder, ShardedServer};
 pub use shard::{
     BoundarySkeleton, ShardBuildStats, Sharded, ShardedBuilder, ShardedOutput, ShardedSpanner,
     StitchStats,

@@ -1,30 +1,26 @@
-//! The unified serving runtime: one QoS-classed scheduler with adaptive
-//! admission control in front of every server shape.
+//! The serving runtime: one QoS-classed scheduler with adaptive admission
+//! control in front of a server.
 //!
-//! Before this module, `SpannerServer`, live serving, and `ShardedServer`
-//! were three parallel frontends that answered any batch thrown at them —
-//! no backpressure, no prioritization, no overload behavior. The runtime
-//! factors serving into three pieces:
+//! [`SpannerServer::answer_batch`](crate::serve::SpannerServer::answer_batch)
+//! answers any batch thrown at it — no backpressure, no prioritization, no
+//! overload behavior. The runtime adds those in three pieces:
 //!
-//! * [`Backend`] — the trait the three servers implement: validate a batch,
-//!   dispatch it (the pre-runtime unlimited path, bit-identical at every
-//!   thread count), report engine occupancy.
+//! * [`Backend`] — the trait a server implements: validate a batch and
+//!   dispatch it (the direct path, bit-identical at every thread count).
 //! * [`Router`] — the front door. [`Router::submit`] classifies work into
 //!   per-[`QosClass`] FIFO queues (interactive point queries preempt bulk
-//!   sweeps), acquires budget from a dynamic concurrency limiter before
-//!   dispatch, splits oversized batches into limit-sized chunks, and sheds
-//!   past the knee with [`ServeError::Overloaded`] carrying a
+//!   sweeps), splits batches into limit-sized chunks at dispatch, and sheds
+//!   backlog past the knee with [`ServeError::Overloaded`] carrying a
 //!   `retry_after_hint`.
-//! * [`Limiter`] ([`limit`]) — pluggable [`AimdLimit`] / [`GradientLimit`]
-//!   algorithms behind a shared inflight gauge, fed windowed latency
-//!   quantiles ([`WindowedHistogram`]), deterministic under the seeded
-//!   [`VirtualClock`] ([`clock`]).
+//! * [`Limiter`] ([`limit`]) — unlimited, fixed, or an adaptive
+//!   [`AimdLimit`] fed windowed latency quantiles ([`WindowedHistogram`]),
+//!   deterministic under the seeded [`VirtualClock`] ([`clock`]).
 //!
 //! **Answer invariance.** Chunked dispatch relies on the serving stack's
 //! standing guarantee that answers are a pure function of the query and the
 //! served spanner — never of batch boundaries, cache state, or thread
 //! count. Admitted answers through any router configuration are therefore
-//! bit-identical to the unlimited path; admission only decides *whether and
+//! bit-identical to the direct path; admission only decides *whether and
 //! when* a batch runs, not what it answers. Shed decisions depend only on
 //! the workload, the limiter parameters, and the clock — under a virtual
 //! clock they are bit-reproducible across machines and thread counts
@@ -65,7 +61,7 @@ use std::time::{Duration, Instant};
 use crate::serve::{Answer, LatencyHistogram, Query, ServeError};
 
 pub use clock::{QueryCosts, ServeClock, VirtualClock};
-pub use limit::{AimdLimit, FixedLimit, GradientLimit, InflightGauge, LimitAlgorithm, Limiter};
+pub use limit::{AimdLimit, Limiter};
 pub use window::WindowedHistogram;
 
 /// Quality-of-service class of a batch: which runtime queue it waits in.
@@ -112,16 +108,17 @@ impl QosClass {
     }
 }
 
-/// A query-serving backend the [`Router`] can front: the three server
-/// shapes (frozen [`SpannerServer`](crate::serve::SpannerServer), live
-/// servers, [`ShardedServer`](crate::shard::ShardedServer)) implement it.
+/// A query-serving backend the [`Router`] can front. Every server —
+/// frozen or live [`SpannerServer`](crate::serve::SpannerServer), including
+/// one built from a sharded build — implements it.
 ///
-/// `dispatch` is the *unlimited* path — the exact pre-runtime
-/// `answer_batch` semantics, whole-batch, bit-identical at every thread
-/// count. The router builds every admission behavior on top of it.
+/// `dispatch` is the direct path — the semantics of
+/// [`SpannerServer::answer_batch`](crate::serve::SpannerServer::answer_batch),
+/// whole-batch, bit-identical at every thread count. The router builds
+/// every admission behavior on top of it.
 pub trait Backend {
     /// Checks a batch without running anything: a batch either passes whole
-    /// or is rejected whole, exactly like the unlimited path's up-front
+    /// or is rejected whole, exactly like the direct path's up-front
     /// validation.
     fn validate_batch(&self, queries: &[Query]) -> Result<(), ServeError>;
 
@@ -129,10 +126,6 @@ pub trait Backend {
     /// insensitive to batch boundaries: dispatching a batch in chunks
     /// yields the same answers as dispatching it whole.
     fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError>;
-
-    /// Engine worker units currently occupied (the engine pool's inflight
-    /// gauge) — observability for admission layers.
-    fn occupancy(&self) -> usize;
 }
 
 /// Handle to a batch accepted by [`Router::offer`]; redeem it with
@@ -191,10 +184,19 @@ const DEFAULT_RETRY_PER_QUERY: Duration = Duration::from_micros(100);
 /// queued.
 const DEFAULT_SHED_FACTOR: f64 = 2.0;
 
-/// The router's engine, decoupled from backend ownership so the serving
-/// shims (which *are* backends) can drive one over `&mut self`.
+/// The serving front door: a [`Backend`] behind per-class scheduling
+/// queues and an admission [`Limiter`], built with [`Router::over`].
+///
+/// Two interaction styles:
+///
+/// * **Blocking** — [`Router::submit`] runs a batch to completion (waiting
+///   its turn behind queued work of equal or higher priority) or sheds it.
+/// * **Open-loop** — [`Router::offer`] enqueues, [`Router::poll`] /
+///   [`Router::poll_until`] dispatch, [`Router::collect`] redeems tickets;
+///   this is how overload simulations and the bench drive it.
 #[derive(Debug)]
-pub(crate) struct RouterCore {
+pub struct Router<B: Backend> {
+    backend: B,
     limiter: Limiter,
     clock: ServeClock,
     /// One FIFO per [`QosClass`], indexed by [`QosClass::index`].
@@ -203,65 +205,23 @@ pub(crate) struct RouterCore {
     next_ticket: u64,
     shed_factor: f64,
     /// Strict arrival-order dispatch (no class preemption) — the
-    /// "limiter off" baseline and the shims' compatibility mode.
+    /// "no QoS" baseline.
     fifo: bool,
     queued_units: usize,
     stats: RouterStats,
 }
 
-impl RouterCore {
-    pub(crate) fn new(limiter: Limiter, clock: ServeClock, shed_factor: f64, fifo: bool) -> Self {
-        let shed_factor = if shed_factor.is_finite() {
-            shed_factor.max(1.0)
-        } else {
-            f64::INFINITY
-        };
-        RouterCore {
-            limiter,
-            clock,
-            queues: [VecDeque::new(), VecDeque::new()],
-            completed: BTreeMap::new(),
-            next_ticket: 0,
-            shed_factor,
-            fifo,
-            queued_units: 0,
-            stats: RouterStats::default(),
+impl<B: Backend> Router<B> {
+    /// Starts building a router over `backend`; the default configuration
+    /// is an AIMD limiter, a real clock, and the standard shed knee.
+    pub fn over(backend: B) -> RouterBuilder<B> {
+        RouterBuilder {
+            backend,
+            limiter: Limiter::aimd(AimdLimit::new(64)),
+            clock: ServeClock::real(),
+            shed_factor: DEFAULT_SHED_FACTOR,
+            fifo: false,
         }
-    }
-
-    /// The shims' configuration: no limit, no shedding, strict arrival
-    /// order, real clock — behaviorally the pre-runtime path.
-    pub(crate) fn unlimited() -> Self {
-        RouterCore::new(
-            Limiter::unlimited(),
-            ServeClock::real(),
-            f64::INFINITY,
-            true,
-        )
-    }
-
-    pub(crate) fn stats(&self) -> &RouterStats {
-        &self.stats
-    }
-
-    pub(crate) fn limit(&self) -> usize {
-        self.limiter.limit()
-    }
-
-    pub(crate) fn window(&self) -> &WindowedHistogram {
-        self.limiter.window()
-    }
-
-    pub(crate) fn queued_units(&self) -> usize {
-        self.queued_units
-    }
-
-    pub(crate) fn now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    pub(crate) fn advance_to(&mut self, at: Duration) {
-        self.clock.advance_to(at);
     }
 
     fn retry_hint(&self, units: usize) -> Duration {
@@ -274,13 +234,18 @@ impl RouterCore {
         per.saturating_mul(backlog)
     }
 
-    pub(crate) fn offer(
-        &mut self,
-        backend: &mut dyn Backend,
-        class: QosClass,
-        queries: &[Query],
-    ) -> Result<Ticket, ServeError> {
-        backend.validate_batch(queries)?;
+    /// Enqueues a batch without dispatching it, returning a [`Ticket`].
+    ///
+    /// The overload knee applies to *backlog*: a batch is shed only when
+    /// work is already queued and accepting it would leave more than
+    /// `shed_factor × limit` units waiting. An idle router admits any
+    /// batch — dispatch chunks it to the limit anyway.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Router::submit`], decided at offer time.
+    pub fn offer(&mut self, class: QosClass, queries: &[Query]) -> Result<Ticket, ServeError> {
+        self.backend.validate_batch(queries)?;
         let units = queries.len();
         let ticket = self.next_ticket;
         if units == 0 {
@@ -289,7 +254,7 @@ impl RouterCore {
             self.completed.insert(ticket, Ok(Vec::new()));
             return Ok(Ticket(ticket));
         }
-        if !self.limiter.is_unlimited() {
+        if self.queued_units > 0 && !self.limiter.is_unlimited() {
             let knee = (self.limiter.limit() as f64 * self.shed_factor) as usize;
             if self.queued_units + units > knee.max(1) {
                 self.stats.shed += units as u64;
@@ -336,7 +301,7 @@ impl RouterCore {
 
     /// Dispatches one limit-sized chunk from the head of the scheduled
     /// queue; returns the work units it consumed (0 when idle).
-    pub(crate) fn step(&mut self, backend: &mut dyn Backend) -> usize {
+    fn step(&mut self) -> usize {
         let Some(qi) = self.next_queue() else {
             return 0;
         };
@@ -345,14 +310,12 @@ impl RouterCore {
         let take = remaining.min(self.limiter.limit().max(1));
         let chunk = &head.queries[head.cursor..head.cursor + take];
         let wait = self.clock.now().saturating_sub(head.arrived);
-        self.limiter.gauge_mut().acquire(take);
         let real_start = Instant::now();
-        let result = backend.dispatch(chunk);
+        let result = self.backend.dispatch(chunk);
         let service = self
             .clock
             .charge(chunk)
             .unwrap_or_else(|| real_start.elapsed());
-        self.limiter.gauge_mut().release(take);
         self.stats.dispatched_chunks += 1;
         match result {
             Ok(answers) => {
@@ -386,90 +349,6 @@ impl RouterCore {
         }
     }
 
-    /// Dispatches up to one limit's worth of queued work; returns the units
-    /// consumed.
-    pub(crate) fn poll(&mut self, backend: &mut dyn Backend) -> usize {
-        let budget = self.limiter.limit().max(1);
-        let mut done = 0;
-        while done < budget && self.queued_units > 0 {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    /// Dispatches queued work until the clock reaches `deadline` or the
-    /// queues empty — the driver loop of open-loop simulations, where work
-    /// must not run ahead of the next arrival.
-    pub(crate) fn poll_until(&mut self, backend: &mut dyn Backend, deadline: Duration) -> usize {
-        let mut done = 0;
-        while self.queued_units > 0 && self.clock.now() < deadline {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    /// Dispatches everything currently queued.
-    pub(crate) fn drain(&mut self, backend: &mut dyn Backend) -> usize {
-        let mut done = 0;
-        while self.queued_units > 0 {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    pub(crate) fn collect(&mut self, ticket: Ticket) -> Option<Result<Vec<Answer>, ServeError>> {
-        self.completed.remove(&ticket.0)
-    }
-
-    /// Offer + dispatch-to-completion: the blocking submission path.
-    pub(crate) fn submit(
-        &mut self,
-        backend: &mut dyn Backend,
-        class: QosClass,
-        queries: &[Query],
-    ) -> Result<Vec<Answer>, ServeError> {
-        let ticket = self.offer(backend, class, queries)?;
-        loop {
-            if let Some(result) = self.collect(ticket) {
-                return result;
-            }
-            // The ticket is still queued, so the queues are non-empty and
-            // `step` always consumes at least one unit — progress is
-            // guaranteed.
-            self.step(backend);
-        }
-    }
-}
-
-/// The serving front door: a [`Backend`] plus a [`RouterCore`] scheduling
-/// queue, built with [`Router::over`].
-///
-/// Two interaction styles:
-///
-/// * **Blocking** — [`Router::submit`] runs a batch to completion (waiting
-///   its turn behind queued work of equal or higher priority) or sheds it.
-/// * **Open-loop** — [`Router::offer`] enqueues, [`Router::poll`] /
-///   [`Router::poll_until`] dispatch, [`Router::collect`] redeems tickets;
-///   this is how overload simulations and the bench drive it.
-#[derive(Debug)]
-pub struct Router<B: Backend> {
-    backend: B,
-    core: RouterCore,
-}
-
-impl<B: Backend> Router<B> {
-    /// Starts building a router over `backend`; the default configuration
-    /// is an AIMD limiter, a real clock, and the standard shed knee.
-    pub fn over(backend: B) -> RouterBuilder<B> {
-        RouterBuilder {
-            backend,
-            limiter: Limiter::aimd(AimdLimit::new(64)),
-            clock: ServeClock::real(),
-            shed_factor: DEFAULT_SHED_FACTOR,
-            fifo: false,
-        }
-    }
-
     /// Submits a batch and blocks until it is answered or shed.
     ///
     /// # Errors
@@ -482,69 +361,85 @@ impl<B: Backend> Router<B> {
         class: QosClass,
         queries: &[Query],
     ) -> Result<Vec<Answer>, ServeError> {
-        self.core.submit(&mut self.backend, class, queries)
-    }
-
-    /// Enqueues a batch without dispatching it, returning a [`Ticket`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Router::submit`], decided at offer time.
-    pub fn offer(&mut self, class: QosClass, queries: &[Query]) -> Result<Ticket, ServeError> {
-        self.core.offer(&mut self.backend, class, queries)
+        let ticket = self.offer(class, queries)?;
+        loop {
+            if let Some(result) = self.collect(ticket) {
+                return result;
+            }
+            // The ticket is still queued, so the queues are non-empty and
+            // `step` always consumes at least one unit — progress is
+            // guaranteed.
+            self.step();
+        }
     }
 
     /// Redeems a completed ticket: `None` while still queued, the batch's
     /// result once dispatched (each ticket redeems once).
     pub fn collect(&mut self, ticket: Ticket) -> Option<Result<Vec<Answer>, ServeError>> {
-        self.core.collect(ticket)
+        self.completed.remove(&ticket.0)
     }
 
-    /// Dispatches up to one limit's worth of queued work.
+    /// Dispatches up to one limit's worth of queued work; returns the units
+    /// consumed.
     pub fn poll(&mut self) -> usize {
-        self.core.poll(&mut self.backend)
+        let budget = self.limiter.limit().max(1);
+        let mut done = 0;
+        while done < budget && self.queued_units > 0 {
+            done += self.step();
+        }
+        done
     }
 
     /// Dispatches queued work until the clock reaches `deadline` (measured
-    /// from the clock origin) or the queues empty.
+    /// from the clock origin) or the queues empty — the driver loop of
+    /// open-loop simulations, where work must not run ahead of the next
+    /// arrival.
     pub fn poll_until(&mut self, deadline: Duration) -> usize {
-        self.core.poll_until(&mut self.backend, deadline)
+        let mut done = 0;
+        while self.queued_units > 0 && self.clock.now() < deadline {
+            done += self.step();
+        }
+        done
     }
 
     /// Dispatches everything currently queued.
     pub fn drain(&mut self) -> usize {
-        self.core.drain(&mut self.backend)
+        let mut done = 0;
+        while self.queued_units > 0 {
+            done += self.step();
+        }
+        done
     }
 
     /// Declares an arrival instant to a virtual clock (no-op on a real
     /// clock).
     pub fn advance_to(&mut self, at: Duration) {
-        self.core.advance_to(at);
+        self.clock.advance_to(at);
     }
 
     /// Current clock reading, relative to the clock origin.
     pub fn now(&self) -> Duration {
-        self.core.now()
+        self.clock.now()
     }
 
     /// The limiter's current limit, in work units.
     pub fn limit(&self) -> usize {
-        self.core.limit()
+        self.limiter.limit()
     }
 
     /// Work units currently queued.
     pub fn queued_units(&self) -> usize {
-        self.core.queued_units()
+        self.queued_units
     }
 
     /// Admission counters and per-class latency views.
     pub fn stats(&self) -> &RouterStats {
-        self.core.stats()
+        &self.stats
     }
 
     /// The windowed latency view feeding the limiter.
     pub fn window(&self) -> &WindowedHistogram {
-        self.core.window()
+        self.limiter.window()
     }
 
     /// The fronted backend.
@@ -575,8 +470,8 @@ pub struct RouterBuilder<B: Backend> {
 }
 
 impl<B: Backend> RouterBuilder<B> {
-    /// Replaces the limiter (see [`Limiter::aimd`], [`Limiter::gradient`],
-    /// [`Limiter::fixed`], [`Limiter::unlimited`]).
+    /// Replaces the limiter (see [`Limiter::aimd`], [`Limiter::fixed`],
+    /// [`Limiter::unlimited`]).
     pub fn limiter(mut self, limiter: Limiter) -> Self {
         self.limiter = limiter;
         self
@@ -590,8 +485,9 @@ impl<B: Backend> RouterBuilder<B> {
     }
 
     /// Sets the overload knee as a multiple of the current limit (clamped
-    /// ≥ 1; non-finite disables shedding). A batch is shed when accepting
-    /// it would leave more than `shed_factor × limit` units queued.
+    /// ≥ 1; non-finite disables shedding). A batch is shed when work is
+    /// already queued and accepting it would leave more than
+    /// `shed_factor × limit` units queued.
     pub fn shed_factor(mut self, shed_factor: f64) -> Self {
         self.shed_factor = shed_factor;
         self
@@ -606,9 +502,22 @@ impl<B: Backend> RouterBuilder<B> {
 
     /// Builds the router.
     pub fn finish(self) -> Router<B> {
+        let shed_factor = if self.shed_factor.is_finite() {
+            self.shed_factor.max(1.0)
+        } else {
+            f64::INFINITY
+        };
         Router {
             backend: self.backend,
-            core: RouterCore::new(self.limiter, self.clock, self.shed_factor, self.fifo),
+            limiter: self.limiter,
+            clock: self.clock,
+            queues: [VecDeque::new(), VecDeque::new()],
+            completed: BTreeMap::new(),
+            next_ticket: 0,
+            shed_factor,
+            fifo: self.fifo,
+            queued_units: 0,
+            stats: RouterStats::default(),
         }
     }
 }
@@ -623,7 +532,6 @@ mod tests {
     #[derive(Debug, Default)]
     struct EchoBackend {
         chunks: Vec<usize>,
-        occupancy: usize,
     }
 
     impl Backend for EchoBackend {
@@ -644,10 +552,6 @@ mod tests {
                 .iter()
                 .map(|_| Answer::Distance(Some(1.0)))
                 .collect())
-        }
-
-        fn occupancy(&self) -> usize {
-            self.occupancy
         }
     }
 
@@ -781,6 +685,35 @@ mod tests {
         router
             .offer(QosClass::Bulk, &(0..6).map(ball).collect::<Vec<_>>())
             .unwrap();
+    }
+
+    #[test]
+    fn idle_router_admits_batches_larger_than_the_knee() {
+        // Default router: AIMD limit 64, knee 2 × 64 = 128 units. An idle
+        // router must admit a 200-query batch — every time — and chunk it
+        // at dispatch instead of shedding it and shrinking the limit.
+        let mut router = Router::over(EchoBackend::default()).finish();
+        let big: Vec<Query> = (0..200).map(point).collect();
+        for _ in 0..5 {
+            let answers = router.submit(QosClass::Interactive, &big).unwrap();
+            assert_eq!(answers.len(), 200);
+        }
+        assert_eq!(router.stats().shed, 0);
+        assert_eq!(router.stats().admitted, 1000);
+        assert!(
+            router.backend().chunks.len() >= 10,
+            "dispatch chunks each batch to the limit"
+        );
+        let medium: Vec<Query> = (0..100).map(point).collect();
+        router.submit(QosClass::Interactive, &medium).unwrap();
+        // The knee still bounds backlog: with 200 units queued, another
+        // 200 would leave 400 > 128 waiting.
+        router.offer(QosClass::Interactive, &big).unwrap();
+        assert!(matches!(
+            router.offer(QosClass::Interactive, &big),
+            Err(ServeError::Overloaded { .. })
+        ));
+        assert_eq!(router.stats().shed, 200);
     }
 
     #[test]

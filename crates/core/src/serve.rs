@@ -114,8 +114,8 @@ use spanner_graph::{
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::runtime::{Backend, QosClass, RouterCore};
-use crate::shard::{BoundarySkeleton, ShardedOutput};
+use crate::runtime::Backend;
+use crate::shard::ShardedOutput;
 use crate::update::{BatchOutcome, LiveSpanner, UpdateBatch, UpdateError, UpdateStats};
 
 /// One read query against a served spanner.
@@ -481,17 +481,6 @@ pub struct ServeStats {
     /// including idle gaps between batches — the denominator of
     /// [`ServeStats::lifetime_qps`].
     pub lifetime: Duration,
-    /// Queries accepted by admission control. Equal to `queries` on a
-    /// server driven through the compatibility shims; a
-    /// [`crate::runtime::Router`] with a real limiter may shed.
-    pub admitted: u64,
-    /// Queries refused with [`ServeError::Overloaded`].
-    pub shed: u64,
-    /// Admitted queries that waited behind a non-empty runtime queue.
-    pub queued: u64,
-    /// Summed per-query time between arrival and dispatch in the runtime
-    /// queues.
-    pub queue_wait: Duration,
     /// Per-query answer latencies.
     pub latency: LatencyHistogram,
     /// Batched relax-kernel counters aggregated across the server's engine
@@ -525,32 +514,6 @@ impl ServeStats {
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
-    /// Merges another server's statistics into this one — the per-shard
-    /// roll-up a [`ShardedServer`] reports. Counters add, `elapsed` adds
-    /// (total serving work across shards), `epoch` takes the maximum, and
-    /// the latency histograms merge exactly ([`LatencyHistogram::merge`]),
-    /// so merged quantiles equal the quantiles of one combined histogram.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.queries += other.queries;
-        self.batches += other.batches;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_insertions += other.cache_insertions;
-        self.cache_evictions += other.cache_evictions;
-        self.stale_evictions += other.stale_evictions;
-        self.epoch = self.epoch.max(other.epoch);
-        self.elapsed += other.elapsed;
-        // Replicas live side by side, so their lifetimes overlap — the
-        // merged lifetime is the longest, not the sum.
-        self.lifetime = self.lifetime.max(other.lifetime);
-        self.admitted += other.admitted;
-        self.shed += other.shed;
-        self.queued += other.queued;
-        self.queue_wait += other.queue_wait;
-        self.latency.merge(&other.latency);
-        self.kernel.merge(&other.kernel);
     }
 }
 
@@ -867,12 +830,6 @@ pub struct SpannerServer {
     /// Cumulative per-source query counts, feeding live landmark selection.
     source_demand: HashMap<usize, u64>,
     stats: ServeStats,
-    /// The embedded serving runtime behind [`SpannerServer::answer_batch`].
-    /// Defaults to the unlimited configuration, which is behaviorally
-    /// identical to dispatching directly; a [`crate::runtime::Router`]
-    /// wrapping this server supplies its own core instead. `Option` only so
-    /// the shim can temporarily take it while dispatching into `self`.
-    runtime: Option<RouterCore>,
     /// When this server was created (or its stats last reset) — the origin
     /// of [`ServeStats::lifetime`].
     started: Instant,
@@ -1051,14 +1008,13 @@ impl SpannerServer {
     /// servers — identical to a server rebuilt from scratch at the current
     /// epoch.
     ///
-    /// **Migration note (0.5):** this method is now a thin shim over the
-    /// serving runtime (see [`crate::runtime`]), submitted through an
-    /// *unlimited* [`RouterCore`] — no admission limit, no shedding, whole
-    /// batches dispatched in one chunk — so its behavior, answers and
-    /// errors are unchanged from earlier releases. To opt into QoS classes,
-    /// queueing and adaptive admission control, wrap the server in a
-    /// [`crate::runtime::Router`]; the direct dispatch path remains
-    /// available as [`SpannerServer::answer_batch_unlimited`].
+    /// This is the direct path: no admission control, no queueing. Wrap the
+    /// server in a [`crate::runtime::Router`] for QoS classes, queueing and
+    /// adaptive admission control; the router dispatches into this method
+    /// ([`Backend::dispatch`]).
+    ///
+    /// **Migration note (0.7):** the separate unlimited direct-dispatch
+    /// method is gone — this method is that direct path again.
     ///
     /// # Errors
     ///
@@ -1066,32 +1022,6 @@ impl SpannerServer {
     /// see [`ServeError`]). On error nothing was executed and no statistic
     /// changed.
     pub fn answer_batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        let mut runtime = self
-            .runtime
-            .take()
-            .expect("runtime is only vacant during dispatch");
-        let class = QosClass::of_batch(queries);
-        let result = runtime.submit(self, class, queries);
-        self.runtime = Some(runtime);
-        if result.is_ok() {
-            // The unlimited core admits everything instantly; fold the
-            // admission into this server's own counters so `stats()` tells
-            // the whole story without consulting the core.
-            self.stats.admitted += queries.len() as u64;
-        }
-        result
-    }
-
-    /// The pre-runtime batch path: validates and answers `queries` directly
-    /// against the pool, bypassing admission control entirely. This is what
-    /// the serving runtime dispatches into ([`Backend::dispatch`]); it is
-    /// public both as the escape hatch and as the reference behavior the
-    /// admission-determinism suite compares admitted answers against.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SpannerServer::answer_batch`].
-    pub fn answer_batch_unlimited(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
         let epoch = self.served.verify()?;
         self.validate(queries)?;
         if queries.is_empty() {
@@ -1318,11 +1248,7 @@ impl Backend for SpannerServer {
     }
 
     fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.answer_batch_unlimited(queries)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.pool.inflight()
+        self.answer_batch(queries)
     }
 }
 
@@ -1710,7 +1636,6 @@ impl ServeBuilder {
             live_landmarks: None,
             source_demand: HashMap::new(),
             stats: ServeStats::default(),
-            runtime: Some(RouterCore::unlimited()),
             started: Instant::now(),
         }
     }
@@ -1740,419 +1665,31 @@ impl LiveSpanner {
     }
 }
 
-/// A sharded serving front-end over a sharded build: `k` replica
-/// [`SpannerServer`]s — each a clone of **one** stitched, epoch-stamped
-/// handle — plus a routing table and the build's boundary skeleton.
-///
-/// Queries are routed to the serve shard that owns their *source* vertex,
-/// so each shard's SPT cache concentrates on its own sources instead of
-/// thrashing across the whole id space. Cross-shard [`Query::Distance`]
-/// searches between boundary vertices are tightened through the skeleton
-/// first: the skeleton distance upper-bounds the spanner distance (every
-/// skeleton path is realizable in the spanner), so clamping the search
-/// bound to it admits exactly the same answers while settling fewer
-/// vertices ([`ShardedServer::skeleton_clamps`] counts the tightenings).
-///
-/// Because every replica serves the *same* handle and both routing and the
-/// skeleton clamp are answer-invariant, answers are **bit-identical at
-/// every serve-shard count, thread count, and cache state** — and with one
-/// serve shard the server *is* today's [`SpannerServer`] over the stitched
-/// output, bit for bit. The root `tests/sharded_determinism.rs` suite
-/// asserts this across serve shards {1, 2, 4} × threads {1, 2, 8}.
-#[derive(Debug)]
-pub struct ShardedServer {
-    shards: Vec<SpannerServer>,
-    /// `assignment[v]` = serve shard owning source vertex `v`.
-    assignment: Vec<u32>,
-    skeleton: BoundarySkeleton,
-    skeleton_engine: DijkstraEngine,
-    skeleton_clamps: u64,
-    /// The embedded unlimited runtime behind
-    /// [`ShardedServer::answer_batch`] — same take/put shim pattern as
-    /// [`SpannerServer`]. A [`crate::runtime::Router`] wrapping the whole
-    /// sharded front door supplies its own core instead.
-    runtime: Option<RouterCore>,
-    /// Front-door admission counters (admitted/shed/queued/queue_wait),
-    /// kept separately from the replica shards so [`ShardedServer::stats`]
-    /// can merge them in without double-counting replica dispatches.
-    front_stats: ServeStats,
-}
-
-impl ShardedServer {
-    /// Answers a batch: routes each query to its source's shard (tightening
-    /// cross-shard distance bounds through the boundary skeleton), runs the
-    /// per-shard sub-batches, and reassembles answers in input order.
-    ///
-    /// Validation runs over the *whole* batch up front against replica 0 —
-    /// all replicas serve the same handle — so a batch still either runs
-    /// whole or not at all, exactly like [`SpannerServer::answer_batch`].
-    ///
-    /// **Migration note (0.5):** like [`SpannerServer::answer_batch`], this
-    /// is now a shim over an *unlimited* [`RouterCore`] — behavior, answers
-    /// and errors are unchanged. Wrap the server in a
-    /// [`crate::runtime::Router`] for admission control over the whole
-    /// sharded front door.
-    pub fn answer_batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        let mut runtime = self
-            .runtime
-            .take()
-            .expect("runtime is only vacant during dispatch");
-        let class = QosClass::of_batch(queries);
-        let result = runtime.submit(self, class, queries);
-        self.runtime = Some(runtime);
-        if result.is_ok() {
-            self.front_stats.admitted += queries.len() as u64;
-        }
-        result
-    }
-
-    /// The pre-runtime sharded batch path: routes and answers directly,
-    /// bypassing admission control. This is what the serving runtime
-    /// dispatches into ([`Backend::dispatch`]); replica sub-batches also go
-    /// through the unlimited path so a dispatch is admitted exactly once —
-    /// at the front door.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedServer::answer_batch`].
-    pub fn answer_batch_unlimited(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.shards[0].served.verify()?;
-        self.shards[0].validate(queries)?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let k = self.shards.len();
-        let mut routed_idx: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut routed: Vec<Vec<Query>> = vec![Vec::new(); k];
-        for (i, query) in queries.iter().enumerate() {
-            let shard = self.assignment[query.source().index()] as usize;
-            let query = self.tighten(shard, *query);
-            routed_idx[shard].push(i);
-            routed[shard].push(query);
-        }
-        let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
-        for shard in 0..k {
-            if routed[shard].is_empty() {
-                continue;
-            }
-            let sub = self.shards[shard].answer_batch_unlimited(&routed[shard])?;
-            for (&i, answer) in routed_idx[shard].iter().zip(sub) {
-                answers[i] = Some(answer);
-            }
-        }
-        Ok(answers
-            .into_iter()
-            .map(|a| a.expect("every query was routed to exactly one shard"))
-            .collect())
-    }
-
-    /// Tightens a cross-shard distance query's bound to the boundary
-    /// skeleton's upper bound when both endpoints are boundary vertices.
-    /// Answer-invariant: the true spanner distance never exceeds the
-    /// skeleton bound (see [`BoundarySkeleton::distance_upper_bound`]), so
-    /// `min(bound, skeleton)` accepts exactly the same distances.
-    fn tighten(&mut self, shard: usize, query: Query) -> Query {
-        let Query::Distance {
-            source,
-            target,
-            bound,
-        } = query
-        else {
-            return query;
-        };
-        if self.assignment[target.index()] as usize == shard {
-            return query;
-        }
-        let Some(ub) =
-            self.skeleton
-                .distance_upper_bound(&mut self.skeleton_engine, source, target)
-        else {
-            return query;
-        };
-        if ub < bound {
-            self.skeleton_clamps += 1;
-            Query::Distance {
-                source,
-                target,
-                bound: ub,
-            }
-        } else {
-            query
-        }
-    }
-
-    /// Number of serve shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Vertices of the served (stitched) spanner.
-    pub fn num_vertices(&self) -> usize {
-        self.shards[0].num_vertices()
-    }
-
-    /// Live edges of the served (stitched) spanner.
-    pub fn num_edges(&self) -> usize {
-        self.shards[0].num_edges()
-    }
-
-    /// Worker threads each shard answers its sub-batch with.
-    pub fn threads(&self) -> usize {
-        self.shards[0].threads()
-    }
-
-    /// Which construction produced the served spanner (the sharded build's
-    /// provenance, naming the inner algorithm and shard count).
-    pub fn provenance(&self) -> &Provenance {
-        self.shards[0].provenance()
-    }
-
-    /// The served spanner's epoch.
-    pub fn epoch(&self) -> u64 {
-        self.shards[0].epoch()
-    }
-
-    /// The serve shard owning queries sourced at `v`.
-    pub fn shard_of(&self, v: VertexId) -> usize {
-        self.assignment[v.index()] as usize
-    }
-
-    /// The boundary skeleton cross-shard bounds are tightened through.
-    pub fn skeleton(&self) -> &BoundarySkeleton {
-        &self.skeleton
-    }
-
-    /// How many cross-shard distance bounds the skeleton tightened.
-    pub fn skeleton_clamps(&self) -> u64 {
-        self.skeleton_clamps
-    }
-
-    /// One serve shard's statistics.
-    pub fn shard_stats(&self, shard: usize) -> &ServeStats {
-        self.shards[shard].stats()
-    }
-
-    /// The per-shard replica servers, in shard order.
-    pub fn shards(&self) -> &[SpannerServer] {
-        &self.shards
-    }
-
-    /// Aggregate statistics across all serve shards, merged with
-    /// [`ServeStats::merge`] — counters add, latency histograms combine
-    /// exactly, `elapsed` totals the serving work. Front-door admission
-    /// counters (admitted/shed/queued/queue_wait) merge in on top: replica
-    /// dispatches bypass per-shard admission, so the front door is their
-    /// single source of truth.
-    pub fn stats(&self) -> ServeStats {
-        let mut merged = ServeStats::default();
-        for shard in &self.shards {
-            merged.merge(shard.stats());
-        }
-        merged.merge(&self.front_stats);
-        merged
-    }
-
-    /// Shortest-path trees cached across all shards.
-    pub fn cached_trees(&self) -> usize {
-        self.shards.iter().map(SpannerServer::cached_trees).sum()
-    }
-
-    /// Mean worker utilization across the shard pools.
-    pub fn worker_utilization(&self) -> f64 {
-        let sum: f64 = self
-            .shards
-            .iter()
-            .map(SpannerServer::worker_utilization)
-            .sum();
-        sum / self.shards.len() as f64
-    }
-
-    /// Resets every shard's serving statistics, the front-door admission
-    /// counters, and the clamp counter.
-    pub fn reset_stats(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_stats();
-        }
-        self.front_stats = ServeStats::default();
-        self.skeleton_clamps = 0;
-    }
-}
-
-impl Backend for ShardedServer {
-    fn validate_batch(&self, queries: &[Query]) -> Result<(), ServeError> {
-        // All replicas serve the same handle; replica 0 speaks for them.
-        self.shards[0].served.verify()?;
-        self.shards[0].validate(queries)
-    }
-
-    fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.answer_batch_unlimited(queries)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.inflight()).sum()
-    }
-}
-
-/// Assembles a [`ShardedServer`]; created by [`ShardedOutput::serve`].
-///
-/// The builder freezes the stitched spanner into **one** handle exactly the
-/// way [`ServeBuilder`] freezes a fresh [`SpannerOutput`] (degree-sorted
-/// relayout + landmark table by default), then clones that handle into one
-/// replica [`SpannerServer`] per serve shard. With
-/// [`ShardedServeBuilder::serve_shards`]`(1)` the result answers
-/// bit-identically to `output.serve().finish()` on the same stitched
-/// output.
-///
-/// ```no_run
-/// use greedy_spanner::ShardedSpanner;
-/// use spanner_graph::WeightedGraph;
-///
-/// let g = WeightedGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.9)])?;
-/// let sharded = ShardedSpanner::greedy().stretch(2.0).shards(2).build(&g)?;
-/// let server = sharded.serve().threads(4).finish();
-/// assert_eq!(server.num_shards(), 2);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ShardedServeBuilder {
-    output: ShardedOutput,
-    /// `None` = one serve shard per build shard.
-    serve_shards: Option<usize>,
-    threads: usize,
-    cache_capacity: usize,
-    cache_admit_threshold: usize,
-    baseline: Option<WeightedGraph>,
-    reorder: Option<bool>,
-    landmark_count: Option<usize>,
-    relax_kernel: RelaxKernel,
-}
-
-impl ShardedServeBuilder {
-    fn new(output: ShardedOutput) -> Self {
-        ShardedServeBuilder {
-            output,
-            serve_shards: None,
-            threads: 0,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
-            baseline: None,
-            reorder: None,
-            landmark_count: None,
-            relax_kernel: RelaxKernel::Auto,
-        }
-    }
-
-    /// How many serve shards to run (clamped to `1..=n`). Defaults to the
-    /// build's shard count; any value answers identically — serve sharding
-    /// is pure routing over replicas of one stitched handle.
-    pub fn serve_shards(mut self, shards: usize) -> Self {
-        self.serve_shards = Some(shards);
-        self
-    }
-
-    /// Worker threads per shard sub-batch; `0` (the default) resolves like
-    /// [`ServeBuilder::threads`]. Answers are identical at every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Per-shard SPT cache capacity (see [`ServeBuilder::cache_capacity`]).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Per-shard cache admission threshold (see
-    /// [`ServeBuilder::cache_admit_threshold`]).
-    pub fn cache_admit_threshold(mut self, threshold: usize) -> Self {
-        self.cache_admit_threshold = threshold.max(1);
-        self
-    }
-
-    /// Relaxation kernel for the replica engines (see
-    /// [`ServeBuilder::relax_kernel`]); purely a speed knob.
-    pub fn relax_kernel(mut self, kernel: RelaxKernel) -> Self {
-        self.relax_kernel = kernel;
-        self
-    }
-
-    /// Whether to apply the degree-sorted relayout to the stitched handle
-    /// (default `true`, like fresh outputs; see [`ServeBuilder::reorder`]).
-    pub fn reorder(mut self, reorder: bool) -> Self {
-        self.reorder = Some(reorder);
-        self
-    }
-
-    /// ALT landmarks on the stitched handle (see
-    /// [`ServeBuilder::landmarks`]).
-    pub fn landmarks(mut self, count: usize) -> Self {
-        self.landmark_count = Some(count);
-        self
-    }
-
-    /// Supplies the original graph for [`Query::StretchAudit`] queries
-    /// (each replica audits against its own co-reordered copy).
-    pub fn audit_against(mut self, graph: &WeightedGraph) -> Self {
-        self.baseline = Some(graph.clone());
-        self
-    }
-
-    /// Builds the server: freezes the stitched spanner into one handle
-    /// (relayout + landmarks, as [`ServeBuilder::finish`] does for fresh
-    /// outputs), clones it into one replica per serve shard, and wires the
-    /// routing table — the build partition's assignment when the serve
-    /// shard count matches the build's, contiguous balanced ranges
-    /// otherwise.
-    pub fn finish(self) -> ShardedServer {
-        let n = self.output.partition.num_vertices();
-        let build_shards = self.output.partition.num_shards();
-        let k = self.serve_shards.unwrap_or(build_shards).clamp(1, n.max(1));
-        let assignment: Vec<u32> = if k == build_shards {
-            self.output.partition.assignment().to_vec()
-        } else {
-            (0..n).map(|v| ((v * k) / n) as u32).collect()
-        };
-        let skeleton = self.output.skeleton;
-        let mut handle = SpannerHandle::from_output(self.output.output);
-        if self.reorder.unwrap_or(true) {
-            handle = handle.reordered();
-        }
-        handle = handle.with_landmarks(self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT));
-        let shards: Vec<SpannerServer> = (0..k)
-            .map(|_| {
-                let mut builder = ServeBuilder::from_handle(handle.clone())
-                    .threads(self.threads)
-                    .cache_capacity(self.cache_capacity)
-                    .cache_admit_threshold(self.cache_admit_threshold)
-                    .relax_kernel(self.relax_kernel);
-                if let Some(baseline) = &self.baseline {
-                    builder = builder.audit_against(baseline);
-                }
-                builder.finish()
-            })
-            .collect();
-        ShardedServer {
-            shards,
-            assignment,
-            skeleton,
-            skeleton_engine: DijkstraEngine::new(),
-            skeleton_clamps: 0,
-            runtime: Some(RouterCore::unlimited()),
-            front_stats: ServeStats::default(),
-        }
-    }
-}
-
 impl ShardedOutput {
-    /// Turns this sharded build into a sharded serving pipeline:
+    /// Turns this sharded build into a serving pipeline over the stitched
+    /// spanner — exactly `self.output.serve()`:
     /// `ShardedSpanner::greedy().shards(4).build(&g)?.serve().finish()`.
     ///
-    /// The output is consumed; the stitched spanner is frozen once and
-    /// replicated across the serve shards. See [`ShardedServeBuilder`].
-    pub fn serve(self) -> ShardedServeBuilder {
-        ShardedServeBuilder::new(self)
+    /// The server holds one copy of the stitched graph. Shards are a
+    /// construction-time decomposition only; answers are those of a plain
+    /// [`SpannerServer`] over the same output, bit for bit.
+    ///
+    /// ```
+    /// use greedy_spanner::ShardedSpanner;
+    /// use spanner_graph::WeightedGraph;
+    ///
+    /// let g = WeightedGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.9)])?;
+    /// let sharded = ShardedSpanner::greedy().stretch(2.0).shards(2).build(&g)?;
+    /// let server = sharded.serve().threads(4).finish();
+    /// assert_eq!(server.num_vertices(), 3);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// **Migration note (0.7):** the k-replica sharded server and its
+    /// builder are gone, and this returns the plain [`ServeBuilder`] —
+    /// drop the serve-shard-count setter; every other knob is unchanged.
+    pub fn serve(self) -> ServeBuilder {
+        self.output.serve()
     }
 }
 
@@ -2282,56 +1819,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_admission_counters_and_lifetime_takes_the_max() {
-        let mut a = ServeStats {
-            admitted: 10,
-            shed: 2,
-            queued: 3,
-            queue_wait: Duration::from_millis(5),
-            lifetime: Duration::from_secs(4),
-            ..ServeStats::default()
-        };
-        let b = ServeStats {
-            admitted: 7,
-            shed: 1,
-            queued: 0,
-            queue_wait: Duration::from_millis(2),
-            lifetime: Duration::from_secs(9),
-            ..ServeStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.admitted, 17);
-        assert_eq!(a.shed, 3);
-        assert_eq!(a.queued, 3);
-        assert_eq!(a.queue_wait, Duration::from_millis(7));
-        assert_eq!(a.lifetime, Duration::from_secs(9), "lifetimes overlap");
-    }
-
-    #[test]
     fn answer_batch_shim_matches_the_unlimited_path_and_counts_admission() {
+        use crate::runtime::{Limiter, QosClass, Router};
         let mut rng = SmallRng::seed_from_u64(11);
         let g = erdos_renyi_connected(40, 0.15, 1.0..4.0, &mut rng);
-        let mut via_shim = server_for(&g, 8, 2);
         let mut direct = server_for(&g, 8, 2);
+        let mut routed = Router::over(server_for(&g, 8, 2))
+            .limiter(Limiter::unlimited())
+            .finish();
         let queries: Vec<Query> = (0..40)
             .map(|i| Query::distance(VertexId(i % 40), VertexId((i * 7 + 3) % 40), f64::INFINITY))
             .collect();
-        let a = via_shim.answer_batch(&queries).unwrap();
-        let b = direct.answer_batch_unlimited(&queries).unwrap();
-        assert_eq!(a, b, "the unlimited shim answers bit-identically");
-        let stats = via_shim.stats();
+        let a = direct.answer_batch(&queries).unwrap();
+        let b = routed.submit(QosClass::Interactive, &queries).unwrap();
+        assert_eq!(a, b, "an unlimited router answers bit-identically");
+        assert_eq!(routed.backend().stats().queries, direct.stats().queries);
+        let stats = routed.stats();
         assert_eq!(stats.admitted, 40, "everything admitted");
         assert_eq!(stats.shed, 0);
-        assert_eq!(stats.queued, 0, "no queueing in the unlimited core");
-        assert_eq!(stats.queue_wait, Duration::ZERO);
-        assert_eq!(direct.stats().admitted, 0, "direct path skips admission");
-        // Errors pass through the shim unchanged and admit nothing.
+        assert_eq!(stats.queued, 0, "no queueing without a limit");
+        assert_eq!(stats.dispatched_chunks, 1, "one whole-batch dispatch");
+        // Errors pass through both paths unchanged and admit nothing.
         let bad = [Query::distance(VertexId(0), VertexId(999), 1.0)];
-        assert!(matches!(
-            via_shim.answer_batch(&bad),
-            Err(ServeError::VertexOutOfRange { .. })
-        ));
-        assert_eq!(via_shim.stats().admitted, 40);
+        let err = direct.answer_batch(&bad).unwrap_err();
+        assert!(matches!(err, ServeError::VertexOutOfRange { .. }));
+        assert_eq!(routed.submit(QosClass::Interactive, &bad), Err(err));
+        assert_eq!(routed.stats().admitted, 40);
     }
 
     #[test]
@@ -2767,56 +2280,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_stats_merge_aggregates_counters() {
-        let mut left = ServeStats {
-            queries: 10,
-            batches: 2,
-            cache_hits: 3,
-            cache_misses: 7,
-            cache_insertions: 4,
-            cache_evictions: 1,
-            stale_evictions: 0,
-            epoch: 5,
-            elapsed: Duration::from_millis(20),
-            ..ServeStats::default()
-        };
-        let right = ServeStats {
-            queries: 4,
-            batches: 1,
-            cache_hits: 1,
-            cache_misses: 3,
-            cache_insertions: 2,
-            cache_evictions: 2,
-            stale_evictions: 6,
-            epoch: 9,
-            elapsed: Duration::from_millis(5),
-            ..ServeStats::default()
-        };
-        left.merge(&right);
-        assert_eq!(left.queries, 14);
-        assert_eq!(left.batches, 3);
-        assert_eq!(left.cache_hits, 4);
-        assert_eq!(left.cache_misses, 10);
-        assert_eq!(left.cache_insertions, 6);
-        assert_eq!(left.cache_evictions, 3);
-        assert_eq!(left.stale_evictions, 6);
-        assert_eq!(left.epoch, 9);
-        assert_eq!(left.elapsed, Duration::from_millis(25));
-        assert_eq!(left.cache_hit_rate(), Some(4.0 / 14.0));
-    }
-
-    #[test]
     fn untouched_server_rates_decline_instead_of_dividing_by_zero() {
         let g = diamond();
         let server = server_for(&g, 4, 1);
         assert_eq!(server.stats().qps(), None);
         assert_eq!(server.stats().cache_hit_rate(), None);
-        // Merging all-zero stats must keep the rates declined.
-        let mut merged = ServeStats::default();
-        merged.merge(server.stats());
-        assert_eq!(merged.qps(), None);
-        assert_eq!(merged.cache_hit_rate(), None);
-        assert_eq!(merged.latency.quantile(0.5), None);
+        assert_eq!(server.stats().lifetime_qps(), None);
+        assert_eq!(server.stats().latency.quantile(0.5), None);
     }
 
     /// A mixed batch whose sources spread across shards, with repeats for
@@ -2847,94 +2317,36 @@ mod tests {
             .shards(3)
             .build(&g)
             .unwrap();
-        let queries = sharded_query_mix(60);
-        // Reference: today's SpannerServer over the identical stitched output.
+        let mut queries = sharded_query_mix(60);
+        // Unbounded distance queries between boundary vertices of
+        // different shards — the pairs the stitched skeleton connects.
+        let skeleton = &sharded.skeleton;
+        let boundary: Vec<VertexId> = (0..skeleton.num_vertices())
+            .map(|b| skeleton.global_of(VertexId(b)))
+            .collect();
+        let shard_of = |v: VertexId| sharded.partition.assignment()[v.index()];
+        for (a, &u) in boundary.iter().enumerate() {
+            for &v in &boundary[a + 1..] {
+                if shard_of(u) != shard_of(v) && queries.len() < 180 {
+                    queries.push(Query::distance(u, v, f64::INFINITY));
+                }
+            }
+        }
+        assert!(queries.len() > 120, "partition produced no boundary pairs");
+        // Reference: a plain server over the identical stitched output.
         let mut plain = sharded.output.clone().serve().finish();
         let reference_cold = plain.answer_batch(&queries).unwrap();
         let reference_warm = plain.answer_batch(&queries).unwrap();
         assert_eq!(reference_cold, reference_warm);
-        for serve_shards in [1usize, 2, 3, 5] {
-            let mut server = sharded.clone().serve().serve_shards(serve_shards).finish();
-            assert_eq!(server.num_shards(), serve_shards);
-            let cold = server.answer_batch(&queries).unwrap();
-            let warm = server.answer_batch(&queries).unwrap();
-            assert_eq!(cold, reference_cold, "serve_shards={serve_shards} cold");
-            assert_eq!(warm, reference_cold, "serve_shards={serve_shards} warm");
-            let merged = server.stats();
-            assert_eq!(merged.queries, 2 * queries.len() as u64);
-            let per_shard: u64 = (0..serve_shards)
-                .map(|s| server.shard_stats(s).queries)
-                .sum();
-            assert_eq!(merged.queries, per_shard);
-            assert_eq!(merged.latency.total(), merged.queries);
-            assert_eq!(
-                merged.admitted,
-                2 * queries.len() as u64,
-                "admission is counted once, at the sharded front door"
-            );
-            assert_eq!(merged.shed, 0);
-            assert_eq!(
-                (0..serve_shards)
-                    .map(|s| server.shard_stats(s).admitted)
-                    .sum::<u64>(),
-                0,
-                "replica dispatches bypass per-shard admission"
-            );
-            server.reset_stats();
-            assert_eq!(server.stats().admitted, 0, "reset clears the front door");
-        }
-    }
-
-    #[test]
-    fn skeleton_clamp_tightens_cross_shard_bounds_without_changing_answers() {
-        use crate::shard::ShardedSpanner;
-        let mut rng = SmallRng::seed_from_u64(97);
-        let g = erdos_renyi_connected(80, 0.1, 1.0..6.0, &mut rng);
-        let sharded = ShardedSpanner::greedy()
-            .stretch(2.0)
-            .shards(4)
-            .build(&g)
-            .unwrap();
-        // Unbounded cross-shard distance queries between *boundary*
-        // vertices — exactly the shape the skeleton clamp fires on.
-        let skeleton = sharded.skeleton.clone();
-        let mut queries = Vec::new();
-        for a in 0..skeleton.num_vertices() {
-            for b in (a + 1)..skeleton.num_vertices() {
-                queries.push(Query::distance(
-                    skeleton.global_of(VertexId(a)),
-                    skeleton.global_of(VertexId(b)),
-                    f64::INFINITY,
-                ));
-                if queries.len() >= 60 {
-                    break;
-                }
-            }
-            if queries.len() >= 60 {
-                break;
-            }
-        }
-        assert!(!queries.is_empty(), "partition produced no boundary pairs");
-        let mut plain = sharded.output.clone().serve().finish();
-        let reference = plain.answer_batch(&queries).unwrap();
-        let mut server = sharded.serve().finish();
-        let answers = server.answer_batch(&queries).unwrap();
-        assert_eq!(answers, reference);
-        assert!(
-            server.skeleton_clamps() > 0,
-            "no cross-shard bound was tightened through the skeleton"
-        );
-        // Clamped answers are real distances, not skeleton upper bounds.
-        for (query, answer) in queries.iter().zip(&answers) {
-            let Query::Distance { source, target, .. } = query else {
-                unreachable!()
-            };
-            if let Answer::Distance(Some(d)) = answer {
-                let direct = plain
-                    .answer_batch(&[Query::distance(*source, *target, f64::INFINITY)])
-                    .unwrap();
-                assert_eq!(direct[0].distance(), Some(*d));
-            }
-        }
+        let mut server = sharded.clone().serve().finish();
+        assert_eq!(server.num_vertices(), plain.num_vertices());
+        assert_eq!(server.num_edges(), plain.num_edges());
+        assert_eq!(server.provenance(), plain.provenance());
+        let cold = server.answer_batch(&queries).unwrap();
+        let warm = server.answer_batch(&queries).unwrap();
+        assert_eq!(cold, reference_cold, "cold");
+        assert_eq!(warm, reference_cold, "warm");
+        assert_eq!(server.stats().queries, plain.stats().queries);
+        assert_eq!(server.cached_trees(), plain.cached_trees());
     }
 }

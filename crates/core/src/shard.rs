@@ -160,8 +160,9 @@ impl ShardedBuilder {
     ///
     /// # Errors
     ///
-    /// Whatever the partition or any per-shard build reports (empty input,
-    /// unsupported algorithm, invalid parameters).
+    /// Whatever any per-shard build reports (unsupported algorithm, invalid
+    /// parameters). An empty graph is not an error: it yields the inner
+    /// algorithm's empty spanner, as an unsharded build does.
     pub fn build(&self, graph: &WeightedGraph) -> Result<ShardedOutput, SpannerError> {
         build_sharded(
             self.algorithm.as_ref(),
@@ -230,11 +231,9 @@ pub struct StitchStats {
 /// vertices in a compact local id space, contracted shard-spanner
 /// distances, and the kept cut edges.
 ///
-/// Besides certifying construction, the skeleton serves: a skeleton
-/// distance between two boundary vertices upper-bounds their
+/// A skeleton distance between two boundary vertices upper-bounds their
 /// global-spanner distance (every skeleton path is realizable in the
-/// spanner), which [`ShardedServer`](crate::serve::ShardedServer) uses to
-/// tighten cross-shard search bounds without changing any answer.
+/// spanner); [`BoundarySkeleton::distance_upper_bound`] exposes that bound.
 #[derive(Debug, Clone)]
 pub struct BoundarySkeleton {
     graph: CsrGraph,
@@ -396,14 +395,20 @@ fn build_sharded(
 ) -> Result<ShardedOutput, SpannerError> {
     let total_start = Instant::now();
     let n = graph.num_vertices();
-    let partition = Partition::build(
-        graph,
-        &PartitionConfig {
-            shards,
-            seed: config.seed,
-            balance,
-        },
-    )?;
+    // An empty input runs the pipeline over the one-shard empty partition:
+    // the inner algorithm's empty spanner, nothing to stitch.
+    let partition = if n == 0 {
+        Partition::empty(config.seed)
+    } else {
+        Partition::build(
+            graph,
+            &PartitionConfig {
+                shards,
+                seed: config.seed,
+                balance,
+            },
+        )?
+    };
     let k = partition.num_shards();
     let threads_total = config.resolve_threads();
     let per_shard_threads = (threads_total / k).max(1);
@@ -699,6 +704,35 @@ mod tests {
         assert_eq!(sharded.stitch.cut_edges, 0);
         assert_eq!(sharded.skeleton.num_vertices(), 0);
         assert_eq!(sharded.certified_stretch(), Some(2.0));
+        // Tiny inputs, including the empty graph, match the unsharded
+        // build at every shard count.
+        for n in 0..=2usize {
+            let g = WeightedGraph::from_edges(n, (1..n).map(|v| (v - 1, v, 1.5))).unwrap();
+            let direct = Spanner::greedy().stretch(2.0).build(&g).unwrap();
+            for k in [1usize, 2, 4] {
+                let sharded = ShardedSpanner::greedy()
+                    .stretch(2.0)
+                    .shards(k)
+                    .build(&g)
+                    .unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
+                assert_eq!(sharded.spanner().num_vertices(), n, "n={n} k={k}");
+                assert_eq!(
+                    sharded.spanner().edges(),
+                    direct.spanner.edges(),
+                    "n={n} k={k}"
+                );
+                assert!(sharded.stitch.max_cut_stretch <= 2.0 * SKELETON_SLACK);
+                assert_eq!(sharded.certified_stretch(), Some(2.0));
+            }
+        }
+        let empty = ShardedSpanner::greedy()
+            .shards(4)
+            .build(&WeightedGraph::new(0))
+            .unwrap();
+        assert_eq!(empty.partition.num_shards(), 1);
+        assert_eq!(empty.stitch.cut_edges, 0);
+        assert_eq!(empty.stitch.kept_cut_edges, 0);
+        assert_eq!(empty.skeleton.num_vertices(), 0);
     }
 
     #[test]

@@ -918,6 +918,21 @@ fn pair_key(u: VertexId, v: VertexId) -> (usize, usize) {
 
 /// The tolerance-matched stretch test shared with
 /// [`crate::analysis::is_t_spanner`].
+///
+/// Why `(1 + 1e-9)` relative and `1e-12` absolute. Admission covers an
+/// edge when some search finds `D ≤ fl(t·w)` (see the error argument on
+/// the greedy admission in [`crate::greedy`]), but certification recomputes
+/// the distance from a shortest-path tree rooted at one endpoint, and the
+/// admission query may have summed the same path from the other end. Each
+/// computed sum is within `ρ = path_rounding_margin(n − 1)` of the real
+/// path length ([`spanner_graph::path_rounding_margin`]), so the two
+/// readings of one covered edge differ by at most `2ρ` relative. With
+/// `ρ ≤ 2⁻³¹` for `n ≤ 2²¹` vertices, the relative `1e-9` accepts every
+/// edge admission covered; otherwise the certification traversal would
+/// report false violations and repair would re-add edges a rebuild
+/// rejects. The absolute `1e-12` only matters for weights near zero,
+/// where a relative slack vanishes. The slack is one-sided and never
+/// hidden: the certificate records the measured `d / w`, not `t`.
 fn within_stretch(d: f64, t: f64, w: f64) -> bool {
     d <= t * w * (1.0 + 1e-9) + 1e-12
 }

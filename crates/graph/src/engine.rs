@@ -1013,6 +1013,15 @@ impl DijkstraEngine {
         // `min_live_weight` is a lower bound on every live weight between
         // re-packs, which is exactly what the proof needs; a degenerate 0
         // just degrades to single-row cohorts.
+        //
+        // Rounding: the comparison `key < fl(d0 + slack)` needs no
+        // tolerance and no `path_rounding_margin`. A cohort member `u` has
+        // key `k_u ≥ d0` and relaxes edges of weight `w ≥ slack`, pushing
+        // `fl(k_u + w)` — the same expression `relax` evaluates. Exact
+        // `k_u + w ≥ d0 + slack`, and round-to-nearest is monotone, so
+        // `fl(k_u + w) ≥ fl(d0 + slack) = threshold`. Every pushed key is
+        // therefore at or above the threshold and strictly above every
+        // cohort key, in floating point exactly as in real arithmetic.
         let slack = graph.min_live_weight().unwrap_or(0.0).max(0.0);
         self.stats.kernel.prefetch_distance = PREFETCH_DISTANCE;
         let mut gather_targets = std::mem::take(&mut self.gather_targets);

@@ -156,6 +156,6 @@ pub use engine::{
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, VertexId, WeightedGraph};
 pub use landmarks::Landmarks;
-pub use parallel::{EnginePool, PoolPermit};
+pub use parallel::EnginePool;
 pub use partition::{CutEdge, Partition, PartitionConfig, ShardPiece};
 pub use union_find::UnionFind;

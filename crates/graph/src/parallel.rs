@@ -43,7 +43,6 @@
 //! assert_eq!(pool.stats().queries, 3);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::csr::{CsrGraph, CsrSnapshot};
@@ -70,30 +69,6 @@ pub struct EnginePool {
     /// of [`EnginePool::utilization`], so batches too small to fan out
     /// (which run inline on worker 0 by design) do not read as imbalance.
     peak_workers: usize,
-    /// Engines currently occupied, in worker units: `map_batch` holds the
-    /// number of workers it engaged for its duration, and outstanding
-    /// [`PoolPermit`]s each hold one unit. Atomic so [`EnginePool::inflight`]
-    /// and permit release work through shared references.
-    inflight: AtomicUsize,
-    /// High-water mark of [`EnginePool::inflight`] since the last
-    /// [`EnginePool::reset_stats`].
-    peak_inflight: AtomicUsize,
-}
-
-/// RAII occupancy permit handed out by [`EnginePool::try_acquire`]: holds one
-/// worker unit of the pool's inflight gauge and releases it on drop.
-///
-/// Permits let an admission-control layer meter *real* engine occupancy — the
-/// same gauge `map_batch` itself drives — instead of counting submissions.
-#[derive(Debug)]
-pub struct PoolPermit<'a> {
-    gauge: &'a AtomicUsize,
-}
-
-impl Drop for PoolPermit<'_> {
-    fn drop(&mut self) {
-        self.gauge.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl EnginePool {
@@ -107,8 +82,6 @@ impl EnginePool {
             engines: (0..workers).map(|_| DijkstraEngine::new()).collect(),
             busy: vec![Duration::ZERO; workers],
             peak_workers: 0,
-            inflight: AtomicUsize::new(0),
-            peak_inflight: AtomicUsize::new(0),
         }
     }
 
@@ -125,53 +98,7 @@ impl EnginePool {
                 .collect(),
             busy: vec![Duration::ZERO; workers],
             peak_workers: 0,
-            inflight: AtomicUsize::new(0),
-            peak_inflight: AtomicUsize::new(0),
         }
-    }
-
-    /// Tries to reserve one worker unit of engine capacity, returning an RAII
-    /// [`PoolPermit`] that releases the unit on drop, or `None` when every
-    /// worker unit is already held (by permits or a running `map_batch`).
-    ///
-    /// The permit only moves the occupancy gauge — it does not pin a specific
-    /// engine. Admission layers acquire before dispatch so
-    /// [`EnginePool::inflight`] reflects intended occupancy even while the
-    /// batch is still queued.
-    pub fn try_acquire(&self) -> Option<PoolPermit<'_>> {
-        let capacity = self.engines.len();
-        let mut current = self.inflight.load(Ordering::Relaxed);
-        loop {
-            if current >= capacity {
-                return None;
-            }
-            match self.inflight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.peak_inflight.fetch_max(current + 1, Ordering::Relaxed);
-                    return Some(PoolPermit {
-                        gauge: &self.inflight,
-                    });
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Worker units currently occupied: outstanding [`PoolPermit`]s plus the
-    /// workers engaged by any `map_batch` call in flight.
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`EnginePool::inflight`] since construction or the
-    /// last [`EnginePool::reset_stats`].
-    pub fn peak_inflight(&self) -> usize {
-        self.peak_inflight.load(Ordering::Relaxed)
     }
 
     /// Number of workers (engines) in the pool.
@@ -223,10 +150,6 @@ impl EnginePool {
         }
         self.busy.iter_mut().for_each(|b| *b = Duration::ZERO);
         self.peak_workers = 0;
-        // Outstanding permits keep their units: only the high-water mark
-        // resets, re-seeded from the live gauge.
-        self.peak_inflight
-            .store(self.inflight.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Mean busy fraction of the participating workers across all
@@ -283,24 +206,6 @@ impl EnginePool {
             .min(items.len().div_ceil(MIN_ITEMS_PER_WORKER))
             .max(1);
         self.peak_workers = self.peak_workers.max(workers);
-        // Drive the occupancy gauge for the duration of the batch: the
-        // engaged worker count is held as inflight units and released when
-        // the batch finishes (guard drops even if a query panics).
-        struct OccupancyGuard<'a> {
-            gauge: &'a AtomicUsize,
-            units: usize,
-        }
-        impl Drop for OccupancyGuard<'_> {
-            fn drop(&mut self) {
-                self.gauge.fetch_sub(self.units, Ordering::Relaxed);
-            }
-        }
-        let occupied = self.inflight.fetch_add(workers, Ordering::Relaxed) + workers;
-        self.peak_inflight.fetch_max(occupied, Ordering::Relaxed);
-        let _occupancy = OccupancyGuard {
-            gauge: &self.inflight,
-            units: workers,
-        };
         if workers == 1 {
             let start = Instant::now();
             let engine = &mut self.engines[0];
@@ -550,46 +455,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, [Some(1.0)]);
-    }
-
-    #[test]
-    fn permits_meter_capacity_and_release_on_drop() {
-        let pool = EnginePool::new(2);
-        assert_eq!(pool.inflight(), 0);
-        let a = pool.try_acquire().expect("first unit free");
-        let b = pool.try_acquire().expect("second unit free");
-        assert_eq!(pool.inflight(), 2);
-        assert!(pool.try_acquire().is_none(), "pool is saturated");
-        drop(a);
-        assert_eq!(pool.inflight(), 1);
-        let c = pool.try_acquire().expect("released unit is reusable");
-        drop(b);
-        drop(c);
-        assert_eq!(pool.inflight(), 0);
-        assert_eq!(pool.peak_inflight(), 2);
-    }
-
-    #[test]
-    fn map_batch_drives_the_inflight_gauge() {
-        let g = path_graph(40);
-        let csr = CsrGraph::from(&g);
-        let mut pool = EnginePool::with_capacity_for(4, 40, g.num_edges());
-        let queries: Vec<(usize, usize)> = (0..64).map(|i| (i % 40, (i * 3) % 40)).collect();
-        let mut out = vec![None; queries.len()];
-        pool.map_batch(csr.snapshot(), &queries, &mut out, |e, graph, &(s, t)| {
-            e.bounded_distance(graph, VertexId(s), VertexId(t), 100.0)
-        });
-        // The batch released its units, but the high-water mark recorded the
-        // workers it engaged (64 items over 4 workers fans out fully).
-        assert_eq!(pool.inflight(), 0);
-        assert_eq!(pool.peak_inflight(), 4);
-        pool.reset_stats();
-        assert_eq!(pool.peak_inflight(), 0);
-        // After a reset the mark re-arms from live occupancy.
-        let permit = pool.try_acquire().unwrap();
-        assert_eq!(pool.inflight(), 1);
-        assert_eq!(pool.peak_inflight(), 1);
-        drop(permit);
     }
 
     #[test]

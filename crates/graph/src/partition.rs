@@ -290,6 +290,26 @@ impl Partition {
         })
     }
 
+    /// The partition of the 0-vertex graph: one empty shard, no cut edges.
+    /// [`Partition::build`] refuses empty graphs; a sharded construction
+    /// runs over this instead, so an empty input yields an empty spanner
+    /// exactly like an unsharded construction does.
+    pub fn empty(seed: u64) -> Partition {
+        Partition {
+            assignment: Vec::new(),
+            offsets: vec![0, 0],
+            perm: VertexPerm::from_order(&[]),
+            shards: vec![ShardPiece {
+                graph: WeightedGraph::new(0),
+                vertices: Vec::new(),
+                boundary: Vec::new(),
+            }],
+            cut_edges: Vec::new(),
+            seed,
+            balance_cap: 1,
+        }
+    }
+
     /// Number of shards actually produced (the requested count clamped to
     /// the vertex count).
     pub fn num_shards(&self) -> usize {
@@ -402,6 +422,10 @@ mod tests {
             Partition::build(&g, &PartitionConfig::default()).unwrap_err(),
             GraphError::EmptyGraph
         );
+        let p = Partition::empty(3);
+        assert!(p.is_trivial());
+        assert_eq!(p.num_vertices(), 0);
+        assert!(p.shard(0).graph().num_vertices() == 0 && p.cut_edges().is_empty());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Sharded construction and serving, end to end: partition a large graph,
 //! build each shard's greedy spanner through the engine-pool pipeline,
 //! stitch the boundary skeleton, certify the global stretch, then serve
-//! cross-shard queries through a [`ShardedServer`].
+//! cross-shard queries from the stitched spanner. Asserts its invariants
+//! and exits non-zero on violation.
 //!
 //! Run with `cargo run --release --example sharded`.
 
+use greedy_spanner::shard::SKELETON_SLACK;
 use greedy_spanner::workload::QueryWorkload;
 use greedy_spanner::ShardedSpanner;
 use rand::rngs::SmallRng;
@@ -39,6 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.stitch.max_cut_stretch,
             out.max_shard_peak_memory() / 1024,
         );
+        assert_eq!(out.certified_stretch(), Some(3.0));
+        assert!(out.stitch.max_cut_stretch <= 3.0 * SKELETON_SLACK);
         if shards == 4 {
             // Serve boundary-targeted traffic: every query crosses shards.
             let boundary: Vec<_> = (0..out.skeleton.num_vertices())
@@ -52,13 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let answers = server.answer_batch(&queries)?;
             let reachable = answers.iter().filter(|a| a.distance().is_some()).count();
             println!(
-                "served {} cross-shard queries ({} reachable), \
-                 {} skeleton clamps, merged p50 {:?}",
+                "served {} cross-shard queries ({} reachable), p50 {:?}",
                 answers.len(),
                 reachable,
-                server.skeleton_clamps(),
                 server.stats().latency.p50(),
             );
+            assert_eq!(answers.len(), queries.len());
+            assert_eq!(server.stats().queries, queries.len() as u64);
         }
     }
     Ok(())

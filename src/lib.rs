@@ -119,16 +119,14 @@
 //!
 //! # The serving runtime
 //!
-//! Every server kind answers through one front door
-//! ([`greedy_spanner::runtime`]): the
-//! [`Backend`](greedy_spanner::runtime::Backend) trait (frozen, live and
-//! sharded servers all implement it), a QoS-classed
-//! [`Router`](greedy_spanner::runtime::Router) — interactive point queries
-//! preempt bulk scans — with adaptive AIMD/Gradient concurrency limiters
-//! over the engine pool's inflight gauge, and load shedding past the knee
-//! via `ServeError::Overloaded { retry_after_hint }`. Admitted answers are
-//! bit-identical to the unlimited path (`answer_batch` remains available
-//! as a never-shedding shim), and under a seeded
+//! `answer_batch` is the direct path: no admission control. For overload
+//! behavior, wrap a server in the runtime ([`greedy_spanner::runtime`]): a
+//! QoS-classed [`Router`](greedy_spanner::runtime::Router) over the
+//! [`Backend`](greedy_spanner::runtime::Backend) trait (frozen and live
+//! servers implement it) — interactive point queries preempt bulk scans —
+//! with an adaptive AIMD concurrency limit, and load shedding of backlog
+//! past the knee via `ServeError::Overloaded { retry_after_hint }`.
+//! Admitted answers are bit-identical to `answer_batch`, and under a seeded
 //! [`VirtualClock`](greedy_spanner::runtime::VirtualClock) the whole
 //! admission trajectory reproduces bit-for-bit at every thread count.
 //!
@@ -232,11 +230,9 @@
 //! a contracted skeleton of exact boundary-pair distances so the **global**
 //! stretch-`t` still certifies
 //! ([`ShardedOutput::certified_stretch`](greedy_spanner::ShardedOutput::certified_stretch));
-//! serving routes each query to the owning shard's server and tightens
-//! cross-shard distance bounds through the skeleton
-//! ([`ShardedServer`](greedy_spanner::ShardedServer)). The artifact is
-//! bit-identical across thread counts and the answers are bit-identical
-//! across serve-shard counts.
+//! `out.serve()` serves the stitched spanner from one plain
+//! [`SpannerServer`](greedy_spanner::SpannerServer) holding one graph copy.
+//! The artifact is bit-identical across thread counts.
 //!
 //! ```
 //! use greedy_spanner_suite::prelude::*;
@@ -286,12 +282,11 @@ pub mod prelude {
         UpdateBatch, UpdateError, UpdateStats, WorkloadError,
     };
     pub use greedy_spanner::{
-        AimdLimit, Arrival, Backend, GradientLimit, Limiter, OpenLoopWorkload, QosClass,
-        QueryCosts, Router, RouterBuilder, RouterStats, Ticket, VirtualClock, WindowedHistogram,
+        AimdLimit, Arrival, Backend, Limiter, OpenLoopWorkload, QosClass, QueryCosts, Router,
+        RouterBuilder, RouterStats, Ticket, VirtualClock, WindowedHistogram,
     };
     pub use greedy_spanner::{
-        BoundarySkeleton, LatencyHistogram, ShardedOutput, ShardedServeBuilder, ShardedServer,
-        ShardedSpanner, StitchStats,
+        BoundarySkeleton, LatencyHistogram, ShardedOutput, ShardedSpanner, StitchStats,
     };
     pub use greedy_spanner::{PersistError, Recovered, RecoveryReport};
     pub use spanner_graph::{

@@ -1,24 +1,23 @@
 //! Property suite for the serving runtime's admission contract:
 //!
-//! * Under a fixed open-loop schedule, a seeded virtual clock and a fixed
-//!   limiter configuration, the **admitted/shed partition is identical** at
-//!   every thread count {1, 2, 8} and across every backend kind (frozen
-//!   [`SpannerServer`], live server, [`ShardedServer`]) — shed decisions
+//! * Under a fixed open-loop schedule (batches offered one after another,
+//!   one `poll` between offers, so a backlog builds), a seeded virtual
+//!   clock and a fixed limiter configuration, the **admitted/shed
+//!   partition is identical** at every thread count {1, 2, 8} and across
+//!   backend kinds (frozen and live [`SpannerServer`]) — shed decisions
 //!   are a pure function of the schedule and the seed, never of backend
 //!   answers, machine load or thread scheduling.
-//! * **Admitted answers are bit-identical** to the pre-runtime unlimited
-//!   path (`answer_batch_unlimited` on an identically built twin), even
-//!   though the router dispatches them in limit-sized chunks — chunked
-//!   dispatch rides the standing batch-boundary-invariance guarantee.
-//! * The compatibility shim (`answer_batch`, now routed through an
-//!   unlimited core) answers bit-identically to the unlimited path and
+//! * **Admitted answers are bit-identical** to the direct path
+//!   (`answer_batch` on an identically built twin), even though the router
+//!   dispatches them in limit-sized chunks — chunked dispatch rides the
+//!   standing batch-boundary-invariance guarantee.
+//! * An unlimited router answers bit-identically to the direct path and
 //!   never sheds.
 
 use std::time::Duration;
 
 use greedy_spanner::runtime::{AimdLimit, Limiter, QosClass, Router, VirtualClock};
 use greedy_spanner::serve::{Answer, ServeError, SpannerServer};
-use greedy_spanner::shard::ShardedSpanner;
 use greedy_spanner::workload::QueryWorkload;
 use greedy_spanner::{Query, Spanner};
 use rand::rngs::SmallRng;
@@ -87,20 +86,22 @@ fn live_server(g: &WeightedGraph, threads: usize) -> SpannerServer {
 /// `None` = shed, `Some(answers)` = admitted and answered.
 type Outcome = Vec<Option<Vec<Answer>>>;
 
-/// Drives the fixed schedule through a freshly configured router over
-/// `backend` and records per-batch outcomes. Limiter, knee and clock seed
-/// are part of the contract under test — identical everywhere.
+/// Drives the fixed schedule open-loop through a freshly configured router
+/// over `backend` — offer a batch, dispatch one limit's worth, offer the
+/// next — and records per-batch outcomes once the backlog drains. Limiter,
+/// knee and clock seed are part of the contract under test — identical
+/// everywhere.
 fn run_schedule<B: greedy_spanner::runtime::Backend>(backend: B) -> Outcome {
     let mut router = Router::over(backend)
         .limiter(Limiter::aimd(AimdLimit::new(16)))
         .virtual_clock(VirtualClock::seeded(CLOCK_SEED))
         .shed_factor(1.0)
         .finish();
-    schedule()
+    let tickets: Vec<_> = schedule()
         .iter()
-        .map(
-            |batch| match router.submit(QosClass::of_batch(batch), batch) {
-                Ok(answers) => Some(answers),
+        .map(|batch| {
+            let ticket = match router.offer(QosClass::of_batch(batch), batch) {
+                Ok(ticket) => Some(ticket),
                 Err(ServeError::Overloaded { retry_after_hint }) => {
                     assert!(
                         retry_after_hint > Duration::ZERO,
@@ -109,8 +110,22 @@ fn run_schedule<B: greedy_spanner::runtime::Backend>(backend: B) -> Outcome {
                     None
                 }
                 Err(other) => panic!("schedule contains no invalid batch: {other}"),
-            },
-        )
+            };
+            router.poll();
+            ticket
+        })
+        .collect();
+    router.drain();
+    tickets
+        .into_iter()
+        .map(|ticket| {
+            ticket.map(|t| {
+                router
+                    .collect(t)
+                    .expect("drained")
+                    .expect("admitted batches answer")
+            })
+        })
         .collect()
 }
 
@@ -127,18 +142,6 @@ fn admission_partition_and_answers_are_identical_across_thread_counts() {
             &(|t| run_schedule(frozen_server(&g, t))) as &dyn Fn(usize) -> Outcome,
         ),
         ("live", &|t| run_schedule(live_server(&g, t))),
-        ("sharded", &|t| {
-            run_schedule(
-                ShardedSpanner::greedy()
-                    .stretch(STRETCH)
-                    .shards(3)
-                    .build(&g)
-                    .expect("sharded build")
-                    .serve()
-                    .threads(t)
-                    .finish(),
-            )
-        }),
     ] {
         let reference = build(THREAD_COUNTS[0]);
         assert!(
@@ -160,20 +163,9 @@ fn shed_partition_is_identical_across_backend_kinds() {
     let g = graph();
     let frozen = run_schedule(frozen_server(&g, 2));
     let live = run_schedule(live_server(&g, 2));
-    let sharded = run_schedule(
-        ShardedSpanner::greedy()
-            .stretch(STRETCH)
-            .shards(3)
-            .build(&g)
-            .expect("sharded build")
-            .serve()
-            .threads(2)
-            .finish(),
-    );
     // The shed decision never consults the backend (only batch shape, the
     // limiter and the virtual clock), so the partition is one and the same.
     assert_eq!(shed_pattern(&frozen), shed_pattern(&live));
-    assert_eq!(shed_pattern(&frozen), shed_pattern(&sharded));
 }
 
 #[test]
@@ -182,11 +174,11 @@ fn admitted_answers_match_the_unlimited_path_bit_for_bit() {
     let batches = schedule();
     for &threads in &THREAD_COUNTS {
         let outcome = run_schedule(frozen_server(&g, threads));
-        // An identically built twin answers every batch on the pre-runtime
-        // unlimited path — whole batches, no admission, no chunking.
+        // An identically built twin answers every batch on the direct path
+        // — whole batches, no admission, no chunking.
         let mut twin = frozen_server(&g, threads);
         for (batch, result) in batches.iter().zip(&outcome) {
-            let unlimited = twin.answer_batch_unlimited(batch).expect("valid batch");
+            let unlimited = twin.answer_batch(batch).expect("valid batch");
             if let Some(admitted) = result {
                 assert_eq!(
                     admitted, &unlimited,
@@ -200,14 +192,18 @@ fn admitted_answers_match_the_unlimited_path_bit_for_bit() {
 #[test]
 fn unlimited_shim_never_sheds_and_matches_direct_dispatch() {
     let g = graph();
-    let mut shim = frozen_server(&g, 2);
+    let mut unlimited = Router::over(frozen_server(&g, 2))
+        .limiter(Limiter::unlimited())
+        .finish();
     let mut direct = frozen_server(&g, 2);
     for batch in schedule() {
-        let via_shim = shim.answer_batch(&batch).expect("unlimited never sheds");
-        let unlimited = direct.answer_batch_unlimited(&batch).expect("valid batch");
-        assert_eq!(via_shim, unlimited);
+        let routed = unlimited
+            .submit(QosClass::of_batch(&batch), &batch)
+            .expect("unlimited never sheds");
+        let answers = direct.answer_batch(&batch).expect("valid batch");
+        assert_eq!(routed, answers);
     }
-    let stats = shim.stats();
+    let stats = unlimited.stats();
     let total: u64 = schedule().iter().map(|b| b.len() as u64).sum();
     assert_eq!(stats.admitted, total);
     assert_eq!(stats.shed, 0);

@@ -7,10 +7,10 @@
 //! * The certified global stretch is real: `evaluate` confirms the stitched
 //!   spanner meets the guarantee carried in its provenance, and the stitch
 //!   audit's `max_cut_stretch` stays within it.
-//! * **Serving** answers are bit-identical across serve-shard counts
-//!   {1, 2, 4} × thread counts {1, 2, 8} × cache states (disabled and
-//!   default, cold and warm) — and one serve shard answers exactly like
-//!   today's `SpannerServer` over the same stitched output.
+//! * **Serving** a sharded build (`ShardedOutput::serve`) answers
+//!   bit-identically to a plain `SpannerServer` over the same stitched
+//!   output, across thread counts {1, 2, 8} × cache states (disabled and
+//!   default, cold and warm).
 
 use greedy_spanner::analysis::evaluate;
 use greedy_spanner::serve::Answer;
@@ -24,7 +24,6 @@ use spanner_graph::generators::erdos_renyi_connected;
 use spanner_graph::WeightedGraph;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const SERVE_SHARDS: [usize; 3] = [1, 2, 4];
 const CACHE_CAPACITIES: [usize; 2] = [0, 32];
 const STRETCH: f64 = 2.0;
 
@@ -95,8 +94,8 @@ fn assert_sharded_contract(g: &WeightedGraph, build_shards: usize, workload_seed
         sharded.stitch.max_cut_stretch
     );
 
-    // Serving: every serve-shard count, thread count, and cache state
-    // answers exactly like the plain server over the same stitched output.
+    // Serving: every thread count and cache state answers exactly like the
+    // plain server over the same stitched output.
     let queries = QueryWorkload::mixed(n, true)
         .expect("valid workload")
         .queries(90)
@@ -107,29 +106,23 @@ fn assert_sharded_contract(g: &WeightedGraph, build_shards: usize, workload_seed
     let reference: Vec<Answer> = plain.answer_batch(&queries).expect("valid batch");
     let warm_reference = plain.answer_batch(&queries).expect("valid batch");
     assert_eq!(warm_reference, reference, "plain server warm != cold");
-    for serve_shards in SERVE_SHARDS {
-        for threads in THREAD_COUNTS {
-            for cache in CACHE_CAPACITIES {
-                let mut server = sharded
-                    .clone()
-                    .serve()
-                    .serve_shards(serve_shards)
-                    .threads(threads)
-                    .cache_capacity(cache)
-                    .audit_against(g)
-                    .finish();
-                let cold = server.answer_batch(&queries).expect("valid batch");
-                let warm = server.answer_batch(&queries).expect("valid batch");
-                let label = format!(
-                    "build_k={build_shards} serve_k={serve_shards} threads={threads} \
-                     cache={cache} n={n}"
-                );
-                assert_eq!(cold, reference, "cold, {label}");
-                assert_eq!(warm, reference, "warm, {label}");
-                let merged = server.stats();
-                assert_eq!(merged.queries, 2 * queries.len() as u64, "{label}");
-                assert_eq!(merged.latency.total(), merged.queries, "{label}");
-            }
+    for threads in THREAD_COUNTS {
+        for cache in CACHE_CAPACITIES {
+            let mut server = sharded
+                .clone()
+                .serve()
+                .threads(threads)
+                .cache_capacity(cache)
+                .audit_against(g)
+                .finish();
+            let cold = server.answer_batch(&queries).expect("valid batch");
+            let warm = server.answer_batch(&queries).expect("valid batch");
+            let label = format!("build_k={build_shards} threads={threads} cache={cache} n={n}");
+            assert_eq!(cold, reference, "cold, {label}");
+            assert_eq!(warm, reference, "warm, {label}");
+            let stats = server.stats();
+            assert_eq!(stats.queries, 2 * queries.len() as u64, "{label}");
+            assert_eq!(stats.latency.total(), stats.queries, "{label}");
         }
     }
 }
