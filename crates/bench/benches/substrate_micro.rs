@@ -5,9 +5,11 @@
 //! The `bounded_query_*` pair is the load-bearing comparison: the greedy
 //! spanner issues one bounded distance query per candidate edge, so the
 //! legacy-vs-CSR gap here is the construction-time gap of every
-//! engine-backed algorithm. CI runs this bench with a tiny sample count
-//! (`BENCH_SAMPLE_SIZE`) and archives the JSON summary (`BENCH_JSON`) as the
-//! perf trajectory.
+//! engine-backed algorithm. The `greedy_admission` group compares the
+//! one-sided bounded query with the bidirectional `within_bound` the greedy
+//! constructions use, over whole greedy candidate streams. CI runs this
+//! bench with a tiny sample count (`BENCH_SAMPLE_SIZE`) and archives the
+//! JSON summary (`BENCH_JSON`) as the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -16,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_bench::workloads::{random_graph, uniform_square, DEFAULT_SEED};
 use spanner_graph::dijkstra::{bounded_distance, shortest_path_tree};
+use spanner_graph::generators::grid_graph;
 use spanner_graph::mst::kruskal;
 use spanner_graph::parallel::EnginePool;
 use spanner_graph::{CsrGraph, DijkstraEngine, Landmarks, RelaxKernel, VertexId, WeightedGraph};
@@ -334,6 +337,74 @@ fn bench_relax_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One greedy construction replayed through one admission query: the input
+/// edges in greedy order, each asked against the spanner grown so far and
+/// appended when not covered within `t·w`. Returns the decision digest
+/// (one bit per candidate, folded in order) and the engine that answered.
+fn replay_admissions(graph: &WeightedGraph, t: f64, bidirectional: bool) -> (u64, DijkstraEngine) {
+    let mut spanner = CsrGraph::new(graph.num_vertices());
+    let mut engine = DijkstraEngine::with_capacity_for(graph.num_vertices(), graph.num_edges());
+    let mut digest = 0x9E37_79B9_7F4A_7C15u64;
+    for id in graph.edges_by_weight() {
+        let e = graph.edge(id);
+        let covered = if bidirectional {
+            engine.within_bound(&spanner, e.u, e.v, t * e.weight)
+        } else {
+            engine
+                .bounded_distance(&spanner, e.u, e.v, t * e.weight)
+                .is_some()
+        };
+        digest = digest.rotate_left(1) ^ covered as u64;
+        if !covered {
+            spanner.append_edge(e.u, e.v, e.weight);
+        }
+    }
+    (digest, engine)
+}
+
+/// The greedy admission query, one-sided vs bidirectional, over two whole
+/// candidate streams: the er2000 greedy 2-spanner (expander-like — the
+/// two half-radius balls are far smaller than one full-radius ball, the
+/// scenario where the bidirectional query pays) and a 150×150 jittered grid
+/// at `t = 3` (planar — a ball's size grows only quadratically in its
+/// radius, the scenario where it does not). Before timing, both queries
+/// must produce the same decision digest on each stream; the printed
+/// `greedy_admission_settled` lines carry the settled-vertex ratio.
+fn bench_greedy_admission(c: &mut Criterion) {
+    let mut rng = SmallRng::seed_from_u64(DEFAULT_SEED);
+    let streams = [
+        ("er2000_t2", random_graph(2000, DEFAULT_SEED), 2.0),
+        ("grid150_t3", grid_graph(150, 150, 0.3, &mut rng), 3.0),
+    ];
+    let mut group = c.benchmark_group("greedy_admission");
+    group.sample_size(10);
+    for (name, graph, t) in &streams {
+        let (one_sided, plain) = replay_admissions(graph, *t, false);
+        let (bidirectional, bidi) = replay_admissions(graph, *t, true);
+        assert_eq!(
+            one_sided, bidirectional,
+            "{name}: within_bound changed a greedy admission decision"
+        );
+        let (settled_plain, settled_bidi) = (
+            plain.stats().settled_vertices,
+            bidi.stats().settled_vertices,
+        );
+        println!(
+            "greedy_admission_settled/{name}: one-sided {settled_plain} bidirectional \
+             {settled_bidi} ({:.2}x fewer settled, {} fallbacks)",
+            settled_plain as f64 / (settled_bidi as f64).max(1.0),
+            bidi.stats().bidirectional_fallbacks,
+        );
+        group.bench_function(format!("{name}_one_sided"), |b| {
+            b.iter(|| replay_admissions(graph, *t, false).0)
+        });
+        group.bench_function(format!("{name}_bidirectional"), |b| {
+            b.iter(|| replay_admissions(graph, *t, true).0)
+        });
+    }
+    group.finish();
+}
+
 /// The pool fan-out in isolation: one fixed batch of bounded queries mapped
 /// across an [`EnginePool`] snapshot at 1/2/4/8 workers. This is the pure
 /// substrate half of the `parallel_scaling` story — no greedy commit phase,
@@ -369,6 +440,7 @@ criterion_group!(
     bench_substrates,
     bench_point_query_engines,
     bench_relax_kernel,
+    bench_greedy_admission,
     bench_parallel_scaling
 );
 criterion_main!(benches);

@@ -383,7 +383,8 @@ pub struct RunStats {
     pub edges_added: usize,
     /// Wall-clock construction time.
     pub wall_time: Duration,
-    /// Peak Dijkstra frontier (priority-queue length) over all distance
+    /// Peak Dijkstra frontier (priority-queue length; both queues combined
+    /// for the bidirectional greedy admission query) over all distance
     /// queries, for constructions that issue them; zero otherwise.
     pub peak_frontier: usize,
     /// Distance queries issued against the CSR query engine; zero for

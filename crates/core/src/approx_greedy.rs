@@ -114,7 +114,8 @@ pub struct ApproxGreedySpanner {
     /// Queries the engine answered without growing its workspace (zero heap
     /// allocations).
     pub workspace_reuse_hits: usize,
-    /// Peak Dijkstra frontier over all simulation queries.
+    /// Peak Dijkstra frontier over all simulation queries (both queues
+    /// combined for the bidirectional admission query).
     pub peak_frontier: usize,
     /// Weight-class batches the parallel filter-then-commit simulation
     /// processed (zero in sequential and cluster-graph modes).
@@ -210,7 +211,9 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     let mut batches = 0;
     let mut batch_recheck_hits = 0;
     let mut index = 0;
-    let mut cluster_stats = spanner_graph::EngineStats::default();
+    // Counters of every engine the simulation drives: each bucket's
+    // cluster-graph engine as the bucket finishes, the pool's at the end.
+    let mut engine_stats = spanner_graph::EngineStats::default();
     while index < heavy.len() {
         let bucket_floor = heavy[index].2;
         let bucket_ceiling = bucket_floor * params.bucket_ratio;
@@ -230,10 +233,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
                     simulated_added += 1;
                 }
             }
-            let s = clusters.engine_stats();
-            cluster_stats.queries += s.queries;
-            cluster_stats.reuse_hits += s.reuse_hits;
-            cluster_stats.peak_frontier = cluster_stats.peak_frontier.max(s.peak_frontier);
+            engine_stats.merge(&clusters.engine_stats());
         } else if threads > 1 {
             let candidates: Vec<(u32, u32, f64)> = heavy[index..bucket_end]
                 .iter()
@@ -247,10 +247,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             let engine = pool.commit_engine();
             for &(u, v, w) in &heavy[index..bucket_end] {
                 let bound = t_sim * w;
-                if engine
-                    .bounded_distance(&spanner, VertexId(u), VertexId(v), bound)
-                    .is_none()
-                {
+                if !engine.within_bound(&spanner, VertexId(u), VertexId(v), bound) {
                     spanner.append_edge(VertexId(u), VertexId(v), w);
                     simulated_added += 1;
                 }
@@ -259,7 +256,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
         index = bucket_end;
     }
 
-    let exact_stats = pool.stats();
+    engine_stats.merge(&pool.stats());
     Ok(ApproxGreedySpanner {
         spanner: spanner.to_weighted_graph(),
         base,
@@ -267,9 +264,9 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
         simulated_edges: heavy.len(),
         simulated_added,
         bucket_count,
-        distance_queries: (exact_stats.queries + cluster_stats.queries) as usize,
-        workspace_reuse_hits: (exact_stats.reuse_hits + cluster_stats.reuse_hits) as usize,
-        peak_frontier: exact_stats.peak_frontier.max(cluster_stats.peak_frontier),
+        distance_queries: engine_stats.queries as usize,
+        workspace_reuse_hits: engine_stats.reuse_hits as usize,
+        peak_frontier: engine_stats.peak_frontier,
         batches,
         batch_recheck_hits,
         threads_used: reported_threads,

@@ -147,8 +147,7 @@ impl ClusterGraph {
             return false;
         }
         self.engine
-            .bounded_distance(&self.quotient, VertexId(cu), VertexId(cv), bound - slack)
-            .is_some()
+            .within_bound(&self.quotient, VertexId(cu), VertexId(cv), bound - slack)
     }
 
     /// An upper bound on the spanner distance between `u` and `v`.

@@ -8,10 +8,18 @@
 //!   return H
 //! ```
 //!
-//! The distance query uses a Dijkstra search bounded by `t · w(u, v)`, so the
-//! search never explores beyond the ball that could possibly satisfy the
-//! condition; with ties broken deterministically the output is the canonical
-//! greedy spanner studied by the paper.
+//! The test `δ_H(u, v) ≤ t · w(u, v)` is one decision query,
+//! [`DijkstraEngine::within_bound`]: a bidirectional Dijkstra search that
+//! grows balls of radius about `t·w / 2` from both endpoints instead of one
+//! ball of radius `t·w` from `u`, and answers exactly what the one-sided
+//! bounded search `bounded_distance(u, v, t·w).is_some()` would — it accepts
+//! only on a meeting path whose left-to-right sum from `u` is `≤ t·w`,
+//! rejects only once the queue tops pass `t·w·(1 + 4ρ)`,
+//! `ρ = path_rounding_margin(n − 1)`, with no meeting path below that, and
+//! falls back to the one-sided search in the rounding band between. On the
+//! er2000 2-spanner stream that settles ~36× fewer vertices; on a planar
+//! grid about 2× fewer. With ties broken deterministically the output is
+//! the canonical greedy spanner studied by the paper.
 //!
 //! # The batched filter-then-commit parallel loop
 //!
@@ -100,8 +108,10 @@ impl GreedySpanner {
         self.edges_added
     }
 
-    /// Peak Dijkstra frontier (priority-queue length) over all distance
-    /// queries the construction issued.
+    /// Peak Dijkstra frontier over all distance queries the construction
+    /// issued: the priority-queue length, with the forward and backward
+    /// queues of a [`DijkstraEngine::within_bound`] admission query counted
+    /// together (the reference loop's one-sided queries have one queue).
     pub fn peak_frontier(&self) -> usize {
         self.peak_frontier
     }
@@ -204,9 +214,9 @@ pub(crate) fn filter_commit_greedy(
 
         // Filter: independent bounded queries against the frozen snapshot.
         // Coverage here is final — distances only shrink as edges commit.
-        // That holds bit-exactly in floating point: the engine's distance
-        // is the minimum over paths of the left-to-right sum along each
-        // path, and adding edges only adds paths to that minimum. The
+        // That holds bit-exactly in floating point: the admission query
+        // decides on the minimum over paths of the left-to-right sum along
+        // each path, and adding edges only adds paths to that minimum. The
         // admission comparison itself is exact; see `run_greedy_sequential`
         // for its error argument.
         covered.clear();
@@ -216,9 +226,7 @@ pub(crate) fn filter_commit_greedy(
             batch,
             &mut covered,
             |engine, frozen, &(u, v, w)| {
-                engine
-                    .bounded_distance(frozen, VertexId(u as usize), VertexId(v as usize), t * w)
-                    .is_some()
+                engine.within_bound(frozen, VertexId(u as usize), VertexId(v as usize), t * w)
             },
         );
 
@@ -232,10 +240,12 @@ pub(crate) fn filter_commit_greedy(
                 continue;
             }
             if committed_in_batch
-                && pool
-                    .commit_engine()
-                    .bounded_distance(spanner, VertexId(u as usize), VertexId(v as usize), t * w)
-                    .is_some()
+                && pool.commit_engine().within_bound(
+                    spanner,
+                    VertexId(u as usize),
+                    VertexId(v as usize),
+                    t * w,
+                )
             {
                 recheck_hits += 1;
                 continue;
@@ -259,7 +269,7 @@ pub(crate) fn filter_commit_greedy(
 /// `Spanner::greedy().stretch(t).threads(n).build(&graph)`).
 ///
 /// With `threads <= 1` this is the sequential loop: the growing spanner is
-/// held as an appendable [`CsrGraph`] and every candidate's bounded distance
+/// held as an appendable [`CsrGraph`] and every candidate's admission
 /// query runs through one pre-sized [`DijkstraEngine`], so the hot loop
 /// performs zero per-query heap allocations. With `threads > 1` it runs the
 /// batched filter-then-commit loop (see the module docs) over an
@@ -307,13 +317,15 @@ pub(crate) fn run_greedy(
 ///
 /// # The admission comparison `d ≤ t·w`
 ///
-/// An edge is rejected when the bounded search finds a spanner distance
-/// `D ≤ fl(t·w)`; the comparison is exact, with no tolerance. Every greedy
-/// path (this loop, the batched filter-then-commit loop and
-/// [`greedy_spanner_reference`]) evaluates the same `t * w` and computes `D`
-/// as the same left-to-right sums along the same paths, so all three make
-/// the same decision on every edge, ties included — which is what makes
-/// their outputs bit-identical.
+/// An edge is rejected when the spanner distance computed by a one-sided
+/// search satisfies `D ≤ fl(t·w)`; the comparison is exact, with no
+/// tolerance. Every greedy path (this loop, the batched filter-then-commit
+/// loop and [`greedy_spanner_reference`]) evaluates the same `t * w`. The
+/// reference computes `D` directly; the engine loops ask
+/// [`DijkstraEngine::within_bound`], which returns exactly `D ≤ fl(t·w)`
+/// for that same `D` (the minimum over paths of the left-to-right sums).
+/// So all three make the same decision on every edge, ties included —
+/// which is what makes their outputs bit-identical.
 ///
 /// What the exact comparison guarantees in real arithmetic: with
 /// `ρ = path_rounding_margin(n − 1)` (a simple path has fewer than `n`
@@ -334,7 +346,7 @@ fn run_greedy_sequential(graph: &WeightedGraph, t: f64) -> Result<GreedySpanner,
     for id in &order {
         let e = graph.edge(*id);
         let bound = t * e.weight;
-        if engine.bounded_distance(&spanner, e.u, e.v, bound).is_none() {
+        if !engine.within_bound(&spanner, e.u, e.v, bound) {
             spanner.append_edge(e.u, e.v, e.weight);
             added_edge_ids.push(*id);
         }
@@ -438,10 +450,7 @@ pub fn greedy_over_candidates(
             return Err(spanner_graph::GraphError::InvalidWeight { weight: w }.into());
         }
         let bound = t * w;
-        if engine
-            .bounded_distance(&spanner, u.into(), v.into(), bound)
-            .is_none()
-        {
+        if !engine.within_bound(&spanner, u.into(), v.into(), bound) {
             spanner.append_edge(u.into(), v.into(), w);
         }
     }

@@ -38,7 +38,8 @@ pub struct GreedyStats {
     pub edges_examined: usize,
     /// Edges kept in the spanner.
     pub edges_added: usize,
-    /// Peak Dijkstra frontier over all distance queries.
+    /// Peak Dijkstra frontier over all distance queries (both queues
+    /// combined for the bidirectional admission query).
     pub peak_frontier: usize,
     /// Bounded distance queries issued against the growing spanner.
     pub distance_queries: usize,

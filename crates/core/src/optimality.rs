@@ -169,7 +169,7 @@ pub fn is_own_unique_spanner(spanner: &WeightedGraph, t: f64) -> Result<bool, Sp
             }
         }
         let bound = t * e.weight;
-        if engine.bounded_distance(&without, e.u, e.v, bound).is_some() {
+        if engine.within_bound(&without, e.u, e.v, bound) {
             return Ok(false);
         }
     }

@@ -632,9 +632,7 @@ fn stitch_boundaries(
     let mut kept = Vec::new();
     for c in &ordered {
         let (lu, lv) = (local_of(c.u), local_of(c.v));
-        let admitted = engine
-            .bounded_distance(&skeleton, lu, lv, target * c.weight)
-            .is_none();
+        let admitted = !engine.within_bound(&skeleton, lu, lv, target * c.weight);
         if admitted {
             skeleton.append_edge(lu, lv, c.weight);
             kept.push(**c);

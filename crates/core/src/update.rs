@@ -822,10 +822,7 @@ impl LiveSpanner {
             let (u, v) = (VertexId(u as usize), VertexId(v as usize));
             // Exact admission re-check: an earlier repair may already cover
             // this edge.
-            if engine
-                .bounded_distance(&self.spanner, u, v, t * w)
-                .is_none()
-            {
+            if !engine.within_bound(&self.spanner, u, v, t * w) {
                 self.spanner.append_edge(u, v, w);
                 repaired += 1;
             }

@@ -144,6 +144,64 @@ pub const fn path_rounding_margin(hops: usize) -> f64 {
     (hops as f64 + 1.0) * f64::EPSILON
 }
 
+/// How many [`path_rounding_margin`]s the rejection threshold of
+/// [`DijkstraEngine::within_bound`] sits above the bound (`c` below).
+const BIDIRECTIONAL_BAND_MARGINS: f64 = 4.0;
+
+/// The rejection threshold `B' = bound·(1 + c·ρ)` of
+/// [`DijkstraEngine::within_bound`] on an `n`-vertex graph, with
+/// `ρ = path_rounding_margin(n − 1)` and `c = 4`.
+///
+/// `within_bound` must agree exactly with the one-sided search, which
+/// accepts iff its computed distance `D ≤ bound`. `D` is the minimum over
+/// `s`–`t` paths of the left-to-right sum from `s`; let `P` be a path
+/// attaining it (simple, so `k ≤ n − 1` edges) and `γ = γ_{n−1}` the
+/// recursive-summation bound of [`path_rounding_margin`].
+///
+/// * **Accept is exact.** A meeting path's certificate is its
+///   left-to-right sum from `s`: the forward distance at the join (itself
+///   such a sum), then the joining edge, then the backward chain's stored
+///   weights in path order. `D` is the minimum of exactly such sums, so a
+///   certificate `≤ bound` implies `D ≤ bound`.
+/// * **Reject needs `B'`.** Suppose `D ≤ bound`. Every vertex `v` of `P`
+///   has forward distance `D_f(v) ≤ (1 + γ)·ℓ(P[s..v])` and backward
+///   distance `D_b(v) ≤ (1 + γ)·ℓ(P[v..t])` (each is a minimum over paths
+///   that includes `P`'s own prefix or suffix), and `ℓ(P) ≤ D / (1 − γ)`,
+///   so `D_f(v) + D_b(v) ≤ bound·(1 + γ)/(1 − γ)`. The search stops only
+///   once the queue tops satisfy `fl(k_f + k_b) > B'`, hence the exact
+///   `k_f + k_b > B'` (rounding is monotone and `B'` is a float). A half
+///   prunes only sums above `B'`, and a vertex it has not settled has
+///   distance at least its queue top (`∞` once the queue is empty), so if
+///   `B' ≥ bound·(1 + γ)/(1 − γ)` no vertex of `P` can be unsettled on
+///   both sides. Then some edge `(x, y)` of `P` joins a forward-settled
+///   `x` to a backward-settled `y` (`s` and `t` seed the two halves), and
+///   whichever of the two settled second scanned that edge and computed
+///   the meeting estimate `fl(fl(D_f(x) + w) + D_b(y))` (or its mirror).
+///   That estimate is at most `(1 + u)²·(1 + γ)/(1 − γ)·bound`,
+///   `u = 2⁻⁵³`; with `B' ≥` that, it is `≤ B'`, so the search either
+///   certifies the meeting path or records a band hit and falls back —
+///   it never rejects. Contrapositive: a rejection without a band hit
+///   implies `D > bound`. (A forward settle of `t` ends the search before
+///   any of this with `D` itself: the forward half is the one-sided
+///   search, pruned at `B' ≥ bound` instead of `bound`.)
+/// * **Choice of `c`.** To first order the requirement is
+///   `B' ≥ bound·(1 + 2γ + 2u)` with `γ ≈ (n − 1)·u`, i.e. about
+///   `bound·(1 + ρ)` since `ρ = 2n·u`; computing `B'` costs two more
+///   roundings. `c = 4` covers that four times over, which absorbs every
+///   second-order term for `n < 2²⁵` and still keeps the band — the
+///   relative window `(bound, B']` where a meeting path forces the
+///   one-sided fallback — about `4n · 2⁻⁵²` wide, far narrower than the
+///   spread of any real weight distribution.
+///
+/// Overflow needs no separate case: sums along `P` are bounded by
+/// `D ≤ bound`, and a queue-top sum or estimate that overflows to `∞`
+/// exceeds every finite `B'` in exact arithmetic too. A `B'` that overflows
+/// to `∞` only disables pruning.
+fn relaxed_bound(bound: f64, n: usize) -> f64 {
+    let rho = path_rounding_margin(n.saturating_sub(1));
+    bound + (BIDIRECTIONAL_BAND_MARGINS * rho) * bound
+}
+
 /// Requests that the cache line holding `slice[index]` be pulled toward L1.
 /// Bounds-checked and side-effect-free: prefetching cannot fault, cannot
 /// write, and is ignored entirely on non-x86_64 targets — it only hides
@@ -276,7 +334,9 @@ pub struct EngineStats {
     /// power.
     pub pruned_by_bound: u64,
     /// Largest priority-queue length reached by any query (stale entries
-    /// included — this is the memory high-water mark of the searches).
+    /// included — this is the memory high-water mark of the searches). A
+    /// [`DijkstraEngine::within_bound`] query has two queues; its frontier
+    /// is their combined length.
     pub peak_frontier: usize,
     /// Times the generation counter wrapped and the stamp workspace was
     /// explicitly reset (see [`DijkstraEngine::force_generation_wrap`]). The
@@ -284,9 +344,32 @@ pub struct EngineStats {
     /// queries — routine for a long-running server, and harmless: the reset
     /// invalidates every stamp in `O(n)` and reuse stays sound.
     pub generation_wraps: u64,
+    /// [`DijkstraEngine::within_bound`] queries whose bidirectional search
+    /// ended in the rounding band (a meeting path within the relaxed bound
+    /// but none certified within the bound itself) and were settled by the
+    /// one-sided search instead. The fallback runs inside the same query:
+    /// it adds to the search counters but not to `queries`.
+    pub bidirectional_fallbacks: u64,
     /// Counters of the batched gather → relax kernel (all zero while every
     /// query ran the scalar reference path); see [`RelaxKernel`].
     pub kernel: KernelStats,
+}
+
+impl EngineStats {
+    /// Folds `other` into `self`: counters add, the peak frontier takes the
+    /// maximum, and the kernel block merges with [`KernelStats::merge`].
+    /// Used by pool and serving layers aggregating per-worker engines.
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.queries += other.queries;
+        self.reuse_hits += other.reuse_hits;
+        self.heap_pops += other.heap_pops;
+        self.settled_vertices += other.settled_vertices;
+        self.pruned_by_bound += other.pruned_by_bound;
+        self.peak_frontier = self.peak_frontier.max(other.peak_frontier);
+        self.generation_wraps += other.generation_wraps;
+        self.bidirectional_fallbacks += other.bidirectional_fallbacks;
+        self.kernel.merge(&other.kernel);
+    }
 }
 
 /// Counters of the batched gather → relax kernel (see [`RelaxKernel`]):
@@ -389,6 +472,23 @@ fn pop_if_below(heap: &mut BinaryHeap<HeapSlot>, threshold: f64) -> Option<HeapS
     } else {
         None
     }
+}
+
+/// Pops the heap's entries for vertices `state` already marks settled in
+/// generation `gen` (lazy-deletion leftovers) until the top is live;
+/// returns how many it popped. A live top is fresh: an unsettled vertex's
+/// smallest queued key is its current distance.
+#[inline(always)]
+fn drop_settled_tops(heap: &mut BinaryHeap<HeapSlot>, state: &[u32], gen: u32) -> u64 {
+    let mut popped = 0;
+    while heap
+        .peek()
+        .is_some_and(|top| state[top.vertex as usize] == gen + 1)
+    {
+        heap.pop();
+        popped += 1;
+    }
+    popped
 }
 
 /// A lower bound on the remaining distance from a vertex to the query
@@ -535,6 +635,17 @@ pub struct DijkstraEngine {
     /// Candidate indices (into the gather lanes) that survived the
     /// branchless filter of one row, awaiting the exact relax step.
     commit: Vec<u32>,
+    /// Backward half of [`DijkstraEngine::within_bound`]: distances from
+    /// the target, generation-encoded state (same encoding as `state`), and
+    /// per vertex the chain step toward the target — the settled vertex
+    /// that last improved it and the weight of that edge — which the
+    /// meeting certificate sums along. Retained across queries.
+    dist_b: Vec<f64>,
+    state_b: Vec<u32>,
+    chain_vertex: Vec<u32>,
+    chain_weight: Vec<f64>,
+    /// The backward half's lazy-deletion heap.
+    heap_b: BinaryHeap<HeapSlot>,
     relax_kernel: RelaxKernel,
     generation: u32,
     stats: EngineStats,
@@ -576,6 +687,11 @@ impl DijkstraEngine {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
         e.reserve_heap(2 * num_edges + 2);
+        // Each half of a bidirectional query pushes at most as often as a
+        // one-sided query does.
+        if e.heap_b.capacity() < 2 * num_edges + 2 {
+            e.heap_b.reserve(2 * num_edges + 2);
+        }
         if e.h_scratch.capacity() < LANDMARK_SCRATCH_RESERVE {
             e.h_scratch.reserve_exact(LANDMARK_SCRATCH_RESERVE);
         }
@@ -663,6 +779,10 @@ impl DijkstraEngine {
         self.dist.resize(n, f64::INFINITY);
         self.parent.resize(n, NO_VERTEX);
         self.state.resize(n, 0);
+        self.dist_b.resize(n, f64::INFINITY);
+        self.state_b.resize(n, 0);
+        self.chain_vertex.resize(n, NO_VERTEX);
+        self.chain_weight.resize(n, 0.0);
         if self.ball_buf.capacity() < n {
             // `reserve_exact` takes *additional* elements beyond the current
             // length, so subtract the length, not the capacity.
@@ -685,6 +805,7 @@ impl DijkstraEngine {
     /// ([`EngineStats::generation_wraps`] counts the crossings).
     fn reset_generation_stamps(&mut self) {
         self.state.iter_mut().for_each(|s| *s = 0);
+        self.state_b.iter_mut().for_each(|s| *s = 0);
         self.generation = 0;
         self.stats.generation_wraps += 1;
     }
@@ -707,6 +828,15 @@ impl DijkstraEngine {
         if grew {
             self.grow(n);
         }
+        self.advance_generation();
+        self.ball_buf.clear();
+        self.last_frontier = 0;
+        grew
+    }
+
+    /// Starts a fresh search generation: every stamp of earlier searches
+    /// reads as untouched, and the forward heap is empty.
+    fn advance_generation(&mut self) {
         // Generations advance by 2: `generation` marks touched, `generation
         // + 1` marks settled (see the `state` field).
         if self.generation >= Self::WRAP_THRESHOLD {
@@ -714,9 +844,6 @@ impl DijkstraEngine {
         }
         self.generation += 2;
         self.heap.clear();
-        self.ball_buf.clear();
-        self.last_frontier = 0;
-        grew
     }
 
     /// Branchless filter pass of the batched kernel over one row's
@@ -1393,6 +1520,307 @@ impl DijkstraEngine {
         );
         self.run_query::<false>(graph, source, Some(target), bound, false, Some(landmarks));
         self.extract_target(target, bound)
+    }
+
+    /// Whether `bounded_distance(graph, source, target, bound).is_some()` —
+    /// the greedy admission question "is `δ(source, target) ≤ bound`?" —
+    /// answered by a decision-only bidirectional search (Pohl, 1971) whose
+    /// two balls of radius about `bound / 2` are much smaller than the
+    /// one-sided ball of radius `bound` on expander-like graphs.
+    ///
+    /// The answer is **identical** to the one-sided search, ties and
+    /// rounding included (the error argument is on the private
+    /// `relaxed_bound`, next to [`path_rounding_margin`]):
+    ///
+    /// * **accept** the moment a meeting path's left-to-right sum from
+    ///   `source` — the forward distance at the join, plus the joining
+    ///   edge, plus the backward chain's stored weights in order — is
+    ///   `≤ bound`;
+    /// * **reject** once the two queue tops sum past the relaxed bound
+    ///   `B' = bound·(1 + 4ρ)`, `ρ = path_rounding_margin(n − 1)`, with no
+    ///   meeting estimate `≤ B'` seen (or once the forward half settles
+    ///   `target` above `bound`, which is the one-sided answer itself);
+    /// * otherwise — a meeting path inside the rounding band
+    ///   `(bound, B']` — **fall back** to the one-sided search inside the
+    ///   same query, counted in [`EngineStats::bidirectional_fallbacks`].
+    ///
+    /// Both halves run the scalar relax loop whatever the
+    /// [`RelaxKernel`] setting, skip tombstoned half-edges exactly as the
+    /// one-sided search does, and count into the same search counters;
+    /// `peak_frontier` is the combined length of the two queues. An engine
+    /// from [`DijkstraEngine::with_capacity_for`] answers without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either vertex is out of range.
+    pub fn within_bound(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        target: VertexId,
+        bound: f64,
+    ) -> bool {
+        let n = graph.num_vertices();
+        assert!(source.index() < n, "source vertex out of range");
+        assert!(target.index() < n, "target vertex out of range");
+        let grew = self.begin_query(n);
+        let mut fwd = std::mem::take(&mut self.heap);
+        let mut bwd = std::mem::take(&mut self.heap_b);
+        bwd.clear();
+        let caps = (fwd.capacity(), bwd.capacity());
+        let (s, t) = (source.index() as u32, target.index() as u32);
+        let verdict = if s == t || bound.is_nan() || bound < 0.0 {
+            // The one-sided search settles the source at 0 and prunes every
+            // sum above a negative (or NaN) bound.
+            Some(s == t && 0.0 <= bound)
+        } else {
+            self.bidirectional(&mut fwd, &mut bwd, graph, s, t, bound)
+        };
+        let within = verdict.unwrap_or_else(|| {
+            self.stats.bidirectional_fallbacks += 1;
+            self.advance_generation();
+            fwd.clear();
+            self.search::<false, _>(
+                &mut fwd,
+                &NoHeuristic,
+                graph,
+                s as usize,
+                Some(t),
+                bound,
+                false,
+                false,
+            );
+            self.extract_target(target, bound).is_some()
+        });
+        let reused = (fwd.capacity(), bwd.capacity()) == caps;
+        self.heap = fwd;
+        self.heap_b = bwd;
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
+        if !grew && reused {
+            self.stats.reuse_hits += 1;
+        }
+        within
+    }
+
+    /// The bidirectional decision search of
+    /// [`DijkstraEngine::within_bound`] for `s ≠ t` and `bound ≥ 0`:
+    /// `Some(verdict)` when decided, `None` when a meeting path fell in the
+    /// rounding band and only the one-sided search can decide. The side
+    /// with the shorter queue expands next (Pohl's cardinality rule), ties
+    /// to the smaller queue top, then to the forward side.
+    fn bidirectional(
+        &mut self,
+        fwd: &mut BinaryHeap<HeapSlot>,
+        bwd: &mut BinaryHeap<HeapSlot>,
+        graph: &CsrGraph,
+        s: u32,
+        t: u32,
+        bound: f64,
+    ) -> Option<bool> {
+        let relaxed = relaxed_bound(bound, graph.num_vertices());
+        let pending_deletions = graph.has_pending_deletions();
+        let gen = self.generation;
+        self.dist[s as usize] = 0.0;
+        self.state[s as usize] = gen;
+        fwd.push(HeapSlot {
+            dist: 0.0,
+            vertex: s,
+        });
+        self.dist_b[t as usize] = 0.0;
+        self.state_b[t as usize] = gen;
+        self.chain_vertex[t as usize] = NO_VERTEX;
+        bwd.push(HeapSlot {
+            dist: 0.0,
+            vertex: t,
+        });
+        self.last_frontier = 2;
+        let mut band = false;
+        loop {
+            self.stats.heap_pops += drop_settled_tops(fwd, &self.state, gen);
+            self.stats.heap_pops += drop_settled_tops(bwd, &self.state_b, gen);
+            let (Some(f), Some(b)) = (fwd.peek(), bwd.peek()) else {
+                break;
+            };
+            if f.dist + b.dist > relaxed {
+                break;
+            }
+            let backward = (bwd.len(), b.dist) < (fwd.len(), f.dist);
+            let (queue, other_len) = if backward {
+                (&mut *bwd, fwd.len())
+            } else {
+                (&mut *fwd, bwd.len())
+            };
+            let HeapSlot { dist: d, vertex: u } = queue.pop().expect("peeked above");
+            self.stats.heap_pops += 1;
+            self.stats.settled_vertices += 1;
+            let accepted = if backward {
+                self.state_b[u as usize] = gen + 1;
+                self.meet_row::<true>(
+                    queue,
+                    other_len,
+                    graph,
+                    u,
+                    d,
+                    gen,
+                    bound,
+                    relaxed,
+                    pending_deletions,
+                    &mut band,
+                )
+            } else {
+                self.state[u as usize] = gen + 1;
+                if u == t {
+                    // The forward half is the one-sided search pruned at
+                    // `B' ≥ bound`: its distance at the target is `D`.
+                    return Some(d <= bound);
+                }
+                self.meet_row::<false>(
+                    queue,
+                    other_len,
+                    graph,
+                    u,
+                    d,
+                    gen,
+                    bound,
+                    relaxed,
+                    pending_deletions,
+                    &mut band,
+                )
+            };
+            if accepted {
+                return Some(true);
+            }
+        }
+        (!band).then_some(false)
+    }
+
+    /// Scans every live half-edge of `u`, just settled by one half at
+    /// distance `d` — the packed row (tombstone-filtered while deletions
+    /// are pending) then the overflow chain, as [`DijkstraEngine::relax_row`]
+    /// does — through [`DijkstraEngine::meet_or_relax`]. Returns whether a
+    /// meeting path was certified within `bound`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn meet_row<const BACKWARD: bool>(
+        &mut self,
+        queue: &mut BinaryHeap<HeapSlot>,
+        other_len: usize,
+        graph: &CsrGraph,
+        u: u32,
+        d: f64,
+        gen: u32,
+        bound: f64,
+        relaxed: f64,
+        check_live: bool,
+        band: &mut bool,
+    ) -> bool {
+        let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
+        let ids = check_live.then(|| graph.packed_neighbor_ids(VertexId(u as usize)));
+        for i in 0..targets.len() {
+            if let Some(ids) = ids {
+                if !graph.is_edge_id_live(ids[i]) {
+                    continue;
+                }
+            }
+            let v = targets[i] as usize;
+            if self.meet_or_relax::<BACKWARD>(
+                queue, other_len, u, v, weights[i], d, gen, bound, relaxed, band,
+            ) {
+                return true;
+            }
+        }
+        for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
+            if self.meet_or_relax::<BACKWARD>(
+                queue, other_len, u, v as usize, w, d, gen, bound, relaxed, band,
+            ) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// One bidirectional relaxation of the half-edge `u → v` of weight `w`,
+    /// `u` settled by the forward (or, with `BACKWARD`, the backward) half
+    /// at distance `d`. Sums above the relaxed bound are pruned. If the
+    /// other half has reached `v`, the meeting estimate is checked against
+    /// the relaxed bound and, within it, the meeting path's exact
+    /// certificate against `bound` (returning `true` on success; a failed
+    /// certificate marks the band). Then `v` is relaxed as in
+    /// [`DijkstraEngine::relax`]; the backward half also records `v`'s
+    /// chain step.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn meet_or_relax<const BACKWARD: bool>(
+        &mut self,
+        queue: &mut BinaryHeap<HeapSlot>,
+        other_len: usize,
+        u: u32,
+        v: usize,
+        w: f64,
+        d: f64,
+        gen: u32,
+        bound: f64,
+        relaxed: f64,
+        band: &mut bool,
+    ) -> bool {
+        let nd = d + w;
+        if nd > relaxed {
+            self.stats.pruned_by_bound += 1;
+            return false;
+        }
+        let (other_state, other_dist) = if BACKWARD {
+            (&self.state, &self.dist)
+        } else {
+            (&self.state_b, &self.dist_b)
+        };
+        if other_state[v] >= gen && nd + other_dist[v] <= relaxed {
+            // The meeting path `s ⇝ x — y ⇝ t`: forward distance at `x`,
+            // the edge, then `y`'s chain to the target.
+            let (head, y) = if BACKWARD {
+                (self.dist[v] + w, u)
+            } else {
+                (nd, v as u32)
+            };
+            if self.chain_sum(head, y) <= bound {
+                return true;
+            }
+            *band = true;
+        }
+        let (state, dist) = if BACKWARD {
+            (&mut self.state_b, &mut self.dist_b)
+        } else {
+            (&mut self.state, &mut self.dist)
+        };
+        let s = state[v];
+        if s == gen + 1 {
+            return false;
+        }
+        if s < gen || nd < dist[v] {
+            state[v] = gen;
+            dist[v] = nd;
+            if BACKWARD {
+                self.chain_vertex[v] = u;
+                self.chain_weight[v] = w;
+            }
+            queue.push(HeapSlot {
+                dist: nd,
+                vertex: v as u32,
+            });
+            self.last_frontier = self.last_frontier.max(queue.len() + other_len);
+        }
+        false
+    }
+
+    /// Continues the left-to-right sum `head` from `y` along the backward
+    /// chain to the target, adding each stored chain weight in order.
+    #[inline]
+    fn chain_sum(&self, mut head: f64, mut y: u32) -> f64 {
+        while self.chain_vertex[y as usize] != NO_VERTEX {
+            head += self.chain_weight[y as usize];
+            y = self.chain_vertex[y as usize];
+        }
+        head
     }
 
     /// Reads the bounded-distance answer for `target` out of the workspace
@@ -2480,5 +2908,131 @@ mod tests {
                 prefetch_distance: 8,
             }
         );
+    }
+
+    #[test]
+    fn engine_stats_merge_aggregates_every_field() {
+        // Struct literals without `..`: a new counter fails to compile here
+        // until the merge (and this test) account for it.
+        let mut a = EngineStats {
+            queries: 1,
+            reuse_hits: 2,
+            heap_pops: 3,
+            settled_vertices: 4,
+            pruned_by_bound: 5,
+            peak_frontier: 60,
+            generation_wraps: 7,
+            bidirectional_fallbacks: 8,
+            kernel: KernelStats {
+                rows_batched: 9,
+                edges_gathered: 10,
+                candidates_committed: 11,
+                prefetch_distance: 0,
+            },
+        };
+        let b = EngineStats {
+            queries: 100,
+            reuse_hits: 200,
+            heap_pops: 300,
+            settled_vertices: 400,
+            pruned_by_bound: 500,
+            peak_frontier: 6,
+            generation_wraps: 700,
+            bidirectional_fallbacks: 800,
+            kernel: KernelStats {
+                rows_batched: 900,
+                edges_gathered: 1000,
+                candidates_committed: 1100,
+                prefetch_distance: 8,
+            },
+        };
+        a.merge(&b);
+        assert_eq!(
+            a,
+            EngineStats {
+                queries: 101,
+                reuse_hits: 202,
+                heap_pops: 303,
+                settled_vertices: 404,
+                pruned_by_bound: 505,
+                peak_frontier: 60,
+                generation_wraps: 707,
+                bidirectional_fallbacks: 808,
+                kernel: KernelStats {
+                    rows_batched: 909,
+                    edges_gathered: 1010,
+                    candidates_committed: 1111,
+                    prefetch_distance: 8,
+                },
+            }
+        );
+    }
+
+    /// A path of decimal weights: the one-sided distance from one end to
+    /// the other, and a fresh engine's counters after asking `within_bound`
+    /// at `bound`.
+    fn decimal_path_query(bound_of: impl Fn(f64) -> f64) -> (f64, bool, EngineStats) {
+        let weights = [0.1, 0.7, 0.3, 0.1, 0.2, 0.9, 0.1, 0.3];
+        let g = WeightedGraph::from_edges(
+            weights.len() + 1,
+            weights.iter().enumerate().map(|(i, &w)| (i, i + 1, w)),
+        )
+        .unwrap();
+        let csr = CsrGraph::from(&g);
+        let (s, t) = (VertexId(0), VertexId(weights.len()));
+        let mut e = DijkstraEngine::with_capacity_for(g.num_vertices(), g.num_edges());
+        let d = e.bounded_distance(&csr, s, t, f64::INFINITY).unwrap();
+        e.reset_stats();
+        let within = e.within_bound(&csr, s, t, bound_of(d));
+        (d, within, e.stats())
+    }
+
+    #[test]
+    fn within_bound_falls_back_inside_the_rounding_band() {
+        // Just below the exact distance, the halves meet on a path whose
+        // certificate is `d > bound` yet whose estimate is within the
+        // relaxed bound: only the one-sided search can decide.
+        let (_, within, stats) = decimal_path_query(f64::next_down);
+        assert!(!within);
+        assert_eq!(stats.bidirectional_fallbacks, 1);
+        assert_eq!(stats.queries, 1, "the fallback is part of the same query");
+        assert_eq!(stats.reuse_hits, 1, "the fallback must not allocate");
+        // At the exact distance the meeting certificate accepts outright.
+        let (_, within, stats) = decimal_path_query(|d| d);
+        assert!(within);
+        assert_eq!(stats.bidirectional_fallbacks, 0);
+        // Far below it the queue tops pass the relaxed bound first.
+        let (_, within, stats) = decimal_path_query(|d| d * 0.5);
+        assert!(!within);
+        assert_eq!(stats.bidirectional_fallbacks, 0);
+    }
+
+    #[test]
+    fn within_bound_matches_bounded_distance_across_a_wrap_and_reuses_the_workspace() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let g = crate::generators::erdos_renyi_connected(60, 0.15, 1.0..4.0, &mut rng);
+        let csr = CsrGraph::from(&g);
+        let mut plain = DijkstraEngine::new();
+        let mut bidi = DijkstraEngine::with_capacity_for(g.num_vertices(), g.num_edges());
+        for round in 0..2 {
+            if round == 1 {
+                bidi.force_generation_wrap();
+            }
+            for _ in 0..300 {
+                let s = VertexId(rng.gen_range(0..60));
+                let t = VertexId(rng.gen_range(0..60));
+                let bound = rng.gen_range(0.0..8.0);
+                assert_eq!(
+                    bidi.within_bound(&csr, s, t, bound),
+                    plain.bounded_distance(&csr, s, t, bound).is_some(),
+                    "{s:?} -> {t:?} within {bound}"
+                );
+            }
+        }
+        let stats = bidi.stats();
+        assert_eq!(stats.generation_wraps, 1);
+        assert_eq!(stats.queries, 600);
+        assert_eq!(stats.reuse_hits, stats.queries);
+        assert!(stats.settled_vertices < plain.stats().settled_vertices);
     }
 }

@@ -114,21 +114,13 @@ impl EnginePool {
         &mut self.engines[0]
     }
 
-    /// Aggregate counters over every engine in the pool: query, reuse-hit,
-    /// queue-pop, settled-vertex and pruned-push totals, and the maximum
-    /// peak frontier.
+    /// Aggregate counters over every engine in the pool, folded with
+    /// [`EngineStats::merge`]: every counter summed, the peak frontier
+    /// maximized.
     pub fn stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
         for e in &self.engines {
-            let s = e.stats();
-            total.queries += s.queries;
-            total.reuse_hits += s.reuse_hits;
-            total.heap_pops += s.heap_pops;
-            total.settled_vertices += s.settled_vertices;
-            total.pruned_by_bound += s.pruned_by_bound;
-            total.peak_frontier = total.peak_frontier.max(s.peak_frontier);
-            total.generation_wraps += s.generation_wraps;
-            total.kernel.merge(&s.kernel);
+            total.merge(&e.stats());
         }
         total
     }

@@ -8,7 +8,13 @@
 //!
 //! Differences from real proptest: cases are generated from a seed derived
 //! from the test name (fully deterministic across runs), and failing cases
-//! panic immediately without shrinking.
+//! panic immediately without shrinking. A failing case prints the property
+//! name, the case index and the case seed to stderr as the panic unwinds.
+//!
+//! The `PROPTEST_CASES` environment variable overrides every property's
+//! configured case count, so a soak run is
+//! `PROPTEST_CASES=512 cargo test --test <suite>`. Case `i` of a property
+//! is the same at every case count, so a soak only adds cases.
 
 #![forbid(unsafe_code)]
 
@@ -29,6 +35,23 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
+
+    /// The case count to run: `PROPTEST_CASES` when set, the configured
+    /// `cases` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `PROPTEST_CASES` is set but not a non-negative integer, so
+    /// a mistyped soak fails loudly instead of running the default count.
+    pub fn resolved_cases(&self) -> u32 {
+        match std::env::var("PROPTEST_CASES") {
+            Ok(v) => v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("PROPTEST_CASES={v:?} is not a case count")),
+            Err(_) => self.cases,
+        }
+    }
 }
 
 impl Default for ProptestConfig {
@@ -45,21 +68,56 @@ pub struct TestRunner {
 impl TestRunner {
     /// Creates the runner for one case of a named property.
     pub fn for_case(test_name: &str, case: u32) -> Self {
-        // FNV-1a over the test name, mixed with the case index, so every
-        // property gets its own reproducible stream.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in test_name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
         TestRunner {
-            rng: SmallRng::seed_from_u64(h ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: SmallRng::seed_from_u64(case_seed(test_name, case)),
         }
     }
 
     /// The underlying RNG.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
+    }
+}
+
+/// The RNG seed of one case of a named property: FNV-1a over the name,
+/// mixed with the case index, so every property gets its own reproducible
+/// stream.
+pub fn case_seed(test_name: &str, case: u32) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in test_name.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Reports a failing case: held across one case's body, it prints the
+/// property name, case index and seed to stderr if the body panics — while
+/// the panic unwinds, before it reaches the test harness.
+pub struct CaseGuard {
+    name: &'static str,
+    case: u32,
+    cases: u32,
+}
+
+impl CaseGuard {
+    /// Arms the report for case `case` of `cases` of property `name`.
+    pub fn new(name: &'static str, case: u32, cases: u32) -> Self {
+        CaseGuard { name, case, cases }
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: property `{}` failed at case {} of {} (seed {:#018x})",
+                self.name,
+                self.case,
+                self.cases,
+                case_seed(self.name, self.case)
+            );
+        }
     }
 }
 
@@ -211,7 +269,9 @@ macro_rules! __proptest_items {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::ProptestConfig = $config;
-                for case in 0..config.cases {
+                let cases = config.resolved_cases();
+                for case in 0..cases {
+                    let _report = $crate::CaseGuard::new(stringify!($name), case, cases);
                     let mut runner = $crate::TestRunner::for_case(stringify!($name), case);
                     $( let $arg = $crate::Strategy::generate(&($strat), &mut runner); )+
                     $body
@@ -242,6 +302,27 @@ mod tests {
         let c = (0u64..1_000_000).generate(&mut TestRunner::for_case("x", 4));
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn case_seeds_match_the_runner_streams() {
+        let mut a = TestRunner::for_case("y", 7);
+        let mut b = TestRunner {
+            rng: rand::SeedableRng::seed_from_u64(crate::case_seed("y", 7)),
+        };
+        assert_eq!(
+            (0u64..u64::MAX).generate(&mut a),
+            (0u64..u64::MAX).generate(&mut b)
+        );
+    }
+
+    #[test]
+    fn a_failing_case_reports_and_still_panics() {
+        let outcome = std::panic::catch_unwind(|| {
+            let _report = crate::CaseGuard::new("always_fails", 3, 8);
+            panic!("property violated");
+        });
+        assert!(outcome.is_err(), "the guard must not swallow the panic");
     }
 
     proptest! {

@@ -1,15 +1,16 @@
 //! Property suite for the determinism guarantee of the batched
-//! filter-then-commit parallel greedy: across random graphs, stretch values
-//! and thread counts {1, 2, 4, 8}, the pipeline's output must be
-//! **byte-identical** to the sequential reference loop
-//! (`greedy_spanner_reference`) — same edges, same insertion order, same
-//! exact weights.
+//! filter-then-commit parallel greedy: across random graphs, stretch
+//! values, weight families (uniform, dense near-uniform, high-spread,
+//! tie-heavy integers, 0.1-step decimals) and thread counts {1, 2, 4, 8},
+//! the pipeline's output must be **byte-identical** to the sequential
+//! reference loop (`greedy_spanner_reference`) — same edges, same
+//! insertion order, same exact weights.
 
 use greedy_spanner::greedy::greedy_spanner_reference;
 use greedy_spanner::Spanner;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spanner_graph::generators::{complete_graph_with_weights, erdos_renyi_connected};
 use spanner_graph::WeightedGraph;
 
@@ -85,4 +86,45 @@ proptest! {
         let g = erdos_renyi_connected(n, 0.4, 1.0..10_000.0, &mut rng);
         assert_thread_count_invariant(&g, stretch);
     }
+
+    /// Integer weights in {1, 2, 3} at integer stretch: detours tie the
+    /// admission bound `t·w` exactly all the time, so every admission is
+    /// decided at the edge of the bidirectional query's rounding band.
+    #[test]
+    fn parallel_greedy_matches_reference_on_integer_tie_weights(
+        seed in 0u64..10_000,
+        n in 8usize..50,
+        stretch in 1u32..4,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = with_weights(&erdos_renyi_connected(n, 0.35, 1.0..2.0, &mut rng), |_| {
+            rng.gen_range(1..4) as f64
+        });
+        assert_thread_count_invariant(&g, stretch as f64);
+    }
+
+    /// 0.1-step decimal weights: detour sums round differently depending on
+    /// the order they are added in, so a detour that ties `t·w` in real
+    /// arithmetic lands one ulp either side of it in floating point.
+    #[test]
+    fn parallel_greedy_matches_reference_on_decimal_weights(
+        seed in 0u64..10_000,
+        n in 8usize..50,
+        stretch in 1u32..4,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = with_weights(&erdos_renyi_connected(n, 0.35, 1.0..2.0, &mut rng), |_| {
+            rng.gen_range(1..31) as f64 * 0.1
+        });
+        assert_thread_count_invariant(&g, stretch as f64);
+    }
+}
+
+/// `g`'s topology with every weight replaced by `weight(old weight)`.
+fn with_weights(g: &WeightedGraph, mut weight: impl FnMut(f64) -> f64) -> WeightedGraph {
+    let mut out = WeightedGraph::new(g.num_vertices());
+    for e in g.edges() {
+        out.add_edge(e.u, e.v, weight(e.weight));
+    }
+    out
 }
