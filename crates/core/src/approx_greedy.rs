@@ -38,7 +38,7 @@ use spanner_metric::MetricSpace;
 use crate::bounded_degree::bounded_degree_spanner;
 use crate::cluster_graph::ClusterGraph;
 use crate::error::{validate_epsilon, SpannerError};
-use crate::greedy::filter_commit_greedy;
+use crate::greedy::greedy_into;
 
 /// Tuning parameters of the approximate-greedy construction.
 ///
@@ -234,24 +234,15 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
                 }
             }
             engine_stats.merge(&clusters.engine_stats());
-        } else if threads > 1 {
+        } else {
             let candidates: Vec<(u32, u32, f64)> = heavy[index..bucket_end]
                 .iter()
                 .map(|&(u, v, w)| (u as u32, v as u32, w))
                 .collect();
-            let outcome = filter_commit_greedy(&mut spanner, &mut pool, &candidates, t_sim);
+            let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t_sim);
             simulated_added += outcome.added.len();
             batches += outcome.batches;
             batch_recheck_hits += outcome.recheck_hits;
-        } else {
-            let engine = pool.commit_engine();
-            for &(u, v, w) in &heavy[index..bucket_end] {
-                let bound = t_sim * w;
-                if !engine.within_bound(&spanner, VertexId(u), VertexId(v), bound) {
-                    spanner.append_edge(VertexId(u), VertexId(v), w);
-                    simulated_added += 1;
-                }
-            }
         }
         index = bucket_end;
     }

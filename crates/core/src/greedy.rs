@@ -180,8 +180,8 @@ pub(crate) struct FilterCommitOutcome {
     pub recheck_hits: usize,
 }
 
-/// The batched filter-then-commit greedy loop shared by the parallel greedy
-/// and approximate-greedy constructions.
+/// The batched filter-then-commit greedy loop that [`greedy_into`] runs on a
+/// pool of more than one worker.
 ///
 /// `candidates` are `(u, v, weight)` triples sorted by non-decreasing
 /// weight with deterministic tie-breaks; every endpoint must be in range
@@ -189,7 +189,7 @@ pub(crate) struct FilterCommitOutcome {
 /// guarantee both). Kept edges are appended to `spanner` in candidate
 /// order, exactly as the sequential greedy would — see the module docs for
 /// why the output is identical at every worker count.
-pub(crate) fn filter_commit_greedy(
+fn filter_commit_greedy(
     spanner: &mut CsrGraph,
     pool: &mut EnginePool,
     candidates: &[(u32, u32, f64)],
@@ -217,8 +217,8 @@ pub(crate) fn filter_commit_greedy(
         // That holds bit-exactly in floating point: the admission query
         // decides on the minimum over paths of the left-to-right sum along
         // each path, and adding edges only adds paths to that minimum. The
-        // admission comparison itself is exact; see `run_greedy_sequential`
-        // for its error argument.
+        // admission comparison itself is exact; see `greedy_into` for its
+        // error argument.
         covered.clear();
         covered.resize(batch.len(), false);
         pool.map_batch(
@@ -264,25 +264,78 @@ pub(crate) fn filter_commit_greedy(
     }
 }
 
+/// The greedy loop over `candidates` already in greedy order (the contract
+/// of [`filter_commit_greedy`]), appending the kept edges to `spanner`: the
+/// plain sequential loop on the commit engine of a one-worker pool, the
+/// filter-then-commit loop otherwise — the same edges either way. Shared by
+/// [`run_greedy`] and the live spanner's rebuilds and insertions.
+///
+/// # The admission comparison `d ≤ t·w`
+///
+/// An edge is rejected when the spanner distance computed by a one-sided
+/// search satisfies `D ≤ fl(t·w)`; the comparison is exact, with no
+/// tolerance. Every greedy path (both loops here and
+/// [`greedy_spanner_reference`]) evaluates the same `t * w`. The reference
+/// computes `D` directly; the engine loops ask
+/// [`DijkstraEngine::within_bound`], which returns exactly `D ≤ fl(t·w)`
+/// for that same `D` (the minimum over paths of the left-to-right sums;
+/// a sum that overflows to `+∞` is no path, even when `t·w` overflows
+/// too). So all three make the same decision on every edge, ties included
+/// — which is what makes their outputs bit-identical.
+///
+/// What the exact comparison guarantees in real arithmetic: with
+/// `ρ = path_rounding_margin(n − 1)` (a simple path has fewer than `n`
+/// edges; see [`spanner_graph::path_rounding_margin`]), a rejected edge's
+/// true spanner distance `δ` satisfies `δ ≤ D / (1 − ρ)` and
+/// `fl(t·w) ≤ t·w·(1 + 2⁻⁵³)`, so `δ ≤ t·w·(1 + 2ρ)`. The spanner is a
+/// `t`-spanner up to that relative error, which is why
+/// [`crate::analysis::is_t_spanner`] verifies with a `1e-9` relative
+/// tolerance (`≥ 2ρ` for `n ≤ 2²¹`). An admitted edge only means
+/// `D > fl(t·w)`; on an exact real tie rounding may admit an edge that
+/// exact arithmetic would drop. Admitting an extra edge never breaks the
+/// stretch guarantee.
+pub(crate) fn greedy_into(
+    spanner: &mut CsrGraph,
+    pool: &mut EnginePool,
+    candidates: &[(u32, u32, f64)],
+    t: f64,
+) -> FilterCommitOutcome {
+    if pool.workers() > 1 {
+        return filter_commit_greedy(spanner, pool, candidates, t);
+    }
+    let engine = pool.commit_engine();
+    let mut added = Vec::new();
+    for (i, &(u, v, w)) in candidates.iter().enumerate() {
+        let (u, v) = (VertexId(u as usize), VertexId(v as usize));
+        if !engine.within_bound(spanner, u, v, t * w) {
+            spanner.append_edge(u, v, w);
+            added.push(i);
+        }
+    }
+    FilterCommitOutcome {
+        added,
+        batches: 0,
+        recheck_hits: 0,
+    }
+}
+
 /// The greedy construction engine behind the `Greedy` implementation of
 /// [`crate::algorithm::SpannerAlgorithm`] (reach it through
 /// `Spanner::greedy().stretch(t).threads(n).build(&graph)`).
 ///
-/// With `threads <= 1` this is the sequential loop: the growing spanner is
-/// held as an appendable [`CsrGraph`] and every candidate's admission
-/// query runs through one pre-sized [`DijkstraEngine`], so the hot loop
-/// performs zero per-query heap allocations. With `threads > 1` it runs the
-/// batched filter-then-commit loop (see the module docs) over an
-/// [`EnginePool`] — same output, bit for bit, at every thread count.
+/// The growing spanner is held as an appendable [`CsrGraph`] and every
+/// admission query runs through a pre-sized [`EnginePool`], so the hot loop
+/// performs zero per-query heap allocations. With `threads <= 1` this is
+/// the sequential loop; with `threads > 1` the batched filter-then-commit
+/// loop (see the module docs) — same output, bit for bit, at every thread
+/// count (see [`greedy_into`]).
 pub(crate) fn run_greedy(
     graph: &WeightedGraph,
     t: f64,
     threads: usize,
 ) -> Result<GreedySpanner, SpannerError> {
     validate_stretch(t)?;
-    if threads <= 1 {
-        return run_greedy_sequential(graph, t);
-    }
+    let threads = threads.max(1);
     let order = graph.edges_by_weight();
     let candidates: Vec<(u32, u32, f64)> = order
         .iter()
@@ -293,7 +346,7 @@ pub(crate) fn run_greedy(
         .collect();
     let mut spanner = CsrGraph::new(graph.num_vertices());
     let mut pool = EnginePool::with_capacity_for(threads, graph.num_vertices(), graph.num_edges());
-    let outcome = filter_commit_greedy(&mut spanner, &mut pool, &candidates, t);
+    let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t);
     let stats = pool.stats();
     Ok(GreedySpanner {
         spanner: spanner.to_weighted_graph(),
@@ -309,63 +362,6 @@ pub(crate) fn run_greedy(
         worker_utilization: pool.utilization(),
         kernel: stats.kernel,
         added_edge_ids: outcome.added.iter().map(|&i| order[i]).collect(),
-    })
-}
-
-/// The single-threaded engine-backed loop — the `threads = 1` fast path,
-/// with no batching or snapshot bookkeeping whatsoever.
-///
-/// # The admission comparison `d ≤ t·w`
-///
-/// An edge is rejected when the spanner distance computed by a one-sided
-/// search satisfies `D ≤ fl(t·w)`; the comparison is exact, with no
-/// tolerance. Every greedy path (this loop, the batched filter-then-commit
-/// loop and [`greedy_spanner_reference`]) evaluates the same `t * w`. The
-/// reference computes `D` directly; the engine loops ask
-/// [`DijkstraEngine::within_bound`], which returns exactly `D ≤ fl(t·w)`
-/// for that same `D` (the minimum over paths of the left-to-right sums).
-/// So all three make the same decision on every edge, ties included —
-/// which is what makes their outputs bit-identical.
-///
-/// What the exact comparison guarantees in real arithmetic: with
-/// `ρ = path_rounding_margin(n − 1)` (a simple path has fewer than `n`
-/// edges; see [`spanner_graph::path_rounding_margin`]), a rejected edge's
-/// true spanner distance `δ` satisfies `δ ≤ D / (1 − ρ)` and
-/// `fl(t·w) ≤ t·w·(1 + 2⁻⁵³)`, so `δ ≤ t·w·(1 + 2ρ)`. The spanner is a
-/// `t`-spanner up to that relative error, which is why
-/// [`crate::analysis::is_t_spanner`] verifies with a `1e-9` relative
-/// tolerance (`≥ 2ρ` for `n ≤ 2²¹`). An admitted edge only means
-/// `D > fl(t·w)`; on an exact real tie rounding may admit an edge that
-/// exact arithmetic would drop. Admitting an extra edge never breaks the
-/// stretch guarantee.
-fn run_greedy_sequential(graph: &WeightedGraph, t: f64) -> Result<GreedySpanner, SpannerError> {
-    let mut spanner = CsrGraph::new(graph.num_vertices());
-    let mut engine = DijkstraEngine::with_capacity_for(graph.num_vertices(), graph.num_edges());
-    let order = graph.edges_by_weight();
-    let mut added_edge_ids = Vec::new();
-    for id in &order {
-        let e = graph.edge(*id);
-        let bound = t * e.weight;
-        if !engine.within_bound(&spanner, e.u, e.v, bound) {
-            spanner.append_edge(e.u, e.v, e.weight);
-            added_edge_ids.push(*id);
-        }
-    }
-    let stats = engine.stats();
-    Ok(GreedySpanner {
-        spanner: spanner.to_weighted_graph(),
-        stretch: t,
-        edges_examined: order.len(),
-        edges_added: added_edge_ids.len(),
-        peak_frontier: stats.peak_frontier,
-        distance_queries: stats.queries as usize,
-        workspace_reuse_hits: stats.reuse_hits as usize,
-        batches: 0,
-        batch_recheck_hits: 0,
-        threads_used: 1,
-        worker_utilization: 1.0,
-        kernel: stats.kernel,
-        added_edge_ids,
     })
 }
 
@@ -649,6 +645,28 @@ mod tests {
                 );
                 assert_eq!(parallel.threads_used(), threads);
                 assert!(parallel.batches() >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_path_that_overflows_to_infinity_does_not_cover_an_edge() {
+        // Every detour sums to +∞ while t·w overflows to +∞ too: the
+        // reference keeps the whole triangle, and so must the engine loops
+        // (accepting `∞ ≤ ∞` would drop an edge the spanner cannot cover).
+        for (w, t) in [(f64::MAX, 1.5), (1e308, 2.0)] {
+            let g = WeightedGraph::from_edges(3, [(0, 1, w), (1, 2, w), (0, 2, w)]).unwrap();
+            let reference = greedy_spanner_reference(&g, t).unwrap();
+            assert_eq!(reference.edges_added(), 3, "w = {w}, t = {t}");
+            for threads in [1, 2] {
+                let r = run_greedy(&g, t, threads).unwrap();
+                assert_eq!(
+                    r.added_edge_ids(),
+                    reference.added_edge_ids(),
+                    "w = {w}, t = {t}, threads = {threads}"
+                );
+                assert!(is_t_spanner(&g, r.spanner(), t));
+                assert_eq!(max_stretch_over_edges(&g, r.spanner()), 1.0);
             }
         }
     }

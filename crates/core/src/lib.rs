@@ -184,10 +184,10 @@
 //!    post-update touch ([`serve::ServeStats::stale_evictions`]).
 //! 4. **Updates** ([`update`]): [`update::LiveSpanner`] applies
 //!    [`update::UpdateBatch`]es — insertions through the greedy admission
-//!    rule (the PR-3 filter-then-commit machinery over an overlay
-//!    snapshot), deletions with localized witness-traversal repair — and
-//!    re-certifies the stretch-`t` invariant after every batch
-//!    ([`update::UpdateStats`]).
+//!    rule against the current spanner; a batch that deletes or reweights
+//!    a spanner edge reruns greedy over the live original and swaps the
+//!    result in — so the stretch-`t` invariant holds after every batch by
+//!    construction ([`update::UpdateStats`]).
 //!
 //! A live server ([`update::LiveSpanner::serve`]) interleaves
 //! query batches and update batches and stays **bit-identical to a server

@@ -13,21 +13,24 @@
 //!   mutates, and every generation compaction writes a fresh snapshot.
 //! * [`LiveSpanner::checkpoint`] writes a snapshot of the current state to
 //!   any path on demand, attached or not.
-//! * [`LiveSpanner::recover`] loads the newest snapshot that verifies
-//!   (falling back past corrupt candidates), replays the WAL suffix through
-//!   the *same* deterministic apply path live batches use, truncates any
-//!   torn tail, and reattaches the log. Because admission, repair and
-//!   compaction are pure functions of state and batch, the recovered
-//!   spanner answers every query **bit-identically** to the instance that
-//!   was killed.
+//! * [`LiveSpanner::recover`] loads the newest snapshot this build can use
+//!   (falling back past corrupt or unreadable candidates), replays the WAL
+//!   suffix through the *same* deterministic apply path live batches use,
+//!   truncates any torn tail, and reattaches the log. Because admission,
+//!   greedy rebuilds and compaction are pure functions of state and batch,
+//!   the recovered spanner answers every query **bit-identically** to the
+//!   instance that was killed. Replaying a batch that rebuilt the spanner
+//!   rebuilds it again, so replay costs what the original batches cost.
 //!
-//! What a snapshot's opaque `meta` section holds (this module's codec):
-//! stretch and compaction threshold (as raw `f64` bits), the full
-//! cumulative [`UpdateStats`], and the construction [`Provenance`] — so a
-//! recovered spanner reports the same history it had before the crash. The
-//! worker-thread count is deliberately *not* persisted: it is a throughput
-//! knob with no effect on results, and the recovering host may have
-//! different parallelism available.
+//! What a snapshot's opaque `meta` section holds (this module's codec,
+//! version 2): stretch and compaction threshold (as raw `f64` bits), the
+//! full cumulative [`UpdateStats`], and the construction [`Provenance`] — so
+//! a recovered spanner reports the same history it had before the crash.
+//! A snapshot with any other meta version (version 1 had an extra stats
+//! field) is unreadable, and recovery skips it like any other unusable
+//! candidate. The worker-thread count is deliberately
+//! *not* persisted: it is a throughput knob with no effect on results, and
+//! the recovering host may have different parallelism available.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,7 +48,7 @@ use crate::algorithm::Provenance;
 use crate::update::{LiveSpanner, Update, UpdateBatch, UpdateStats};
 
 /// Version of the owner-defined `meta` payload inside snapshots.
-const META_VERSION: u32 = 1;
+const META_VERSION: u32 = 2;
 
 /// Update tags in WAL batch payloads.
 const TAG_INSERT: u8 = 0;
@@ -196,7 +199,6 @@ fn encode_meta(live: &LiveSpanner) -> Vec<u8> {
     put_duration(&mut out, stats.repair_time);
     out.put_u64(stats.epochs_advanced);
     out.put_u64(stats.recertifications);
-    out.put_f64_bits(stats.certified_stretch);
     put_duration(&mut out, stats.elapsed);
     out.put_u64(stats.compactions);
     out.put_u64(stats.snapshots_written);
@@ -246,7 +248,6 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<MetaParts, PersistError> {
         repair_time: Duration::from_nanos(u64_field(&mut r)?),
         epochs_advanced: u64_field(&mut r)?,
         recertifications: u64_field(&mut r)?,
-        certified_stretch: r.f64_bits().ok_or_else(truncated)?,
         elapsed: Duration::from_nanos(u64_field(&mut r)?),
         compactions: u64_field(&mut r)?,
         snapshots_written: u64_field(&mut r)?,
@@ -384,63 +385,27 @@ impl LiveSpanner {
         let mut snapshots_skipped = 0usize;
         let mut chosen = None;
         for candidate in candidates {
-            match Snapshot::read(&candidate.path) {
-                Ok(snapshot) => {
-                    chosen = Some((candidate, snapshot));
+            match load_snapshot(&candidate.path) {
+                Ok(loaded) => {
+                    chosen = Some((candidate, loaded));
                     break;
                 }
                 Err(_) => snapshots_skipped += 1,
             }
         }
-        let Some((candidate, snapshot)) = chosen else {
+        let Some((candidate, (wal_seq, mut live))) = chosen else {
             return Err(PersistError::NoValidSnapshot {
                 dir: dir.to_path_buf(),
                 candidates: total,
             });
         };
-        let corrupt = |detail: String| PersistError::Corrupt {
-            path: candidate.path.clone(),
-            context: "snapshot consistency",
-            detail,
-        };
-        let meta = decode_meta(&snapshot.meta, &candidate.path)?;
-        let spanner = snapshot.spanner.restore(&candidate.path)?;
-        let original = snapshot.original.restore(&candidate.path)?;
-        if spanner.epoch() != snapshot.epoch {
-            return Err(corrupt(format!(
-                "root says epoch {} but the spanner image is at {}",
-                snapshot.epoch,
-                spanner.epoch()
-            )));
-        }
-        if meta.stats.batches != snapshot.wal_seq {
-            return Err(corrupt(format!(
-                "root says {} batches applied but the stats say {}",
-                snapshot.wal_seq, meta.stats.batches
-            )));
-        }
-        if spanner.num_vertices() != original.num_vertices() {
-            return Err(corrupt(format!(
-                "spanner has {} vertices, original {}",
-                spanner.num_vertices(),
-                original.num_vertices()
-            )));
-        }
-        let mut live = LiveSpanner::from_recovered_parts(
-            original,
-            spanner,
-            meta.stretch,
-            meta.stats,
-            meta.provenance,
-            meta.compaction_threshold,
-        );
 
         let wal_path = dir.join(WAL_FILE_NAME);
         let contents = read_wal(&wal_path)?;
         let mut batches_replayed = 0u64;
-        let mut expected = snapshot.wal_seq;
+        let mut expected = wal_seq;
         for record in &contents.records {
-            if record.seq < snapshot.wal_seq {
+            if record.seq < wal_seq {
                 continue;
             }
             if record.seq != expected {
@@ -486,6 +451,52 @@ impl LiveSpanner {
             },
         })
     }
+}
+
+/// Reads one snapshot file into a live spanner (no store attached) and
+/// returns it with the snapshot's WAL cursor. Every check that can reject
+/// the file runs here — checksums, the meta version and payload, the graph
+/// images and their mutual consistency — so [`LiveSpanner::recover`] can
+/// skip a candidate this build cannot use and fall back to an older one.
+fn load_snapshot(path: &Path) -> Result<(u64, LiveSpanner), PersistError> {
+    let snapshot = Snapshot::read(path)?;
+    let corrupt = |detail: String| PersistError::Corrupt {
+        path: path.to_path_buf(),
+        context: "snapshot consistency",
+        detail,
+    };
+    let meta = decode_meta(&snapshot.meta, path)?;
+    let spanner = snapshot.spanner.restore(path)?;
+    let original = snapshot.original.restore(path)?;
+    if spanner.epoch() != snapshot.epoch {
+        return Err(corrupt(format!(
+            "root says epoch {} but the spanner image is at {}",
+            snapshot.epoch,
+            spanner.epoch()
+        )));
+    }
+    if meta.stats.batches != snapshot.wal_seq {
+        return Err(corrupt(format!(
+            "root says {} batches applied but the stats say {}",
+            snapshot.wal_seq, meta.stats.batches
+        )));
+    }
+    if spanner.num_vertices() != original.num_vertices() {
+        return Err(corrupt(format!(
+            "spanner has {} vertices, original {}",
+            spanner.num_vertices(),
+            original.num_vertices()
+        )));
+    }
+    let live = LiveSpanner::from_parts(
+        original,
+        spanner,
+        meta.stretch,
+        meta.stats,
+        meta.provenance,
+        meta.compaction_threshold,
+    );
+    Ok((snapshot.wal_seq, live))
 }
 
 #[cfg(test)]
@@ -627,10 +638,7 @@ mod tests {
         assert_eq!(r.stats().batches, live.stats().batches);
         assert_eq!(r.stats().admitted, live.stats().admitted);
         assert_eq!(r.stats().repaired, live.stats().repaired);
-        assert_eq!(
-            r.stats().certified_stretch.to_bits(),
-            live.stats().certified_stretch.to_bits()
-        );
+        assert_eq!(r.stats().recertifications, live.stats().recertifications);
         assert_eq!(
             r.spanner().to_weighted_graph(),
             live.spanner().to_weighted_graph()
@@ -715,6 +723,46 @@ mod tests {
             LiveSpanner::recover(&dir),
             Err(PersistError::WalSequenceGap { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_with_an_unread_meta_version_is_skipped_for_an_older_one() {
+        let dir = store_dir("meta-version");
+        let mut live = small_live();
+        live.persist_to(&dir).unwrap();
+        live.apply(&UpdateBatch::new().insert(VertexId(0), VertexId(3), 0.5))
+            .unwrap();
+        live.apply(&UpdateBatch::new().delete(VertexId(1), VertexId(2)))
+            .unwrap();
+        // A newer snapshot of the same state, stamped with the previous
+        // meta version (one this build does not read).
+        let mut snapshot = live.build_snapshot();
+        snapshot.meta[..4].copy_from_slice(&(META_VERSION - 1).to_le_bytes());
+        let newer = dir.join(snapshot_file_name(live.stats().batches, live.epoch()));
+        snapshot.write_atomic(&newer).unwrap();
+        match load_snapshot(&newer) {
+            Err(PersistError::Corrupt {
+                context, detail, ..
+            }) => {
+                assert_eq!(context, "snapshot meta");
+                assert!(detail.contains("meta version 1"), "{detail}");
+            }
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
+        }
+
+        let recovered = LiveSpanner::recover(&dir).unwrap();
+        assert_eq!(recovered.report.snapshots_skipped, 1);
+        assert_eq!(
+            recovered.report.snapshot_seq, 0,
+            "fell back to the attach snapshot"
+        );
+        assert_eq!(recovered.report.batches_replayed, 2);
+        assert_eq!(recovered.live.epoch(), live.epoch());
+        assert_eq!(
+            recovered.live.spanner().to_weighted_graph(),
+            live.spanner().to_weighted_graph()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

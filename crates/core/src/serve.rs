@@ -941,9 +941,10 @@ impl SpannerServer {
     }
 
     /// Applies an update batch to the served [`LiveSpanner`]: deletions,
-    /// admission-filtered insertions, repair, re-certification (see
-    /// [`crate::update`]). Cached shortest-path trees from earlier epochs
-    /// are invalidated lazily by subsequent query batches.
+    /// then admission-filtered insertions or, when a spanner edge was
+    /// deleted, a greedy rebuild (see [`crate::update`]). Cached
+    /// shortest-path trees from earlier epochs are invalidated lazily by
+    /// subsequent query batches.
     ///
     /// # Errors
     ///

@@ -1,44 +1,47 @@
-//! The live-update subsystem: incremental maintenance of a built spanner
-//! under edge insertions, deletions and reweights.
+//! The live-update subsystem: a built spanner kept current under edge
+//! insertions, deletions and reweights.
 //!
-//! The greedy spanner's guarantee is a property of the *admission rule* —
-//! "add `(u, v)` iff `d_spanner(u, v) > t · w(u, v)`" — not of a one-shot
-//! batch run, so the same rule extends to a stream of updates:
+//! The paper's greedy spanner is existentially optimal, and a from-scratch
+//! greedy run is cheap, so the live spanner does not patch itself after a
+//! damaging update: it runs greedy again. Each batch takes one of two paths:
 //!
-//! * **Insertions** run the greedy admission filter against the *current*
-//!   spanner, reusing the batched filter-then-commit machinery of the
-//!   parallel construction pipeline (a parallel coverage filter over a
-//!   frozen [`spanner_graph::CsrSnapshot`], then a sequential commit with
-//!   exact re-checks). An admitted edge has stretch 1 by membership; a
-//!   rejected edge was covered within `t · w` at admission time, and
-//!   spanner distances only shrink as later edges commit — so insert-only
-//!   batches preserve the stretch-`t` invariant *by construction*, no
-//!   re-traversal needed.
-//! * **Deletions** remove the edge from the original graph and, when the
-//!   spanner carried it, trigger **localized repair**: the stretch-witness
-//!   traversal (the same one [`crate::analysis::max_stretch_witness`] runs —
-//!   one shortest-path tree per relevant source over the live spanner)
-//!   finds every original edge whose detour now exceeds `t · w`; exactly
-//!   those edges are re-run through the admission rule in non-decreasing
-//!   weight order. Deleting an edge the spanner did *not* carry only
-//!   removes a constraint and cannot violate anything.
-//! * **Reweights** are a deletion followed by an insertion of the new
-//!   weight, in that order, within the same batch.
+//! * **Incremental admission** — batches that delete or reweight no edge the
+//!   spanner carries. Insertions run the greedy admission rule
+//!   `d_spanner(u, v) > t · w(u, v)` against the *current* spanner, in
+//!   non-decreasing weight order, through the construction's greedy loop.
+//!   An admitted edge has stretch 1 by membership; a rejected edge was
+//!   covered within `t · w`, and spanner distances only shrink as later
+//!   edges commit, so the stretch-`t` invariant holds by construction.
+//!   Deleting an edge the spanner does not carry only removes a constraint.
+//! * **Greedy rebuild** — batches that delete or reweight a spanner edge.
+//!   The batch's removals and insertions are applied to the original graph,
+//!   then the greedy loop runs over the live original in the order
+//!   [`crate::Spanner::greedy`] uses, and the result replaces the spanner
+//!   one epoch past the old one. After such a batch the live spanner *is*
+//!   `Spanner::greedy().stretch(t).build(&original)`, edge for edge.
 //!
-//! After every batch the stretch-`t` invariant is re-certified — by full
-//! traversal when a spanner edge was deleted, by the monotonicity argument
-//! above otherwise — and surfaced in [`UpdateStats`] together with
-//! admitted/rejected/repaired counts, repair wall time and the number of
-//! spanner epochs the batch advanced.
+//! Reweights are a deletion followed by an insertion of the new weight, in
+//! that order, within the same batch.
+//!
+//! Between rebuilds the spanner can carry edges that later insertions made
+//! redundant, so it may be larger than the greedy spanner of the current
+//! graph; the next rebuild drops them. A wrapped output from a construction
+//! other than greedy is kept as it is by incremental batches and becomes the
+//! greedy spanner at its first rebuild.
+//!
+//! [`UpdateStats`] and [`BatchOutcome`] count admissions, rejections,
+//! rebuilds and the spanner epochs each batch advanced. Some counters keep
+//! older names: `recertifications` counts rebuilds, `repair_time` is
+//! rebuild time, `full_certification` marks a rebuild batch and `repaired`
+//! counts rebuilt-spanner edges the pre-batch spanner lacked.
 //!
 //! Epoch bumps also invalidate the serving layer's *accelerator state*: a
 //! live [`crate::serve::SpannerServer`] consults its ALT landmark table
 //! only while the table's epoch stamp matches the spanner's, so every
-//! update batch (including compacting generation rebuilds, which advance
-//! the epoch by one) forces a lazy landmark rebuild at the next query
-//! batch — exactly like the shortest-path-tree cache's lazy invalidation.
-//! Live spanners never carry a vertex relayout (updates address vertices
-//! by external ids), so there is no permutation to re-derive.
+//! update batch forces a lazy landmark rebuild at the next query batch —
+//! exactly like the shortest-path-tree cache's lazy invalidation. Live
+//! spanners never carry a vertex relayout (updates address vertices by
+//! external ids), so there is no permutation to re-derive.
 //!
 //! ```
 //! use greedy_spanner::update::{LiveSpanner, UpdateBatch};
@@ -55,7 +58,15 @@
 //! )?;
 //! assert_eq!(outcome.admitted, 1);
 //! assert_eq!(outcome.rejected, 1);
-//! assert!(outcome.certified_stretch <= 2.0 + 1e-9);
+//! assert!(!outcome.full_certification, "no spanner edge was deleted");
+//!
+//! // Deleting a spanner edge rebuilds: the result is the greedy spanner of
+//! // the updated graph.
+//! let outcome = live.apply(&UpdateBatch::new().delete(VertexId(0), VertexId(1)))?;
+//! assert!(outcome.full_certification);
+//! let original = live.original().to_weighted_graph();
+//! let rebuilt = Spanner::greedy().stretch(2.0).build(&original)?;
+//! assert_eq!(live.spanner().to_weighted_graph(), rebuilt.spanner);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -67,7 +78,7 @@ use std::time::{Duration, Instant};
 use spanner_graph::{CsrGraph, EnginePool, VertexId, WeightedGraph};
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::greedy::filter_commit_greedy;
+use crate::greedy::greedy_into;
 
 /// One mutation of the original graph, applied through [`LiveSpanner::apply`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,42 +288,39 @@ pub const COMPACTION_MIN_DEAD: usize = 32;
 pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 
 /// Cumulative statistics of a [`LiveSpanner`], across all applied batches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UpdateStats {
     /// Update batches applied.
     pub batches: u64,
     /// Insertions processed (including the insertion half of reweights).
     pub insertions: u64,
-    /// Insertions the admission rule kept in the spanner.
+    /// Insertions kept in the spanner, by the admission rule or by the
+    /// batch's rebuild.
     pub admitted: u64,
-    /// Insertions the admission rule rejected (already covered within
-    /// `t · w`).
+    /// Insertions left out of the spanner (covered within `t · w`).
     pub rejected: u64,
     /// Deletions processed (including the deletion half of reweights).
     pub deletions: u64,
     /// Reweight updates processed.
     pub reweights: u64,
-    /// Original-graph edges re-admitted by deletion repair.
+    /// Edges of rebuilt spanners that the spanner before the rebuild lacked,
+    /// not counting the rebuilding batch's own insertions.
     pub repaired: u64,
-    /// Wall time spent in deletion repair + full re-certification.
+    /// Wall time spent in greedy rebuilds.
     pub repair_time: Duration,
-    /// Spanner epochs advanced by updates (appends + removals on the live
-    /// spanner; original-graph-only mutations do not advance it).
+    /// Spanner epochs advanced by updates: one per admitted insertion on an
+    /// incremental batch, one per rebuild. Original-graph-only mutations do
+    /// not advance it.
     pub epochs_advanced: u64,
-    /// Full certification traversals run (construction, every
-    /// deletion-repair batch, and explicit [`LiveSpanner::certify`] calls).
+    /// Greedy rebuilds run: one per batch that deleted or reweighted a
+    /// spanner edge.
     pub recertifications: u64,
-    /// An upper bound on the current maximum stretch, maintained after
-    /// every batch: deletion-repair batches recompute it by full traversal;
-    /// other batches carry it forward (pre-existing edges only improve as
-    /// edges commit) and fold in the realized stretch of every insertion —
-    /// 1 for admitted edges, the measured detour ratio for rejected ones.
-    pub certified_stretch: f64,
     /// Total wall time spent inside [`LiveSpanner::apply`].
     pub elapsed: Duration,
-    /// Generation compactions performed (spanner and original counted
-    /// separately): tombstone-dominated graphs re-packed behind a fresh
-    /// epoch so memory stays bounded under unbounded churn.
+    /// Generation compactions of the original graph: a tombstone-dominated
+    /// original re-packed so memory stays bounded under unbounded churn.
+    /// The spanner is never tombstoned (rebuilds replace it whole), so it
+    /// never compacts.
     pub compactions: u64,
     /// Snapshots written to the attached store (compaction-triggered plus
     /// the one [`LiveSpanner::persist_to`] writes on attach).
@@ -323,54 +331,31 @@ pub struct UpdateStats {
     pub snapshot_failures: u64,
 }
 
-impl Default for UpdateStats {
-    fn default() -> Self {
-        UpdateStats {
-            batches: 0,
-            insertions: 0,
-            admitted: 0,
-            rejected: 0,
-            deletions: 0,
-            reweights: 0,
-            repaired: 0,
-            repair_time: Duration::ZERO,
-            epochs_advanced: 0,
-            recertifications: 0,
-            certified_stretch: 0.0,
-            elapsed: Duration::ZERO,
-            compactions: 0,
-            snapshots_written: 0,
-            snapshot_failures: 0,
-        }
-    }
-}
-
 /// What one [`LiveSpanner::apply`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOutcome {
-    /// Insertions the admission rule kept.
+    /// Insertions kept in the spanner: by the admission rule, or on a
+    /// rebuild batch by the rebuild.
     pub admitted: usize,
-    /// Insertions the admission rule rejected.
+    /// Insertions left out of the spanner.
     pub rejected: usize,
     /// Deletions applied.
     pub deletions: usize,
     /// Reweights applied.
     pub reweights: usize,
-    /// Edges re-admitted by deletion repair.
+    /// Rebuilt-spanner edges the pre-batch spanner lacked, not counting
+    /// this batch's insertions (0 unless the batch rebuilt).
     pub repaired: usize,
     /// Spanner epochs this batch advanced.
     pub epochs_advanced: u64,
-    /// Wall time of the repair + certification phase.
+    /// Wall time of the greedy rebuild (zero unless the batch rebuilt).
     pub repair_time: Duration,
-    /// The stretch certificate after this batch (see
-    /// [`UpdateStats::certified_stretch`]).
-    pub certified_stretch: f64,
-    /// `true` when the certificate came from a full witness traversal this
-    /// batch (deletion repair ran); `false` when it is the standing
-    /// certificate carried forward by the insert-only monotonicity argument.
+    /// `true` when this batch deleted or reweighted a spanner edge and so
+    /// rebuilt the spanner; the spanner is then the greedy spanner of the
+    /// updated original.
     pub full_certification: bool,
-    /// Generation compactions this batch triggered (0–2: spanner and
-    /// original re-pack independently when tombstones dominate).
+    /// Generation compactions of the original graph this batch triggered
+    /// (0 or 1).
     pub compactions: usize,
 }
 
@@ -406,8 +391,11 @@ impl LiveSpanner {
     /// `SPANNER_THREADS` environment variable, else 1); override with
     /// [`LiveSpanner::with_threads`].
     ///
-    /// Runs one full certification traversal up front, so
-    /// [`UpdateStats::certified_stretch`] is meaningful from batch zero.
+    /// The output is trusted to be a stretch-`t` spanner of `original` for
+    /// its construction's guaranteed `t`; nothing is re-checked here (use
+    /// [`crate::analysis::is_t_spanner`] to check). Any construction with a
+    /// guaranteed stretch can be wrapped; the first batch that deletes or
+    /// reweights one of its edges replaces it with the greedy spanner.
     ///
     /// # Errors
     ///
@@ -429,28 +417,20 @@ impl LiveSpanner {
                 original: original.num_vertices(),
             });
         }
-        let threads = SpannerConfig::default().resolve_threads();
-        let n = original.num_vertices();
-        let m = original.num_edges();
-        let mut live = LiveSpanner {
-            original: CsrGraph::from(original),
-            spanner: CsrGraph::from(&output.spanner),
+        Ok(LiveSpanner::from_parts(
+            CsrGraph::from(original),
+            CsrGraph::from(&output.spanner),
             stretch,
-            threads,
-            pool: EnginePool::with_capacity_for(threads, n, m),
-            stats: UpdateStats::default(),
-            provenance: output.provenance,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            durability: None,
-        };
-        live.certify();
-        Ok(live)
+            UpdateStats::default(),
+            output.provenance,
+            DEFAULT_COMPACTION_THRESHOLD,
+        ))
     }
 
-    /// Rebuilds a recovered spanner from restored parts — statistics come
-    /// back verbatim and **no** certification traversal runs, so the
-    /// recovered instance is bit-identical to the one that was killed.
-    pub(crate) fn from_recovered_parts(
+    /// Assembles a live spanner with no store attached. Recovery passes the
+    /// restored parts and statistics verbatim, so the recovered instance is
+    /// bit-identical to the one that was killed.
+    pub(crate) fn from_parts(
         original: CsrGraph,
         spanner: CsrGraph,
         stretch: f64,
@@ -556,10 +536,11 @@ impl LiveSpanner {
         self.threads
     }
 
-    /// Applies one update batch: deletions first (batch order), then all
-    /// insertions through the greedy admission filter in non-decreasing
-    /// weight order, then deletion repair + re-certification, then
-    /// generation compaction when tombstones dominate. See the
+    /// Applies one update batch: deletions first (batch order), then the
+    /// insertions — through the greedy admission filter in non-decreasing
+    /// weight order, or, when a deletion removed a spanner edge, through a
+    /// greedy rebuild of the whole spanner — then generation compaction of
+    /// the original when tombstones dominate. See the
     /// [module docs](crate::update).
     ///
     /// With a store attached ([`LiveSpanner::persist_to`]), the batch is
@@ -597,15 +578,15 @@ impl LiveSpanner {
 
     /// The validated apply path — shared verbatim by live batches and WAL
     /// replay, so a replayed history reproduces every decision (admissions,
-    /// repairs, epochs, compactions) bit-identically.
+    /// rebuilds, epochs, compactions) bit-identically.
     pub(crate) fn apply_validated(&mut self, batch: &UpdateBatch) -> BatchOutcome {
         let start = Instant::now();
         let spanner_epoch_before = self.spanner.epoch();
 
         // Phase 1 — deletions and the removal half of reweights, in batch
-        // order. Track whether any *spanner* edge went away (only that can
-        // break the invariant) and queue reweight re-insertions.
-        let mut spanner_deleted = false;
+        // order, on the original. Removing an edge the spanner carries
+        // makes this a rebuild batch; queue reweight re-insertions.
+        let mut rebuild = false;
         let mut deletions = 0usize;
         let mut reweights = 0usize;
         let mut inserts: Vec<(u32, u32, f64)> = Vec::new();
@@ -620,9 +601,7 @@ impl LiveSpanner {
                         .remove_edge_between(u, v)
                         .expect("validated: the edge is live");
                     let (_, _, w) = self.original.edge(id);
-                    if remove_matching_edge(&mut self.spanner, u, v, w) {
-                        spanner_deleted = true;
-                    }
+                    rebuild |= carries_edge(&self.spanner, u, v, w);
                     if let Update::Reweight { weight, .. } = *update {
                         inserts.push((u.index() as u32, v.index() as u32, weight));
                         reweights += 1;
@@ -633,82 +612,42 @@ impl LiveSpanner {
             }
         }
 
-        // Phase 2 — insertions: append to the original, then run the
-        // admission rule over the sorted candidates with the parallel
-        // filter-then-commit loop against the *current* spanner.
+        // Phase 2 — insertions join the original, then either rebuild the
+        // spanner or run the admission rule over the sorted insertions
+        // against the current spanner.
+        let first_insert = self.original.edge_id_bound();
         for &(u, v, w) in &inserts {
             self.original
                 .append_edge(VertexId(u as usize), VertexId(v as usize), w);
         }
-        inserts.sort_by(|a, b| {
-            a.2.total_cmp(&b.2)
-                .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
-        });
-        let added =
-            filter_commit_greedy(&mut self.spanner, &mut self.pool, &inserts, self.stretch).added;
-        let admitted = added.len();
-        let rejected = inserts.len() - admitted;
-
-        // Phase 3 — repair + certification. A deleted spanner edge may have
-        // carried stretch witnesses; the traversal finds every violated
-        // original edge and re-admits it. Batches that never deleted a
-        // spanner edge carry the standing certificate forward — pre-existing
-        // edges only got better (distances shrink as edges commit), admitted
-        // edges sit at stretch 1 — and fold in the *realized* stretch of
-        // each rejected insertion, so the certificate stays a genuine upper
-        // bound over the current edge set.
         let mut repaired = 0usize;
         let mut repair_time = Duration::ZERO;
-        let full_certification = spanner_deleted;
-        if spanner_deleted {
+        let admitted = if rebuild {
             let t0 = Instant::now();
-            let (fixed, certified) = self.repair_and_certify();
+            let (admitted, fresh) = self.rebuild(first_insert);
             repair_time = t0.elapsed();
-            repaired = fixed;
-            self.stats.certified_stretch = certified;
+            repaired = fresh;
             self.stats.recertifications += 1;
             self.stats.repair_time += repair_time;
-        } else if !inserts.is_empty() {
-            // Admitted edges enter at stretch exactly 1.
-            if admitted > 0 {
-                self.stats.certified_stretch = self.stats.certified_stretch.max(1.0);
-            }
-            let mut is_added = vec![false; inserts.len()];
-            for &i in &added {
-                is_added[i] = true;
-            }
-            let engine = self.pool.commit_engine();
-            let t = self.stretch;
-            for (i, &(u, v, w)) in inserts.iter().enumerate() {
-                if is_added[i] {
-                    continue;
-                }
-                // Rejected at admission means covered within t · w then —
-                // and distances only shrank since, so the query cannot miss.
-                let d = engine
-                    .bounded_distance(
-                        &self.spanner,
-                        VertexId(u as usize),
-                        VertexId(v as usize),
-                        t * w * (1.0 + 1e-9) + 1e-12,
-                    )
-                    .expect("rejected insertions are covered within t * w");
-                self.stats.certified_stretch = self.stats.certified_stretch.max(d / w);
-            }
-        }
+            admitted
+        } else {
+            inserts.sort_by(|a, b| {
+                a.2.total_cmp(&b.2)
+                    .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+            });
+            greedy_into(&mut self.spanner, &mut self.pool, &inserts, self.stretch)
+                .added
+                .len()
+        };
+        let rejected = inserts.len() - admitted;
 
-        // Phase 4 — generation compaction. When dead slots dominate the
-        // ground-truth array, re-pack the graph into a dense new generation
-        // (order-preserving id densification — answers are unchanged) and
-        // swap it in behind a bumped epoch, so serving caches notice the
-        // generation change through the ordinary stale-eviction path. The
-        // trigger is a pure function of graph state, so every thread count
-        // and every WAL replay compacts at exactly the same batches.
+        // Phase 3 — generation compaction. When dead slots dominate the
+        // original's ground-truth array, re-pack it into a dense new
+        // generation (order-preserving id densification, so the greedy
+        // order of a later rebuild is unchanged). The trigger is a pure
+        // function of graph state, so every thread count and every WAL
+        // replay compacts at exactly the same batches.
         let mut compactions = 0usize;
-        if should_compact(&self.spanner, self.compaction_threshold) {
-            self.spanner = self.spanner.rebuild_compacted().graph;
-            compactions += 1;
-        }
         if should_compact(&self.original, self.compaction_threshold) {
             self.original = self.original.rebuild_compacted().graph;
             compactions += 1;
@@ -733,111 +672,59 @@ impl LiveSpanner {
             repaired,
             epochs_advanced,
             repair_time,
-            certified_stretch: self.stats.certified_stretch,
-            full_certification,
+            full_certification: rebuild,
             compactions,
         }
     }
 
-    /// Runs a full witness traversal now, repairing any violated original
-    /// edge (there are none unless the graph was mutated out-of-band) and
-    /// returning the certified maximum stretch. Updates
-    /// [`UpdateStats::certified_stretch`] / `recertifications`.
-    pub fn certify(&mut self) -> f64 {
-        let t0 = Instant::now();
-        let (_, certified) = self.repair_and_certify();
-        self.stats.certified_stretch = certified;
-        self.stats.recertifications += 1;
-        self.stats.repair_time += t0.elapsed();
-        certified
-    }
-
-    /// The witness traversal + localized repair shared by deletion batches
-    /// and [`LiveSpanner::certify`]: one shortest-path tree per source that
-    /// owns original edges (the [`crate::analysis::max_stretch_witness`]
-    /// pattern), fanned across the engine pool against a frozen
-    /// epoch-stamped snapshot; violations are then re-admitted sequentially
-    /// in non-decreasing weight order with an exact re-check. Returns
-    /// `(repaired, certified_stretch)`.
-    fn repair_and_certify(&mut self) -> (usize, f64) {
-        let n = self.original.num_vertices();
-        let t = self.stretch;
-        // The traversal runs against a fixed spanner state; the
-        // epoch-checked fan-out refuses a mutated snapshot with a typed
-        // error instead of producing a silently mixed certificate. The
-        // per-source scans are independent, so they parallelize exactly
-        // like the admission filter does.
-        let stamp = self.spanner.epoch();
-        let sources: Vec<u32> = (0..n)
-            .filter(|&src| {
-                self.original
-                    .neighbors(VertexId(src))
-                    .any(|nb| nb.to.index() > src)
-            })
-            .map(|src| src as u32)
+    /// Replaces the spanner with the greedy spanner of the live original,
+    /// stamped one epoch past the spanner it replaces. Returns how many
+    /// rebuilt edges are this batch's insertions (original ids at or past
+    /// `first_insert`) and how many others the replaced spanner lacked.
+    fn rebuild(&mut self, first_insert: usize) -> (usize, usize) {
+        // The order `Spanner::greedy()` gives `original.to_weighted_graph()`:
+        // non-decreasing weight, ties by canonical endpoints, then by edge
+        // id (the sort is stable, and `to_weighted_graph` keeps id order).
+        let mut order: Vec<(usize, (u32, u32, f64))> = self
+            .original
+            .live_edges()
+            .map(|(id, u, v, w)| (id.index(), (u.index() as u32, v.index() as u32, w)))
             .collect();
-        // Per source: (worst in-bound stretch, violated edges).
-        type SourceScan = (f64, Vec<(u32, u32, f64)>);
-        let mut per_source: Vec<SourceScan> = vec![(0.0, Vec::new()); sources.len()];
-        let original = &self.original;
-        self.pool
-            .try_map_batch(
-                self.spanner.snapshot(),
-                stamp,
-                &sources,
-                &mut per_source,
-                |engine, spanner, &src| {
-                    let source = VertexId(src as usize);
-                    let tree = engine.shortest_path_tree(spanner, source);
-                    let mut worst = 0.0f64;
-                    let mut violations = Vec::new();
-                    for nb in original.neighbors(source) {
-                        if nb.to.index() <= src as usize {
-                            continue;
-                        }
-                        let d = tree.distance(nb.to).unwrap_or(f64::INFINITY);
-                        if within_stretch(d, t, nb.weight) {
-                            worst = worst.max(d / nb.weight);
-                        } else {
-                            violations.push((src, nb.to.index() as u32, nb.weight));
-                        }
-                    }
-                    (worst, violations)
-                },
-            )
-            .expect("the spanner does not mutate during the traversal");
-        let mut worst: f64 = 0.0;
-        let mut violations: Vec<(u32, u32, f64)> = Vec::new();
-        for (source_worst, source_violations) in per_source {
-            worst = worst.max(source_worst);
-            violations.extend(source_violations);
-        }
-        let engine = self.pool.commit_engine();
-        violations.sort_by(|a, b| {
+        order.sort_by(|(_, a), (_, b)| {
             a.2.total_cmp(&b.2)
-                .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+                .then_with(|| canonical(a.0, a.1).cmp(&canonical(b.0, b.1)))
         });
-        let mut repaired = 0usize;
-        for &(u, v, w) in &violations {
-            let (u, v) = (VertexId(u as usize), VertexId(v as usize));
-            // Exact admission re-check: an earlier repair may already cover
-            // this edge.
-            if !engine.within_bound(&self.spanner, u, v, t * w) {
-                self.spanner.append_edge(u, v, w);
-                repaired += 1;
+        let candidates: Vec<(u32, u32, f64)> = order.iter().map(|&(_, c)| c).collect();
+        let mut spanner = CsrGraph::new(self.original.num_vertices());
+        let added = greedy_into(&mut spanner, &mut self.pool, &candidates, self.stretch).added;
+
+        let mut before: HashMap<(u32, u32, u64), usize> = HashMap::new();
+        for (_, u, v, w) in self.spanner.live_edges() {
+            let (a, b) = canonical(u.index() as u32, v.index() as u32);
+            *before.entry((a, b, w.to_bits())).or_default() += 1;
+        }
+        let (mut admitted, mut repaired) = (0usize, 0usize);
+        for &i in &added {
+            let (id, (u, v, w)) = order[i];
+            if id >= first_insert {
+                admitted += 1;
+                continue;
+            }
+            let (a, b) = canonical(u, v);
+            match before.get_mut(&(a, b, w.to_bits())) {
+                Some(count) if *count > 0 => *count -= 1,
+                _ => repaired += 1,
             }
         }
-        // Post-repair, every violated edge is within t (present, or covered
-        // by the re-check); fold its exact residual stretch into the
-        // certificate.
-        for &(u, v, w) in &violations {
-            let (u, v) = (VertexId(u as usize), VertexId(v as usize));
-            let d = engine
-                .bounded_distance(&self.spanner, u, v, t * w * (1.0 + 1e-9) + 1e-12)
-                .expect("repaired edges are covered within t * w");
-            worst = worst.max(d / w);
-        }
-        (repaired, worst)
+
+        let epoch = self.spanner.epoch() + 1;
+        self.spanner = CsrGraph::from_parts(
+            spanner.num_vertices(),
+            epoch,
+            spanner.live_edges().map(|(_, u, v, w)| (u, v, w, true)),
+        )
+        .expect("greedy keeps valid original edges");
+        (admitted, repaired)
     }
 
     /// Pre-validates a batch against a simulation of its own effects, so
@@ -849,7 +736,7 @@ impl LiveSpanner {
         // Removals consumed per (min, max) pair so far. Deletions happen in
         // phase 1, before any insertion, so batch-internal inserts never
         // increase a pair's availability.
-        let mut removed: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut removed: HashMap<(u32, u32), usize> = HashMap::new();
         let check_pair = |u: VertexId, v: VertexId| -> Result<(), UpdateError> {
             for endpoint in [u.index(), v.index()] {
                 if endpoint >= n {
@@ -880,7 +767,9 @@ impl LiveSpanner {
                         }
                     }
                     let live = self.original.neighbors(u).filter(|nb| nb.to == v).count();
-                    let taken = removed.entry(pair_key(u, v)).or_insert(0);
+                    let taken = removed
+                        .entry(canonical(u.index() as u32, v.index() as u32))
+                        .or_insert(0);
                     if live <= *taken {
                         return Err(UpdateError::UnknownEdge {
                             u: u.index(),
@@ -904,52 +793,16 @@ fn should_compact(graph: &CsrGraph, threshold: f64) -> bool {
 }
 
 /// Canonical unordered key of a vertex pair.
-fn pair_key(u: VertexId, v: VertexId) -> (usize, usize) {
-    let (a, b) = (u.index(), v.index());
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+fn canonical(u: u32, v: u32) -> (u32, u32) {
+    (u.min(v), u.max(v))
 }
 
-/// The tolerance-matched stretch test shared with
-/// [`crate::analysis::is_t_spanner`].
-///
-/// Why `(1 + 1e-9)` relative and `1e-12` absolute. Admission covers an
-/// edge when some search finds `D ≤ fl(t·w)` (see the error argument on
-/// the greedy admission in [`crate::greedy`]), but certification recomputes
-/// the distance from a shortest-path tree rooted at one endpoint, and the
-/// admission query may have summed the same path from the other end. Each
-/// computed sum is within `ρ = path_rounding_margin(n − 1)` of the real
-/// path length ([`spanner_graph::path_rounding_margin`]), so the two
-/// readings of one covered edge differ by at most `2ρ` relative. With
-/// `ρ ≤ 2⁻³¹` for `n ≤ 2²¹` vertices, the relative `1e-9` accepts every
-/// edge admission covered; otherwise the certification traversal would
-/// report false violations and repair would re-add edges a rebuild
-/// rejects. The absolute `1e-12` only matters for weights near zero,
-/// where a relative slack vanishes. The slack is one-sided and never
-/// hidden: the certificate records the measured `d / w`, not `t`.
-fn within_stretch(d: f64, t: f64, w: f64) -> bool {
-    d <= t * w * (1.0 + 1e-9) + 1e-12
-}
-
-/// Removes the lowest-id live spanner edge matching `(u, v)` with the given
-/// weight (bit-exact — spanner edges are verbatim copies of original
-/// edges). Returns `true` if one was removed.
-fn remove_matching_edge(spanner: &mut CsrGraph, u: VertexId, v: VertexId, weight: f64) -> bool {
-    let id = spanner
+/// Whether the spanner has a live `(u, v)` edge of exactly this weight
+/// (bit-exact — spanner edges are verbatim copies of original edges).
+fn carries_edge(spanner: &CsrGraph, u: VertexId, v: VertexId, weight: f64) -> bool {
+    spanner
         .neighbors(u)
-        .filter(|nb| nb.to == v && nb.weight.to_bits() == weight.to_bits())
-        .map(|nb| nb.edge)
-        .min();
-    match id {
-        Some(id) => {
-            spanner.remove_edge(id).expect("live edge");
-            true
-        }
-        None => false,
-    }
+        .any(|nb| nb.to == v && nb.weight.to_bits() == weight.to_bits())
 }
 
 impl SpannerOutput {
@@ -993,14 +846,23 @@ mod tests {
         );
     }
 
+    /// The spanner a rebuild batch must leave: greedy over the live original.
+    fn assert_is_greedy_of_original(live: &LiveSpanner) {
+        let original = live.original().to_weighted_graph();
+        let greedy = Spanner::greedy()
+            .stretch(live.stretch())
+            .build(&original)
+            .unwrap();
+        assert_eq!(live.spanner().to_weighted_graph(), greedy.spanner);
+    }
+
     #[test]
     fn construction_certifies_the_wrapped_output() {
         let mut rng = SmallRng::seed_from_u64(1);
         let g = erdos_renyi_connected(30, 0.3, 1.0..8.0, &mut rng);
         let live = live_for(&g, 2.0);
-        assert_eq!(live.stats().recertifications, 1);
-        assert!(live.stats().certified_stretch <= 2.0 + 1e-9);
-        assert!(live.stats().certified_stretch >= 1.0);
+        assert_invariant(&live);
+        assert_eq!(live.stats().recertifications, 0, "wrapping runs no rebuild");
         assert_eq!(live.stats().batches, 0);
         assert_eq!(live.epoch(), 0, "no update has run yet");
         assert_eq!(live.provenance().algorithm, "greedy");
@@ -1053,17 +915,18 @@ mod tests {
         let mut live = live_for(&g, 2.0);
         assert_eq!(live.spanner().num_edges(), 3, "chord rejected at build");
         // Deleting the path edge (1, 2) breaks coverage of the chord (0, 2):
-        // repair must re-admit it.
+        // the rebuild must keep it.
         let outcome = live
             .apply(&UpdateBatch::new().delete(VertexId(1), VertexId(2)))
             .unwrap();
         assert_eq!(outcome.deletions, 1);
         assert!(outcome.full_certification);
-        assert!(outcome.repaired >= 1, "the chord must be re-admitted");
-        assert!(outcome.certified_stretch <= 2.0 + 1e-9);
-        assert!(outcome.repair_time >= Duration::ZERO);
+        assert_eq!(outcome.repaired, 1, "the chord is the one new edge");
+        assert_eq!(outcome.epochs_advanced, 1, "a rebuild is one epoch");
+        assert_eq!(live.stats().recertifications, 1);
         assert_invariant(&live);
-        // Deleting an edge the spanner never carried needs no repair.
+        assert_is_greedy_of_original(&live);
+        // Deleting an edge the spanner never carried needs no rebuild.
         let mut live2 = live_for(
             &WeightedGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.5)]).unwrap(),
             2.0,
@@ -1196,16 +1059,41 @@ mod tests {
                     }
                 }
                 let outcome = live.apply(&batch).unwrap();
-                assert!(
-                    outcome.certified_stretch <= t * (1.0 + 1e-9) + 1e-12,
-                    "round {round}, t = {t}"
-                );
                 assert_invariant(&live);
+                if outcome.full_certification {
+                    assert_is_greedy_of_original(&live);
+                }
+                assert!(
+                    outcome.full_certification || outcome.repaired == 0,
+                    "round {round}, t = {t}: only rebuilds count repaired edges"
+                );
             }
             assert_eq!(live.stats().batches, 8);
-            // An explicit certification finds nothing left to repair.
-            let certified = live.certify();
-            assert!(certified <= t * (1.0 + 1e-9) + 1e-12);
+            assert!(live.stats().recertifications > 0, "t = {t}: no rebuild ran");
+        }
+    }
+
+    #[test]
+    fn a_detour_that_overflows_to_infinity_does_not_cover_an_insertion() {
+        // t·w and the only detour 0-1-2 both overflow to +∞: the insertion
+        // is not covered, on the admission path and on the rebuild path.
+        for (w, t) in [(f64::MAX, 1.5), (1e308, 2.0)] {
+            let g = WeightedGraph::from_edges(3, [(0, 1, w), (1, 2, w)]).unwrap();
+            for threads in [1, 2] {
+                let mut live = live_for(&g, t).with_threads(threads);
+                let outcome = live
+                    .apply(&UpdateBatch::new().insert(VertexId(0), VertexId(2), w))
+                    .unwrap();
+                assert_eq!(outcome.admitted, 1, "w = {w}, t = {t}, threads = {threads}");
+                assert_invariant(&live);
+                let outcome = live
+                    .apply(&UpdateBatch::new().reweight(VertexId(0), VertexId(1), w))
+                    .unwrap();
+                assert!(outcome.full_certification);
+                assert_eq!(live.spanner().num_edges(), 3);
+                assert_invariant(&live);
+                assert_is_greedy_of_original(&live);
+            }
         }
     }
 

@@ -196,10 +196,28 @@ const BIDIRECTIONAL_BAND_MARGINS: f64 = 4.0;
 /// Overflow needs no separate case: sums along `P` are bounded by
 /// `D ≤ bound`, and a queue-top sum or estimate that overflows to `∞`
 /// exceeds every finite `B'` in exact arithmetic too. A `B'` that overflows
-/// to `∞` only disables pruning.
+/// to `∞` only disables pruning: the halves may then queue sums that
+/// overflowed to `∞`, but a meeting path is accepted only against `bound`,
+/// which [`search_bound`] keeps finite, so an overflowed path lands in the
+/// band and the one-sided search decides.
 fn relaxed_bound(bound: f64, n: usize) -> f64 {
     let rho = path_rounding_margin(n.saturating_sub(1));
     bound + (BIDIRECTIONAL_BAND_MARGINS * rho) * bound
+}
+
+/// The bound every search prunes at: `bound` itself, except that `+∞`
+/// becomes `f64::MAX`. A sum that overflows to `+∞` then always exceeds it,
+/// so no search relaxes a vertex to `+∞` and no overflowed path counts as
+/// covered — as in the reference Dijkstra of [`crate::dijkstra`], whose
+/// `nd < dist[v]` test is false for `nd = dist[v] = ∞`. Without the clamp
+/// an infinite bound (`t·w` overflowing) accepts `∞ ≤ ∞`. Finite, negative
+/// and NaN bounds pass through unchanged.
+fn search_bound(bound: f64) -> f64 {
+    if bound > f64::MAX {
+        f64::MAX
+    } else {
+        bound
+    }
 }
 
 /// Requests that the cache line holding `slice[index]` be pulled toward L1.
@@ -1391,6 +1409,7 @@ impl DijkstraEngine {
             assert!(t.index() < n, "target vertex out of range");
         }
         let target = target.map(|t| t.index() as u32);
+        let bound = search_bound(bound);
         // Resolve the heuristic first: the target column is copied into the
         // scratch buffer, whose growth counts as a reuse miss like any
         // other buffer's.
@@ -1564,6 +1583,7 @@ impl DijkstraEngine {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
         assert!(target.index() < n, "target vertex out of range");
+        let bound = search_bound(bound);
         let grew = self.begin_query(n);
         let mut fwd = std::mem::take(&mut self.heap);
         let mut bwd = std::mem::take(&mut self.heap_b);

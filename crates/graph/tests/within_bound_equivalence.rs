@@ -244,8 +244,9 @@ fn within_bound_matches_on_tiny_graphs_and_self_pairs() {
 
 #[test]
 fn within_bound_matches_when_path_sums_overflow_to_infinity() {
-    // Two 1e308 hops sum to ∞ in f64: `D = ∞` for the far pair, and every
-    // bound up to `f64::MAX` must reject while `∞` accepts.
+    // Two 1e308 hops sum to ∞ in f64. An overflowed sum is no path — as in
+    // the reference Dijkstra of `spanner_graph::dijkstra` — so the far pair
+    // is out of every bound, `∞` included.
     let g = WeightedGraph::from_edges(
         5,
         [
@@ -261,15 +262,22 @@ fn within_bound_matches_when_path_sums_overflow_to_infinity() {
     let mut rng = SmallRng::seed_from_u64(6);
     let mut pair = Pair::new(g.num_vertices(), g.num_edges());
     pair.ask_all_pairs(&csr, &mut rng, 4);
-    for bound in [f64::MAX, 1.7e308, 1.6e308, 1e308] {
+    for bound in [f64::INFINITY, f64::MAX, 1.7e308, 1.6e308, 1e308] {
         pair.ask(&csr, 0, 2, bound);
         pair.ask(&csr, 2, 0, bound);
+        assert_eq!(
+            spanner_graph::dijkstra::bounded_distance(&g, VertexId(0), VertexId(2), bound),
+            None
+        );
     }
     assert_eq!(
         pair.reference
             .bounded_distance(&csr, VertexId(0), VertexId(2), f64::INFINITY),
-        Some(f64::INFINITY)
+        None
     );
+    let tree = pair.reference.shortest_path_tree(&csr, VertexId(0));
+    assert_eq!(tree.distance(VertexId(2)), None);
+    assert_eq!(tree.distance(VertexId(1)), Some(1e308));
     pair.finish("overflowing sums");
 }
 

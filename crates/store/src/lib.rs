@@ -5,7 +5,7 @@
 //! mirror) into an **epoch-stamped, checksummed snapshot file** and how to
 //! keep a **write-ahead log** of update batches, so a killed-and-restarted
 //! server can be rebuilt bit-identically from disk. It deliberately knows
-//! nothing about greedy admission, repair, or serving — the core crate owns
+//! nothing about greedy admission, rebuilds, or serving — the core crate owns
 //! the semantics of a batch; this crate owns the bytes.
 //!
 //! ## The durability contract

@@ -1,8 +1,12 @@
 //! Live-spanner quickstart: build a greedy spanner, open it for updates,
 //! and serve query batches interleaved with update batches — insertions
-//! through the greedy admission rule, deletions with localized repair, the
-//! stretch invariant re-certified after every batch, and stale cached
-//! shortest-path trees invalidated lazily by their epoch stamps.
+//! through the greedy admission rule, deletions of spanner edges through a
+//! greedy rebuild, and stale cached shortest-path trees invalidated lazily
+//! by their epoch stamps.
+//!
+//! The example asserts its invariants and exits non-zero on a violation:
+//! after every rebuild batch the live spanner equals a from-scratch greedy
+//! build of the live original, and at the end it is a 2-spanner of it.
 //!
 //! Run with `cargo run --release --example live`.
 
@@ -14,12 +18,13 @@ use spanner_graph::generators::erdos_renyi_connected;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SmallRng::seed_from_u64(7);
     let n = 1500;
+    let t = 2.0;
     let graph = erdos_renyi_connected(n, 0.008, 1.0..10.0, &mut rng);
 
     // 1. Construct, then open for updates. The admission rule that built
-    //    the spanner ("add (u, v) iff d_spanner(u, v) > t * w") keeps
-    //    maintaining it under a stream of edge changes.
-    let output = Spanner::greedy().stretch(2.0).build(&graph)?;
+    //    the spanner ("add (u, v) iff d_spanner(u, v) > t * w") admits
+    //    insertions; a batch that deletes a spanner edge runs greedy again.
+    let output = Spanner::greedy().stretch(t).build(&graph)?;
     println!(
         "greedy 2-spanner: {} -> {} edges ({:.1} ms to build)",
         graph.num_edges(),
@@ -27,11 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         output.stats.wall_time.as_secs_f64() * 1e3
     );
     let live = output.live(&graph)?;
-    println!(
-        "opened live at epoch {} (certified stretch {:.3})",
-        live.epoch(),
-        live.stats().certified_stretch
-    );
+    println!("opened live at epoch {}", live.epoch());
 
     // 2. Serve it. A live server answers query batches and applies update
     //    batches; audits always run against the live original.
@@ -51,19 +52,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let outcome = server.apply_updates(batch)?;
                 println!(
                     "round {round}: applied {} updates — {} admitted, {} rejected, \
-                     {} repaired, epoch -> {}, certified {:.3}{}",
+                     epoch -> {}{}",
                     batch.len(),
                     outcome.admitted,
                     outcome.rejected,
-                    outcome.repaired,
                     server.epoch(),
-                    outcome.certified_stretch,
                     if outcome.full_certification {
-                        " (full re-certification)"
+                        format!(
+                            " (rebuilt in {:?}, {} new edges)",
+                            outcome.repair_time, outcome.repaired
+                        )
                     } else {
-                        ""
+                        String::new()
                     }
                 );
+                if outcome.full_certification {
+                    let live = server.live().expect("live server");
+                    let original = live.original().to_weighted_graph();
+                    let greedy = Spanner::greedy().stretch(t).build(&original)?;
+                    assert_eq!(
+                        live.spanner().to_weighted_graph(),
+                        greedy.spanner,
+                        "round {round}: the rebuilt spanner is not the greedy spanner"
+                    );
+                }
             }
             StreamEvent::Queries(queries) => {
                 let answers = server.answer_batch(queries)?;
@@ -92,19 +104,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "applied {} update batches ({} insertions: {} admitted / {} rejected; \
-         {} deletions, {} repairs) advancing {} epochs",
+         {} deletions; {} rebuilds in {:?}) advancing {} epochs",
         updates.batches,
         updates.insertions,
         updates.admitted,
         updates.rejected,
         updates.deletions,
-        updates.repaired,
+        updates.recertifications,
+        updates.repair_time,
         updates.epochs_advanced
     );
-    println!(
-        "repair + certification time {:?}; certified stretch {:.3} (target 2.0)",
-        updates.repair_time, updates.certified_stretch
+    let live = server.live().expect("live server");
+    assert!(
+        is_t_spanner(
+            &live.original().to_weighted_graph(),
+            &live.spanner().to_weighted_graph(),
+            t
+        ),
+        "the live spanner lost the stretch-{t} invariant"
     );
+    println!("final spanner is a {t}-spanner of the live graph");
 
     // 5. The same spanner, frozen: clone the current state into an
     //    epoch-stamped handle and serve it read-only elsewhere.

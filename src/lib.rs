@@ -158,9 +158,9 @@
 //! refused with typed errors, never answered silently. A built spanner
 //! opens for updates with
 //! [`SpannerOutput::live`](greedy_spanner::SpannerOutput::live): insertions
-//! run the greedy admission rule against the current spanner, deletions
-//! trigger witness-traversal repair, and the stretch-`t` invariant is
-//! re-certified after every batch
+//! run the greedy admission rule against the current spanner, and a batch
+//! that deletes or reweights a spanner edge rebuilds it with greedy over
+//! the live original, so the stretch-`t` invariant holds after every batch
 //! ([`UpdateStats`](greedy_spanner::UpdateStats)). A live
 //! [`SpannerServer`](greedy_spanner::SpannerServer) interleaves query and
 //! update batches, lazily invalidating epoch-stamped cached trees — and

@@ -1,9 +1,13 @@
-//! Property suite for the live-update subsystem's two contracts:
+//! Property suite for the live-update subsystem's contracts:
 //!
 //! 1. **Invariant preservation.** For random update streams, a
-//!    [`LiveSpanner`] maintains the certified stretch-`t` invariant after
-//!    every batch — measured independently with
-//!    [`greedy_spanner::analysis::is_t_spanner`] against the live original.
+//!    [`LiveSpanner`] keeps the stretch-`t` invariant after every batch —
+//!    measured independently with [`greedy_spanner::analysis::is_t_spanner`]
+//!    against the live original — and after every batch that rebuilt
+//!    (deleted or reweighted a spanner edge) the live spanner *is*
+//!    `Spanner::greedy().stretch(t).build(&original)`, edge for edge. This
+//!    also runs on 0-, 1- and 2-vertex graphs and on weights near `1e±300`
+//!    and `1e308`, where a two-edge detour overflows to `+∞`.
 //! 2. **Incremental-vs-rebuild serving equivalence.** A [`SpannerServer`]
 //!    interleaving query batches and update batches answers
 //!    **bit-identically** to a server rebuilt from scratch (a fresh frozen
@@ -15,12 +19,12 @@
 use greedy_spanner::analysis::is_t_spanner;
 use greedy_spanner::serve::{ServeBuilder, SpannerServer};
 use greedy_spanner::workload::{LiveWorkload, StreamEvent};
-use greedy_spanner::{LiveSpanner, Spanner};
+use greedy_spanner::{LiveSpanner, Spanner, UpdateBatch};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spanner_graph::generators::{complete_graph_with_weights, erdos_renyi_connected};
-use spanner_graph::WeightedGraph;
+use spanner_graph::{VertexId, WeightedGraph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CACHE_CAPACITIES: [usize; 2] = [0, 64];
@@ -32,6 +36,28 @@ fn live_for(g: &WeightedGraph, t: f64) -> LiveSpanner {
         .expect("valid stretch")
         .live(g)
         .expect("greedy guarantees a stretch")
+}
+
+/// The per-batch contract: the stretch-`t` invariant always, and after a
+/// rebuild batch equality with a from-scratch greedy build of the live
+/// original.
+fn assert_batch_contract(live: &LiveSpanner, rebuilt: bool, context: &str) {
+    let original = live.original().to_weighted_graph();
+    let spanner = live.spanner().to_weighted_graph();
+    assert!(
+        is_t_spanner(&original, &spanner, live.stretch()),
+        "{context}: invariant lost"
+    );
+    if rebuilt {
+        let greedy = Spanner::greedy()
+            .stretch(live.stretch())
+            .build(&original)
+            .expect("valid stretch");
+        assert_eq!(
+            spanner, greedy.spanner,
+            "{context}: the rebuilt spanner is not the greedy spanner"
+        );
+    }
 }
 
 /// The "rebuilt from scratch" oracle: freeze the driven server's current
@@ -74,20 +100,10 @@ fn assert_stream_equivalence(g: &WeightedGraph, t: f64, workload_seed: u64) {
                 match event {
                     StreamEvent::Updates(batch) => {
                         let outcome = server.apply_updates(batch).expect("valid batch");
-                        assert!(
-                            outcome.certified_stretch <= t * (1.0 + 1e-9) + 1e-12,
-                            "round {round}: certificate {} above t = {t}",
-                            outcome.certified_stretch
-                        );
-                        // The invariant, measured independently.
-                        let live = server.live().unwrap();
-                        assert!(
-                            is_t_spanner(
-                                &live.original().to_weighted_graph(),
-                                &live.spanner().to_weighted_graph(),
-                                t
-                            ),
-                            "round {round}, threads {threads}, cache {cache}: invariant lost"
+                        assert_batch_contract(
+                            server.live().unwrap(),
+                            outcome.full_certification,
+                            &format!("round {round}, threads {threads}, cache {cache}"),
                         );
                     }
                     StreamEvent::Queries(queries) => {
@@ -146,6 +162,100 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.4, 0.01..100.0, &mut rng);
         assert_stream_equivalence(&g, 3.0, seed ^ 0x5B_EAD);
+    }
+}
+
+/// Weight families of the extreme-input property: near `1e-300`, near
+/// `1e300`, near `1e308` (any two-edge sum overflows to `+∞`, and `t·w`
+/// does too), and a per-edge mix of the three.
+fn extreme_weight(family: usize, rng: &mut SmallRng) -> f64 {
+    match family {
+        0 => rng.gen_range(1.0..10.0) * 1e-300,
+        1 => rng.gen_range(0.5..8.0) * 1e300,
+        2 => rng.gen_range(0.9..1.0) * 1e308,
+        _ => {
+            let pick = rng.gen_range(0..3);
+            extreme_weight(pick, rng)
+        }
+    }
+}
+
+/// A random update stream driven straight into a [`LiveSpanner`], checking
+/// the per-batch contract. Insertions may create parallel edges; deletions
+/// and reweights pick live edges of the original at batch start. Returns
+/// the number of rebuild batches.
+fn assert_extreme_stream(n: usize, family: usize, t: f64, seed: u64) -> u64 {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut g = WeightedGraph::new(n);
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen_bool(0.5) {
+                let w = extreme_weight(family, &mut rng);
+                g.add_edge(VertexId(u), VertexId(v), w);
+            }
+        }
+    }
+    let mut rebuilds = 0;
+    for threads in [1, 2] {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C);
+        let mut live = live_for(&g, t).with_threads(threads);
+        assert_batch_contract(&live, false, "wrapped");
+        for round in 0..6 {
+            let mut deletable: Vec<(VertexId, VertexId)> = live
+                .original()
+                .live_edges()
+                .map(|(_, u, v, _)| (u, v))
+                .collect();
+            let mut batch = UpdateBatch::new();
+            for _ in 0..4 {
+                if n < 2 {
+                    break;
+                }
+                let kind = rng.gen_range(0..3);
+                if kind == 0 || deletable.is_empty() {
+                    let u = rng.gen_range(0..n);
+                    let v = (u + rng.gen_range(1..n)) % n;
+                    let w = extreme_weight(family, &mut rng);
+                    batch = batch.insert(VertexId(u), VertexId(v), w);
+                } else {
+                    let (u, v) = deletable.swap_remove(rng.gen_range(0..deletable.len()));
+                    if kind == 1 {
+                        batch = batch.delete(u, v);
+                    } else {
+                        batch = batch.reweight(u, v, extreme_weight(family, &mut rng));
+                    }
+                }
+            }
+            let outcome = live.apply(&batch).expect("valid batch");
+            assert_batch_contract(
+                &live,
+                outcome.full_certification,
+                &format!("n {n}, family {family}, t {t}, threads {threads}, round {round}"),
+            );
+        }
+        rebuilds += live.stats().recertifications;
+    }
+    rebuilds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// 0-, 1- and 2-vertex graphs plus one larger graph per case, under
+    /// every extreme weight family.
+    #[test]
+    fn tiny_graphs_and_extreme_weights_stay_invariant_and_rebuild_to_greedy(
+        seed in 0u64..10_000,
+        n in 3usize..12,
+        family in 0usize..4,
+    ) {
+        let mut rebuilds = 0;
+        for (i, n) in [0, 1, 2, n].into_iter().enumerate() {
+            for t in [1.5, 2.0] {
+                rebuilds += assert_extreme_stream(n, family, t, seed ^ ((i as u64) << 32));
+            }
+        }
+        prop_assert!(rebuilds > 0, "the streams never rebuilt");
     }
 }
 
