@@ -55,6 +55,32 @@
 //! against the one-shot `dijkstra` free functions across thread counts
 //! {1, 2, 8}.
 //!
+//! # Answer-sized searches
+//!
+//! A cache miss searches only until its answer is fixed:
+//!
+//! * [`Query::Distance`] and [`Query::StretchAudit`] stop once the target
+//!   settles, and bounded distances never queue a vertex past the bound.
+//! * [`Query::Path`] stops once the target settles
+//!   ([`DijkstraEngine::shortest_path`]).
+//! * [`Query::KNearest`] stops after the `k`-th settle plus the ties at its
+//!   distance ([`DijkstraEngine::k_nearest_with_ties`]); a reordered
+//!   handle translates and re-sorts only that prefix, on a cache hit as
+//!   well as on a miss.
+//! * [`Query::Ball`] never settles a vertex past the radius.
+//!
+//! This is exact, not approximate. Popped keys never decrease
+//! (`fl(d + w) ≥ d`), and a settled vertex's distance and parent never
+//! change. So a stopped search's settled vertices are a prefix of the full
+//! search's settle order, with the same distances and parents bit for bit,
+//! and every vertex the answer needs is in that prefix: the path's
+//! vertices settle before its target, and every vertex at or below the
+//! `k`-th distance settles before the first pop past it. Member lists come
+//! back in `(distance, vertex)` order, re-sorted where a rounding tie
+//! (`fl(d + w) = d`) settled a smaller id after a larger one at one
+//! distance. Cache admission alone still runs full searches: a cached tree
+//! must answer every later query about its source.
+//!
 //! # The point-query acceleration stack
 //!
 //! Three answer-invariant accelerations sit in the serving hot path; all
@@ -1087,11 +1113,7 @@ impl SpannerServer {
                         &admit,
                         &mut trees,
                         |engine, graph, &source| {
-                            Some(
-                                engine
-                                    .shortest_path_tree(graph, VertexId(source))
-                                    .to_owned_tree(),
-                            )
+                            Some(engine.owned_shortest_path_tree(graph, VertexId(source)))
                         },
                     )
                     .map_err(|e| match e {
@@ -1287,12 +1309,13 @@ fn translate_query(query: &Query, perm: &VertexPerm) -> Query {
 /// Translates a member list back to external ids and restores the
 /// `(distance, external vertex)` order — ties that settled in internal-id
 /// order must leave the API in external-id order, bit-identical to an
-/// identity-layout server.
+/// identity-layout server. Vertices are distinct, so the unstable sort
+/// is exact.
 fn translate_members(mut members: Vec<(VertexId, f64)>, perm: &VertexPerm) -> Vec<(VertexId, f64)> {
     for member in &mut members {
         member.0 = perm.to_external(member.0);
     }
-    members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    members.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     members
 }
 
@@ -1332,11 +1355,7 @@ fn answer_one(
                 Some(tree) => tree
                     .distance(target)
                     .map(|distance| (distance, tree.path_to(target).expect("reachable"))),
-                None => {
-                    let tree = engine.shortest_path_tree(spanner, source);
-                    tree.distance(target)
-                        .map(|distance| (distance, tree.path_to(target).expect("reachable")))
-                }
+                None => engine.shortest_path(spanner, source, target),
             };
             Answer::Path(path.map(|(distance, mut vertices)| {
                 if let Some(perm) = perm {
@@ -1348,30 +1367,20 @@ fn answer_one(
             }))
         }
         Query::KNearest { source, k } => {
-            let members = match (cached, perm) {
-                (Some(tree), None) => tree.k_nearest(k),
-                (None, None) => {
-                    // An unbounded ball settles in (distance, vertex) order —
-                    // exactly the k-nearest order — from the engine's
-                    // reusable buffer, so only the answer itself allocates.
-                    let ball = engine.ball(spanner, source, f64::INFINITY);
-                    ball[..k.min(ball.len())].to_vec()
-                }
-                // Reordered: a distance tie at the truncation boundary must
-                // resolve by *external* id, so translate the full reachable
-                // set, re-sort, and only then truncate.
-                (Some(tree), Some(perm)) => {
-                    let mut members = translate_members(tree.members().to_vec(), perm);
-                    members.truncate(k);
-                    members
-                }
-                (None, Some(perm)) => {
-                    let ball = engine.ball(spanner, source, f64::INFINITY);
-                    let mut members = translate_members(ball.to_vec(), perm);
-                    members.truncate(k);
-                    members
-                }
+            // Both paths yield the k nearest plus the ties at the k-th
+            // distance, in (distance, vertex) order, bit for bit. Reordered,
+            // a tie at the truncation boundary must resolve by *external*
+            // id, which is why the ties come along: translate and re-sort
+            // that prefix, and only then truncate.
+            let nearest = match cached {
+                Some(tree) => tree.k_nearest_with_ties(k),
+                None => engine.k_nearest_with_ties(spanner, source, k),
             };
+            let mut members = match perm {
+                Some(perm) => translate_members(nearest.to_vec(), perm),
+                None => nearest.to_vec(),
+            };
+            members.truncate(k);
             Answer::KNearest(members)
         }
         Query::Ball { source, radius } => {

@@ -197,11 +197,15 @@ pub fn bounded_distance_with_frontier(
 pub fn ball(graph: &WeightedGraph, source: VertexId, radius: f64) -> Vec<(VertexId, f64)> {
     assert!(radius >= 0.0, "ball radius must be non-negative");
     let tree = run_dijkstra(graph, source, None, radius);
+    // Only settled vertices: an unreached vertex keeps distance `∞`, which
+    // `∞ ≤ radius` would let through at an infinite radius. Without a
+    // target the search drains its heap, so every vertex it reached within
+    // the radius — exactly those with a finite distance — has settled.
     let mut members: Vec<(VertexId, f64)> = tree
         .distances()
         .iter()
         .enumerate()
-        .filter(|&(_, &d)| d <= radius)
+        .filter(|&(_, &d)| d.is_finite() && d <= radius)
         .map(|(i, &d)| (VertexId(i), d))
         .collect();
     members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
@@ -365,6 +369,31 @@ mod tests {
         assert!((b[2].1 - 2.0).abs() < 1e-12);
         // Radius 0 contains only the source.
         assert_eq!(ball(&g, VertexId(3), 0.0), vec![(VertexId(3), 0.0)]);
+    }
+
+    #[test]
+    fn infinite_ball_on_a_disconnected_graph_matches_the_engine() {
+        use crate::csr::CsrGraph;
+        use crate::engine::DijkstraEngine;
+        // Components {0, 1, 2}, {3, 4} and the isolated vertex 5.
+        let g = WeightedGraph::from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)]).unwrap();
+        let csr = CsrGraph::from(&g);
+        let mut engine = DijkstraEngine::new();
+        for s in 0..6 {
+            for radius in [0.0, 1.5, 1e300, f64::INFINITY] {
+                let free = ball(&g, VertexId(s), radius);
+                assert!(free.iter().all(|&(_, d)| d.is_finite()));
+                assert_eq!(
+                    free,
+                    engine.ball(&csr, VertexId(s), radius),
+                    "s={s} r={radius}"
+                );
+            }
+        }
+        assert_eq!(
+            ball(&g, VertexId(3), f64::INFINITY),
+            vec![(VertexId(3), 0.0), (VertexId(4), 1.0)]
+        );
     }
 
     #[test]

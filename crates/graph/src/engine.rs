@@ -479,16 +479,51 @@ impl PartialOrd for HeapSlot {
     }
 }
 
-/// Pops the heap minimum only when its key is strictly below `threshold` —
-/// the batched kernel's cohort drain, which collects every entry provably
-/// settleable in one pass without disturbing the exact pop order of the
-/// rest.
+/// Pops the heap minimum only when its key is strictly below `threshold`
+/// and at most `stop_key` — the batched kernel's cohort drain, which
+/// collects every entry provably settleable in one pass without disturbing
+/// the exact pop order of the rest. An entry past `stop_key` stays queued
+/// for the outer loop, whose pop ends the search exactly where the scalar
+/// loop's does.
 #[inline(always)]
-fn pop_if_below(heap: &mut BinaryHeap<HeapSlot>, threshold: f64) -> Option<HeapSlot> {
-    if heap.peek()?.dist < threshold {
+fn pop_if_below(
+    heap: &mut BinaryHeap<HeapSlot>,
+    threshold: f64,
+    stop_key: f64,
+) -> Option<HeapSlot> {
+    let top = heap.peek()?.dist;
+    if top < threshold && top <= stop_key {
         heap.pop()
     } else {
         None
+    }
+}
+
+/// The key past which a search with a settle limit stops: `+∞` (never)
+/// until the limit is reached — or `-∞` for a zero limit, so the first pop
+/// already ends the search. See [`DijkstraEngine::search`].
+fn initial_stop_key(settle_limit: usize) -> f64 {
+    if settle_limit == 0 {
+        f64::NEG_INFINITY
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Restores `(distance, vertex)` order on a settle-order member list, in
+/// place and without allocating.
+///
+/// Popped keys never decrease (`fl(d + w) ≥ d` for `w > 0`), so settle
+/// order is sorted by distance. It is *not* always sorted by vertex within
+/// a distance: an edge too light to change a sum (`fl(d + w) = d`, e.g.
+/// `1e17 + 1`) queues a vertex at the key just popped, after higher-id
+/// vertices at that key have already settled. The check is `O(n)`; only
+/// such a rounding tie pays for the sort.
+fn sort_settle_order(members: &mut [(VertexId, f64)]) {
+    let order =
+        |a: &(VertexId, f64), b: &(VertexId, f64)| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0));
+    if !members.is_sorted_by(|a, b| order(a, b).is_le()) {
+        members.sort_unstable_by(order);
     }
 }
 
@@ -640,7 +675,9 @@ pub struct DijkstraEngine {
     /// Per-query landmark target column (see [`Landmarks`]); retained
     /// across queries like every other buffer.
     h_scratch: Vec<f64>,
-    /// Settle order of the last collecting query (see [`DijkstraEngine::ball`]).
+    /// Settle order of the last collecting query, re-sorted into
+    /// `(distance, vertex)` order by the entry points that return it (see
+    /// [`DijkstraEngine::ball`]).
     ball_buf: Vec<(VertexId, f64)>,
     /// Batched-kernel gather scratch: the staged `(target, weight)` lanes of
     /// the current cohort, contiguous across rows so the filter pass can
@@ -1024,11 +1061,22 @@ impl DijkstraEngine {
     }
 
     /// The scalar search loop, monomorphized per heuristic. Settles
-    /// vertices in non-decreasing `(distance, vertex)` order; never pushes
-    /// a vertex whose tentative distance (plus the
-    /// heuristic's lower bound on the remaining distance, when active)
-    /// exceeds `bound`; stops early once `target` settles. When `collect`
-    /// is set, the settle order is recorded in `ball_buf`.
+    /// vertices in non-decreasing distance order (heap ties by vertex id;
+    /// see [`sort_settle_order`] for the rounding ties it misses); never
+    /// pushes a vertex whose tentative distance (plus the heuristic's lower
+    /// bound on the remaining distance, when active) exceeds `bound`; stops
+    /// early once `target` settles. When `collect` is set, the settle order
+    /// is recorded in `ball_buf`.
+    ///
+    /// `settle_limit` stops the search once its answer is fixed: after the
+    /// `settle_limit`-th settle at distance `D`, the search keeps going
+    /// through the ties at `D` and stops at the first pop whose key exceeds
+    /// `D` (`usize::MAX` never stops). Popped keys never decrease, so every
+    /// vertex at distance `≤ D` has settled by then, and settled distances
+    /// and parents never change — the settled set is a prefix of the full
+    /// search's settle order, bit for bit. The pop that stops the search is
+    /// counted in `heap_pops`, before its staleness is checked, identically
+    /// under both kernels.
     ///
     /// `source_pruned` is the heuristic's verdict at the source: if the
     /// landmarks already rule out a within-bound path (or prove the pair
@@ -1044,6 +1092,7 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
+        settle_limit: usize,
         source_pruned: bool,
     ) {
         if source_pruned {
@@ -1064,8 +1113,13 @@ impl DijkstraEngine {
             vertex: source as u32,
         });
         self.last_frontier = self.last_frontier.max(queue.len());
+        let mut stop_key = initial_stop_key(settle_limit);
+        let mut settled = 0usize;
         while let Some(HeapSlot { dist: d, vertex: u }) = queue.pop() {
             self.stats.heap_pops += 1;
+            if d > stop_key {
+                break; // past the ties at the settle limit's distance
+            }
             if self.state[u as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
             }
@@ -1073,6 +1127,10 @@ impl DijkstraEngine {
             self.stats.settled_vertices += 1;
             if collect {
                 self.ball_buf.push((VertexId(u as usize), d));
+            }
+            settled += 1;
+            if settled == settle_limit {
+                stop_key = d;
             }
             if Some(u) == target {
                 break;
@@ -1124,6 +1182,11 @@ impl DijkstraEngine {
     ///    are provably scalar no-ops (or exact counted prunes) and stay so
     ///    under intra-row mutation: distances only decrease, nothing
     ///    settles mid-row, and the bound comparison is static.
+    ///
+    /// The settle limit stops the drain the way the target exit does: the
+    /// stop key is set when the limit-th row is *staged* (every staged row
+    /// commits), the drain never pops a key past it, and the outer pop of
+    /// such a key ends the search — the scalar loop's stopping pop.
     #[allow(clippy::too_many_arguments)]
     fn search_batched<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
@@ -1134,6 +1197,7 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
+        settle_limit: usize,
         source_pruned: bool,
     ) {
         if source_pruned {
@@ -1173,12 +1237,17 @@ impl DijkstraEngine {
         let mut gather_weights = std::mem::take(&mut self.gather_weights);
         let mut rows = std::mem::take(&mut self.rows);
         let mut commit = std::mem::take(&mut self.commit);
+        let mut stop_key = initial_stop_key(settle_limit);
+        let mut staged = 0usize;
         'outer: while let Some(HeapSlot {
             dist: d0,
             vertex: u0,
         }) = queue.pop()
         {
             self.stats.heap_pops += 1;
+            if d0 > stop_key {
+                break; // past the ties at the settle limit's distance
+            }
             if self.state[u0 as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
             }
@@ -1204,8 +1273,14 @@ impl DijkstraEngine {
                 d0,
                 drained,
             );
+            staged += 1;
+            if staged == settle_limit {
+                stop_key = d0;
+            }
             while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
-                let Some(HeapSlot { dist: d, vertex: u }) = pop_if_below(queue, threshold) else {
+                let Some(HeapSlot { dist: d, vertex: u }) =
+                    pop_if_below(queue, threshold, stop_key)
+                else {
                     break;
                 };
                 self.stats.heap_pops += 1;
@@ -1226,6 +1301,10 @@ impl DijkstraEngine {
                     d,
                     drained,
                 );
+                staged += 1;
+                if staged == settle_limit {
+                    stop_key = d;
+                }
             }
             // ---- commit ----
             // Two-stage software pipeline over the cohort. A borrowed row's
@@ -1362,6 +1441,7 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
+        settle_limit: usize,
         source_pruned: bool,
     ) {
         if batched {
@@ -1373,6 +1453,7 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
+                settle_limit,
                 source_pruned,
             );
         } else {
@@ -1384,6 +1465,7 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
+                settle_limit,
                 source_pruned,
             );
         }
@@ -1394,6 +1476,7 @@ impl DijkstraEngine {
     /// keeps the workspace-reuse accounting (a query is a reuse hit only if
     /// **no** buffer — vertex arrays, the heap, the gather scratch, or the
     /// landmark scratch — grew).
+    #[allow(clippy::too_many_arguments)]
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
         graph: &CsrGraph,
@@ -1401,6 +1484,7 @@ impl DijkstraEngine {
         target: Option<VertexId>,
         bound: f64,
         collect: bool,
+        settle_limit: usize,
         landmarks: Option<&Landmarks>,
     ) {
         let n = graph.num_vertices();
@@ -1441,6 +1525,7 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
+                settle_limit,
                 false,
             ),
             Some(lm) => {
@@ -1455,6 +1540,7 @@ impl DijkstraEngine {
                     target,
                     bound,
                     collect,
+                    settle_limit,
                     source_pruned,
                 );
             }
@@ -1500,7 +1586,7 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> (Option<f64>, usize) {
-        self.run_query::<false>(graph, source, Some(target), bound, false, None);
+        self.run_query::<false>(graph, source, Some(target), bound, false, usize::MAX, None);
         (self.extract_target(target, bound), self.last_frontier)
     }
 
@@ -1537,7 +1623,15 @@ impl DijkstraEngine {
             graph.epoch(),
             "landmark table is stale; rebuild it after graph mutations"
         );
-        self.run_query::<false>(graph, source, Some(target), bound, false, Some(landmarks));
+        self.run_query::<false>(
+            graph,
+            source,
+            Some(target),
+            bound,
+            false,
+            usize::MAX,
+            Some(landmarks),
+        );
         self.extract_target(target, bound)
     }
 
@@ -1609,6 +1703,7 @@ impl DijkstraEngine {
                 Some(t),
                 bound,
                 false,
+                usize::MAX,
                 false,
             );
             self.extract_target(target, bound).is_some()
@@ -1868,12 +1963,89 @@ impl DijkstraEngine {
         graph: &CsrGraph,
         source: VertexId,
     ) -> EngineTree<'a> {
-        self.run_query::<true>(graph, source, None, f64::INFINITY, false, None);
+        self.run_query::<true>(graph, source, None, f64::INFINITY, false, usize::MAX, None);
         EngineTree {
             num_vertices: graph.num_vertices(),
             engine: self,
             source,
         }
+    }
+
+    /// Runs a full single-source search and returns the resulting
+    /// shortest-path tree as an owned [`SptTree`] that outlives the engine —
+    /// the form a shortest-path-tree cache stores. Distances and parents
+    /// are copied verbatim from the search, so every [`SptTree`] accessor
+    /// returns **bit-identical** results to the corresponding
+    /// [`EngineTree`] accessor of [`DijkstraEngine::shortest_path_tree`].
+    ///
+    /// The tree is filled from the search's settle order, which is already
+    /// the member list's `(distance, vertex)` order up to rounding ties
+    /// ([`DijkstraEngine::ball`]): building it costs `O(n)` plus the
+    /// reached vertices, not a scan-and-sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn owned_shortest_path_tree(&mut self, graph: &CsrGraph, source: VertexId) -> SptTree {
+        self.run_query::<true>(graph, source, None, f64::INFINITY, true, usize::MAX, None);
+        let n = graph.num_vertices();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![NO_VERTEX; n];
+        let mut members = self.ball_buf.clone();
+        sort_settle_order(&mut members);
+        for &(v, d) in &members {
+            dist[v.index()] = d;
+            parent[v.index()] = self.parent[v.index()];
+        }
+        SptTree {
+            source,
+            dist,
+            parent,
+            members,
+        }
+    }
+
+    /// The shortest path from `source` to `target` with its distance, or
+    /// `None` if `target` is unreachable. The search stops once `target`
+    /// settles; a settled vertex's distance and parent never change and
+    /// every path vertex settles before the target, so the answer equals
+    /// [`DijkstraEngine::shortest_path_tree`]'s `distance` and `path_to`
+    /// for `target`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either vertex is out of range.
+    pub fn shortest_path(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<(f64, Vec<VertexId>)> {
+        self.run_query::<true>(
+            graph,
+            source,
+            Some(target),
+            f64::INFINITY,
+            false,
+            usize::MAX,
+            None,
+        );
+        let distance = self.extract_target(target, f64::INFINITY)?;
+        Some((distance, self.path_from_parents(target)))
+    }
+
+    /// Walks the parent pointers of the last tracking search back from
+    /// `target` (which must have been reached) and returns the path source
+    /// first.
+    fn path_from_parents(&self, target: VertexId) -> Vec<VertexId> {
+        let mut path = vec![target];
+        let mut cur = target.index() as u32;
+        while self.parent[cur as usize] != NO_VERTEX {
+            cur = self.parent[cur as usize];
+            path.push(VertexId(cur as usize));
+        }
+        path.reverse();
+        path
     }
 
     /// Returns every vertex within graph distance `radius` of `source` with
@@ -1882,17 +2054,46 @@ impl DijkstraEngine {
     /// buffer and is valid until the next query.
     ///
     /// **Tie handling.** Vertices at equal distance appear in ascending
-    /// vertex-id order: the heap pops in exact `(distance, vertex)` order
-    /// under both relax kernels, so the settle order — and therefore this
-    /// slice, and any [`SptTree::k_nearest`] truncation derived from it — is
-    /// identical across [`RelaxKernel`] settings.
+    /// vertex-id order, identically under every [`RelaxKernel`] setting and
+    /// in [`SptTree::members`]. The heap pops ties in vertex-id order, but
+    /// a rounding tie (an edge with `fl(d + w) = d`) can settle a smaller
+    /// id after a larger one at the same distance; the settle buffer is
+    /// re-sorted in place in that case only (an `O(n)` check otherwise).
     ///
     /// # Panics
     ///
     /// Panics if `source` is out of range or `radius` is negative.
     pub fn ball(&mut self, graph: &CsrGraph, source: VertexId, radius: f64) -> &[(VertexId, f64)] {
         assert!(radius >= 0.0, "ball radius must be non-negative");
-        self.run_query::<false>(graph, source, None, radius, true, None);
+        self.run_query::<false>(graph, source, None, radius, true, usize::MAX, None);
+        sort_settle_order(&mut self.ball_buf);
+        &self.ball_buf
+    }
+
+    /// The `k` vertices nearest to `source` **plus every further vertex tied
+    /// with the `k`-th at its distance**, in `(distance, vertex)` order —
+    /// exactly the members of `ball(graph, source, D)` for the `k`-th
+    /// smallest distance `D` (all reachable vertices when fewer than `k`
+    /// are; none for `k = 0`). Its first `min(k, len)` entries equal
+    /// `ball(graph, source, ∞)[..k]`; the ties let a caller that re-orders
+    /// vertex ids (a reordered serving handle) still pick the right `k`.
+    ///
+    /// The search stops once the answer is fixed: after the `k`-th settle
+    /// it runs only through the ties at that distance, so it settles about
+    /// `k` vertices, not the whole component. The slice borrows the
+    /// engine's settle buffer and is valid until the next query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn k_nearest_with_ties(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        k: usize,
+    ) -> &[(VertexId, f64)] {
+        self.run_query::<false>(graph, source, None, f64::INFINITY, true, k, None);
+        sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
 
@@ -1993,46 +2194,13 @@ impl EngineTree<'_> {
     /// allocating accessor (it builds the returned `Vec`).
     pub fn path_to(&self, target: VertexId) -> Option<Vec<VertexId>> {
         self.distance(target)?;
-        let mut path = vec![target];
-        let mut cur = target.index() as u32;
-        while self.engine.parent[cur as usize] != NO_VERTEX {
-            cur = self.engine.parent[cur as usize];
-            path.push(VertexId(cur as usize));
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Materializes this view as an owned [`SptTree`] that outlives the
-    /// engine — the form a shortest-path-tree cache stores. Distances and
-    /// parents are copied verbatim, so every [`SptTree`] accessor returns
-    /// **bit-identical** results to the corresponding accessor on this view.
-    pub fn to_owned_tree(&self) -> SptTree {
-        let n = self.num_vertices;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent = vec![NO_VERTEX; n];
-        let mut members = Vec::new();
-        for v in 0..n {
-            if self.engine.state[v] >= self.engine.generation {
-                dist[v] = self.engine.dist[v];
-                parent[v] = self.engine.parent[v];
-                members.push((VertexId(v), self.engine.dist[v]));
-            }
-        }
-        // Sorted once here so every cached ball / k-nearest answer is a
-        // prefix read instead of a per-query sort.
-        members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        SptTree {
-            source: self.source,
-            dist,
-            parent,
-            members,
-        }
+        Some(self.engine.path_from_parents(target))
     }
 }
 
 /// An owned shortest-path tree: the cacheable counterpart of the borrowed
-/// [`EngineTree`] view, produced by [`EngineTree::to_owned_tree`].
+/// [`EngineTree`] view, produced by
+/// [`DijkstraEngine::owned_shortest_path_tree`].
 ///
 /// A serving layer computes a source's tree once and then answers every
 /// query about that source from the tree — distance lookups are `O(1)`,
@@ -2122,6 +2290,22 @@ impl SptTree {
     /// [`DijkstraEngine::ball`]).
     pub fn k_nearest(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.members[..k.min(self.members.len())].to_vec()
+    }
+
+    /// The `k` nearest members plus every further member tied with the
+    /// `k`-th at its distance — the same list, bit for bit, as
+    /// [`DijkstraEngine::k_nearest_with_ties`] from this source, located by
+    /// a binary search on the sorted member list.
+    pub fn k_nearest_with_ties(&self, k: usize) -> &[(VertexId, f64)] {
+        let end = match k {
+            0 => 0,
+            k if k >= self.members.len() => self.members.len(),
+            k => {
+                let kth = self.members[k - 1].1;
+                self.members.partition_point(|&(_, d)| d <= kth)
+            }
+        };
+        &self.members[..end]
     }
 
     /// The full reachable member list in non-decreasing `(distance, vertex)`
@@ -2374,8 +2558,8 @@ mod tests {
         let g = diamond();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0));
         let tree = e.shortest_path_tree(&csr, VertexId(0));
-        let owned = tree.to_owned_tree();
         assert_eq!(owned.source(), VertexId(0));
         assert_eq!(owned.num_vertices(), 4);
         for v in 0..4 {
@@ -2403,7 +2587,7 @@ mod tests {
         .unwrap();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.shortest_path_tree(&csr, VertexId(0)).to_owned_tree();
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0));
         for radius in [0.0, 1.0, 2.0, 2.5, 100.0, f64::INFINITY] {
             let expected = e.ball(&csr, VertexId(0), radius).to_vec();
             assert_eq!(owned.members_within(radius), expected, "radius {radius}");
@@ -2781,12 +2965,8 @@ mod tests {
         let mut batched = DijkstraEngine::new();
         batched.set_relax_kernel(RelaxKernel::Batched);
         for s in 0..n {
-            let st = scalar
-                .shortest_path_tree(&csr_s, VertexId(s))
-                .to_owned_tree();
-            let bt = batched
-                .shortest_path_tree(&csr_b, VertexId(s))
-                .to_owned_tree();
+            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s));
+            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s));
             for v in 0..n {
                 assert_eq!(st.distance(VertexId(v)), bt.distance(VertexId(v)));
                 assert_eq!(
@@ -2800,6 +2980,210 @@ mod tests {
             stats_sans_kernel(scalar.stats()),
             stats_sans_kernel(batched.stats())
         );
+    }
+
+    /// The rounding-tie chain: `fl(1e17 + 1) = 1e17`, so vertex 3 settles
+    /// after vertex 5 at the same distance from 0.
+    fn rounding_tie_graph() -> WeightedGraph {
+        WeightedGraph::from_edges(
+            6,
+            [
+                (0, 5, 1e17),
+                (5, 3, 1.0),
+                (3, 1, 1e17),
+                (1, 2, 1e17),
+                (2, 4, 1e17),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Graphs for the stop-rule tests: the rounding-tie chain, then random
+    /// graphs with tie-heavy integer weights (k-th-distance ties are
+    /// common), a second component and an isolated vertex (unreachable
+    /// targets, k beyond the component size).
+    fn stop_rule_graphs() -> Vec<WeightedGraph> {
+        let mut rng = SmallRng::seed_from_u64(16_016);
+        let mut graphs = vec![rounding_tie_graph()];
+        for _ in 0..5 {
+            let n = 26;
+            let mut g = WeightedGraph::new(n);
+            for u in 0..20 {
+                for v in (u + 1)..20 {
+                    if rng.gen_bool(0.2) {
+                        g.add_edge(VertexId(u), VertexId(v), rng.gen_range(1.0..4.0f64).floor());
+                    }
+                }
+            }
+            for u in 20..24 {
+                g.add_edge(VertexId(u), VertexId(u + 1), 1.0);
+            }
+            graphs.push(g);
+        }
+        graphs
+    }
+
+    /// One engine per forced relax kernel: every stop rule must hold under
+    /// both, with identical settle and pop counts.
+    fn scalar_and_batched() -> [DijkstraEngine; 2] {
+        [RelaxKernel::Scalar, RelaxKernel::Batched].map(|kernel| {
+            let mut e = DijkstraEngine::new();
+            e.set_relax_kernel(kernel);
+            e
+        })
+    }
+
+    fn assert_kernels_counted_alike(engines: &[DijkstraEngine; 2]) {
+        assert_eq!(
+            stats_sans_kernel(engines[0].stats()),
+            stats_sans_kernel(engines[1].stats()),
+            "settled_vertices / heap_pops must agree across kernels"
+        );
+        assert!(engines[1].stats().kernel.rows_batched > 0);
+    }
+
+    #[test]
+    fn ball_orders_rounding_ties_by_vertex_id() {
+        let csr = CsrGraph::from(&rounding_tie_graph());
+        let expected = [
+            (0, 0.0),
+            (3, 1e17),
+            (5, 1e17),
+            (1, 2e17),
+            (2, 3e17),
+            (4, 4e17),
+        ]
+        .map(|(v, d)| (VertexId(v), d));
+        for mut e in scalar_and_batched() {
+            assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
+            assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
+            assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
+            assert_eq!(
+                e.owned_shortest_path_tree(&csr, VertexId(0)).members(),
+                &expected[..]
+            );
+        }
+    }
+
+    #[test]
+    fn k_nearest_with_ties_is_the_ball_prefix_through_the_kth_distance() {
+        for (i, g) in stop_rule_graphs().iter().enumerate() {
+            let csr = CsrGraph::from(g);
+            let n = g.num_vertices();
+            let mut engines = scalar_and_batched();
+            for s in (0..n).map(VertexId) {
+                for k in 0..=n + 1 {
+                    let [a, b] = engines.each_mut().map(|e| {
+                        let full = e.ball(&csr, s, f64::INFINITY).to_vec();
+                        let prefix = e.k_nearest_with_ties(&csr, s, k).to_vec();
+                        (full, prefix)
+                    });
+                    assert_eq!(a, b, "graph {i} s={s:?} k={k}: kernels disagree");
+                    let (full, prefix) = a;
+                    let head = k.min(full.len());
+                    assert_eq!(&prefix[..head.min(prefix.len())], &full[..head]);
+                    // Exactly the vertices at or below the k-th distance:
+                    // every tie at that distance, and nothing further.
+                    let through_kth: Vec<_> = match head {
+                        0 => Vec::new(),
+                        h => full
+                            .iter()
+                            .copied()
+                            .filter(|p| p.1 <= full[h - 1].1)
+                            .collect(),
+                    };
+                    assert_eq!(prefix, through_kth, "graph {i} s={s:?} k={k}");
+                }
+            }
+            assert_kernels_counted_alike(&engines);
+        }
+    }
+
+    #[test]
+    fn k_nearest_stops_at_the_first_pop_past_the_kth_distance() {
+        // A unit path 0-1-…-9: k = 3 from 0 settles {0, 1, 2}, then pops
+        // vertex 3 at key 3 > 2 and stops. k = 0 stops at the first pop.
+        let g = WeightedGraph::from_edges(10, (1..10).map(|v| (v - 1, v, 1.0))).unwrap();
+        let csr = CsrGraph::from(&g);
+        for mut e in scalar_and_batched() {
+            let before = e.stats();
+            assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 3).len(), 3);
+            assert_eq!(e.stats().settled_vertices - before.settled_vertices, 3);
+            assert_eq!(e.stats().heap_pops - before.heap_pops, 4);
+            let before = e.stats();
+            assert!(e.k_nearest_with_ties(&csr, VertexId(0), 0).is_empty());
+            assert_eq!(e.stats().settled_vertices, before.settled_vertices);
+            assert_eq!(e.stats().heap_pops - before.heap_pops, 1);
+        }
+    }
+
+    #[test]
+    fn target_terminated_path_equals_the_tree_path() {
+        for (i, g) in stop_rule_graphs().iter().enumerate() {
+            let csr = CsrGraph::from(g);
+            let n = g.num_vertices();
+            let mut engines = scalar_and_batched();
+            for s in (0..n).map(VertexId) {
+                for t in (0..n).map(VertexId) {
+                    let [a, b] = engines.each_mut().map(|e| {
+                        let tree = e.shortest_path_tree(&csr, s);
+                        let expected = tree
+                            .distance(t)
+                            .map(|d| (d, tree.path_to(t).expect("reachable")));
+                        (e.shortest_path(&csr, s, t), expected)
+                    });
+                    assert_eq!(a, b, "graph {i} {s:?}->{t:?}: kernels disagree");
+                    assert_eq!(a.0, a.1, "graph {i} {s:?}->{t:?}");
+                }
+            }
+            if i > 0 {
+                // The random graphs' isolated last vertex is unreachable.
+                for e in &mut engines {
+                    assert_eq!(e.shortest_path(&csr, VertexId(0), VertexId(n - 1)), None);
+                }
+            }
+            assert_kernels_counted_alike(&engines);
+        }
+    }
+
+    /// The member list the cache once built by scanning every vertex stamp
+    /// and sorting: the reference for the settle-order construction.
+    fn scan_and_sort(tree: &EngineTree<'_>) -> SptTree {
+        let n = tree.num_vertices();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![NO_VERTEX; n];
+        let mut members = Vec::new();
+        for v in 0..n {
+            if let Some(d) = tree.distance(VertexId(v)) {
+                dist[v] = d;
+                parent[v] = tree.engine.parent[v];
+                members.push((VertexId(v), d));
+            }
+        }
+        members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        SptTree {
+            source: tree.source(),
+            dist,
+            parent,
+            members,
+        }
+    }
+
+    #[test]
+    fn owned_tree_from_the_settle_order_equals_the_scan_and_sort_tree() {
+        for (i, g) in stop_rule_graphs().iter().enumerate() {
+            let csr = CsrGraph::from(g);
+            let mut engines = scalar_and_batched();
+            for s in (0..g.num_vertices()).map(VertexId) {
+                let [a, b] = engines.each_mut().map(|e| {
+                    let owned = e.owned_shortest_path_tree(&csr, s);
+                    (owned, scan_and_sort(&e.shortest_path_tree(&csr, s)))
+                });
+                assert_eq!(a, b, "graph {i} s={s:?}: kernels disagree");
+                assert_eq!(a.0, a.1, "graph {i} s={s:?}");
+            }
+            assert_kernels_counted_alike(&engines);
+        }
     }
 
     #[test]

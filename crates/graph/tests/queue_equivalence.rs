@@ -120,7 +120,7 @@ proptest! {
         let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
         prop_assert_eq!(&scalar_ball, &drain_ball);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = scalar.shortest_path_tree(&csr, s).to_owned_tree();
+        let tree = scalar.owned_shortest_path_tree(&csr, s);
         for k in 0..=scalar_ball.len() {
             prop_assert_eq!(&tree.k_nearest(k)[..], &scalar_ball[..k]);
         }
@@ -147,8 +147,8 @@ proptest! {
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_tree = scalar.shortest_path_tree(&csr, s).to_owned_tree();
-        let drain_tree = drain.shortest_path_tree(&csr, s).to_owned_tree();
+        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s);
+        let drain_tree = drain.owned_shortest_path_tree(&csr, s);
         for v in 0..n {
             prop_assert_eq!(scalar_tree.distance(VertexId(v)), drain_tree.distance(VertexId(v)));
             prop_assert_eq!(scalar_tree.path_to(VertexId(v)), drain_tree.path_to(VertexId(v)));

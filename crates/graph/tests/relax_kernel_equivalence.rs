@@ -68,8 +68,9 @@ fn comparable(stats: EngineStats) -> EngineStats {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Bounded distances and balls (answers AND settle order) agree across
-    /// every grid cell and match the reference free function; search
+    /// Bounded distances, balls, k-nearest prefixes and target-terminated
+    /// paths agree across every grid cell (distances also match the
+    /// reference free function); search
     /// counters are bit-identical between kernels, and pre-sized engines
     /// never allocate under either kernel.
     #[test]
@@ -84,19 +85,26 @@ proptest! {
             let bound = rng.gen_range(0.0..20.0);
             let want = bounded_distance(&g, s, t, bound);
             let radius = rng.gen_range(0.0..12.0);
-            let mut want_ball: Option<Vec<(VertexId, f64)>> = None;
+            let k = rng.gen_range(0..n + 2);
+            let mut want_ball = None;
             for (kernel, e) in engines.iter_mut() {
                 prop_assert_eq!(
                     e.bounded_distance(&csr, s, t, bound),
                     want,
                     "case {}: {:?} distance diverged", case, kernel
                 );
-                let got_ball = e.ball(&csr, s, radius).to_vec();
+                // The early-stopping searches (k-nearest, target-terminated
+                // path) ride along: same answers, same counters.
+                let got_ball = (
+                    e.ball(&csr, s, radius).to_vec(),
+                    e.k_nearest_with_ties(&csr, s, k).to_vec(),
+                    e.shortest_path(&csr, s, t),
+                );
                 match &want_ball {
                     None => want_ball = Some(got_ball),
                     Some(w) => prop_assert_eq!(
                         w, &got_ball,
-                        "case {}: {:?} ball settle order diverged", case, kernel
+                        "case {}: {:?} ball / k-nearest / path diverged", case, kernel
                     ),
                 }
             }
@@ -126,10 +134,10 @@ proptest! {
             let s = VertexId(rng.gen_range(0..n));
             let reference = {
                 let (_, e) = &mut engines[0];
-                e.shortest_path_tree(&csr, s).to_owned_tree()
+                e.owned_shortest_path_tree(&csr, s)
             };
             for (kernel, e) in engines.iter_mut().skip(1) {
-                let tree = e.shortest_path_tree(&csr, s).to_owned_tree();
+                let tree = e.owned_shortest_path_tree(&csr, s);
                 for v in 0..n {
                     prop_assert_eq!(
                         reference.distance(VertexId(v)),
