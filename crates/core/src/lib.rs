@@ -138,8 +138,9 @@
 //! 2. **Serve.** [`serve::SpannerServer::answer_batch`] answers batches of
 //!    [`serve::Query`] values — bounded distance, shortest path, k-nearest,
 //!    ball, stretch-audit — fanned across the pool, with a deterministic
-//!    LRU cache of shortest-path trees ([`spanner_graph::SptTree`]) in
-//!    front so hot sources answer in `O(1)` per target.
+//!    LRU cache of answer-sized shortest-path-tree prefixes
+//!    ([`spanner_graph::SptTree`]) in front so hot sources answer in
+//!    `O(1)` per target.
 //! 3. **Stats.** [`serve::ServeStats`] reports qps, cache hit rate and
 //!    p50/p99 latency buckets; the pool adds per-worker utilization and the
 //!    zero-allocation counters.

@@ -8,8 +8,8 @@
 //! [`CsrGraph`] and answers **query batches** — point-to-point bounded
 //! distance, shortest path, k-nearest, ball, and stretch-audit (spanner vs.
 //! original graph) — fanned across an [`EnginePool`] of per-worker Dijkstra
-//! workspaces, with a shortest-path-tree cache in front so hot sources
-//! answer in `O(1)` per target.
+//! workspaces, with a cache of shortest-path-tree prefixes in front so hot
+//! sources answer in `O(1)` per target.
 //!
 //! # Epochs and live serving
 //!
@@ -42,14 +42,15 @@
 //!   ([`EnginePool::map_batch`]), so which OS thread answers a query never
 //!   influences its result slot.
 //! * Cache hits never change results: a cached [`SptTree`] stores the
-//!   engine's own distances and parents verbatim, and bounded queries prune
-//!   nothing that could alter a within-bound distance, so a tree lookup and
-//!   a fresh engine search return the same bits. Stale (old-epoch) trees
-//!   are never consulted.
-//! * Cache *admission* is a pure function of the batch (per-source demand in
-//!   first-appearance order) and eviction is by least-recent-use with a
-//!   deterministic tie-break — the cache's content after any batch sequence
-//!   is reproducible.
+//!   engine's own distances and parents verbatim, answers only what its
+//!   prefix covers (see below), and bounded queries prune nothing that
+//!   could alter a within-bound distance, so a tree lookup and a fresh
+//!   engine search return the same bits. Stale (old-epoch) trees are never
+//!   consulted.
+//! * Cache *admission* is a pure function of the batch (per-source demand
+//!   and need in first-appearance order) and eviction is by
+//!   least-recent-use with a deterministic tie-break — the cache's content
+//!   after any batch sequence is reproducible.
 //!
 //! The root test suite `tests/serving_determinism.rs` asserts all of this
 //! against the one-shot `dijkstra` free functions across thread counts
@@ -78,8 +79,35 @@
 //! `k`-th distance settles before the first pop past it. Member lists come
 //! back in `(distance, vertex)` order, re-sorted where a rounding tie
 //! (`fl(d + w) = d`) settled a smaller id after a larger one at one
-//! distance. Cache admission alone still runs full searches: a cached tree
-//! must answer every later query about its source.
+//! distance.
+//!
+//! # Prefix trees in the cache
+//!
+//! Cache admission is answer-sized too. An admitted source's search runs
+//! only until every query of that source in the batch has a fixed answer
+//! — each target settled or its bound reached, the largest `k` settled,
+//! the largest radius reached — then through the ties at that distance
+//! `D`, exactly like a `KNearest` miss
+//! ([`DijkstraEngine::owned_shortest_path_tree`] with a [`TreeNeed`]).
+//! The cache stores that **prefix tree**, stamped with `D`
+//! ([`SptTree::complete_through`]; `∞` when the search ran out of
+//! vertices). By the argument above, every vertex at distance `≤ D` is in
+//! the prefix with its full-tree distance and parent, bit for bit, and no
+//! other vertex is. So a later query is answered from the prefix exactly
+//! when the prefix decides it:
+//!
+//! * `Distance(t, bound)`: `t` is in the prefix, or `D ≥ bound` (then `t`
+//!   lies past the bound);
+//! * `Path(t)` and `StretchAudit(t)`: `t` is in the prefix, or `D = ∞`
+//!   (then `t` is unreachable);
+//! * `KNearest(k)`: `k = 0`, or the prefix holds at least `k` vertices
+//!   (the `k`-th one's ties lie at or below `D`), or `D = ∞`;
+//! * `Ball(r)`: `r ≤ D`.
+//!
+//! Any other query is a plain miss and runs its own answer-sized search;
+//! only covered queries count as cache hits. A source whose current tree
+//! already covers its batch is not re-admitted; one that is re-admitted
+//! also needs the old `D` as a radius, so an entry only ever grows.
 //!
 //! # The point-query acceleration stack
 //!
@@ -136,7 +164,7 @@ use std::time::{Duration, Instant};
 
 use spanner_graph::{
     CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, RelaxKernel,
-    SptTree, VertexId, VertexPerm, WeightedGraph,
+    SptTree, TreeNeed, VertexId, VertexPerm, WeightedGraph,
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
@@ -385,14 +413,49 @@ impl From<UpdateError> for ServeError {
     }
 }
 
-/// Power-of-two latency buckets: bucket `i` counts answers that took
-/// `[2^i, 2^(i+1))` nanoseconds. Coarse, allocation-free, and cheap enough
-/// to record per query; quantiles report a bucket's upper bound. The exact
-/// observed maximum is tracked alongside ([`LatencyHistogram::max`]) — p99
-/// alone hides tail outliers in long runs.
+/// Log2 of the linear sub-buckets per power of two (see [`LatencyHistogram`]).
+const SUB_BUCKET_BITS: u32 = 4;
+
+/// Linear sub-buckets per power of two: 16, for a relative quantile error
+/// of at most `1/16 = 6.25%`.
+const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
+
+/// One bucket per nanosecond below [`SUB_BUCKETS`], then [`SUB_BUCKETS`]
+/// per power of two up to `2⁶⁴`.
+const LATENCY_BUCKETS: usize = SUB_BUCKETS * (65 - SUB_BUCKET_BITS as usize);
+
+/// The bucket a latency of `nanos` lands in: its top `SUB_BUCKET_BITS + 1`
+/// significant bits.
+fn latency_bucket(nanos: u64) -> usize {
+    if nanos < SUB_BUCKETS as u64 {
+        return nanos as usize;
+    }
+    let shift = 63 - nanos.leading_zeros() - SUB_BUCKET_BITS;
+    let sub = (nanos >> shift) as usize & (SUB_BUCKETS - 1);
+    SUB_BUCKETS * (shift as usize + 1) + sub
+}
+
+/// The largest latency, in nanoseconds, that lands in `bucket`.
+fn latency_bucket_upper(bucket: usize) -> u64 {
+    if bucket < SUB_BUCKETS {
+        return bucket as u64;
+    }
+    let shift = bucket / SUB_BUCKETS - 1;
+    let lower = ((SUB_BUCKETS + bucket % SUB_BUCKETS) as u64) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
+/// Log-linear latency buckets, HdrHistogram-style (G. Tene,
+/// <http://hdrhistogram.org>): exact below 16 ns, then 16 linear
+/// sub-buckets per power of two, so a bucket spans less than 1/16 of the
+/// values in it. Allocation-free and cheap enough to record per query;
+/// quantiles report the matching bucket's upper bound, at most 6.25% above
+/// the exact quantile. Merging adds bucket counts, so it is exact. The
+/// exact observed maximum is tracked alongside ([`LatencyHistogram::max`])
+/// — p99 alone hides tail outliers in long runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyHistogram {
-    counts: [u64; 64],
+    counts: [u64; LATENCY_BUCKETS],
     total: u64,
     max_nanos: u64,
 }
@@ -400,7 +463,7 @@ pub struct LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            counts: [0; 64],
+            counts: [0; LATENCY_BUCKETS],
             total: 0,
             max_nanos: 0,
         }
@@ -411,8 +474,7 @@ impl LatencyHistogram {
     /// Records one answer latency.
     pub fn record(&mut self, latency: Duration) {
         let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = (64 - nanos.leading_zeros()).saturating_sub(1) as usize;
-        self.counts[bucket.min(63)] += 1;
+        self.counts[latency_bucket(nanos)] += 1;
         self.total += 1;
         self.max_nanos = self.max_nanos.max(nanos);
     }
@@ -424,7 +486,8 @@ impl LatencyHistogram {
 
     /// The latency below which a `q` fraction of answers fell (upper bound
     /// of the matching bucket, clamped to the observed maximum), or `None`
-    /// if nothing was recorded. `q` is clamped to `[0, 1]`.
+    /// if nothing was recorded. `q` is clamped to `[0, 1]`. The result is
+    /// at least the exact quantile and less than `1 + 1/16` times it.
     ///
     /// The clamp matters at the tail: a single-sample histogram reports
     /// that sample — not its bucket's upper bound — for every quantile, and
@@ -438,11 +501,7 @@ impl LatencyHistogram {
         for (bucket, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                let upper = if bucket >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (bucket + 1)) - 1
-                };
+                let upper = latency_bucket_upper(bucket);
                 return Some(Duration::from_nanos(upper.min(self.max_nanos)));
             }
         }
@@ -580,13 +639,6 @@ impl SptCache {
 
     fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Does the cache hold a *current* tree for this source?
-    fn contains_current(&self, source: VertexId, epoch: u64) -> bool {
-        self.entries
-            .get(&source.index())
-            .is_some_and(|&(_, _, e)| e == epoch)
     }
 
     /// Read-only lookup — does not touch recency, so it is safe to call
@@ -1080,27 +1132,42 @@ impl SpannerServer {
             .map(|perm| queries.iter().map(|q| translate_query(q, perm)).collect());
         let queries: &[Query] = translated.as_deref().unwrap_or(queries);
 
-        // Phase 1 — deterministic cache admission. Count per-source demand;
-        // sources meeting the threshold (in first-appearance order, capped
-        // at capacity) get their tree computed across the pool and admitted
-        // stamped with the current epoch. A stale entry does not block
-        // re-admission — replacing it is the other face of lazy
-        // invalidation.
+        // Phase 1 — deterministic cache admission. Count per-source demand
+        // and collect what the batch needs from each source's tree; sources
+        // meeting the threshold (in first-appearance order, capped at
+        // capacity) get the prefix tree that need asks for computed across
+        // the pool and admitted stamped with the current epoch — unless
+        // their current tree already covers the need. A replacement also
+        // needs the old tree's reach, so an entry only ever grows. A stale
+        // entry does not block re-admission — replacing it is the other
+        // face of lazy invalidation.
         if self.cache.capacity > 0 {
-            let mut demand: HashMap<usize, usize> = HashMap::new();
+            let mut demand: HashMap<usize, (usize, TreeNeed)> = HashMap::new();
             let mut first_appearance: Vec<usize> = Vec::new();
             for query in queries {
                 let s = query.source().index();
-                let count = demand.entry(s).or_insert(0);
-                if *count == 0 {
+                let (count, need) = demand.entry(s).or_insert_with(|| {
                     first_appearance.push(s);
-                }
+                    (0, TreeNeed::new())
+                });
                 *count += 1;
+                add_tree_need(need, query);
             }
-            let admit: Vec<usize> = first_appearance
+            let admit: Vec<(usize, TreeNeed)> = first_appearance
                 .into_iter()
-                .filter(|s| demand[s] >= self.cache_admit_threshold)
-                .filter(|&s| !self.cache.contains_current(VertexId(s), epoch))
+                .filter_map(|s| {
+                    let (count, mut need) = demand.remove(&s)?;
+                    if count < self.cache_admit_threshold {
+                        return None;
+                    }
+                    if let CacheLookup::Hit(tree) = self.cache.lookup(VertexId(s), epoch) {
+                        if tree.covers(&need) {
+                            return None;
+                        }
+                        need.add_radius(tree.complete_through());
+                    }
+                    Some((s, need))
+                })
                 .take(self.cache.capacity)
                 .collect();
             if !admit.is_empty() {
@@ -1112,8 +1179,8 @@ impl SpannerServer {
                         epoch,
                         &admit,
                         &mut trees,
-                        |engine, graph, &source| {
-                            Some(engine.owned_shortest_path_tree(graph, VertexId(source)))
+                        |engine, graph, (source, need)| {
+                            Some(engine.owned_shortest_path_tree(graph, VertexId(*source), need))
                         },
                     )
                     .map_err(|e| match e {
@@ -1169,8 +1236,7 @@ impl SpannerServer {
                         CacheLookup::Stale => (None, true),
                         CacheLookup::Miss => (None, false),
                     };
-                    let hit = cached.is_some();
-                    let answer =
+                    let (answer, hit) =
                         answer_one(engine, spanner, baseline, landmarks, perm, cached, query);
                     Some((
                         answer,
@@ -1319,13 +1385,27 @@ fn translate_members(mut members: Vec<(VertexId, f64)>, perm: &VertexPerm) -> Ve
     members
 }
 
-/// Answers one query on one worker. The query is already in the spanner's
-/// internal id space; `perm` (when present) translates the answer back to
-/// external ids. `cached` is the frozen current-epoch tree for the query's
-/// source, if the cache holds one; every cached answer is bit-identical to
-/// the corresponding engine answer (see the module docs). `landmarks`
-/// (when present and current) prunes bounded point-to-point searches
-/// without changing any answer.
+/// Adds what a cached tree needs to answer `query` to its source's need.
+fn add_tree_need(need: &mut TreeNeed, query: &Query) {
+    match *query {
+        Query::Distance { target, bound, .. } => need.add_target(target, bound),
+        Query::Path { target, .. } | Query::StretchAudit { target, .. } => {
+            need.add_target(target, f64::INFINITY)
+        }
+        Query::KNearest { k, .. } => need.add_k_nearest(k),
+        Query::Ball { radius, .. } => need.add_radius(radius),
+    }
+}
+
+/// Answers one query on one worker, returning the answer and whether the
+/// cached tree answered it. The query is already in the spanner's internal
+/// id space; `perm` (when present) translates the answer back to external
+/// ids. `cached` is the frozen current-epoch tree for the query's source,
+/// if the cache holds one; it answers only what its prefix covers, and
+/// every such answer is bit-identical to the corresponding engine answer
+/// (see the module docs) — anything else is a miss and searches.
+/// `landmarks` (when present and current) prunes bounded point-to-point
+/// searches without changing any answer.
 fn answer_one(
     engine: &mut DijkstraEngine,
     spanner: &CsrGraph,
@@ -1334,37 +1414,37 @@ fn answer_one(
     perm: Option<&VertexPerm>,
     cached: Option<&SptTree>,
     query: &Query,
-) -> Answer {
+) -> (Answer, bool) {
     match *query {
         Query::Distance {
             source,
             target,
             bound,
         } => {
-            let d = match (cached, landmarks) {
-                (Some(tree), _) => tree.distance(target).filter(|&d| d <= bound),
+            let covered = cached.and_then(|tree| tree.distance_within(target, bound));
+            let d = match (covered, landmarks) {
+                (Some(d), _) => d,
                 (None, Some(lm)) => {
                     engine.bounded_distance_landmarked(spanner, lm, source, target, bound)
                 }
                 (None, None) => engine.bounded_distance(spanner, source, target, bound),
             };
-            Answer::Distance(d)
+            (Answer::Distance(d), covered.is_some())
         }
         Query::Path { source, target } => {
-            let path = match cached {
-                Some(tree) => tree
-                    .distance(target)
-                    .map(|distance| (distance, tree.path_to(target).expect("reachable"))),
-                None => engine.shortest_path(spanner, source, target),
+            let (path, hit) = match cached.and_then(|tree| tree.shortest_path(target)) {
+                Some(path) => (path, true),
+                None => (engine.shortest_path(spanner, source, target), false),
             };
-            Answer::Path(path.map(|(distance, mut vertices)| {
+            let path = path.map(|(distance, mut vertices)| {
                 if let Some(perm) = perm {
                     for v in &mut vertices {
                         *v = perm.to_external(*v);
                     }
                 }
                 PathAnswer { distance, vertices }
-            }))
+            });
+            (Answer::Path(path), hit)
         }
         Query::KNearest { source, k } => {
             // Both paths yield the k nearest plus the ties at the k-th
@@ -1372,31 +1452,32 @@ fn answer_one(
             // a tie at the truncation boundary must resolve by *external*
             // id, which is why the ties come along: translate and re-sort
             // that prefix, and only then truncate.
-            let nearest = match cached {
-                Some(tree) => tree.k_nearest_with_ties(k),
-                None => engine.k_nearest_with_ties(spanner, source, k),
+            let (nearest, hit) = match cached.and_then(|tree| tree.k_nearest_with_ties(k)) {
+                Some(nearest) => (nearest, true),
+                None => (engine.k_nearest_with_ties(spanner, source, k), false),
             };
             let mut members = match perm {
                 Some(perm) => translate_members(nearest.to_vec(), perm),
                 None => nearest.to_vec(),
             };
             members.truncate(k);
-            Answer::KNearest(members)
+            (Answer::KNearest(members), hit)
         }
         Query::Ball { source, radius } => {
-            let members = match cached {
-                Some(tree) => tree.members_within(radius),
-                None => engine.ball(spanner, source, radius).to_vec(),
+            let (members, hit) = match cached.and_then(|tree| tree.members_within(radius)) {
+                Some(members) => (members, true),
+                None => (engine.ball(spanner, source, radius), false),
             };
             let members = match perm {
-                Some(perm) => translate_members(members, perm),
-                None => members,
+                Some(perm) => translate_members(members.to_vec(), perm),
+                None => members.to_vec(),
             };
-            Answer::Ball(members)
+            (Answer::Ball(members), hit)
         }
         Query::StretchAudit { source, target } => {
-            let spanner_distance = match (cached, landmarks) {
-                (Some(tree), _) => tree.distance(target),
+            let covered = cached.and_then(|tree| tree.distance(target));
+            let spanner_distance = match (covered, landmarks) {
+                (Some(d), _) => d,
                 (None, Some(lm)) => {
                     engine.bounded_distance_landmarked(spanner, lm, source, target, f64::INFINITY)
                 }
@@ -1419,7 +1500,7 @@ fn answer_one(
                     stretch,
                 })
             });
-            Answer::StretchAudit(sample)
+            (Answer::StretchAudit(sample), covered.is_some())
         }
     }
 }
@@ -1505,10 +1586,11 @@ impl ServeBuilder {
         self
     }
 
-    /// How many shortest-path trees the LRU cache holds (each costs ~28
-    /// bytes per reached vertex — distances, parents and the pre-sorted
-    /// member list; see [`SptTree::memory_bytes`]); `0` disables caching
-    /// entirely.
+    /// How many shortest-path trees the LRU cache holds; `0` disables
+    /// caching entirely. A tree costs at most ~28 bytes per vertex —
+    /// dense distances and parents, plus the pre-sorted member list of its
+    /// prefix, which is usually far smaller than the graph (see
+    /// [`SptTree::memory_bytes`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -1708,7 +1790,7 @@ mod tests {
     use super::*;
     use crate::builder::Spanner;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use spanner_graph::generators::erdos_renyi_connected;
 
     fn diamond() -> WeightedGraph {
@@ -1950,20 +2032,59 @@ mod tests {
                 .and_then(SpannerHandle::perm)
                 .map_or(VertexId(v), |p| p.to_internal(VertexId(v)))
         };
-        assert!(
-            server.cache.contains_current(internal(&server, 1), 0),
-            "recently used survives"
-        );
-        assert!(
-            server.cache.contains_current(internal(&server, 2), 0),
-            "new hotspot admitted"
-        );
-        assert!(
-            !server.cache.contains_current(internal(&server, 0), 0),
-            "LRU entry evicted"
-        );
+        let cached = |server: &SpannerServer, v: usize| {
+            matches!(
+                server.cache.lookup(internal(server, v), 0),
+                CacheLookup::Hit(_)
+            )
+        };
+        assert!(cached(&server, 1), "recently used survives");
+        assert!(cached(&server, 2), "new hotspot admitted");
+        assert!(!cached(&server, 0), "LRU entry evicted");
         assert!(server.stats().cache_hit_rate().unwrap() > 0.0);
         assert_eq!(server.stats().stale_evictions, 0);
+    }
+
+    #[test]
+    fn cached_prefixes_answer_what_they_cover_and_grow_on_readmission() {
+        // A unit path 0-1-…-9 is its own greedy spanner; identity layout, so
+        // cache keys are the query ids.
+        let g = WeightedGraph::from_edges(10, (1..10).map(|v| (v - 1, v, 1.0))).unwrap();
+        let output = Spanner::greedy().stretch(2.0).build(&g).unwrap();
+        let mut server = output.clone().serve().reorder(false).finish();
+        let mut uncached = output.serve().reorder(false).cache_capacity(0).finish();
+        let reach = |server: &SpannerServer| match server.cache.lookup(VertexId(0), 0) {
+            CacheLookup::Hit(tree) => tree.complete_through(),
+            _ => panic!("source 0 must be cached"),
+        };
+        let mut run = |server: &mut SpannerServer, batch: &[Query]| {
+            let answers = server.answer_batch(batch).unwrap();
+            assert_eq!(answers, uncached.answer_batch(batch).unwrap(), "{batch:?}");
+            (server.stats().cache_hits, server.stats().cache_misses)
+        };
+        // Two narrow queries admit the prefix through distance 1.
+        let narrow = [
+            Query::k_nearest(VertexId(0), 1),
+            Query::ball(VertexId(0), 1.0),
+        ];
+        assert_eq!(run(&mut server, &narrow), (2, 0));
+        assert_eq!(reach(&server), 1.0);
+        // A covered query is a hit.
+        let covered = [Query::distance(VertexId(0), VertexId(1), 5.0)];
+        assert_eq!(run(&mut server, &covered), (3, 0));
+        // An uncovered query below the admission threshold is a miss with
+        // the engine's answer, and leaves the entry as it was.
+        let far = Query::distance(VertexId(0), VertexId(5), 100.0);
+        assert_eq!(run(&mut server, &[far]), (3, 1));
+        assert_eq!(reach(&server), 1.0);
+        assert_eq!(server.stats().cache_insertions, 1);
+        // At the threshold the source is re-admitted with a prefix that
+        // reaches at least as far, and the whole batch hits.
+        let wide = [far, Query::path(VertexId(0), VertexId(6))];
+        assert_eq!(run(&mut server, &wide), (5, 1));
+        assert_eq!(server.stats().cache_insertions, 2);
+        assert_eq!(reach(&server), 6.0);
+        assert_eq!(run(&mut server, &narrow), (7, 1));
     }
 
     #[test]
@@ -2183,9 +2304,48 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_tile_the_u64_range() {
+        assert_eq!(latency_bucket(0), 0);
+        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+        assert_eq!(latency_bucket_upper(LATENCY_BUCKETS - 1), u64::MAX);
+        for bucket in 0..LATENCY_BUCKETS - 1 {
+            let upper = latency_bucket_upper(bucket);
+            assert_eq!(latency_bucket(upper), bucket);
+            assert_eq!(latency_bucket(upper + 1), bucket + 1);
+        }
+    }
+
+    #[test]
+    fn histogram_quantiles_stay_within_a_sixteenth_of_exact() {
+        // Log-uniform latencies from 1 ns to 10 s against the exact
+        // quantiles of the sorted samples (same rank rule: the
+        // ceil(q·N)-th smallest).
+        let mut rng = SmallRng::seed_from_u64(2016);
+        let mut samples: Vec<u64> = (0..20_000)
+            .map(|_| 10f64.powf(rng.gen_range(0.0..10.0)).round() as u64)
+            .collect();
+        let mut h = LatencyHistogram::default();
+        for &nanos in &samples {
+            h.record(Duration::from_nanos(nanos));
+        }
+        samples.sort_unstable();
+        for q in [
+            0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0,
+        ] {
+            let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let exact = samples[rank - 1] as f64;
+            let got = h.quantile(q).unwrap().as_nanos() as f64;
+            assert!(
+                got >= exact && got - exact <= exact / 16.0,
+                "q={q}: histogram {got} ns vs exact {exact} ns"
+            );
+        }
+    }
+
+    #[test]
     fn single_sample_histogram_returns_that_sample_for_every_quantile() {
-        // A lone 1500ns sample lands in the [1024, 2048) bucket; the naive
-        // bucket upper bound (2047) would overstate every quantile of a
+        // A lone 1500ns sample lands in the [1472, 1535] bucket; the naive
+        // bucket upper bound (1535) would overstate every quantile of a
         // distribution whose only member is known exactly.
         let mut h = LatencyHistogram::default();
         h.record(Duration::from_nanos(1_500));

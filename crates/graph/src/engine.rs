@@ -50,7 +50,7 @@
 //! assert_eq!(engine.stats().reuse_hits, 1); // only the first query allocated
 //! ```
 
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::csr::CsrGraph;
 use crate::graph::VertexId;
@@ -499,15 +499,103 @@ fn pop_if_below(
     }
 }
 
-/// The key past which a search with a settle limit stops: `+∞` (never)
-/// until the limit is reached — or `-∞` for a zero limit, so the first pop
-/// already ends the search. See [`DijkstraEngine::search`].
-fn initial_stop_key(settle_limit: usize) -> f64 {
-    if settle_limit == 0 {
-        f64::NEG_INFINITY
-    } else {
-        f64::INFINITY
+/// What a shortest-path-tree prefix must answer: the questions a batch
+/// asks about one source, reduced to the three requirements that decide
+/// how far its search has to run (see
+/// [`DijkstraEngine::owned_shortest_path_tree`] and
+/// [`SptTree::covers`]):
+///
+/// * **targets** — a `Distance(t, bound)` question needs `t` settled or
+///   every vertex within `bound` settled; a path or unbounded-distance
+///   question uses `bound = ∞`;
+/// * **k nearest** — at least `k` settled vertices (the largest `k` asked);
+/// * **radius** — every vertex within the radius settled (the largest
+///   radius asked).
+///
+/// [`TreeNeed::new`] needs nothing; [`TreeNeed::everything`] needs the
+/// whole tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TreeNeed {
+    /// Target → the largest bound asked about it.
+    targets: BTreeMap<VertexId, f64>,
+    k: usize,
+    /// `-∞` when no radius was asked for.
+    radius: f64,
+}
+
+impl Default for TreeNeed {
+    fn default() -> Self {
+        TreeNeed {
+            targets: BTreeMap::new(),
+            k: 0,
+            radius: f64::NEG_INFINITY,
+        }
     }
+}
+
+impl TreeNeed {
+    /// A need with no requirement: its tree is empty.
+    pub fn new() -> Self {
+        TreeNeed::default()
+    }
+
+    /// The need whose tree is the whole shortest-path tree.
+    pub fn everything() -> Self {
+        TreeNeed {
+            radius: f64::INFINITY,
+            ..TreeNeed::default()
+        }
+    }
+
+    /// Requires the distance from the source to `target` whenever it is at
+    /// most `bound` (`f64::INFINITY` for a path or an unbounded distance).
+    pub fn add_target(&mut self, target: VertexId, bound: f64) {
+        let slot = self.targets.entry(target).or_insert(bound);
+        *slot = slot.max(bound);
+    }
+
+    /// Requires the `k` nearest vertices, with their distance ties.
+    pub fn add_k_nearest(&mut self, k: usize) {
+        self.k = self.k.max(k);
+    }
+
+    /// Requires every vertex within `radius`.
+    pub fn add_radius(&mut self, radius: f64) {
+        self.radius = self.radius.max(radius);
+    }
+}
+
+/// The stop rule of a need-driven search — one instance per query, shared
+/// by the scalar and the batched loop so both stop at the same pop (see
+/// [`DijkstraEngine::search`]). The need's targets live in the engine's
+/// `need_mark` / `need_bounds` buffers.
+#[derive(Debug, Clone, Copy)]
+struct StopRule {
+    /// Requirements not yet met: pending targets, the `k`-th settle and
+    /// the radius. Settles are counted against the rule only while it is
+    /// non-zero; from then on `stop_key` alone decides.
+    pending: usize,
+    /// The stop key the search starts with: `-∞` when the need is empty
+    /// (the first pop ends the search), `+∞` otherwise.
+    stop_key: f64,
+    settled: usize,
+    k: usize,
+    /// The radius still to reach, or `None` once reached (or not asked).
+    radius: Option<f64>,
+    /// The first entry of `need_bounds` whose bound no settle has reached.
+    next_bound: usize,
+}
+
+impl StopRule {
+    /// A rule that never stops the search.
+    const NEVER: StopRule = StopRule {
+        pending: 0,
+        stop_key: f64::INFINITY,
+        settled: 0,
+        k: 0,
+        radius: None,
+        next_bound: 0,
+    };
 }
 
 /// Restores `(distance, vertex)` order on a settle-order member list, in
@@ -668,6 +756,14 @@ pub struct DijkstraEngine {
     /// touched (in the heap); `== generation + 1` — settled. One load answers
     /// both the "already settled?" and "already touched?" questions.
     state: Vec<u32>,
+    /// Per-vertex target mark of a need-driven tree search: `== generation`
+    /// while the vertex is a target the search still waits for, so a settle
+    /// checks it in `O(1)`.
+    need_mark: Vec<u32>,
+    /// The tree search's targets as `(bound, vertex)`, sorted by bound: a
+    /// settle at distance `d` resolves the prefix with bound `≤ d`.
+    /// Reserved for `n` entries (targets are distinct vertices).
+    need_bounds: Vec<(f64, u32)>,
     /// Lazy-deletion heap: improvements push a fresh entry, superseded
     /// entries are skipped at pop time via `state`. The buffer is retained
     /// across queries.
@@ -834,6 +930,7 @@ impl DijkstraEngine {
         self.dist.resize(n, f64::INFINITY);
         self.parent.resize(n, NO_VERTEX);
         self.state.resize(n, 0);
+        self.need_mark.resize(n, 0);
         self.dist_b.resize(n, f64::INFINITY);
         self.state_b.resize(n, 0);
         self.chain_vertex.resize(n, NO_VERTEX);
@@ -842,6 +939,9 @@ impl DijkstraEngine {
             // `reserve_exact` takes *additional* elements beyond the current
             // length, so subtract the length, not the capacity.
             self.ball_buf.reserve_exact(n - self.ball_buf.len());
+        }
+        if self.need_bounds.capacity() < n {
+            self.need_bounds.reserve_exact(n - self.need_bounds.len());
         }
     }
 
@@ -860,6 +960,7 @@ impl DijkstraEngine {
     /// ([`EngineStats::generation_wraps`] counts the crossings).
     fn reset_generation_stamps(&mut self) {
         self.state.iter_mut().for_each(|s| *s = 0);
+        self.need_mark.iter_mut().for_each(|s| *s = 0);
         self.state_b.iter_mut().for_each(|s| *s = 0);
         self.generation = 0;
         self.stats.generation_wraps += 1;
@@ -1060,6 +1161,37 @@ impl DijkstraEngine {
         }
     }
 
+    /// Records one settle at distance `d` against the stop rule and returns
+    /// whether it met the rule's last requirement. Amortized `O(1)`: one
+    /// mark check for the settled vertex, and each target's bound entry is
+    /// passed once.
+    #[inline]
+    fn settle_against(&mut self, rule: &mut StopRule, u: u32, d: f64, gen: u32) -> bool {
+        rule.settled += 1;
+        if rule.settled == rule.k {
+            rule.pending -= 1;
+        }
+        if rule.radius.is_some_and(|r| d >= r) {
+            rule.radius = None;
+            rule.pending -= 1;
+        }
+        if self.need_mark[u as usize] == gen {
+            self.need_mark[u as usize] = 0;
+            rule.pending -= 1;
+        }
+        while let Some(&(b, t)) = self.need_bounds.get(rule.next_bound) {
+            if b > d || b.is_nan() {
+                break;
+            }
+            rule.next_bound += 1;
+            if self.need_mark[t as usize] == gen {
+                self.need_mark[t as usize] = 0;
+                rule.pending -= 1;
+            }
+        }
+        rule.pending == 0
+    }
+
     /// The scalar search loop, monomorphized per heuristic. Settles
     /// vertices in non-decreasing distance order (heap ties by vertex id;
     /// see [`sort_settle_order`] for the rounding ties it misses); never
@@ -1068,15 +1200,20 @@ impl DijkstraEngine {
     /// early once `target` settles. When `collect` is set, the settle order
     /// is recorded in `ball_buf`.
     ///
-    /// `settle_limit` stops the search once its answer is fixed: after the
-    /// `settle_limit`-th settle at distance `D`, the search keeps going
-    /// through the ties at `D` and stops at the first pop whose key exceeds
-    /// `D` (`usize::MAX` never stops). Popped keys never decrease, so every
+    /// `rule` stops the search once its need is met: after the settle at
+    /// distance `D` that meets the last requirement (a target settled or
+    /// its bound reached, the `k`-th settle, the radius reached), the
+    /// search keeps going through the ties at `D` and stops at the first
+    /// pop whose key exceeds `D`. Popped keys never decrease, so every
     /// vertex at distance `≤ D` has settled by then, and settled distances
     /// and parents never change — the settled set is a prefix of the full
     /// search's settle order, bit for bit. The pop that stops the search is
     /// counted in `heap_pops`, before its staleness is checked, identically
     /// under both kernels.
+    ///
+    /// Returns the distance through which the settled set is complete for
+    /// a target-free search: `D` when the rule stopped it, `+∞` when the
+    /// queue ran dry (with an infinite `bound`, everything reachable).
     ///
     /// `source_pruned` is the heuristic's verdict at the source: if the
     /// landmarks already rule out a within-bound path (or prove the pair
@@ -1092,12 +1229,12 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        settle_limit: usize,
+        mut rule: StopRule,
         source_pruned: bool,
-    ) {
+    ) -> f64 {
         if source_pruned {
             self.stats.pruned_by_bound += 1;
-            return;
+            return f64::NEG_INFINITY;
         }
         // Tombstoned half-edges linger in the packed arrays until the next
         // re-pack; only then does the scan pay for the liveness check.
@@ -1113,12 +1250,11 @@ impl DijkstraEngine {
             vertex: source as u32,
         });
         self.last_frontier = self.last_frontier.max(queue.len());
-        let mut stop_key = initial_stop_key(settle_limit);
-        let mut settled = 0usize;
+        let mut stop_key = rule.stop_key;
         while let Some(HeapSlot { dist: d, vertex: u }) = queue.pop() {
             self.stats.heap_pops += 1;
             if d > stop_key {
-                break; // past the ties at the settle limit's distance
+                return stop_key; // past the ties at the need's distance
             }
             if self.state[u as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -1128,8 +1264,7 @@ impl DijkstraEngine {
             if collect {
                 self.ball_buf.push((VertexId(u as usize), d));
             }
-            settled += 1;
-            if settled == settle_limit {
+            if rule.pending != 0 && self.settle_against(&mut rule, u, d, gen) {
                 stop_key = d;
             }
             if Some(u) == target {
@@ -1146,6 +1281,7 @@ impl DijkstraEngine {
                 pending_deletions,
             );
         }
+        f64::INFINITY
     }
 
     /// The batched gather → filter → commit search: behaviorally identical
@@ -1183,10 +1319,12 @@ impl DijkstraEngine {
     ///    under intra-row mutation: distances only decrease, nothing
     ///    settles mid-row, and the bound comparison is static.
     ///
-    /// The settle limit stops the drain the way the target exit does: the
-    /// stop key is set when the limit-th row is *staged* (every staged row
-    /// commits), the drain never pops a key past it, and the outer pop of
-    /// such a key ends the search — the scalar loop's stopping pop.
+    /// The stop rule ends the drain the way the target exit does: each row
+    /// is counted against the rule when it is *staged* (every staged row
+    /// commits, in settle order), the stop key is set at the row that
+    /// meets the need, the drain never pops a key past it, and the outer
+    /// pop of such a key ends the search — the scalar loop's stopping pop.
+    /// The return value is the scalar loop's.
     #[allow(clippy::too_many_arguments)]
     fn search_batched<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
@@ -1197,12 +1335,12 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        settle_limit: usize,
+        mut rule: StopRule,
         source_pruned: bool,
-    ) {
+    ) -> f64 {
         if source_pruned {
             self.stats.pruned_by_bound += 1;
-            return;
+            return f64::NEG_INFINITY;
         }
         let pending_deletions = graph.has_pending_deletions();
         let liveness = graph.edge_liveness_words();
@@ -1237,8 +1375,8 @@ impl DijkstraEngine {
         let mut gather_weights = std::mem::take(&mut self.gather_weights);
         let mut rows = std::mem::take(&mut self.rows);
         let mut commit = std::mem::take(&mut self.commit);
-        let mut stop_key = initial_stop_key(settle_limit);
-        let mut staged = 0usize;
+        let mut stop_key = rule.stop_key;
+        let mut complete_through = f64::INFINITY;
         'outer: while let Some(HeapSlot {
             dist: d0,
             vertex: u0,
@@ -1246,7 +1384,8 @@ impl DijkstraEngine {
         {
             self.stats.heap_pops += 1;
             if d0 > stop_key {
-                break; // past the ties at the settle limit's distance
+                complete_through = stop_key;
+                break; // past the ties at the need's distance
             }
             if self.state[u0 as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -1273,8 +1412,7 @@ impl DijkstraEngine {
                 d0,
                 drained,
             );
-            staged += 1;
-            if staged == settle_limit {
+            if rule.pending != 0 && self.settle_against(&mut rule, u0, d0, gen) {
                 stop_key = d0;
             }
             while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
@@ -1301,8 +1439,7 @@ impl DijkstraEngine {
                     d,
                     drained,
                 );
-                staged += 1;
-                if staged == settle_limit {
+                if rule.pending != 0 && self.settle_against(&mut rule, u, d, gen) {
                     stop_key = d;
                 }
             }
@@ -1425,6 +1562,7 @@ impl DijkstraEngine {
         self.gather_weights = gather_weights;
         self.rows = rows;
         self.commit = commit;
+        complete_through
     }
 
     /// Routes one monomorphized search through the scalar or batched
@@ -1441,9 +1579,9 @@ impl DijkstraEngine {
         target: Option<u32>,
         bound: f64,
         collect: bool,
-        settle_limit: usize,
+        rule: StopRule,
         source_pruned: bool,
-    ) {
+    ) -> f64 {
         if batched {
             self.search_batched::<TRACK_PARENTS, H>(
                 queue,
@@ -1453,9 +1591,9 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
-                settle_limit,
+                rule,
                 source_pruned,
-            );
+            )
         } else {
             self.search::<TRACK_PARENTS, H>(
                 queue,
@@ -1465,17 +1603,49 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
-                settle_limit,
+                rule,
                 source_pruned,
-            );
+            )
+        }
+    }
+
+    /// Turns a need into the stop rule of the query that just began:
+    /// stamps its targets in `need_mark` and sorts their bounds into
+    /// `need_bounds`. No need, or an infinite radius, never stops.
+    fn stop_rule(&mut self, need: Option<&TreeNeed>) -> StopRule {
+        let Some(need) = need.filter(|need| need.radius < f64::INFINITY) else {
+            return StopRule::NEVER;
+        };
+        let gen = self.generation;
+        self.need_bounds.clear();
+        for (&t, &bound) in &need.targets {
+            self.need_mark[t.index()] = gen;
+            self.need_bounds.push((bound, t.index() as u32));
+        }
+        self.need_bounds
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let radius = (need.radius > f64::NEG_INFINITY).then_some(need.radius);
+        let pending = need.targets.len() + usize::from(need.k > 0) + usize::from(radius.is_some());
+        StopRule {
+            pending,
+            stop_key: if pending == 0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            },
+            settled: 0,
+            k: need.k,
+            radius,
+            next_bound: 0,
         }
     }
 
     /// Query entry point: validates, advances the generation, resolves the
-    /// kernel and the landmark heuristic, runs the monomorphized search, and
-    /// keeps the workspace-reuse accounting (a query is a reuse hit only if
-    /// **no** buffer — vertex arrays, the heap, the gather scratch, or the
-    /// landmark scratch — grew).
+    /// kernel, the need's stop rule and the landmark heuristic, runs the
+    /// monomorphized search, and keeps the workspace-reuse accounting (a
+    /// query is a reuse hit only if **no** buffer — vertex arrays, the heap,
+    /// the gather scratch, or the landmark scratch — grew). Returns the
+    /// search's complete-through distance (see [`DijkstraEngine::search`]).
     #[allow(clippy::too_many_arguments)]
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
@@ -1484,13 +1654,19 @@ impl DijkstraEngine {
         target: Option<VertexId>,
         bound: f64,
         collect: bool,
-        settle_limit: usize,
+        need: Option<&TreeNeed>,
         landmarks: Option<&Landmarks>,
-    ) {
+    ) -> f64 {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
         if let Some(t) = target {
             assert!(t.index() < n, "target vertex out of range");
+        }
+        if let Some(need) = need {
+            assert!(
+                need.targets.keys().all(|t| t.index() < n),
+                "need target out of range"
+            );
         }
         let target = target.map(|t| t.index() as u32);
         let bound = search_bound(bound);
@@ -1510,12 +1686,13 @@ impl DijkstraEngine {
             lm.copy_target_column(t as usize, &mut scratch);
         }
         grew |= self.begin_query(n);
+        let rule = self.stop_rule(need);
         let s = source.index();
         let batched = self.use_batched_kernel(graph);
         let gather_cap = self.gather_capacity_signature();
         let mut heap = std::mem::take(&mut self.heap);
         let heap_cap = heap.capacity();
-        match lm {
+        let complete_through = match lm {
             None => self.search_dispatch::<TRACK_PARENTS, _>(
                 batched,
                 &mut heap,
@@ -1525,7 +1702,7 @@ impl DijkstraEngine {
                 target,
                 bound,
                 collect,
-                settle_limit,
+                rule,
                 false,
             ),
             Some(lm) => {
@@ -1540,11 +1717,11 @@ impl DijkstraEngine {
                     target,
                     bound,
                     collect,
-                    settle_limit,
+                    rule,
                     source_pruned,
-                );
+                )
             }
-        }
+        };
         let reused = heap.capacity() == heap_cap;
         self.heap = heap;
         let reused = reused && self.gather_capacity_signature() == gather_cap;
@@ -1553,6 +1730,7 @@ impl DijkstraEngine {
         if !grew && reused {
             self.stats.reuse_hits += 1;
         }
+        complete_through
     }
 
     /// Distance between `source` and `target` if it is at most `bound`,
@@ -1586,7 +1764,7 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> (Option<f64>, usize) {
-        self.run_query::<false>(graph, source, Some(target), bound, false, usize::MAX, None);
+        self.run_query::<false>(graph, source, Some(target), bound, false, None, None);
         (self.extract_target(target, bound), self.last_frontier)
     }
 
@@ -1629,7 +1807,7 @@ impl DijkstraEngine {
             Some(target),
             bound,
             false,
-            usize::MAX,
+            None,
             Some(landmarks),
         );
         self.extract_target(target, bound)
@@ -1703,7 +1881,7 @@ impl DijkstraEngine {
                 Some(t),
                 bound,
                 false,
-                usize::MAX,
+                StopRule::NEVER,
                 false,
             );
             self.extract_target(target, bound).is_some()
@@ -1963,7 +2141,7 @@ impl DijkstraEngine {
         graph: &CsrGraph,
         source: VertexId,
     ) -> EngineTree<'a> {
-        self.run_query::<true>(graph, source, None, f64::INFINITY, false, usize::MAX, None);
+        self.run_query::<true>(graph, source, None, f64::INFINITY, false, None, None);
         EngineTree {
             num_vertices: graph.num_vertices(),
             engine: self,
@@ -1971,23 +2149,37 @@ impl DijkstraEngine {
         }
     }
 
-    /// Runs a full single-source search and returns the resulting
-    /// shortest-path tree as an owned [`SptTree`] that outlives the engine —
-    /// the form a shortest-path-tree cache stores. Distances and parents
-    /// are copied verbatim from the search, so every [`SptTree`] accessor
-    /// returns **bit-identical** results to the corresponding
+    /// Runs a single-source search until `need` is met and returns the
+    /// settled prefix of the shortest-path tree as an owned [`SptTree`]
+    /// that outlives the engine — the form a shortest-path-tree cache
+    /// stores. [`TreeNeed::everything`] gives the whole tree.
+    ///
+    /// The search stops after the settle that meets the need's last
+    /// requirement, at distance `D`, once the ties at `D` have settled (see
+    /// [`DijkstraEngine::ball`] for why that is exact): the tree holds
+    /// every vertex at distance `≤ D` with its full-tree distance and
+    /// parent, bit for bit, and [`SptTree::complete_through`] reports `D`
+    /// (`+∞` when the search ran out of vertices first). Such a tree
+    /// [`SptTree::covers`] `need`. Its accessors answer exactly what the
+    /// prefix covers and report everything else as not covered, so every
+    /// covered answer is bit-identical to the corresponding
     /// [`EngineTree`] accessor of [`DijkstraEngine::shortest_path_tree`].
     ///
-    /// The tree is filled from the search's settle order, which is already
-    /// the member list's `(distance, vertex)` order up to rounding ties
-    /// ([`DijkstraEngine::ball`]): building it costs `O(n)` plus the
-    /// reached vertices, not a scan-and-sort.
+    /// The member list is the search's settle order, already
+    /// `(distance, vertex)` order up to rounding ties: building the tree
+    /// costs `O(n)` plus the settled vertices, not a scan-and-sort.
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
-    pub fn owned_shortest_path_tree(&mut self, graph: &CsrGraph, source: VertexId) -> SptTree {
-        self.run_query::<true>(graph, source, None, f64::INFINITY, true, usize::MAX, None);
+    /// Panics if `source` or a target of `need` is out of range.
+    pub fn owned_shortest_path_tree(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        need: &TreeNeed,
+    ) -> SptTree {
+        let complete_through =
+            self.run_query::<true>(graph, source, None, f64::INFINITY, true, Some(need), None);
         let n = graph.num_vertices();
         let mut dist = vec![f64::INFINITY; n];
         let mut parent = vec![NO_VERTEX; n];
@@ -2002,6 +2194,7 @@ impl DijkstraEngine {
             dist,
             parent,
             members,
+            complete_through,
         }
     }
 
@@ -2027,7 +2220,7 @@ impl DijkstraEngine {
             Some(target),
             f64::INFINITY,
             false,
-            usize::MAX,
+            None,
             None,
         );
         let distance = self.extract_target(target, f64::INFINITY)?;
@@ -2055,17 +2248,18 @@ impl DijkstraEngine {
     ///
     /// **Tie handling.** Vertices at equal distance appear in ascending
     /// vertex-id order, identically under every [`RelaxKernel`] setting and
-    /// in [`SptTree::members`]. The heap pops ties in vertex-id order, but
-    /// a rounding tie (an edge with `fl(d + w) = d`) can settle a smaller
-    /// id after a larger one at the same distance; the settle buffer is
-    /// re-sorted in place in that case only (an `O(n)` check otherwise).
+    /// in [`SptTree::members_within`]. The heap pops ties in vertex-id
+    /// order, but a rounding tie (an edge with `fl(d + w) = d`) can settle
+    /// a smaller id after a larger one at the same distance; the settle
+    /// buffer is re-sorted in place in that case only (an `O(n)` check
+    /// otherwise).
     ///
     /// # Panics
     ///
     /// Panics if `source` is out of range or `radius` is negative.
     pub fn ball(&mut self, graph: &CsrGraph, source: VertexId, radius: f64) -> &[(VertexId, f64)] {
         assert!(radius >= 0.0, "ball radius must be non-negative");
-        self.run_query::<false>(graph, source, None, radius, true, usize::MAX, None);
+        self.run_query::<false>(graph, source, None, radius, true, None, None);
         sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
@@ -2092,7 +2286,11 @@ impl DijkstraEngine {
         source: VertexId,
         k: usize,
     ) -> &[(VertexId, f64)] {
-        self.run_query::<false>(graph, source, None, f64::INFINITY, true, k, None);
+        let need = TreeNeed {
+            k,
+            ..TreeNeed::new()
+        };
+        self.run_query::<false>(graph, source, None, f64::INFINITY, true, Some(&need), None);
         sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
@@ -2198,28 +2396,39 @@ impl EngineTree<'_> {
     }
 }
 
-/// An owned shortest-path tree: the cacheable counterpart of the borrowed
-/// [`EngineTree`] view, produced by
+/// An owned shortest-path tree, or a prefix of one: the cacheable
+/// counterpart of the borrowed [`EngineTree`] view, produced by
 /// [`DijkstraEngine::owned_shortest_path_tree`].
 ///
-/// A serving layer computes a source's tree once and then answers every
-/// query about that source from the tree — distance lookups are `O(1)`,
-/// path reconstruction is `O(path length)`, and ball / k-nearest answers
-/// are filters over the stored distances. All accessors return bit-identical
-/// results to a fresh engine query from the same source (the determinism
-/// contract a query cache relies on).
+/// A serving layer computes a source's tree once and then answers queries
+/// about that source from it — distance lookups are `O(1)`, path
+/// reconstruction is `O(path length)`, and ball / k-nearest answers are
+/// prefix reads of the sorted member list.
+///
+/// **Prefix trees.** A tree built for a [`TreeNeed`] holds only the
+/// vertices at distance `≤` [`SptTree::complete_through`] (`D`); a vertex
+/// past `D` is absent, not unreachable. Every accessor therefore returns
+/// `None` for a question the prefix does not cover — the caller must
+/// search instead — and `Some(answer)` otherwise, where the answer is
+/// bit-identical to a fresh engine query from the same source (the
+/// determinism contract a query cache relies on). A tree with `D = ∞` is
+/// the whole tree and covers every question.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SptTree {
     source: VertexId,
-    /// Distance from the source per vertex; `f64::INFINITY` = unreachable.
+    /// Distance from the source per member; `f64::INFINITY` for every
+    /// other vertex.
     dist: Vec<f64>,
-    /// Predecessor per vertex on its shortest path; `NO_VERTEX` for the
-    /// source and for unreachable vertices.
+    /// Predecessor per member on its shortest path; `NO_VERTEX` for the
+    /// source and for every non-member.
     parent: Vec<u32>,
-    /// Every reached vertex with its distance, sorted by
-    /// `(distance, vertex)` — the engine's settle order, pre-computed so
-    /// ball and k-nearest answers are prefix reads.
+    /// Every member with its distance, sorted by `(distance, vertex)` —
+    /// the engine's settle order, pre-computed so ball and k-nearest
+    /// answers are prefix reads.
     members: Vec<(VertexId, f64)>,
+    /// Every vertex at distance `≤ complete_through` is a member; `+∞` for
+    /// a whole tree, `-∞` for an empty one.
+    complete_through: f64,
 }
 
 impl SptTree {
@@ -2233,86 +2442,117 @@ impl SptTree {
         self.dist.len()
     }
 
-    /// Approximate heap footprint of this tree, for cache sizing.
+    /// The distance through which this prefix is complete: every vertex at
+    /// distance `≤` it is a member, with its full-tree distance and parent.
+    /// `+∞` for a whole tree.
+    pub fn complete_through(&self) -> f64 {
+        self.complete_through
+    }
+
+    /// Heap footprint of this tree, for cache sizing: 12 bytes per graph
+    /// vertex (the dense distance and parent arrays) plus 16 per member.
+    /// A prefix tree's member term is that of its prefix, so ~28 bytes per
+    /// vertex is the whole tree's upper bound.
     pub fn memory_bytes(&self) -> usize {
         self.dist.len() * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
             + self.members.len() * std::mem::size_of::<(VertexId, f64)>()
     }
 
-    /// Distance from the source to `v`, or `None` if `v` is unreachable.
+    /// The distance from the source to `v` if it is at most `bound`:
+    /// `Some(Some(d))` within the bound, `Some(None)` beyond it or
+    /// unreachable, and `None` when the prefix cannot tell (`v` is not a
+    /// member and `complete_through < bound`).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[inline]
-    pub fn distance(&self, v: VertexId) -> Option<f64> {
+    pub fn distance_within(&self, v: VertexId, bound: f64) -> Option<Option<f64>> {
         let d = self.dist[v.index()];
-        d.is_finite().then_some(d)
+        if d.is_finite() {
+            Some((d <= bound).then_some(d))
+        } else {
+            // A non-member lies past `complete_through`: beyond any bound
+            // the prefix has reached.
+            (self.complete_through >= bound).then_some(None)
+        }
     }
 
-    /// Reconstructs the shortest path from the source to `target` (source
-    /// first), or `None` if unreachable.
+    /// The distance from the source to `v` (`Some(None)` if unreachable),
+    /// or `None` if `v` lies past the prefix — [`SptTree::distance_within`]
+    /// at an infinite bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn distance(&self, v: VertexId) -> Option<Option<f64>> {
+        self.distance_within(v, f64::INFINITY)
+    }
+
+    /// The shortest path from the source to `target` (source first) with
+    /// its distance — `Some(None)` if unreachable, `None` if `target` lies
+    /// past the prefix.
     ///
     /// # Panics
     ///
     /// Panics if `target` is out of range.
-    pub fn path_to(&self, target: VertexId) -> Option<Vec<VertexId>> {
-        self.distance(target)?;
-        let mut path = vec![target];
-        let mut cur = target.index() as u32;
-        while self.parent[cur as usize] != NO_VERTEX {
-            cur = self.parent[cur as usize];
-            path.push(VertexId(cur as usize));
-        }
-        path.reverse();
-        Some(path)
+    pub fn shortest_path(&self, target: VertexId) -> Option<Option<(f64, Vec<VertexId>)>> {
+        Some(self.distance(target)?.map(|distance| {
+            let mut path = vec![target];
+            let mut cur = target.index() as u32;
+            while self.parent[cur as usize] != NO_VERTEX {
+                cur = self.parent[cur as usize];
+                path.push(VertexId(cur as usize));
+            }
+            path.reverse();
+            (distance, path)
+        }))
     }
 
     /// Every vertex within distance `radius` of the source, with its
     /// distance, in non-decreasing `(distance, vertex)` order — the same
-    /// order (and the same values, bit for bit) as
-    /// [`DijkstraEngine::ball`] from this source. `O(log n)` to locate the
-    /// prefix plus the output copy (the member list is stored sorted).
-    pub fn members_within(&self, radius: f64) -> Vec<(VertexId, f64)> {
+    /// list, bit for bit, as [`DijkstraEngine::ball`] from this source — or
+    /// `None` if `radius` exceeds [`SptTree::complete_through`]. Located
+    /// by a binary search on the sorted member list.
+    pub fn members_within(&self, radius: f64) -> Option<&[(VertexId, f64)]> {
         // Distance is the primary sort key, so the within-radius members
         // are exactly a prefix of the stored list.
-        let end = self.members.partition_point(|&(_, d)| d <= radius);
-        self.members[..end].to_vec()
+        (radius <= self.complete_through)
+            .then(|| &self.members[..self.members.partition_point(|&(_, d)| d <= radius)])
     }
 
-    /// The `k` vertices nearest to the source (the source itself first, at
-    /// distance 0), in non-decreasing `(distance, vertex)` order. Fewer than
-    /// `k` entries are returned when the source's component is smaller.
-    ///
-    /// **Tie handling.** Equal-distance vertices are ordered by ascending
-    /// vertex id, so the truncation point at a distance tie is
-    /// deterministic and identical across relax kernels (see
-    /// [`DijkstraEngine::ball`]).
-    pub fn k_nearest(&self, k: usize) -> Vec<(VertexId, f64)> {
-        self.members[..k.min(self.members.len())].to_vec()
-    }
-
-    /// The `k` nearest members plus every further member tied with the
+    /// The `k` nearest vertices plus every further vertex tied with the
     /// `k`-th at its distance — the same list, bit for bit, as
-    /// [`DijkstraEngine::k_nearest_with_ties`] from this source, located by
-    /// a binary search on the sorted member list.
-    pub fn k_nearest_with_ties(&self, k: usize) -> &[(VertexId, f64)] {
+    /// [`DijkstraEngine::k_nearest_with_ties`] from this source — or `None`
+    /// if the prefix holds fewer than `k` members and is not the whole
+    /// tree. The `k`-th member's ties are members: they lie at or below
+    /// `complete_through`.
+    pub fn k_nearest_with_ties(&self, k: usize) -> Option<&[(VertexId, f64)]> {
         let end = match k {
             0 => 0,
-            k if k >= self.members.len() => self.members.len(),
+            k if k > self.members.len() => {
+                if self.complete_through < f64::INFINITY {
+                    return None;
+                }
+                self.members.len()
+            }
             k => {
                 let kth = self.members[k - 1].1;
                 self.members.partition_point(|&(_, d)| d <= kth)
             }
         };
-        &self.members[..end]
+        Some(&self.members[..end])
     }
 
-    /// The full reachable member list in non-decreasing `(distance, vertex)`
-    /// order — everything [`SptTree::members_within`] /
-    /// [`SptTree::k_nearest`] truncate from, without the copy.
-    pub fn members(&self) -> &[(VertexId, f64)] {
-        &self.members
+    /// Whether this tree answers every question `need` describes — what a
+    /// tree built for `need` always does.
+    pub fn covers(&self, need: &TreeNeed) -> bool {
+        need.targets
+            .iter()
+            .all(|(&t, &bound)| self.distance_within(t, bound).is_some())
+            && self.k_nearest_with_ties(need.k).is_some()
+            && need.radius <= self.complete_through
     }
 }
 
@@ -2558,18 +2798,20 @@ mod tests {
         let g = diamond();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0));
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
         let tree = e.shortest_path_tree(&csr, VertexId(0));
         assert_eq!(owned.source(), VertexId(0));
         assert_eq!(owned.num_vertices(), 4);
-        for v in 0..4 {
-            assert_eq!(owned.distance(VertexId(v)), tree.distance(VertexId(v)));
-            assert_eq!(owned.path_to(VertexId(v)), tree.path_to(VertexId(v)));
+        assert_eq!(owned.complete_through(), f64::INFINITY);
+        for v in (0..4).map(VertexId) {
+            assert_eq!(owned.distance(v), Some(tree.distance(v)));
+            let path = tree.path_to(v).map(|p| (tree.distance(v).unwrap(), p));
+            assert_eq!(owned.shortest_path(v), Some(path));
         }
         assert!(owned.memory_bytes() >= 4 * 12);
         // The owned tree outlives further engine queries.
         e.bounded_distance(&csr, VertexId(1), VertexId(3), 10.0);
-        assert_eq!(owned.distance(VertexId(3)), Some(4.0));
+        assert_eq!(owned.distance(VertexId(3)), Some(Some(4.0)));
     }
 
     #[test]
@@ -2587,24 +2829,26 @@ mod tests {
         .unwrap();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0));
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
         for radius in [0.0, 1.0, 2.0, 2.5, 100.0, f64::INFINITY] {
             let expected = e.ball(&csr, VertexId(0), radius).to_vec();
-            assert_eq!(owned.members_within(radius), expected, "radius {radius}");
+            assert_eq!(
+                owned.members_within(radius),
+                Some(&expected[..]),
+                "radius {radius}"
+            );
         }
         // Unreachable vertices never appear, even at radius infinity.
-        assert!(owned
-            .members_within(f64::INFINITY)
-            .iter()
-            .all(|&(v, _)| v != VertexId(5)));
-        assert_eq!(owned.distance(VertexId(5)), None);
-        assert_eq!(owned.path_to(VertexId(5)), None);
+        let all = owned.members_within(f64::INFINITY).unwrap();
+        assert!(all.iter().all(|&(v, _)| v != VertexId(5)));
+        assert_eq!(owned.distance(VertexId(5)), Some(None));
+        assert_eq!(owned.shortest_path(VertexId(5)), Some(None));
         // k-nearest is the sorted prefix; oversized k returns the component.
-        let all = owned.members_within(f64::INFINITY);
-        assert_eq!(owned.k_nearest(3), all[..3].to_vec());
-        assert_eq!(owned.k_nearest(0), vec![]);
-        assert_eq!(owned.k_nearest(100), all);
-        assert_eq!(owned.k_nearest(1), vec![(VertexId(0), 0.0)]);
+        let nearest = |k: usize| owned.k_nearest_with_ties(k).unwrap();
+        assert_eq!(&nearest(3)[..3], &all[..3]);
+        assert_eq!(nearest(0), &[]);
+        assert_eq!(nearest(100), all);
+        assert_eq!(nearest(1), &[(VertexId(0), 0.0)]);
     }
 
     #[test]
@@ -2965,14 +3209,13 @@ mod tests {
         let mut batched = DijkstraEngine::new();
         batched.set_relax_kernel(RelaxKernel::Batched);
         for s in 0..n {
-            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s));
-            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s));
+            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything());
+            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s), &TreeNeed::everything());
             for v in 0..n {
-                assert_eq!(st.distance(VertexId(v)), bt.distance(VertexId(v)));
                 assert_eq!(
-                    st.path_to(VertexId(v)),
-                    bt.path_to(VertexId(v)),
-                    "parent chains must agree from {s} to {v}"
+                    st.shortest_path(VertexId(v)),
+                    bt.shortest_path(VertexId(v)),
+                    "distances and parent chains must agree from {s} to {v}"
                 );
             }
         }
@@ -3058,10 +3301,8 @@ mod tests {
             assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
             assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
             assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
-            assert_eq!(
-                e.owned_shortest_path_tree(&csr, VertexId(0)).members(),
-                &expected[..]
-            );
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
+            assert_eq!(tree.members_within(f64::INFINITY), Some(&expected[..]));
         }
     }
 
@@ -3166,6 +3407,7 @@ mod tests {
             dist,
             parent,
             members,
+            complete_through: f64::INFINITY,
         }
     }
 
@@ -3176,13 +3418,161 @@ mod tests {
             let mut engines = scalar_and_batched();
             for s in (0..g.num_vertices()).map(VertexId) {
                 let [a, b] = engines.each_mut().map(|e| {
-                    let owned = e.owned_shortest_path_tree(&csr, s);
+                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
                     (owned, scan_and_sort(&e.shortest_path_tree(&csr, s)))
                 });
                 assert_eq!(a, b, "graph {i} s={s:?}: kernels disagree");
                 assert_eq!(a.0, a.1, "graph {i} s={s:?}");
             }
             assert_kernels_counted_alike(&engines);
+        }
+    }
+
+    /// Needs that probe every stop trigger from `s`, built from its full
+    /// tree: nothing; each k; each radius at and between reached
+    /// distances; each target unbounded, at its exact distance and just
+    /// below it; and mixes of the three.
+    fn probe_needs(full: &SptTree, n: usize) -> Vec<TreeNeed> {
+        let all = full.members_within(f64::INFINITY).unwrap();
+        let mut needs = vec![TreeNeed::new()];
+        for k in [1, 2, n / 2, n + 1] {
+            let mut need = TreeNeed::new();
+            need.add_k_nearest(k);
+            needs.push(need);
+        }
+        for &(_, d) in all.iter().step_by(3) {
+            for radius in [d, d * 1.5 + 0.5] {
+                let mut need = TreeNeed::new();
+                need.add_radius(radius);
+                needs.push(need);
+            }
+        }
+        for t in (0..n).map(VertexId) {
+            let exact = full.distance(t).unwrap();
+            for bound in [Some(f64::INFINITY), exact, exact.map(|d| d * 0.5)] {
+                let mut need = TreeNeed::new();
+                need.add_target(t, bound.unwrap_or(1.0));
+                if t.index() % 3 == 0 {
+                    need.add_k_nearest(t.index() % 5);
+                    need.add_radius(exact.unwrap_or(2.0) * 0.5);
+                    need.add_target(VertexId((t.index() + 7) % n), 2.0);
+                }
+                needs.push(need);
+            }
+        }
+        needs
+    }
+
+    #[test]
+    fn prefix_trees_are_the_full_tree_through_complete_through() {
+        for (i, g) in stop_rule_graphs().iter().enumerate() {
+            let csr = CsrGraph::from(g);
+            let n = g.num_vertices();
+            let mut engines = scalar_and_batched();
+            let mut reference = DijkstraEngine::new();
+            for s in (0..n).map(VertexId) {
+                let full = reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+                let all = full.members_within(f64::INFINITY).unwrap();
+                for need in probe_needs(&full, n) {
+                    let [a, b] = engines
+                        .each_mut()
+                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need));
+                    assert_eq!(a, b, "graph {i} s={s:?} {need:?}: kernels disagree");
+                    let at = format!("graph {i} s={s:?} {need:?}");
+                    let d = a.complete_through();
+                    assert!(a.covers(&need), "{at}: a tree must cover its own need");
+                    // Exactly the full tree's members at distance <= D.
+                    let through: Vec<_> = all.iter().copied().filter(|m| m.1 <= d).collect();
+                    assert_eq!(a.members, through, "{at}");
+                    assert_eq!(a.members_within(d), Some(&through[..]), "{at}");
+                    // Every covered answer is the full tree's, bit for bit.
+                    for v in (0..n).map(VertexId) {
+                        if let Some(path) = a.shortest_path(v) {
+                            assert_eq!(Some(path), full.shortest_path(v), "{at} v={v:?}");
+                        }
+                        for bound in [0.0, 1.0, 2.5, d, f64::INFINITY] {
+                            if let Some(got) = a.distance_within(v, bound) {
+                                assert_eq!(Some(got), full.distance_within(v, bound), "{at}");
+                            }
+                        }
+                    }
+                    for k in 0..=n + 1 {
+                        if let Some(got) = a.k_nearest_with_ties(k) {
+                            assert_eq!(Some(got), full.k_nearest_with_ties(k), "{at} k={k}");
+                        }
+                    }
+                }
+            }
+            assert_kernels_counted_alike(&engines);
+        }
+    }
+
+    #[test]
+    fn prefix_coverage_holds_exactly_at_each_boundary() {
+        // A unit path 0-1-…-5, a star 6-{7, 8, 9} with 9-10 hanging off
+        // it, and an isolated vertex 11.
+        let mut edges: Vec<(usize, usize, f64)> = (1..6).map(|v| (v - 1, v, 1.0)).collect();
+        edges.extend([(6, 7, 1.0), (6, 8, 1.0), (6, 9, 1.0), (9, 10, 1.0)]);
+        let csr = CsrGraph::from(&WeightedGraph::from_edges(12, edges).unwrap());
+        let need = |targets: &[(usize, f64)], k: usize, radius: f64| {
+            let mut need = TreeNeed::new();
+            for &(t, bound) in targets {
+                need.add_target(VertexId(t), bound);
+            }
+            need.add_k_nearest(k);
+            need.add_radius(radius);
+            need
+        };
+        let none = f64::NEG_INFINITY;
+        for mut e in scalar_and_batched() {
+            // bound = D: target 5 lies past the bound, resolved at the
+            // settle of 3 (d = 3); the prefix stops at the pop of 4.
+            let before = e.stats();
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none));
+            assert_eq!(e.stats().settled_vertices - before.settled_vertices, 4);
+            assert_eq!(e.stats().heap_pops - before.heap_pops, 5);
+            assert_eq!(tree.complete_through(), 3.0);
+            assert_eq!(tree.distance_within(VertexId(5), 3.0), Some(None));
+            assert_eq!(tree.distance_within(VertexId(3), 3.0), Some(Some(3.0)));
+            assert_eq!(tree.distance_within(VertexId(5), 3.5), None);
+            assert_eq!(tree.distance(VertexId(5)), None);
+            assert_eq!(tree.shortest_path(VertexId(4)), None);
+            // radius = D.
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0));
+            assert_eq!(tree.complete_through(), 2.0);
+            assert_eq!(tree.members_within(2.0).map(<[_]>::len), Some(3));
+            assert_eq!(tree.members_within(2.0 + 1e-9), None);
+            assert_eq!(tree.k_nearest_with_ties(3).map(<[_]>::len), Some(3));
+            assert_eq!(tree.k_nearest_with_ties(4), None);
+            // The k-th vertex ties at D: k = 2 from the star's centre
+            // settles 7 at d = 1, then drains the ties 8 and 9.
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none));
+            assert_eq!(tree.complete_through(), 1.0);
+            let star = [(6, 0.0), (7, 1.0), (8, 1.0), (9, 1.0)].map(|(v, d)| (VertexId(v), d));
+            for k in 2..=4 {
+                assert_eq!(tree.k_nearest_with_ties(k), Some(&star[..]), "k={k}");
+            }
+            assert_eq!(tree.k_nearest_with_ties(5), None);
+            assert_eq!(tree.distance(VertexId(10)), None);
+            // An unreachable target: the search runs dry, D = ∞, and the
+            // prefix is the whole component.
+            let tree = e.owned_shortest_path_tree(
+                &csr,
+                VertexId(6),
+                &need(&[(11, f64::INFINITY)], 0, none),
+            );
+            assert_eq!(tree.complete_through(), f64::INFINITY);
+            assert_eq!(tree.distance(VertexId(11)), Some(None));
+            assert_eq!(tree.shortest_path(VertexId(11)), Some(None));
+            assert_eq!(tree.k_nearest_with_ties(100).map(<[_]>::len), Some(5));
+            assert!(tree.covers(&TreeNeed::everything()));
+            // Nothing needed: nothing settles, nothing is covered but k = 0.
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new());
+            assert_eq!(tree.complete_through(), f64::NEG_INFINITY);
+            assert_eq!(tree.distance(VertexId(0)), None);
+            assert_eq!(tree.members_within(0.0), None);
+            assert_eq!(tree.k_nearest_with_ties(0), Some(&[][..]));
+            assert!(!tree.covers(&need(&[], 1, none)));
         }
     }
 

@@ -151,7 +151,7 @@ pub use builder::GraphBuilder;
 pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, DeltaOverlay, VertexPerm};
 pub use engine::{
     path_rounding_margin, DijkstraEngine, EngineStats, EngineTree, KernelStats, RelaxKernel,
-    SptTree,
+    SptTree, TreeNeed,
 };
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, VertexId, WeightedGraph};

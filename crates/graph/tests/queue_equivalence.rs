@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_graph::dijkstra::{ball, bounded_distance};
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EdgeId, Landmarks, RelaxKernel, VertexId, WeightedGraph,
+    CsrGraph, DijkstraEngine, EdgeId, Landmarks, RelaxKernel, TreeNeed, VertexId, WeightedGraph,
 };
 
 /// Graph families whose weight distributions stress the cohort drain
@@ -120,11 +120,11 @@ proptest! {
         let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
         prop_assert_eq!(&scalar_ball, &drain_ball);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = scalar.owned_shortest_path_tree(&csr, s);
+        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
         for k in 0..=scalar_ball.len() {
-            prop_assert_eq!(&tree.k_nearest(k)[..], &scalar_ball[..k]);
+            prop_assert_eq!(&tree.k_nearest_with_ties(k).unwrap()[..k], &scalar_ball[..k]);
         }
-        prop_assert_eq!(tree.members(), &scalar_ball[..]);
+        prop_assert_eq!(tree.members_within(f64::INFINITY), Some(&scalar_ball[..]));
     }
 
     /// Shortest-path trees agree across pop disciplines after the engines
@@ -147,11 +147,13 @@ proptest! {
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s);
-        let drain_tree = drain.owned_shortest_path_tree(&csr, s);
+        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
         for v in 0..n {
-            prop_assert_eq!(scalar_tree.distance(VertexId(v)), drain_tree.distance(VertexId(v)));
-            prop_assert_eq!(scalar_tree.path_to(VertexId(v)), drain_tree.path_to(VertexId(v)));
+            prop_assert_eq!(
+                scalar_tree.shortest_path(VertexId(v)),
+                drain_tree.shortest_path(VertexId(v))
+            );
         }
     }
 

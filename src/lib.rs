@@ -291,7 +291,7 @@ pub mod prelude {
     pub use greedy_spanner::{PersistError, Recovered, RecoveryReport};
     pub use spanner_graph::{
         CsrGraph, CsrSnapshot, DeltaOverlay, DijkstraEngine, EnginePool, EngineStats, GraphBuilder,
-        SptTree, VertexId, WeightedGraph,
+        SptTree, TreeNeed, VertexId, WeightedGraph,
     };
     pub use spanner_metric::{EuclideanSpace, MetricSpace, Point};
 }

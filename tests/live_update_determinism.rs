@@ -76,19 +76,36 @@ fn rebuilt_reference(server: &SpannerServer) -> SpannerServer {
         .finish()
 }
 
+/// A 6-round query/update stream over `g` with at least one update round:
+/// the generator draws each round's kind at random (about 1 stream in 64
+/// has no update), so seeds after `workload_seed` are tried in turn until
+/// one has.
+fn stream_with_updates(g: &WeightedGraph, workload_seed: u64) -> Vec<StreamEvent> {
+    (0..64)
+        .map(|i| {
+            LiveWorkload::new(g.num_vertices())
+                .expect("valid universe")
+                .update_fraction(0.5)
+                .expect("valid fraction")
+                .rounds(6)
+                .queries_per_batch(40)
+                .updates_per_batch(5)
+                .weights(0.05, 20.0)
+                .expect("valid range")
+                .bound(1e6)
+                .seed(workload_seed.wrapping_add(i))
+                .generate(g)
+        })
+        .find(|stream| {
+            stream
+                .iter()
+                .any(|event| matches!(event, StreamEvent::Updates(_)))
+        })
+        .expect("64 consecutive seeds without an update round")
+}
+
 fn assert_stream_equivalence(g: &WeightedGraph, t: f64, workload_seed: u64) {
-    let stream = LiveWorkload::new(g.num_vertices())
-        .expect("valid universe")
-        .update_fraction(0.5)
-        .expect("valid fraction")
-        .rounds(6)
-        .queries_per_batch(40)
-        .updates_per_batch(5)
-        .weights(0.05, 20.0)
-        .expect("valid range")
-        .bound(1e6)
-        .seed(workload_seed)
-        .generate(g);
+    let stream = stream_with_updates(g, workload_seed);
     for threads in THREAD_COUNTS {
         for cache in CACHE_CAPACITIES {
             let mut server = live_for(g, t)

@@ -4,14 +4,20 @@
 //! {1, 2, 8} and across cache states (disabled / small / large, cold and
 //! warm) — a cache hit may never change a result. Adversarial graphs
 //! (extreme magnitudes, rounding ties, disconnected, two vertices) run the
-//! same contract on identity-layout, reordered and live servers.
+//! same contract on identity-layout, reordered and live servers, after a
+//! narrow batch has cached small prefix trees.
 
+mod common;
+
+use std::collections::HashMap;
+
+use common::{adversarial_graph, ADVERSARIAL_FAMILIES};
 use greedy_spanner::serve::{Answer, PathAnswer, Query, SpannerServer, StretchSample};
 use greedy_spanner::workload::QueryWorkload;
 use greedy_spanner::Spanner;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use spanner_graph::dijkstra;
 use spanner_graph::generators::erdos_renyi_connected;
 use spanner_graph::{VertexId, WeightedGraph};
@@ -295,39 +301,6 @@ fn rounding_ties_answer_alike_cold_and_warm() {
     }
 }
 
-/// Adversarial graph families for the server contract:
-///
-/// 0. weights of `1e300`, `1e-300` and `~1` mixed (sums that absorb the
-///    light edges, and distances spanning 600 orders of magnitude);
-/// 1. rounding ties: `1e17` edges mixed with edges of 1 and 3, which
-///    vanish when added to `1e17` — equal distances reached in a settle
-///    order that is not vertex-id order;
-/// 2. disconnected: two random components and an isolated vertex, so
-///    targets are unreachable and `k` exceeds the component size;
-/// 3. two vertices, joined by an edge or not.
-fn adversarial_graph(family: usize, n: usize, rng: &mut SmallRng) -> WeightedGraph {
-    let weight = |rng: &mut SmallRng| match family {
-        0 => [1e300, 1e-300, rng.gen_range(1.0..2.0)][rng.gen_range(0..3usize)],
-        1 => [1e17, 1.0, 3.0][rng.gen_range(0..3usize)],
-        _ => rng.gen_range(1.0..4.0f64).floor(),
-    };
-    let n = if family == 3 { 2 } else { n };
-    let mut g = WeightedGraph::new(n);
-    // Disconnected graphs split the vertices at `n / 2` and leave the last
-    // one isolated; the others form one random graph over all vertices.
-    let split = if family == 2 { n / 2 } else { n };
-    let end = if family == 2 { n - 1 } else { n };
-    for u in 0..end {
-        for v in (u + 1)..end {
-            if (u < split) == (v < split) && rng.gen_bool(0.3) {
-                let w = weight(rng);
-                g.add_edge(VertexId(u), VertexId(v), w);
-            }
-        }
-    }
-    g
-}
-
 /// A query mix that probes every answer boundary of every source: k of 0,
 /// 1, 2, half the graph and beyond the graph; balls of radius 0, `∞` and
 /// exactly a reached distance; bounded distances at exactly the distance;
@@ -356,6 +329,26 @@ fn boundary_queries(spanner: &WeightedGraph) -> Vec<Query> {
     queries
 }
 
+/// A narrow batch that admits small prefixes: per source its nearest
+/// vertex, its zero-radius ball and a distance bounded at half the
+/// target's distance — three queries, past the admission threshold.
+fn narrow_queries(spanner: &WeightedGraph) -> Vec<Query> {
+    let n = spanner.num_vertices();
+    (0..n)
+        .map(VertexId)
+        .flat_map(|s| {
+            let t = VertexId(n - 1 - s.index());
+            let half =
+                dijkstra::bounded_distance(spanner, s, t, f64::INFINITY).map_or(1.0, |d| d / 2.0);
+            [
+                Query::k_nearest(s, 1),
+                Query::ball(s, 0.0),
+                Query::distance(s, t, half),
+            ]
+        })
+        .collect()
+}
+
 /// `path` runs from its first to its last vertex along spanner edges, and
 /// its left-to-right weight sum — the order every search adds in — is
 /// exactly its reported distance.
@@ -374,15 +367,74 @@ fn assert_is_shortest_path(spanner: &WeightedGraph, path: &PathAnswer, context: 
     assert_eq!(sum, path.distance, "{context}: {path:?}");
 }
 
-/// Every server layout × cache capacity × thread count answers `queries`
-/// like the free functions, cold and warm.
+/// `queries` with their expected answers, dealt into batches that hold at
+/// most one query per source: below the admission threshold, so every
+/// query is answered from what its source's cached prefix covers, or
+/// searched.
+fn one_query_per_source(queries: &[Query], reference: &[Answer]) -> Vec<(Vec<Query>, Vec<Answer>)> {
+    let mut rounds: Vec<(Vec<Query>, Vec<Answer>)> = Vec::new();
+    let mut dealt: HashMap<VertexId, usize> = HashMap::new();
+    for (query, answer) in queries.iter().zip(reference) {
+        let round = dealt.entry(query.source()).or_insert(0);
+        if *round == rounds.len() {
+            rounds.push((Vec::new(), Vec::new()));
+        }
+        rounds[*round].0.push(*query);
+        rounds[*round].1.push(answer.clone());
+        *round += 1;
+    }
+    rounds
+}
+
+/// Every answer equals the reference's. Known gap: among equal-length
+/// shortest paths a reordered server returns the one its internal settle
+/// order finds first (ties pop by internal id), not necessarily the
+/// identity layout's — there only the distance, the endpoints and the
+/// path's validity are compared.
+fn assert_answers_match(
+    spanner: &WeightedGraph,
+    reordered: bool,
+    queries: &[Query],
+    answers: &[Answer],
+    reference: &[Answer],
+    at: &str,
+) {
+    for ((query, answer), expected) in queries.iter().zip(answers).zip(reference) {
+        match (answer, expected) {
+            (Answer::Path(Some(got)), Answer::Path(Some(want))) if reordered => {
+                assert_eq!(got.distance, want.distance, "{at}: {query:?}");
+                assert_eq!(got.vertices.first(), want.vertices.first(), "{at}");
+                assert_eq!(got.vertices.last(), want.vertices.last(), "{at}");
+                assert_is_shortest_path(spanner, got, at);
+            }
+            _ => assert_eq!(answer, expected, "{at}: {query:?}"),
+        }
+    }
+}
+
+/// Every server layout × cache capacity × thread count answers the
+/// boundary queries like the free functions. A narrow batch first caches
+/// small prefix trees, which must answer exactly what they cover: every
+/// narrow query from its own source's prefix, then the boundary queries
+/// one per source per batch (no re-admission) — a covered one from the
+/// prefix, an uncovered one by a search, never from the prefix (that
+/// answer would differ from the reference). Then the whole boundary batch
+/// runs cold and warm.
 fn assert_layouts_match_reference(g: &WeightedGraph, context: &str) {
     let output = Spanner::greedy().stretch(2.0).build(g).expect("valid");
-    let queries = boundary_queries(&output.spanner);
-    let reference: Vec<Answer> = queries
-        .iter()
-        .map(|q| free_function_answer(&output.spanner, g, q))
-        .collect();
+    let spanner = &output.spanner;
+    let n = g.num_vertices();
+    let reference_of = |queries: &[Query]| -> Vec<Answer> {
+        queries
+            .iter()
+            .map(|q| free_function_answer(spanner, g, q))
+            .collect()
+    };
+    let narrow = narrow_queries(spanner);
+    let narrow_reference = reference_of(&narrow);
+    let queries = boundary_queries(spanner);
+    let reference = reference_of(&queries);
+    let rounds = one_query_per_source(&queries, &reference);
     for threads in THREAD_COUNTS {
         for cache in CACHE_CAPACITIES {
             let configure = |builder: greedy_spanner::serve::ServeBuilder| {
@@ -404,27 +456,32 @@ fn assert_layouts_match_reference(g: &WeightedGraph, context: &str) {
                 ),
             ];
             for (layout, mut server) in servers {
+                let at = format!("{context} {layout}, threads={threads} cache={cache}");
+                let reordered = layout == "reordered";
+                let narrowed = server.answer_batch(&narrow).expect("valid batch");
+                assert_eq!(narrowed, narrow_reference, "{at}: narrow batch");
+                let hits = server.stats().cache_hits;
+                for (round, expected) in &rounds {
+                    let answers = server.answer_batch(round).expect("valid batch");
+                    assert_answers_match(spanner, reordered, round, &answers, expected, &at);
+                }
+                if cache >= n {
+                    assert_eq!(
+                        hits,
+                        narrow.len() as u64,
+                        "{at}: a prefix must cover its batch"
+                    );
+                    // Each source's k = 0, k = 1 and radius-0 boundary
+                    // queries lie inside its narrow prefix.
+                    assert!(
+                        server.stats().cache_hits - hits >= 3 * n as u64,
+                        "{at}: covered queries must hit"
+                    );
+                }
                 let cold = server.answer_batch(&queries).expect("valid batch");
                 let warm = server.answer_batch(&queries).expect("valid batch");
-                let at = format!("{context} {layout}, threads={threads} cache={cache}");
                 assert_eq!(cold, warm, "{at}: a cache hit changed an answer");
-                for ((query, answer), expected) in queries.iter().zip(&cold).zip(&reference) {
-                    match (answer, expected) {
-                        // Known gap: among equal-length shortest paths a
-                        // reordered server returns the one its internal
-                        // settle order finds first (ties pop by internal
-                        // id), not necessarily the identity layout's.
-                        (Answer::Path(Some(got)), Answer::Path(Some(want)))
-                            if layout == "reordered" =>
-                        {
-                            assert_eq!(got.distance, want.distance, "{at}: {query:?}");
-                            assert_eq!(got.vertices.first(), want.vertices.first(), "{at}");
-                            assert_eq!(got.vertices.last(), want.vertices.last(), "{at}");
-                            assert_is_shortest_path(&output.spanner, got, &at);
-                        }
-                        _ => assert_eq!(answer, expected, "{at}: {query:?}"),
-                    }
-                }
+                assert_answers_match(spanner, reordered, &queries, &cold, &reference, &at);
                 assert_eq!(server.stats().cache_hits > 0, cache > 0, "{at}");
             }
         }
@@ -440,7 +497,7 @@ proptest! {
     #[test]
     fn adversarial_graphs_match_free_functions_on_every_layout(
         seed in 0u64..10_000,
-        family in 0usize..4,
+        family in 0..ADVERSARIAL_FAMILIES,
         n in 3usize..16,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
