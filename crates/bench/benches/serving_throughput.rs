@@ -172,9 +172,8 @@ fn bench_serving(c: &mut Criterion) {
     group.finish();
 
     // The point-query acceleration stack through the serving layer:
-    // tight-bound uniform distance traffic (the workload ALT pruning
-    // targets — a loose bound degenerates to full searches no pruning can
-    // save) with the engine pinned to each configuration.
+    // tight-bound uniform distance traffic with the engine pinned to each
+    // configuration.
     // Answers were asserted identical above; these rows record what the
     // stack buys end-to-end, serving overhead included.
     let bounded = QueryWorkload::uniform(N)

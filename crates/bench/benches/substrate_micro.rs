@@ -125,12 +125,12 @@ fn bench_substrates(c: &mut Criterion) {
 
 /// The acceleration-stack comparison the serving layer leans on: the same
 /// bounded point-query batch over the **er2000 greedy spanner** through
-/// three engine configurations — the scalar heap search, the same search
-/// with ALT landmark pruning, and the batched relax kernel. Before timing
-/// anything, the settled-vertex
+/// three engine configurations — the scalar heap search, the goal-directed
+/// (A* over ALT landmarks) search, and the batched relax kernel. Before
+/// timing anything, the settled-vertex
 /// counts of the heap and ALT configurations are measured from engine
 /// stats (outside the timed region) and the heap/ALT ratio is asserted
-/// `> 1.0` — the acceptance gate for the pruning stack. The `BENCH_JSON`
+/// `> 1.0` — the acceptance gate for the goal-directed search. The `BENCH_JSON`
 /// artifact carries the timed rows; the printed `point_query_settled` line
 /// carries the ratio.
 fn bench_point_query_engines(c: &mut Criterion) {
@@ -141,7 +141,7 @@ fn bench_point_query_engines(c: &mut Criterion) {
         .expect("valid stretch")
         .spanner;
     let csr = CsrGraph::from(&spanner);
-    let landmarks = Landmarks::build_degree_ranked(&csr, 4);
+    let landmarks = Landmarks::farthest_point(&csr, 4, None);
     let queries = query_batch(csr.num_vertices(), 256);
     let n = csr.num_vertices();
 
@@ -169,11 +169,14 @@ fn bench_point_query_engines(c: &mut Criterion) {
     };
 
     // The acceptance gate, measured outside the timed region: the
-    // configurations agree on every answer, and ALT pruning settles
-    // strictly fewer vertices than the plain heap on the same batch.
+    // configurations agree on every answer, and the goal-directed search
+    // settles strictly fewer vertices than the plain heap on the same batch.
     let heap_hits = run_heap(&mut heap_engine);
     let alt_hits = run_alt(&mut alt_engine);
-    assert_eq!(heap_hits, alt_hits, "landmark pruning changed an answer");
+    assert_eq!(
+        heap_hits, alt_hits,
+        "the goal-directed search changed an answer"
+    );
     // The kernel digest gate: scalar and batched engines must return
     // bit-identical distances for the whole batch, in order.
     let scalar_digest = answer_digest(&mut heap_engine, &csr, &queries);
@@ -192,7 +195,7 @@ fn bench_point_query_engines(c: &mut Criterion) {
     );
     assert!(
         reduction > 1.0,
-        "ALT pruning must settle fewer vertices than the plain heap on the \
+        "the goal-directed search must settle fewer vertices than the plain heap on the \
          er2000 bounded batch (measured {reduction:.2}x)"
     );
 

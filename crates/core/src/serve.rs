@@ -42,11 +42,17 @@
 //!   ([`EnginePool::map_batch`]), so which OS thread answers a query never
 //!   influences its result slot.
 //! * Cache hits never change results: a cached [`SptTree`] stores the
-//!   engine's own distances and parents verbatim, answers only what its
-//!   prefix covers (see below), and bounded queries prune nothing that
-//!   could alter a within-bound distance, so a tree lookup and a fresh
-//!   engine search return the same bits. Stale (old-epoch) trees are never
-//!   consulted.
+//!   engine's own distances and parents verbatim and answers only what its
+//!   prefix covers (see below), and a goal-directed miss returns the
+//!   one-sided search's distance and path exactly, so a tree lookup and a
+//!   fresh engine search return the same bits. Stale (old-epoch) trees are
+//!   never consulted.
+//! * Paths are canonical: among equal-length shortest paths every search
+//!   and every cached tree picks parents by one rule (the smallest
+//!   `(distance, id)` among a vertex's achieving neighbours; see
+//!   [`DijkstraEngine::shortest_path_tree`]). A reordered handle breaks
+//!   those ties by *external* id, so it returns the identity layout's
+//!   paths.
 //! * Cache *admission* is a pure function of the batch (per-source demand
 //!   and need in first-appearance order) and eviction is by
 //!   least-recent-use with a deterministic tie-break — the cache's content
@@ -60,10 +66,12 @@
 //!
 //! A cache miss searches only until its answer is fixed:
 //!
-//! * [`Query::Distance`] and [`Query::StretchAudit`] stop once the target
-//!   settles, and bounded distances never queue a vertex past the bound.
-//! * [`Query::Path`] stops once the target settles
-//!   ([`DijkstraEngine::shortest_path`]).
+//! * [`Query::Distance`], [`Query::Path`] and the spanner side of
+//!   [`Query::StretchAudit`] run the goal-directed search toward the
+//!   target while the server has a current landmark table (see the
+//!   acceleration stack below), and otherwise stop once the target
+//!   settles ([`DijkstraEngine::shortest_path_with`]); bounded distances
+//!   never queue a vertex past the bound.
 //! * [`Query::KNearest`] stops after the `k`-th settle plus the ties at its
 //!   distance ([`DijkstraEngine::k_nearest_with_ties`]); a reordered
 //!   handle translates and re-sorts only that prefix, on a cache hit as
@@ -84,11 +92,16 @@
 //! # Prefix trees in the cache
 //!
 //! Cache admission is answer-sized too. An admitted source's search runs
-//! only until every query of that source in the batch has a fixed answer
-//! — each target settled or its bound reached, the largest `k` settled,
-//! the largest radius reached — then through the ties at that distance
-//! `D`, exactly like a `KNearest` miss
-//! ([`DijkstraEngine::owned_shortest_path_tree`] with a [`TreeNeed`]).
+//! only until every bounded-distance, k-nearest and ball query of that
+//! source in the batch has a fixed answer — each target settled or its
+//! bound reached, the largest `k` settled, the largest radius reached —
+//! then through the ties at that distance `D`, exactly like a `KNearest`
+//! miss ([`DijkstraEngine::owned_shortest_path_tree`] with a
+//! [`TreeNeed`]). `Path` and `StretchAudit` targets do not enter the need:
+//! a goal-directed miss settles a narrow corridor, while growing a tree
+//! until a far target settles costs the whole ball around the source. A
+//! source whose need is empty — only paths and audits, say — is not
+//! admitted at all.
 //! The cache stores that **prefix tree**, stamped with `D`
 //! ([`SptTree::complete_through`]; `∞` when the search ran out of
 //! vertices). By the argument above, every vertex at distance `≤ D` is in
@@ -104,31 +117,41 @@
 //!   (the `k`-th one's ties lie at or below `D`), or `D = ∞`;
 //! * `Ball(r)`: `r ≤ D`.
 //!
-//! Any other query is a plain miss and runs its own answer-sized search;
-//! only covered queries count as cache hits. A source whose current tree
-//! already covers its batch is not re-admitted; one that is re-admitted
-//! also needs the old `D` as a radius, so an entry only ever grows.
+//! So a `Path` or `StretchAudit` target a tree happens to cover is still a
+//! hit. Any other query is a plain miss and runs its own answer-sized
+//! search; only covered queries count as cache hits. A source whose
+//! current tree already covers its batch is not re-admitted; one that is
+//! re-admitted also needs the old `D` as a radius, so an entry only ever
+//! grows.
 //!
 //! # The point-query acceleration stack
 //!
 //! Three answer-invariant accelerations sit in the serving hot path; all
 //! are pure speed knobs — `tests/engine_variant_determinism.rs` asserts
 //! bit-identical answers across every combination, and
-//! `tests/alt_exact_bounds.rs` does so at bounds equal to the exact
-//! distance:
+//! `tests/alt_exact_bounds.rs` does so for paths, unbounded distances and
+//! bounds equal to the exact distance:
 //!
 //! * **Cache-conscious relayout** ([`ServeBuilder::reorder`]): the spanner
 //!   is renumbered by descending degree at freeze time
 //!   ([`SpannerHandle::reordered`]); queries and answers are translated at
 //!   the API boundary, so callers keep external ids throughout.
-//! * **ALT landmark pruning** ([`ServeBuilder::landmarks`]): frozen
-//!   servers carry a degree-ranked landmark table on their handle; live
-//!   servers re-derive theirs from accumulated query demand each epoch.
-//!   Triangle lower bounds, reduced by a rounding margin
-//!   ([`spanner_graph::path_rounding_margin`]) so they stay sound at exact
-//!   bounds, prune bounded `distance`/`stretch_audit` searches;
-//!   [`spanner_graph::EngineStats::settled_vertices`] and
-//!   [`spanner_graph::EngineStats::pruned_by_bound`] make the reduction
+//! * **Goal-directed point-to-point search** ([`ServeBuilder::landmarks`]):
+//!   frozen servers carry a landmark table on their handle, built at
+//!   freeze time; live servers rebuild theirs on the first batch of each
+//!   epoch. Both pick landmarks by farthest-point traversal
+//!   ([`Landmarks::farthest_point`]). Every `Distance`, `Path` and
+//!   `StretchAudit` miss runs an A* search keyed by distance plus the
+//!   landmarks' triangle bound (ALT), which settles a corridor toward the
+//!   target instead of a ball around the source. The bound carries a
+//!   rounding margin ([`spanner_graph::path_rounding_margin`]) and the
+//!   search drains slightly past the target's distance and re-opens
+//!   misordered vertices, so distances stay bit-identical and paths
+//!   vertex-identical to the one-sided search
+//!   ([`DijkstraEngine::shortest_path_with`]);
+//!   [`spanner_graph::EngineStats::settled_vertices`],
+//!   [`spanner_graph::EngineStats::pruned_by_bound`] and
+//!   [`spanner_graph::EngineStats::reopened`] make the corridor
 //!   observable.
 //! * **Batched relax kernel** ([`ServeBuilder::relax_kernel`]): engine
 //!   searches drain same-cohort queue entries together, gather their
@@ -714,8 +737,9 @@ pub struct SpannerHandle {
     /// External↔internal renumbering, when the handle was frozen through
     /// [`SpannerHandle::reordered`]. `None` means identity layout.
     perm: Option<VertexPerm>,
-    /// Landmark distance table for ALT pruning, in the handle's (possibly
-    /// reordered) id space. Consulted only while its epoch stamp matches.
+    /// Landmark distance table for goal-directed queries, in the handle's
+    /// (possibly reordered) id space. Consulted only while its epoch stamp
+    /// matches.
     landmarks: Option<Landmarks>,
 }
 
@@ -765,13 +789,15 @@ impl SpannerHandle {
         self
     }
 
-    /// Attaches a landmark table built from the `count` highest-degree
-    /// vertices of the handle's graph (its current layout), for ALT pruning
-    /// of bounded point-to-point queries. `count = 0` strips any existing
-    /// table. Pruning is answer-invariant — landmarks only make queries
-    /// cheaper, never different.
+    /// Attaches a table of `count` landmarks, picked by farthest-point
+    /// traversal ([`Landmarks::farthest_point`]; a reordered handle breaks
+    /// its ties by external id, so it picks the identity layout's
+    /// vertices), for goal-directed point-to-point queries. `count = 0`
+    /// strips any existing table. Landmarks only make queries cheaper,
+    /// never different.
     pub fn with_landmarks(mut self, count: usize) -> Self {
-        self.landmarks = (count > 0).then(|| Landmarks::build_degree_ranked(&self.spanner, count));
+        let ties = self.perm.as_ref().map(VertexPerm::external_ids);
+        self.landmarks = (count > 0).then(|| Landmarks::farthest_point(&self.spanner, count, ties));
         self
     }
 
@@ -896,17 +922,12 @@ pub struct SpannerServer {
     cache: SptCache,
     /// Batch demand a source needs before its tree is admitted to the cache.
     cache_admit_threshold: usize,
-    /// How many landmarks a live server derives per epoch (frozen servers
-    /// carry their table on the handle). `0` disables ALT pruning.
+    /// How many landmarks a live server picks per epoch (frozen servers
+    /// carry their table on the handle). `0` disables goal-directed search.
     landmark_count: usize,
-    /// A live server's landmark table, rebuilt lazily when an update batch
-    /// bumps the epoch. Sources are picked from accumulated query demand
-    /// ([`SpannerServer::answer_batch`]) with a deterministic spaced
-    /// fallback — and since ALT pruning is answer-invariant, the choice
-    /// never shows in answers, only in settled-vertex counts.
+    /// A live server's landmark table, rebuilt lazily on the first batch
+    /// after an update batch bumps the epoch.
     live_landmarks: Option<Landmarks>,
-    /// Cumulative per-source query counts, feeding live landmark selection.
-    source_demand: HashMap<usize, u64>,
     stats: ServeStats,
     /// When this server was created (or its stats last reset) — the origin
     /// of [`ServeStats::lifetime`].
@@ -1037,10 +1058,9 @@ impl SpannerServer {
     }
 
     /// Rebuilds a live server's landmark table when its epoch stamp no
-    /// longer matches `epoch` (i.e. after update batches). Sources are the
-    /// highest-demand query sources so far (ties by smaller id), padded
-    /// deterministically with evenly spaced vertices when demand history is
-    /// short. No-op on frozen servers and when landmarks are disabled.
+    /// longer matches `epoch` (i.e. after update batches), by the frozen
+    /// servers' farthest-point rule. No-op on frozen servers and when
+    /// landmarks are disabled.
     fn refresh_live_landmarks(&mut self, epoch: u64) {
         if self.landmark_count == 0 {
             return;
@@ -1055,29 +1075,7 @@ impl SpannerServer {
         {
             return;
         }
-        let n = live.spanner().num_vertices();
-        if n == 0 {
-            return;
-        }
-        let mut ranked: Vec<(u64, usize)> = self
-            .source_demand
-            .iter()
-            .map(|(&source, &count)| (count, source))
-            .collect();
-        ranked.sort_by_key(|&(count, source)| (std::cmp::Reverse(count), source));
-        let mut sources: Vec<VertexId> = ranked
-            .into_iter()
-            .take(self.landmark_count)
-            .map(|(_, source)| VertexId(source))
-            .collect();
-        for i in 0..self.landmark_count.min(n) {
-            if sources.len() >= self.landmark_count {
-                break;
-            }
-            // Spaced fill; `Landmarks::build` drops any duplicates.
-            sources.push(VertexId(i * n / self.landmark_count.min(n)));
-        }
-        let table = Landmarks::build(live.spanner(), &sources);
+        let table = Landmarks::farthest_point(live.spanner(), self.landmark_count, None);
         self.live_landmarks = Some(table);
     }
 
@@ -1108,19 +1106,8 @@ impl SpannerServer {
         }
         let start = Instant::now();
 
-        // Live servers refresh their landmark table on epoch bumps — from
-        // the demand accumulated *before* this batch, so the choice is a
-        // pure function of the query/update stream — then record this
-        // batch's demand for future refreshes.
+        // Live servers refresh their landmark table on epoch bumps.
         self.refresh_live_landmarks(epoch);
-        if self.landmark_count > 0 && matches!(self.served, Served::Live(_)) {
-            for query in queries {
-                *self
-                    .source_demand
-                    .entry(query.source().index())
-                    .or_insert(0) += 1;
-            }
-        }
 
         // Reordered handles work in internal ids: translate the batch once
         // up front (cache keys, admission demand, and engine queries all
@@ -1137,10 +1124,10 @@ impl SpannerServer {
         // meeting the threshold (in first-appearance order, capped at
         // capacity) get the prefix tree that need asks for computed across
         // the pool and admitted stamped with the current epoch — unless
-        // their current tree already covers the need. A replacement also
-        // needs the old tree's reach, so an entry only ever grows. A stale
-        // entry does not block re-admission — replacing it is the other
-        // face of lazy invalidation.
+        // the need is empty or their current tree already covers it. A
+        // replacement also needs the old tree's reach, so an entry only ever
+        // grows. A stale entry does not block re-admission — replacing it is
+        // the other face of lazy invalidation.
         if self.cache.capacity > 0 {
             let mut demand: HashMap<usize, (usize, TreeNeed)> = HashMap::new();
             let mut first_appearance: Vec<usize> = Vec::new();
@@ -1157,7 +1144,7 @@ impl SpannerServer {
                 .into_iter()
                 .filter_map(|s| {
                     let (count, mut need) = demand.remove(&s)?;
-                    if count < self.cache_admit_threshold {
+                    if count < self.cache_admit_threshold || need.is_empty() {
                         return None;
                     }
                     if let CacheLookup::Hit(tree) = self.cache.lookup(VertexId(s), epoch) {
@@ -1173,6 +1160,11 @@ impl SpannerServer {
             if !admit.is_empty() {
                 let mut trees: Vec<Option<SptTree>> = vec![None; admit.len()];
                 let spanner = self.served.spanner();
+                let ties = self
+                    .served
+                    .handle()
+                    .and_then(SpannerHandle::perm)
+                    .map(VertexPerm::external_ids);
                 self.pool
                     .try_map_batch(
                         spanner.snapshot(),
@@ -1180,7 +1172,12 @@ impl SpannerServer {
                         &admit,
                         &mut trees,
                         |engine, graph, (source, need)| {
-                            Some(engine.owned_shortest_path_tree(graph, VertexId(*source), need))
+                            Some(engine.owned_shortest_path_tree(
+                                graph,
+                                VertexId(*source),
+                                need,
+                                ties,
+                            ))
                         },
                     )
                     .map_err(|e| match e {
@@ -1386,14 +1383,15 @@ fn translate_members(mut members: Vec<(VertexId, f64)>, perm: &VertexPerm) -> Ve
 }
 
 /// Adds what a cached tree needs to answer `query` to its source's need.
+/// Path and audit targets add nothing: their misses search goal-directed,
+/// and a tree grown until a far target settles would cost the whole ball
+/// (see the module docs).
 fn add_tree_need(need: &mut TreeNeed, query: &Query) {
     match *query {
         Query::Distance { target, bound, .. } => need.add_target(target, bound),
-        Query::Path { target, .. } | Query::StretchAudit { target, .. } => {
-            need.add_target(target, f64::INFINITY)
-        }
         Query::KNearest { k, .. } => need.add_k_nearest(k),
         Query::Ball { radius, .. } => need.add_radius(radius),
+        Query::Path { .. } | Query::StretchAudit { .. } => {}
     }
 }
 
@@ -1404,8 +1402,8 @@ fn add_tree_need(need: &mut TreeNeed, query: &Query) {
 /// if the cache holds one; it answers only what its prefix covers, and
 /// every such answer is bit-identical to the corresponding engine answer
 /// (see the module docs) — anything else is a miss and searches.
-/// `landmarks` (when present and current) prunes bounded point-to-point
-/// searches without changing any answer.
+/// `landmarks` (when present and current) makes every point-to-point miss
+/// goal-directed without changing any answer.
 fn answer_one(
     engine: &mut DijkstraEngine,
     spanner: &CsrGraph,
@@ -1434,7 +1432,11 @@ fn answer_one(
         Query::Path { source, target } => {
             let (path, hit) = match cached.and_then(|tree| tree.shortest_path(target)) {
                 Some(path) => (path, true),
-                None => (engine.shortest_path(spanner, source, target), false),
+                None => {
+                    let ties = perm.map(VertexPerm::external_ids);
+                    let path = engine.shortest_path_with(spanner, landmarks, ties, source, target);
+                    (path, false)
+                }
             };
             let path = path.map(|(distance, mut vertices)| {
                 if let Some(perm) = perm {
@@ -1484,7 +1486,7 @@ fn answer_one(
                 (None, None) => engine.bounded_distance(spanner, source, target, f64::INFINITY),
             };
             // The landmark table bounds *spanner* distances; the baseline is
-            // a different graph, so its search is always unpruned.
+            // a different graph, so its search is always one-sided.
             let baseline = baseline.expect("validated: audit queries need a baseline");
             let sample = spanner_distance.and_then(|spanner_distance| {
                 let graph_distance =
@@ -1554,9 +1556,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 /// Default per-batch demand a source needs before its tree is cached.
 pub const DEFAULT_CACHE_ADMIT_THRESHOLD: usize = 2;
 
-/// Default number of ALT landmarks a served spanner carries. Each costs one
-/// shortest-path tree at freeze time and `8 × num_vertices` bytes; pruning
-/// is answer-invariant, so the count is purely a speed/memory knob.
+/// Default number of landmarks a served spanner carries for goal-directed
+/// point-to-point search. Each costs one shortest-path tree at freeze time
+/// and `8 × num_vertices` bytes; answers never depend on the count, so it
+/// is purely a speed/memory knob.
 pub const DEFAULT_LANDMARK_COUNT: usize = 4;
 
 impl ServeBuilder {
@@ -1626,11 +1629,13 @@ impl ServeBuilder {
         self
     }
 
-    /// How many ALT landmarks the served spanner carries
-    /// ([`DEFAULT_LANDMARK_COUNT`] when unset; `0` disables pruning). For
-    /// frozen servers the table is built at freeze time from the
-    /// highest-degree vertices; live servers re-derive theirs from query
-    /// demand every epoch. Pruning is answer-invariant.
+    /// How many landmarks the served spanner carries for goal-directed
+    /// `Distance`, `Path` and `StretchAudit` misses
+    /// ([`DEFAULT_LANDMARK_COUNT`] when unset; `0` means plain one-sided
+    /// Dijkstra). Landmarks are picked by farthest-point traversal
+    /// ([`Landmarks::farthest_point`]): at freeze time for frozen servers,
+    /// on the first batch of every epoch for live ones. Answers never
+    /// depend on the count.
     pub fn landmarks(mut self, count: usize) -> Self {
         self.landmark_count = Some(count);
         self
@@ -1666,7 +1671,7 @@ impl ServeBuilder {
         let served = match self.source {
             ServeSource::Output(output) => {
                 // Fresh outputs get the full acceleration stack by default:
-                // degree-sorted relayout plus a degree-ranked landmark
+                // degree-sorted relayout plus a farthest-point landmark
                 // table. Both are answer-invariant.
                 let mut handle = SpannerHandle::from_output(*output);
                 if self.reorder.unwrap_or(true) {
@@ -1726,7 +1731,6 @@ impl ServeBuilder {
             cache_admit_threshold: self.cache_admit_threshold.max(1),
             landmark_count: self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT),
             live_landmarks: None,
-            source_demand: HashMap::new(),
             stats: ServeStats::default(),
             started: Instant::now(),
         }
@@ -2002,10 +2006,11 @@ mod tests {
         assert_eq!(server.cached_trees(), 0);
         assert_eq!(server.stats().cache_hits, 0);
         // Hot sources (two queries each in one batch) get admitted and every
-        // query of the batch already hits the freshly admitted tree.
+        // query of the batch already hits the freshly admitted tree — the
+        // path too, since the distance query's target is its target.
         let hot = vec![
             Query::distance(VertexId(0), VertexId(10), 100.0),
-            Query::path(VertexId(0), VertexId(11)),
+            Query::path(VertexId(0), VertexId(10)),
             Query::ball(VertexId(1), 2.0),
             Query::k_nearest(VertexId(1), 3),
         ];
@@ -2079,12 +2084,72 @@ mod tests {
         assert_eq!(reach(&server), 1.0);
         assert_eq!(server.stats().cache_insertions, 1);
         // At the threshold the source is re-admitted with a prefix that
-        // reaches at least as far, and the whole batch hits.
-        let wide = [far, Query::path(VertexId(0), VertexId(6))];
+        // reaches at least as far, and the whole batch hits: a path whose
+        // target the prefix covers is answered from it.
+        let wide = [far, Query::path(VertexId(0), VertexId(5))];
         assert_eq!(run(&mut server, &wide), (5, 1));
         assert_eq!(server.stats().cache_insertions, 2);
-        assert_eq!(reach(&server), 6.0);
+        assert_eq!(reach(&server), 5.0);
         assert_eq!(run(&mut server, &narrow), (7, 1));
+        // Path targets never grow the prefix: past it they are misses, and
+        // a batch of only paths leaves the entry as it was.
+        let paths = [
+            Query::path(VertexId(0), VertexId(8)),
+            Query::path(VertexId(0), VertexId(3)),
+        ];
+        assert_eq!(run(&mut server, &paths), (8, 2));
+        assert_eq!(server.stats().cache_insertions, 2);
+        assert_eq!(reach(&server), 5.0);
+    }
+
+    #[test]
+    fn reordered_handles_pick_the_identity_layouts_landmarks() {
+        let mut rng = SmallRng::seed_from_u64(44);
+        let g = erdos_renyi_connected(60, 0.08, 1.0..3.0, &mut rng);
+        let output = Spanner::greedy().stretch(2.0).build(&g).unwrap();
+        let external = |server: &SpannerServer| -> Vec<VertexId> {
+            let handle = server.served.handle().unwrap();
+            let sources = handle.landmarks().unwrap().sources().iter();
+            match handle.perm() {
+                Some(perm) => sources.map(|&s| perm.to_external(s)).collect(),
+                None => sources.copied().collect(),
+            }
+        };
+        let identity = output.clone().serve().reorder(false).finish();
+        let reordered = output.serve().reorder(true).finish();
+        assert!(reordered.served.handle().unwrap().perm().is_some());
+        assert_eq!(external(&identity).len(), DEFAULT_LANDMARK_COUNT);
+        assert_eq!(external(&reordered), external(&identity));
+    }
+
+    #[test]
+    fn path_only_sources_are_not_admitted() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let g = erdos_renyi_connected(30, 0.3, 1.0..5.0, &mut rng);
+        let mut server = server_for(&g, 8, 1);
+        let mut uncached = server_for(&g, 0, 1);
+        // Paths and audits need no tree: however hot, their source gets
+        // no entry, and every answer is the engine's.
+        let batch: Vec<Query> = (1..6)
+            .flat_map(|t| {
+                [
+                    Query::path(VertexId(0), VertexId(t)),
+                    Query::path(VertexId(0), VertexId(29 - t)),
+                ]
+            })
+            .collect();
+        let answers = server.answer_batch(&batch).unwrap();
+        assert_eq!(answers, uncached.answer_batch(&batch).unwrap());
+        assert_eq!(server.cached_trees(), 0);
+        assert_eq!(server.stats().cache_insertions, 0);
+        assert_eq!(server.stats().cache_misses, batch.len() as u64);
+        // One bounded-distance query alongside makes the need non-empty.
+        let mut mixed = batch.clone();
+        mixed.push(Query::distance(VertexId(0), VertexId(7), 3.0));
+        let answers = server.answer_batch(&mixed).unwrap();
+        assert_eq!(answers, uncached.answer_batch(&mixed).unwrap());
+        assert_eq!(server.cached_trees(), 1);
+        assert_eq!(server.stats().cache_insertions, 1);
     }
 
     #[test]

@@ -917,6 +917,14 @@ impl VertexPerm {
         VertexId(self.to_external[v.index()] as usize)
     }
 
+    /// Every internal vertex's external id, indexed by internal id — the
+    /// tie order under which searches over the reordered graph break
+    /// distance ties as the external numbering would (see
+    /// [`crate::DijkstraEngine::owned_shortest_path_tree`]).
+    pub fn external_ids(&self) -> &[u32] {
+        &self.to_external
+    }
+
     /// The identity permutation over `n` vertices.
     pub fn identity(n: usize) -> VertexPerm {
         let to_external: Vec<u32> = (0..n as u32).collect();

@@ -92,6 +92,11 @@ impl ShortestPathTree {
 
 /// Runs Dijkstra from `source` over the whole graph.
 ///
+/// A vertex's parent is, among its neighbours that achieve its distance
+/// and settle before it, the one with the smallest `(distance, id)` — the
+/// canonical rule every parent-tracking search of this crate follows (see
+/// [`crate::engine::DijkstraEngine::shortest_path_tree`]).
+///
 /// # Panics
 ///
 /// Panics if `source` is out of range.
@@ -279,6 +284,16 @@ fn run_dijkstra_tracked(
                     vertex: v,
                 });
                 peak_frontier = peak_frontier.max(heap.len());
+            } else if nd == dist[v.index()] {
+                // The canonical parent: among the neighbours that achieve
+                // `v`'s distance, the smallest `(distance, id)`. Settle
+                // order is non-decreasing in distance, so the current
+                // parent's distance is at most `d`.
+                if let Some(p) = parent[v.index()] {
+                    if dist[p.index()] == d && u < p {
+                        parent[v.index()] = Some(u);
+                    }
+                }
             }
         }
     }

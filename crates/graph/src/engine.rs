@@ -31,10 +31,18 @@
 //!   while deletions are pending or once the `dist`/`state`/`parent` lanes
 //!   (16 B per vertex) outgrow [`AUTO_KERNEL_WORKING_SET_BYTES`], because
 //!   in cache there is no latency to hide;
-//! * landmark (ALT) pruning ([`DijkstraEngine::bounded_distance_landmarked`])
-//!   subtracts a rounding margin from its lower bound
-//!   ([`path_rounding_margin`]), so it never prunes the answer path even
-//!   when the query bound equals the distance exactly.
+//! * point-to-point queries can run **goal-directed** over a [`Landmarks`]
+//!   table ([`DijkstraEngine::bounded_distance_landmarked`],
+//!   [`DijkstraEngine::shortest_path_with`]): an A* search keyed by
+//!   distance plus the landmarks' triangle bound, which settles a narrow
+//!   corridor toward the target instead of a ball around the source and
+//!   still returns the one-sided search's distance bits and path (see
+//!   [`DijkstraEngine::shortest_path_with`] for the argument);
+//! * every parent-tracking search picks parents by one **canonical tie
+//!   rule**: among the neighbours that achieve a vertex's distance (and
+//!   settled before it), the one with the smallest `(distance, tie key)`,
+//!   where the tie key is the vertex id or a caller's tie order — so a
+//!   reordered graph returns the paths of its original numbering.
 //!
 //! ```
 //! use spanner_graph::csr::CsrGraph;
@@ -200,6 +208,48 @@ const BIDIRECTIONAL_BAND_MARGINS: f64 = 4.0;
 /// overflowed to `∞`, but a meeting path is accepted only against `bound`,
 /// which [`search_bound`] keeps finite, so an overflowed path lands in the
 /// band and the one-sided search decides.
+///
+/// **The goal-directed stop.** The goal-directed search
+/// ([`DijkstraEngine::shortest_path_with`]) pops keys `fl(dist(v) + h(v))`,
+/// `h` the landmark lower bound, and stops at the first pop above
+/// `relaxed_bound(limit, n)`, `limit = min(bound, tentative distance of
+/// the target)`.
+///
+/// Let `D` be the one-sided search's computed distances and `W` a simple
+/// `s`–`t` walk whose left-to-right prefix sums are the `D` of its
+/// vertices, so its total is `D(t)` — the one-sided search's path, or (for
+/// the parent argument) the one-sided path to a neighbour `u` that achieves
+/// a path vertex `v`'s distance, the edge `u–v`, and the path on from `v`.
+/// (That walk is simple when none of its edges is rounding-absorbed: its
+/// prefix sums then strictly increase. The parent argument needs no other
+/// case — see [`DijkstraEngine::shortest_path_with`].) Claim: if
+/// `D(t) ≤ bound`, every vertex `x` of `W` settles at `D(x)` before the
+/// search stops.
+///
+/// * **Keys on `W` stay below the stop key.** The landmark bound is
+///   certified, `h(x) ≤ δ(x, t) ≤ ℓ(W[x..t])` (see [`Landmarks`]), and
+///   `D(x) ≤ (1 + γ)·ℓ(W[s..x])`, `ℓ(W) ≤ D(t)/(1 − γ)`, so the exact
+///   `D(x) + h(x) ≤ D(t)·(1 + γ)/(1 − γ)` and the rounded key is at most
+///   `(1 + u)·(1 + γ)/(1 − γ)·D(t)` — one rounding less than the meeting
+///   estimate shown above to stay within `B'`. Every tentative distance
+///   is the left-to-right sum of some walk and `D` is the minimum of those,
+///   so the target's tentative distance is at least `D(t)`; rounding is
+///   monotone, so the stop key is never below `relaxed_bound(D(t), n)`.
+/// * **Induction along `W`.** Take the first vertex `x` of `W` that never
+///   settles at `D(x)`. Its predecessor `y` did and relaxed the edge to
+///   `fl(D(y) + w) = D(x)`, queueing `x` at a key `≤` the stop key (the
+///   `> bound` prune never fires: prefix sums are `≤ D(t) ≤ bound`). No
+///   tentative distance drops below `D(x)`, so that entry stays live until
+///   popped, and the search pops every key at or below the stop key before
+///   it stops: `x` settles at `D(x)`, a contradiction.
+/// * **Re-opening.** The rounded bound is consistent only up to rounding,
+///   so a vertex can settle at a tentative distance above `D(x)` before a
+///   shorter walk reaches it. The search then queues it again
+///   ([`EngineStats::reopened`]); the induction needs only that it
+///   eventually settles at `D(x)`.
+///
+/// So the target settles at `D(t)`, bit for bit. Overflow needs no separate
+/// case: a stop key that overflows to `∞` only disables stopping early.
 fn relaxed_bound(bound: f64, n: usize) -> f64 {
     let rho = path_rounding_margin(n.saturating_sub(1));
     bound + (BIDIRECTIONAL_BAND_MARGINS * rho) * bound
@@ -368,6 +418,17 @@ pub struct EngineStats {
     /// one-sided search instead. The fallback runs inside the same query:
     /// it adds to the search counters but not to `queries`.
     pub bidirectional_fallbacks: u64,
+    /// Vertices the goal-directed search re-opened: settled, then reached
+    /// at a smaller distance and queued to settle again. The landmark bound
+    /// is consistent in exact arithmetic, so only rounding (of the table,
+    /// of the bound's safety margin, of the keys) causes one.
+    pub reopened: u64,
+    /// Goal-directed path searches that relaxed a rounding-absorbed edge
+    /// (`fl(d + w) = d`) and were answered by the one-sided search inside
+    /// the same query: there the settle order, not the distances alone,
+    /// decides a parent (see [`DijkstraEngine::shortest_path_with`]). The
+    /// fallback adds to the search counters but not to `queries`.
+    pub path_fallbacks: u64,
     /// Counters of the batched gather → relax kernel (all zero while every
     /// query ran the scalar reference path); see [`RelaxKernel`].
     pub kernel: KernelStats,
@@ -386,6 +447,8 @@ impl EngineStats {
         self.peak_frontier = self.peak_frontier.max(other.peak_frontier);
         self.generation_wraps += other.generation_wraps;
         self.bidirectional_fallbacks += other.bidirectional_fallbacks;
+        self.reopened += other.reopened;
+        self.path_fallbacks += other.path_fallbacks;
         self.kernel.merge(&other.kernel);
     }
 }
@@ -452,24 +515,49 @@ pub enum RelaxKernel {
 }
 
 /// One priority-queue entry: the key is stored alongside the vertex so
-/// comparisons stay inside the heap array instead of chasing `dist`.
+/// comparisons stay inside the heap array instead of chasing `dist`. `tie`
+/// orders equal keys: the vertex id itself, or the caller's tie order in a
+/// parent-tracking search (it fills the slot's padding, so the entry stays
+/// 16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapSlot {
     dist: f64,
     vertex: u32,
+    tie: u32,
+}
+
+impl HeapSlot {
+    /// An entry whose ties break by vertex id.
+    #[inline(always)]
+    fn new(dist: f64, vertex: u32) -> Self {
+        HeapSlot {
+            dist,
+            vertex,
+            tie: vertex,
+        }
+    }
 }
 
 impl Eq for HeapSlot {}
 
 impl Ord for HeapSlot {
-    /// Reversed, so the max-heap pops the smallest distance first, ties by
-    /// smaller vertex id (matching the legacy free functions, so settle
-    /// order is identical).
+    /// Reversed, so the max-heap pops the smallest key first, ties by the
+    /// smaller tie key (the vertex id by default, matching the legacy free
+    /// functions, so settle order is identical).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other
             .dist
             .total_cmp(&self.dist)
-            .then_with(|| other.vertex.cmp(&self.vertex))
+            .then_with(|| other.tie.cmp(&self.tie))
+    }
+}
+
+/// The tie key of vertex `v`: its rank in `ties` when given, else its id.
+#[inline(always)]
+fn tie_key(ties: Option<&[u32]>, v: u32) -> u32 {
+    match ties {
+        Some(order) => order[v as usize],
+        None => v,
     }
 }
 
@@ -506,8 +594,8 @@ fn pop_if_below(
 /// [`SptTree::covers`]):
 ///
 /// * **targets** — a `Distance(t, bound)` question needs `t` settled or
-///   every vertex within `bound` settled; a path or unbounded-distance
-///   question uses `bound = ∞`;
+///   every vertex within `bound` settled; an unbounded-distance question
+///   uses `bound = ∞`;
 /// * **k nearest** — at least `k` settled vertices (the largest `k` asked);
 /// * **radius** — every vertex within the radius settled (the largest
 ///   radius asked).
@@ -552,6 +640,11 @@ impl TreeNeed {
     pub fn add_target(&mut self, target: VertexId, bound: f64) {
         let slot = self.targets.entry(target).or_insert(bound);
         *slot = slot.max(bound);
+    }
+
+    /// Whether the need asks for nothing: its tree would be empty.
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty() && self.k == 0 && self.radius == f64::NEG_INFINITY
     }
 
     /// Requires the `k` nearest vertices, with their distance ties.
@@ -632,112 +725,35 @@ fn drop_settled_tops(heap: &mut BinaryHeap<HeapSlot>, state: &[u32], gen: u32) -
     popped
 }
 
-/// A lower bound on the remaining distance from a vertex to the query
-/// target, consulted by the relaxation loop for pruning only — never for
-/// ordering — so answers stay bit-identical with and without one (see
-/// [`crate::landmarks`]).
-trait Heuristic {
-    /// Whether [`Heuristic::prunes`] can return anything but `false`; lets
-    /// the no-heuristic search compile the pruning branch away.
-    const ACTIVE: bool;
-    /// Whether a vertex `v` reached at tentative distance `nd` provably
-    /// cannot lie on a within-bound path to the target.
-    fn prunes(&self, nd: f64, v: usize) -> bool;
-}
-
-/// The plain Dijkstra searches: no remaining-distance information.
-struct NoHeuristic;
-
-impl Heuristic for NoHeuristic {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn prunes(&self, _nd: f64, _v: usize) -> bool {
-        false
-    }
-}
-
-/// The ALT bound: max over landmarks of `|d(l, v) − d(l, target)|`, with
-/// the target column pre-copied into the engine's scratch buffer, made
-/// sound under floating point by two margins (see
-/// [`LandmarkHeuristic::new`]).
-struct LandmarkHeuristic<'a> {
-    /// Vertex-major distance table, `table[v * k + l]`.
-    table: &'a [f64],
-    /// Distances from every landmark to the target (`k` entries).
-    target_column: &'a [f64],
-    /// `2 · path_rounding_margin(n)`: the relative error allowance of one
-    /// computed distance, doubled for headroom.
+/// One goal-directed query's fixed inputs and running state (see
+/// [`DijkstraEngine::shortest_path_with`]).
+struct Goal<'a> {
+    landmarks: &'a Landmarks,
+    /// Distances from every landmark to the target.
+    column: &'a [f64],
+    /// Relative safety margin of the landmark bound
+    /// ([`Landmarks::certified_bound`]).
     margin: f64,
-    /// The query bound inflated by `margin` — the pruning threshold.
-    threshold: f64,
+    /// Tie order of the parent rule and the queue (`None`: vertex ids).
+    ties: Option<&'a [u32]>,
+    target: u32,
+    /// The query bound ([`search_bound`]-clamped).
+    bound: f64,
+    /// Vertex count, for [`relaxed_bound`].
+    n: usize,
+    /// [`relaxed_bound`] of the smaller of the bound and the target's
+    /// tentative distance.
+    stop: f64,
+    /// Whether a parent-tracking search relaxed an edge with
+    /// `fl(d + w) = d`.
+    absorbed: bool,
 }
 
-impl<'a> LandmarkHeuristic<'a> {
-    /// The heuristic for one query over an `n`-vertex graph.
-    ///
-    /// In exact arithmetic, `|δ(l, v) − δ(l, t)| ≤ δ(v, t)` and a vertex on
-    /// the answer path satisfies `δ(s, v) + δ(v, t) ≤ bound`. The table and
-    /// the search both hold *computed* distances, so that comparison can
-    /// flip at exact bounds: when `v` lies on a shortest landmark-to-target
-    /// path the inequality is tight and one rounding prunes the answer
-    /// path. With `ρ = path_rounding_margin(n)` (every path here is simple,
-    /// so it has fewer than `n` edges):
-    ///
-    /// * each table entry is within `ρ·δ` of its exact value, so
-    ///   `|D(l,v) − D(l,t)| − ρ'·(D(l,v) + D(l,t))` is a lower bound on
-    ///   `δ(v, t)` for `ρ' ≥ ρ` (the subtraction's own rounding is bounded
-    ///   by the same sum, since `δ(v, t) ≤ δ(l, v) + δ(l, t)`);
-    /// * the search's computed distance at the target is the computed
-    ///   distance at `v` plus the rest of the path, summed with at most
-    ///   `ρ` relative error of the total, so a vertex on the answer path
-    ///   has `D(s, v) + δ(v, t) ≤ bound · (1 + ρ')`.
-    ///
-    /// `ρ' = 2ρ` covers both, and the remaining roundings of the margin
-    /// arithmetic itself, with room to spare. The first margin scales with
-    /// the landmark distances, the second with the bound; both are
-    /// `O(n · 2⁻⁵²)` relative, so pruning power is unchanged in practice.
-    fn new(table: &'a [f64], target_column: &'a [f64], n: usize, bound: f64) -> Self {
-        let margin = 2.0 * path_rounding_margin(n);
-        LandmarkHeuristic {
-            table,
-            target_column,
-            margin,
-            threshold: bound + margin * bound,
-        }
-    }
-
-    /// The certified lower bound on `d(v, target)`: `INFINITY` when some
-    /// landmark proves `v` and the target disconnected (finiteness is
-    /// exact, no margin applies).
-    #[inline(always)]
-    fn estimate(&self, v: usize) -> f64 {
-        let k = self.target_column.len();
-        let row = &self.table[v * k..(v + 1) * k];
-        let mut h = 0.0f64;
-        for (&dv, &dt) in row.iter().zip(self.target_column) {
-            if dv.is_finite() && dt.is_finite() {
-                let diff = (dv - dt).abs() - self.margin * (dv + dt);
-                if diff > h {
-                    h = diff;
-                }
-            } else if dv.is_finite() != dt.is_finite() {
-                // Exactly one side reachable from this landmark: the pair
-                // is disconnected and `v` can never reach the target.
-                return f64::INFINITY;
-            }
-        }
-        h
-    }
-}
-
-impl Heuristic for LandmarkHeuristic<'_> {
-    const ACTIVE: bool = true;
-
-    #[inline(always)]
-    fn prunes(&self, nd: f64, v: usize) -> bool {
-        let rem = self.estimate(v);
-        rem == f64::INFINITY || nd + rem > self.threshold
+/// Panics unless `ties`, when given, ranks every vertex of an `n`-vertex
+/// graph.
+fn assert_tie_order(ties: Option<&[u32]>, n: usize) {
+    if let Some(order) = ties {
+        assert_eq!(order.len(), n, "tie order must rank every vertex");
     }
 }
 
@@ -1005,18 +1021,19 @@ impl DijkstraEngine {
     /// Branchless filter pass of the batched kernel over one row's
     /// `(targets, weights)` candidates: resolves every candidate whose
     /// scalar outcome is already decidable from `dist`/`state` alone.
-    /// Settled targets and touched-no-improvement-within-bound candidates
-    /// are silent scalar skips (no counter) — dropped. Out-of-bound
-    /// candidates are scalar prunes — dropped here with the exact
-    /// `pruned_by_bound` increment the scalar relax would have made (`nd`
-    /// is the same `d + w` both compute, so the comparison is
-    /// bit-identical). Only improving-within-bound survivors land in
-    /// `commit` (as indices into the row), for the exact relax to re-check
-    /// and heuristic-prune. The `state` lane of the candidate
-    /// [`PREFETCH_DISTANCE`] ahead is prefetched while filtering (`dist`
-    /// stays behind the untouched-candidate branch — see below).
+    /// Settled targets and touched candidates the relax step would leave
+    /// alone (no improvement, and — when tracking parents — no distance
+    /// tie that could move the parent) are silent scalar skips (no counter)
+    /// — dropped. Out-of-bound candidates are scalar prunes — dropped here
+    /// with the exact `pruned_by_bound` increment the scalar relax would
+    /// have made (`nd` is the same `d + w` both compute, so the comparison
+    /// is bit-identical). Only the remaining within-bound survivors land in
+    /// `commit` (as indices into the row), for the exact relax to re-check.
+    /// The `state` lane of the candidate [`PREFETCH_DISTANCE`] ahead is
+    /// prefetched while filtering (`dist` stays behind the
+    /// untouched-candidate branch — see below).
     #[inline(always)]
-    fn filter_row(
+    fn filter_row<const TRACK_PARENTS: bool>(
         &mut self,
         targets: &[u32],
         weights: &[f64],
@@ -1047,7 +1064,11 @@ impl DijkstraEngine {
             // commit loop from latency-bound to bandwidth-bound.
             let mut keep = live && within;
             if keep && s >= gen {
-                keep = nd < self.dist[v];
+                keep = if TRACK_PARENTS {
+                    nd <= self.dist[v]
+                } else {
+                    nd < self.dist[v]
+                };
             }
             commit[kept] = j as u32;
             kept += keep as usize;
@@ -1058,15 +1079,28 @@ impl DijkstraEngine {
         self.stats.kernel.candidates_committed += kept as u64;
     }
 
+    /// The canonical parent rule's tie-break: whether `u`, settled at `d`,
+    /// should replace `v`'s current parent when both give `v` the same
+    /// distance — true iff `(d, tie key of u)` is the smaller pair. The
+    /// source has no parent to replace.
+    #[inline(always)]
+    fn better_parent(&self, d: f64, u: u32, v: usize, ties: Option<&[u32]>) -> bool {
+        let p = self.parent[v];
+        if p == NO_VERTEX {
+            return false;
+        }
+        let dp = self.dist[p as usize];
+        d < dp || (d == dp && tie_key(ties, u) < tie_key(ties, p))
+    }
+
     /// Relaxes the half-edge `u → v` with weight `w`, given `u`'s settled
     /// distance `d`. The single `state` load decides settled / untouched /
     /// in-queue; improvements push a fresh queue entry (lazy deletion).
     /// `TRACK_PARENTS` is off for bounded-distance and ball queries (nothing
     /// reads parents there), which removes a random store per improvement
-    /// from the greedy hot loop. With an active heuristic, an improvement
-    /// the heuristic proves useless ([`Heuristic::prunes`]) is dropped
-    /// instead of pushed — pruning only; queue keys stay plain distances,
-    /// so the settle order of surviving vertices is untouched.
+    /// from the greedy hot loop. With it on, an equal distance applies the
+    /// canonical tie rule ([`DijkstraEngine::better_parent`]), and `ties`
+    /// (the tie order, `None` for vertex ids) also keys the queue entry.
     ///
     /// `lag` is the number of queue entries the batched kernel has drained
     /// ahead of this row's logical position (0 on the scalar path): the
@@ -1074,10 +1108,10 @@ impl DijkstraEngine {
     /// happens, so `peak_frontier` adds them back to stay bit-identical.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax<const TRACK_PARENTS: bool, H: Heuristic>(
+    fn relax<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        h: &H,
+        ties: Option<&[u32]>,
         u: u32,
         v: usize,
         w: f64,
@@ -1097,20 +1131,22 @@ impl DijkstraEngine {
             return;
         }
         if s < gen || nd < self.dist[v] {
-            if H::ACTIVE && h.prunes(nd, v) {
-                self.stats.pruned_by_bound += 1;
-                return;
-            }
             self.state[v] = gen;
             self.dist[v] = nd;
-            if TRACK_PARENTS {
+            let tie = if TRACK_PARENTS {
                 self.parent[v] = u;
-            }
+                tie_key(ties, v as u32)
+            } else {
+                v as u32
+            };
             queue.push(HeapSlot {
                 dist: nd,
                 vertex: v as u32,
+                tie,
             });
             self.last_frontier = self.last_frontier.max(queue.len() + lag);
+        } else if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v, ties) {
+            self.parent[v] = u;
         }
     }
 
@@ -1120,10 +1156,10 @@ impl DijkstraEngine {
     /// pending-deletions and fast paths share it so they cannot drift.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax_row<const TRACK_PARENTS: bool, H: Heuristic>(
+    fn relax_row<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        h: &H,
+        ties: Option<&[u32]>,
         graph: &CsrGraph,
         u: u32,
         d: f64,
@@ -1142,9 +1178,9 @@ impl DijkstraEngine {
                     continue;
                 }
             }
-            self.relax::<TRACK_PARENTS, H>(
+            self.relax::<TRACK_PARENTS>(
                 queue,
-                h,
+                ties,
                 u,
                 targets[i] as usize,
                 weights[i],
@@ -1157,7 +1193,7 @@ impl DijkstraEngine {
         // Live overflow half-edges appended since the last re-pack (short;
         // the iterator itself skips tombstoned entries).
         for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-            self.relax::<TRACK_PARENTS, H>(queue, h, u, v as usize, w, d, gen, bound, 0);
+            self.relax::<TRACK_PARENTS>(queue, ties, u, v as usize, w, d, gen, bound, 0);
         }
     }
 
@@ -1192,13 +1228,11 @@ impl DijkstraEngine {
         rule.pending == 0
     }
 
-    /// The scalar search loop, monomorphized per heuristic. Settles
-    /// vertices in non-decreasing distance order (heap ties by vertex id;
-    /// see [`sort_settle_order`] for the rounding ties it misses); never
-    /// pushes a vertex whose tentative distance (plus the heuristic's lower
-    /// bound on the remaining distance, when active) exceeds `bound`; stops
-    /// early once `target` settles. When `collect` is set, the settle order
-    /// is recorded in `ball_buf`.
+    /// The scalar search loop. Settles vertices in non-decreasing distance
+    /// order (heap ties by tie key; see [`sort_settle_order`] for the
+    /// rounding ties it misses); never pushes a vertex whose tentative
+    /// distance exceeds `bound`; stops early once `target` settles. When
+    /// `collect` is set, the settle order is recorded in `ball_buf`.
     ///
     /// `rule` stops the search once its need is met: after the settle at
     /// distance `D` that meets the last requirement (a target settled or
@@ -1214,28 +1248,18 @@ impl DijkstraEngine {
     /// Returns the distance through which the settled set is complete for
     /// a target-free search: `D` when the rule stopped it, `+∞` when the
     /// queue ran dry (with an infinite `bound`, everything reachable).
-    ///
-    /// `source_pruned` is the heuristic's verdict at the source: if the
-    /// landmarks already rule out a within-bound path (or prove the pair
-    /// disconnected), the search is over before it starts and the source is
-    /// never touched.
     #[allow(clippy::too_many_arguments)]
-    fn search<const TRACK_PARENTS: bool, H: Heuristic>(
+    fn search<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        h: &H,
+        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
         mut rule: StopRule,
-        source_pruned: bool,
     ) -> f64 {
-        if source_pruned {
-            self.stats.pruned_by_bound += 1;
-            return f64::NEG_INFINITY;
-        }
         // Tombstoned half-edges linger in the packed arrays until the next
         // re-pack; only then does the scan pay for the liveness check.
         let pending_deletions = graph.has_pending_deletions();
@@ -1248,10 +1272,14 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: 0.0,
             vertex: source as u32,
+            tie: tie_key(ties, source as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         let mut stop_key = rule.stop_key;
-        while let Some(HeapSlot { dist: d, vertex: u }) = queue.pop() {
+        while let Some(HeapSlot {
+            dist: d, vertex: u, ..
+        }) = queue.pop()
+        {
             self.stats.heap_pops += 1;
             if d > stop_key {
                 return stop_key; // past the ties at the need's distance
@@ -1270,9 +1298,9 @@ impl DijkstraEngine {
             if Some(u) == target {
                 break;
             }
-            self.relax_row::<TRACK_PARENTS, H>(
+            self.relax_row::<TRACK_PARENTS>(
                 queue,
-                h,
+                ties,
                 graph,
                 u,
                 d,
@@ -1314,7 +1342,7 @@ impl DijkstraEngine {
     ///    scalar relax counts them — and compacting the improving
     ///    within-bound survivors into the commit buffer; then relax the
     ///    survivors through the exact scalar step (which re-checks
-    ///    everything and applies the heuristic prune). Dropped candidates
+    ///    everything). Dropped candidates
     ///    are provably scalar no-ops (or exact counted prunes) and stay so
     ///    under intra-row mutation: distances only decrease, nothing
     ///    settles mid-row, and the bound comparison is static.
@@ -1326,22 +1354,17 @@ impl DijkstraEngine {
     /// pop of such a key ends the search — the scalar loop's stopping pop.
     /// The return value is the scalar loop's.
     #[allow(clippy::too_many_arguments)]
-    fn search_batched<const TRACK_PARENTS: bool, H: Heuristic>(
+    fn search_batched<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        h: &H,
+        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
         mut rule: StopRule,
-        source_pruned: bool,
     ) -> f64 {
-        if source_pruned {
-            self.stats.pruned_by_bound += 1;
-            return f64::NEG_INFINITY;
-        }
         let pending_deletions = graph.has_pending_deletions();
         let liveness = graph.edge_liveness_words();
         let gen = self.generation;
@@ -1353,6 +1376,7 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: 0.0,
             vertex: source as u32,
+            tie: tie_key(ties, source as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         // Cohort slack: every queued key strictly below `popped key + slack`
@@ -1380,6 +1404,7 @@ impl DijkstraEngine {
         'outer: while let Some(HeapSlot {
             dist: d0,
             vertex: u0,
+            ..
         }) = queue.pop()
         {
             self.stats.heap_pops += 1;
@@ -1416,8 +1441,9 @@ impl DijkstraEngine {
                 stop_key = d0;
             }
             while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
-                let Some(HeapSlot { dist: d, vertex: u }) =
-                    pop_if_below(queue, threshold, stop_key)
+                let Some(HeapSlot {
+                    dist: d, vertex: u, ..
+                }) = pop_if_below(queue, threshold, stop_key)
                 else {
                     break;
                 };
@@ -1516,12 +1542,12 @@ impl DijkstraEngine {
                 let lag = (drained - pos) as usize;
                 if borrowed {
                     let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-                    self.filter_row(targets, weights, d, gen, bound, &mut commit);
+                    self.filter_row::<TRACK_PARENTS>(targets, weights, d, gen, bound, &mut commit);
                     for &j in &commit {
                         let j = j as usize;
-                        self.relax::<TRACK_PARENTS, H>(
+                        self.relax::<TRACK_PARENTS>(
                             queue,
-                            h,
+                            ties,
                             u,
                             targets[j] as usize,
                             weights[j],
@@ -1532,7 +1558,7 @@ impl DijkstraEngine {
                         );
                     }
                 } else {
-                    self.filter_row(
+                    self.filter_row::<TRACK_PARENTS>(
                         &gather_targets[start..end],
                         &gather_weights[start..end],
                         d,
@@ -1542,9 +1568,9 @@ impl DijkstraEngine {
                     );
                     for &j in &commit {
                         let j = start + j as usize;
-                        self.relax::<TRACK_PARENTS, H>(
+                        self.relax::<TRACK_PARENTS>(
                             queue,
-                            h,
+                            ties,
                             u,
                             gather_targets[j] as usize,
                             gather_weights[j],
@@ -1569,43 +1595,24 @@ impl DijkstraEngine {
     /// kernel; `batched` is resolved once per query by
     /// [`DijkstraEngine::use_batched_kernel`].
     #[allow(clippy::too_many_arguments)]
-    fn search_dispatch<const TRACK_PARENTS: bool, H: Heuristic>(
+    fn search_dispatch<const TRACK_PARENTS: bool>(
         &mut self,
         batched: bool,
         queue: &mut BinaryHeap<HeapSlot>,
-        h: &H,
+        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
         bound: f64,
         collect: bool,
         rule: StopRule,
-        source_pruned: bool,
     ) -> f64 {
         if batched {
-            self.search_batched::<TRACK_PARENTS, H>(
-                queue,
-                h,
-                graph,
-                source,
-                target,
-                bound,
-                collect,
-                rule,
-                source_pruned,
+            self.search_batched::<TRACK_PARENTS>(
+                queue, ties, graph, source, target, bound, collect, rule,
             )
         } else {
-            self.search::<TRACK_PARENTS, H>(
-                queue,
-                h,
-                graph,
-                source,
-                target,
-                bound,
-                collect,
-                rule,
-                source_pruned,
-            )
+            self.search::<TRACK_PARENTS>(queue, ties, graph, source, target, bound, collect, rule)
         }
     }
 
@@ -1641,11 +1648,12 @@ impl DijkstraEngine {
     }
 
     /// Query entry point: validates, advances the generation, resolves the
-    /// kernel, the need's stop rule and the landmark heuristic, runs the
-    /// monomorphized search, and keeps the workspace-reuse accounting (a
-    /// query is a reuse hit only if **no** buffer — vertex arrays, the heap,
-    /// the gather scratch, or the landmark scratch — grew). Returns the
-    /// search's complete-through distance (see [`DijkstraEngine::search`]).
+    /// kernel and the need's stop rule, runs the monomorphized search, and
+    /// keeps the workspace-reuse accounting (a query is a reuse hit only if
+    /// **no** buffer — vertex arrays, the heap, or the gather scratch —
+    /// grew). `ties` is the tie order of a parent-tracking search (`None`
+    /// for vertex ids). Returns the search's complete-through distance (see
+    /// [`DijkstraEngine::search`]).
     #[allow(clippy::too_many_arguments)]
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
@@ -1655,7 +1663,7 @@ impl DijkstraEngine {
         bound: f64,
         collect: bool,
         need: Option<&TreeNeed>,
-        landmarks: Option<&Landmarks>,
+        ties: Option<&[u32]>,
     ) -> f64 {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
@@ -1668,69 +1676,242 @@ impl DijkstraEngine {
                 "need target out of range"
             );
         }
+        assert_tie_order(ties, n);
         let target = target.map(|t| t.index() as u32);
         let bound = search_bound(bound);
-        // Resolve the heuristic first: the target column is copied into the
-        // scratch buffer, whose growth counts as a reuse miss like any
-        // other buffer's.
-        let mut scratch = std::mem::take(&mut self.h_scratch);
-        let lm = match (landmarks, target) {
-            (Some(lm), Some(_)) if !lm.is_empty() => Some(lm),
-            _ => None,
-        };
-        let mut grew = false;
-        if let (Some(lm), Some(t)) = (lm, target) {
-            if scratch.capacity() < lm.len() {
-                grew = true;
-            }
-            lm.copy_target_column(t as usize, &mut scratch);
-        }
-        grew |= self.begin_query(n);
+        let grew = self.begin_query(n);
         let rule = self.stop_rule(need);
-        let s = source.index();
         let batched = self.use_batched_kernel(graph);
         let gather_cap = self.gather_capacity_signature();
         let mut heap = std::mem::take(&mut self.heap);
         let heap_cap = heap.capacity();
-        let complete_through = match lm {
-            None => self.search_dispatch::<TRACK_PARENTS, _>(
-                batched,
-                &mut heap,
-                &NoHeuristic,
-                graph,
-                s,
-                target,
-                bound,
-                collect,
-                rule,
-                false,
-            ),
-            Some(lm) => {
-                let h = LandmarkHeuristic::new(lm.table(), &scratch, n, bound);
-                let source_pruned = h.prunes(0.0, s);
-                self.search_dispatch::<TRACK_PARENTS, _>(
-                    batched,
-                    &mut heap,
-                    &h,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    rule,
-                    source_pruned,
-                )
-            }
-        };
+        let complete_through = self.search_dispatch::<TRACK_PARENTS>(
+            batched,
+            &mut heap,
+            ties,
+            graph,
+            source.index(),
+            target,
+            bound,
+            collect,
+            rule,
+        );
         let reused = heap.capacity() == heap_cap;
         self.heap = heap;
         let reused = reused && self.gather_capacity_signature() == gather_cap;
-        self.h_scratch = scratch;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
         if !grew && reused {
             self.stats.reuse_hits += 1;
         }
         complete_through
+    }
+
+    /// Relaxes the half-edge `u → v` of weight `w` in the goal-directed
+    /// search, `u` settled at `d`. An improvement — also into a settled
+    /// vertex, which re-opens it ([`EngineStats::reopened`]) — is queued at
+    /// key `nd + h(v)` unless that key passes the stop key (or `h` proves
+    /// `v` cut off from the target); an equal distance applies the
+    /// canonical tie rule, settled or not. Improving the target lowers the
+    /// stop key.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn relax_goal_directed<const TRACK_PARENTS: bool>(
+        &mut self,
+        queue: &mut BinaryHeap<HeapSlot>,
+        goal: &mut Goal<'_>,
+        u: u32,
+        v: usize,
+        w: f64,
+        d: f64,
+        gen: u32,
+    ) {
+        let nd = d + w;
+        if TRACK_PARENTS && nd == d {
+            goal.absorbed = true;
+        }
+        if nd > goal.bound {
+            self.stats.pruned_by_bound += 1;
+            return;
+        }
+        let s = self.state[v];
+        if s >= gen && nd >= self.dist[v] {
+            if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v, goal.ties) {
+                self.parent[v] = u;
+            }
+            return;
+        }
+        let h = goal.landmarks.certified_bound(v, goal.column, goal.margin);
+        let key = nd + h;
+        if h == f64::INFINITY || key > goal.stop {
+            self.stats.pruned_by_bound += 1;
+            return;
+        }
+        if s == gen + 1 {
+            self.stats.reopened += 1;
+        }
+        self.state[v] = gen;
+        self.dist[v] = nd;
+        if TRACK_PARENTS {
+            self.parent[v] = u;
+        }
+        queue.push(HeapSlot {
+            dist: key,
+            vertex: v as u32,
+            tie: tie_key(goal.ties, v as u32),
+        });
+        self.last_frontier = self.last_frontier.max(queue.len());
+        if v as u32 == goal.target {
+            goal.stop = goal.stop.min(relaxed_bound(nd, goal.n));
+        }
+    }
+
+    /// The goal-directed (A*) search loop from `source` toward
+    /// `goal.target`: pops the smallest key `dist + h`, settles its vertex
+    /// at its current distance, and stops at the first pop above the stop
+    /// key (see [`relaxed_bound`]). The target's own row is never relaxed: no
+    /// path to the target runs through it. Scalar loop only — the batched
+    /// kernel's cohort argument needs plain distance keys.
+    fn search_goal_directed<const TRACK_PARENTS: bool>(
+        &mut self,
+        queue: &mut BinaryHeap<HeapSlot>,
+        graph: &CsrGraph,
+        source: usize,
+        goal: &mut Goal<'_>,
+    ) {
+        let gen = self.generation;
+        let h = goal
+            .landmarks
+            .certified_bound(source, goal.column, goal.margin);
+        if h == f64::INFINITY || h > goal.stop {
+            // A landmark proves the pair disconnected, or even the lower
+            // bound exceeds the query bound.
+            self.stats.pruned_by_bound += 1;
+            return;
+        }
+        let pending_deletions = graph.has_pending_deletions();
+        self.dist[source] = 0.0;
+        if TRACK_PARENTS {
+            self.parent[source] = NO_VERTEX;
+        }
+        self.state[source] = gen;
+        queue.push(HeapSlot {
+            dist: h,
+            vertex: source as u32,
+            tie: tie_key(goal.ties, source as u32),
+        });
+        self.last_frontier = self.last_frontier.max(queue.len());
+        while let Some(HeapSlot {
+            dist: key,
+            vertex: u,
+            ..
+        }) = queue.pop()
+        {
+            self.stats.heap_pops += 1;
+            if key > goal.stop {
+                break;
+            }
+            if self.state[u as usize] == gen + 1 {
+                continue; // stale lazy-deletion entry
+            }
+            self.state[u as usize] = gen + 1;
+            self.stats.settled_vertices += 1;
+            if u == goal.target {
+                continue;
+            }
+            let d = self.dist[u as usize];
+            let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
+            let ids = pending_deletions.then(|| graph.packed_neighbor_ids(VertexId(u as usize)));
+            for i in 0..targets.len() {
+                if let Some(ids) = ids {
+                    if !graph.is_edge_id_live(ids[i]) {
+                        continue;
+                    }
+                }
+                self.relax_goal_directed::<TRACK_PARENTS>(
+                    queue,
+                    goal,
+                    u,
+                    targets[i] as usize,
+                    weights[i],
+                    d,
+                    gen,
+                );
+            }
+            for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
+                self.relax_goal_directed::<TRACK_PARENTS>(queue, goal, u, v as usize, w, d, gen);
+            }
+        }
+    }
+
+    /// Entry point of the goal-directed queries: validates the table and
+    /// the vertices, copies the target's landmark column into the scratch
+    /// buffer (a growth counts as a reuse miss), runs the search, and — for
+    /// a parent-tracking search that relaxed a rounding-absorbed edge —
+    /// answers with the one-sided search inside the same query.
+    fn run_goal_directed<const TRACK_PARENTS: bool>(
+        &mut self,
+        graph: &CsrGraph,
+        landmarks: &Landmarks,
+        source: VertexId,
+        target: VertexId,
+        bound: f64,
+        ties: Option<&[u32]>,
+    ) {
+        assert_eq!(
+            landmarks.num_vertices(),
+            graph.num_vertices(),
+            "landmark table was built over a different vertex count"
+        );
+        assert_eq!(
+            landmarks.epoch(),
+            graph.epoch(),
+            "landmark table is stale; rebuild it after graph mutations"
+        );
+        let n = graph.num_vertices();
+        assert!(source.index() < n, "source vertex out of range");
+        assert!(target.index() < n, "target vertex out of range");
+        assert_tie_order(ties, n);
+        let bound = search_bound(bound);
+        let mut column = std::mem::take(&mut self.h_scratch);
+        let mut grew = column.capacity() < landmarks.len();
+        landmarks.copy_target_column(target.index(), &mut column);
+        grew |= self.begin_query(n);
+        let mut heap = std::mem::take(&mut self.heap);
+        let heap_cap = heap.capacity();
+        let mut goal = Goal {
+            landmarks,
+            column: &column,
+            margin: 2.0 * path_rounding_margin(n),
+            ties,
+            target: target.index() as u32,
+            bound,
+            n,
+            stop: relaxed_bound(bound, n),
+            absorbed: false,
+        };
+        self.search_goal_directed::<TRACK_PARENTS>(&mut heap, graph, source.index(), &mut goal);
+        if goal.absorbed {
+            self.stats.path_fallbacks += 1;
+            self.advance_generation();
+            heap.clear();
+            self.search::<true>(
+                &mut heap,
+                ties,
+                graph,
+                source.index(),
+                Some(target.index() as u32),
+                bound,
+                false,
+                StopRule::NEVER,
+            );
+        }
+        let reused = heap.capacity() == heap_cap;
+        self.heap = heap;
+        self.h_scratch = column;
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
+        if !grew && reused {
+            self.stats.reuse_hits += 1;
+        }
     }
 
     /// Distance between `source` and `target` if it is at most `bound`,
@@ -1768,14 +1949,12 @@ impl DijkstraEngine {
         (self.extract_target(target, bound), self.last_frontier)
     }
 
-    /// Like [`DijkstraEngine::bounded_distance`], additionally pruning the
-    /// search with a [`Landmarks`] table: vertices whose tentative distance
-    /// plus max-over-landmarks triangle lower bound exceeds `bound` are never
-    /// pushed. Both sides of that comparison carry a rounding margin
-    /// ([`path_rounding_margin`]), so the pruning is answer-invariant even
-    /// when `bound` equals the distance exactly — the result is
-    /// bit-identical to [`DijkstraEngine::bounded_distance`] for every
-    /// landmark set — it only shrinks the explored ball.
+    /// Like [`DijkstraEngine::bounded_distance`], answered by the
+    /// goal-directed search over a [`Landmarks`] table (see
+    /// [`DijkstraEngine::shortest_path_with`]): the result is bit-identical
+    /// to [`DijkstraEngine::bounded_distance`] for every landmark set,
+    /// including bounds equal to the distance; only the settled corridor
+    /// differs. A pair some landmark proves disconnected settles nothing.
     ///
     /// # Panics
     ///
@@ -1791,25 +1970,7 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> Option<f64> {
-        assert_eq!(
-            landmarks.num_vertices(),
-            graph.num_vertices(),
-            "landmark table was built over a different vertex count"
-        );
-        assert_eq!(
-            landmarks.epoch(),
-            graph.epoch(),
-            "landmark table is stale; rebuild it after graph mutations"
-        );
-        self.run_query::<false>(
-            graph,
-            source,
-            Some(target),
-            bound,
-            false,
-            None,
-            Some(landmarks),
-        );
+        self.run_goal_directed::<false>(graph, landmarks, source, target, bound, None);
         self.extract_target(target, bound)
     }
 
@@ -1873,16 +2034,15 @@ impl DijkstraEngine {
             self.stats.bidirectional_fallbacks += 1;
             self.advance_generation();
             fwd.clear();
-            self.search::<false, _>(
+            self.search::<false>(
                 &mut fwd,
-                &NoHeuristic,
+                None,
                 graph,
                 s as usize,
                 Some(t),
                 bound,
                 false,
                 StopRule::NEVER,
-                false,
             );
             self.extract_target(target, bound).is_some()
         });
@@ -1916,17 +2076,11 @@ impl DijkstraEngine {
         let gen = self.generation;
         self.dist[s as usize] = 0.0;
         self.state[s as usize] = gen;
-        fwd.push(HeapSlot {
-            dist: 0.0,
-            vertex: s,
-        });
+        fwd.push(HeapSlot::new(0.0, s));
         self.dist_b[t as usize] = 0.0;
         self.state_b[t as usize] = gen;
         self.chain_vertex[t as usize] = NO_VERTEX;
-        bwd.push(HeapSlot {
-            dist: 0.0,
-            vertex: t,
-        });
+        bwd.push(HeapSlot::new(0.0, t));
         self.last_frontier = 2;
         let mut band = false;
         loop {
@@ -1944,7 +2098,9 @@ impl DijkstraEngine {
             } else {
                 (&mut *fwd, bwd.len())
             };
-            let HeapSlot { dist: d, vertex: u } = queue.pop().expect("peeked above");
+            let HeapSlot {
+                dist: d, vertex: u, ..
+            } = queue.pop().expect("peeked above");
             self.stats.heap_pops += 1;
             self.stats.settled_vertices += 1;
             let accepted = if backward {
@@ -2096,10 +2252,7 @@ impl DijkstraEngine {
                 self.chain_vertex[v] = u;
                 self.chain_weight[v] = w;
             }
-            queue.push(HeapSlot {
-                dist: nd,
-                vertex: v as u32,
-            });
+            queue.push(HeapSlot::new(nd, v as u32));
             self.last_frontier = self.last_frontier.max(queue.len() + other_len);
         }
         false
@@ -2133,6 +2286,18 @@ impl DijkstraEngine {
     /// the next query — and allocates only in
     /// [`EngineTree::path_to`] (which builds the returned path).
     ///
+    /// **Canonical parents.** A vertex's parent is, among its neighbours
+    /// that achieve its distance and settle before it, the one with the
+    /// smallest `(distance, vertex id)`: the first to reach the distance
+    /// sets it, and a later one replaces it on an equal distance only with
+    /// a smaller pair. Settle order is non-decreasing in distance, so every
+    /// neighbour at a strictly smaller distance settles first; only a
+    /// rounding-absorbed edge (`fl(d + w) = d`) makes an equal-distance
+    /// neighbour, and then settle order — `(distance, id)` heap order,
+    /// extended by the vertices such edges queue — decides whether it
+    /// competes. The free functions of [`crate::dijkstra`] and every other
+    /// parent-tracking search here follow the same rule.
+    ///
     /// # Panics
     ///
     /// Panics if `source` is out of range.
@@ -2165,21 +2330,38 @@ impl DijkstraEngine {
     /// covered answer is bit-identical to the corresponding
     /// [`EngineTree`] accessor of [`DijkstraEngine::shortest_path_tree`].
     ///
-    /// The member list is the search's settle order, already
-    /// `(distance, vertex)` order up to rounding ties: building the tree
-    /// costs `O(n)` plus the settled vertices, not a scan-and-sort.
+    /// Parents follow the canonical rule of
+    /// [`DijkstraEngine::shortest_path_tree`], with ties between equal
+    /// distances broken by `tie_order` (`tie_order[v]` ranks vertex `v`;
+    /// `None` ranks by vertex id) in both the parent comparison and the
+    /// queue. A reordered graph passes its vertices' original ids
+    /// ([`crate::VertexPerm::external_ids`]) and gets the original
+    /// numbering's tree, relabelled.
+    ///
+    /// The member list is the search's settle order, re-sorted into
+    /// `(distance, vertex)` order only where it is not already: building
+    /// the tree costs `O(n)` plus the settled vertices.
     ///
     /// # Panics
     ///
-    /// Panics if `source` or a target of `need` is out of range.
+    /// Panics if `source` or a target of `need` is out of range, or if
+    /// `tie_order` does not rank every vertex.
     pub fn owned_shortest_path_tree(
         &mut self,
         graph: &CsrGraph,
         source: VertexId,
         need: &TreeNeed,
+        tie_order: Option<&[u32]>,
     ) -> SptTree {
-        let complete_through =
-            self.run_query::<true>(graph, source, None, f64::INFINITY, true, Some(need), None);
+        let complete_through = self.run_query::<true>(
+            graph,
+            source,
+            None,
+            f64::INFINITY,
+            true,
+            Some(need),
+            tie_order,
+        );
         let n = graph.num_vertices();
         let mut dist = vec![f64::INFINITY; n];
         let mut parent = vec![NO_VERTEX; n];
@@ -2199,11 +2381,8 @@ impl DijkstraEngine {
     }
 
     /// The shortest path from `source` to `target` with its distance, or
-    /// `None` if `target` is unreachable. The search stops once `target`
-    /// settles; a settled vertex's distance and parent never change and
-    /// every path vertex settles before the target, so the answer equals
-    /// [`DijkstraEngine::shortest_path_tree`]'s `distance` and `path_to`
-    /// for `target`, bit for bit.
+    /// `None` if `target` is unreachable: [`DijkstraEngine::shortest_path_with`]
+    /// without landmarks and with vertex-id ties.
     ///
     /// # Panics
     ///
@@ -2214,15 +2393,75 @@ impl DijkstraEngine {
         source: VertexId,
         target: VertexId,
     ) -> Option<(f64, Vec<VertexId>)> {
-        self.run_query::<true>(
-            graph,
-            source,
-            Some(target),
-            f64::INFINITY,
-            false,
-            None,
-            None,
-        );
+        self.shortest_path_with(graph, None, None, source, target)
+    }
+
+    /// The shortest path from `source` to `target` with its distance, or
+    /// `None` if `target` is unreachable — equal, bit for bit and vertex for
+    /// vertex, to [`DijkstraEngine::shortest_path_tree`]'s `distance` and
+    /// `path_to` for `target` (with the tree's ties broken by
+    /// `tie_order`, as in [`DijkstraEngine::owned_shortest_path_tree`]).
+    ///
+    /// **Without landmarks** (or with an empty table) this is the one-sided
+    /// search, stopped once `target` settles: a settled vertex's distance
+    /// and parent never change and every path vertex settles before the
+    /// target.
+    ///
+    /// **With landmarks** it is goal-directed: an A* search (Hart, Nilsson
+    /// & Raphael 1968) keyed by `dist(v) + h(v)`, `h` the certified
+    /// landmark lower bound on the remaining distance (ALT; Goldberg &
+    /// Harrelson, SODA 2005). It settles a corridor toward the target
+    /// instead of the ball of radius `δ(source, target)`, and returns the
+    /// same answer:
+    ///
+    /// * **Distance.** The search drains every key up to
+    ///   `relaxed_bound(dist(target))` and re-opens a settled vertex whose
+    ///   distance still improves; the argument on the private
+    ///   `relaxed_bound` (next to [`path_rounding_margin`]) shows that every
+    ///   vertex of the one-sided path then settles at its one-sided
+    ///   distance, the target included.
+    /// * **Parents.** Every equal-distance relaxation applies the canonical
+    ///   tie rule, into settled vertices too. If no relaxed edge is
+    ///   rounding-absorbed (`fl(d + w) > d`), every neighbour achieving a
+    ///   path vertex's distance lies at a strictly smaller distance — so in
+    ///   the one-sided search it competes for the parent — and on a walk of
+    ///   the `relaxed_bound` argument, so here it settles at its final
+    ///   distance and competes too: both searches take the same minimum
+    ///   `(distance, tie key)`, and the parent chain stays strictly
+    ///   distance-decreasing. An absorbed edge into a path vertex would be
+    ///   relaxed here, since its tail is on the path; when one is relaxed,
+    ///   settle order decides parents, and the query is answered by the
+    ///   one-sided search instead ([`EngineStats::path_fallbacks`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either vertex is out of range, if `tie_order` does not rank
+    /// every vertex, or if the landmark table does not match the graph's
+    /// vertex count and epoch.
+    pub fn shortest_path_with(
+        &mut self,
+        graph: &CsrGraph,
+        landmarks: Option<&Landmarks>,
+        tie_order: Option<&[u32]>,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<(f64, Vec<VertexId>)> {
+        match landmarks.filter(|lm| !lm.is_empty()) {
+            Some(lm) => {
+                self.run_goal_directed::<true>(graph, lm, source, target, f64::INFINITY, tie_order)
+            }
+            None => {
+                self.run_query::<true>(
+                    graph,
+                    source,
+                    Some(target),
+                    f64::INFINITY,
+                    false,
+                    None,
+                    tie_order,
+                );
+            }
+        }
         let distance = self.extract_target(target, f64::INFINITY)?;
         Some((distance, self.path_from_parents(target)))
     }
@@ -2798,7 +3037,7 @@ mod tests {
         let g = diamond();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
         let tree = e.shortest_path_tree(&csr, VertexId(0));
         assert_eq!(owned.source(), VertexId(0));
         assert_eq!(owned.num_vertices(), 4);
@@ -2829,7 +3068,7 @@ mod tests {
         .unwrap();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
         for radius in [0.0, 1.0, 2.0, 2.5, 100.0, f64::INFINITY] {
             let expected = e.ball(&csr, VertexId(0), radius).to_vec();
             assert_eq!(
@@ -3031,7 +3270,7 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::build_degree_ranked(&csr, 4);
+        let lm = Landmarks::farthest_point(&csr, 4, None);
         let mut plain = DijkstraEngine::new();
         let mut pruned = DijkstraEngine::new();
         for case in 0..120 {
@@ -3074,7 +3313,7 @@ mod tests {
         use crate::landmarks::Landmarks;
         let g = diamond();
         let mut csr = CsrGraph::from(&g);
-        let lm = Landmarks::build_degree_ranked(&csr, 2);
+        let lm = Landmarks::farthest_point(&csr, 2, None);
         csr.append_edge(VertexId(0), VertexId(3), 1.0);
         let mut e = DijkstraEngine::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -3097,24 +3336,103 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::build_degree_ranked(&csr, 8);
+        let lm = Landmarks::farthest_point(&csr, 8, None);
+        let ties: Vec<u32> = (0..n as u32).rev().collect();
         let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
-        for i in 0..50 {
+        let mut plain = DijkstraEngine::new();
+        for i in 0..80 {
             let s = VertexId((i * 13) % n);
             let t = VertexId((i * 29 + 7) % n);
             let bound = 2.0 + (i % 5) as f64;
-            // Alternate plain and ALT queries on one engine.
-            if i % 2 == 0 {
-                e.bounded_distance(&csr, s, t, bound);
-            } else {
-                e.bounded_distance_landmarked(&csr, &lm, s, t, bound);
+            // Rotate plain, goal-directed distance and goal-directed path
+            // queries (with and without a tie order) on one engine.
+            match i % 4 {
+                0 => {
+                    e.bounded_distance(&csr, s, t, bound);
+                }
+                1 => assert_eq!(
+                    e.bounded_distance_landmarked(&csr, &lm, s, t, bound),
+                    plain.bounded_distance(&csr, s, t, bound)
+                ),
+                2 => assert_eq!(
+                    e.shortest_path_with(&csr, Some(&lm), None, s, t),
+                    plain.shortest_path(&csr, s, t)
+                ),
+                _ => assert_eq!(
+                    e.shortest_path_with(&csr, Some(&lm), Some(&ties), s, t),
+                    plain.shortest_path_with(&csr, None, Some(&ties), s, t)
+                ),
             }
         }
         let stats = e.stats();
+        assert!(stats.settled_vertices < plain.stats().settled_vertices);
         assert_eq!(
             stats.reuse_hits, stats.queries,
-            "a pre-sized engine must never allocate, ALT path included"
+            "a pre-sized engine must never allocate, goal-directed queries included"
         );
+    }
+
+    /// Decimal weights (0.1 steps) sum to values an ulp apart along
+    /// different paths, so the rounded landmark bound misorders vertices
+    /// and the goal-directed search re-opens them; every answer must still
+    /// be the one-sided search's.
+    #[test]
+    fn goal_directed_search_reopens_and_stays_exact_on_decimal_weights() {
+        use crate::landmarks::Landmarks;
+        for seed in 0..3u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = 40;
+            let mut g = WeightedGraph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.gen_bool(0.15) {
+                        let w = [0.1, 0.2, 0.3, 0.7][rng.gen_range(0..4usize)];
+                        g.add_edge(VertexId(u), VertexId(v), w);
+                    }
+                }
+            }
+            let csr = CsrGraph::from(&g);
+            let lm = Landmarks::farthest_point(&csr, 4, None);
+            let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
+            let mut plain = DijkstraEngine::new();
+            for s in 0..n {
+                for t in 0..n {
+                    let (s, t) = (VertexId(s), VertexId(t));
+                    let want = plain.shortest_path(&csr, s, t);
+                    assert_eq!(e.shortest_path_with(&csr, Some(&lm), None, s, t), want);
+                }
+            }
+            let stats = e.stats();
+            assert!(stats.reopened > 0, "seed {seed}: nothing re-opened");
+            assert_eq!(stats.path_fallbacks, 0);
+            assert_eq!(stats.reuse_hits, stats.queries);
+        }
+    }
+
+    #[test]
+    fn goal_directed_paths_fall_back_on_rounding_absorbed_edges() {
+        use crate::landmarks::Landmarks;
+        // 0 -1e17- 5 -1- 3 -1e17- 1 -1e17- 2 -1e17- 4: `fl(1e17 + 1) = 1e17`.
+        let csr = CsrGraph::from(&rounding_tie_graph());
+        let lm = Landmarks::farthest_point(&csr, 2, None);
+        let mut plain = DijkstraEngine::new();
+        let mut e = DijkstraEngine::new();
+        for s in 0..6 {
+            for t in 0..6 {
+                let (s, t) = (VertexId(s), VertexId(t));
+                let want = plain.shortest_path(&csr, s, t);
+                assert_eq!(e.shortest_path_with(&csr, Some(&lm), None, s, t), want);
+                assert_eq!(
+                    e.bounded_distance_landmarked(&csr, &lm, s, t, f64::INFINITY),
+                    want.map(|p| p.0)
+                );
+            }
+        }
+        // Only path searches that relaxed the absorbed edge fell back; the
+        // distance searches never do.
+        let fallbacks = e.stats().path_fallbacks;
+        assert!(fallbacks > 0 && fallbacks < 36, "{fallbacks}");
+        assert_eq!(e.stats().queries, 72);
     }
 
     /// Every search counter must be bit-identical between the scalar and
@@ -3209,8 +3527,14 @@ mod tests {
         let mut batched = DijkstraEngine::new();
         batched.set_relax_kernel(RelaxKernel::Batched);
         for s in 0..n {
-            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything());
-            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s), &TreeNeed::everything());
+            let st =
+                scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything(), None);
+            let bt = batched.owned_shortest_path_tree(
+                &csr_b,
+                VertexId(s),
+                &TreeNeed::everything(),
+                None,
+            );
             for v in 0..n {
                 assert_eq!(
                     st.shortest_path(VertexId(v)),
@@ -3301,7 +3625,7 @@ mod tests {
             assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
             assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
             assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
             assert_eq!(tree.members_within(f64::INFINITY), Some(&expected[..]));
         }
     }
@@ -3418,7 +3742,7 @@ mod tests {
             let mut engines = scalar_and_batched();
             for s in (0..g.num_vertices()).map(VertexId) {
                 let [a, b] = engines.each_mut().map(|e| {
-                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
                     (owned, scan_and_sort(&e.shortest_path_tree(&csr, s)))
                 });
                 assert_eq!(a, b, "graph {i} s={s:?}: kernels disagree");
@@ -3471,12 +3795,13 @@ mod tests {
             let mut engines = scalar_and_batched();
             let mut reference = DijkstraEngine::new();
             for s in (0..n).map(VertexId) {
-                let full = reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+                let full =
+                    reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
                 let all = full.members_within(f64::INFINITY).unwrap();
                 for need in probe_needs(&full, n) {
                     let [a, b] = engines
                         .each_mut()
-                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need));
+                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need, None));
                     assert_eq!(a, b, "graph {i} s={s:?} {need:?}: kernels disagree");
                     let at = format!("graph {i} s={s:?} {need:?}");
                     let d = a.complete_through();
@@ -3528,7 +3853,8 @@ mod tests {
             // bound = D: target 5 lies past the bound, resolved at the
             // settle of 3 (d = 3); the prefix stops at the pop of 4.
             let before = e.stats();
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none));
+            let tree =
+                e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none), None);
             assert_eq!(e.stats().settled_vertices - before.settled_vertices, 4);
             assert_eq!(e.stats().heap_pops - before.heap_pops, 5);
             assert_eq!(tree.complete_through(), 3.0);
@@ -3538,7 +3864,7 @@ mod tests {
             assert_eq!(tree.distance(VertexId(5)), None);
             assert_eq!(tree.shortest_path(VertexId(4)), None);
             // radius = D.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0));
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0), None);
             assert_eq!(tree.complete_through(), 2.0);
             assert_eq!(tree.members_within(2.0).map(<[_]>::len), Some(3));
             assert_eq!(tree.members_within(2.0 + 1e-9), None);
@@ -3546,7 +3872,7 @@ mod tests {
             assert_eq!(tree.k_nearest_with_ties(4), None);
             // The k-th vertex ties at D: k = 2 from the star's centre
             // settles 7 at d = 1, then drains the ties 8 and 9.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none));
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none), None);
             assert_eq!(tree.complete_through(), 1.0);
             let star = [(6, 0.0), (7, 1.0), (8, 1.0), (9, 1.0)].map(|(v, d)| (VertexId(v), d));
             for k in 2..=4 {
@@ -3560,6 +3886,7 @@ mod tests {
                 &csr,
                 VertexId(6),
                 &need(&[(11, f64::INFINITY)], 0, none),
+                None,
             );
             assert_eq!(tree.complete_through(), f64::INFINITY);
             assert_eq!(tree.distance(VertexId(11)), Some(None));
@@ -3567,7 +3894,7 @@ mod tests {
             assert_eq!(tree.k_nearest_with_ties(100).map(<[_]>::len), Some(5));
             assert!(tree.covers(&TreeNeed::everything()));
             // Nothing needed: nothing settles, nothing is covered but k = 0.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new());
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new(), None);
             assert_eq!(tree.complete_through(), f64::NEG_INFINITY);
             assert_eq!(tree.distance(VertexId(0)), None);
             assert_eq!(tree.members_within(0.0), None);
@@ -3657,7 +3984,7 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::build_degree_ranked(&csr, 4);
+        let lm = Landmarks::farthest_point(&csr, 4, None);
         let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
         e.set_relax_kernel(RelaxKernel::Batched);
         for i in 0..50 {
@@ -3717,6 +4044,8 @@ mod tests {
             peak_frontier: 60,
             generation_wraps: 7,
             bidirectional_fallbacks: 8,
+            reopened: 12,
+            path_fallbacks: 13,
             kernel: KernelStats {
                 rows_batched: 9,
                 edges_gathered: 10,
@@ -3733,6 +4062,8 @@ mod tests {
             peak_frontier: 6,
             generation_wraps: 700,
             bidirectional_fallbacks: 800,
+            reopened: 1200,
+            path_fallbacks: 1300,
             kernel: KernelStats {
                 rows_batched: 900,
                 edges_gathered: 1000,
@@ -3752,6 +4083,8 @@ mod tests {
                 peak_frontier: 60,
                 generation_wraps: 707,
                 bidirectional_fallbacks: 808,
+                reopened: 1212,
+                path_fallbacks: 1313,
                 kernel: KernelStats {
                     rows_batched: 909,
                     edges_gathered: 1010,

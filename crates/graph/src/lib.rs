@@ -95,14 +95,15 @@
 //!   cluster at the front of the CSR arrays. The permutation is kept
 //!   alongside the reordered graph and external ids are translated at the
 //!   API boundary — answers stay bit-identical in external-id space.
-//! * **Landmark (ALT) pruning** ([`Landmarks`]): max-over-landmarks triangle
-//!   lower bounds let a bounded point-to-point search skip vertices that
-//!   provably cannot lie on a within-bound path to the target. Pruning never
-//!   reorders the queue (keys stay plain distances), so answers are
-//!   identical for *every* landmark set — including none, and including
-//!   bounds equal to the exact distance: the lower bound is reduced by a
-//!   rounding margin ([`path_rounding_margin`]) so floating-point error can
-//!   never prune the answer path. Tables are
+//! * **Goal-directed point-to-point search** ([`Landmarks`]): an A* search
+//!   keyed by distance plus a max-over-landmarks triangle lower bound
+//!   settles a corridor toward the target instead of a ball around the
+//!   source. The bound is reduced by a rounding margin
+//!   ([`path_rounding_margin`]), the search drains slightly past the
+//!   target's distance and re-opens misordered vertices, and parents follow
+//!   one canonical tie rule, so distances and paths are identical for
+//!   *every* landmark set — including none, and including bounds equal to
+//!   the exact distance ([`DijkstraEngine::shortest_path_with`]). Tables are
 //!   epoch-stamped ([`csr::CsrGraph::epoch`]) and must be rebuilt after any
 //!   mutation; the engine refuses stale tables.
 //! * **Batched relax kernel** ([`RelaxKernel`]): instead of one dependent

@@ -3,7 +3,9 @@
 //! per settle and the batched kernel's cohort drain (`pop_if_below`): both
 //! must produce **bit-identical** distances, paths, balls, and tie-breaks,
 //! on Erdős–Rényi, dense, and high-weight-spread graphs, including graphs
-//! with tombstoned edges and live overlay insertions.
+//! with tombstoned edges and live overlay insertions. The goal-directed
+//! (landmark) searches are held to the same answers, adversarial weight
+//! families included.
 
 use proptest::prelude::*;
 
@@ -36,6 +38,108 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
         }
         g
     })
+}
+
+/// The adversarial families: 0 — weights `1e300`, `1e-300` and `~1` (sums
+/// absorb light edges; sums of heavy ones overflow to `∞`); 1 — `1e17`
+/// mixed with 1 and 3 (equal distances reached through absorbed edges);
+/// 2 — integers in {1, 2, 3} (exact distance ties everywhere); 3 — two
+/// random components and an isolated vertex; 4 — one or two vertices.
+fn arb_adversarial_graph() -> impl Strategy<Value = WeightedGraph> {
+    (3usize..16, 0u64..10_000, 0usize..5).prop_map(|(n, seed, family)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = if family == 4 {
+            1 + seed as usize % 2
+        } else {
+            n
+        };
+        let mut g = WeightedGraph::new(n);
+        let split = if family == 3 { n / 2 } else { n };
+        let end = if family == 3 { n - 1 } else { n };
+        for u in 0..end {
+            for v in (u + 1)..end {
+                if (u < split) == (v < split) && rng.gen_bool(if family == 4 { 0.5 } else { 0.35 })
+                {
+                    let w = match family {
+                        0 => [1e300, 1e-300, rng.gen_range(1.0..2.0)][rng.gen_range(0..3usize)],
+                        1 => [1e17, 1.0, 3.0][rng.gen_range(0..3usize)],
+                        _ => rng.gen_range(1.0..4.0f64).floor(),
+                    };
+                    g.add_edge(VertexId(u), VertexId(v), w);
+                }
+            }
+        }
+        g
+    })
+}
+
+/// Checks the goal-directed search against the one-sided one on `queries`
+/// random pairs of `g` (every pair first, when the graph is small enough):
+/// the unbounded distance, the exact-distance bound, a random bound, and
+/// the path, for landmark counts {0, 1, 4, 16}, each on a warm engine
+/// (reused across every query, including the one-sided ones) and a cold
+/// one (fresh per query).
+fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng: &mut SmallRng) {
+    let n = g.num_vertices();
+    let m = g.num_edges();
+    let csr = CsrGraph::from(g);
+    let tables: Vec<Landmarks> = [0, 1, 4, 16]
+        .iter()
+        .map(|&k| Landmarks::farthest_point(&csr, k, None))
+        .collect();
+    let (mut scalar, mut drain) = engine_pair(n, m);
+    let mut warm = DijkstraEngine::with_capacity_for(n, m);
+    for q in 0..queries {
+        let (s, t) = if q < n * n {
+            (VertexId(q / n), VertexId(q % n))
+        } else {
+            (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))
+        };
+        let path = scalar.shortest_path(&csr, s, t);
+        prop_assert_eq!(&path, &drain.shortest_path(&csr, s, t));
+        let exact = path.as_ref().map(|p| p.0);
+        let random = rng.gen_range(0.0..20.0);
+        let bounds = [f64::INFINITY, exact.unwrap_or(f64::INFINITY), random];
+        let plain: Vec<Option<f64>> = bounds
+            .iter()
+            .map(|&b| scalar.bounded_distance(&csr, s, t, b))
+            .collect();
+        prop_assert_eq!(plain[0], exact);
+        for lm in &tables {
+            let k = lm.len();
+            let mut cold = DijkstraEngine::new();
+            for (engine, state) in [(&mut warm, "warm"), (&mut cold, "cold")] {
+                for (&bound, &want) in bounds.iter().zip(&plain) {
+                    let got = engine.bounded_distance_landmarked(&csr, lm, s, t, bound);
+                    prop_assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{} landmarks, {}: distance {:?}->{:?} at bound {:e}",
+                        k,
+                        state,
+                        s,
+                        t,
+                        bound
+                    );
+                }
+                prop_assert_eq!(
+                    &engine.shortest_path_with(&csr, Some(lm), None, s, t),
+                    &path,
+                    "{} landmarks, {}: path {:?}->{:?}",
+                    k,
+                    state,
+                    s,
+                    t
+                );
+            }
+        }
+    }
+    let stats = warm.stats();
+    prop_assert_eq!(
+        stats.reuse_hits,
+        stats.queries,
+        "a pre-sized engine allocated"
+    );
 }
 
 /// One engine per pop discipline — the scalar loop and the batched
@@ -120,7 +224,7 @@ proptest! {
         let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
         prop_assert_eq!(&scalar_ball, &drain_ball);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
         for k in 0..=scalar_ball.len() {
             prop_assert_eq!(&tree.k_nearest_with_ties(k).unwrap()[..k], &scalar_ball[..k]);
         }
@@ -147,8 +251,8 @@ proptest! {
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
         for v in 0..n {
             prop_assert_eq!(
                 scalar_tree.shortest_path(VertexId(v)),
@@ -157,35 +261,28 @@ proptest! {
         }
     }
 
-    /// Landmark-pruned bounded distances equal unpruned ones for every
-    /// (source, target, bound) — under both pop disciplines.
+    /// Goal-directed answers equal one-sided ones for every (source,
+    /// target): bounded, exact-bound and unbounded distances bit for bit,
+    /// and paths vertex for vertex — with landmarks {0, 1, 4, 16}, on the
+    /// same engines after one-sided queries (warm) and on fresh ones
+    /// (cold).
     #[test]
     fn landmark_pruning_is_answer_invariant(g in arb_graph(), seed in 0u64..1000) {
-        let n = g.num_vertices();
-        let csr = CsrGraph::from(&g);
-        let lm = Landmarks::build_degree_ranked(&csr, 3.min(n));
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..20 {
-            let s = VertexId(rng.gen_range(0..n));
-            let t = VertexId(rng.gen_range(0..n));
-            let bound = if rng.gen_bool(0.15) {
-                f64::INFINITY
-            } else {
-                rng.gen_range(0.0..20.0)
-            };
-            let plain = scalar.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(
-                plain,
-                scalar.bounded_distance_landmarked(&csr, &lm, s, t, bound),
-                "scalar+ALT diverged: s={} t={} bound={}", s, t, bound
-            );
-            prop_assert_eq!(
-                plain,
-                drain.bounded_distance_landmarked(&csr, &lm, s, t, bound),
-                "batched+ALT diverged: s={} t={} bound={}", s, t, bound
-            );
-        }
+        assert_goal_directed_matches_one_sided(&g, 20, &mut rng);
+    }
+
+    /// The same contract on the adversarial families: `1e±300` weights,
+    /// `1e17` rounding ties, tie-heavy integer weights, disconnected
+    /// graphs, and one or two vertices.
+    #[test]
+    fn goal_directed_matches_one_sided_on_adversarial_graphs(
+        g in arb_adversarial_graph(),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = g.num_vertices();
+        assert_goal_directed_matches_one_sided(&g, n * n + 8, &mut rng);
     }
 
     /// Queues agree while the CSR carries tombstoned edges and overlay

@@ -1,23 +1,25 @@
-//! Landmark (ALT) pruning must stay answer-invariant when the query bound
-//! *equals* the exact distance — the one place where the triangle lower
-//! bound is tight and a single floating-point rounding used to prune the
-//! answer path. Random bounds almost never hit a distance, so this suite
-//! constructs the hard case on purpose: every query's bound is the distance
-//! the plain (landmark-free) engine computes for it.
+//! The goal-directed (landmark, ALT) search must return the plain engine's
+//! answers exactly: distances bit for bit — also when the query bound
+//! *equals* the exact distance, where the triangle lower bound is tight
+//! and a single floating-point rounding could cut the answer path — and
+//! paths vertex for vertex. Random bounds almost never hit a distance, so
+//! this suite constructs the hard case on purpose: every pair is asked at
+//! the distance the plain (landmark-free) engine computes for it, and
+//! again unbounded and as a path query.
 //!
 //! The matrix is landmarks {0, 1, 4, 16} × cache {cold, warm} × {frozen,
 //! live}; every cell must agree with the plain engine on every query. A
-//! warm cache answers from shortest-path-tree prefixes (no pruning at
+//! warm cache answers from shortest-path-tree prefixes (no landmarks at
 //! all), so the cold/warm pair also pins that answers never depend on
 //! cache state. Both checks run on ER graphs and on the adversarial
 //! families of `tests/common` (extreme magnitudes, rounding ties,
-//! disconnected graphs, two vertices); an unreachable pair keeps an
-//! infinite bound.
+//! disconnected graphs, one or two vertices, tie-heavy integer weights);
+//! an unreachable pair keeps an infinite bound.
 
 mod common;
 
 use common::{adversarial_graph, ADVERSARIAL_FAMILIES};
-use greedy_spanner::serve::{Answer, Query, SpannerServer};
+use greedy_spanner::serve::{Answer, PathAnswer, Query, SpannerServer};
 use greedy_spanner::update::UpdateBatch;
 use greedy_spanner::{Spanner, SpannerOutput};
 use rand::rngs::SmallRng;
@@ -112,9 +114,11 @@ fn adversarial_graphs() -> Vec<(String, WeightedGraph)> {
         .collect()
 }
 
-/// Re-issues every pair of `probes` with its bound set to the distance the
-/// plain (landmark-free, cold) server computes for it, and checks that
-/// every landmark count × cache state of frozen and live servers agrees.
+/// Re-issues every pair with its bound set to the distance the plain
+/// (landmark-free, cold) server computes for it, unbounded, and as a path
+/// query, and checks that every landmark count × cache state of frozen and
+/// live servers agrees — and that the plain server's paths are the plain
+/// engine's over the served spanner.
 fn assert_servers_agree_at_exact_bounds(
     g: &WeightedGraph,
     pairs: &[(VertexId, VertexId)],
@@ -134,8 +138,11 @@ fn assert_servers_agree_at_exact_bounds(
         // distance the plain server computed for it.
         let plain = make(0, false).answer_batch(&probes).expect("valid batch");
         let exact: Vec<Option<f64>> = plain.iter().map(Answer::distance).collect();
-        let queries = distance_queries(pairs, |i| exact[i].unwrap_or(f64::INFINITY));
-        let reference = make(0, false).answer_batch(&queries).expect("valid batch");
+        let mut queries = distance_queries(pairs, |i| exact[i].unwrap_or(f64::INFINITY));
+        queries.extend_from_slice(&probes);
+        queries.extend(pairs.iter().map(|&(s, t)| Query::path(s, t)));
+        let mut plain_server = make(0, false);
+        let reference = plain_server.answer_batch(&queries).expect("valid batch");
         assert!(
             reference
                 .iter()
@@ -143,6 +150,23 @@ fn assert_servers_agree_at_exact_bounds(
                 .all(|(a, d)| a.distance() == *d),
             "{context} {kind}: the plain engine must answer its own distance as within bound"
         );
+        // The served spanner in external ids: the output's for a frozen
+        // server (reordered by default), the live one's for a live server.
+        let spanner = match plain_server.live() {
+            Some(live) => live.spanner().clone(),
+            None => CsrGraph::from(&output.spanner),
+        };
+        let mut engine = DijkstraEngine::new();
+        for (&(s, t), answer) in pairs.iter().zip(&reference[2 * pairs.len()..]) {
+            let want = engine
+                .shortest_path(&spanner, s, t)
+                .map(|(distance, vertices)| PathAnswer { distance, vertices });
+            assert_eq!(
+                answer,
+                &Answer::Path(want),
+                "{context} {kind}: plain path {s:?} -> {t:?}"
+            );
+        }
         for landmarks in LANDMARK_COUNTS {
             for warm in [false, true] {
                 let cache = if warm { "warm" } else { "cold" };
@@ -152,7 +176,7 @@ fn assert_servers_agree_at_exact_bounds(
                     wrong,
                     0,
                     "{context}: {kind} server, {landmarks} landmarks, {cache} cache: {wrong} of \
-                     {} exact-bound queries disagree with the plain engine",
+                     {} queries disagree with the plain engine",
                     queries.len()
                 );
             }
@@ -177,9 +201,12 @@ fn servers_agree_at_exact_bounds_on_adversarial_graphs() {
     }
 }
 
-/// Issues `queries` random `(s, t)` pairs of `g` at the plain engine's
-/// exact distance through landmarked engines with 1, 4 and 16 landmarks;
-/// returns how many of them answered differently and how many ran.
+/// Issues `queries` random `(s, t)` pairs of `g` through landmarked
+/// engines with 0, 1, 4 and 16 landmarks — unbounded, at the plain
+/// engine's exact distance, and as a path query — on a warm engine (reused
+/// for every query) and a cold one (fresh per pair); returns how many
+/// answers differed from the plain engine's, bit for bit and vertex for
+/// vertex, and how many ran.
 fn landmarked_disagreements(
     g: &WeightedGraph,
     queries: usize,
@@ -187,26 +214,39 @@ fn landmarked_disagreements(
 ) -> (usize, usize) {
     let n = g.num_vertices();
     let csr = CsrGraph::from(g);
-    let tables: Vec<Landmarks> = [1, 4, 16]
+    let tables: Vec<Landmarks> = LANDMARK_COUNTS
         .iter()
-        .map(|&k| Landmarks::build_degree_ranked(&csr, k))
+        .map(|&k| Landmarks::farthest_point(&csr, k, None))
         .collect();
     let mut plain = DijkstraEngine::with_capacity_for(n, g.num_edges());
-    let mut pruned = DijkstraEngine::with_capacity_for(n, g.num_edges());
+    let mut warm = DijkstraEngine::with_capacity_for(n, g.num_edges());
     let (mut wrong, mut total) = (0, 0);
     for _ in 0..queries {
         let s = VertexId(rng.gen_range(0..n));
         let t = VertexId(rng.gen_range(0..n));
-        let Some(d) = plain.bounded_distance(&csr, s, t, f64::INFINITY) else {
-            continue;
-        };
+        let path = plain.shortest_path(&csr, s, t);
+        let d = path.as_ref().map(|p| p.0);
+        let mut cold = DijkstraEngine::new();
         for lm in &tables {
-            total += 1;
-            if pruned.bounded_distance_landmarked(&csr, lm, s, t, d) != Some(d) {
-                wrong += 1;
+            for engine in [&mut warm, &mut cold] {
+                let mut answers = vec![
+                    engine.bounded_distance_landmarked(&csr, lm, s, t, f64::INFINITY) == d,
+                    engine.shortest_path_with(&csr, Some(lm), None, s, t) == path,
+                ];
+                if let Some(d) = d {
+                    let at_exact = engine.bounded_distance_landmarked(&csr, lm, s, t, d);
+                    answers.push(at_exact.map(f64::to_bits) == Some(d.to_bits()));
+                }
+                total += answers.len();
+                wrong += answers.iter().filter(|&&agrees| !agrees).count();
             }
         }
     }
+    let stats = warm.stats();
+    assert_eq!(
+        stats.reuse_hits, stats.queries,
+        "a pre-sized engine allocated"
+    );
     (wrong, total)
 }
 
@@ -223,7 +263,7 @@ fn landmarked_engine_agrees_with_the_plain_engine_at_exact_bounds() {
     assert!(total > 5000);
     assert_eq!(
         wrong, 0,
-        "{wrong} of {total} exact-bound ALT queries were pruned"
+        "{wrong} of {total} goal-directed answers differ from the plain engine's"
     );
 }
 
@@ -234,7 +274,7 @@ fn landmarked_engine_agrees_at_exact_bounds_on_adversarial_graphs() {
         let (wrong, total) = landmarked_disagreements(&g, 200, &mut rng);
         assert_eq!(
             wrong, 0,
-            "{context}: {wrong} of {total} exact-bound ALT queries were pruned"
+            "{context}: {wrong} of {total} goal-directed answers differ from the plain engine's"
         );
     }
 }

@@ -5,7 +5,7 @@ use rand::Rng;
 use spanner_graph::{VertexId, WeightedGraph};
 
 /// How many adversarial families [`adversarial_graph`] draws from.
-pub const ADVERSARIAL_FAMILIES: usize = 4;
+pub const ADVERSARIAL_FAMILIES: usize = 5;
 
 /// Adversarial graph families for the serving and ALT contracts:
 ///
@@ -16,14 +16,20 @@ pub const ADVERSARIAL_FAMILIES: usize = 4;
 ///    order that is not vertex-id order;
 /// 2. disconnected: two random components and an isolated vertex, so
 ///    targets are unreachable and `k` exceeds the component size;
-/// 3. two vertices, joined by an edge or not.
+/// 3. one or two vertices, joined by an edge or not;
+/// 4. tie-heavy integer weights in {1, 2, 3}: many equal-length shortest
+///    paths, so path answers depend on the tie rule.
 pub fn adversarial_graph(family: usize, n: usize, rng: &mut SmallRng) -> WeightedGraph {
     let weight = |rng: &mut SmallRng| match family {
         0 => [1e300, 1e-300, rng.gen_range(1.0..2.0)][rng.gen_range(0..3usize)],
         1 => [1e17, 1.0, 3.0][rng.gen_range(0..3usize)],
         _ => rng.gen_range(1.0..4.0f64).floor(),
     };
-    let n = if family == 3 { 2 } else { n };
+    let n = if family == 3 {
+        rng.gen_range(1..3usize)
+    } else {
+        n
+    };
     let mut g = WeightedGraph::new(n);
     // Disconnected graphs split the vertices at `n / 2` and leave the last
     // one isolated; the others form one random graph over all vertices.

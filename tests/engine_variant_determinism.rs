@@ -1,5 +1,5 @@
 //! Acceptance matrix for the point-query acceleration stack: every engine
-//! variant — ALT landmark pruning on or off, with and without the
+//! variant — goal-directed (landmark) search on or off, with and without the
 //! cache-conscious relayout, under the scalar, batched, and auto-selected
 //! relaxation kernels — must serve answers **bit-identical** to the plain
 //! reference configuration, across thread counts {1, 2, 8} and cache
