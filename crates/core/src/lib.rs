@@ -108,7 +108,7 @@
 //! [`spanner_graph::EnginePool`] — per-worker Dijkstra workspaces fanned
 //! over a frozen snapshot of the growing spanner on scoped `std::thread`s:
 //!
-//! * **Determinism.** Work is partitioned by chunk index and survivors are
+//! * **Determinism.** Work is dealt to workers by item index and survivors are
 //!   committed sequentially with an exact re-check, so the output is
 //!   **bit-identical at every thread count** — `threads` is purely a
 //!   throughput knob, asserted by the property suite against
@@ -140,7 +140,7 @@
 //!    ball, stretch-audit — fanned across the pool, with a deterministic
 //!    LRU cache of answer-sized shortest-path-tree prefixes
 //!    ([`spanner_graph::SptTree`]) in front so hot sources answer in
-//!    `O(1)` per target.
+//!    `O(log m)` per target, `m` the cached prefix's size.
 //! 3. **Stats.** [`serve::ServeStats`] reports qps, cache hit rate and
 //!    p50/p99 latency buckets; the pool adds per-worker utilization and the
 //!    zero-allocation counters.

@@ -38,9 +38,11 @@
 //! Serving inherits the construction pipeline's contract: **answers are
 //! bit-identical at every thread count and at every cache state.**
 //!
-//! * Batches are partitioned by chunk index over the pool
+//! * Query `i` of a batch runs on pool worker `i mod w`
 //!   ([`EnginePool::map_batch`]), so which OS thread answers a query never
-//!   influences its result slot.
+//!   influences its result slot. Dealing queries round-robin rather than in
+//!   contiguous chunks spreads neighbouring expensive queries (a
+//!   generator's run of `Path` queries, say) over every worker.
 //! * Cache hits never change results: a cached [`SptTree`] stores the
 //!   engine's own distances and parents verbatim and answers only what its
 //!   prefix covers (see below), and a goal-directed miss returns the
@@ -106,8 +108,12 @@
 //! ([`SptTree::complete_through`]; `∞` when the search ran out of
 //! vertices). By the argument above, every vertex at distance `≤ D` is in
 //! the prefix with its full-tree distance and parent, bit for bit, and no
-//! other vertex is. So a later query is answered from the prefix exactly
-//! when the prefix decides it:
+//! other vertex is. The tree stores only those members — each with its
+//! distance, its parent and an entry in a vertex-sorted index, 28 bytes a
+//! member — so a cached prefix costs memory and build time in proportion
+//! to its size, not to the graph's, and a lookup is a binary search of
+//! the index. A later query is answered from the prefix exactly when the
+//! prefix decides it:
 //!
 //! * `Distance(t, bound)`: `t` is in the prefix, or `D ≥ bound` (then `t`
 //!   lies past the bound);
@@ -1590,10 +1596,9 @@ impl ServeBuilder {
     }
 
     /// How many shortest-path trees the LRU cache holds; `0` disables
-    /// caching entirely. A tree costs at most ~28 bytes per vertex —
-    /// dense distances and parents, plus the pre-sorted member list of its
-    /// prefix, which is usually far smaller than the graph (see
-    /// [`SptTree::memory_bytes`]).
+    /// caching entirely. A tree costs 28 bytes per member of its cached
+    /// prefix and nothing per graph vertex — the prefix is usually far
+    /// smaller than the graph (see [`SptTree::memory_bytes`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self

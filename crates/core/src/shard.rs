@@ -414,9 +414,9 @@ fn build_sharded(
     let per_shard_threads = (threads_total / k).max(1);
     let outer_workers = threads_total.min(k);
 
-    // Per-shard builds through the ordinary pipeline. The fan-out is the
-    // same chunk-partitioned scheme as EnginePool, so results land in shard
-    // order regardless of scheduling.
+    // Per-shard builds through the ordinary pipeline. The fan-out is
+    // chunk-partitioned by shard index, so results land in shard order
+    // regardless of scheduling.
     let shard_config = SpannerConfig {
         threads: per_shard_threads,
         ..config.clone()

@@ -252,9 +252,16 @@ impl QueryWorkload {
         QueryWorkload::new(num_vertices, Shape::BallSweep { radii })
     }
 
-    /// A mixed read profile: 60% bounded distances (Zipf-skewed sources),
-    /// 15% paths, 10% k-nearest, 10% balls and 5% stretch audits (audits
-    /// replaced by distances when `audits` is `false`).
+    /// A mixed read profile over Zipf-skewed sources. Query `i` of a
+    /// generated batch takes its kind from `i mod 100`: slots 0–59 are
+    /// bounded distances, 60–74 paths, 75–84 k-nearest, 85–94 balls and
+    /// 95–99 stretch audits (distances when `audits` is `false`).
+    ///
+    /// So the 60/15/10/10/5 % split holds only for batches whose length is
+    /// a multiple of 100. A shorter batch gets the front of the slot table:
+    /// a 64-query batch holds 60 distances and 4 paths (indices 60–63) and
+    /// no k-nearest, ball or audit query at all; a 256-query batch holds
+    /// 186 distances, 30 paths, 20 k-nearest and 20 balls with audits off.
     ///
     /// # Errors
     ///
@@ -947,31 +954,28 @@ mod tests {
         }
     }
 
+    /// `(distance, path, k-nearest, ball, audit)` counts of a batch.
+    fn composition(queries: &[Query]) -> [usize; 5] {
+        let mut counts = [0; 5];
+        for q in queries {
+            counts[match q {
+                Query::Distance { .. } => 0,
+                Query::Path { .. } => 1,
+                Query::KNearest { .. } => 2,
+                Query::Ball { .. } => 3,
+                Query::StretchAudit { .. } => 4,
+            }] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn mixed_profile_covers_every_query_kind() {
         let queries = QueryWorkload::mixed(40, true)
             .unwrap()
             .queries(400)
             .generate();
-        let mut distance = 0;
-        let mut path = 0;
-        let mut knearest = 0;
-        let mut ball = 0;
-        let mut audit = 0;
-        for q in &queries {
-            match q {
-                Query::Distance { .. } => distance += 1,
-                Query::Path { .. } => path += 1,
-                Query::KNearest { .. } => knearest += 1,
-                Query::Ball { .. } => ball += 1,
-                Query::StretchAudit { .. } => audit += 1,
-            }
-        }
-        assert_eq!(distance, 240);
-        assert_eq!(path, 60);
-        assert_eq!(knearest, 40);
-        assert_eq!(ball, 40);
-        assert_eq!(audit, 20);
+        assert_eq!(composition(&queries), [240, 60, 40, 40, 20]);
         // Without audits, the audit slots fall back to distance queries.
         let no_audits = QueryWorkload::mixed(40, false)
             .unwrap()
@@ -980,6 +984,30 @@ mod tests {
         assert!(no_audits
             .iter()
             .all(|q| !matches!(q, Query::StretchAudit { .. })));
+    }
+
+    #[test]
+    fn short_mixed_batches_take_the_front_of_the_slot_table() {
+        for seed in 0..4 {
+            for audits in [false, true] {
+                let batch = |count| {
+                    QueryWorkload::mixed(90_000, audits)
+                        .unwrap()
+                        .queries(count)
+                        .seed(seed)
+                        .generate()
+                };
+                // A 64-query batch: slots 0–59 distances, 60–63 paths.
+                let short = batch(64);
+                assert_eq!(composition(&short), [60, 4, 0, 0, 0]);
+                assert!(short[60..].iter().all(|q| matches!(q, Query::Path { .. })));
+                let audit_slots = if audits { 10 } else { 0 };
+                assert_eq!(
+                    composition(&batch(256)),
+                    [186 - audit_slots, 30, 20, 20, audit_slots]
+                );
+            }
+        }
     }
 
     #[test]

@@ -2339,8 +2339,9 @@ impl DijkstraEngine {
     /// numbering's tree, relabelled.
     ///
     /// The member list is the search's settle order, re-sorted into
-    /// `(distance, vertex)` order only where it is not already: building
-    /// the tree costs `O(n)` plus the settled vertices.
+    /// `(distance, vertex)` order only where it is not already. Building
+    /// the tree costs `O(m log m)` for its `m` members and allocates and
+    /// writes nothing proportional to the graph's vertex count.
     ///
     /// # Panics
     ///
@@ -2362,20 +2363,24 @@ impl DijkstraEngine {
             Some(need),
             tie_order,
         );
-        let n = graph.num_vertices();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent = vec![NO_VERTEX; n];
         let mut members = self.ball_buf.clone();
         sort_settle_order(&mut members);
-        for &(v, d) in &members {
-            dist[v.index()] = d;
-            parent[v.index()] = self.parent[v.index()];
-        }
+        let mut index: Vec<u64> = members
+            .iter()
+            .enumerate()
+            .map(|(slot, &(v, _))| index_entry(v.index(), slot))
+            .collect();
+        sort_index(&mut index, graph.num_vertices());
+        let parents = members
+            .iter()
+            .map(|&(v, _)| self.parent[v.index()])
+            .collect();
         SptTree {
             source,
-            dist,
-            parent,
+            num_vertices: graph.num_vertices(),
             members,
+            parents,
+            index,
             complete_through,
         }
     }
@@ -2635,14 +2640,54 @@ impl EngineTree<'_> {
     }
 }
 
+/// An [`SptTree`] index entry: `vertex` in the high 32 bits and its
+/// member slot in the low 32, so entries sort by vertex.
+#[inline]
+fn index_entry(vertex: usize, slot: usize) -> u64 {
+    (vertex as u64) << 32 | slot as u64
+}
+
+/// Sorts [`SptTree`] index entries by vertex with an LSD radix sort: one
+/// counting pass per byte of the largest vertex id below `num_vertices`,
+/// `O(m)` each for `m` entries. Vertex ids are distinct, so the slot bits
+/// need no pass. On a whole tree of an 800-vertex graph this takes about
+/// half the time of `sort_unstable` on the same entries, which shows
+/// where a serving cache admits whole trees at a high rate (perfbench's
+/// live-churn workload).
+fn sort_index(index: &mut Vec<u64>, num_vertices: usize) {
+    let bits = usize::BITS - num_vertices.saturating_sub(1).leading_zeros();
+    let mut scratch = vec![0; index.len()];
+    for shift in (32..32 + bits).step_by(8) {
+        let digit = |e: u64| (e >> shift) as usize & 0xFF;
+        let mut next = [0usize; 256];
+        for &e in index.iter() {
+            next[digit(e)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &e in index.iter() {
+            scratch[next[digit(e)]] = e;
+            next[digit(e)] += 1;
+        }
+        std::mem::swap(index, &mut scratch);
+    }
+}
+
 /// An owned shortest-path tree, or a prefix of one: the cacheable
 /// counterpart of the borrowed [`EngineTree`] view, produced by
 /// [`DijkstraEngine::owned_shortest_path_tree`].
 ///
 /// A serving layer computes a source's tree once and then answers queries
-/// about that source from it — distance lookups are `O(1)`, path
-/// reconstruction is `O(path length)`, and ball / k-nearest answers are
-/// prefix reads of the sorted member list.
+/// about that source from it — distance lookups are `O(log m)` in the
+/// tree's `m` members, path reconstruction is one such lookup per path
+/// vertex, and ball / k-nearest answers are prefix reads of the sorted
+/// member list.
+///
+/// **Sparse storage.** The tree stores its members only, never an array
+/// over the whole graph: a prefix of `m` members costs `O(m)` memory and
+/// building it costs `O(m log m)`, however many vertices the graph has.
 ///
 /// **Prefix trees.** A tree built for a [`TreeNeed`] holds only the
 /// vertices at distance `≤` [`SptTree::complete_through`] (`D`); a vertex
@@ -2655,16 +2700,20 @@ impl EngineTree<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SptTree {
     source: VertexId,
-    /// Distance from the source per member; `f64::INFINITY` for every
-    /// other vertex.
-    dist: Vec<f64>,
-    /// Predecessor per member on its shortest path; `NO_VERTEX` for the
-    /// source and for every non-member.
-    parent: Vec<u32>,
+    /// Vertex count of the graph the tree was computed over: the range
+    /// every accessor checks its vertex against.
+    num_vertices: usize,
     /// Every member with its distance, sorted by `(distance, vertex)` —
     /// the engine's settle order, pre-computed so ball and k-nearest
-    /// answers are prefix reads.
+    /// answers are prefix reads. A member's position here is its *slot*.
     members: Vec<(VertexId, f64)>,
+    /// Per slot, the member's predecessor on its shortest path;
+    /// `NO_VERTEX` for the source. A member's parent settles before it, so
+    /// it is always a member.
+    parents: Vec<u32>,
+    /// [`index_entry`]`(vertex, slot)` for every member, sorted by vertex:
+    /// the binary-searched vertex-to-member index.
+    index: Vec<u64>,
     /// Every vertex at distance `≤ complete_through` is a member; `+∞` for
     /// a whole tree, `-∞` for an empty one.
     complete_through: f64,
@@ -2678,7 +2727,7 @@ impl SptTree {
 
     /// Vertex count of the graph this tree was computed over.
     pub fn num_vertices(&self) -> usize {
-        self.dist.len()
+        self.num_vertices
     }
 
     /// The distance through which this prefix is complete: every vertex at
@@ -2688,13 +2737,34 @@ impl SptTree {
         self.complete_through
     }
 
-    /// Heap footprint of this tree, for cache sizing: 12 bytes per graph
-    /// vertex (the dense distance and parent arrays) plus 16 per member.
-    /// A prefix tree's member term is that of its prefix, so ~28 bytes per
-    /// vertex is the whole tree's upper bound.
+    /// Heap footprint of this tree, for cache sizing: 28 bytes per member
+    /// (16 for the `(vertex, distance)` entry, 4 for its parent, 8 for its
+    /// index entry) and nothing per graph vertex, so a prefix costs the
+    /// same on any graph that holds it.
     pub fn memory_bytes(&self) -> usize {
-        self.dist.len() * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
-            + self.members.len() * std::mem::size_of::<(VertexId, f64)>()
+        self.members.len() * std::mem::size_of::<(VertexId, f64)>()
+            + self.parents.len() * std::mem::size_of::<u32>()
+            + self.index.len() * std::mem::size_of::<u64>()
+    }
+
+    /// The slot of `v` if it is a member: a binary search of the index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    fn slot(&self, v: VertexId) -> Option<usize> {
+        assert!(
+            v.index() < self.num_vertices,
+            "vertex {} out of range for a tree over {} vertices",
+            v.index(),
+            self.num_vertices
+        );
+        let at = self
+            .index
+            .partition_point(|&e| e < index_entry(v.index(), 0));
+        let &entry = self.index.get(at)?;
+        (entry >> 32 == v.index() as u64).then_some(entry as u32 as usize)
     }
 
     /// The distance from the source to `v` if it is at most `bound`:
@@ -2707,13 +2777,14 @@ impl SptTree {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn distance_within(&self, v: VertexId, bound: f64) -> Option<Option<f64>> {
-        let d = self.dist[v.index()];
-        if d.is_finite() {
-            Some((d <= bound).then_some(d))
-        } else {
+        match self.slot(v) {
+            Some(slot) => {
+                let d = self.members[slot].1;
+                Some((d <= bound).then_some(d))
+            }
             // A non-member lies past `complete_through`: beyond any bound
             // the prefix has reached.
-            (self.complete_through >= bound).then_some(None)
+            None => (self.complete_through >= bound).then_some(None),
         }
     }
 
@@ -2737,16 +2808,19 @@ impl SptTree {
     ///
     /// Panics if `target` is out of range.
     pub fn shortest_path(&self, target: VertexId) -> Option<Option<(f64, Vec<VertexId>)>> {
-        Some(self.distance(target)?.map(|distance| {
-            let mut path = vec![target];
-            let mut cur = target.index() as u32;
-            while self.parent[cur as usize] != NO_VERTEX {
-                cur = self.parent[cur as usize];
-                path.push(VertexId(cur as usize));
-            }
-            path.reverse();
-            (distance, path)
-        }))
+        let Some(slot) = self.slot(target) else {
+            // Unreachable if the prefix is the whole tree, else past it.
+            return (self.complete_through >= f64::INFINITY).then_some(None);
+        };
+        let mut path = vec![target];
+        let mut cur = slot;
+        while self.parents[cur] != NO_VERTEX {
+            let parent = VertexId(self.parents[cur] as usize);
+            path.push(parent);
+            cur = self.slot(parent).expect("a member's parent is a member");
+        }
+        path.reverse();
+        Some(Some((self.members[slot].1, path)))
     }
 
     /// Every vertex within distance `radius` of the source, with its
@@ -3047,10 +3121,64 @@ mod tests {
             let path = tree.path_to(v).map(|p| (tree.distance(v).unwrap(), p));
             assert_eq!(owned.shortest_path(v), Some(path));
         }
-        assert!(owned.memory_bytes() >= 4 * 12);
+        assert_eq!(owned.memory_bytes(), 4 * 28);
         // The owned tree outlives further engine queries.
         e.bounded_distance(&csr, VertexId(1), VertexId(3), 10.0);
         assert_eq!(owned.distance(VertexId(3)), Some(Some(4.0)));
+    }
+
+    fn path_csr(n: usize) -> CsrGraph {
+        CsrGraph::from(&WeightedGraph::from_edges(n, (1..n).map(|v| (v - 1, v, 1.0))).unwrap())
+    }
+
+    #[test]
+    fn a_prefix_costs_the_same_on_any_graph_size() {
+        let mut need = TreeNeed::new();
+        need.add_k_nearest(3);
+        let mut e = DijkstraEngine::new();
+        let [small, large] = [10, 100_000].map(|n| {
+            let tree = e.owned_shortest_path_tree(&path_csr(n), VertexId(0), &need, None);
+            assert_eq!(tree.num_vertices(), n);
+            assert_eq!(tree.members_within(f64::INFINITY), None);
+            assert_eq!(tree.k_nearest_with_ties(3).map(<[_]>::len), Some(3));
+            assert_eq!(
+                tree.shortest_path(VertexId(2)),
+                Some(Some((2.0, vec![VertexId(0), VertexId(1), VertexId(2)])))
+            );
+            tree.memory_bytes()
+        });
+        assert_eq!(small, 3 * 28);
+        assert_eq!(small, large, "a prefix's footprint must not grow with n");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn tree_distance_panics_on_an_out_of_range_vertex() {
+        let tree = DijkstraEngine::new().owned_shortest_path_tree(
+            &path_csr(4),
+            VertexId(0),
+            &TreeNeed::everything(),
+            None,
+        );
+        let _ = tree.distance_within(VertexId(4), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn tree_path_panics_on_an_out_of_range_vertex() {
+        // A one-vertex prefix of a 4-vertex graph: vertex 4 is past the
+        // graph, not past the prefix.
+        let tree = DijkstraEngine::new().owned_shortest_path_tree(
+            &path_csr(4),
+            VertexId(0),
+            &{
+                let mut need = TreeNeed::new();
+                need.add_k_nearest(1);
+                need
+            },
+            None,
+        );
+        let _ = tree.shortest_path(VertexId(4));
     }
 
     #[test]
@@ -3711,26 +3839,37 @@ mod tests {
         }
     }
 
-    /// The member list the cache once built by scanning every vertex stamp
-    /// and sorting: the reference for the settle-order construction.
+    /// The tree the cache once built by scanning every vertex stamp and
+    /// sorting, in the sparse layout: the reference for the settle-order
+    /// construction. The index comes out of a dense vertex-to-slot map
+    /// scanned in vertex order instead of a sort.
     fn scan_and_sort(tree: &EngineTree<'_>) -> SptTree {
         let n = tree.num_vertices();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent = vec![NO_VERTEX; n];
         let mut members = Vec::new();
         for v in 0..n {
             if let Some(d) = tree.distance(VertexId(v)) {
-                dist[v] = d;
-                parent[v] = tree.engine.parent[v];
                 members.push((VertexId(v), d));
             }
         }
         members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        let mut slot_of = vec![NO_VERTEX; n];
+        for (slot, &(v, _)) in members.iter().enumerate() {
+            slot_of[v.index()] = slot as u32;
+        }
+        let parents = members
+            .iter()
+            .map(|&(v, _)| tree.engine.parent[v.index()])
+            .collect();
+        let index = (0..n)
+            .filter(|&v| slot_of[v] != NO_VERTEX)
+            .map(|v| index_entry(v, slot_of[v] as usize))
+            .collect();
         SptTree {
             source: tree.source(),
-            dist,
-            parent,
+            num_vertices: n,
             members,
+            parents,
+            index,
             complete_through: f64::INFINITY,
         }
     }

@@ -29,8 +29,9 @@
 //! * [`EnginePool`] — the parallel execution substrate: per-worker
 //!   [`DijkstraEngine`] workspaces plus a scoped `std::thread` executor that
 //!   fans query batches across them against a frozen
-//!   [`CsrSnapshot`](csr::CsrSnapshot). Work is partitioned by chunk index,
-//!   so results are bit-identical at every worker count (see [`parallel`]).
+//!   [`CsrSnapshot`](csr::CsrSnapshot). Item `i` of a batch runs on worker
+//!   `i mod w`, so results are bit-identical at every worker count (see
+//!   [`parallel`]).
 //! * [`partition`] — deterministic seeded k-way partitioning for the
 //!   sharded pipeline: [`Partition::build`](partition::Partition::build)
 //!   grows `k` size-balanced regions by synchronized BFS from seed-ranked

@@ -10,11 +10,15 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism.** Work is partitioned by chunk index: item `i` of a
-//!    batch always lands in chunk `i / chunk_size`, and every result is
-//!    written to slot `i` of the output slice. Which OS thread executes a
-//!    chunk never influences any result, so a construction built on the pool
-//!    produces bit-identical output at every thread count.
+//! 1. **Determinism.** Work is dealt round-robin: item `i` of a batch
+//!    always runs on worker `i mod w` (`w` the workers the batch engages),
+//!    and every result is written to slot `i` of the output slice. Which OS
+//!    thread executes a worker's items never influences any result, so a
+//!    construction built on the pool produces bit-identical output at every
+//!    thread count. Dealing rather than cutting the batch into contiguous
+//!    chunks spreads a run of expensive neighbouring items (the path
+//!    queries a query generator places side by side, say) over every
+//!    worker instead of piling it onto one.
 //! 2. **No runtime dependency.** The executor is scoped `std::thread` —
 //!    no rayon, no global thread pool, no registry access. Threads live only
 //!    for the duration of one [`EnginePool::map_batch`] call; for the short
@@ -163,11 +167,12 @@ impl EnginePool {
     /// Evaluates `f(engine, graph, item)` for every item of a batch against
     /// a frozen snapshot, writing result `i` into `out[i]`.
     ///
-    /// Items are split into one contiguous chunk per worker (by chunk
-    /// index, so the partitioning — and therefore every per-engine counter
-    /// trajectory — is a function of the batch length and worker count
-    /// alone). Batches smaller than [`MIN_ITEMS_PER_WORKER`] per worker use
-    /// fewer workers, down to an inline, spawn-free run on worker 0.
+    /// Item `i` runs on worker `i mod w`, where `w` is the number of
+    /// workers the batch engages, so the partitioning — and therefore every
+    /// per-engine counter trajectory — is a function of the batch length
+    /// and worker count alone. Batches smaller than
+    /// [`MIN_ITEMS_PER_WORKER`] per worker use fewer workers, down to an
+    /// inline, spawn-free run on worker 0.
     ///
     /// # Panics
     ///
@@ -199,29 +204,29 @@ impl EnginePool {
             .max(1);
         self.peak_workers = self.peak_workers.max(workers);
         if workers == 1 {
-            let start = Instant::now();
-            let engine = &mut self.engines[0];
-            for (slot, item) in out.iter_mut().zip(items) {
-                *slot = f(engine, graph, item);
-            }
-            self.busy[0] += start.elapsed();
+            self.busy[0] += run_lane(&mut self.engines[0], graph, &f, out.iter_mut().zip(items));
             return;
         }
-        let chunk = items.len().div_ceil(workers);
+        // Deal the output slots into one lane per worker: lane `w` holds
+        // slots `w, w + workers, w + 2·workers, …`.
+        let mut lanes: Vec<Vec<&mut U>> = (0..workers)
+            .map(|_| Vec::with_capacity(items.len().div_ceil(workers)))
+            .collect();
+        for (i, slot) in out.iter_mut().enumerate() {
+            lanes[i % workers].push(slot);
+        }
         std::thread::scope(|scope| {
-            for ((engine, busy), (item_chunk, out_chunk)) in self
+            for (w, ((engine, busy), lane)) in self
                 .engines
                 .iter_mut()
                 .zip(self.busy.iter_mut())
-                .zip(items.chunks(chunk).zip(out.chunks_mut(chunk)))
+                .zip(lanes)
+                .enumerate()
             {
                 let f = &f;
                 scope.spawn(move || {
-                    let start = Instant::now();
-                    for (slot, item) in out_chunk.iter_mut().zip(item_chunk) {
-                        *slot = f(engine, graph, item);
-                    }
-                    *busy += start.elapsed();
+                    let lane = lane.into_iter().zip(items.iter().skip(w).step_by(workers));
+                    *busy += run_lane(engine, graph, f, lane);
                 });
             }
         });
@@ -265,14 +270,33 @@ impl EnginePool {
     }
 }
 
+/// Runs one worker's share of a [`EnginePool::map_batch`] call on its
+/// engine, writing each item's result into its output slot; returns the
+/// time it took.
+fn run_lane<'a, T: 'a, U: 'a, F>(
+    engine: &mut DijkstraEngine,
+    graph: &CsrGraph,
+    f: &F,
+    lane: impl Iterator<Item = (&'a mut U, &'a T)>,
+) -> Duration
+where
+    F: Fn(&mut DijkstraEngine, &CsrGraph, &T) -> U,
+{
+    let start = Instant::now();
+    for (slot, item) in lane {
+        *slot = f(engine, graph, item);
+    }
+    start.elapsed()
+}
+
 /// Fills `out[i] = f(i)` for every index, split into one contiguous chunk
 /// per worker on scoped threads — the generic deterministic fan-out used by
 /// batch drivers (e.g. the spanner matrix runner) whose jobs are not engine
 /// queries.
 ///
-/// Like [`EnginePool::map_batch`], partitioning is by chunk index, so the
-/// output is identical at every worker count; `workers <= 1` (or a single
-/// item) runs inline without spawning.
+/// Partitioning is by chunk index (index `i` runs in chunk
+/// `i / ⌈len / workers⌉`), so the output is identical at every worker
+/// count; `workers <= 1` (or a single item) runs inline without spawning.
 pub fn fill_chunked<U, F>(workers: usize, out: &mut [U], f: F)
 where
     U: Send,
@@ -323,7 +347,7 @@ mod tests {
             &mut reference,
             |e, graph, &(s, t, b)| e.bounded_distance(graph, VertexId(s), VertexId(t), b),
         );
-        for workers in [2, 3, 4, 8] {
+        for workers in 2..=8 {
             let mut pool = EnginePool::with_capacity_for(workers, 40, g.num_edges());
             let mut out: Vec<Option<f64>> = vec![None; queries.len()];
             pool.map_batch(
@@ -339,6 +363,40 @@ mod tests {
                 stats.reuse_hits, stats.queries,
                 "pre-sized pool engines must never allocate"
             );
+        }
+    }
+
+    #[test]
+    fn item_i_runs_on_worker_i_mod_w() {
+        let g = path_graph(40);
+        let csr = CsrGraph::from(&g);
+        // Item i searches from 0 to i mod 40, so its settle count depends
+        // on i and each engine's total shows which items it ran.
+        let queries: Vec<(usize, usize)> = (0..100).map(|i| (0, i % 40)).collect();
+        let query = |e: &mut DijkstraEngine, graph: &CsrGraph, &(s, t): &(usize, usize)| {
+            e.bounded_distance(graph, VertexId(s), VertexId(t), f64::INFINITY)
+        };
+        let mut lone = DijkstraEngine::with_capacity_for(40, g.num_edges());
+        let settled: Vec<u64> = queries
+            .iter()
+            .map(|q| {
+                let before = lone.stats().settled_vertices;
+                query(&mut lone, &csr, q);
+                lone.stats().settled_vertices - before
+            })
+            .collect();
+        for workers in [2, 3] {
+            let mut pool = EnginePool::with_capacity_for(workers, 40, g.num_edges());
+            let mut out: Vec<Option<f64>> = vec![None; queries.len()];
+            pool.map_batch(csr.snapshot(), &queries, &mut out, query);
+            for (w, engine) in pool.engines.iter().enumerate() {
+                let mine = (w..queries.len()).step_by(workers);
+                let stats = engine.stats();
+                let at = format!("workers = {workers}, w = {w}");
+                assert_eq!(stats.queries, mine.len() as u64, "{at}");
+                let expected: u64 = mine.map(|i| settled[i]).sum();
+                assert_eq!(stats.settled_vertices, expected, "{at}");
+            }
         }
     }
 
