@@ -37,12 +37,12 @@ const N: usize = 2000;
 const BATCH: usize = 2048;
 
 /// The point-query engine configurations the `point_query_engines` group
-/// compares: (name, relayout, landmark count).
-const ENGINE_CONFIGS: [(&str, bool, usize); 2] = [("heap", false, 0), ("heap_alt", true, 4)];
+/// compares: (name, landmark count).
+const ENGINE_CONFIGS: [(&str, usize); 2] = [("heap", 0), ("heap_alt", 4)];
 
 /// Freezes a fresh server off one shared construction result — the ~1s
 /// n=2000 greedy build runs once per bench invocation, not once per server.
-/// Uses the builder defaults: relayout, landmarks, `Auto` relax kernel.
+/// Uses the builder defaults: landmarks, `Auto` relax kernel.
 fn build_server(output: &SpannerOutput, threads: usize, cache: usize) -> SpannerServer {
     output
         .clone()
@@ -57,7 +57,6 @@ fn build_engine_server(
     output: &SpannerOutput,
     threads: usize,
     cache: usize,
-    reorder: bool,
     landmarks: usize,
 ) -> SpannerServer {
     output
@@ -65,7 +64,6 @@ fn build_engine_server(
         .serve()
         .threads(threads)
         .cache_capacity(cache)
-        .reorder(reorder)
         .landmarks(landmarks)
         .finish()
 }
@@ -75,7 +73,7 @@ fn build_engine_server(
 /// and every point-query engine configuration — the determinism contract
 /// this bench publishes numbers under.
 fn assert_identical_answers(output: &SpannerOutput, batch: &[Query]) -> Vec<Answer> {
-    let mut reference_server = build_engine_server(output, 1, 0, false, 0);
+    let mut reference_server = build_engine_server(output, 1, 0, 0);
     let reference = reference_server.answer_batch(batch).expect("valid batch");
     for threads in [1, 2, 8] {
         for cache in [0, 64] {
@@ -86,8 +84,8 @@ fn assert_identical_answers(output: &SpannerOutput, batch: &[Query]) -> Vec<Answ
             assert_eq!(warm, reference, "warm, threads={threads} cache={cache}");
         }
     }
-    for (name, reorder, landmarks) in ENGINE_CONFIGS {
-        let mut server = build_engine_server(output, 2, 64, reorder, landmarks);
+    for (name, landmarks) in ENGINE_CONFIGS {
+        let mut server = build_engine_server(output, 2, 64, landmarks);
         let cold = server.answer_batch(batch).expect("valid batch");
         let warm = server.answer_batch(batch).expect("valid batch");
         assert_eq!(cold, reference, "engine config {name}");
@@ -185,8 +183,8 @@ fn bench_serving(c: &mut Criterion) {
     assert_identical_answers(&output, &bounded);
     let mut engines = c.benchmark_group("point_query_engines");
     engines.sample_size(10);
-    for (name, reorder, landmarks) in ENGINE_CONFIGS {
-        let mut server = build_engine_server(&output, 1, 0, reorder, landmarks);
+    for (name, landmarks) in ENGINE_CONFIGS {
+        let mut server = build_engine_server(&output, 1, 0, landmarks);
         engines.bench_function(BenchmarkId::new("bounded_uniform", name), |b| {
             b.iter(|| server.answer_batch(&bounded).expect("valid batch").len())
         });

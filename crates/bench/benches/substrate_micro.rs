@@ -141,7 +141,7 @@ fn bench_point_query_engines(c: &mut Criterion) {
         .expect("valid stretch")
         .spanner;
     let csr = CsrGraph::from(&spanner);
-    let landmarks = Landmarks::farthest_point(&csr, 4, None);
+    let landmarks = Landmarks::farthest_point(&csr, 4);
     let queries = query_batch(csr.num_vertices(), 256);
     let n = csr.num_vertices();
 

@@ -168,6 +168,12 @@
 //! traffic shapes — uniform pairs, Zipf hotspots, ball sweeps, mixed read
 //! profiles — for benches and tests.
 //!
+//! **Migration note (0.8):** `ServeBuilder::reorder`,
+//! `SpannerHandle::reordered` and `SpannerHandle::perm` are gone: a served
+//! spanner keeps the build's vertex numbering (the degree-sorted relayout
+//! slowed goal-directed serving on a 90k-vertex grid and was flat
+//! elsewhere). Drop `.reorder(..)` calls; answers are unchanged.
+//!
 //! # The live-update model
 //!
 //! The stack is four layers, and as of 0.3 none of them freezes forever:

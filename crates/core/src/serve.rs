@@ -52,9 +52,7 @@
 //! * Paths are canonical: among equal-length shortest paths every search
 //!   and every cached tree picks parents by one rule (the smallest
 //!   `(distance, id)` among a vertex's achieving neighbours; see
-//!   [`DijkstraEngine::shortest_path_tree`]). A reordered handle breaks
-//!   those ties by *external* id, so it returns the identity layout's
-//!   paths.
+//!   [`DijkstraEngine::shortest_path_tree`]).
 //! * Cache *admission* is a pure function of the batch (per-source demand
 //!   and need in first-appearance order) and eviction is by
 //!   least-recent-use with a deterministic tie-break — the cache's content
@@ -75,9 +73,7 @@
 //!   settles ([`DijkstraEngine::shortest_path_with`]); bounded distances
 //!   never queue a vertex past the bound.
 //! * [`Query::KNearest`] stops after the `k`-th settle plus the ties at its
-//!   distance ([`DijkstraEngine::k_nearest_with_ties`]); a reordered
-//!   handle translates and re-sorts only that prefix, on a cache hit as
-//!   well as on a miss.
+//!   distance ([`DijkstraEngine::k_nearest_with_ties`]).
 //! * [`Query::Ball`] never settles a vertex past the radius.
 //!
 //! This is exact, not approximate. Popped keys never decrease
@@ -93,17 +89,27 @@
 //!
 //! # Prefix trees in the cache
 //!
-//! Cache admission is answer-sized too. An admitted source's search runs
-//! only until every bounded-distance, k-nearest and ball query of that
-//! source in the batch has a fixed answer — each target settled or its
-//! bound reached, the largest `k` settled, the largest radius reached —
-//! then through the ties at that distance `D`, exactly like a `KNearest`
-//! miss ([`DijkstraEngine::owned_shortest_path_tree`] with a
-//! [`TreeNeed`]). `Path` and `StretchAudit` targets do not enter the need:
-//! a goal-directed miss settles a narrow corridor, while growing a tree
-//! until a far target settles costs the whole ball around the source. A
-//! source whose need is empty — only paths and audits, say — is not
-//! admitted at all.
+//! Cache admission is answer-sized too. A source's **need** holds only
+//! what a miss would have to search for: the bounded-distance targets the
+//! landmark table does not already rule out, the largest `k` and the
+//! largest radius. An admitted source's search runs only until that need
+//! is met — each target settled or its bound reached, the largest `k`
+//! settled, the largest radius reached — then through the ties at that
+//! distance `D`, exactly like a `KNearest` miss
+//! ([`DijkstraEngine::owned_shortest_path_tree`] with a [`TreeNeed`]).
+//! Two kinds of target stay out of the need, because a goal-directed miss
+//! answers them for far less than the tree would cost:
+//!
+//! * `Path` and `StretchAudit` targets: the miss settles a narrow
+//!   corridor, while growing a tree until a far target settles costs the
+//!   whole ball around the source;
+//! * `Distance(t, bound)` targets that [`Landmarks::rules_out`]: the
+//!   landmarks alone prove `t` farther than `bound`, so the miss settles no
+//!   vertex, while growing the tree to `bound` costs the ball of that
+//!   radius.
+//!
+//! A source whose need is empty — only paths, audits and ruled-out
+//! distances, say — is not admitted at all.
 //! The cache stores that **prefix tree**, stamped with `D`
 //! ([`SptTree::complete_through`]; `∞` when the search ran out of
 //! vertices). By the argument above, every vertex at distance `≤ D` is in
@@ -132,16 +138,12 @@
 //!
 //! # The point-query acceleration stack
 //!
-//! Three answer-invariant accelerations sit in the serving hot path; all
+//! Two answer-invariant accelerations sit in the serving hot path; both
 //! are pure speed knobs — `tests/engine_variant_determinism.rs` asserts
 //! bit-identical answers across every combination, and
 //! `tests/alt_exact_bounds.rs` does so for paths, unbounded distances and
 //! bounds equal to the exact distance:
 //!
-//! * **Cache-conscious relayout** ([`ServeBuilder::reorder`]): the spanner
-//!   is renumbered by descending degree at freeze time
-//!   ([`SpannerHandle::reordered`]); queries and answers are translated at
-//!   the API boundary, so callers keep external ids throughout.
 //! * **Goal-directed point-to-point search** ([`ServeBuilder::landmarks`]):
 //!   frozen servers carry a landmark table on their handle, built at
 //!   freeze time; live servers rebuild theirs on the first batch of each
@@ -158,7 +160,9 @@
 //!   [`spanner_graph::EngineStats::settled_vertices`],
 //!   [`spanner_graph::EngineStats::pruned_by_bound`] and
 //!   [`spanner_graph::EngineStats::reopened`] make the corridor
-//!   observable.
+//!   observable. A pair whose source bound already exceeds the query
+//!   bound ([`Landmarks::rules_out`]) settles nothing, and its target
+//!   stays out of the cache's need (see above).
 //! * **Batched relax kernel** ([`ServeBuilder::relax_kernel`]): engine
 //!   searches drain same-cohort queue entries together, gather their
 //!   adjacency rows into a contiguous scratch ring, software-prefetch the
@@ -193,7 +197,7 @@ use std::time::{Duration, Instant};
 
 use spanner_graph::{
     CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, RelaxKernel,
-    SptTree, TreeNeed, VertexId, VertexPerm, WeightedGraph,
+    SptTree, TreeNeed, VertexId, WeightedGraph,
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
@@ -740,70 +744,36 @@ pub struct SpannerHandle {
     spanner: CsrGraph,
     epoch: u64,
     provenance: Provenance,
-    /// External↔internal renumbering, when the handle was frozen through
-    /// [`SpannerHandle::reordered`]. `None` means identity layout.
-    perm: Option<VertexPerm>,
-    /// Landmark distance table for goal-directed queries, in the handle's
-    /// (possibly reordered) id space. Consulted only while its epoch stamp
-    /// matches.
+    /// Landmark distance table for goal-directed queries. Consulted only
+    /// while its epoch stamp matches.
     landmarks: Option<Landmarks>,
 }
 
 impl SpannerHandle {
-    /// Stamps a handle over a CSR spanner at its current epoch, in the
-    /// graph's own vertex numbering and without landmarks.
+    /// Stamps a handle over a CSR spanner at its current epoch, without
+    /// landmarks.
     pub fn new(spanner: CsrGraph, provenance: Provenance) -> Self {
         let epoch = spanner.epoch();
         SpannerHandle {
             spanner,
             epoch,
             provenance,
-            perm: None,
             landmarks: None,
         }
     }
 
     /// Freezes a build result into a handle (compacts the spanner so every
-    /// subsequent scan is packed). The layout is the identity —
-    /// [`ServeBuilder::finish`] applies the cache-conscious relayout by
-    /// default; call [`SpannerHandle::reordered`] to apply it explicitly.
+    /// subsequent scan is packed).
     pub fn from_output(output: SpannerOutput) -> Self {
         SpannerHandle::new(CsrGraph::from(&output.spanner), output.provenance)
     }
 
-    /// Applies the cache-conscious relayout: vertices are renumbered by
-    /// descending live degree (ties by smaller id) so hot adjacency rows
-    /// cluster at the front of the CSR arrays, and the permutation is kept
-    /// so servers translate external ids at the API boundary — answers stay
-    /// bit-identical in external-id space. An identity permutation (already
-    /// sorted, or already reordered) leaves the handle untouched. Any
-    /// landmark table is rebuilt in the new id space. The epoch stamp is
-    /// unaffected (a relayout is a representation change, never a
-    /// mutation).
-    pub fn reordered(mut self) -> Self {
-        let perm = VertexPerm::degree_sorted(&self.spanner);
-        if perm.is_identity() {
-            return self;
-        }
-        self.spanner = self.spanner.reorder(&perm);
-        if let Some(lm) = self.landmarks.take() {
-            let sources: Vec<VertexId> =
-                lm.sources().iter().map(|&s| perm.to_internal(s)).collect();
-            self.landmarks = Some(Landmarks::build(&self.spanner, &sources));
-        }
-        self.perm = Some(perm);
-        self
-    }
-
     /// Attaches a table of `count` landmarks, picked by farthest-point
-    /// traversal ([`Landmarks::farthest_point`]; a reordered handle breaks
-    /// its ties by external id, so it picks the identity layout's
-    /// vertices), for goal-directed point-to-point queries. `count = 0`
-    /// strips any existing table. Landmarks only make queries cheaper,
-    /// never different.
+    /// traversal ([`Landmarks::farthest_point`]), for goal-directed
+    /// point-to-point queries. `count = 0` strips any existing table.
+    /// Landmarks only make queries cheaper, never different.
     pub fn with_landmarks(mut self, count: usize) -> Self {
-        let ties = self.perm.as_ref().map(VertexPerm::external_ids);
-        self.landmarks = (count > 0).then(|| Landmarks::farthest_point(&self.spanner, count, ties));
+        self.landmarks = (count > 0).then(|| Landmarks::farthest_point(&self.spanner, count));
         self
     }
 
@@ -813,24 +783,11 @@ impl SpannerHandle {
     }
 
     /// The spanner graph.
-    ///
-    /// **Migration note (0.4):** for handles frozen through the serve
-    /// pipeline (or [`SpannerHandle::reordered`]) this returns the
-    /// *reordered* graph — vertex ids here are internal. Check
-    /// [`SpannerHandle::perm`] to translate; handles built directly with
-    /// [`SpannerHandle::new`]/[`SpannerHandle::from_output`] keep the
-    /// identity layout.
     pub fn graph(&self) -> &CsrGraph {
         &self.spanner
     }
 
-    /// The external↔internal renumbering applied by
-    /// [`SpannerHandle::reordered`], or `None` for the identity layout.
-    pub fn perm(&self) -> Option<&VertexPerm> {
-        self.perm.as_ref()
-    }
-
-    /// The attached landmark table, if any (in the handle's id space).
+    /// The attached landmark table, if any.
     pub fn landmarks(&self) -> Option<&Landmarks> {
         self.landmarks.as_ref()
     }
@@ -873,15 +830,6 @@ impl Served {
         match self {
             Served::Frozen(handle) => handle.graph(),
             Served::Live(live) => live.spanner(),
-        }
-    }
-
-    /// The frozen handle, when this is a frozen server (live spanners keep
-    /// the identity layout and demand-derived landmarks instead).
-    fn handle(&self) -> Option<&SpannerHandle> {
-        match self {
-            Served::Frozen(handle) => Some(handle),
-            Served::Live(_) => None,
         }
     }
 
@@ -1027,8 +975,7 @@ impl SpannerServer {
     /// Clones the current spanner state into a fresh, compacted,
     /// epoch-stamped [`SpannerHandle`] — the "rebuild from scratch" handle
     /// the live-update equivalence suite compares against. A frozen
-    /// server's handle keeps its layout permutation and landmark table; a
-    /// live server freezes in the identity layout.
+    /// server's handle keeps its landmark table; a live server's has none.
     pub fn freeze_current(&self) -> SpannerHandle {
         match &self.served {
             Served::Frozen(handle) => {
@@ -1081,7 +1028,7 @@ impl SpannerServer {
         {
             return;
         }
-        let table = Landmarks::farthest_point(live.spanner(), self.landmark_count, None);
+        let table = Landmarks::farthest_point(live.spanner(), self.landmark_count);
         self.live_landmarks = Some(table);
     }
 
@@ -1112,21 +1059,21 @@ impl SpannerServer {
         }
         let start = Instant::now();
 
-        // Live servers refresh their landmark table on epoch bumps.
+        // Live servers refresh their landmark table on epoch bumps. A table
+        // is consulted only while its stamp matches the serving epoch —
+        // stale tables are as good as absent.
         self.refresh_live_landmarks(epoch);
-
-        // Reordered handles work in internal ids: translate the batch once
-        // up front (cache keys, admission demand, and engine queries all
-        // live in internal space); answers translate back per query.
-        let translated: Option<Vec<Query>> = self
-            .served
-            .handle()
-            .and_then(SpannerHandle::perm)
-            .map(|perm| queries.iter().map(|q| translate_query(q, perm)).collect());
-        let queries: &[Query] = translated.as_deref().unwrap_or(queries);
+        let landmarks = match &self.served {
+            Served::Frozen(handle) => handle.landmarks(),
+            Served::Live(_) => self.live_landmarks.as_ref(),
+        }
+        .filter(|lm| {
+            lm.epoch() == epoch && lm.num_vertices() == self.served.spanner().num_vertices()
+        });
 
         // Phase 1 — deterministic cache admission. Count per-source demand
-        // and collect what the batch needs from each source's tree; sources
+        // and collect what the batch needs from each source's tree (targets
+        // the landmarks rule out need nothing; see `add_tree_need`); sources
         // meeting the threshold (in first-appearance order, capped at
         // capacity) get the prefix tree that need asks for computed across
         // the pool and admitted stamped with the current epoch — unless
@@ -1144,7 +1091,7 @@ impl SpannerServer {
                     (0, TreeNeed::new())
                 });
                 *count += 1;
-                add_tree_need(need, query);
+                add_tree_need(need, query, landmarks);
             }
             let admit: Vec<(usize, TreeNeed)> = first_appearance
                 .into_iter()
@@ -1166,11 +1113,6 @@ impl SpannerServer {
             if !admit.is_empty() {
                 let mut trees: Vec<Option<SptTree>> = vec![None; admit.len()];
                 let spanner = self.served.spanner();
-                let ties = self
-                    .served
-                    .handle()
-                    .and_then(SpannerHandle::perm)
-                    .map(VertexPerm::external_ids);
                 self.pool
                     .try_map_batch(
                         spanner.snapshot(),
@@ -1178,12 +1120,7 @@ impl SpannerServer {
                         &admit,
                         &mut trees,
                         |engine, graph, (source, need)| {
-                            Some(engine.owned_shortest_path_tree(
-                                graph,
-                                VertexId(*source),
-                                need,
-                                ties,
-                            ))
+                            Some(engine.owned_shortest_path_tree(graph, VertexId(*source), need))
                         },
                     )
                     .map_err(|e| match e {
@@ -1216,14 +1153,6 @@ impl SpannerServer {
                 Served::Frozen(_) => self.baseline.as_ref(),
                 Served::Live(live) => Some(live.original()),
             };
-            let perm = self.served.handle().and_then(SpannerHandle::perm);
-            // A landmark table is consulted only while its stamp matches
-            // the serving epoch — stale tables are as good as absent.
-            let landmarks = match &self.served {
-                Served::Frozen(handle) => handle.landmarks(),
-                Served::Live(_) => self.live_landmarks.as_ref(),
-            }
-            .filter(|lm| lm.epoch() == epoch && lm.num_vertices() == spanner.num_vertices());
             self.pool.map_batch(
                 spanner.snapshot(),
                 queries,
@@ -1240,7 +1169,7 @@ impl SpannerServer {
                         CacheLookup::Miss => (None, false),
                     };
                     let (answer, hit) =
-                        answer_one(engine, spanner, baseline, landmarks, perm, cached, query);
+                        answer_one(engine, spanner, baseline, landmarks, cached, query);
                     Some((
                         answer,
                         t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -1344,57 +1273,26 @@ impl Backend for SpannerServer {
     }
 }
 
-/// Rewrites a query's vertices into internal (reordered) id space.
-fn translate_query(query: &Query, perm: &VertexPerm) -> Query {
+/// Adds what a cached tree needs to answer `query` to its source's need —
+/// only what a miss would have to search for. Path and audit targets add
+/// nothing: their misses search goal-directed, and a tree grown until a
+/// far target settles would cost the whole ball (see the module docs). A
+/// distance target that the current `landmarks` rule out
+/// ([`Landmarks::rules_out`]) adds nothing either: its miss settles no
+/// vertex, while growing a tree to its bound costs the ball of that
+/// radius. Answers do not depend on it — a covered query's tree answer
+/// equals the miss's.
+fn add_tree_need(need: &mut TreeNeed, query: &Query, landmarks: Option<&Landmarks>) {
     match *query {
         Query::Distance {
             source,
             target,
             bound,
-        } => Query::Distance {
-            source: perm.to_internal(source),
-            target: perm.to_internal(target),
-            bound,
-        },
-        Query::Path { source, target } => Query::Path {
-            source: perm.to_internal(source),
-            target: perm.to_internal(target),
-        },
-        Query::KNearest { source, k } => Query::KNearest {
-            source: perm.to_internal(source),
-            k,
-        },
-        Query::Ball { source, radius } => Query::Ball {
-            source: perm.to_internal(source),
-            radius,
-        },
-        Query::StretchAudit { source, target } => Query::StretchAudit {
-            source: perm.to_internal(source),
-            target: perm.to_internal(target),
-        },
-    }
-}
-
-/// Translates a member list back to external ids and restores the
-/// `(distance, external vertex)` order — ties that settled in internal-id
-/// order must leave the API in external-id order, bit-identical to an
-/// identity-layout server. Vertices are distinct, so the unstable sort
-/// is exact.
-fn translate_members(mut members: Vec<(VertexId, f64)>, perm: &VertexPerm) -> Vec<(VertexId, f64)> {
-    for member in &mut members {
-        member.0 = perm.to_external(member.0);
-    }
-    members.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    members
-}
-
-/// Adds what a cached tree needs to answer `query` to its source's need.
-/// Path and audit targets add nothing: their misses search goal-directed,
-/// and a tree grown until a far target settles would cost the whole ball
-/// (see the module docs).
-fn add_tree_need(need: &mut TreeNeed, query: &Query) {
-    match *query {
-        Query::Distance { target, bound, .. } => need.add_target(target, bound),
+        } => {
+            if !landmarks.is_some_and(|lm| lm.rules_out(source, target, bound)) {
+                need.add_target(target, bound);
+            }
+        }
         Query::KNearest { k, .. } => need.add_k_nearest(k),
         Query::Ball { radius, .. } => need.add_radius(radius),
         Query::Path { .. } | Query::StretchAudit { .. } => {}
@@ -1402,9 +1300,8 @@ fn add_tree_need(need: &mut TreeNeed, query: &Query) {
 }
 
 /// Answers one query on one worker, returning the answer and whether the
-/// cached tree answered it. The query is already in the spanner's internal
-/// id space; `perm` (when present) translates the answer back to external
-/// ids. `cached` is the frozen current-epoch tree for the query's source,
+/// cached tree answered it. `cached` is the frozen current-epoch tree for
+/// the query's source,
 /// if the cache holds one; it answers only what its prefix covers, and
 /// every such answer is bit-identical to the corresponding engine answer
 /// (see the module docs) — anything else is a miss and searches.
@@ -1415,7 +1312,6 @@ fn answer_one(
     spanner: &CsrGraph,
     baseline: Option<&CsrGraph>,
     landmarks: Option<&Landmarks>,
-    perm: Option<&VertexPerm>,
     cached: Option<&SptTree>,
     query: &Query,
 ) -> (Answer, bool) {
@@ -1438,49 +1334,32 @@ fn answer_one(
         Query::Path { source, target } => {
             let (path, hit) = match cached.and_then(|tree| tree.shortest_path(target)) {
                 Some(path) => (path, true),
-                None => {
-                    let ties = perm.map(VertexPerm::external_ids);
-                    let path = engine.shortest_path_with(spanner, landmarks, ties, source, target);
-                    (path, false)
-                }
+                None => (
+                    engine.shortest_path_with(spanner, landmarks, source, target),
+                    false,
+                ),
             };
-            let path = path.map(|(distance, mut vertices)| {
-                if let Some(perm) = perm {
-                    for v in &mut vertices {
-                        *v = perm.to_external(*v);
-                    }
-                }
-                PathAnswer { distance, vertices }
-            });
+            let path = path.map(|(distance, vertices)| PathAnswer { distance, vertices });
             (Answer::Path(path), hit)
         }
         Query::KNearest { source, k } => {
             // Both paths yield the k nearest plus the ties at the k-th
-            // distance, in (distance, vertex) order, bit for bit. Reordered,
-            // a tie at the truncation boundary must resolve by *external*
-            // id, which is why the ties come along: translate and re-sort
-            // that prefix, and only then truncate.
+            // distance, in (distance, vertex) order, bit for bit.
             let (nearest, hit) = match cached.and_then(|tree| tree.k_nearest_with_ties(k)) {
                 Some(nearest) => (nearest, true),
                 None => (engine.k_nearest_with_ties(spanner, source, k), false),
             };
-            let mut members = match perm {
-                Some(perm) => translate_members(nearest.to_vec(), perm),
-                None => nearest.to_vec(),
-            };
-            members.truncate(k);
-            (Answer::KNearest(members), hit)
+            (
+                Answer::KNearest(nearest[..k.min(nearest.len())].to_vec()),
+                hit,
+            )
         }
         Query::Ball { source, radius } => {
             let (members, hit) = match cached.and_then(|tree| tree.members_within(radius)) {
                 Some(members) => (members, true),
                 None => (engine.ball(spanner, source, radius), false),
             };
-            let members = match perm {
-                Some(perm) => translate_members(members.to_vec(), perm),
-                None => members.to_vec(),
-            };
-            (Answer::Ball(members), hit)
+            (Answer::Ball(members.to_vec()), hit)
         }
         Query::StretchAudit { source, target } => {
             let covered = cached.and_then(|tree| tree.distance(target));
@@ -1548,8 +1427,6 @@ pub struct ServeBuilder {
     cache_capacity: usize,
     cache_admit_threshold: usize,
     baseline: Option<WeightedGraph>,
-    /// `None` = default (reorder fresh outputs, keep a handle's layout).
-    reorder: Option<bool>,
     /// `None` = default ([`DEFAULT_LANDMARK_COUNT`] for fresh outputs and
     /// live servers, keep a handle's table).
     landmark_count: Option<usize>,
@@ -1565,7 +1442,10 @@ pub const DEFAULT_CACHE_ADMIT_THRESHOLD: usize = 2;
 /// Default number of landmarks a served spanner carries for goal-directed
 /// point-to-point search. Each costs one shortest-path tree at freeze time
 /// and `8 × num_vertices` bytes; answers never depend on the count, so it
-/// is purely a speed/memory knob.
+/// is purely a speed/memory knob. The count also steers the cache: a
+/// bounded-distance target the table rules out ([`Landmarks::rules_out`])
+/// grows no cached tree, so more (or fewer) landmarks change which trees
+/// are admitted, never an answer.
 pub const DEFAULT_LANDMARK_COUNT: usize = 4;
 
 impl ServeBuilder {
@@ -1576,7 +1456,6 @@ impl ServeBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
             baseline: None,
-            reorder: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
         }
@@ -1624,16 +1503,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Whether to apply the cache-conscious degree-sorted relayout at
-    /// freeze time. Defaults to `true` for fresh build outputs; explicit
-    /// handles keep their layout unless this is set to `true`. Answers are
-    /// bit-identical in external-id space either way. Live servers never
-    /// reorder (updates address vertices by their external ids).
-    pub fn reorder(mut self, reorder: bool) -> Self {
-        self.reorder = Some(reorder);
-        self
-    }
-
     /// How many landmarks the served spanner carries for goal-directed
     /// `Distance`, `Path` and `StretchAudit` misses
     /// ([`DEFAULT_LANDMARK_COUNT`] when unset; `0` means plain one-sided
@@ -1675,24 +1544,16 @@ impl ServeBuilder {
         .resolve_threads();
         let served = match self.source {
             ServeSource::Output(output) => {
-                // Fresh outputs get the full acceleration stack by default:
-                // degree-sorted relayout plus a farthest-point landmark
-                // table. Both are answer-invariant.
-                let mut handle = SpannerHandle::from_output(*output);
-                if self.reorder.unwrap_or(true) {
-                    handle = handle.reordered();
-                }
-                handle =
-                    handle.with_landmarks(self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT));
+                // Fresh outputs get a farthest-point landmark table by
+                // default; it is answer-invariant.
+                let handle = SpannerHandle::from_output(*output)
+                    .with_landmarks(self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT));
                 Served::Frozen(Box::new(handle))
             }
             ServeSource::Handle(handle) => {
-                // Explicit handles keep whatever layout/landmarks their
-                // holder chose; knobs override when set.
+                // Explicit handles keep whatever landmarks their holder
+                // chose; the knob overrides when set.
                 let mut handle = *handle;
-                if self.reorder == Some(true) {
-                    handle = handle.reordered();
-                }
                 if let Some(count) = self.landmark_count {
                     handle = handle.with_landmarks(count);
                 }
@@ -1706,13 +1567,7 @@ impl ServeBuilder {
                 Served::Live(live)
             }
         };
-        // Audit queries run in the spanner's id space, so a reordered
-        // handle's baseline is co-reordered with the same permutation.
         let baseline = self.baseline.as_ref().map(CsrGraph::from);
-        let baseline = match (baseline, served.handle().and_then(SpannerHandle::perm)) {
-            (Some(b), Some(perm)) => Some(b.reorder(perm)),
-            (b, _) => b,
-        };
         let n = served.spanner().num_vertices();
         // Audit queries also search the baseline (frozen) or the live
         // original, which can be much denser than the spanner — size the
@@ -2033,20 +1888,8 @@ mod tests {
             .unwrap();
         assert_eq!(server.cached_trees(), 2);
         assert_eq!(server.stats().cache_evictions, 1);
-        // The cache is keyed by internal (reordered) ids; probe through the
-        // handle's permutation.
-        let internal = |server: &SpannerServer, v: usize| {
-            server
-                .served
-                .handle()
-                .and_then(SpannerHandle::perm)
-                .map_or(VertexId(v), |p| p.to_internal(VertexId(v)))
-        };
         let cached = |server: &SpannerServer, v: usize| {
-            matches!(
-                server.cache.lookup(internal(server, v), 0),
-                CacheLookup::Hit(_)
-            )
+            matches!(server.cache.lookup(VertexId(v), 0), CacheLookup::Hit(_))
         };
         assert!(cached(&server, 1), "recently used survives");
         assert!(cached(&server, 2), "new hotspot admitted");
@@ -2057,12 +1900,11 @@ mod tests {
 
     #[test]
     fn cached_prefixes_answer_what_they_cover_and_grow_on_readmission() {
-        // A unit path 0-1-…-9 is its own greedy spanner; identity layout, so
-        // cache keys are the query ids.
+        // A unit path 0-1-…-9 is its own greedy spanner.
         let g = WeightedGraph::from_edges(10, (1..10).map(|v| (v - 1, v, 1.0))).unwrap();
         let output = Spanner::greedy().stretch(2.0).build(&g).unwrap();
-        let mut server = output.clone().serve().reorder(false).finish();
-        let mut uncached = output.serve().reorder(false).cache_capacity(0).finish();
+        let mut server = output.clone().serve().finish();
+        let mut uncached = output.serve().cache_capacity(0).finish();
         let reach = |server: &SpannerServer| match server.cache.lookup(VertexId(0), 0) {
             CacheLookup::Hit(tree) => tree.complete_through(),
             _ => panic!("source 0 must be cached"),
@@ -2108,23 +1950,52 @@ mod tests {
     }
 
     #[test]
-    fn reordered_handles_pick_the_identity_layouts_landmarks() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let g = erdos_renyi_connected(60, 0.08, 1.0..3.0, &mut rng);
+    fn ruled_out_distance_targets_grow_no_tree() {
+        // A unit path 0-1-…-19 is its own greedy spanner, and a landmark
+        // at an end of it bounds every pair exactly.
+        let g = WeightedGraph::from_edges(20, (1..20).map(|v| (v - 1, v, 1.0))).unwrap();
         let output = Spanner::greedy().stretch(2.0).build(&g).unwrap();
-        let external = |server: &SpannerServer| -> Vec<VertexId> {
-            let handle = server.served.handle().unwrap();
-            let sources = handle.landmarks().unwrap().sources().iter();
-            match handle.perm() {
-                Some(perm) => sources.map(|&s| perm.to_external(s)).collect(),
-                None => sources.copied().collect(),
-            }
+        let mut server = output.clone().serve().cache_capacity(8).finish();
+        let mut uncached = output.serve().cache_capacity(0).finish();
+        let Served::Frozen(handle) = &server.served else {
+            unreachable!("a built output serves frozen")
         };
-        let identity = output.clone().serve().reorder(false).finish();
-        let reordered = output.serve().reorder(true).finish();
-        assert!(reordered.served.handle().unwrap().perm().is_some());
-        assert_eq!(external(&identity).len(), DEFAULT_LANDMARK_COUNT);
-        assert_eq!(external(&reordered), external(&identity));
+        let lm = handle.landmarks().unwrap().clone();
+        // A hot source whose every target lies past its bound: the table
+        // rules each one out, so the source needs no tree.
+        let far: Vec<Query> = [(10, 3.0), (12, 3.0), (15, 2.0)]
+            .into_iter()
+            .map(|(t, bound)| {
+                assert!(lm.rules_out(VertexId(0), VertexId(t), bound), "{t}");
+                Query::distance(VertexId(0), VertexId(t), bound)
+            })
+            .collect();
+        let answers = server.answer_batch(&far).unwrap();
+        assert_eq!(answers, uncached.answer_batch(&far).unwrap());
+        assert!(answers.iter().all(|a| a.distance().is_none()));
+        assert_eq!(server.cached_trees(), 0);
+        assert_eq!(server.stats().cache_insertions, 0);
+        assert_eq!(server.stats().cache_misses, far.len() as u64);
+        // One in-range target alongside admits exactly one tree, which
+        // covers that target and stops there, at distance 2: of the
+        // ruled-out targets only the one whose bound it reaches is a hit.
+        let near = Query::distance(VertexId(0), VertexId(2), 3.0);
+        assert!(!lm.rules_out(VertexId(0), VertexId(2), 3.0));
+        let mut mixed = far.clone();
+        mixed.push(near);
+        let answers = server.answer_batch(&mixed).unwrap();
+        assert_eq!(answers, uncached.answer_batch(&mixed).unwrap());
+        assert_eq!(answers[3].distance(), Some(2.0));
+        assert_eq!(server.cached_trees(), 1);
+        assert_eq!(server.stats().cache_insertions, 1);
+        assert_eq!(server.stats().cache_hits, 2);
+        match server.cache.lookup(VertexId(0), server.epoch()) {
+            CacheLookup::Hit(tree) => {
+                assert_eq!(tree.distance(VertexId(2)), Some(Some(2.0)));
+                assert_eq!(tree.complete_through(), 2.0);
+            }
+            _ => panic!("source 0 must be cached"),
+        }
     }
 
     #[test]
@@ -2148,11 +2019,13 @@ mod tests {
         assert_eq!(server.cached_trees(), 0);
         assert_eq!(server.stats().cache_insertions, 0);
         assert_eq!(server.stats().cache_misses, batch.len() as u64);
-        // One bounded-distance query alongside makes the need non-empty.
+        // One in-range bounded-distance query alongside makes the need
+        // non-empty.
         let mut mixed = batch.clone();
-        mixed.push(Query::distance(VertexId(0), VertexId(7), 3.0));
+        mixed.push(Query::distance(VertexId(0), VertexId(7), 100.0));
         let answers = server.answer_batch(&mixed).unwrap();
         assert_eq!(answers, uncached.answer_batch(&mixed).unwrap());
+        assert!(answers.last().unwrap().distance().is_some());
         assert_eq!(server.cached_trees(), 1);
         assert_eq!(server.stats().cache_insertions, 1);
     }
@@ -2449,46 +2322,41 @@ mod tests {
                 }
             })
             .collect();
-        // Reference: scalar kernel, identity layout, no landmarks.
+        // Reference: scalar kernel, no landmarks.
         let mut reference_server = output
             .clone()
             .serve()
             .relax_kernel(RelaxKernel::Scalar)
-            .reorder(false)
             .landmarks(0)
             .audit_against(&g)
             .finish();
         let reference = reference_server.answer_batch(&queries).unwrap();
         // Every acceleration combination must reproduce it bit for bit.
-        for (kernel, reorder, landmarks) in [
-            (RelaxKernel::Batched, false, 0),
-            (RelaxKernel::Auto, true, 0),
-            (RelaxKernel::Scalar, true, 4),
-            (RelaxKernel::Batched, true, 4),
-            (RelaxKernel::Auto, true, 16),
+        for (kernel, landmarks) in [
+            (RelaxKernel::Batched, 0),
+            (RelaxKernel::Auto, 0),
+            (RelaxKernel::Scalar, 4),
+            (RelaxKernel::Batched, 4),
+            (RelaxKernel::Auto, 16),
         ] {
             let mut server = output
                 .clone()
                 .serve()
                 .relax_kernel(kernel)
-                .reorder(reorder)
                 .landmarks(landmarks)
                 .audit_against(&g)
                 .finish();
             let cold = server.answer_batch(&queries).unwrap();
             let warm = server.answer_batch(&queries).unwrap();
-            assert_eq!(
-                cold, reference,
-                "kernel={kernel:?} reorder={reorder} landmarks={landmarks}"
-            );
+            assert_eq!(cold, reference, "kernel={kernel:?} landmarks={landmarks}");
             assert_eq!(
                 warm, reference,
-                "warm, kernel={kernel:?} reorder={reorder} landmarks={landmarks}"
+                "warm, kernel={kernel:?} landmarks={landmarks}"
             );
             let engine = server.engine_stats();
             assert_eq!(
                 engine.reuse_hits, engine.queries,
-                "kernel={kernel:?} reorder={reorder} landmarks={landmarks}: engine allocated"
+                "kernel={kernel:?} landmarks={landmarks}: engine allocated"
             );
         }
     }

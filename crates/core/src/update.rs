@@ -39,9 +39,7 @@
 //! live [`crate::serve::SpannerServer`] consults its ALT landmark table
 //! only while the table's epoch stamp matches the spanner's, so every
 //! update batch forces a lazy landmark rebuild at the next query batch —
-//! exactly like the shortest-path-tree cache's lazy invalidation. Live
-//! spanners never carry a vertex relayout (updates address vertices by
-//! external ids), so there is no permutation to re-derive.
+//! exactly like the shortest-path-tree cache's lazy invalidation.
 //!
 //! ```
 //! use greedy_spanner::update::{LiveSpanner, UpdateBatch};

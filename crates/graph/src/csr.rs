@@ -800,53 +800,12 @@ impl CsrGraph {
         graph.epoch = epoch;
         Ok(graph)
     }
-
-    /// Produces a copy of this graph with every vertex renamed through
-    /// `perm` (new id = `perm.to_internal(old id)`), fully packed. Used for
-    /// the cache-conscious serving relayout: renumbering vertices by
-    /// descending degree clusters the hot rows of the packed arrays at the
-    /// front, so point-query scans touch fewer cache lines.
-    ///
-    /// Everything except the vertex names is preserved **bit-identically**:
-    /// edge ids (dead slots included, so [`CsrGraph::is_edge_live`] agrees
-    /// per id), weights, the tombstone bitmap, and the epoch. The caller
-    /// owns the id translation at its API boundary — see
-    /// `spanner-core`'s serving layer, which stores the permutation on its
-    /// handle and translates queries in and answers out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` was built for a different vertex count.
-    pub fn reorder(&self, perm: &VertexPerm) -> CsrGraph {
-        assert_eq!(
-            perm.len(),
-            self.num_vertices,
-            "permutation length must match the vertex count"
-        );
-        let mut g = CsrGraph::new(self.num_vertices);
-        g.edge_list = self
-            .edge_list
-            .iter()
-            .map(|&(u, v, w)| {
-                (
-                    perm.to_internal[u as usize],
-                    perm.to_internal[v as usize],
-                    w,
-                )
-            })
-            .collect();
-        g.overlay.tombstone = self.overlay.tombstone.clone();
-        g.overlay.dead_edges = self.overlay.dead_edges;
-        g.overlay.pending_deletions = self.overlay.dead_edges;
-        g.compact();
-        g.epoch = self.epoch;
-        g
-    }
 }
 
-/// A bijective vertex renumbering for [`CsrGraph::reorder`]: `to_internal`
-/// maps an original ("external") id to its new ("internal") position and
-/// `to_external` inverts it.
+/// A bijective vertex renumbering: `to_internal` maps an original
+/// ("external") id to its new ("internal") position and `to_external`
+/// inverts it. The sharded partition uses one to lay shards out
+/// contiguously (see [`crate::partition`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexPerm {
     to_internal: Vec<u32>,
@@ -854,31 +813,6 @@ pub struct VertexPerm {
 }
 
 impl VertexPerm {
-    /// The degree-sorted permutation of `graph`: vertices ordered by
-    /// descending live degree, ties by ascending original id (so the
-    /// permutation is deterministic). High-degree vertices — the ones a
-    /// search touches most — end up with the smallest internal ids, packing
-    /// their CSR rows and their `dist`/`state` workspace slots into the
-    /// fewest cache lines.
-    pub fn degree_sorted(graph: &CsrGraph) -> VertexPerm {
-        let n = graph.num_vertices();
-        let mut degree = vec![0u32; n];
-        for (_, u, v, _) in graph.live_edges() {
-            degree[u.index()] += 1;
-            degree[v.index()] += 1;
-        }
-        let mut to_external: Vec<u32> = (0..n as u32).collect();
-        to_external.sort_by_key(|&v| (std::cmp::Reverse(degree[v as usize]), v));
-        let mut to_internal = vec![0u32; n];
-        for (internal, &external) in to_external.iter().enumerate() {
-            to_internal[external as usize] = internal as u32;
-        }
-        VertexPerm {
-            to_internal,
-            to_external,
-        }
-    }
-
     /// Number of vertices the permutation covers.
     pub fn len(&self) -> usize {
         self.to_internal.len()
@@ -897,7 +831,7 @@ impl VertexPerm {
             .all(|(i, &v)| v as usize == i)
     }
 
-    /// Maps an original (external) id to its reordered (internal) id.
+    /// Maps an original (external) id to its renumbered (internal) id.
     ///
     /// # Panics
     ///
@@ -907,7 +841,7 @@ impl VertexPerm {
         VertexId(self.to_internal[v.index()] as usize)
     }
 
-    /// Maps a reordered (internal) id back to the original (external) id.
+    /// Maps a renumbered (internal) id back to the original (external) id.
     ///
     /// # Panics
     ///
@@ -915,14 +849,6 @@ impl VertexPerm {
     #[inline]
     pub fn to_external(&self, v: VertexId) -> VertexId {
         VertexId(self.to_external[v.index()] as usize)
-    }
-
-    /// Every internal vertex's external id, indexed by internal id — the
-    /// tie order under which searches over the reordered graph break
-    /// distance ties as the external numbering would (see
-    /// [`crate::DijkstraEngine::owned_shortest_path_tree`]).
-    pub fn external_ids(&self) -> &[u32] {
-        &self.to_external
     }
 
     /// The identity permutation over `n` vertices.
@@ -971,8 +897,8 @@ impl VertexPerm {
     /// Composes two renumberings into one translation table: the result
     /// maps external id `v` to `then.to_internal(self.to_internal(v))`.
     /// This is how chained mappings — a shard-local mapping, a
-    /// compaction remap, a degree-sorted serving relayout — collapse into a
-    /// single lookup instead of a pipeline of translations.
+    /// compaction remap — collapse into a single lookup instead of a
+    /// pipeline of translations.
     ///
     /// # Panics
     ///
@@ -1701,79 +1627,5 @@ mod tests {
         assert_eq!(rebuilt.min_live_weight(), Some(2.0));
         let from_weighted = CsrGraph::from(&diamond());
         assert_eq!(from_weighted.min_live_weight(), Some(1.0));
-    }
-
-    #[test]
-    fn degree_sorted_permutation_ranks_hubs_first_with_id_ties() {
-        let g = diamond(); // degrees: 0→2, 1→2, 2→3, 3→1
-        let csr = CsrGraph::from(&g);
-        let perm = VertexPerm::degree_sorted(&csr);
-        assert_eq!(perm.len(), 4);
-        assert!(!perm.is_empty());
-        assert_eq!(perm.to_internal(VertexId(2)), VertexId(0), "hub first");
-        assert_eq!(perm.to_internal(VertexId(0)), VertexId(1), "tie by id");
-        assert_eq!(perm.to_internal(VertexId(1)), VertexId(2));
-        assert_eq!(perm.to_internal(VertexId(3)), VertexId(3));
-        for v in 0..4 {
-            assert_eq!(
-                perm.to_external(perm.to_internal(VertexId(v))),
-                VertexId(v),
-                "round trip {v}"
-            );
-        }
-        assert!(!perm.is_identity());
-        assert!(VertexPerm::degree_sorted(&CsrGraph::new(3)).is_identity());
-    }
-
-    #[test]
-    fn reorder_relabels_vertices_and_preserves_everything_else() {
-        let mut csr = CsrGraph::from(&diamond());
-        csr.remove_edge(EdgeId(2)).unwrap(); // tombstone the heavy (0, 2)
-        csr.append_edge(VertexId(1), VertexId(3), 0.25);
-        let perm = VertexPerm::degree_sorted(&csr);
-        let re = csr.reorder(&perm);
-        assert!(re.is_compact(), "reorder produces a fully packed graph");
-        assert_eq!(re.epoch(), csr.epoch());
-        assert_eq!(re.num_edges(), csr.num_edges());
-        assert_eq!(re.edge_id_bound(), csr.edge_id_bound());
-        assert_eq!(re.dead_edges(), csr.dead_edges());
-        for id in 0..csr.edge_id_bound() {
-            let id = EdgeId(id);
-            assert_eq!(re.is_edge_live(id), csr.is_edge_live(id), "id {id:?}");
-            let (u, v, w) = csr.edge(id);
-            let (ru, rv, rw) = re.edge(id);
-            assert_eq!(ru, perm.to_internal(u));
-            assert_eq!(rv, perm.to_internal(v));
-            assert_eq!(rw.to_bits(), w.to_bits());
-        }
-        // Adjacency is isomorphic under the renaming.
-        for u in 0..4 {
-            let mut expected: Vec<(usize, u64, usize)> = csr
-                .neighbors(VertexId(u))
-                .map(|nb| {
-                    (
-                        perm.to_internal(nb.to).index(),
-                        nb.weight.to_bits(),
-                        nb.edge.index(),
-                    )
-                })
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(
-                sorted_neighbors(&re, perm.to_internal(VertexId(u)).index()),
-                expected,
-                "vertex {u}"
-            );
-        }
-        // Weight statistics re-derive exactly.
-        assert_eq!(re.min_live_weight(), csr.min_live_weight());
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation length")]
-    fn reorder_rejects_mismatched_permutations() {
-        let small = CsrGraph::new(2);
-        let perm = VertexPerm::degree_sorted(&small);
-        CsrGraph::new(3).reorder(&perm);
     }
 }

@@ -40,9 +40,7 @@
 //!   [`DijkstraEngine::shortest_path_with`] for the argument);
 //! * every parent-tracking search picks parents by one **canonical tie
 //!   rule**: among the neighbours that achieve a vertex's distance (and
-//!   settled before it), the one with the smallest `(distance, tie key)`,
-//!   where the tie key is the vertex id or a caller's tie order — so a
-//!   reordered graph returns the paths of its original numbering.
+//!   settled before it), the one with the smallest `(distance, id)`.
 //!
 //! ```
 //! use spanner_graph::csr::CsrGraph;
@@ -250,7 +248,7 @@ const BIDIRECTIONAL_BAND_MARGINS: f64 = 4.0;
 ///
 /// So the target settles at `D(t)`, bit for bit. Overflow needs no separate
 /// case: a stop key that overflows to `∞` only disables stopping early.
-fn relaxed_bound(bound: f64, n: usize) -> f64 {
+pub(crate) fn relaxed_bound(bound: f64, n: usize) -> f64 {
     let rho = path_rounding_margin(n.saturating_sub(1));
     bound + (BIDIRECTIONAL_BAND_MARGINS * rho) * bound
 }
@@ -262,7 +260,7 @@ fn relaxed_bound(bound: f64, n: usize) -> f64 {
 /// `nd < dist[v]` test is false for `nd = dist[v] = ∞`. Without the clamp
 /// an infinite bound (`t·w` overflowing) accepts `∞ ≤ ∞`. Finite, negative
 /// and NaN bounds pass through unchanged.
-fn search_bound(bound: f64) -> f64 {
+pub(crate) fn search_bound(bound: f64) -> f64 {
     if bound > f64::MAX {
         f64::MAX
     } else {
@@ -515,49 +513,24 @@ pub enum RelaxKernel {
 }
 
 /// One priority-queue entry: the key is stored alongside the vertex so
-/// comparisons stay inside the heap array instead of chasing `dist`. `tie`
-/// orders equal keys: the vertex id itself, or the caller's tie order in a
-/// parent-tracking search (it fills the slot's padding, so the entry stays
-/// 16 bytes).
+/// comparisons stay inside the heap array instead of chasing `dist`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapSlot {
     dist: f64,
     vertex: u32,
-    tie: u32,
-}
-
-impl HeapSlot {
-    /// An entry whose ties break by vertex id.
-    #[inline(always)]
-    fn new(dist: f64, vertex: u32) -> Self {
-        HeapSlot {
-            dist,
-            vertex,
-            tie: vertex,
-        }
-    }
 }
 
 impl Eq for HeapSlot {}
 
 impl Ord for HeapSlot {
     /// Reversed, so the max-heap pops the smallest key first, ties by the
-    /// smaller tie key (the vertex id by default, matching the legacy free
-    /// functions, so settle order is identical).
+    /// smaller vertex id (matching the legacy free functions, so settle
+    /// order is identical).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other
             .dist
             .total_cmp(&self.dist)
-            .then_with(|| other.tie.cmp(&self.tie))
-    }
-}
-
-/// The tie key of vertex `v`: its rank in `ties` when given, else its id.
-#[inline(always)]
-fn tie_key(ties: Option<&[u32]>, v: u32) -> u32 {
-    match ties {
-        Some(order) => order[v as usize],
-        None => v,
+            .then_with(|| other.vertex.cmp(&self.vertex))
     }
 }
 
@@ -734,8 +707,6 @@ struct Goal<'a> {
     /// Relative safety margin of the landmark bound
     /// ([`Landmarks::certified_bound`]).
     margin: f64,
-    /// Tie order of the parent rule and the queue (`None`: vertex ids).
-    ties: Option<&'a [u32]>,
     target: u32,
     /// The query bound ([`search_bound`]-clamped).
     bound: f64,
@@ -747,14 +718,6 @@ struct Goal<'a> {
     /// Whether a parent-tracking search relaxed an edge with
     /// `fl(d + w) = d`.
     absorbed: bool,
-}
-
-/// Panics unless `ties`, when given, ranks every vertex of an `n`-vertex
-/// graph.
-fn assert_tie_order(ties: Option<&[u32]>, n: usize) {
-    if let Some(order) = ties {
-        assert_eq!(order.len(), n, "tie order must rank every vertex");
-    }
 }
 
 /// A reusable Dijkstra workspace over [`CsrGraph`]s.
@@ -1081,16 +1044,16 @@ impl DijkstraEngine {
 
     /// The canonical parent rule's tie-break: whether `u`, settled at `d`,
     /// should replace `v`'s current parent when both give `v` the same
-    /// distance — true iff `(d, tie key of u)` is the smaller pair. The
-    /// source has no parent to replace.
+    /// distance — true iff `(d, u)` is the smaller pair. The source has no
+    /// parent to replace.
     #[inline(always)]
-    fn better_parent(&self, d: f64, u: u32, v: usize, ties: Option<&[u32]>) -> bool {
+    fn better_parent(&self, d: f64, u: u32, v: usize) -> bool {
         let p = self.parent[v];
         if p == NO_VERTEX {
             return false;
         }
         let dp = self.dist[p as usize];
-        d < dp || (d == dp && tie_key(ties, u) < tie_key(ties, p))
+        d < dp || (d == dp && u < p)
     }
 
     /// Relaxes the half-edge `u → v` with weight `w`, given `u`'s settled
@@ -1099,8 +1062,7 @@ impl DijkstraEngine {
     /// `TRACK_PARENTS` is off for bounded-distance and ball queries (nothing
     /// reads parents there), which removes a random store per improvement
     /// from the greedy hot loop. With it on, an equal distance applies the
-    /// canonical tie rule ([`DijkstraEngine::better_parent`]), and `ties`
-    /// (the tie order, `None` for vertex ids) also keys the queue entry.
+    /// canonical tie rule ([`DijkstraEngine::better_parent`]).
     ///
     /// `lag` is the number of queue entries the batched kernel has drained
     /// ahead of this row's logical position (0 on the scalar path): the
@@ -1111,7 +1073,6 @@ impl DijkstraEngine {
     fn relax<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        ties: Option<&[u32]>,
         u: u32,
         v: usize,
         w: f64,
@@ -1133,19 +1094,15 @@ impl DijkstraEngine {
         if s < gen || nd < self.dist[v] {
             self.state[v] = gen;
             self.dist[v] = nd;
-            let tie = if TRACK_PARENTS {
+            if TRACK_PARENTS {
                 self.parent[v] = u;
-                tie_key(ties, v as u32)
-            } else {
-                v as u32
-            };
+            }
             queue.push(HeapSlot {
                 dist: nd,
                 vertex: v as u32,
-                tie,
             });
             self.last_frontier = self.last_frontier.max(queue.len() + lag);
-        } else if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v, ties) {
+        } else if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v) {
             self.parent[v] = u;
         }
     }
@@ -1159,7 +1116,6 @@ impl DijkstraEngine {
     fn relax_row<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        ties: Option<&[u32]>,
         graph: &CsrGraph,
         u: u32,
         d: f64,
@@ -1180,7 +1136,6 @@ impl DijkstraEngine {
             }
             self.relax::<TRACK_PARENTS>(
                 queue,
-                ties,
                 u,
                 targets[i] as usize,
                 weights[i],
@@ -1193,7 +1148,7 @@ impl DijkstraEngine {
         // Live overflow half-edges appended since the last re-pack (short;
         // the iterator itself skips tombstoned entries).
         for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-            self.relax::<TRACK_PARENTS>(queue, ties, u, v as usize, w, d, gen, bound, 0);
+            self.relax::<TRACK_PARENTS>(queue, u, v as usize, w, d, gen, bound, 0);
         }
     }
 
@@ -1229,7 +1184,7 @@ impl DijkstraEngine {
     }
 
     /// The scalar search loop. Settles vertices in non-decreasing distance
-    /// order (heap ties by tie key; see [`sort_settle_order`] for the
+    /// order (heap ties by vertex id; see [`sort_settle_order`] for the
     /// rounding ties it misses); never pushes a vertex whose tentative
     /// distance exceeds `bound`; stops early once `target` settles. When
     /// `collect` is set, the settle order is recorded in `ball_buf`.
@@ -1252,7 +1207,6 @@ impl DijkstraEngine {
     fn search<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
@@ -1272,7 +1226,6 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: 0.0,
             vertex: source as u32,
-            tie: tie_key(ties, source as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         let mut stop_key = rule.stop_key;
@@ -1298,16 +1251,7 @@ impl DijkstraEngine {
             if Some(u) == target {
                 break;
             }
-            self.relax_row::<TRACK_PARENTS>(
-                queue,
-                ties,
-                graph,
-                u,
-                d,
-                gen,
-                bound,
-                pending_deletions,
-            );
+            self.relax_row::<TRACK_PARENTS>(queue, graph, u, d, gen, bound, pending_deletions);
         }
         f64::INFINITY
     }
@@ -1357,7 +1301,6 @@ impl DijkstraEngine {
     fn search_batched<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
-        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
@@ -1376,7 +1319,6 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: 0.0,
             vertex: source as u32,
-            tie: tie_key(ties, source as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         // Cohort slack: every queued key strictly below `popped key + slack`
@@ -1547,7 +1489,6 @@ impl DijkstraEngine {
                         let j = j as usize;
                         self.relax::<TRACK_PARENTS>(
                             queue,
-                            ties,
                             u,
                             targets[j] as usize,
                             weights[j],
@@ -1570,7 +1511,6 @@ impl DijkstraEngine {
                         let j = start + j as usize;
                         self.relax::<TRACK_PARENTS>(
                             queue,
-                            ties,
                             u,
                             gather_targets[j] as usize,
                             gather_weights[j],
@@ -1599,7 +1539,6 @@ impl DijkstraEngine {
         &mut self,
         batched: bool,
         queue: &mut BinaryHeap<HeapSlot>,
-        ties: Option<&[u32]>,
         graph: &CsrGraph,
         source: usize,
         target: Option<u32>,
@@ -1608,11 +1547,9 @@ impl DijkstraEngine {
         rule: StopRule,
     ) -> f64 {
         if batched {
-            self.search_batched::<TRACK_PARENTS>(
-                queue, ties, graph, source, target, bound, collect, rule,
-            )
+            self.search_batched::<TRACK_PARENTS>(queue, graph, source, target, bound, collect, rule)
         } else {
-            self.search::<TRACK_PARENTS>(queue, ties, graph, source, target, bound, collect, rule)
+            self.search::<TRACK_PARENTS>(queue, graph, source, target, bound, collect, rule)
         }
     }
 
@@ -1651,10 +1588,8 @@ impl DijkstraEngine {
     /// kernel and the need's stop rule, runs the monomorphized search, and
     /// keeps the workspace-reuse accounting (a query is a reuse hit only if
     /// **no** buffer — vertex arrays, the heap, or the gather scratch —
-    /// grew). `ties` is the tie order of a parent-tracking search (`None`
-    /// for vertex ids). Returns the search's complete-through distance (see
+    /// grew). Returns the search's complete-through distance (see
     /// [`DijkstraEngine::search`]).
-    #[allow(clippy::too_many_arguments)]
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
         graph: &CsrGraph,
@@ -1663,7 +1598,6 @@ impl DijkstraEngine {
         bound: f64,
         collect: bool,
         need: Option<&TreeNeed>,
-        ties: Option<&[u32]>,
     ) -> f64 {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
@@ -1676,7 +1610,6 @@ impl DijkstraEngine {
                 "need target out of range"
             );
         }
-        assert_tie_order(ties, n);
         let target = target.map(|t| t.index() as u32);
         let bound = search_bound(bound);
         let grew = self.begin_query(n);
@@ -1688,7 +1621,6 @@ impl DijkstraEngine {
         let complete_through = self.search_dispatch::<TRACK_PARENTS>(
             batched,
             &mut heap,
-            ties,
             graph,
             source.index(),
             target,
@@ -1735,7 +1667,7 @@ impl DijkstraEngine {
         }
         let s = self.state[v];
         if s >= gen && nd >= self.dist[v] {
-            if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v, goal.ties) {
+            if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v) {
                 self.parent[v] = u;
             }
             return;
@@ -1757,7 +1689,6 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: key,
             vertex: v as u32,
-            tie: tie_key(goal.ties, v as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         if v as u32 == goal.target {
@@ -1779,15 +1710,11 @@ impl DijkstraEngine {
         goal: &mut Goal<'_>,
     ) {
         let gen = self.generation;
-        let h = goal
-            .landmarks
-            .certified_bound(source, goal.column, goal.margin);
-        if h == f64::INFINITY || h > goal.stop {
-            // A landmark proves the pair disconnected, or even the lower
-            // bound exceeds the query bound.
+        let Some(h) = goal.landmarks.source_bound(source, goal.column, goal.bound) else {
+            // The table rules the query out (`Landmarks::rules_out`).
             self.stats.pruned_by_bound += 1;
             return;
-        }
+        };
         let pending_deletions = graph.has_pending_deletions();
         self.dist[source] = 0.0;
         if TRACK_PARENTS {
@@ -1797,7 +1724,6 @@ impl DijkstraEngine {
         queue.push(HeapSlot {
             dist: h,
             vertex: source as u32,
-            tie: tie_key(goal.ties, source as u32),
         });
         self.last_frontier = self.last_frontier.max(queue.len());
         while let Some(HeapSlot {
@@ -1855,7 +1781,6 @@ impl DijkstraEngine {
         source: VertexId,
         target: VertexId,
         bound: f64,
-        ties: Option<&[u32]>,
     ) {
         assert_eq!(
             landmarks.num_vertices(),
@@ -1870,7 +1795,6 @@ impl DijkstraEngine {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
         assert!(target.index() < n, "target vertex out of range");
-        assert_tie_order(ties, n);
         let bound = search_bound(bound);
         let mut column = std::mem::take(&mut self.h_scratch);
         let mut grew = column.capacity() < landmarks.len();
@@ -1881,8 +1805,7 @@ impl DijkstraEngine {
         let mut goal = Goal {
             landmarks,
             column: &column,
-            margin: 2.0 * path_rounding_margin(n),
-            ties,
+            margin: landmarks.margin(),
             target: target.index() as u32,
             bound,
             n,
@@ -1896,7 +1819,6 @@ impl DijkstraEngine {
             heap.clear();
             self.search::<true>(
                 &mut heap,
-                ties,
                 graph,
                 source.index(),
                 Some(target.index() as u32),
@@ -1945,7 +1867,7 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> (Option<f64>, usize) {
-        self.run_query::<false>(graph, source, Some(target), bound, false, None, None);
+        self.run_query::<false>(graph, source, Some(target), bound, false, None);
         (self.extract_target(target, bound), self.last_frontier)
     }
 
@@ -1970,7 +1892,7 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> Option<f64> {
-        self.run_goal_directed::<false>(graph, landmarks, source, target, bound, None);
+        self.run_goal_directed::<false>(graph, landmarks, source, target, bound);
         self.extract_target(target, bound)
     }
 
@@ -2036,7 +1958,6 @@ impl DijkstraEngine {
             fwd.clear();
             self.search::<false>(
                 &mut fwd,
-                None,
                 graph,
                 s as usize,
                 Some(t),
@@ -2076,11 +1997,17 @@ impl DijkstraEngine {
         let gen = self.generation;
         self.dist[s as usize] = 0.0;
         self.state[s as usize] = gen;
-        fwd.push(HeapSlot::new(0.0, s));
+        fwd.push(HeapSlot {
+            dist: 0.0,
+            vertex: s,
+        });
         self.dist_b[t as usize] = 0.0;
         self.state_b[t as usize] = gen;
         self.chain_vertex[t as usize] = NO_VERTEX;
-        bwd.push(HeapSlot::new(0.0, t));
+        bwd.push(HeapSlot {
+            dist: 0.0,
+            vertex: t,
+        });
         self.last_frontier = 2;
         let mut band = false;
         loop {
@@ -2252,7 +2179,10 @@ impl DijkstraEngine {
                 self.chain_vertex[v] = u;
                 self.chain_weight[v] = w;
             }
-            queue.push(HeapSlot::new(nd, v as u32));
+            queue.push(HeapSlot {
+                dist: nd,
+                vertex: v as u32,
+            });
             self.last_frontier = self.last_frontier.max(queue.len() + other_len);
         }
         false
@@ -2306,7 +2236,7 @@ impl DijkstraEngine {
         graph: &CsrGraph,
         source: VertexId,
     ) -> EngineTree<'a> {
-        self.run_query::<true>(graph, source, None, f64::INFINITY, false, None, None);
+        self.run_query::<true>(graph, source, None, f64::INFINITY, false, None);
         EngineTree {
             num_vertices: graph.num_vertices(),
             engine: self,
@@ -2331,12 +2261,7 @@ impl DijkstraEngine {
     /// [`EngineTree`] accessor of [`DijkstraEngine::shortest_path_tree`].
     ///
     /// Parents follow the canonical rule of
-    /// [`DijkstraEngine::shortest_path_tree`], with ties between equal
-    /// distances broken by `tie_order` (`tie_order[v]` ranks vertex `v`;
-    /// `None` ranks by vertex id) in both the parent comparison and the
-    /// queue. A reordered graph passes its vertices' original ids
-    /// ([`crate::VertexPerm::external_ids`]) and gets the original
-    /// numbering's tree, relabelled.
+    /// [`DijkstraEngine::shortest_path_tree`].
     ///
     /// The member list is the search's settle order, re-sorted into
     /// `(distance, vertex)` order only where it is not already. Building
@@ -2345,24 +2270,15 @@ impl DijkstraEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `source` or a target of `need` is out of range, or if
-    /// `tie_order` does not rank every vertex.
+    /// Panics if `source` or a target of `need` is out of range.
     pub fn owned_shortest_path_tree(
         &mut self,
         graph: &CsrGraph,
         source: VertexId,
         need: &TreeNeed,
-        tie_order: Option<&[u32]>,
     ) -> SptTree {
-        let complete_through = self.run_query::<true>(
-            graph,
-            source,
-            None,
-            f64::INFINITY,
-            true,
-            Some(need),
-            tie_order,
-        );
+        let complete_through =
+            self.run_query::<true>(graph, source, None, f64::INFINITY, true, Some(need));
         let mut members = self.ball_buf.clone();
         sort_settle_order(&mut members);
         let mut index: Vec<u64> = members
@@ -2387,7 +2303,7 @@ impl DijkstraEngine {
 
     /// The shortest path from `source` to `target` with its distance, or
     /// `None` if `target` is unreachable: [`DijkstraEngine::shortest_path_with`]
-    /// without landmarks and with vertex-id ties.
+    /// without landmarks.
     ///
     /// # Panics
     ///
@@ -2398,14 +2314,13 @@ impl DijkstraEngine {
         source: VertexId,
         target: VertexId,
     ) -> Option<(f64, Vec<VertexId>)> {
-        self.shortest_path_with(graph, None, None, source, target)
+        self.shortest_path_with(graph, None, source, target)
     }
 
     /// The shortest path from `source` to `target` with its distance, or
     /// `None` if `target` is unreachable — equal, bit for bit and vertex for
     /// vertex, to [`DijkstraEngine::shortest_path_tree`]'s `distance` and
-    /// `path_to` for `target` (with the tree's ties broken by
-    /// `tie_order`, as in [`DijkstraEngine::owned_shortest_path_tree`]).
+    /// `path_to` for `target`.
     ///
     /// **Without landmarks** (or with an empty table) this is the one-sided
     /// search, stopped once `target` settles: a settled vertex's distance
@@ -2432,7 +2347,7 @@ impl DijkstraEngine {
     ///   the one-sided search it competes for the parent — and on a walk of
     ///   the `relaxed_bound` argument, so here it settles at its final
     ///   distance and competes too: both searches take the same minimum
-    ///   `(distance, tie key)`, and the parent chain stays strictly
+    ///   `(distance, id)`, and the parent chain stays strictly
     ///   distance-decreasing. An absorbed edge into a path vertex would be
     ///   relaxed here, since its tail is on the path; when one is relaxed,
     ///   settle order decides parents, and the query is answered by the
@@ -2440,31 +2355,19 @@ impl DijkstraEngine {
     ///
     /// # Panics
     ///
-    /// Panics if either vertex is out of range, if `tie_order` does not rank
-    /// every vertex, or if the landmark table does not match the graph's
-    /// vertex count and epoch.
+    /// Panics if either vertex is out of range, or if the landmark table
+    /// does not match the graph's vertex count and epoch.
     pub fn shortest_path_with(
         &mut self,
         graph: &CsrGraph,
         landmarks: Option<&Landmarks>,
-        tie_order: Option<&[u32]>,
         source: VertexId,
         target: VertexId,
     ) -> Option<(f64, Vec<VertexId>)> {
         match landmarks.filter(|lm| !lm.is_empty()) {
-            Some(lm) => {
-                self.run_goal_directed::<true>(graph, lm, source, target, f64::INFINITY, tie_order)
-            }
+            Some(lm) => self.run_goal_directed::<true>(graph, lm, source, target, f64::INFINITY),
             None => {
-                self.run_query::<true>(
-                    graph,
-                    source,
-                    Some(target),
-                    f64::INFINITY,
-                    false,
-                    None,
-                    tie_order,
-                );
+                self.run_query::<true>(graph, source, Some(target), f64::INFINITY, false, None);
             }
         }
         let distance = self.extract_target(target, f64::INFINITY)?;
@@ -2503,7 +2406,7 @@ impl DijkstraEngine {
     /// Panics if `source` is out of range or `radius` is negative.
     pub fn ball(&mut self, graph: &CsrGraph, source: VertexId, radius: f64) -> &[(VertexId, f64)] {
         assert!(radius >= 0.0, "ball radius must be non-negative");
-        self.run_query::<false>(graph, source, None, radius, true, None, None);
+        self.run_query::<false>(graph, source, None, radius, true, None);
         sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
@@ -2513,8 +2416,9 @@ impl DijkstraEngine {
     /// exactly the members of `ball(graph, source, D)` for the `k`-th
     /// smallest distance `D` (all reachable vertices when fewer than `k`
     /// are; none for `k = 0`). Its first `min(k, len)` entries equal
-    /// `ball(graph, source, ∞)[..k]`; the ties let a caller that re-orders
-    /// vertex ids (a reordered serving handle) still pick the right `k`.
+    /// `ball(graph, source, ∞)[..k]`; with the ties the result is a ball,
+    /// the form a cached prefix answers too
+    /// ([`SptTree::k_nearest_with_ties`]).
     ///
     /// The search stops once the answer is fixed: after the `k`-th settle
     /// it runs only through the ties at that distance, so it settles about
@@ -2534,7 +2438,7 @@ impl DijkstraEngine {
             k,
             ..TreeNeed::new()
         };
-        self.run_query::<false>(graph, source, None, f64::INFINITY, true, Some(&need), None);
+        self.run_query::<false>(graph, source, None, f64::INFINITY, true, Some(&need));
         sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
@@ -3111,7 +3015,7 @@ mod tests {
         let g = diamond();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
         let tree = e.shortest_path_tree(&csr, VertexId(0));
         assert_eq!(owned.source(), VertexId(0));
         assert_eq!(owned.num_vertices(), 4);
@@ -3137,7 +3041,7 @@ mod tests {
         need.add_k_nearest(3);
         let mut e = DijkstraEngine::new();
         let [small, large] = [10, 100_000].map(|n| {
-            let tree = e.owned_shortest_path_tree(&path_csr(n), VertexId(0), &need, None);
+            let tree = e.owned_shortest_path_tree(&path_csr(n), VertexId(0), &need);
             assert_eq!(tree.num_vertices(), n);
             assert_eq!(tree.members_within(f64::INFINITY), None);
             assert_eq!(tree.k_nearest_with_ties(3).map(<[_]>::len), Some(3));
@@ -3158,7 +3062,6 @@ mod tests {
             &path_csr(4),
             VertexId(0),
             &TreeNeed::everything(),
-            None,
         );
         let _ = tree.distance_within(VertexId(4), 1.0);
     }
@@ -3168,16 +3071,11 @@ mod tests {
     fn tree_path_panics_on_an_out_of_range_vertex() {
         // A one-vertex prefix of a 4-vertex graph: vertex 4 is past the
         // graph, not past the prefix.
-        let tree = DijkstraEngine::new().owned_shortest_path_tree(
-            &path_csr(4),
-            VertexId(0),
-            &{
-                let mut need = TreeNeed::new();
-                need.add_k_nearest(1);
-                need
-            },
-            None,
-        );
+        let tree = DijkstraEngine::new().owned_shortest_path_tree(&path_csr(4), VertexId(0), &{
+            let mut need = TreeNeed::new();
+            need.add_k_nearest(1);
+            need
+        });
         let _ = tree.shortest_path(VertexId(4));
     }
 
@@ -3196,7 +3094,7 @@ mod tests {
         .unwrap();
         let csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
+        let owned = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
         for radius in [0.0, 1.0, 2.0, 2.5, 100.0, f64::INFINITY] {
             let expected = e.ball(&csr, VertexId(0), radius).to_vec();
             assert_eq!(
@@ -3398,7 +3296,7 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 4, None);
+        let lm = Landmarks::farthest_point(&csr, 4);
         let mut plain = DijkstraEngine::new();
         let mut pruned = DijkstraEngine::new();
         for case in 0..120 {
@@ -3441,7 +3339,7 @@ mod tests {
         use crate::landmarks::Landmarks;
         let g = diamond();
         let mut csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 2, None);
+        let lm = Landmarks::farthest_point(&csr, 2);
         csr.append_edge(VertexId(0), VertexId(3), 1.0);
         let mut e = DijkstraEngine::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -3464,8 +3362,7 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 8, None);
-        let ties: Vec<u32> = (0..n as u32).rev().collect();
+        let lm = Landmarks::farthest_point(&csr, 8);
         let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
         let mut plain = DijkstraEngine::new();
         for i in 0..80 {
@@ -3473,7 +3370,7 @@ mod tests {
             let t = VertexId((i * 29 + 7) % n);
             let bound = 2.0 + (i % 5) as f64;
             // Rotate plain, goal-directed distance and goal-directed path
-            // queries (with and without a tie order) on one engine.
+            // queries (both directions) on one engine.
             match i % 4 {
                 0 => {
                     e.bounded_distance(&csr, s, t, bound);
@@ -3483,12 +3380,12 @@ mod tests {
                     plain.bounded_distance(&csr, s, t, bound)
                 ),
                 2 => assert_eq!(
-                    e.shortest_path_with(&csr, Some(&lm), None, s, t),
+                    e.shortest_path_with(&csr, Some(&lm), s, t),
                     plain.shortest_path(&csr, s, t)
                 ),
                 _ => assert_eq!(
-                    e.shortest_path_with(&csr, Some(&lm), Some(&ties), s, t),
-                    plain.shortest_path_with(&csr, None, Some(&ties), s, t)
+                    e.shortest_path_with(&csr, Some(&lm), t, s),
+                    plain.shortest_path(&csr, t, s)
                 ),
             }
         }
@@ -3520,14 +3417,14 @@ mod tests {
                 }
             }
             let csr = CsrGraph::from(&g);
-            let lm = Landmarks::farthest_point(&csr, 4, None);
+            let lm = Landmarks::farthest_point(&csr, 4);
             let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
             let mut plain = DijkstraEngine::new();
             for s in 0..n {
                 for t in 0..n {
                     let (s, t) = (VertexId(s), VertexId(t));
                     let want = plain.shortest_path(&csr, s, t);
-                    assert_eq!(e.shortest_path_with(&csr, Some(&lm), None, s, t), want);
+                    assert_eq!(e.shortest_path_with(&csr, Some(&lm), s, t), want);
                 }
             }
             let stats = e.stats();
@@ -3542,14 +3439,14 @@ mod tests {
         use crate::landmarks::Landmarks;
         // 0 -1e17- 5 -1- 3 -1e17- 1 -1e17- 2 -1e17- 4: `fl(1e17 + 1) = 1e17`.
         let csr = CsrGraph::from(&rounding_tie_graph());
-        let lm = Landmarks::farthest_point(&csr, 2, None);
+        let lm = Landmarks::farthest_point(&csr, 2);
         let mut plain = DijkstraEngine::new();
         let mut e = DijkstraEngine::new();
         for s in 0..6 {
             for t in 0..6 {
                 let (s, t) = (VertexId(s), VertexId(t));
                 let want = plain.shortest_path(&csr, s, t);
-                assert_eq!(e.shortest_path_with(&csr, Some(&lm), None, s, t), want);
+                assert_eq!(e.shortest_path_with(&csr, Some(&lm), s, t), want);
                 assert_eq!(
                     e.bounded_distance_landmarked(&csr, &lm, s, t, f64::INFINITY),
                     want.map(|p| p.0)
@@ -3655,14 +3552,8 @@ mod tests {
         let mut batched = DijkstraEngine::new();
         batched.set_relax_kernel(RelaxKernel::Batched);
         for s in 0..n {
-            let st =
-                scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything(), None);
-            let bt = batched.owned_shortest_path_tree(
-                &csr_b,
-                VertexId(s),
-                &TreeNeed::everything(),
-                None,
-            );
+            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything());
+            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s), &TreeNeed::everything());
             for v in 0..n {
                 assert_eq!(
                     st.shortest_path(VertexId(v)),
@@ -3753,7 +3644,7 @@ mod tests {
             assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
             assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
             assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything(), None);
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
             assert_eq!(tree.members_within(f64::INFINITY), Some(&expected[..]));
         }
     }
@@ -3881,7 +3772,7 @@ mod tests {
             let mut engines = scalar_and_batched();
             for s in (0..g.num_vertices()).map(VertexId) {
                 let [a, b] = engines.each_mut().map(|e| {
-                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
                     (owned, scan_and_sort(&e.shortest_path_tree(&csr, s)))
                 });
                 assert_eq!(a, b, "graph {i} s={s:?}: kernels disagree");
@@ -3934,13 +3825,12 @@ mod tests {
             let mut engines = scalar_and_batched();
             let mut reference = DijkstraEngine::new();
             for s in (0..n).map(VertexId) {
-                let full =
-                    reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+                let full = reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
                 let all = full.members_within(f64::INFINITY).unwrap();
                 for need in probe_needs(&full, n) {
                     let [a, b] = engines
                         .each_mut()
-                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need, None));
+                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need));
                     assert_eq!(a, b, "graph {i} s={s:?} {need:?}: kernels disagree");
                     let at = format!("graph {i} s={s:?} {need:?}");
                     let d = a.complete_through();
@@ -3992,8 +3882,7 @@ mod tests {
             // bound = D: target 5 lies past the bound, resolved at the
             // settle of 3 (d = 3); the prefix stops at the pop of 4.
             let before = e.stats();
-            let tree =
-                e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none), None);
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none));
             assert_eq!(e.stats().settled_vertices - before.settled_vertices, 4);
             assert_eq!(e.stats().heap_pops - before.heap_pops, 5);
             assert_eq!(tree.complete_through(), 3.0);
@@ -4003,7 +3892,7 @@ mod tests {
             assert_eq!(tree.distance(VertexId(5)), None);
             assert_eq!(tree.shortest_path(VertexId(4)), None);
             // radius = D.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0), None);
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0));
             assert_eq!(tree.complete_through(), 2.0);
             assert_eq!(tree.members_within(2.0).map(<[_]>::len), Some(3));
             assert_eq!(tree.members_within(2.0 + 1e-9), None);
@@ -4011,7 +3900,7 @@ mod tests {
             assert_eq!(tree.k_nearest_with_ties(4), None);
             // The k-th vertex ties at D: k = 2 from the star's centre
             // settles 7 at d = 1, then drains the ties 8 and 9.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none), None);
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none));
             assert_eq!(tree.complete_through(), 1.0);
             let star = [(6, 0.0), (7, 1.0), (8, 1.0), (9, 1.0)].map(|(v, d)| (VertexId(v), d));
             for k in 2..=4 {
@@ -4025,7 +3914,6 @@ mod tests {
                 &csr,
                 VertexId(6),
                 &need(&[(11, f64::INFINITY)], 0, none),
-                None,
             );
             assert_eq!(tree.complete_through(), f64::INFINITY);
             assert_eq!(tree.distance(VertexId(11)), Some(None));
@@ -4033,7 +3921,7 @@ mod tests {
             assert_eq!(tree.k_nearest_with_ties(100).map(<[_]>::len), Some(5));
             assert!(tree.covers(&TreeNeed::everything()));
             // Nothing needed: nothing settles, nothing is covered but k = 0.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new(), None);
+            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new());
             assert_eq!(tree.complete_through(), f64::NEG_INFINITY);
             assert_eq!(tree.distance(VertexId(0)), None);
             assert_eq!(tree.members_within(0.0), None);
@@ -4123,7 +4011,7 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 4, None);
+        let lm = Landmarks::farthest_point(&csr, 4);
         let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
         e.set_relax_kernel(RelaxKernel::Batched);
         for i in 0..50 {

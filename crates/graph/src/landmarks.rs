@@ -36,7 +36,7 @@
 use std::cmp::Ordering;
 
 use crate::csr::CsrGraph;
-use crate::engine::DijkstraEngine;
+use crate::engine::{path_rounding_margin, relaxed_bound, search_bound, DijkstraEngine};
 use crate::graph::VertexId;
 
 /// Per-landmark shortest-path distances, stored vertex-major so one query's
@@ -86,22 +86,11 @@ impl Landmarks {
     /// before any gets a second, and within a component the landmarks
     /// spread out to its periphery. `count` is capped at the vertex count.
     ///
-    /// Remaining ties break by the smaller tie key: `tie_order[v]` when
-    /// given (a reordered graph passes its vertices' original ids,
-    /// [`crate::VertexPerm::external_ids`], and selects the original
-    /// layout's landmarks), the vertex id otherwise. Each landmark's tree
+    /// Remaining ties break by the smaller vertex id. Each landmark's tree
     /// serves both its table column and the next pick, so selection costs
     /// the same `count` shortest-path trees as [`Landmarks::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tie_order` does not rank every vertex.
-    pub fn farthest_point(graph: &CsrGraph, count: usize, tie_order: Option<&[u32]>) -> Landmarks {
+    pub fn farthest_point(graph: &CsrGraph, count: usize) -> Landmarks {
         let n = graph.num_vertices();
-        if let Some(order) = tie_order {
-            assert_eq!(order.len(), n, "tie order must rank every vertex");
-        }
-        let key = |v: usize| tie_order.map_or(v, |order| order[v] as usize);
         let mut degree = vec![0usize; n];
         for (_, u, v, _) in graph.live_edges() {
             degree[u.index()] += 1;
@@ -122,7 +111,7 @@ impl Landmarks {
                         nearest[a].total_cmp(&nearest[b])
                     }
                 })
-                .then_with(|| key(b).cmp(&key(a)))
+                .then_with(|| b.cmp(&a))
         };
         let mut engine = DijkstraEngine::with_capacity_for(n, graph.num_edges());
         let mut sources = Vec::new();
@@ -240,6 +229,58 @@ impl Landmarks {
         h
     }
 
+    /// The relative safety margin of [`Landmarks::certified_bound`] on this
+    /// table's graph: `2ρ`, `ρ = path_rounding_margin(n)`.
+    pub(crate) fn margin(&self) -> f64 {
+        2.0 * path_rounding_margin(self.num_vertices)
+    }
+
+    /// The certified bound `h(source)` (see [`Landmarks::certified_bound`])
+    /// on the distance to the target whose column is `target_column`, or
+    /// `None` when it rules the query out ([`Landmarks::rules_out`]). The
+    /// goal-directed search keys its first queue entry with it and runs
+    /// only when it is `Some`.
+    pub(crate) fn source_bound(
+        &self,
+        source: usize,
+        target_column: &[f64],
+        bound: f64,
+    ) -> Option<f64> {
+        let h = self.certified_bound(source, target_column, self.margin());
+        if h == f64::INFINITY || h > relaxed_bound(search_bound(bound), self.num_vertices) {
+            None
+        } else {
+            Some(h)
+        }
+    }
+
+    /// Whether the table alone proves that `source` and `target` are more
+    /// than `bound` apart (or disconnected): the certified bound
+    /// `h(source)` is `∞` or exceeds the goal-directed search's stop key
+    /// `relaxed_bound(bound)`. Such a query settles nothing
+    /// ([`DijkstraEngine::bounded_distance_landmarked`] returns before its
+    /// first pop) and its answer is `None`: `h ≤ δ(source, target)`, and
+    /// the computed distance is at least `δ·(1 − ρ)`, which exceeds
+    /// `bound` once `h` exceeds `bound·(1 + 4ρ)`. A serving cache uses this
+    /// to keep such targets out of the trees it grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either vertex is out of range.
+    pub fn rules_out(&self, source: VertexId, target: VertexId, bound: f64) -> bool {
+        assert!(
+            source.index() < self.num_vertices,
+            "source vertex out of range"
+        );
+        assert!(
+            target.index() < self.num_vertices,
+            "target vertex out of range"
+        );
+        let k = self.sources.len();
+        let column = &self.dist[target.index() * k..(target.index() + 1) * k];
+        self.source_bound(source.index(), column, bound).is_none()
+    }
+
     /// The max-over-landmarks triangle lower bound on `d(v, t)`:
     /// `f64::INFINITY` when some landmark proves the pair disconnected
     /// (exactly one side unreachable), `0.0` when no landmark sees either
@@ -353,18 +394,18 @@ mod tests {
     #[test]
     fn farthest_point_selection_is_deterministic_and_spread() {
         let csr = four_components();
-        let lm = Landmarks::farthest_point(&csr, 4, None);
+        let lm = Landmarks::farthest_point(&csr, 4);
         // The grid hub (degree 4) first; then the three other components,
         // each at its highest-degree vertex (ties by id).
         assert_eq!(
             lm.sources(),
             &[VertexId(4), VertexId(9), VertexId(12), VertexId(14)]
         );
-        assert_eq!(lm, Landmarks::farthest_point(&csr, 4, None));
+        assert_eq!(lm, Landmarks::farthest_point(&csr, 4));
         // A fifth goes to the vertex farthest from its nearest landmark:
         // the grid corners at distance 2 and the triangle's vertex 11 at
         // 1.5 — the corner with the smallest id.
-        let five = Landmarks::farthest_point(&csr, 5, None);
+        let five = Landmarks::farthest_point(&csr, 5);
         assert_eq!(five.sources()[4], VertexId(0));
         assert_eq!(&five.sources()[..4], lm.sources());
     }
@@ -381,7 +422,7 @@ mod tests {
         };
         assert_eq!(components, 4);
         for count in 0..=20 {
-            let lm = Landmarks::farthest_point(&csr, count, None);
+            let lm = Landmarks::farthest_point(&csr, count);
             assert_eq!(lm.len(), count.min(15), "count {count}");
             let mut seen = Vec::new();
             for (i, s) in lm.sources().iter().enumerate() {
@@ -419,7 +460,7 @@ mod tests {
                 };
                 let csr = CsrGraph::from(&WeightedGraph::from_edges(n, edges).unwrap());
                 for count in 0..4 {
-                    let lm = Landmarks::farthest_point(&csr, count, None);
+                    let lm = Landmarks::farthest_point(&csr, count);
                     assert_eq!(lm.len(), count.min(n), "n={n} count={count}");
                     assert_eq!(lm.memory_bytes(), lm.len() * (n * 8 + 8));
                     if count > 0 && n > 0 {
@@ -427,25 +468,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reordered_graphs_select_the_same_external_vertices() {
-        use crate::csr::VertexPerm;
-        let csr = four_components();
-        let perm = VertexPerm::degree_sorted(&csr);
-        assert!(!perm.is_identity());
-        let reordered = csr.reorder(&perm);
-        for count in [1, 4, 6, 15] {
-            let identity = Landmarks::farthest_point(&csr, count, None);
-            let relaid = Landmarks::farthest_point(&reordered, count, Some(perm.external_ids()));
-            let external: Vec<VertexId> = relaid
-                .sources()
-                .iter()
-                .map(|&s| perm.to_external(s))
-                .collect();
-            assert_eq!(external, identity.sources(), "count {count}");
         }
     }
 }

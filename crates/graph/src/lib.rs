@@ -87,15 +87,9 @@
 //!
 //! Every search runs on one lazy-deletion binary heap that pops in exact
 //! `(distance, vertex)` order, so distances, paths, balls and every
-//! tie-break are deterministic. Three cooperating accelerations keep the
+//! tie-break are deterministic. Two cooperating accelerations keep the
 //! point-query hot path fast while preserving bit-identical answers:
 //!
-//! * **Cache-conscious relayout** ([`VertexPerm`],
-//!   [`csr::CsrGraph::reorder`]): vertices can be renumbered (the serving
-//!   layer uses descending live degree at freeze time) so hot adjacency rows
-//!   cluster at the front of the CSR arrays. The permutation is kept
-//!   alongside the reordered graph and external ids are translated at the
-//!   API boundary — answers stay bit-identical in external-id space.
 //! * **Goal-directed point-to-point search** ([`Landmarks`]): an A* search
 //!   keyed by distance plus a max-over-landmarks triangle lower bound
 //!   settles a corridor toward the target instead of a ball around the
@@ -106,7 +100,9 @@
 //!   *every* landmark set — including none, and including bounds equal to
 //!   the exact distance ([`DijkstraEngine::shortest_path_with`]). Tables are
 //!   epoch-stamped ([`csr::CsrGraph::epoch`]) and must be rebuilt after any
-//!   mutation; the engine refuses stale tables.
+//!   mutation; the engine refuses stale tables. A query whose source bound
+//!   already exceeds the query bound ([`Landmarks::rules_out`]) settles
+//!   nothing.
 //! * **Batched relax kernel** ([`RelaxKernel`]): instead of one dependent
 //!   random-access `dist`/`state` load per half-edge, the engine can drain a
 //!   whole same-cohort group of queue entries (every entry whose key is

@@ -20,7 +20,7 @@
 //!   shards), in the input graph's edge order;
 //! * a global↔local **id mapping** exposed both as per-shard lookup tables
 //!   and as one [`VertexPerm`] over the concatenated shard order, so the
-//!   shard mapping composes with downstream relayouts via
+//!   shard mapping composes with other renumberings via
 //!   [`VertexPerm::compose`].
 //!
 //! Everything is a pure function of `(graph, shards, seed, balance)`: no
@@ -373,7 +373,7 @@ impl Partition {
     }
 
     /// The concatenated-shard-order permutation over global ids: internal
-    /// id = shard offset + local id. Composes with downstream relayouts via
+    /// id = shard offset + local id. Composes with other renumberings via
     /// [`VertexPerm::compose`].
     pub fn perm(&self) -> &VertexPerm {
         &self.perm

@@ -1,13 +1,23 @@
 //! Property tests for [`VertexPerm`] composition: chained renumberings
-//! (shard-local mapping ∘ compaction remap ∘ serving relayout) must collapse
-//! into a single translation table that agrees with applying the stages one
-//! by one, and inverses must round-trip to the identity.
+//! (shard-local mapping ∘ compaction remap) must collapse into a single
+//! translation table that agrees with applying the stages one by one, and
+//! inverses must round-trip to the identity.
 
 use proptest::prelude::*;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spanner_graph::{CsrGraph, VertexId, VertexPerm, WeightedGraph};
+use spanner_graph::{VertexId, VertexPerm, WeightedGraph};
+
+/// `g` with every vertex renamed through `perm` (new id =
+/// `perm.to_internal(old id)`), edges in the same order.
+fn relabel(g: &WeightedGraph, perm: &VertexPerm) -> WeightedGraph {
+    let mut out = WeightedGraph::new(g.num_vertices());
+    for e in g.edges() {
+        out.add_edge(perm.to_internal(e.u), perm.to_internal(e.v), e.weight);
+    }
+    out
+}
 
 /// A uniformly random permutation over `n` vertices (seeded Fisher–Yates).
 fn random_perm(n: usize, seed: u64) -> VertexPerm {
@@ -56,8 +66,9 @@ proptest! {
         prop_assert_eq!(id.compose(&p), p);
     }
 
-    /// Reordering a graph through `a.compose(&b)` equals reordering through
-    /// `a` then `b` — the collapsed table is a drop-in for the pipeline.
+    /// Relabelling a graph through `a.compose(&b)` equals relabelling
+    /// through `a` then `b` — the collapsed table is a drop-in for the
+    /// pipeline.
     #[test]
     fn composed_reorder_matches_staged_reorder(n in 2usize..24, gs in 0u64..300, s1 in 0u64..300, s2 in 0u64..300) {
         let mut rng = SmallRng::seed_from_u64(gs);
@@ -69,16 +80,13 @@ proptest! {
                 }
             }
         }
-        let csr = CsrGraph::from(&g);
         let a = random_perm(n, s1);
         let b = random_perm(n, s2);
-        let staged = csr.reorder(&a).reorder(&b);
-        let collapsed = csr.reorder(&a.compose(&b));
+        let staged = relabel(&relabel(&g, &a), &b);
+        let collapsed = relabel(&g, &a.compose(&b));
         prop_assert_eq!(staged.num_edges(), collapsed.num_edges());
         for v in (0..n).map(VertexId) {
-            let sn: Vec<_> = staged.neighbors(v).collect();
-            let cn: Vec<_> = collapsed.neighbors(v).collect();
-            prop_assert_eq!(sn, cn);
+            prop_assert_eq!(staged.neighbors(v), collapsed.neighbors(v));
         }
     }
 }

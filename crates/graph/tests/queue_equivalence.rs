@@ -85,7 +85,7 @@ fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng
     let csr = CsrGraph::from(g);
     let tables: Vec<Landmarks> = [0, 1, 4, 16]
         .iter()
-        .map(|&k| Landmarks::farthest_point(&csr, k, None))
+        .map(|&k| Landmarks::farthest_point(&csr, k))
         .collect();
     let (mut scalar, mut drain) = engine_pair(n, m);
     let mut warm = DijkstraEngine::with_capacity_for(n, m);
@@ -123,7 +123,7 @@ fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng
                     );
                 }
                 prop_assert_eq!(
-                    &engine.shortest_path_with(&csr, Some(lm), None, s, t),
+                    &engine.shortest_path_with(&csr, Some(lm), s, t),
                     &path,
                     "{} landmarks, {}: path {:?}->{:?}",
                     k,
@@ -224,7 +224,7 @@ proptest! {
         let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
         prop_assert_eq!(&scalar_ball, &drain_ball);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
         for k in 0..=scalar_ball.len() {
             prop_assert_eq!(&tree.k_nearest_with_ties(k).unwrap()[..k], &scalar_ball[..k]);
         }
@@ -251,8 +251,8 @@ proptest! {
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
-        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
         for v in 0..n {
             prop_assert_eq!(
                 scalar_tree.shortest_path(VertexId(v)),
@@ -337,19 +337,28 @@ proptest! {
         }
     }
 
-    /// Reordering the CSR relabels answers but never changes them: a query
-    /// in external-id space answered through the permutation equals the
-    /// query on the original layout, under both pop disciplines.
+    /// Renumbering the vertices relabels answers but never changes them: a
+    /// query answered on a randomly renumbered graph (the way a shard's
+    /// local ids renumber its piece) equals the query on the original,
+    /// under both pop disciplines.
     #[test]
     fn reorder_is_answer_preserving_across_queues(g in arb_graph(), seed in 0u64..500) {
         use spanner_graph::VertexPerm;
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let perm = VertexPerm::degree_sorted(&csr);
-        let reordered = csr.reorder(&perm);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut order: Vec<VertexId> = (0..n).map(VertexId).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let perm = VertexPerm::from_order(&order);
+        let mut renumbered = WeightedGraph::new(n);
+        for e in g.edges() {
+            renumbered.add_edge(perm.to_internal(e.u), perm.to_internal(e.v), e.weight);
+        }
+        let reordered = CsrGraph::from(&renumbered);
         let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
         let mut reordered_engine = DijkstraEngine::with_capacity_for(n, g.num_edges());
-        let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..12 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));

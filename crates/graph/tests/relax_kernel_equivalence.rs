@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use spanner_graph::dijkstra::bounded_distance;
 use spanner_graph::{
     CsrGraph, DijkstraEngine, EdgeId, EngineStats, KernelStats, Landmarks, RelaxKernel, TreeNeed,
-    VertexId, VertexPerm, WeightedGraph,
+    VertexId, WeightedGraph,
 };
 
 /// The queue-equivalence suite's graph families — sparse ER, dense
@@ -134,10 +134,10 @@ proptest! {
             let s = VertexId(rng.gen_range(0..n));
             let reference = {
                 let (_, e) = &mut engines[0];
-                e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None)
+                e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything())
             };
             for (kernel, e) in engines.iter_mut().skip(1) {
-                let tree = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything(), None);
+                let tree = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
                 for v in 0..n {
                     prop_assert_eq!(
                         reference.shortest_path(VertexId(v)),
@@ -150,19 +150,13 @@ proptest! {
     }
 
     /// The goal-directed (landmark) search — always the scalar loop —
-    /// returns the same distances under every kernel setting, on both the
-    /// original and the degree-sorted layout (whose landmarks are picked
-    /// in external-id order, so they are the same vertices).
+    /// returns the same distances under every kernel setting.
     #[test]
-    fn kernel_grid_agrees_under_landmarks_and_relayout(g in arb_graph(), seed in 0u64..500) {
+    fn kernel_grid_agrees_under_landmarks(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 3.min(n), None);
-        let perm = VertexPerm::degree_sorted(&csr);
-        let reordered = csr.reorder(&perm);
-        let lm_reordered = Landmarks::farthest_point(&reordered, 3.min(n), Some(perm.external_ids()));
+        let lm = Landmarks::farthest_point(&csr, 3.min(n));
         let mut engines = grid_engines(n, g.num_edges());
-        let mut reordered_engines = grid_engines(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for case in 0..12 {
             let s = VertexId(rng.gen_range(0..n));
@@ -178,14 +172,6 @@ proptest! {
                     e.bounded_distance_landmarked(&csr, &lm, s, t, bound),
                     want,
                     "case {}: {:?}+ALT diverged", case, kernel
-                );
-            }
-            let (si, ti) = (perm.to_internal(s), perm.to_internal(t));
-            for (kernel, e) in reordered_engines.iter_mut() {
-                prop_assert_eq!(
-                    e.bounded_distance_landmarked(&reordered, &lm_reordered, si, ti, bound),
-                    want,
-                    "case {}: {:?}+ALT on relayout diverged", case, kernel
                 );
             }
         }

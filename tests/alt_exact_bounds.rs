@@ -14,7 +14,9 @@
 //! cache state. Both checks run on ER graphs and on the adversarial
 //! families of `tests/common` (extreme magnitudes, rounding ties,
 //! disconnected graphs, one or two vertices, tie-heavy integer weights);
-//! an unreachable pair keeps an infinite bound.
+//! an unreachable pair keeps an infinite bound. The same graphs check
+//! `Landmarks::rules_out`: a query the table rules out answers `None` and
+//! settles nothing.
 
 mod common;
 
@@ -150,8 +152,8 @@ fn assert_servers_agree_at_exact_bounds(
                 .all(|(a, d)| a.distance() == *d),
             "{context} {kind}: the plain engine must answer its own distance as within bound"
         );
-        // The served spanner in external ids: the output's for a frozen
-        // server (reordered by default), the live one's for a live server.
+        // The served spanner: the output's for a frozen server, the live
+        // one's for a live server.
         let spanner = match plain_server.live() {
             Some(live) => live.spanner().clone(),
             None => CsrGraph::from(&output.spanner),
@@ -216,7 +218,7 @@ fn landmarked_disagreements(
     let csr = CsrGraph::from(g);
     let tables: Vec<Landmarks> = LANDMARK_COUNTS
         .iter()
-        .map(|&k| Landmarks::farthest_point(&csr, k, None))
+        .map(|&k| Landmarks::farthest_point(&csr, k))
         .collect();
     let mut plain = DijkstraEngine::with_capacity_for(n, g.num_edges());
     let mut warm = DijkstraEngine::with_capacity_for(n, g.num_edges());
@@ -231,7 +233,7 @@ fn landmarked_disagreements(
             for engine in [&mut warm, &mut cold] {
                 let mut answers = vec![
                     engine.bounded_distance_landmarked(&csr, lm, s, t, f64::INFINITY) == d,
-                    engine.shortest_path_with(&csr, Some(lm), None, s, t) == path,
+                    engine.shortest_path_with(&csr, Some(lm), s, t) == path,
                 ];
                 if let Some(d) = d {
                     let at_exact = engine.bounded_distance_landmarked(&csr, lm, s, t, d);
@@ -277,4 +279,60 @@ fn landmarked_engine_agrees_at_exact_bounds_on_adversarial_graphs() {
             "{context}: {wrong} of {total} goal-directed answers differ from the plain engine's"
         );
     }
+}
+
+/// Checks `Landmarks::rules_out` on every pair of `g` at landmark counts
+/// {0, 1, 4, 16} and at bounds around the plain engine's distance `d` —
+/// `d` itself, the float just below it, `d / 2`, 0 and `∞`: whenever the
+/// table rules a query out, the plain engine answers `None` and the
+/// goal-directed search settles no vertex. Returns how many queries the
+/// tables ruled out.
+fn assert_rules_out_is_sound(g: &WeightedGraph, context: &str) -> usize {
+    let n = g.num_vertices();
+    let csr = CsrGraph::from(g);
+    let mut plain = DijkstraEngine::with_capacity_for(n, g.num_edges());
+    let mut goal = DijkstraEngine::with_capacity_for(n, g.num_edges());
+    let mut ruled_out = 0;
+    for lm in LANDMARK_COUNTS.map(|k| Landmarks::farthest_point(&csr, k)) {
+        for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (VertexId(s), VertexId(t)))) {
+            let mut bounds = vec![0.0, f64::INFINITY];
+            if let Some(d) = plain.bounded_distance(&csr, s, t, f64::INFINITY) {
+                bounds.extend([d, d / 2.0]);
+                if d > 0.0 {
+                    bounds.push(f64::from_bits(d.to_bits() - 1));
+                }
+            }
+            for bound in bounds {
+                if !lm.rules_out(s, t, bound) {
+                    continue;
+                }
+                ruled_out += 1;
+                let at = format!(
+                    "{context}, {} landmarks: {s:?} -> {t:?} at {bound}",
+                    lm.len()
+                );
+                assert_eq!(plain.bounded_distance(&csr, s, t, bound), None, "{at}");
+                let settled = goal.stats().settled_vertices;
+                assert_eq!(
+                    goal.bounded_distance_landmarked(&csr, &lm, s, t, bound),
+                    None,
+                    "{at}"
+                );
+                assert_eq!(goal.stats().settled_vertices, settled, "{at}: settled");
+            }
+        }
+    }
+    ruled_out
+}
+
+#[test]
+fn ruled_out_queries_answer_none_without_settling() {
+    let mut ruled_out = 0;
+    for (context, g) in adversarial_graphs() {
+        ruled_out += assert_rules_out_is_sound(&g, &context);
+    }
+    let mut rng = SmallRng::seed_from_u64(0x0A17_0302);
+    let g = erdos_renyi_connected(120, 0.05, 0.05..20.0, &mut rng);
+    let er = assert_rules_out_is_sound(&g, "er n=120");
+    assert!(er > 0 && ruled_out > 0, "the tables ruled nothing out");
 }

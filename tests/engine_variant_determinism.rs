@@ -1,7 +1,6 @@
 //! Acceptance matrix for the point-query acceleration stack: every engine
-//! variant — goal-directed (landmark) search on or off, with and without the
-//! cache-conscious relayout, under the scalar, batched, and auto-selected
-//! relaxation kernels — must serve answers **bit-identical** to the plain
+//! variant — goal-directed (landmark) search on or off, under the scalar,
+//! batched, and auto-selected relaxation kernels — must serve answers **bit-identical** to the plain
 //! reference configuration, across thread counts {1, 2, 8} and cache
 //! capacities {0, 64}, cold and warm.
 //!
@@ -23,59 +22,52 @@ use spanner_graph::{RelaxKernel, WeightedGraph};
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CACHE_CAPACITIES: [usize; 2] = [0, 64];
 
-/// One engine configuration under test: whether the frozen handle is
-/// relayouted, how many landmarks to derive (0 = none), and which
-/// relaxation kernel the engines run.
+/// One engine configuration under test: how many landmarks to derive
+/// (0 = none) and which relaxation kernel the engines run.
 struct Variant {
     name: &'static str,
-    reorder: bool,
     landmarks: usize,
     kernel: RelaxKernel,
 }
 
 /// The frozen-handle matrix. `plain/scalar` is the reference: the exact
-/// pre-acceleration serving configuration.
+/// pre-acceleration serving configuration. The landmark count also decides
+/// which distance targets the table rules out of the cache's trees, so
+/// `alt16/auto` admits different trees than `alt/auto`.
 const FROZEN_VARIANTS: [Variant; 7] = [
     Variant {
         name: "plain/scalar",
-        reorder: false,
         landmarks: 0,
         kernel: RelaxKernel::Scalar,
     },
     Variant {
         name: "plain/batched",
-        reorder: false,
         landmarks: 0,
         kernel: RelaxKernel::Batched,
     },
     Variant {
-        name: "reordered/auto",
-        reorder: true,
+        name: "plain/auto",
         landmarks: 0,
         kernel: RelaxKernel::Auto,
     },
     Variant {
-        name: "plain+alt/batched",
-        reorder: false,
-        landmarks: 4,
-        kernel: RelaxKernel::Batched,
-    },
-    Variant {
-        name: "reordered+alt/scalar",
-        reorder: true,
+        name: "alt/scalar",
         landmarks: 4,
         kernel: RelaxKernel::Scalar,
     },
     Variant {
-        name: "reordered+alt/batched",
-        reorder: true,
+        name: "alt/batched",
         landmarks: 4,
         kernel: RelaxKernel::Batched,
     },
     Variant {
-        name: "reordered+alt/auto",
-        reorder: true,
+        name: "alt/auto",
         landmarks: 4,
+        kernel: RelaxKernel::Auto,
+    },
+    Variant {
+        name: "alt16/auto",
+        landmarks: 16,
         kernel: RelaxKernel::Auto,
     },
 ];
@@ -96,7 +88,7 @@ fn frozen_engine_variants_answer_bit_identically() {
         .seed(0xA17)
         .bound(3.0 * stretch)
         .generate();
-    // The reference: scalar kernel, original layout, no landmarks — the
+    // The reference: scalar kernel, no landmarks — the
     // serving configuration that predates the acceleration stack.
     let reference: Vec<Answer> = {
         let mut server = output
@@ -105,7 +97,6 @@ fn frozen_engine_variants_answer_bit_identically() {
             .threads(1)
             .cache_capacity(0)
             .relax_kernel(RelaxKernel::Scalar)
-            .reorder(false)
             .landmarks(0)
             .audit_against(&g)
             .finish();
@@ -120,7 +111,6 @@ fn frozen_engine_variants_answer_bit_identically() {
                     .threads(threads)
                     .cache_capacity(cache)
                     .relax_kernel(variant.kernel)
-                    .reorder(variant.reorder)
                     .landmarks(variant.landmarks)
                     .audit_against(&g)
                     .finish();
@@ -184,7 +174,7 @@ fn live_engine_variants_survive_compacting_update_batches() {
         .bound(1e6)
         .seed(0xBEE5)
         .generate(&g);
-    // Live servers never relayout; the live matrix varies the
+    // The live matrix varies the
     // demand-derived landmark table (0 disables it) and the relax kernel.
     // Tombstoning update batches are exactly what flips `Auto` onto the
     // batched path mid-stream, so the kernel dimension matters most here.

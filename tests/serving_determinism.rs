@@ -4,15 +4,17 @@
 //! {1, 2, 8} and across cache states (disabled / small / large, cold and
 //! warm) — a cache hit may never change a result. Adversarial graphs
 //! (extreme magnitudes, rounding ties, disconnected, two vertices) run the
-//! same contract on identity-layout, reordered and live servers, after a
-//! narrow batch has cached small prefix trees.
+//! same contract on frozen servers with and without landmarks and on live
+//! servers, after a narrow batch has cached small prefix trees.
 
 mod common;
 
 use std::collections::HashMap;
 
 use common::{adversarial_graph, ADVERSARIAL_FAMILIES};
-use greedy_spanner::serve::{Answer, PathAnswer, Query, SpannerServer, StretchSample};
+use greedy_spanner::serve::{
+    Answer, PathAnswer, Query, SpannerServer, StretchSample, DEFAULT_LANDMARK_COUNT,
+};
 use greedy_spanner::workload::QueryWorkload;
 use greedy_spanner::Spanner;
 use proptest::prelude::*;
@@ -20,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spanner_graph::dijkstra;
 use spanner_graph::generators::erdos_renyi_connected;
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, Landmarks, VertexId, WeightedGraph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CACHE_CAPACITIES: [usize; 3] = [0, 2, 64];
@@ -240,8 +242,8 @@ proptest! {
 /// The rounding-tie chain 0 -1e17- 5 -1- 3 -1e17- 1 -1e17- 2 -1e17- 4: as
 /// `fl(1e17 + 1) = 1e17`, vertex 3 settles after vertex 5 at the same
 /// distance from 0. A cold answer (an engine search) and a warm one (the
-/// cached tree) must both order that tie by vertex id — on an
-/// identity-layout frozen server, a reordered one and a live one.
+/// cached tree) must both order that tie by vertex id — on a frozen server
+/// with and without landmarks and on a live one.
 #[test]
 fn rounding_ties_answer_alike_cold_and_warm() {
     let g = WeightedGraph::from_edges(
@@ -261,8 +263,8 @@ fn rounding_ties_answer_alike_cold_and_warm() {
     let nearest = vec![(VertexId(0), 0.0), (VertexId(3), 1e17)];
     let within = vec![(VertexId(0), 0.0), (VertexId(3), 1e17), (VertexId(5), 1e17)];
     let servers = [
-        ("frozen", output.clone().serve().reorder(false).finish()),
-        ("reordered", output.clone().serve().reorder(true).finish()),
+        ("frozen", output.clone().serve().finish()),
+        ("plain", output.clone().serve().landmarks(0).finish()),
         (
             "live",
             output
@@ -386,10 +388,9 @@ fn one_query_per_source(queries: &[Query], reference: &[Answer]) -> Vec<(Vec<Que
     rounds
 }
 
-/// Every answer equals the reference's — paths vertex for vertex, on a
-/// reordered server too (its searches break distance ties by external id)
-/// — and every returned path is a spanner path whose left-to-right sum is
-/// its distance.
+/// Every answer equals the reference's — paths vertex for vertex — and
+/// every returned path is a spanner path whose left-to-right sum is its
+/// distance.
 fn assert_answers_match(
     spanner: &WeightedGraph,
     queries: &[Query],
@@ -405,10 +406,11 @@ fn assert_answers_match(
     }
 }
 
-/// Every server layout × cache capacity × thread count answers the
+/// Every server kind × cache capacity × thread count answers the
 /// boundary queries like the free functions. A narrow batch first caches
 /// small prefix trees, which must answer exactly what they cover: every
-/// narrow query from its own source's prefix, then the boundary queries
+/// narrow query whose target its source's need keeps from that source's
+/// prefix, then the boundary queries
 /// one per source per batch (no re-admission) — a covered one from the
 /// prefix, an uncovered one by a search, never from the prefix (that
 /// answer would differ from the reference). Then the whole boundary batch
@@ -425,6 +427,26 @@ fn assert_layouts_match_reference(g: &WeightedGraph, context: &str) {
     };
     let narrow = narrow_queries(spanner);
     let narrow_reference = reference_of(&narrow);
+    // The narrow distance queries a landmark table rules out: their targets
+    // stay out of the need, so the prefix (through distance 0, its k = 1 and
+    // radius-0 need) misses them unless the source is isolated (then the
+    // search runs dry and the prefix covers everything). Every server with
+    // landmarks picks the same table: farthest-point selection reads only
+    // degrees, distances and ids.
+    let landmarks = Landmarks::farthest_point(&CsrGraph::from(spanner), DEFAULT_LANDMARK_COUNT);
+    let ruled_out_misses = narrow
+        .iter()
+        .filter(|query| match **query {
+            Query::Distance {
+                source,
+                target,
+                bound,
+            } => {
+                landmarks.rules_out(source, target, bound) && !spanner.neighbors(source).is_empty()
+            }
+            _ => false,
+        })
+        .count() as u64;
     let queries = boundary_queries(spanner);
     let reference = reference_of(&queries);
     let rounds = one_query_per_source(&queries, &reference);
@@ -433,22 +455,26 @@ fn assert_layouts_match_reference(g: &WeightedGraph, context: &str) {
             let configure = |builder: greedy_spanner::serve::ServeBuilder| {
                 builder.threads(threads).cache_capacity(cache)
             };
-            let servers: [(&str, SpannerServer); 3] = [
+            // Each server with the misses its landmarks cause.
+            let servers: [(&str, SpannerServer, u64); 3] = [
                 (
                     "frozen",
-                    configure(output.clone().serve().reorder(false).audit_against(g)).finish(),
+                    configure(output.clone().serve().audit_against(g)).finish(),
+                    ruled_out_misses,
                 ),
                 (
-                    "reordered",
-                    configure(output.clone().serve().reorder(true).audit_against(g)).finish(),
+                    "plain",
+                    configure(output.clone().serve().landmarks(0).audit_against(g)).finish(),
+                    0,
                 ),
                 (
                     "live",
                     configure(output.clone().live(g).expect("greedy is a spanner").serve())
                         .finish(),
+                    ruled_out_misses,
                 ),
             ];
-            for (layout, mut server) in servers {
+            for (layout, mut server, ruled_out) in servers {
                 let at = format!("{context} {layout}, threads={threads} cache={cache}");
                 let narrowed = server.answer_batch(&narrow).expect("valid batch");
                 assert_eq!(narrowed, narrow_reference, "{at}: narrow batch");
@@ -460,7 +486,7 @@ fn assert_layouts_match_reference(g: &WeightedGraph, context: &str) {
                 if cache >= n {
                     assert_eq!(
                         hits,
-                        narrow.len() as u64,
+                        narrow.len() as u64 - ruled_out,
                         "{at}: a prefix must cover its batch"
                     );
                     // Each source's k = 0, k = 1 and radius-0 boundary
@@ -484,7 +510,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Extreme magnitudes, rounding ties, disconnected graphs and n = 2:
-    /// identity-layout, reordered and live servers stay bit-exact distance
+    /// frozen (with and without landmarks) and live servers stay bit-exact distance
     /// oracles at every cache state and thread count.
     #[test]
     fn adversarial_graphs_match_free_functions_on_every_layout(
