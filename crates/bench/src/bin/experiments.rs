@@ -1,16 +1,17 @@
-//! Regenerates every table of EXPERIMENTS.md (experiment ids E1–E12): the
-//! Figure 1 instance, the size/lightness corollaries, the doubling-metric
-//! results, the approximate-greedy comparison, the baseline comparison, the
-//! full algorithm matrix (E10), the serving-layer table (E11: qps / cache
-//! hit rate / latency over uniform, Zipf and mixed read workloads), and the
+//! Prints every experiment table (ids E1–E12) to stdout: the Figure 1
+//! instance, the size/lightness corollaries, the doubling-metric results,
+//! the approximate-greedy comparison, the baseline comparison, the full
+//! algorithm matrix (E10), the serving-layer table (E11: qps / cache hit
+//! rate / latency over uniform, Zipf and mixed read workloads), and the
 //! live-update table (E12: a server interleaving query and update batches —
 //! admissions, greedy rebuilds, epochs, stale cache evictions — checked
-//! round-by-round against a from-scratch rebuild).
+//! round-by-round against a from-scratch rebuild). No copy of the tables is
+//! committed yet; doing so is ROADMAP item 2.
 //!
 //! Every construction is dispatched through the unified
 //! [`SpannerAlgorithm`](greedy_spanner::SpannerAlgorithm) pipeline — the
 //! builder for single runs, [`algorithms::registry`] +
-//! [`run_matrix`](greedy_spanner::run_matrix) for the comparative tables —
+//! [`greedy_spanner::run_matrix`] for the comparative tables —
 //! so adding a construction to the registry automatically adds it to the
 //! comparison experiments.
 //!

@@ -1,6 +1,6 @@
 //! Shared harness code for the benchmark suite and the `experiments` binary:
 //! reproducible workloads, spanner-construction wrappers and plain-text table
-//! rendering matching the rows reported in EXPERIMENTS.md.
+//! rendering for the tables that binary prints to stdout.
 
 pub mod tables;
 pub mod workloads;

@@ -2,8 +2,9 @@
 
 /// A simple column-aligned text table.
 ///
-/// The experiments binary prints one of these per experiment id; the same
-/// rows are recorded in EXPERIMENTS.md.
+/// The experiments binary prints one of these per experiment id to stdout.
+/// No copy of the tables is committed yet; doing so is ROADMAP item 2 (a
+/// committed, checked reproduction of the paper).
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,

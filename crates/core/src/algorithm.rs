@@ -264,7 +264,7 @@ pub struct SpannerConfig {
     /// Hub vertex for the star baseline.
     pub hub: usize,
     /// Use cluster-graph distance certificates in the approximate-greedy
-    /// simulation (the [GLN02] speed/quality trade).
+    /// simulation (the \[GLN02\] speed/quality trade).
     pub use_cluster_graph: bool,
     /// Worker threads for the parallel filter-then-commit constructions and
     /// the batch runner. `0` (the default) means *auto*: the

@@ -13,9 +13,9 @@
 //!    edges, bucketed by weight. Distance queries are answered either by a
 //!    distance-bounded Dijkstra on the growing spanner (default — exact, so
 //!    the output is as light as a greedy run over the same candidates) or on
-//!    a [`ClusterGraph`](crate::cluster_graph::ClusterGraph) whose cluster
-//!    radius is proportional to the current bucket's scale (the [GLN02]
-//!    trade: cheaper queries, slightly more edges). Both certificates are
+//!    a [`ClusterGraph`] whose cluster radius is proportional to the
+//!    current bucket's scale (the \[GLN02\] trade: cheaper queries,
+//!    slightly more edges). Both certificates are
 //!    sound **upper bounds** on the true spanner distance, so the output is
 //!    always a valid `(1 + ε)`-spanner of the metric.
 //!
@@ -57,7 +57,7 @@ pub struct ApproxGreedyParams {
     /// bound.
     pub cluster_radius_fraction: f64,
     /// When `true`, distance queries during the greedy simulation are
-    /// answered on the cluster graph (the [GLN02] speed/quality trade);
+    /// answered on the cluster graph (the \[GLN02\] speed/quality trade);
     /// when `false` (default), a distance-bounded Dijkstra on the growing
     /// spanner answers them exactly, which keeps the output as light as the
     /// greedy run over the same candidates.

@@ -1,6 +1,6 @@
 //! The cluster graph used by the approximate-greedy algorithm.
 //!
-//! Section 5.1 of the paper sketches how [GLN02] avoids exact shortest-path
+//! Section 5.1 of the paper sketches how \[GLN02\] avoids exact shortest-path
 //! queries: vertices of the growing spanner are grouped into clusters of small
 //! (graph-distance) radius, and distance queries are answered on the much
 //! smaller quotient graph of clusters. This module implements that machinery

@@ -174,6 +174,31 @@
 //! slowed goal-directed serving on a 90k-vertex grid and was flat
 //! elsewhere). Drop `.reorder(..)` calls; answers are unchanged.
 //!
+//! **Migration note (0.9):** the serving runtime is gone. It was an
+//! admission-control front door timed on a modelled clock, and no
+//! experiment or pipeline workload used it. Removed: the `runtime` module
+//! with `Router`, `RouterBuilder`, the router's stats, `Ticket`, the QoS
+//! class enum, the `Backend` trait, `Limiter`, its AIMD limit, the virtual
+//! clock, `ServeClock`, `QueryCosts` and the windowed histogram; the shed
+//! variant of [`serve::ServeError`]; the open-loop generator of
+//! [`workload::QueryWorkload`] with its schedule type, `Arrival`, the
+//! `burst` profile and `WorkloadError::{InvalidRate, InvalidBurst}`;
+//! `ServeStats::lifetime` with its idle-inclusive rate; and
+//! `LatencyHistogram::merge`. Call [`serve::SpannerServer::answer_batch`]
+//! directly: it was the path the router dispatched into, so answers are
+//! unchanged.
+//!
+//! **Migration note (0.7):** the unlimited direct-dispatch method →
+//! `answer_batch` (it is the direct path again).
+//!
+//! **Migration note (0.3):** `SpannerServer` no longer owns a bare frozen
+//! graph — it serves through an epoch-stamped handle, and
+//! [`serve::SpannerServer::new`] takes a [`serve::SpannerHandle`]. The
+//! builder entry points ([`SpannerOutput::serve`], and 0.2 code generally)
+//! keep working unchanged; [`workload::QueryWorkload`] constructors now
+//! validate their parameters and return `Result` (append `?` or
+//! `.expect(...)`).
+//!
 //! # The live-update model
 //!
 //! The stack is four layers, and as of 0.3 none of them freezes forever:
@@ -264,84 +289,11 @@
 //! 90k-vertex grid, k replica caches hit no more often than one shared
 //! cache, and the clamp slowed bounded cross-shard queries.
 //!
-//! # The serving runtime
-//!
-//! [`serve::SpannerServer::answer_batch`] is the direct path. For overload
-//! behavior, wrap a server in the [`runtime`] module's QoS-classed
-//! scheduler with adaptive admission control.
-//!
-//! 1. **Backends.** The [`runtime::Backend`] trait abstracts "something
-//!    that answers query batches" — implemented by
-//!    [`serve::SpannerServer`], frozen or live. The shed decision never
-//!    consults the backend, so the admitted/shed partition is one and the
-//!    same across backend kinds.
-//! 2. **Admission + QoS.** [`runtime::Router`] classifies each batch
-//!    ([`runtime::QosClass::of_batch`]: point lookups are `Interactive`,
-//!    ball/audit scans are `Bulk`), keeps per-class FIFO queues with
-//!    interactive-over-bulk preemption, dispatches in limit-sized chunks,
-//!    and **sheds** offers that would push a non-empty queue past the knee
-//!    with [`serve::ServeError::Overloaded`] carrying a `retry_after_hint`
-//!    (an idle router admits any batch). Admitted answers are
-//!    **bit-identical to the direct path** — chunked dispatch rides the
-//!    batch-boundary-invariance guarantee.
-//! 3. **Limiters.** [`runtime::Limiter`] is unlimited, fixed, or an
-//!    adaptive [`runtime::AimdLimit`] (multiplicative backoff on breach,
-//!    additive growth when saturated-and-clean) fed windowed p50 from a
-//!    [`runtime::WindowedHistogram`].
-//! 4. **Deterministic time.** Under a seeded [`runtime::VirtualClock`]
-//!    (splitmix64 service jitter over [`runtime::QueryCosts`]) the whole
-//!    simulation — arrivals, queueing, shed decisions, limit trajectory —
-//!    reproduces bit-for-bit at every thread count (root suite
-//!    `tests/admission_determinism.rs`).
-//!
-//! Admission counters (`admitted`/`shed`/`queued`/`queue_wait`) live on
-//! [`runtime::RouterStats`]; [`serve::ServeStats`] splits busy-window vs
-//! wall-clock rates ([`serve::ServeStats::qps`] vs
-//! [`serve::ServeStats::lifetime_qps`]);
-//! [`workload::QueryWorkload::open_loop`] generates seeded Poisson arrival
-//! schedules (optionally bursty) for driving routers open-loop.
-//!
-//! ```
-//! use greedy_spanner::runtime::{AimdLimit, Limiter, QosClass, Router, VirtualClock};
-//! use greedy_spanner::workload::QueryWorkload;
-//! use greedy_spanner::Spanner;
-//! use rand::{rngs::SmallRng, SeedableRng};
-//!
-//! let mut rng = SmallRng::seed_from_u64(5);
-//! let g = spanner_graph::generators::erdos_renyi_connected(60, 0.3, 1.0..4.0, &mut rng);
-//! let server = Spanner::greedy().stretch(2.0).build(&g)?.serve().finish();
-//! let mut router = Router::over(server)
-//!     .limiter(Limiter::aimd(AimdLimit::new(16)))
-//!     .virtual_clock(VirtualClock::seeded(42))
-//!     .finish();
-//! let batch = QueryWorkload::uniform(60)?.queries(32).seed(9).generate();
-//! let answers = router.submit(QosClass::of_batch(&batch), &batch)?;
-//! assert_eq!(answers.len(), 32);
-//! assert_eq!(router.stats().admitted, 32);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! **Migration note (0.7):** the unlimited direct-dispatch method →
-//! `answer_batch` (it is the direct path again); `ServeStats.{admitted, shed, queued,
-//! queue_wait}` → [`runtime::Router::stats`]; `Limiter::gradient` →
-//! [`runtime::Limiter::aimd`].
-//!
-//! **Migration note (0.3):** `SpannerServer` no longer owns a bare frozen
-//! graph — it serves through an epoch-stamped handle, and
-//! [`serve::SpannerServer::new`] takes a [`serve::SpannerHandle`]. The
-//! builder entry points ([`SpannerOutput::serve`], and 0.2 code generally)
-//! keep working unchanged; [`workload::QueryWorkload`] constructors now
-//! validate their parameters and return `Result` (append `?` or
-//! `.expect(...)`).
-//!
 //! # Module map
 //!
 //! * [`algorithm`], [`algorithms`], [`builder`], [`matrix`] — the unified
 //!   pipeline described above.
 //! * [`serve`] + [`workload`] — the serving layer described above.
-//! * [`runtime`] — the serving runtime described above: the [`runtime::Backend`]
-//!   trait, the QoS-classed [`runtime::Router`] front door, adaptive
-//!   [`runtime::Limiter`]s and the seeded [`runtime::VirtualClock`].
 //! * [`update`] — the live-update subsystem ([`update::LiveSpanner`])
 //!   described above.
 //! * [`persist`] — snapshots, write-ahead logging and crash recovery for
@@ -376,7 +328,6 @@ pub mod greedy_metric;
 pub mod matrix;
 pub mod optimality;
 pub mod persist;
-pub mod runtime;
 pub mod serve;
 pub mod shard;
 pub mod update;
@@ -390,10 +341,6 @@ pub use error::{GraphError, SpannerError};
 pub use greedy::GreedySpanner;
 pub use matrix::{aggregate_stats, run_matrix, MatrixCell, MatrixStats};
 pub use persist::{PersistError, Recovered, RecoveryReport};
-pub use runtime::{
-    AimdLimit, Backend, Limiter, QosClass, QueryCosts, Router, RouterBuilder, RouterStats, Ticket,
-    VirtualClock, WindowedHistogram,
-};
 pub use serve::LatencyHistogram;
 pub use serve::SpannerHandle;
 pub use serve::{Answer, Query, ServeBuilder, ServeError, ServeStats, SpannerServer};
@@ -402,6 +349,4 @@ pub use shard::{
     StitchStats,
 };
 pub use update::{BatchOutcome, LiveSpanner, Update, UpdateBatch, UpdateError, UpdateStats};
-pub use workload::{
-    Arrival, LiveWorkload, OpenLoopWorkload, QueryWorkload, StreamEvent, WorkloadError,
-};
+pub use workload::{LiveWorkload, QueryWorkload, StreamEvent, WorkloadError};

@@ -201,7 +201,6 @@ use spanner_graph::{
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::runtime::Backend;
 use crate::shard::ShardedOutput;
 use crate::update::{BatchOutcome, LiveSpanner, UpdateBatch, UpdateError, UpdateStats};
 
@@ -383,13 +382,6 @@ pub enum ServeError {
     UpdatesNotSupported,
     /// An update batch was rejected by the live-update subsystem.
     Update(UpdateError),
-    /// The admission controller shed this batch: accepting it would push the
-    /// queue past the overload knee (see [`crate::runtime::Router`]). The
-    /// batch ran no query and mutated nothing; retry after the hint.
-    Overloaded {
-        /// Estimated backlog drain time — how long to wait before retrying.
-        retry_after_hint: Duration,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -422,11 +414,6 @@ impl std::fmt::Display for ServeError {
                 "this server serves a frozen spanner; build it from a LiveSpanner to apply updates"
             ),
             ServeError::Update(e) => write!(f, "update batch rejected: {e}"),
-            ServeError::Overloaded { retry_after_hint } => write!(
-                f,
-                "batch shed by admission control; retry after ~{:?}",
-                retry_after_hint
-            ),
         }
     }
 }
@@ -558,15 +545,6 @@ impl LatencyHistogram {
     pub fn max(&self) -> Option<Duration> {
         (self.total > 0).then(|| Duration::from_nanos(self.max_nanos))
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-    }
 }
 
 /// Aggregate serving statistics, accumulated across batches; see
@@ -595,10 +573,6 @@ pub struct ServeStats {
     pub epoch: u64,
     /// Total wall time spent inside [`SpannerServer::answer_batch`].
     pub elapsed: Duration,
-    /// Wall time since the server was created (or its stats were reset),
-    /// including idle gaps between batches — the denominator of
-    /// [`ServeStats::lifetime_qps`].
-    pub lifetime: Duration,
     /// Per-query answer latencies.
     pub latency: LatencyHistogram,
     /// Batched relax-kernel counters aggregated across the server's engine
@@ -612,18 +586,8 @@ impl ServeStats {
     /// is `elapsed`, which accumulates only time spent inside
     /// [`SpannerServer::answer_batch`] — idle gaps between batches do not
     /// dilute it. `None` before anything was served (explicit, not a `0/0`).
-    /// For the idle-inclusive rate, see [`ServeStats::lifetime_qps`].
     pub fn qps(&self) -> Option<f64> {
         let secs = self.elapsed.as_secs_f64();
-        (secs > 0.0 && self.queries > 0).then(|| self.queries as f64 / secs)
-    }
-
-    /// Answered queries per second of wall-clock **lifetime** (since server
-    /// construction or the last stats reset), idle gaps included — the
-    /// sustained rate an external observer sees, as opposed to the
-    /// busy-window [`ServeStats::qps`]. `None` before anything was served.
-    pub fn lifetime_qps(&self) -> Option<f64> {
-        let secs = self.lifetime.as_secs_f64();
         (secs > 0.0 && self.queries > 0).then(|| self.queries as f64 / secs)
     }
 
@@ -883,9 +847,6 @@ pub struct SpannerServer {
     /// after an update batch bumps the epoch.
     live_landmarks: Option<Landmarks>,
     stats: ServeStats,
-    /// When this server was created (or its stats last reset) — the origin
-    /// of [`ServeStats::lifetime`].
-    started: Instant,
 }
 
 impl SpannerServer {
@@ -965,11 +926,9 @@ impl SpannerServer {
     }
 
     /// Resets the serving statistics (the cache and workspaces are kept).
-    /// The lifetime clock restarts now.
     pub fn reset_stats(&mut self) {
         self.stats = ServeStats::default();
         self.pool.reset_stats();
-        self.started = Instant::now();
     }
 
     /// Clones the current spanner state into a fresh, compacted,
@@ -1038,10 +997,7 @@ impl SpannerServer {
     /// servers — identical to a server rebuilt from scratch at the current
     /// epoch.
     ///
-    /// This is the direct path: no admission control, no queueing. Wrap the
-    /// server in a [`crate::runtime::Router`] for QoS classes, queueing and
-    /// adaptive admission control; the router dispatches into this method
-    /// ([`Backend::dispatch`]).
+    /// This is the only serving path: no admission control, no queueing.
     ///
     /// **Migration note (0.7):** the separate unlimited direct-dispatch
     /// method is gone — this method is that direct path again.
@@ -1202,7 +1158,6 @@ impl SpannerServer {
         self.stats.batches += 1;
         self.stats.epoch = epoch;
         self.stats.elapsed += start.elapsed();
-        self.stats.lifetime = self.started.elapsed();
         // Pool engines accumulate across batches; snapshot rather than add.
         self.stats.kernel = self.pool.stats().kernel;
         Ok(answers)
@@ -1258,18 +1213,6 @@ impl SpannerServer {
             }
         }
         Ok(())
-    }
-}
-
-impl Backend for SpannerServer {
-    fn validate_batch(&self, queries: &[Query]) -> Result<(), ServeError> {
-        // Same order as the direct path: stale epoch trumps query shape.
-        self.served.verify()?;
-        self.validate(queries)
-    }
-
-    fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.answer_batch(queries)
     }
 }
 
@@ -1592,7 +1535,6 @@ impl ServeBuilder {
             landmark_count: self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT),
             live_landmarks: None,
             stats: ServeStats::default(),
-            started: Instant::now(),
         }
     }
 }
@@ -1741,66 +1683,34 @@ mod tests {
     }
 
     #[test]
-    fn qps_is_busy_window_while_lifetime_qps_spans_idle_gaps() {
-        // Constructed stats make the distinction exact: 1000 queries over
-        // 100ms of busy serving inside a 10s lifetime.
+    fn qps_is_busy_window_and_ignores_idle_gaps() {
+        // Constructed stats make the rate exact: 1000 queries over 100ms of
+        // busy serving.
         let stats = ServeStats {
             queries: 1000,
             elapsed: Duration::from_millis(100),
-            lifetime: Duration::from_secs(10),
             ..ServeStats::default()
         };
         assert_eq!(stats.qps(), Some(10_000.0), "busy-window rate");
-        assert_eq!(stats.lifetime_qps(), Some(100.0), "idle-inclusive rate");
         assert_eq!(ServeStats::default().qps(), None);
-        assert_eq!(ServeStats::default().lifetime_qps(), None);
 
         // And on a real server: inject an idle gap between two batches. The
         // busy-window qps must not be diluted by the gap, so it ends up
-        // strictly above the lifetime rate.
+        // strictly above the wall-clock rate.
         let g = diamond();
         let mut server = server_for(&g, 8, 1);
         let batch = [Query::distance(VertexId(0), VertexId(3), 100.0)];
+        let wall = Instant::now();
         server.answer_batch(&batch).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         server.answer_batch(&batch).unwrap();
+        let wall_qps = 2.0 / wall.elapsed().as_secs_f64();
         let stats = server.stats();
-        assert!(stats.lifetime >= Duration::from_millis(30), "gap counted");
         assert!(
-            stats.qps().unwrap() > stats.lifetime_qps().unwrap(),
-            "idle gap dilutes lifetime_qps ({:?}) but not qps ({:?})",
-            stats.lifetime_qps(),
+            stats.qps().unwrap() > wall_qps,
+            "idle gap dilutes the wall-clock rate ({wall_qps}) but not qps ({:?})",
             stats.qps()
         );
-    }
-
-    #[test]
-    fn answer_batch_shim_matches_the_unlimited_path_and_counts_admission() {
-        use crate::runtime::{Limiter, QosClass, Router};
-        let mut rng = SmallRng::seed_from_u64(11);
-        let g = erdos_renyi_connected(40, 0.15, 1.0..4.0, &mut rng);
-        let mut direct = server_for(&g, 8, 2);
-        let mut routed = Router::over(server_for(&g, 8, 2))
-            .limiter(Limiter::unlimited())
-            .finish();
-        let queries: Vec<Query> = (0..40)
-            .map(|i| Query::distance(VertexId(i % 40), VertexId((i * 7 + 3) % 40), f64::INFINITY))
-            .collect();
-        let a = direct.answer_batch(&queries).unwrap();
-        let b = routed.submit(QosClass::Interactive, &queries).unwrap();
-        assert_eq!(a, b, "an unlimited router answers bit-identically");
-        assert_eq!(routed.backend().stats().queries, direct.stats().queries);
-        let stats = routed.stats();
-        assert_eq!(stats.admitted, 40, "everything admitted");
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.queued, 0, "no queueing without a limit");
-        assert_eq!(stats.dispatched_chunks, 1, "one whole-batch dispatch");
-        // Errors pass through both paths unchanged and admit nothing.
-        let bad = [Query::distance(VertexId(0), VertexId(999), 1.0)];
-        let err = direct.answer_batch(&bad).unwrap_err();
-        assert!(matches!(err, ServeError::VertexOutOfRange { .. }));
-        assert_eq!(routed.submit(QosClass::Interactive, &bad), Err(err));
-        assert_eq!(routed.stats().admitted, 40);
     }
 
     #[test]
@@ -2235,12 +2145,6 @@ mod tests {
         // The maximum is exact, not bucket-rounded — and at least p99's
         // bucket floor.
         assert_eq!(h.max(), Some(Duration::from_nanos(100_000)));
-        // Merging doubles every bucket and keeps the maximum.
-        let other = h;
-        h.merge(&other);
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.max(), Some(Duration::from_nanos(100_000)));
-        assert_eq!(h.p50(), p50.le(&p99).then_some(h.p50().unwrap()));
         // A later outlier moves the max past the old p99.
         h.record(Duration::from_nanos(7_777_777));
         assert_eq!(h.max(), Some(Duration::from_nanos(7_777_777)));
@@ -2362,38 +2266,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_histogram_quantiles_match_one_combined_histogram() {
-        // Two shards record disjoint latency populations; merging their
-        // histograms must reproduce the histogram that saw every sample.
-        let samples_a: Vec<u64> = (0..200).map(|i| 100 + i * 37).collect();
-        let samples_b: Vec<u64> = (0..300).map(|i| 50_000 + i * 911).collect();
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut combined = LatencyHistogram::default();
-        for &nanos in &samples_a {
-            a.record(Duration::from_nanos(nanos));
-            combined.record(Duration::from_nanos(nanos));
-        }
-        for &nanos in &samples_b {
-            b.record(Duration::from_nanos(nanos));
-            combined.record(Duration::from_nanos(nanos));
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        assert_eq!(a.total(), 500);
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), combined.quantile(q), "quantile {q}");
-        }
-        assert_eq!(a.max(), combined.max());
-    }
-
-    #[test]
     fn untouched_server_rates_decline_instead_of_dividing_by_zero() {
         let g = diamond();
         let server = server_for(&g, 4, 1);
         assert_eq!(server.stats().qps(), None);
         assert_eq!(server.stats().cache_hit_rate(), None);
-        assert_eq!(server.stats().lifetime_qps(), None);
         assert_eq!(server.stats().latency.quantile(0.5), None);
     }
 

@@ -20,15 +20,6 @@
 //! point of the stream (the generator tracks its own edge view and avoids
 //! parallel edges, so delete-by-endpoints is unambiguous).
 //!
-//! For overload experiments, [`QueryWorkload::open_loop`] turns a shape
-//! into an **open-loop arrival schedule** ([`OpenLoopWorkload`]): each query
-//! is stamped with an [`Arrival`] instant drawn from a seeded Poisson
-//! process (exponential inter-arrivals at a target rate), optionally with a
-//! periodic burst profile that multiplies the rate inside a duty window.
-//! Open-loop means arrivals do not wait for the server — exactly the demand
-//! shape that exposes an admission-control knee, because a closed loop
-//! would throttle itself and never overload anything.
-//!
 //! ```
 //! use greedy_spanner::workload::QueryWorkload;
 //!
@@ -41,7 +32,6 @@
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -82,21 +72,6 @@ pub enum WorkloadError {
         /// Upper bound of the offending range.
         hi: f64,
     },
-    /// An open-loop arrival rate must be positive and finite.
-    InvalidRate {
-        /// The offending rate (queries per second).
-        rate: f64,
-    },
-    /// A burst profile needs a finite factor ≥ 1, a positive period and a
-    /// duty fraction in `(0, 1]`.
-    InvalidBurst {
-        /// The offending rate multiplier.
-        factor: f64,
-        /// The offending burst period.
-        period: Duration,
-        /// The offending duty fraction.
-        duty: f64,
-    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -121,18 +96,6 @@ impl fmt::Display for WorkloadError {
             WorkloadError::InvalidWeightRange { lo, hi } => write!(
                 f,
                 "weight range {lo}..{hi} must be positive, finite and non-empty"
-            ),
-            WorkloadError::InvalidRate { rate } => {
-                write!(f, "arrival rate {rate}/s must be positive and finite")
-            }
-            WorkloadError::InvalidBurst {
-                factor,
-                period,
-                duty,
-            } => write!(
-                f,
-                "burst profile ×{factor} over {period:?} at duty {duty} needs \
-                 a finite factor >= 1, a positive period and duty in (0, 1]"
             ),
         }
     }
@@ -373,161 +336,6 @@ impl QueryWorkload {
             }
         }
         queries
-    }
-
-    /// Turns this shape into an open-loop arrival schedule offering `rate`
-    /// queries per second (Poisson arrivals — seeded exponential
-    /// inter-arrival gaps). See [`OpenLoopWorkload`].
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError::InvalidRate`] for a `NaN`, infinite, zero or
-    /// negative rate.
-    pub fn open_loop(self, rate: f64) -> Result<OpenLoopWorkload, WorkloadError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(WorkloadError::InvalidRate { rate });
-        }
-        Ok(OpenLoopWorkload {
-            workload: self,
-            rate,
-            burst: None,
-        })
-    }
-}
-
-/// One open-loop arrival: a query and the instant it reaches the front
-/// door, measured from the schedule's origin.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Arrival {
-    /// When the query arrives, relative to time zero of the schedule.
-    pub at: Duration,
-    /// The query itself.
-    pub query: Query,
-}
-
-/// A periodic burst profile: inside the first `duty` fraction of every
-/// `period`, the arrival rate is multiplied by `factor`.
-#[derive(Debug, Clone, PartialEq)]
-struct Burst {
-    factor: f64,
-    period: Duration,
-    duty: f64,
-}
-
-/// An open-loop arrival schedule over a [`QueryWorkload`] shape; built with
-/// [`QueryWorkload::open_loop`], materialized by
-/// [`OpenLoopWorkload::generate`].
-///
-/// Arrivals follow a Poisson process at the target rate: inter-arrival gaps
-/// are `-ln(1 - u) / rate` for seeded uniform draws `u`, so the schedule is
-/// a pure function of the description — the same seed times the same
-/// queries at the same instants on every machine. An optional
-/// [`OpenLoopWorkload::burst`] profile periodically multiplies the rate,
-/// producing the on/off overload waves the admission-control bench drives
-/// through a virtual clock.
-///
-/// ```
-/// use greedy_spanner::workload::QueryWorkload;
-///
-/// let schedule = QueryWorkload::uniform(100)?
-///     .queries(64)
-///     .seed(7)
-///     .open_loop(1000.0)?
-///     .generate();
-/// assert_eq!(schedule.len(), 64);
-/// assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at));
-/// # Ok::<(), greedy_spanner::workload::WorkloadError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopWorkload {
-    workload: QueryWorkload,
-    rate: f64,
-    burst: Option<Burst>,
-}
-
-/// Salt separating the arrival-gap RNG stream from the query-content stream
-/// seeded off the same workload seed.
-const ARRIVAL_STREAM_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
-
-impl OpenLoopWorkload {
-    /// Adds a periodic burst: inside the first `duty` fraction of every
-    /// `period`, arrivals come `factor` times faster. `factor == 1.0` is a
-    /// no-op profile (accepted; it degenerates to the base rate).
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError::InvalidBurst`] unless `factor` is finite and ≥ 1,
-    /// `period` is positive and `duty` lies in `(0, 1]`.
-    pub fn burst(
-        mut self,
-        factor: f64,
-        period: Duration,
-        duty: f64,
-    ) -> Result<Self, WorkloadError> {
-        let valid = factor.is_finite()
-            && factor >= 1.0
-            && period > Duration::ZERO
-            && duty.is_finite()
-            && duty > 0.0
-            && duty <= 1.0;
-        if !valid {
-            return Err(WorkloadError::InvalidBurst {
-                factor,
-                period,
-                duty,
-            });
-        }
-        self.burst = Some(Burst {
-            factor,
-            period,
-            duty,
-        });
-        Ok(self)
-    }
-
-    /// The base arrival rate in queries per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The instantaneous rate at schedule time `t` (base rate, multiplied
-    /// by the burst factor inside a burst window).
-    fn rate_at(&self, t: f64) -> f64 {
-        match &self.burst {
-            Some(b) => {
-                let period = b.period.as_secs_f64();
-                if t % period < b.duty * period {
-                    self.rate * b.factor
-                } else {
-                    self.rate
-                }
-            }
-            None => self.rate,
-        }
-    }
-
-    /// Materializes the schedule: the underlying shape's queries (identical
-    /// to [`QueryWorkload::generate`] on the same description), each
-    /// stamped with a strictly ordered arrival instant. Deterministic per
-    /// seed; the gap RNG is a separate stream from the query RNG, so adding
-    /// arrivals never changes which queries are generated.
-    pub fn generate(&self) -> Vec<Arrival> {
-        let queries = self.workload.generate();
-        let mut rng = SmallRng::seed_from_u64(self.workload.seed ^ ARRIVAL_STREAM_SALT);
-        let mut t = 0.0f64;
-        queries
-            .into_iter()
-            .map(|query| {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                // Inverse-CDF exponential gap at the rate in force when the
-                // previous arrival landed; u < 1 keeps ln finite.
-                t += -(1.0 - u).ln() / self.rate_at(t);
-                Arrival {
-                    at: Duration::from_secs_f64(t),
-                    query,
-                }
-            })
-            .collect()
     }
 }
 
@@ -1056,122 +864,6 @@ mod tests {
         }
         // Errors display something useful.
         assert!(!WorkloadError::EmptyRadiusSchedule.to_string().is_empty());
-    }
-
-    #[test]
-    fn open_loop_arrivals_are_deterministic_ordered_and_near_the_target_rate() {
-        let make = || {
-            QueryWorkload::uniform(80)
-                .unwrap()
-                .queries(2000)
-                .seed(13)
-                .open_loop(1000.0)
-                .unwrap()
-                .generate()
-        };
-        let schedule = make();
-        assert_eq!(schedule, make(), "equal seeds generate equal schedules");
-        assert_eq!(schedule.len(), 2000);
-        assert!(
-            schedule.windows(2).all(|w| w[0].at < w[1].at),
-            "arrival instants are strictly increasing"
-        );
-        // The queries are exactly what the closed-loop shape generates —
-        // stamping arrivals must not perturb the content stream.
-        let queries: Vec<Query> = schedule.iter().map(|a| a.query).collect();
-        assert_eq!(
-            queries,
-            QueryWorkload::uniform(80)
-                .unwrap()
-                .queries(2000)
-                .seed(13)
-                .generate()
-        );
-        // 2000 arrivals at 1000/s should span ~2s; the sample mean of an
-        // exponential concentrates well within ±15% at this count.
-        let span = schedule.last().unwrap().at.as_secs_f64();
-        assert!((1.7..=2.3).contains(&span), "span {span}s, expected ~2s");
-        // Different seeds shift the timeline.
-        let other = QueryWorkload::uniform(80)
-            .unwrap()
-            .queries(2000)
-            .seed(14)
-            .open_loop(1000.0)
-            .unwrap()
-            .generate();
-        assert_ne!(schedule, other);
-    }
-
-    #[test]
-    fn burst_profile_compresses_arrivals_inside_the_duty_window() {
-        let base = QueryWorkload::uniform(50)
-            .unwrap()
-            .queries(4000)
-            .seed(21)
-            .open_loop(1000.0)
-            .unwrap();
-        let period = Duration::from_millis(100);
-        let bursty = base.clone().burst(8.0, period, 0.5).unwrap();
-        let schedule = bursty.generate();
-        // Count arrivals landing inside vs outside the duty half of each
-        // period: at ×8 inside, the in-window share must dominate.
-        let (mut inside, mut outside) = (0usize, 0usize);
-        for arrival in &schedule {
-            let phase = arrival.at.as_secs_f64() % period.as_secs_f64();
-            if phase < 0.5 * period.as_secs_f64() {
-                inside += 1;
-            } else {
-                outside += 1;
-            }
-        }
-        assert!(
-            inside > 3 * outside,
-            "burst window got {inside} arrivals vs {outside} outside"
-        );
-        // The same demand also lands in less wall time than the flat rate.
-        let flat_span = base.generate().last().unwrap().at;
-        let burst_span = schedule.last().unwrap().at;
-        assert!(burst_span < flat_span);
-        // A ×1 profile degenerates to the flat schedule.
-        let unit = QueryWorkload::uniform(50)
-            .unwrap()
-            .queries(4000)
-            .seed(21)
-            .open_loop(1000.0)
-            .unwrap()
-            .burst(1.0, period, 0.5)
-            .unwrap();
-        assert_eq!(unit.generate(), base.generate());
-    }
-
-    #[test]
-    fn open_loop_parameters_are_typed_errors_at_construction() {
-        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
-            let err = QueryWorkload::uniform(10)
-                .unwrap()
-                .open_loop(rate)
-                .unwrap_err();
-            assert!(matches!(err, WorkloadError::InvalidRate { .. }), "{err}");
-            assert!(!err.to_string().is_empty());
-        }
-        let ok = || {
-            QueryWorkload::uniform(10)
-                .unwrap()
-                .open_loop(100.0)
-                .unwrap()
-        };
-        for (factor, period, duty) in [
-            (0.5, Duration::from_millis(10), 0.5),
-            (f64::NAN, Duration::from_millis(10), 0.5),
-            (2.0, Duration::ZERO, 0.5),
-            (2.0, Duration::from_millis(10), 0.0),
-            (2.0, Duration::from_millis(10), 1.5),
-            (2.0, Duration::from_millis(10), f64::NAN),
-        ] {
-            let err = ok().burst(factor, period, duty).unwrap_err();
-            assert!(matches!(err, WorkloadError::InvalidBurst { .. }), "{err}");
-        }
-        assert_eq!(ok().rate(), 100.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! * [`EnginePool`] — the parallel execution substrate: per-worker
 //!   [`DijkstraEngine`] workspaces plus a scoped `std::thread` executor that
 //!   fans query batches across them against a frozen
-//!   [`CsrSnapshot`](csr::CsrSnapshot). Item `i` of a batch runs on worker
+//!   [`CsrSnapshot`]. Item `i` of a batch runs on worker
 //!   `i mod w`, so results are bit-identical at every worker count (see
 //!   [`parallel`]).
 //! * [`partition`] — deterministic seeded k-way partitioning for the

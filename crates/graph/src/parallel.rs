@@ -171,7 +171,7 @@ impl EnginePool {
     /// workers the batch engages, so the partitioning — and therefore every
     /// per-engine counter trajectory — is a function of the batch length
     /// and worker count alone. Batches smaller than
-    /// [`MIN_ITEMS_PER_WORKER`] per worker use fewer workers, down to an
+    /// 8 items per worker use fewer workers, down to an
     /// inline, spawn-free run on worker 0.
     ///
     /// # Panics

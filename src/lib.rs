@@ -12,7 +12,8 @@
 //!
 //! # Quick start
 //!
-//! Every construction is reached through the fluent [`Spanner`] builder (or
+//! Every construction is reached through the fluent
+//! [`Spanner`](greedy_spanner::Spanner) builder (or
 //! uniformly through `algorithms::registry()`):
 //!
 //! ```
@@ -114,37 +115,6 @@
 //! let answers = server.answer_batch(&batch).expect("valid batch");
 //! assert_eq!(answers.len(), 100);
 //! assert!(server.stats().qps().is_some());
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! # The serving runtime
-//!
-//! `answer_batch` is the direct path: no admission control. For overload
-//! behavior, wrap a server in the runtime ([`greedy_spanner::runtime`]): a
-//! QoS-classed [`Router`](greedy_spanner::runtime::Router) over the
-//! [`Backend`](greedy_spanner::runtime::Backend) trait (frozen and live
-//! servers implement it) — interactive point queries preempt bulk scans —
-//! with an adaptive AIMD concurrency limit, and load shedding of backlog
-//! past the knee via `ServeError::Overloaded { retry_after_hint }`.
-//! Admitted answers are bit-identical to `answer_batch`, and under a seeded
-//! [`VirtualClock`](greedy_spanner::runtime::VirtualClock) the whole
-//! admission trajectory reproduces bit-for-bit at every thread count.
-//!
-//! ```
-//! use greedy_spanner_suite::prelude::*;
-//! use rand::{rngs::SmallRng, SeedableRng};
-//!
-//! let mut rng = SmallRng::seed_from_u64(11);
-//! let g = spanner_graph::generators::erdos_renyi_connected(50, 0.3, 1.0..4.0, &mut rng);
-//! let server = Spanner::greedy().stretch(2.0).build(&g)?.serve().finish();
-//! let mut router = Router::over(server)
-//!     .limiter(Limiter::aimd(AimdLimit::new(16)))
-//!     .virtual_clock(VirtualClock::seeded(42))
-//!     .finish();
-//! let batch = QueryWorkload::uniform(50)?.queries(32).seed(9).generate();
-//! let answers = router.submit(QosClass::of_batch(&batch), &batch)?;
-//! assert_eq!(answers.len(), 32);
-//! assert_eq!(router.stats().admitted, 32);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -280,10 +250,6 @@ pub mod prelude {
         ServeStats, Spanner, SpannerAlgorithm, SpannerBuilder, SpannerConfig, SpannerError,
         SpannerHandle, SpannerInput, SpannerOutput, SpannerServer, StreamEvent, Update,
         UpdateBatch, UpdateError, UpdateStats, WorkloadError,
-    };
-    pub use greedy_spanner::{
-        AimdLimit, Arrival, Backend, Limiter, OpenLoopWorkload, QosClass, QueryCosts, Router,
-        RouterBuilder, RouterStats, Ticket, VirtualClock, WindowedHistogram,
     };
     pub use greedy_spanner::{
         BoundarySkeleton, LatencyHistogram, ShardedOutput, ShardedSpanner, StitchStats,
