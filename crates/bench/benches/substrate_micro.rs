@@ -3,7 +3,8 @@
 //! net-hierarchy construction and WSPD construction.
 //!
 //! The `bounded_query_*` pair is the load-bearing comparison: the greedy
-//! spanner issues one bounded distance query per candidate edge, so the
+//! spanner issues one bounded distance query per candidate edge whose
+//! endpoints its spanner already connects, so the
 //! legacy-vs-CSR gap here is the construction-time gap of every
 //! engine-backed algorithm. The `greedy_admission` group compares the
 //! one-sided bounded query with the bidirectional `within_bound` the greedy

@@ -388,7 +388,10 @@ pub struct RunStats {
     /// queries, for constructions that issue them; zero otherwise.
     pub peak_frontier: usize,
     /// Distance queries issued against the CSR query engine; zero for
-    /// constructions that issue none.
+    /// constructions that issue none. Greedy issues one per candidate whose
+    /// endpoints its spanner already connects, plus the parallel loop's
+    /// commit re-checks: `edges_examined − (n − c)` on the sequential path,
+    /// `c` being the input's number of connected components.
     pub distance_queries: usize,
     /// Queries the engine answered without growing its workspace — i.e. with
     /// zero heap allocations. Engine-backed constructions pre-size the

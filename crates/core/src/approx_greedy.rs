@@ -32,13 +32,13 @@
 //! experiments compare it against the exact greedy spanner's.
 
 use spanner_graph::parallel::EnginePool;
-use spanner_graph::{CsrGraph, VertexId, WeightedGraph};
+use spanner_graph::{VertexId, WeightedGraph};
 use spanner_metric::MetricSpace;
 
 use crate::bounded_degree::bounded_degree_spanner;
 use crate::cluster_graph::ClusterGraph;
 use crate::error::{validate_epsilon, SpannerError};
-use crate::greedy::greedy_into;
+use crate::greedy::{greedy_into, spanner_for_candidates};
 
 /// Tuning parameters of the approximate-greedy construction.
 ///
@@ -158,11 +158,17 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     // Step 1: bounded-degree base spanner.
     let base_eps = params.epsilon * params.base_fraction;
     let base = bounded_degree_spanner(metric, base_eps)?;
-    // The growing output lives in appendable CSR form; a pool of engines —
-    // worker 0 doubles as the sequential-path engine — is pre-sized for the
-    // worst case (the output is a subgraph of the base), so every exact
-    // simulation query is allocation-free.
-    let mut spanner = CsrGraph::new(n);
+    // The growing output lives in appendable CSR form, its rows reserved at
+    // the base's degrees, and a pool of engines — worker 0 doubles as the
+    // sequential-path engine — is pre-sized for the worst case (the output
+    // is a subgraph of the base), so the spanner never re-packs and every
+    // exact simulation query is allocation-free.
+    let mut spanner = spanner_for_candidates(
+        n,
+        base.edges()
+            .iter()
+            .map(|e| (e.u.index() as u32, e.v.index() as u32)),
+    );
     let mut pool = EnginePool::with_capacity_for(threads, n, base.num_edges());
     if base.num_edges() == 0 {
         return Ok(ApproxGreedySpanner {

@@ -21,6 +21,32 @@
 //! grid about 2× fewer. With ties broken deterministically the output is
 //! the canonical greedy spanner studied by the paper.
 //!
+//! # Cross-component candidates skip the query
+//!
+//! Every loop here keeps a [`UnionFind`] over the spanner's components,
+//! seeded from the edges the spanner already holds (the live spanner's
+//! insertions and approximate greedy's later buckets start from a non-empty
+//! one). A candidate whose endpoints lie in different components is
+//! admitted with no query: these are exactly Kruskal's edges, which is why
+//! the greedy spanner contains a minimum spanning tree, and on a sparse
+//! input they are a large share of all candidates (89,999 of 179,400 on a
+//! 300 × 300 grid at `t = 3`).
+//!
+//! The skip is exact, not a heuristic. With no `u`–`v` path in the spanner,
+//! the minimum over paths of the left-to-right sums that the admission
+//! query decides on is `+∞`, and `+∞ > fl(t·w)` for every bound; that is
+//! the verdict [`DijkstraEngine::within_bound`] returns for `u ≠ v` (a NaN
+//! or negative bound also answers "not within"). So the skip admits exactly
+//! the edges the query would, and the output stays bit-identical to
+//! [`greedy_spanner_reference`], which still queries every candidate. On
+//! the sequential path the construction therefore issues `m − (n − c)`
+//! queries, `c` being the number of connected components of the input.
+//!
+//! The spanner is a subgraph of its candidates, so the constructions open
+//! it with each packed row reserved at the vertex's candidate degree
+//! ([`CsrGraph::with_row_capacity`]): every append writes into its reserved
+//! slots and the growing spanner is never re-packed.
+//!
 //! # The batched filter-then-commit parallel loop
 //!
 //! The sequential loop is inherently serial — each verdict depends on every
@@ -35,12 +61,15 @@
 //! 2. **Filter.** Freeze the spanner ([`CsrGraph::snapshot`]) and fan the
 //!    batch's bounded queries across an [`EnginePool`] of per-worker
 //!    engines. A candidate the frozen spanner covers is rejected for good.
-//! 3. **Commit.** Walk the survivors *in candidate order*: the first one is
-//!    committed outright (the snapshot was exact for it); each later
-//!    survivor is re-checked with one exact query against the live spanner,
-//!    which differs from the snapshot only by edges committed earlier in
-//!    the same batch. A re-check that finds coverage counts as a
-//!    *batch recheck hit*.
+//!    Candidates whose endpoints the snapshot leaves in different
+//!    components are not queried: the snapshot cannot cover them.
+//! 3. **Commit.** Walk the survivors *in candidate order*: a survivor whose
+//!    endpoints are still in different components of the live spanner is
+//!    committed outright, and so is the first survivor (the snapshot was
+//!    exact for it); each other survivor is re-checked with one exact query
+//!    against the live spanner, which differs from the snapshot only by
+//!    edges committed earlier in the same batch. A re-check that finds
+//!    coverage counts as a *batch recheck hit*.
 //!
 //! Every kept edge therefore passes the very test the sequential loop would
 //! have applied, in the same order — the output is **bit-identical to the
@@ -49,7 +78,9 @@
 
 use spanner_graph::dijkstra::bounded_distance_with_frontier;
 use spanner_graph::parallel::EnginePool;
-use spanner_graph::{CsrGraph, DijkstraEngine, EdgeId, KernelStats, VertexId, WeightedGraph};
+#[cfg(doc)]
+use spanner_graph::DijkstraEngine;
+use spanner_graph::{CsrGraph, EdgeId, KernelStats, UnionFind, VertexId, WeightedGraph};
 
 use crate::error::{validate_stretch, SpannerError};
 
@@ -117,8 +148,13 @@ impl GreedySpanner {
     }
 
     /// Number of bounded distance queries issued against the (frozen or
-    /// live) spanner: one per candidate edge, plus one exact re-check per
-    /// batch survivor that followed a commit in the same batch.
+    /// live) spanner: one per candidate edge whose endpoints the spanner
+    /// already connects (cross-component candidates are admitted without
+    /// one, see the module docs), plus one exact re-check per batch survivor
+    /// that followed a commit in the same batch. On the sequential path
+    /// that is exactly `edges_examined − (n − c)`, `c` being the number of
+    /// connected components of the input; the reference loop queries every
+    /// candidate.
     pub fn distance_queries(&self) -> usize {
         self.distance_queries
     }
@@ -181,7 +217,8 @@ pub(crate) struct FilterCommitOutcome {
 }
 
 /// The batched filter-then-commit greedy loop that [`greedy_into`] runs on a
-/// pool of more than one worker.
+/// pool of more than one worker, with `components` the union-find over
+/// `spanner`'s components.
 ///
 /// `candidates` are `(u, v, weight)` triples sorted by non-decreasing
 /// weight with deterministic tie-breaks; every endpoint must be in range
@@ -191,12 +228,15 @@ pub(crate) struct FilterCommitOutcome {
 /// why the output is identical at every worker count.
 fn filter_commit_greedy(
     spanner: &mut CsrGraph,
+    components: &mut UnionFind,
     pool: &mut EnginePool,
     candidates: &[(u32, u32, f64)],
     t: f64,
 ) -> FilterCommitOutcome {
     let mut added = Vec::new();
     let mut covered: Vec<bool> = Vec::new();
+    let mut connected: Vec<usize> = Vec::new();
+    let mut verdicts: Vec<bool> = Vec::new();
     let mut batches = 0usize;
     let mut recheck_hits = 0usize;
     let mut start = 0usize;
@@ -212,34 +252,48 @@ fn filter_commit_greedy(
         }
         let batch = &candidates[start..end];
 
-        // Filter: independent bounded queries against the frozen snapshot.
-        // Coverage here is final — distances only shrink as edges commit.
-        // That holds bit-exactly in floating point: the admission query
-        // decides on the minimum over paths of the left-to-right sum along
-        // each path, and adding edges only adds paths to that minimum. The
-        // admission comparison itself is exact; see `greedy_into` for its
-        // error argument.
-        covered.clear();
-        covered.resize(batch.len(), false);
+        // Filter: independent bounded queries against the frozen snapshot,
+        // for the candidates whose endpoints it already connects (it cannot
+        // cover the others). Coverage here is final — distances only shrink
+        // as edges commit. That holds bit-exactly in floating point: the
+        // admission query decides on the minimum over paths of the
+        // left-to-right sum along each path, and adding edges only adds
+        // paths to that minimum. The admission comparison itself is exact;
+        // see `greedy_into` for its error argument.
+        connected.clear();
+        connected.extend((0..batch.len()).filter(|&i| {
+            let (u, v, _) = batch[i];
+            components.find(u as usize) == components.find(v as usize)
+        }));
+        verdicts.clear();
+        verdicts.resize(connected.len(), false);
         pool.map_batch(
             spanner.snapshot(),
-            batch,
-            &mut covered,
-            |engine, frozen, &(u, v, w)| {
+            &connected,
+            &mut verdicts,
+            |engine, frozen, &i| {
+                let (u, v, w) = batch[i];
                 engine.within_bound(frozen, VertexId(u as usize), VertexId(v as usize), t * w)
             },
         );
+        covered.clear();
+        covered.resize(batch.len(), false);
+        for (&i, &verdict) in connected.iter().zip(&verdicts) {
+            covered[i] = verdict;
+        }
 
         // Commit: survivors in candidate order. The live spanner differs
         // from the snapshot only by edges committed earlier in this batch,
-        // so the first survivor needs no re-check and each later one needs
-        // exactly one exact query.
+        // so a survivor still across components and the first survivor need
+        // no re-check, and each other one needs exactly one exact query.
         let mut committed_in_batch = false;
         for (i, &(u, v, w)) in batch.iter().enumerate() {
             if covered[i] {
                 continue;
             }
-            if committed_in_batch
+            let across = components.union(u as usize, v as usize);
+            if !across
+                && committed_in_batch
                 && pool.commit_engine().within_bound(
                     spanner,
                     VertexId(u as usize),
@@ -267,8 +321,12 @@ fn filter_commit_greedy(
 /// The greedy loop over `candidates` already in greedy order (the contract
 /// of [`filter_commit_greedy`]), appending the kept edges to `spanner`: the
 /// plain sequential loop on the commit engine of a one-worker pool, the
-/// filter-then-commit loop otherwise — the same edges either way. Shared by
-/// [`run_greedy`] and the live spanner's rebuilds and insertions.
+/// filter-then-commit loop otherwise — the same edges either way. Both
+/// admit a candidate across the spanner's components without a query (see
+/// the module docs), tracking components in a union-find seeded from the
+/// spanner's live edges. Shared by [`run_greedy`],
+/// [`greedy_over_candidates`], approximate greedy's buckets and the live
+/// spanner's rebuilds and insertions.
 ///
 /// # The admission comparison `d ≤ t·w`
 ///
@@ -280,8 +338,9 @@ fn filter_commit_greedy(
 /// [`DijkstraEngine::within_bound`], which returns exactly `D ≤ fl(t·w)`
 /// for that same `D` (the minimum over paths of the left-to-right sums;
 /// a sum that overflows to `+∞` is no path, even when `t·w` overflows
-/// too). So all three make the same decision on every edge, ties included
-/// — which is what makes their outputs bit-identical.
+/// too), or know `D = +∞` from the union-find. So all three make the same
+/// decision on every edge, ties included — which is what makes their
+/// outputs bit-identical.
 ///
 /// What the exact comparison guarantees in real arithmetic: with
 /// `ρ = path_rounding_margin(n − 1)` (a simple path has fewer than `n`
@@ -300,14 +359,19 @@ pub(crate) fn greedy_into(
     candidates: &[(u32, u32, f64)],
     t: f64,
 ) -> FilterCommitOutcome {
+    let mut components = UnionFind::new(spanner.num_vertices());
+    for (_, u, v, _) in spanner.live_edges() {
+        components.union(u.index(), v.index());
+    }
     if pool.workers() > 1 {
-        return filter_commit_greedy(spanner, pool, candidates, t);
+        return filter_commit_greedy(spanner, &mut components, pool, candidates, t);
     }
     let engine = pool.commit_engine();
     let mut added = Vec::new();
     for (i, &(u, v, w)) in candidates.iter().enumerate() {
+        let across = components.union(u as usize, v as usize);
         let (u, v) = (VertexId(u as usize), VertexId(v as usize));
-        if !engine.within_bound(spanner, u, v, t * w) {
+        if across || !engine.within_bound(spanner, u, v, t * w) {
             spanner.append_edge(u, v, w);
             added.push(i);
         }
@@ -317,6 +381,24 @@ pub(crate) fn greedy_into(
         batches: 0,
         recheck_hits: 0,
     }
+}
+
+/// An edgeless spanner on `num_vertices` vertices whose packed rows are
+/// reserved for the given candidate edges (see
+/// [`CsrGraph::with_row_capacity`]): a greedy output is a subgraph of its
+/// candidates, so it grows without ever re-packing. The reservation costs
+/// 32 bytes per candidate up front, twice the candidate list's own
+/// footprint, however few edges the spanner keeps.
+pub(crate) fn spanner_for_candidates(
+    num_vertices: usize,
+    candidates: impl IntoIterator<Item = (u32, u32)>,
+) -> CsrGraph {
+    let mut degree = vec![0u32; num_vertices];
+    for (u, v) in candidates {
+        degree[u as usize] += 1;
+        degree[v as usize] += 1;
+    }
+    CsrGraph::with_row_capacity(&degree)
 }
 
 /// The greedy construction engine behind the `Greedy` implementation of
@@ -344,7 +426,10 @@ pub(crate) fn run_greedy(
             (e.u.index() as u32, e.v.index() as u32, e.weight)
         })
         .collect();
-    let mut spanner = CsrGraph::new(graph.num_vertices());
+    let mut spanner = spanner_for_candidates(
+        graph.num_vertices(),
+        candidates.iter().map(|&(u, v, _)| (u, v)),
+    );
     let mut pool = EnginePool::with_capacity_for(threads, graph.num_vertices(), graph.num_edges());
     let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t);
     let stats = pool.stats();
@@ -410,12 +495,12 @@ pub fn greedy_spanner_reference(
 }
 
 /// Runs the greedy algorithm restricted to a caller-supplied candidate edge
-/// order (used by the approximate-greedy simulation, which feeds it the edges
-/// of a bounded-degree base spanner).
+/// order: the shared sequential greedy loop, after validating the input.
 ///
 /// `candidates` are `(u, v, weight)` triples that must already be sorted by
 /// non-decreasing weight; `num_vertices` fixes the vertex set. Edges for which
-/// the current spanner distance is at most `t · weight` are skipped.
+/// the current spanner distance is at most `t · weight` are skipped, and so
+/// are self-loops (always covered, at distance 0).
 ///
 /// # Errors
 ///
@@ -427,8 +512,7 @@ pub fn greedy_over_candidates(
     t: f64,
 ) -> Result<WeightedGraph, SpannerError> {
     validate_stretch(t)?;
-    let mut spanner = CsrGraph::new(num_vertices);
-    let mut engine = DijkstraEngine::with_capacity_for(num_vertices, candidates.len());
+    let mut kept = Vec::with_capacity(candidates.len());
     for &(u, v, w) in candidates {
         if u >= num_vertices || v >= num_vertices {
             return Err(spanner_graph::GraphError::VertexOutOfRange {
@@ -438,18 +522,16 @@ pub fn greedy_over_candidates(
             .into());
         }
         if u == v {
-            // A self-loop is always "covered" (distance 0 ≤ t·w), so the
-            // greedy rule skips it — same behavior as the pre-CSR path.
             continue;
         }
         if !(w.is_finite() && w > 0.0) {
             return Err(spanner_graph::GraphError::InvalidWeight { weight: w }.into());
         }
-        let bound = t * w;
-        if !engine.within_bound(&spanner, u.into(), v.into(), bound) {
-            spanner.append_edge(u.into(), v.into(), w);
-        }
+        kept.push((u as u32, v as u32, w));
     }
+    let mut spanner = spanner_for_candidates(num_vertices, kept.iter().map(|&(u, v, _)| (u, v)));
+    let mut pool = EnginePool::with_capacity_for(1, num_vertices, kept.len());
+    greedy_into(&mut spanner, &mut pool, &kept, t);
     Ok(spanner.to_weighted_graph())
 }
 
@@ -459,7 +541,8 @@ mod tests {
     use crate::analysis::{is_t_spanner, max_stretch_over_edges};
     use crate::optimality::contains_mst;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use spanner_graph::connectivity::connected_components;
     use spanner_graph::generators::{
         complete_graph_with_weights, erdos_renyi_connected, petersen_graph,
     };
@@ -686,12 +769,16 @@ mod tests {
             assert_eq!(more.distance_queries(), two.distance_queries());
             assert_eq!(more.peak_frontier(), two.peak_frontier());
         }
-        // The filter issues one query per candidate; every survivor after a
-        // commit in its batch adds a re-check query, of which the rejected
-        // ones are the recheck *hits*.
-        assert!(two.distance_queries() >= g.num_edges() + two.batch_recheck_hits());
+        // The filter queries every candidate its snapshot already connects.
+        // Of the others, the `n − c` that join two components commit with
+        // no query, and the rest were connected by an earlier commit of
+        // their own batch and get a re-check. Every re-check either hits or
+        // admits an edge that joins no components.
+        let tree = g.num_vertices() - connected_components(&g).1;
+        assert!(two.distance_queries() >= g.num_edges() - tree);
         assert!(
-            two.distance_queries() <= g.num_edges() + two.batch_recheck_hits() + two.edges_added()
+            two.distance_queries()
+                <= g.num_edges() - tree + two.batch_recheck_hits() + two.edges_added() - tree
         );
     }
 
@@ -700,7 +787,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let g = erdos_renyi_connected(60, 0.3, 1.0..10.0, &mut rng);
         let r = run_greedy(&g, 2.0, 1).unwrap();
-        assert_eq!(r.distance_queries(), g.num_edges());
+        // One query per candidate, except the `n − c` that join two
+        // components of the spanner.
+        let tree = g.num_vertices() - connected_components(&g).1;
+        assert_eq!(r.distance_queries(), g.num_edges() - tree);
         assert_eq!(
             r.workspace_reuse_hits(),
             r.distance_queries(),
@@ -717,6 +807,159 @@ mod tests {
         let reference = greedy_spanner_reference(&g, 2.0).unwrap();
         assert_eq!(reference.workspace_reuse_hits(), 0);
         assert_eq!(reference.distance_queries(), g.num_edges());
+    }
+
+    /// Asserts every thread count keeps exactly the reference's edges, in
+    /// its order, and that the sequential path queries only the candidates
+    /// that do not join two components.
+    fn assert_matches_reference(g: &WeightedGraph, t: f64) {
+        let reference = greedy_spanner_reference(g, t).unwrap();
+        for threads in [1, 2, 8] {
+            let r = run_greedy(g, t, threads).unwrap();
+            assert_eq!(
+                r.added_edge_ids(),
+                reference.added_edge_ids(),
+                "t = {t}, threads = {threads}, n = {}",
+                g.num_vertices()
+            );
+            assert_eq!(r.spanner(), reference.spanner(), "threads = {threads}");
+            assert_eq!(r.workspace_reuse_hits(), r.distance_queries());
+        }
+        let tree = g.num_vertices() - connected_components(g).1;
+        let sequential = run_greedy(g, t, 1).unwrap();
+        assert_eq!(sequential.distance_queries(), g.num_edges() - tree);
+    }
+
+    /// `parts` disjoint copies of a graph on `size` vertices, the copy's
+    /// edges drawn by `edges` (endpoints local to the copy).
+    fn disjoint_union(
+        parts: usize,
+        size: usize,
+        mut edges: impl FnMut(usize) -> Vec<(usize, usize, f64)>,
+    ) -> WeightedGraph {
+        let mut g = WeightedGraph::new(parts * size);
+        for p in 0..parts {
+            for (u, v, w) in edges(p) {
+                g.add_edge((p * size + u).into(), (p * size + v).into(), w);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn forests_admit_every_candidate_without_a_query() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        // Random recursive trees; integer weights tie across trees.
+        let g = disjoint_union(5, 12, |_| {
+            (1..12)
+                .map(|v| (rng.gen_range(0..v), v, rng.gen_range(1..4) as f64))
+                .collect()
+        });
+        for t in [1.0, 2.0, 1e6] {
+            assert_matches_reference(&g, t);
+            for threads in [1, 2, 8] {
+                let r = run_greedy(&g, t, threads).unwrap();
+                assert_eq!(r.edges_added(), g.num_edges());
+                assert_eq!(r.distance_queries(), 0, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn disjoint_cliques_match_the_reference() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        let clique = |rng: &mut SmallRng| {
+            let mut edges = Vec::new();
+            for u in 0..7 {
+                for v in (u + 1)..7 {
+                    edges.push((u, v, rng.gen_range(1.0..1.1)));
+                }
+            }
+            edges
+        };
+        let mut g = disjoint_union(4, 7, |_| clique(&mut rng));
+        for t in [1.0, 1.5, 3.0] {
+            assert_matches_reference(&g, t);
+        }
+        // Bridges between the cliques, some lighter than every clique edge
+        // and some heavier, after which the graph is connected.
+        for (u, v, w) in [(0, 7, 0.5), (8, 15, 2.0), (16, 27, 1.05), (3, 25, 9.0)] {
+            g.add_edge(VertexId(u), VertexId(v), w);
+        }
+        for t in [1.0, 1.5, 3.0] {
+            assert_matches_reference(&g, t);
+        }
+    }
+
+    #[test]
+    fn isolated_vertices_and_tiny_graphs_match_the_reference() {
+        let tiny = [
+            WeightedGraph::new(0),
+            WeightedGraph::new(1),
+            WeightedGraph::new(2),
+            WeightedGraph::from_edges(2, [(0, 1, 1.0)]).unwrap(),
+            WeightedGraph::from_edges(2, [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 0.5)]).unwrap(),
+            // A triangle among isolated vertices.
+            WeightedGraph::from_edges(7, [(2, 5, 1.0), (5, 6, 1.0), (2, 6, 1.5)]).unwrap(),
+        ];
+        for g in &tiny {
+            for t in [1.0, 2.0] {
+                assert_matches_reference(g, t);
+            }
+        }
+    }
+
+    #[test]
+    fn tie_heavy_integer_weights_across_components_match_the_reference() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        for round in 0..6 {
+            let mut g = disjoint_union(3, 9, |_| {
+                let mut edges = Vec::new();
+                for u in 0..9 {
+                    for v in (u + 1)..9 {
+                        if rng.gen_bool(0.4) {
+                            edges.push((u, v, rng.gen_range(1..3) as f64));
+                        }
+                    }
+                }
+                edges
+            });
+            // Cross-component edges at the same integer weights.
+            for _ in 0..round {
+                let u = rng.gen_range(0..9);
+                let v: usize = 9 * rng.gen_range(1..3usize) + rng.gen_range(0..9usize);
+                g.add_edge(VertexId(u), VertexId(v), rng.gen_range(1..3) as f64);
+            }
+            for t in [1.0, 2.0, 3.0] {
+                assert_matches_reference(&g, t);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_edges_between_two_components_match_the_reference() {
+        // Two triangles joined by parallel copies of one bridge: the first
+        // copy joins the components without a query, the others are
+        // covered by it (or kept, when lighter than 1/t of it).
+        let mut g = WeightedGraph::from_edges(
+            6,
+            [
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (3, 5, 1.0),
+            ],
+        )
+        .unwrap();
+        for w in [2.0, 2.0, 3.0, 2.0, 0.5] {
+            g.add_edge(VertexId(2), VertexId(3), w);
+        }
+        g.add_edge(VertexId(0), VertexId(5), 2.0);
+        for t in [1.0, 1.5, 2.0, 4.0] {
+            assert_matches_reference(&g, t);
+        }
     }
 
     #[test]

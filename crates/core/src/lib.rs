@@ -92,10 +92,15 @@
 //! Every construction that issues shortest-path queries — greedy (the `O(m)`
 //! bounded queries of Algorithm 1), approximate-greedy, the cluster graph,
 //! stretch verification — runs them on `spanner_graph`'s CSR substrate: an
-//! appendable [`spanner_graph::CsrGraph`] holding the growing spanner, and
-//! one pre-sized [`spanner_graph::DijkstraEngine`] per build whose
+//! appendable [`spanner_graph::CsrGraph`] holding the growing spanner (its
+//! rows reserved at the candidate degrees, so it never re-packs), and one
+//! pre-sized [`spanner_graph::DijkstraEngine`] per build whose
 //! generation-stamped workspace answers every query with zero heap
-//! allocation. [`RunStats::distance_queries`] /
+//! allocation. Greedy queries only the candidates whose endpoints the
+//! spanner already connects: on the sequential path that is
+//! `m − (n − c)` queries for an input with `c` connected components, since
+//! the `n − c` candidates that join two components are admitted without a
+//! search. [`RunStats::distance_queries`] /
 //! [`RunStats::workspace_reuse_hits`] surface that contract per run. The
 //! pre-CSR greedy loop survives as
 //! [`greedy::greedy_spanner_reference`] — the benchmark and property-test

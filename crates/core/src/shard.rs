@@ -203,8 +203,9 @@ fn estimate_peak_memory(vertices: usize, edges: usize, spanner_edges: usize) -> 
     let subgraph = edges * (24 + 32) + vertices * 24;
     // dist / parent / state / generation lanes plus heap headroom.
     let workspace = vertices * 40;
-    // The grown spanner: CSR offsets/targets/weights + edge list.
-    let spanner = spanner_edges * 48 + vertices * 16;
+    // The grown spanner: CSR rows reserved at the candidate degrees (two
+    // 16-byte half-edge slots per candidate), its edge list and row index.
+    let spanner = edges * 32 + spanner_edges * 16 + vertices * 16;
     subgraph + workspace + spanner
 }
 

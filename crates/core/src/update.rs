@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 use spanner_graph::{CsrGraph, EnginePool, VertexId, WeightedGraph};
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::greedy::greedy_into;
+use crate::greedy::{greedy_into, spanner_for_candidates};
 
 /// One mutation of the original graph, applied through [`LiveSpanner::apply`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -693,7 +693,10 @@ impl LiveSpanner {
                 .then_with(|| canonical(a.0, a.1).cmp(&canonical(b.0, b.1)))
         });
         let candidates: Vec<(u32, u32, f64)> = order.iter().map(|&(_, c)| c).collect();
-        let mut spanner = CsrGraph::new(self.original.num_vertices());
+        let mut spanner = spanner_for_candidates(
+            self.original.num_vertices(),
+            candidates.iter().map(|&(u, v, _)| (u, v)),
+        );
         let added = greedy_into(&mut spanner, &mut self.pool, &candidates, self.stretch).added;
 
         let mut before: HashMap<(u32, u32, u64), usize> = HashMap::new();
@@ -903,6 +906,29 @@ mod tests {
         assert_eq!(live.original().num_edges(), 5);
         assert_eq!(live.spanner().num_edges(), 4);
         assert_invariant(&live);
+    }
+
+    #[test]
+    fn insertions_see_the_components_the_spanner_already_has() {
+        // Two paths, 0-1-2 and 3-4-5. The skip must know 0 and 2 are
+        // connected (so (0, 2) is queried and covered), while (2, 3) joins
+        // the paths and is admitted without a query.
+        let g = WeightedGraph::from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+            .unwrap();
+        for threads in [1, 2] {
+            let mut live = live_for(&g, 2.0).with_threads(threads);
+            let outcome = live
+                .apply(
+                    &UpdateBatch::new()
+                        .insert(VertexId(0), VertexId(2), 1.5)
+                        .insert(VertexId(2), VertexId(3), 5.0)
+                        .insert(VertexId(5), VertexId(0), 6.0),
+                )
+                .unwrap();
+            assert_eq!(outcome.admitted, 1, "threads = {threads}");
+            assert_eq!(outcome.rejected, 2, "threads = {threads}");
+            assert_is_greedy_of_original(&live);
+        }
     }
 
     #[test]

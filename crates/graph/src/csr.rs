@@ -3,28 +3,45 @@
 //! [`WeightedGraph`] stores adjacency as one `Vec` per vertex — ideal for
 //! construction and mutation, but every Dijkstra relaxation chases a pointer
 //! per vertex and a second one into the edge list. [`CsrGraph`] is the
-//! cache-friendly counterpart: all half-edges live in three flat arrays
-//! (`offsets` / `targets` / `weights`, plus the originating edge index), so a
-//! neighbor scan is a contiguous read.
+//! cache-friendly counterpart: all half-edges live in flat arrays (`targets`
+//! / `weights`, plus the originating edge index) indexed by one
+//! `(start, end)` row per vertex, so a neighbor scan is a contiguous read.
 //!
 //! Unlike a classical CSR, this one is *mutable*: spanner constructions grow
 //! their output one edge at a time while querying it, and the live-update
-//! subsystem additionally deletes edges from a long-running spanner. Both
-//! kinds of mutation go through a [`DeltaOverlay`] layered over the packed
-//! arrays:
+//! subsystem additionally deletes edges from a long-running spanner.
 //!
-//! * **Insertions** ([`CsrGraph::append_edge`]) land in small per-vertex
-//!   overflow chains;
-//! * **Deletions** ([`CsrGraph::remove_edge`]) set a bit in a tombstone
-//!   bitmap — the half-edges stay physically present until the next re-pack
-//!   but every scan skips them;
-//! * once either delta grows past a constant fraction of the packed region
+//! * **Reserved rows.** A construction that knows its output is a subgraph
+//!   of a candidate set opens the graph with
+//!   [`CsrGraph::with_row_capacity`], reserving each vertex's packed row at
+//!   its candidate degree. Each row keeps its own fill end, so
+//!   [`CsrGraph::append_edge`] writes both half-edges straight into their
+//!   reserved slots in `O(1)`: no overflow chain, no re-pack, and every
+//!   scan stays fully packed. Rows list their half-edges in edge-id order,
+//!   exactly as a [`CsrGraph::from`] of the same edges does.
+//! * **Insertions** that do not fit (a full row, or a graph without
+//!   reservations such as [`CsrGraph::new`]) land in the [`DeltaOverlay`]'s
+//!   small per-vertex overflow chains. Once one append has gone there, later
+//!   ones follow it until the next re-pack, so the packed rows always cover
+//!   a prefix of the edge ids.
+//! * **Deletions** ([`CsrGraph::remove_edge`]) set a bit in the overlay's
+//!   tombstone bitmap — the half-edges stay physically present until the
+//!   next re-pack but every scan skips them.
+//! * Once the overlay grows past a constant fraction of the packed region
 //!   (see [`REPACK_OVERFLOW_DIVISOR`] / [`REPACK_OVERFLOW_SLACK`]) the whole
-//!   structure is re-packed in `O(n + m)`, consolidating the overlay: chains
-//!   fold into the packed arrays and tombstoned half-edges are dropped.
+//!   structure is re-packed in `O(n + m)` into tight rows: chains fold into
+//!   the packed arrays and tombstoned half-edges are dropped.
 //!
-//! This keeps the total maintenance cost of a growing spanner at
-//! `O((n + m) log m)` while neighbor scans stay almost entirely packed.
+//! Re-packing is not free when a graph grows from empty through the
+//! overlay: each re-pack grows the packed region by only about 1/8, so a
+//! spanner of `m` edges re-packs `Θ(log_{9/8} m)` times, and every re-pack
+//! pays `O(n)` for the row index on top of the edges it moves. The
+//! 127,629-edge greedy spanner of a 300 × 300 grid re-packs 58 times that
+//! way, each pass touching all 90,000 rows: appending its edges one by one
+//! takes ≈ 60 ms, against ≈ 11 ms into rows reserved at the grid's degrees
+//! (best of 5, release build, 2-core Xeon VM). Reserved rows avoid the
+//! re-packs, which is why the greedy constructions open their output that
+//! way.
 //!
 //! # Epochs
 //!
@@ -52,18 +69,28 @@ const NONE: u32 = u32::MAX;
 /// pending half-edges (insertions, or deletions still lingering in the
 /// packed arrays) before [`CsrGraph::compact`] runs automatically.
 ///
-/// The fraction is deliberately aggressive — a re-pack is `O(n + m)` while
-/// the queries between re-packs are `O(m)` heap operations each, so
-/// re-packing is never the bottleneck but chain-walking (and
-/// tombstone-skipping) can be. Keeping the overlay below ~1/8 of the packed
-/// region makes re-packs geometrically spaced while neighbor scans stay
-/// almost entirely packed.
+/// The fraction keeps neighbor scans almost entirely packed: chain-walking
+/// and tombstone-skipping cost every later query, a re-pack costs once. The
+/// price falls on graphs grown from empty through the overlay: the packed
+/// region grows by about 1/8 per re-pack, so reaching `m` edges takes
+/// `Θ(log_{9/8} m)` re-packs of `O(n + m)` each (58 for a 127,629-edge
+/// spanner over 90,000 vertices). Constructions that know their candidate
+/// set skip the overlay altogether with [`CsrGraph::with_row_capacity`].
 pub const REPACK_OVERFLOW_DIVISOR: usize = 8;
 
 /// Additive slack of the re-pack trigger (see [`REPACK_OVERFLOW_DIVISOR`]):
 /// small graphs get a constant grace budget so the first few appends do not
 /// each trigger an `O(n)` re-pack.
 pub const REPACK_OVERFLOW_SLACK: usize = 32;
+
+/// Panics unless `num_vertices` fits the graph's `u32` vertex ids; checked
+/// before any `O(n)` allocation.
+fn assert_vertex_count(num_vertices: usize) {
+    assert!(
+        num_vertices < u32::MAX as usize,
+        "CsrGraph vertex count must fit in u32"
+    );
+}
 
 /// A neighbor record produced by [`CsrGraph::neighbors`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,8 +205,11 @@ pub struct CsrGraph {
     packed_edges: usize,
     /// Packed CSR: live half-edges of `edge_list[..packed_edges]` (plus any
     /// half-edges deleted since the last re-pack, skipped via the overlay's
-    /// tombstone bitmap).
-    offsets: Vec<u32>,
+    /// tombstone bitmap). Row `u` is filled at `rows[u].0..rows[u].1`; its
+    /// reservation runs to the next row's start (to the array end for the
+    /// last row), and rows are tight — no reservation left — after a
+    /// re-pack.
+    rows: Vec<(u32, u32)>,
     targets: Vec<u32>,
     weights: Vec<f64>,
     edge_ids: Vec<u32>,
@@ -200,18 +230,45 @@ impl CsrGraph {
     ///
     /// Panics if `num_vertices` does not fit in `u32`.
     pub fn new(num_vertices: usize) -> Self {
-        assert!(
-            num_vertices < u32::MAX as usize,
-            "CsrGraph vertex count must fit in u32"
-        );
+        assert_vertex_count(num_vertices);
+        Self::with_row_capacity(&vec![0; num_vertices])
+    }
+
+    /// Creates an edgeless CSR graph on `capacity.len()` vertices whose
+    /// packed row for vertex `u` is reserved for `capacity[u]` half-edges.
+    ///
+    /// [`CsrGraph::append_edge`] fills the reserved slots in `O(1)` without
+    /// touching the overlay, so a graph grown to within its reservations is
+    /// never re-packed and every scan stays packed. A construction whose
+    /// output is a subgraph of known candidates reserves each row at the
+    /// vertex's candidate degree. An append past a full row falls back to
+    /// the overlay (see the [module docs](crate::csr)); [`CsrGraph::compact`]
+    /// drops any unused reservation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vertex count or the total reservation does not fit in
+    /// `u32`.
+    pub fn with_row_capacity(capacity: &[u32]) -> Self {
+        let num_vertices = capacity.len();
+        assert_vertex_count(num_vertices);
+        let mut rows = Vec::with_capacity(num_vertices);
+        let mut start = 0u32;
+        for &c in capacity {
+            rows.push((start, start));
+            start = start
+                .checked_add(c)
+                .expect("CsrGraph row reservations must fit in u32");
+        }
+        let slots = start as usize;
         CsrGraph {
             num_vertices,
             edge_list: Vec::new(),
             packed_edges: 0,
-            offsets: vec![0; num_vertices + 1],
-            targets: Vec::new(),
-            weights: Vec::new(),
-            edge_ids: Vec::new(),
+            rows,
+            targets: vec![0; slots],
+            weights: vec![0.0; slots],
+            edge_ids: vec![0; slots],
             overlay: DeltaOverlay::new(num_vertices),
             epoch: 0,
             min_live_weight: f64::INFINITY,
@@ -383,14 +440,18 @@ impl CsrGraph {
 
     /// Returns `true` if the overlay is empty: every live half-edge lives in
     /// the packed arrays (no overflow chains, no lingering tombstoned
-    /// half-edges).
+    /// half-edges). Rows may still hold unused reservations (see
+    /// [`CsrGraph::with_row_capacity`]).
     pub fn is_compact(&self) -> bool {
         self.packed_edges == self.edge_list.len() && self.overlay.pending_deletions == 0
     }
 
     /// Appends an undirected edge and returns its id.
     ///
-    /// The new half-edges land in the overlay's overflow chains; once the
+    /// When both endpoints' rows have reserved room (see
+    /// [`CsrGraph::with_row_capacity`]) and no earlier append went to the
+    /// overlay, the half-edges are written straight into the packed rows.
+    /// Otherwise they land in the overlay's overflow chains; once the
     /// overlay grows past a constant fraction of the packed region (see
     /// [`REPACK_OVERFLOW_DIVISOR`]) the graph re-packs itself, so a growing
     /// spanner stays cache-friendly without the caller ever re-building.
@@ -450,6 +511,20 @@ impl CsrGraph {
         if weight < self.min_live_weight {
             self.min_live_weight = weight;
         }
+        self.epoch += 1;
+        // The packed rows must keep covering a prefix of the ids, so the
+        // reserved slots are used only while no append sits in the overlay.
+        if self.packed_edges == id && self.has_room(ui) && self.has_room(vi) {
+            for (a, b) in [(ui, vi), (vi, ui)] {
+                let slot = self.rows[a].1 as usize;
+                self.rows[a].1 += 1;
+                self.targets[slot] = b as u32;
+                self.weights[slot] = weight;
+                self.edge_ids[slot] = id as u32;
+            }
+            self.packed_edges += 1;
+            return Ok(EdgeId(id));
+        }
         for (a, b) in [(ui, vi), (vi, ui)] {
             let slot = self.overlay.target.len() as u32;
             self.overlay.target.push(b as u32);
@@ -458,9 +533,18 @@ impl CsrGraph {
             self.overlay.next.push(self.overlay.head[a]);
             self.overlay.head[a] = slot;
         }
-        self.epoch += 1;
         self.maybe_compact();
         Ok(EdgeId(id))
+    }
+
+    /// Whether row `u` has an unused reserved slot.
+    #[inline]
+    fn has_room(&self, u: usize) -> bool {
+        let reserved_end = self
+            .rows
+            .get(u + 1)
+            .map_or(self.targets.len(), |&(next, _)| next as usize);
+        (self.rows[u].1 as usize) < reserved_end
     }
 
     /// Deletes the edge with the given id: its tombstone bit is set, every
@@ -531,24 +615,23 @@ impl CsrGraph {
         }
     }
 
-    /// Re-packs every live half-edge into the flat CSR arrays (`O(n + m)`),
-    /// consolidating the overlay: overflow chains fold into the packed
-    /// arrays and tombstoned half-edges are dropped. Called automatically by
+    /// Re-packs every live half-edge into tight flat CSR rows
+    /// (`O(n + m)`), consolidating the overlay: overflow chains fold into the
+    /// packed arrays, tombstoned half-edges are dropped and unused row
+    /// reservations are released. Called automatically by
     /// [`CsrGraph::append_edge`] / [`CsrGraph::remove_edge`]; exposed for
     /// callers that want a fully packed view before a query burst. Does
     /// **not** bump the epoch (a re-pack changes the representation, never
     /// an answer).
     pub fn compact(&mut self) {
-        if self.is_compact() {
+        if self.is_compact() && self.targets.len() == 2 * self.num_edges() {
             return;
         }
         let n = self.num_vertices;
         let m = self.edge_list.len();
         let half = 2 * (m - self.overlay.dead_edges);
         // Counting sort of live half-edges by source vertex.
-        let mut counts = std::mem::take(&mut self.offsets);
-        counts.clear();
-        counts.resize(n + 1, 0);
+        let mut counts = vec![0u32; n + 1];
         // The live scan doubles as the exact resync of the incremental
         // minimum weight (every constructor that fills `edge_list` directly
         // funnels through here).
@@ -583,7 +666,9 @@ impl CsrGraph {
                 edge_ids[slot] = id as u32;
             }
         }
-        self.offsets = counts;
+        self.rows.clear();
+        self.rows
+            .extend(counts.windows(2).map(|pair| (pair[0], pair[1])));
         self.targets = targets;
         self.weights = weights;
         self.edge_ids = edge_ids;
@@ -608,10 +693,11 @@ impl CsrGraph {
     pub fn neighbors(&self, u: VertexId) -> Neighbors<'_> {
         let ui = u.index();
         assert!(ui < self.num_vertices, "vertex out of range");
+        let (pos, end) = self.rows[ui];
         Neighbors {
             graph: self,
-            pos: self.offsets[ui] as usize,
-            end: self.offsets[ui + 1] as usize,
+            pos: pos as usize,
+            end: end as usize,
             chain: self.overlay.head[ui],
         }
     }
@@ -634,8 +720,8 @@ impl CsrGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn packed_neighbors(&self, u: VertexId) -> (&[u32], &[f64]) {
-        let ui = u.index();
-        let (a, b) = (self.offsets[ui] as usize, self.offsets[ui + 1] as usize);
+        let (a, b) = self.rows[u.index()];
+        let (a, b) = (a as usize, b as usize);
         (&self.targets[a..b], &self.weights[a..b])
     }
 
@@ -647,9 +733,8 @@ impl CsrGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn packed_neighbor_ids(&self, u: VertexId) -> &[u32] {
-        let ui = u.index();
-        let (a, b) = (self.offsets[ui] as usize, self.offsets[ui + 1] as usize);
-        &self.edge_ids[a..b]
+        let (a, b) = self.rows[u.index()];
+        &self.edge_ids[a as usize..b as usize]
     }
 
     /// The overflow portion of `u`'s live neighbors (half-edges appended
@@ -1244,6 +1329,184 @@ mod tests {
             "the cycle must cross the re-pack threshold repeatedly \
              (observed {compactions_observed})"
         );
+    }
+
+    /// Edges on 9 vertices with parallel copies, weight ties and isolated
+    /// vertices 7 and 8.
+    fn reserved_fixture() -> WeightedGraph {
+        WeightedGraph::from_edges(
+            9,
+            [
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (0, 2, 2.0),
+                (2, 3, 0.5),
+                (0, 1, 3.0),
+                (3, 4, 1.5),
+                (4, 5, 1.5),
+                (5, 6, 4.0),
+                (3, 6, 0.25),
+                (1, 6, 2.0),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Per-vertex degrees of `g`, the reservation a greedy construction
+    /// makes for a spanner of `g`.
+    fn degrees(g: &WeightedGraph) -> Vec<u32> {
+        (0..g.num_vertices())
+            .map(|u| g.neighbors(VertexId(u)).len() as u32)
+            .collect()
+    }
+
+    /// Asserts every row of `csr` reads exactly like the packed build of
+    /// `g`: same records in the same (edge-id) order, all of them packed.
+    fn assert_rows_match_packed_build(csr: &CsrGraph, g: &WeightedGraph) {
+        let packed = CsrGraph::from(g);
+        for u in (0..g.num_vertices()).map(VertexId) {
+            assert!(!csr.has_overflow(u), "vertex {u:?}");
+            assert_eq!(
+                csr.neighbors(u).collect::<Vec<_>>(),
+                packed.neighbors(u).collect::<Vec<_>>(),
+                "vertex {u:?}"
+            );
+            assert_eq!(csr.packed_neighbors(u), packed.packed_neighbors(u));
+            assert_eq!(csr.packed_neighbor_ids(u), packed.packed_neighbor_ids(u));
+        }
+    }
+
+    #[test]
+    fn reserved_rows_read_like_a_packed_build_in_id_order() {
+        let g = reserved_fixture();
+        let mut csr = CsrGraph::with_row_capacity(&degrees(&g));
+        assert_eq!(csr.num_vertices(), 9);
+        for (i, e) in g.edges().iter().enumerate() {
+            let id = csr.append_edge(e.u, e.v, e.weight);
+            assert_eq!(id.index(), i);
+            assert_eq!(csr.epoch(), i as u64 + 1, "every append bumps the epoch");
+            assert!(csr.is_compact(), "a reserved append never uses the overlay");
+        }
+        assert_eq!(csr.overlay().pending_insertions(), 0);
+        assert_eq!(csr.min_live_weight(), Some(0.25));
+        assert_rows_match_packed_build(&csr, &g);
+        assert_eq!(csr.to_weighted_graph(), g);
+        // Reserved exactly at the degrees, the rows are already tight.
+        let epoch = csr.epoch();
+        csr.compact();
+        assert_eq!(csr.epoch(), epoch);
+        assert_rows_match_packed_build(&csr, &g);
+        assert!(CsrGraph::with_row_capacity(&[]).is_edgeless());
+    }
+
+    #[test]
+    fn unused_reservations_are_invisible_and_compact_releases_them() {
+        let g = reserved_fixture();
+        let slack: Vec<u32> = degrees(&g).iter().map(|d| 2 * d + 1).collect();
+        let mut csr = CsrGraph::with_row_capacity(&slack);
+        for e in g.edges() {
+            csr.append_edge(e.u, e.v, e.weight);
+        }
+        assert!(csr.is_compact());
+        assert_rows_match_packed_build(&csr, &g);
+        csr.compact();
+        assert_rows_match_packed_build(&csr, &g);
+        // Tight rows have no room: the next append goes to the overlay.
+        csr.append_edge(VertexId(7), VertexId(8), 1.0);
+        assert!(csr.has_overflow(VertexId(7)) && csr.has_overflow(VertexId(8)));
+        assert!(!csr.is_compact());
+    }
+
+    #[test]
+    fn appends_past_a_full_row_fall_back_to_the_overlay() {
+        let g = reserved_fixture();
+        // Vertex 1 is reserved one slot short, so its last edge (1, 6),
+        // id 9, overflows; so does everything appended after it, even into
+        // rows with room, which keeps the packed rows an id prefix.
+        let mut capacity = degrees(&g);
+        capacity[1] -= 1;
+        capacity[7] = 4;
+        capacity[8] = 4;
+        let mut csr = CsrGraph::with_row_capacity(&capacity);
+        for e in g.edges() {
+            csr.append_edge(e.u, e.v, e.weight);
+        }
+        let mut grown = g.clone();
+        for (u, v, w) in [(7, 8, 1.0), (0, 7, 2.0)] {
+            csr.append_edge(VertexId(u), VertexId(v), w);
+            grown.add_edge(VertexId(u), VertexId(v), w);
+        }
+        assert!(!csr.is_compact());
+        assert_eq!(csr.overlay().pending_insertions(), 3);
+        assert!(csr.has_overflow(VertexId(1)) && csr.has_overflow(VertexId(6)));
+        assert!(csr.has_overflow(VertexId(7)) && csr.has_overflow(VertexId(8)));
+        assert!(!csr.has_overflow(VertexId(2)));
+        let packed = CsrGraph::from(&grown);
+        for u in 0..9 {
+            assert_eq!(sorted_neighbors(&csr, u), sorted_neighbors(&packed, u));
+        }
+        assert_eq!(csr.to_weighted_graph(), grown);
+        csr.compact();
+        assert!(csr.is_compact());
+        assert_rows_match_packed_build(&csr, &grown);
+    }
+
+    #[test]
+    fn deletions_on_a_reserved_graph_are_skipped_and_consolidated() {
+        let g = reserved_fixture();
+        let mut csr = CsrGraph::with_row_capacity(&degrees(&g));
+        let edges = g.edges();
+        for e in &edges[..6] {
+            csr.append_edge(e.u, e.v, e.weight);
+        }
+        // Delete one edge with a parallel copy and one ordinary edge, then
+        // keep appending into the reserved slots.
+        csr.remove_edge(EdgeId(0)).unwrap();
+        csr.remove_edge(EdgeId(3)).unwrap();
+        assert_eq!(csr.epoch(), 8);
+        assert!(csr.has_pending_deletions());
+        for e in &edges[6..] {
+            csr.append_edge(e.u, e.v, e.weight);
+        }
+        assert_eq!(csr.epoch(), 12);
+        assert_eq!(csr.overlay().pending_insertions(), 0);
+        assert!((0..9).all(|u| !csr.has_overflow(VertexId(u))));
+        let live: Vec<(usize, usize, f64, usize)> = edges
+            .iter()
+            .enumerate()
+            .filter(|&(id, _)| id != 0 && id != 3)
+            .map(|(id, e)| (e.u.index(), e.v.index(), e.weight, id))
+            .collect();
+        let expected = |u: usize| {
+            let mut h: Vec<(usize, u64, usize)> = live
+                .iter()
+                .flat_map(|&(a, b, w, id)| {
+                    [(a, b), (b, a)]
+                        .into_iter()
+                        .filter(move |&(from, _)| from == u)
+                        .map(move |(_, to)| (to, w.to_bits(), id))
+                })
+                .collect();
+            h.sort_unstable();
+            h
+        };
+        for u in 0..9 {
+            assert_eq!(sorted_neighbors(&csr, u), expected(u), "vertex {u}");
+        }
+        assert_eq!(csr.find_edge(VertexId(0), VertexId(1)), Some(EdgeId(4)));
+        assert_eq!(csr.num_edges(), 8);
+        csr.compact();
+        assert!(csr.is_compact() && !csr.has_pending_deletions());
+        for u in 0..9 {
+            assert_eq!(sorted_neighbors(&csr, u), expected(u), "vertex {u}");
+            assert!(csr
+                .packed_neighbor_ids(VertexId(u))
+                .iter()
+                .all(|&id| id != 0 && id != 3));
+        }
+        let survivors = csr.to_weighted_graph();
+        assert_eq!(survivors.num_edges(), 8);
+        assert!(!survivors.has_edge(VertexId(2), VertexId(3)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A reusable, zero-allocation-per-query Dijkstra engine over [`CsrGraph`].
 //!
-//! The greedy spanner issues one bounded distance query per candidate edge —
-//! `O(m)` queries against the growing spanner. The free functions in
+//! The greedy spanner issues one bounded distance query per candidate edge
+//! whose endpoints its spanner already connects — `O(m)` queries against
+//! the growing spanner. The free functions in
 //! [`crate::dijkstra`] allocate three `O(n)` vectors *per query*, so that hot
 //! loop is allocation- and cache-bound. [`DijkstraEngine`] owns the workspace
 //! instead:

@@ -35,8 +35,10 @@ fn main() -> Result<(), SpannerError> {
         report.max_stretch, 3.0
     );
     // The construction ran on the CSR query substrate: one bounded Dijkstra
-    // per candidate edge, every one answered from the engine's pre-sized
-    // workspace with zero per-query heap allocation.
+    // per candidate edge whose endpoints the spanner already connects (the
+    // others join two components and are admitted without one), every one
+    // answered from the engine's pre-sized workspace with zero per-query
+    // heap allocation.
     println!(
         "  {} distance queries, {} workspace reuse hits",
         greedy.stats.distance_queries, greedy.stats.workspace_reuse_hits

@@ -38,7 +38,8 @@
 //! generation-stamped workspace makes every query allocation-free once
 //! pre-sized. The pipeline surfaces this in
 //! [`RunStats`](greedy_spanner::RunStats): `distance_queries` counts the
-//! bounded searches a construction issued and `workspace_reuse_hits` counts
+//! bounded searches a construction issued (greedy skips the candidates that
+//! join two components of its spanner) and `workspace_reuse_hits` counts
 //! how many ran without growing the workspace (the two are equal on the
 //! engine-backed paths).
 //!
