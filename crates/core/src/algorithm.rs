@@ -263,9 +263,6 @@ pub struct SpannerConfig {
     pub seed: u64,
     /// Hub vertex for the star baseline.
     pub hub: usize,
-    /// Use cluster-graph distance certificates in the approximate-greedy
-    /// simulation (the \[GLN02\] speed/quality trade).
-    pub use_cluster_graph: bool,
     /// Worker threads for the parallel filter-then-commit constructions and
     /// the batch runner. `0` (the default) means *auto*: the
     /// `SPANNER_THREADS` environment variable if set, otherwise 1. The
@@ -283,7 +280,6 @@ impl Default for SpannerConfig {
             cones: 12,
             seed: 0,
             hub: 0,
-            use_cluster_graph: false,
             threads: 0,
         }
     }
@@ -360,9 +356,6 @@ impl SpannerConfig {
         parts.push(format!("cones={}", self.cones));
         parts.push(format!("seed={}", self.seed));
         parts.push(format!("hub={}", self.hub));
-        if self.use_cluster_graph {
-            parts.push("cluster-graph".to_owned());
-        }
         if self.threads > 0 {
             parts.push(format!("threads={}", self.threads));
         }
@@ -595,16 +588,11 @@ mod tests {
             epsilon: Some(0.5),
             k: Some(2),
             hub: 5,
-            use_cluster_graph: true,
             ..SpannerConfig::for_stretch(3.0)
         };
         let s = c.describe();
         assert!(s.contains("t=3"));
         assert!(s.contains("hub=5"));
-        assert!(s.contains("cluster-graph"));
-        assert!(!SpannerConfig::default()
-            .describe()
-            .contains("cluster-graph"));
         assert!(s.contains("eps=0.5"));
         assert!(s.contains("k=2"));
     }

@@ -104,7 +104,6 @@ impl SpannerAlgorithm for ApproxGreedy {
             // The scan is O(n²) — the same order as the construction itself.
             validate_metric_distances(metric)?;
             let mut params = ApproxGreedyParams::new(config.effective_epsilon());
-            params.use_cluster_graph = config.use_cluster_graph;
             params.threads = config.resolve_threads();
             let result = run_approx_greedy(metric, params)?;
             let stats = RunStats {

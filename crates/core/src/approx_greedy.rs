@@ -10,61 +10,42 @@
 //!    heaviest `G′` edge) directly into the output — their total weight is
 //!    `O(w(MST))`.
 //! 3. Simulate the greedy algorithm with stretch `√(t·t′)` on the remaining
-//!    edges, bucketed by weight. Distance queries are answered either by a
-//!    distance-bounded Dijkstra on the growing spanner (default — exact, so
-//!    the output is as light as a greedy run over the same candidates) or on
-//!    a [`ClusterGraph`] whose cluster radius is proportional to the
-//!    current bucket's scale (the \[GLN02\] trade: cheaper queries,
-//!    slightly more edges). Both certificates are
-//!    sound **upper bounds** on the true spanner distance, so the output is
-//!    always a valid `(1 + ε)`-spanner of the metric.
+//!    edges in `(w, u, v)` order: one [`crate::greedy`] pass over them,
+//!    starting from the light edges. Every distance query is the exact
+//!    admission query of the graph greedy, so the output is exactly the
+//!    greedy spanner of the heavy candidates on top of the light ones, and
+//!    a valid `(1 + ε)`-spanner of the metric. With
+//!    [`ApproxGreedyParams::threads`] `> 1` the pass runs the batched
+//!    filter-then-commit loop; the output is bit-identical at every thread
+//!    count.
 //!
-//! In the exact-certificate mode the per-bucket simulation runs the same
-//! batched **filter-then-commit** loop as the graph greedy
-//! (see [`crate::greedy`]): each bucket's candidates are filtered in
-//! parallel against a frozen snapshot of the growing spanner and survivors
-//! are committed sequentially with an exact re-check, so the output is
-//! bit-identical at every thread count ([`ApproxGreedyParams::threads`]).
-//! The cluster-graph mode stays sequential — its certificates mutate shared
-//! cluster state per commit.
-//!
-//! The lightness of the result is what Theorem 6 (via Lemma 13) bounds; the
-//! experiments compare it against the exact greedy spanner's.
+//! **What is not implemented.** The paper's `O(n log n)` running time
+//! replaces the exact queries of step 3 by cluster-graph certificates,
+//! whose cluster radius must satisfy Lemma 13 for the output to stay
+//! `O(1)`-light. This crate does not implement them: the simulation costs
+//! one exact search per heavy candidate whose endpoints the spanner already
+//! connects. The lightness of the result is what Theorem 6 (via Lemma 13)
+//! bounds; the experiments compare it against the exact greedy spanner's.
 
 use spanner_graph::parallel::EnginePool;
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::WeightedGraph;
 use spanner_metric::MetricSpace;
 
 use crate::bounded_degree::bounded_degree_spanner;
-use crate::cluster_graph::ClusterGraph;
 use crate::error::{validate_epsilon, SpannerError};
 use crate::greedy::{greedy_into, spanner_for_candidates};
 
-/// Tuning parameters of the approximate-greedy construction.
-///
-/// The defaults implement the split used throughout Section 5: one third of
-/// the ε budget goes to the base spanner, the rest to the greedy simulation,
-/// and cluster radii are a `1/16` fraction of the current weight scale.
+/// Fraction of the ε budget spent on the base spanner (the split used
+/// throughout Section 5); the greedy simulation gets the rest.
+const BASE_FRACTION: f64 = 1.0 / 3.0;
+
+/// Parameters of the approximate-greedy construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxGreedyParams {
     /// Target overall stretch is `1 + epsilon`.
     pub epsilon: f64,
-    /// Fraction of ε spent on the base spanner (`0 < base_fraction < 1`).
-    pub base_fraction: f64,
-    /// Ratio between consecutive weight buckets (`> 1`).
-    pub bucket_ratio: f64,
-    /// Cluster radius as a fraction of the current bucket's lower weight
-    /// bound.
-    pub cluster_radius_fraction: f64,
-    /// When `true`, distance queries during the greedy simulation are
-    /// answered on the cluster graph (the \[GLN02\] speed/quality trade);
-    /// when `false` (default), a distance-bounded Dijkstra on the growing
-    /// spanner answers them exactly, which keeps the output as light as the
-    /// greedy run over the same candidates.
-    pub use_cluster_graph: bool,
-    /// Worker threads for the exact-mode greedy simulation (1 = sequential;
-    /// the output is identical at every value). Ignored in cluster-graph
-    /// mode.
+    /// Worker threads for the greedy simulation (1 = sequential; the output
+    /// is identical at every value).
     pub threads: usize,
 }
 
@@ -73,17 +54,18 @@ impl ApproxGreedyParams {
     pub fn new(epsilon: f64) -> Self {
         ApproxGreedyParams {
             epsilon,
-            base_fraction: 1.0 / 3.0,
-            bucket_ratio: 4.0,
-            cluster_radius_fraction: 1.0 / 16.0,
-            use_cluster_graph: false,
             threads: 1,
         }
     }
 
-    /// Stretch of the base spanner (`1 + ε·base_fraction`).
+    /// The ε of the base spanner: one third of the budget.
+    pub fn base_epsilon(&self) -> f64 {
+        self.epsilon * BASE_FRACTION
+    }
+
+    /// Stretch of the base spanner (`1 + ε/3`).
     pub fn base_stretch(&self) -> f64 {
-        1.0 + self.epsilon * self.base_fraction
+        1.0 + self.base_epsilon()
     }
 
     /// Stretch used by the greedy simulation over base edges, chosen so that
@@ -106,10 +88,8 @@ pub struct ApproxGreedySpanner {
     pub simulated_edges: usize,
     /// Number of simulated edges that were added.
     pub simulated_added: usize,
-    /// Number of cluster-graph rebuilds (one per weight bucket).
-    pub bucket_count: usize,
-    /// Distance queries issued during the greedy simulation (exact bounded
-    /// Dijkstra or cluster-graph certificates, depending on the mode).
+    /// Distance queries issued during the greedy simulation (candidates
+    /// across the spanner's components are admitted without one).
     pub distance_queries: usize,
     /// Queries the engine answered without growing its workspace (zero heap
     /// allocations).
@@ -118,7 +98,7 @@ pub struct ApproxGreedySpanner {
     /// combined for the bidirectional admission query).
     pub peak_frontier: usize,
     /// Weight-class batches the parallel filter-then-commit simulation
-    /// processed (zero in sequential and cluster-graph modes).
+    /// processed (zero when sequential).
     pub batches: usize,
     /// Filter survivors the exact commit re-check rejected.
     pub batch_recheck_hits: usize,
@@ -136,33 +116,19 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     params: ApproxGreedyParams,
 ) -> Result<ApproxGreedySpanner, SpannerError> {
     validate_epsilon(params.epsilon)?;
-    let params_valid = params.base_fraction > 0.0
-        && params.base_fraction < 1.0
-        && params.bucket_ratio > 1.0
-        && params.cluster_radius_fraction > 0.0;
-    if !params_valid {
-        return Err(SpannerError::InvalidEpsilon {
-            epsilon: params.epsilon,
-        });
-    }
     let n = metric.len();
     if n == 0 {
         return Err(SpannerError::EmptyInput);
     }
     let threads = params.threads.max(1);
-    // Cluster-graph certificates mutate shared cluster state per commit, so
-    // that mode runs sequentially regardless of the requested budget — and
-    // must report so, or stats consumers would compare phantom scaling.
-    let reported_threads = if params.use_cluster_graph { 1 } else { threads };
 
     // Step 1: bounded-degree base spanner.
-    let base_eps = params.epsilon * params.base_fraction;
-    let base = bounded_degree_spanner(metric, base_eps)?;
+    let base = bounded_degree_spanner(metric, params.base_epsilon())?;
     // The growing output lives in appendable CSR form, its rows reserved at
     // the base's degrees, and a pool of engines — worker 0 doubles as the
     // sequential-path engine — is pre-sized for the worst case (the output
     // is a subgraph of the base), so the spanner never re-packs and every
-    // exact simulation query is allocation-free.
+    // simulation query is allocation-free.
     let mut spanner = spanner_for_candidates(
         n,
         base.edges()
@@ -170,35 +136,18 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             .map(|e| (e.u.index() as u32, e.v.index() as u32)),
     );
     let mut pool = EnginePool::with_capacity_for(threads, n, base.num_edges());
-    if base.num_edges() == 0 {
-        return Ok(ApproxGreedySpanner {
-            spanner: spanner.to_weighted_graph(),
-            base,
-            light_edges: 0,
-            simulated_edges: 0,
-            simulated_added: 0,
-            bucket_count: 0,
-            distance_queries: 0,
-            workspace_reuse_hits: 0,
-            peak_frontier: 0,
-            batches: 0,
-            batch_recheck_hits: 0,
-            threads_used: reported_threads,
-            worker_utilization: 1.0,
-        });
-    }
 
     // Step 2: light edges go straight to the output.
     let heaviest = base.edges().iter().map(|e| e.weight).fold(0.0f64, f64::max);
     let light_threshold = heaviest / n as f64;
-    let mut heavy: Vec<(usize, usize, f64)> = Vec::new();
+    let mut heavy: Vec<(u32, u32, f64)> = Vec::new();
     let mut light_edges = 0;
     for e in base.edges() {
         if e.weight <= light_threshold {
             spanner.append_edge(e.u, e.v, e.weight);
             light_edges += 1;
         } else {
-            heavy.push((e.u.index(), e.v.index(), e.weight));
+            heavy.push((e.u.index() as u32, e.v.index() as u32, e.weight));
         }
     }
     heavy.sort_by(|a, b| {
@@ -206,67 +155,22 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
     });
 
-    // Step 3: bucketed greedy simulation. Distance queries are either exact
-    // bounded-Dijkstra searches on the growing spanner (default; batched
-    // filter-then-commit when threads > 1) or the cluster-graph
-    // over-estimates of Section 5.1; both are sound, so the output always
-    // meets the stretch target.
-    let t_sim = params.simulation_stretch();
-    let mut simulated_added = 0;
-    let mut bucket_count = 0;
-    let mut batches = 0;
-    let mut batch_recheck_hits = 0;
-    let mut index = 0;
-    // Counters of every engine the simulation drives: each bucket's
-    // cluster-graph engine as the bucket finishes, the pool's at the end.
-    let mut engine_stats = spanner_graph::EngineStats::default();
-    while index < heavy.len() {
-        let bucket_floor = heavy[index].2;
-        let bucket_ceiling = bucket_floor * params.bucket_ratio;
-        let mut bucket_end = index;
-        while bucket_end < heavy.len() && heavy[bucket_end].2 < bucket_ceiling {
-            bucket_end += 1;
-        }
-        bucket_count += 1;
-        if params.use_cluster_graph {
-            let radius = params.epsilon * params.cluster_radius_fraction * bucket_floor;
-            let mut clusters = ClusterGraph::build_csr(&spanner, radius);
-            for &(u, v, w) in &heavy[index..bucket_end] {
-                let bound = t_sim * w;
-                if !clusters.certifies_within(VertexId(u), VertexId(v), bound) {
-                    spanner.append_edge(VertexId(u), VertexId(v), w);
-                    clusters.add_spanner_edge(VertexId(u), VertexId(v), w);
-                    simulated_added += 1;
-                }
-            }
-            engine_stats.merge(&clusters.engine_stats());
-        } else {
-            let candidates: Vec<(u32, u32, f64)> = heavy[index..bucket_end]
-                .iter()
-                .map(|&(u, v, w)| (u as u32, v as u32, w))
-                .collect();
-            let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t_sim);
-            simulated_added += outcome.added.len();
-            batches += outcome.batches;
-            batch_recheck_hits += outcome.recheck_hits;
-        }
-        index = bucket_end;
-    }
-
-    engine_stats.merge(&pool.stats());
+    // Step 3: one greedy pass over the heavy edges, on top of the light
+    // ones, with exact admission queries.
+    let outcome = greedy_into(&mut spanner, &mut pool, &heavy, params.simulation_stretch());
+    let engine_stats = pool.stats();
     Ok(ApproxGreedySpanner {
         spanner: spanner.to_weighted_graph(),
         base,
         light_edges,
         simulated_edges: heavy.len(),
-        simulated_added,
-        bucket_count,
+        simulated_added: outcome.added.len(),
         distance_queries: engine_stats.queries as usize,
         workspace_reuse_hits: engine_stats.reuse_hits as usize,
         peak_frontier: engine_stats.peak_frontier,
-        batches,
-        batch_recheck_hits,
-        threads_used: reported_threads,
+        batches: outcome.batches,
+        batch_recheck_hits: outcome.recheck_hits,
+        threads_used: threads,
         worker_utilization: pool.utilization(),
     })
 }
@@ -278,11 +182,75 @@ mod tests {
     use crate::greedy_metric::greedy_spanner_of_metric_with_reference;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use spanner_metric::generators::{clustered_points, exponential_line, uniform_points};
+    use spanner_graph::dijkstra::bounded_distance;
+    use spanner_metric::generators::{
+        clustered_points, exponential_line, grid_points_2d, uniform_points,
+    };
     use spanner_metric::{EuclideanSpace, MetricSpace};
 
     fn run(metric: &impl MetricSpace, epsilon: f64) -> Result<ApproxGreedySpanner, SpannerError> {
         run_approx_greedy(metric, ApproxGreedyParams::new(epsilon))
+    }
+
+    /// Steps 1–3 written out on a `WeightedGraph` with the one-shot
+    /// `dijkstra` search: the same base, the light edges (`w ≤ D/n`) in base
+    /// order, then every heavy edge in `(w, u, v)` order, kept when the
+    /// spanner has no path within the simulation stretch.
+    fn reference_loop(metric: &impl MetricSpace, params: ApproxGreedyParams) -> WeightedGraph {
+        let base = bounded_degree_spanner(metric, params.base_epsilon()).unwrap();
+        let n = metric.len();
+        let heaviest = base.edges().iter().map(|e| e.weight).fold(0.0f64, f64::max);
+        let mut spanner = WeightedGraph::new(n);
+        let mut heavy = Vec::new();
+        for e in base.edges() {
+            if e.weight <= heaviest / n as f64 {
+                spanner.add_edge(e.u, e.v, e.weight);
+            } else {
+                heavy.push(*e);
+            }
+        }
+        heavy.sort_by(|a, b| a.weight.total_cmp(&b.weight).then(a.key().cmp(&b.key())));
+        let t = params.simulation_stretch();
+        for e in heavy {
+            if bounded_distance(&spanner, e.u, e.v, t * e.weight).is_none() {
+                spanner.add_edge(e.u, e.v, e.weight);
+            }
+        }
+        spanner
+    }
+
+    /// Pins the output of `metric` to [`reference_loop`] at several ε and
+    /// thread counts.
+    fn assert_matches_reference(metric: &impl MetricSpace, name: &str) {
+        for eps in [0.25, 0.5, 0.9] {
+            let reference = reference_loop(metric, ApproxGreedyParams::new(eps));
+            for threads in [1, 2, 8] {
+                let params = ApproxGreedyParams {
+                    epsilon: eps,
+                    threads,
+                };
+                let r = run_approx_greedy(metric, params).unwrap();
+                assert_eq!(
+                    r.spanner, reference,
+                    "{name}, eps = {eps}, threads = {threads}"
+                );
+                assert!(r.simulated_added > 0, "{name}: the simulation kept nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_simulation_matches_a_reference_loop() {
+        let mut rng = SmallRng::seed_from_u64(86);
+        assert_matches_reference(&uniform_points::<2, _>(120, &mut rng), "uniform");
+        assert_matches_reference(
+            &clustered_points::<2, _>(120, 6, 0.03, &mut rng),
+            "clustered",
+        );
+        // High spread: the weights span seven orders of magnitude.
+        assert_matches_reference(&exponential_line(30, 1.8), "exponential line");
+        // Integer coordinates: many equal weights, so ties decide.
+        assert_matches_reference(&grid_points_2d(9, 11, 0.0, &mut rng), "integer grid");
     }
 
     #[test]
@@ -290,9 +258,6 @@ mod tests {
         let s = EuclideanSpace::from_coords([[0.0], [1.0]]);
         assert!(run(&s, 0.0).is_err());
         assert!(run(&s, 1.0).is_err());
-        let mut params = ApproxGreedyParams::new(0.5);
-        params.bucket_ratio = 1.0;
-        assert!(run_approx_greedy(&s, params).is_err());
         let empty = EuclideanSpace::<1>::new(vec![]);
         assert!(matches!(run(&empty, 0.5), Err(SpannerError::EmptyInput)));
     }
@@ -310,7 +275,6 @@ mod tests {
         let s = EuclideanSpace::from_coords([[1.0, 1.0]]);
         let r = run(&s, 0.5).unwrap();
         assert_eq!(r.spanner.num_edges(), 0);
-        assert_eq!(r.bucket_count, 0);
     }
 
     #[test]
@@ -340,12 +304,10 @@ mod tests {
             let parallel = run_approx_greedy(&s, params).unwrap();
             assert_eq!(
                 parallel.spanner, sequential.spanner,
-                "threads = {threads}: exact-mode simulation must be thread-count invariant"
+                "threads = {threads}: the simulation must be thread-count invariant"
             );
             assert_eq!(parallel.simulated_added, sequential.simulated_added);
-            assert_eq!(parallel.bucket_count, sequential.bucket_count);
             assert_eq!(parallel.threads_used, threads);
-            assert!(parallel.batches >= parallel.bucket_count);
             assert_eq!(
                 parallel.workspace_reuse_hits, parallel.distance_queries,
                 "pool engines must stay allocation-free"
@@ -362,7 +324,6 @@ mod tests {
         assert!(r.spanner.max_degree() <= r.base.max_degree());
         assert_eq!(r.light_edges + r.simulated_edges, r.base.num_edges());
         assert!(r.simulated_added <= r.simulated_edges);
-        assert!(r.bucket_count >= 1);
     }
 
     #[test]
@@ -385,29 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn cluster_graph_mode_is_also_a_valid_spanner() {
-        let mut rng = SmallRng::seed_from_u64(84);
-        let s = uniform_points::<2, _>(70, &mut rng);
-        let complete = s.to_complete_graph();
-        let mut params = ApproxGreedyParams::new(0.5);
-        params.use_cluster_graph = true;
-        let clustered_mode = run_approx_greedy(&s, params).unwrap();
-        let exact_mode = run(&s, 0.5).unwrap();
-        assert!(max_stretch_all_pairs(&complete, &clustered_mode.spanner) <= 1.5 + 1e-9);
-        // The cluster-graph certificates are looser, so that mode never keeps
-        // fewer edges than the exact-certificate mode.
-        assert!(clustered_mode.spanner.num_edges() >= exact_mode.spanner.num_edges());
-    }
-
-    #[test]
     fn works_on_high_spread_metrics() {
         let s = exponential_line(20, 1.8);
         let complete = s.to_complete_graph();
         let r = run(&s, 0.3).unwrap();
         assert!(max_stretch_all_pairs(&complete, &r.spanner) <= 1.3 + 1e-9);
-        assert!(
-            r.bucket_count >= 2,
-            "high-spread input should span several buckets"
-        );
     }
 }

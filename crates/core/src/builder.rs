@@ -138,13 +138,6 @@ impl SpannerBuilder {
         self
     }
 
-    /// Enables cluster-graph distance certificates in the approximate-greedy
-    /// simulation.
-    pub fn use_cluster_graph(mut self, yes: bool) -> Self {
-        self.config.use_cluster_graph = yes;
-        self
-    }
-
     /// Replaces the whole configuration.
     pub fn config(mut self, config: SpannerConfig) -> Self {
         self.config = config;

@@ -25,7 +25,7 @@
 //!
 //! Every loop here keeps a [`UnionFind`] over the spanner's components,
 //! seeded from the edges the spanner already holds (the live spanner's
-//! insertions and approximate greedy's later buckets start from a non-empty
+//! insertions and approximate greedy's simulation start from a non-empty
 //! one). A candidate whose endpoints lie in different components is
 //! admitted with no query: these are exactly Kruskal's edges, which is why
 //! the greedy spanner contains a minimum spanning tree, and on a sparse
@@ -325,7 +325,7 @@ fn filter_commit_greedy(
 /// admit a candidate across the spanner's components without a query (see
 /// the module docs), tracking components in a union-find seeded from the
 /// spanner's live edges. Shared by [`run_greedy`],
-/// [`greedy_over_candidates`], approximate greedy's buckets and the live
+/// [`greedy_over_candidates`], approximate greedy's simulation and the live
 /// spanner's rebuilds and insertions.
 ///
 /// # The admission comparison `d ≤ t·w`

@@ -87,10 +87,27 @@
 //! [`greedy::greedy_spanner_reference`] — the pre-CSR reference loop the
 //! engine-backed paths are benchmarked and property-tested against.
 //!
+//! **Migration note (0.10):** approximate greedy has one mode. The
+//! cluster-graph certificates measured lightness 97.35 against the exact
+//! mode's 4.39 on 600 uniform points (ε = 0.5), breaking the `O(1)`
+//! lightness of Theorem 6, and nothing enabled them. Removed: the
+//! `cluster_graph` module with `ClusterGraph`;
+//! `SpannerConfig::use_cluster_graph` (and its `cluster-graph` part of
+//! [`SpannerConfig::describe`]); `SpannerBuilder::use_cluster_graph`;
+//! `ApproxGreedyParams::{use_cluster_graph, cluster_radius_fraction,
+//! bucket_ratio, base_fraction}` (the base's ε is
+//! [`approx_greedy::ApproxGreedyParams::base_epsilon`]);
+//! `ApproxGreedySpanner::bucket_count`; and
+//! `ServeBuilder::cache_admit_threshold` with
+//! `serve::DEFAULT_CACHE_ADMIT_THRESHOLD` (a source still needs two
+//! queries in one batch before its tree is cached). Delete those calls
+//! and fields; `Spanner::approx_greedy()` output and every served answer
+//! are unchanged.
+//!
 //! # The CSR query substrate
 //!
 //! Every construction that issues shortest-path queries — greedy (the `O(m)`
-//! bounded queries of Algorithm 1), approximate-greedy, the cluster graph,
+//! bounded queries of Algorithm 1), approximate-greedy and
 //! stretch verification — runs them on `spanner_graph`'s CSR substrate: an
 //! appendable [`spanner_graph::CsrGraph`] holding the growing spanner (its
 //! rows reserved at the candidate degrees, so it never re-packs), and one
@@ -308,8 +325,8 @@
 //! * [`greedy`] / [`greedy_metric`] — Algorithm 1 engines (graph / metric).
 //! * [`bounded_degree`] — the net-tree `(1+ε)`-spanner substrate
 //!   (Theorem 2).
-//! * [`cluster_graph`] + [`approx_greedy`] — the approximate-greedy
-//!   algorithm of Section 5.1 (Theorem 6).
+//! * [`approx_greedy`] — the approximate-greedy algorithm of Section 5.1
+//!   (Theorem 6), with exact distance queries.
 //! * [`baselines`] — Baswana–Sen, Θ-/Yao-graphs, WSPD, MST and star engines.
 //! * [`analysis`] — stretch verification, lightness, degree and
 //!   [`analysis::SpannerReport`].
@@ -326,7 +343,6 @@ pub mod approx_greedy;
 pub mod baselines;
 pub mod bounded_degree;
 pub mod builder;
-pub mod cluster_graph;
 pub mod error;
 pub mod greedy;
 pub mod greedy_metric;

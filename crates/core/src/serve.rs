@@ -838,8 +838,6 @@ pub struct SpannerServer {
     pool: EnginePool,
     threads: usize,
     cache: SptCache,
-    /// Batch demand a source needs before its tree is admitted to the cache.
-    cache_admit_threshold: usize,
     /// How many landmarks a live server picks per epoch (frozen servers
     /// carry their table on the handle). `0` disables goal-directed search.
     landmark_count: usize,
@@ -850,8 +848,8 @@ pub struct SpannerServer {
 }
 
 impl SpannerServer {
-    /// A server with default options (see [`DEFAULT_CACHE_CAPACITY`] /
-    /// [`DEFAULT_CACHE_ADMIT_THRESHOLD`]) over an epoch-stamped handle.
+    /// A server with default options (see [`DEFAULT_CACHE_CAPACITY`]) over
+    /// an epoch-stamped handle.
     ///
     /// **Migration note (0.3):** `SpannerServer` no longer owns a bare
     /// frozen graph — it holds an epoch-stamped handle, and
@@ -1053,7 +1051,7 @@ impl SpannerServer {
                 .into_iter()
                 .filter_map(|s| {
                     let (count, mut need) = demand.remove(&s)?;
-                    if count < self.cache_admit_threshold || need.is_empty() {
+                    if count < CACHE_ADMIT_THRESHOLD || need.is_empty() {
                         return None;
                     }
                     if let CacheLookup::Hit(tree) = self.cache.lookup(VertexId(s), epoch) {
@@ -1368,7 +1366,6 @@ pub struct ServeBuilder {
     source: ServeSource,
     threads: usize,
     cache_capacity: usize,
-    cache_admit_threshold: usize,
     baseline: Option<WeightedGraph>,
     /// `None` = default ([`DEFAULT_LANDMARK_COUNT`] for fresh outputs and
     /// live servers, keep a handle's table).
@@ -1379,8 +1376,9 @@ pub struct ServeBuilder {
 /// Default number of shortest-path trees the cache holds.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Default per-batch demand a source needs before its tree is cached.
-pub const DEFAULT_CACHE_ADMIT_THRESHOLD: usize = 2;
+/// Queries a source needs within one batch before its tree is admitted to
+/// the cache: a source asked once is answered by a search alone.
+const CACHE_ADMIT_THRESHOLD: usize = 2;
 
 /// Default number of landmarks a served spanner carries for goal-directed
 /// point-to-point search. Each costs one shortest-path tree at freeze time
@@ -1397,7 +1395,6 @@ impl ServeBuilder {
             source,
             threads: 0,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
             baseline: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
@@ -1423,14 +1420,6 @@ impl ServeBuilder {
     /// smaller than the graph (see [`SptTree::memory_bytes`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// How many queries a source needs within one batch before its tree is
-    /// admitted to the cache (clamped to at least 1). Low values cache
-    /// eagerly; high values reserve the cache for genuine hotspots.
-    pub fn cache_admit_threshold(mut self, threshold: usize) -> Self {
-        self.cache_admit_threshold = threshold.max(1);
         self
     }
 
@@ -1531,7 +1520,6 @@ impl ServeBuilder {
             pool,
             threads,
             cache: SptCache::new(self.cache_capacity),
-            cache_admit_threshold: self.cache_admit_threshold.max(1),
             landmark_count: self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT),
             live_landmarks: None,
             stats: ServeStats::default(),

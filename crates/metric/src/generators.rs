@@ -97,7 +97,7 @@ pub fn grid_points_2d<R: Rng + ?Sized>(
 /// `n` points on a line at exponentially growing coordinates `ratio^i`.
 ///
 /// This produces a metric with large spread but doubling dimension 1, useful
-/// for stressing net hierarchies and the approximate-greedy bucketing.
+/// for stressing net hierarchies and the approximate-greedy simulation.
 pub fn exponential_line(n: usize, ratio: f64) -> EuclideanSpace<1> {
     assert!(ratio > 1.0, "ratio must exceed 1");
     EuclideanSpace::from_coords((0..n).map(|i| [ratio.powi(i as i32)]))

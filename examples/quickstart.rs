@@ -65,7 +65,8 @@ fn main() -> Result<(), SpannerError> {
     println!("  measured stretch {:.3}", metric_report.max_stretch);
     assert!(metric_report.meets_stretch_target());
 
-    // 3. The O(n log n) approximate-greedy construction (Section 5).
+    // 3. The approximate-greedy construction (Section 5): greedy over the
+    //    O(n) edges of a bounded-degree base spanner.
     let approx = Spanner::approx_greedy().epsilon(0.5).build(&points)?;
     let approx_report = evaluate(&complete, &approx.spanner, 1.5);
     println!("\napproximate-greedy (1 + 0.5)-spanner of the same points:");

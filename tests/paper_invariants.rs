@@ -96,8 +96,7 @@ proptest! {
     }
 
     /// The approximate-greedy spanner always meets the (1 + ε) stretch target
-    /// (soundness of the cluster-graph over-estimates) and stays inside its
-    /// base spanner.
+    /// and stays inside its base spanner.
     #[test]
     fn approximate_greedy_is_sound(points in arb_point_set(), eps_pct in 20u32..80) {
         let eps = eps_pct as f64 / 100.0;
@@ -107,7 +106,7 @@ proptest! {
         // Theorem 6's structural guarantee: the output draws its edges from
         // the (deterministic) bounded-degree base spanner.
         let params = ApproxGreedyParams::new(eps);
-        let base = bounded_degree_spanner(&points, params.epsilon * params.base_fraction).unwrap();
+        let base = bounded_degree_spanner(&points, params.base_epsilon()).unwrap();
         prop_assert!(approx.spanner.is_edge_subgraph_of(&base));
     }
 
