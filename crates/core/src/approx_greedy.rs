@@ -254,6 +254,30 @@ mod tests {
     }
 
     #[test]
+    fn a_base_edge_of_weight_exactly_d_over_n_is_light() {
+        // Points 0, 4.5, 10, 18 on a line: the base of four points keeps
+        // every pair, so D = 18, n = 4 and the first gap weighs exactly
+        // D/n = 4.5.
+        let s = EuclideanSpace::from_coords([[0.0], [4.5], [10.0], [18.0]]);
+        let r = run(&s, 0.5).unwrap();
+        let heaviest = r
+            .base
+            .edges()
+            .iter()
+            .map(|e| e.weight)
+            .fold(0.0f64, f64::max);
+        let threshold = heaviest / s.len() as f64;
+        let at_threshold = r.base.edges().iter().filter(|e| e.weight == threshold);
+        assert_eq!(
+            at_threshold.count(),
+            1,
+            "the metric must put a base edge on D/n"
+        );
+        let light = r.base.edges().iter().filter(|e| e.weight <= threshold);
+        assert_eq!(r.light_edges, light.count(), "w = D/n must count as light");
+    }
+
+    #[test]
     fn rejects_invalid_parameters() {
         let s = EuclideanSpace::from_coords([[0.0], [1.0]]);
         assert!(run(&s, 0.0).is_err());

@@ -199,13 +199,10 @@ pub(crate) fn run_baswana_sen<R: Rng + ?Sized>(
             *w = e.weight;
         }
     }
-    let mut clean = WeightedGraph::empty_like(graph);
     let mut keys: Vec<_> = dedup.into_iter().collect();
     keys.sort_by_key(|a| a.0);
-    for ((u, v), w) in keys {
-        clean.add_edge(VertexId(u), VertexId(v), w);
-    }
-    Ok(clean)
+    let edges = keys.into_iter().map(|((u, v), w)| (u, v, w));
+    Ok(WeightedGraph::from_edges(graph.num_vertices(), edges)?)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! "cheap" geometric spanners the greedy construction is compared against in
 //! the experiments of Section 1.2.
 
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::WeightedGraph;
 use spanner_metric::EuclideanSpace;
 
 use crate::error::SpannerError;
@@ -29,9 +29,8 @@ pub(crate) fn build_cone_graph(
         return Err(SpannerError::InvalidK);
     }
     let n = space.points().len();
-    let mut graph = WeightedGraph::new(n);
     if n == 0 {
-        return Ok(graph);
+        return Ok(WeightedGraph::new(0));
     }
     let cone_angle = 2.0 * std::f64::consts::PI / num_cones as f64;
     let mut chosen: Vec<(usize, usize)> = Vec::new();
@@ -74,11 +73,10 @@ pub(crate) fn build_cone_graph(
     }
     chosen.sort_unstable();
     chosen.dedup();
-    for (u, v) in chosen {
-        let d = space.point(u).distance(space.point(v));
-        graph.add_edge(VertexId(u), VertexId(v), d);
-    }
-    Ok(graph)
+    let edges = chosen
+        .into_iter()
+        .map(|(u, v)| (u, v, space.point(u).distance(space.point(v))));
+    Ok(WeightedGraph::from_edges(n, edges)?)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! in metric spaces).
 
 use spanner_graph::mst::kruskal;
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::WeightedGraph;
 use spanner_metric::MetricSpace;
 
 use crate::error::SpannerError;
@@ -44,21 +44,15 @@ pub(crate) fn run_star<M: MetricSpace + ?Sized>(
         }
         .into());
     }
-    let mut g = WeightedGraph::new(metric.len());
-    for v in 0..metric.len() {
-        if v != hub {
-            let d = metric.distance(hub, v);
-            // Same convention as `try_to_complete_graph`: a duplicate point
-            // (zero distance to the hub) carries no edge, while a poisoned
-            // distance (NaN / infinite / negative) surfaces as a clean
-            // error instead of aborting the process.
-            if d == 0.0 {
-                continue;
-            }
-            g.try_add_edge(VertexId(hub), VertexId(v), d)?;
-        }
-    }
-    Ok(g)
+    // Same convention as `try_to_complete_graph`: a duplicate point (zero
+    // distance to the hub) carries no edge, while a poisoned distance (NaN /
+    // infinite / negative) surfaces as a clean error instead of aborting the
+    // process.
+    let spokes = (0..metric.len())
+        .filter(|&v| v != hub)
+        .map(|v| (hub, v, metric.distance(hub, v)))
+        .filter(|&(_, _, d)| d != 0.0);
+    Ok(WeightedGraph::from_edges(metric.len(), spokes)?)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Euclidean baseline with near-optimal size but weight far above the greedy
 //! spanner's — exactly the gap the experiments of Section 1.2 report.
 
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::WeightedGraph;
 use spanner_metric::wspd::{well_separated_pairs, SplitTree};
 use spanner_metric::{EuclideanSpace, MetricSpace};
 
@@ -26,9 +26,8 @@ pub(crate) fn run_wspd<const D: usize>(
 ) -> Result<WeightedGraph, SpannerError> {
     validate_epsilon(epsilon)?;
     let n = space.len();
-    let mut graph = WeightedGraph::new(n);
     if n <= 1 {
-        return Ok(graph);
+        return Ok(WeightedGraph::new(n));
     }
     let tree = SplitTree::build(space);
     let pairs = well_separated_pairs(&tree, separation_for_epsilon(epsilon));
@@ -46,13 +45,11 @@ pub(crate) fn run_wspd<const D: usize>(
         .collect();
     keys.sort_unstable();
     keys.dedup();
-    for (a, b) in keys {
-        let d = space.distance(a, b);
-        if d > 0.0 {
-            graph.add_edge(VertexId(a), VertexId(b), d);
-        }
-    }
-    Ok(graph)
+    let edges = keys
+        .into_iter()
+        .map(|(a, b)| (a, b, space.distance(a, b)))
+        .filter(|&(_, _, d)| d > 0.0);
+    Ok(WeightedGraph::from_edges(n, edges)?)
 }
 
 #[cfg(test)]

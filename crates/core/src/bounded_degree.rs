@@ -15,7 +15,7 @@
 //! the experiments the measured degree is small and flat, which is what the
 //! approximate-greedy experiments need from their base spanner.
 
-use spanner_graph::{VertexId, WeightedGraph};
+use spanner_graph::WeightedGraph;
 use spanner_metric::net::NetHierarchy;
 use spanner_metric::MetricSpace;
 
@@ -52,9 +52,8 @@ pub fn bounded_degree_spanner<M: MetricSpace + ?Sized>(
     if n == 0 {
         return Err(SpannerError::EmptyInput);
     }
-    let mut graph = WeightedGraph::new(n);
     if n == 1 {
-        return Ok(graph);
+        return Ok(WeightedGraph::new(1));
     }
     let hierarchy = NetHierarchy::build(metric);
     let gamma = cross_edge_factor(epsilon);
@@ -79,10 +78,10 @@ pub fn bounded_degree_spanner<M: MetricSpace + ?Sized>(
     }
     edge_keys.sort_unstable();
     edge_keys.dedup();
-    for (a, b) in edge_keys {
-        graph.add_edge(VertexId(a), VertexId(b), metric.distance(a, b));
-    }
-    Ok(graph)
+    let edges = edge_keys
+        .into_iter()
+        .map(|(a, b)| (a, b, metric.distance(a, b)));
+    Ok(WeightedGraph::from_edges(n, edges)?)
 }
 
 #[cfg(test)]

@@ -90,12 +90,12 @@ pub fn star_overlay_instance(
     }
     let n = h.num_vertices();
     let heavy = 1.0 + epsilon;
-    let mut graph = WeightedGraph::empty_like(h);
-    let mut h_edge_keys = Vec::with_capacity(h.num_edges());
-    for e in h.edges() {
-        graph.add_edge(e.u, e.v, e.weight);
-        h_edge_keys.push(e.key());
-    }
+    let mut edges: Vec<(usize, usize, f64)> = h
+        .edges()
+        .iter()
+        .map(|e| (e.u.index(), e.v.index(), e.weight))
+        .collect();
+    let h_edge_keys = h.edges().iter().map(|e| e.key()).collect();
     let mut star_edge_keys = Vec::with_capacity(n - 1);
     for v in 0..n {
         if v == root {
@@ -104,9 +104,10 @@ pub fn star_overlay_instance(
         let key = if root <= v { (root, v) } else { (v, root) };
         star_edge_keys.push(key);
         if !h.has_edge(VertexId(root), VertexId(v)) {
-            graph.add_edge(VertexId(root), VertexId(v), heavy);
+            edges.push((root, v, heavy));
         }
     }
+    let graph = WeightedGraph::from_edges(n, edges)?;
     Ok(StarOverlayInstance {
         graph,
         h_edge_keys,

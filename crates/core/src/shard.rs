@@ -188,7 +188,8 @@ pub struct ShardBuildStats {
     /// Wall-clock time of this shard's build.
     pub wall_time: Duration,
     /// Deterministic estimate of the peak working-set bytes of this
-    /// shard's build: induced subgraph (edge list + adjacency), Dijkstra
+    /// shard's build: induced subgraph (edge list, two 16-byte adjacency
+    /// arena slots per edge, and one 16-byte arena row per vertex), Dijkstra
     /// workspace, and the grown spanner's CSR arrays. An arithmetic
     /// estimate, not allocator introspection — its value is that it is a
     /// pure function of the shard's size, so scaling benches can assert
@@ -199,8 +200,10 @@ pub struct ShardBuildStats {
 /// Deterministic working-set estimate backing
 /// [`ShardBuildStats::peak_memory_bytes`]; see that field for the intent.
 fn estimate_peak_memory(vertices: usize, edges: usize, spanner_edges: usize) -> usize {
-    // Edge list (u, v, w) + two adjacency half-edges per edge.
-    let subgraph = edges * (24 + 32) + vertices * 24;
+    // Edge list (u, v, w) + two adjacency arena slots per edge; the induced
+    // subgraph is laid out exactly, so a vertex costs only its 16-byte
+    // arena row (no per-vertex allocation).
+    let subgraph = edges * (24 + 32) + vertices * 16;
     // dist / parent / state / generation lanes plus heap headroom.
     let workspace = vertices * 40;
     // The grown spanner: CSR rows reserved at the candidate degrees (two
@@ -470,20 +473,30 @@ fn build_sharded(
     // Assemble the global spanner: shard spanners translated to global
     // ids in shard order, then the kept cut edges in admission order. With
     // one shard this reproduces the unsharded build bit for bit.
-    let mut spanner = WeightedGraph::new(n);
+    let mut edges = Vec::with_capacity(
+        shard_outputs
+            .iter()
+            .map(|out| out.spanner.num_edges())
+            .sum::<usize>()
+            + kept_cut.len(),
+    );
     for (s, out) in shard_outputs.iter().enumerate() {
-        let piece = partition.shard(s);
+        let global = partition.shard(s).vertices();
         for e in out.spanner.edges() {
-            spanner.add_edge(
-                piece.vertices()[e.u.index()],
-                piece.vertices()[e.v.index()],
+            edges.push((
+                global[e.u.index()].index(),
+                global[e.v.index()].index(),
                 e.weight,
-            );
+            ));
         }
     }
-    for c in &kept_cut {
-        spanner.add_edge(c.u, c.v, c.weight);
-    }
+    edges.extend(
+        kept_cut
+            .iter()
+            .map(|c| (c.u.index(), c.v.index(), c.weight)),
+    );
+    let spanner = WeightedGraph::from_edges(n, edges)
+        .expect("shard spanner and cut edges are valid edges of the input");
 
     // Aggregate stats across shards + stitch.
     let mut stats = RunStats {

@@ -1,7 +1,7 @@
 //! Incremental, validating construction of [`WeightedGraph`]s.
 
 use crate::error::GraphError;
-use crate::graph::{VertexId, WeightedGraph};
+use crate::graph::WeightedGraph;
 
 /// A builder that accumulates edges and validates them on
 /// [`GraphBuilder::build`].
@@ -89,11 +89,7 @@ impl GraphBuilder {
             edges = best.into_iter().map(|((u, v), w)| (u, v, w)).collect();
             edges.sort_by_key(|a| (a.0, a.1));
         }
-        let mut g = WeightedGraph::new(self.num_vertices);
-        for (u, v, w) in edges {
-            g.try_add_edge(VertexId(u), VertexId(v), w)?;
-        }
-        Ok(g)
+        WeightedGraph::from_edges(self.num_vertices, edges)
     }
 }
 

@@ -59,7 +59,7 @@
 //! `CsrGraph` perform no per-query heap allocation.
 
 use crate::error::GraphError;
-use crate::graph::{EdgeId, VertexId, WeightedGraph};
+use crate::graph::{Edge, EdgeId, VertexId, WeightedGraph};
 
 /// Sentinel for "no entry" in the overflow chains.
 const NONE: u32 = u32::MAX;
@@ -786,11 +786,11 @@ impl CsrGraph {
     /// When no edge was ever deleted, edge ids coincide (append order is
     /// preserved); after deletions the ids re-densify, skipping dead slots.
     pub fn to_weighted_graph(&self) -> WeightedGraph {
-        let mut g = WeightedGraph::new(self.num_vertices);
-        for (_, u, v, w) in self.live_edges() {
-            g.add_edge(u, v, w);
-        }
-        g
+        let edges = self
+            .live_edges()
+            .map(|(_, u, v, w)| Edge::new(u, v, w))
+            .collect();
+        WeightedGraph::from_valid_edges(self.num_vertices, edges)
     }
 
     /// Starts a fresh **generation**: a fully packed graph rebuilt from the

@@ -3,6 +3,7 @@
 //! Every generator is deterministic given the caller-supplied RNG, so
 //! experiments are reproducible from a seed.
 
+use std::collections::HashSet;
 use std::ops::Range;
 
 use rand::seq::SliceRandom;
@@ -11,6 +12,15 @@ use rand::Rng;
 use crate::connectivity::hop_distances;
 use crate::graph::{VertexId, WeightedGraph};
 use crate::union_find::UnionFind;
+
+/// `(u, v, weight)` triples in edge-id order.
+type EdgeList = Vec<(usize, usize, f64)>;
+
+/// Lays out a generator's edge list in one pass. Generated endpoints are in
+/// range and distinct, so only a caller-supplied weight can be rejected.
+fn build(n: usize, edges: EdgeList) -> WeightedGraph {
+    WeightedGraph::from_edges(n, edges).expect("generator produced an invalid edge weight")
+}
 
 fn sample_weight<R: Rng + ?Sized>(rng: &mut R, range: &Range<f64>) -> f64 {
     if range.start >= range.end {
@@ -30,15 +40,15 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
     weight_range: Range<f64>,
     rng: &mut R,
 ) -> WeightedGraph {
-    let mut g = WeightedGraph::new(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(VertexId(u), VertexId(v), sample_weight(rng, &weight_range));
+                edges.push((u, v, sample_weight(rng, &weight_range)));
             }
         }
     }
-    g
+    build(n, edges)
 }
 
 /// Erdős–Rényi graph forced to be connected by first threading a random
@@ -49,28 +59,30 @@ pub fn erdos_renyi_connected<R: Rng + ?Sized>(
     weight_range: Range<f64>,
     rng: &mut R,
 ) -> WeightedGraph {
-    let mut g = WeightedGraph::new(n);
     if n == 0 {
-        return g;
+        return WeightedGraph::new(0);
     }
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
+    let mut edges = Vec::new();
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
-        g.add_edge(
-            VertexId(order[i]),
-            VertexId(parent),
-            sample_weight(rng, &weight_range),
-        );
+        edges.push((order[i], parent, sample_weight(rng, &weight_range)));
     }
+    // Each pair is visited once, so only a tree edge can already join it;
+    // tree pairs draw no coin flip (the `&&` keeps the random stream fixed).
+    let tree: HashSet<(usize, usize)> = edges
+        .iter()
+        .map(|&(a, b, _)| (a.min(b), a.max(b)))
+        .collect();
     for u in 0..n {
         for v in (u + 1)..n {
-            if !g.has_edge(VertexId(u), VertexId(v)) && rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(VertexId(u), VertexId(v), sample_weight(rng, &weight_range));
+            if !tree.contains(&(u, v)) && rng.gen_bool(p.clamp(0.0, 1.0)) {
+                edges.push((u, v, sample_weight(rng, &weight_range)));
             }
         }
     }
-    g
+    build(n, edges)
 }
 
 /// Complete graph on `n` vertices with i.i.d. weights from `weight_range`.
@@ -79,13 +91,13 @@ pub fn complete_graph_with_weights<R: Rng + ?Sized>(
     weight_range: Range<f64>,
     rng: &mut R,
 ) -> WeightedGraph {
-    let mut g = WeightedGraph::new(n);
+    let mut edges = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
-            g.add_edge(VertexId(u), VertexId(v), sample_weight(rng, &weight_range));
+            edges.push((u, v, sample_weight(rng, &weight_range)));
         }
     }
-    g
+    build(n, edges)
 }
 
 /// Random geometric graph: `n` points uniform in the unit square, an edge
@@ -96,21 +108,31 @@ pub fn random_geometric<R: Rng + ?Sized>(
     radius: f64,
     rng: &mut R,
 ) -> (WeightedGraph, Vec<[f64; 2]>) {
+    let (edges, points) = geometric_edges(n, radius, rng);
+    (build(n, edges), points)
+}
+
+/// The edge list and points of [`random_geometric`].
+fn geometric_edges<R: Rng + ?Sized>(
+    n: usize,
+    radius: f64,
+    rng: &mut R,
+) -> (EdgeList, Vec<[f64; 2]>) {
     let points: Vec<[f64; 2]> = (0..n)
         .map(|_| [rng.gen::<f64>(), rng.gen::<f64>()])
         .collect();
-    let mut g = WeightedGraph::new(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             let dx = points[u][0] - points[v][0];
             let dy = points[u][1] - points[v][1];
             let d = (dx * dx + dy * dy).sqrt();
             if d <= radius && d > 0.0 {
-                g.add_edge(VertexId(u), VertexId(v), d);
+                edges.push((u, v, d));
             }
         }
     }
-    (g, points)
+    (edges, points)
 }
 
 /// Random geometric graph made connected by adding, for every pair of
@@ -120,14 +142,11 @@ pub fn random_geometric_connected<R: Rng + ?Sized>(
     radius: f64,
     rng: &mut R,
 ) -> (WeightedGraph, Vec<[f64; 2]>) {
-    let (mut g, points) = random_geometric(n, radius, rng);
-    if n == 0 {
-        return (g, points);
-    }
+    let (mut edges, points) = geometric_edges(n, radius, rng);
     // Kruskal-style stitching over all pairs ordered by distance.
     let mut uf = UnionFind::new(n);
-    for e in g.edges() {
-        uf.union(e.u.index(), e.v.index());
+    for &(u, v, _) in &edges {
+        uf.union(u, v);
     }
     if uf.num_sets() > 1 {
         let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
@@ -142,14 +161,14 @@ pub fn random_geometric_connected<R: Rng + ?Sized>(
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         for (d, u, v) in pairs {
             if uf.union(u, v) {
-                g.add_edge(VertexId(u), VertexId(v), d);
+                edges.push((u, v, d));
                 if uf.num_sets() == 1 {
                     break;
                 }
             }
         }
     }
-    (g, points)
+    (build(n, edges), points)
 }
 
 /// `rows × cols` grid graph with unit weights perturbed by up to `jitter`
@@ -161,29 +180,25 @@ pub fn grid_graph<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> WeightedGraph {
     let n = rows * cols;
-    let mut g = WeightedGraph::new(n);
+    let mut edges = Vec::with_capacity(2 * n);
     let idx = |r: usize, c: usize| r * cols + c;
     let w = |rng: &mut R| 1.0 + jitter * rng.gen::<f64>();
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                g.add_edge(VertexId(idx(r, c)), VertexId(idx(r, c + 1)), w(rng));
+                edges.push((idx(r, c), idx(r, c + 1), w(rng)));
             }
             if r + 1 < rows {
-                g.add_edge(VertexId(idx(r, c)), VertexId(idx(r + 1, c)), w(rng));
+                edges.push((idx(r, c), idx(r + 1, c), w(rng)));
             }
         }
     }
-    g
+    build(n, edges)
 }
 
 /// Path graph `0 - 1 - … - (n-1)` with uniform weight `weight`.
 pub fn path_graph(n: usize, weight: f64) -> WeightedGraph {
-    let mut g = WeightedGraph::new(n);
-    for i in 1..n {
-        g.add_edge(VertexId(i - 1), VertexId(i), weight);
-    }
-    g
+    build(n, (1..n).map(|i| (i - 1, i, weight)).collect())
 }
 
 /// Cycle graph on `n >= 3` vertices with uniform weight `weight`.
@@ -193,45 +208,35 @@ pub fn path_graph(n: usize, weight: f64) -> WeightedGraph {
 /// Panics if `n < 3`.
 pub fn cycle_graph(n: usize, weight: f64) -> WeightedGraph {
     assert!(n >= 3, "a cycle needs at least 3 vertices");
-    let mut g = path_graph(n, weight);
-    g.add_edge(VertexId(n - 1), VertexId(0), weight);
-    g
+    let edges = (1..n).map(|i| (i - 1, i, weight));
+    build(n, edges.chain([(n - 1, 0, weight)]).collect())
 }
 
 /// Star graph rooted at vertex `0` with uniform weight `weight` on all spokes.
 pub fn star_graph(n: usize, weight: f64) -> WeightedGraph {
-    let mut g = WeightedGraph::new(n);
-    for i in 1..n {
-        g.add_edge(VertexId(0), VertexId(i), weight);
-    }
-    g
+    build(n, (1..n).map(|i| (0, i, weight)).collect())
 }
 
 /// The Petersen graph (10 vertices, 15 edges, girth 5) with uniform weight
 /// `weight` — the graph `H` of the paper's Figure 1.
 pub fn petersen_graph(weight: f64) -> WeightedGraph {
     // Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5.
-    let mut g = WeightedGraph::new(10);
+    let mut edges = Vec::with_capacity(15);
     for i in 0..5usize {
-        g.add_edge(VertexId(i), VertexId((i + 1) % 5), weight);
-        g.add_edge(VertexId(5 + i), VertexId(5 + (i + 2) % 5), weight);
-        g.add_edge(VertexId(i), VertexId(5 + i), weight);
+        edges.push((i, (i + 1) % 5, weight));
+        edges.push((5 + i, 5 + (i + 2) % 5, weight));
+        edges.push((i, 5 + i, weight));
     }
-    g
+    build(10, edges)
 }
 
 /// The Heawood graph (14 vertices, 21 edges, girth 6) with uniform weight
 /// `weight` — the (3,6)-cage, used to generalize Figure 1.
 pub fn heawood_graph(weight: f64) -> WeightedGraph {
-    let mut g = WeightedGraph::new(14);
     // Outer 14-cycle plus chords i -> i+5 for even i (standard LCF [5,-5]^7).
-    for i in 0..14usize {
-        g.add_edge(VertexId(i), VertexId((i + 1) % 14), weight);
-    }
-    for i in (0..14usize).step_by(2) {
-        g.add_edge(VertexId(i), VertexId((i + 5) % 14), weight);
-    }
-    g
+    let cycle = (0..14usize).map(|i| (i, (i + 1) % 14, weight));
+    let chords = (0..14usize).step_by(2).map(|i| (i, (i + 5) % 14, weight));
+    build(14, cycle.chain(chords).collect())
 }
 
 /// The McGee graph (24 vertices, 36 edges, girth 7) with uniform weight
@@ -240,19 +245,19 @@ pub fn mcgee_graph(weight: f64) -> WeightedGraph {
     // LCF notation [12, 7, -7]^8.
     let shifts = [12i64, 7, -7];
     let n = 24i64;
-    let mut g = WeightedGraph::new(24);
-    for i in 0..24usize {
-        g.add_edge(VertexId(i), VertexId((i + 1) % 24), weight);
-    }
+    let mut edges: EdgeList = (0..24usize).map(|i| (i, (i + 1) % 24, weight)).collect();
     for i in 0..24i64 {
         let s = shifts[(i % 3) as usize];
         let j = (i + s).rem_euclid(n);
         let (a, b) = (i as usize, j as usize);
-        if !g.has_edge(VertexId(a), VertexId(b)) {
-            g.add_edge(VertexId(a), VertexId(b), weight);
+        if !edges
+            .iter()
+            .any(|&(x, y, _)| (x, y) == (a, b) || (x, y) == (b, a))
+        {
+            edges.push((a, b, weight));
         }
     }
-    g
+    build(24, edges)
 }
 
 /// Random graph on `n` vertices with unit weights and girth at least

@@ -109,21 +109,89 @@ impl Edge {
 
 /// An undirected, positively-weighted graph with dense vertex indices.
 ///
-/// The structure is an edge list plus per-vertex adjacency lists of
-/// `(neighbor, edge id)` pairs. Parallel edges are permitted (some generators
-/// produce them transiently) but self-loops are rejected at construction time.
+/// The structure is an edge list plus one flat adjacency arena: every vertex
+/// owns a row — a `(start, len, cap)` window into a single shared
+/// `Vec<(neighbor, edge id)>` — rather than a heap-allocated list of its own.
+/// A row holds its vertex's incident edges in insertion (edge-id) order, which
+/// every search's tie-breaking depends on. Parallel edges are permitted (some
+/// generators produce them transiently) but self-loops are rejected at
+/// construction time.
+///
+/// Cost model: bulk producers ([`WeightedGraph::from_edges`],
+/// [`WeightedGraph::filter_edges`], [`crate::GraphBuilder::build`], the
+/// generators, …) know their edges up front and lay every row out exactly
+/// once, with no slack; [`WeightedGraph::add_edge`] stays amortized `O(1)` by
+/// moving a full row to the arena's end at double its capacity (the old
+/// window is left as dead slots). Clone and drop are a few `memcpy`s and
+/// `free`s regardless of the vertex count.
 ///
 /// Use [`crate::GraphBuilder`] or [`WeightedGraph::from_edges`] to construct
 /// graphs, and [`WeightedGraph::add_edge`] to grow them (spanner algorithms add
 /// edges incrementally).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WeightedGraph {
     num_vertices: usize,
     edges: Vec<Edge>,
-    adjacency: Vec<Vec<(VertexId, EdgeId)>>,
+    /// The adjacency arena; `rows[v]` names the live window of vertex `v`.
+    slots: Vec<(VertexId, EdgeId)>,
+    rows: Vec<Row>,
     /// Cached maximum degree, maintained on every insert (edges are never
     /// removed — subgraphs are built fresh — so the maximum only grows).
     max_degree: usize,
+}
+
+/// One vertex's window `slots[start..start + len]` of the adjacency arena,
+/// with room for `cap` entries before the row must move.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl Row {
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len as usize
+    }
+}
+
+/// Smallest capacity a row takes when it first outgrows its window.
+const MIN_ROW_CAPACITY: usize = 4;
+
+/// Rows are a pure function of the vertex count and the edge sequence, so
+/// two graphs are equal exactly when those agree — dead arena slots and row
+/// capacities are construction history, not content.
+impl PartialEq for WeightedGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices == other.num_vertices && self.edges == other.edges
+    }
+}
+
+/// Validates one edge against a graph of `num_vertices` vertices, reporting
+/// the first failing check in the order endpoint `u`, endpoint `v`,
+/// self-loop, weight.
+fn check_edge(
+    num_vertices: usize,
+    u: VertexId,
+    v: VertexId,
+    weight: f64,
+) -> Result<(), GraphError> {
+    for x in [u, v] {
+        if x.index() >= num_vertices {
+            return Err(GraphError::VertexOutOfRange {
+                vertex: x.index(),
+                num_vertices,
+            });
+        }
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { vertex: u.index() });
+    }
+    if !(weight.is_finite() && weight > 0.0) {
+        return Err(GraphError::InvalidWeight { weight });
+    }
+    Ok(())
 }
 
 impl WeightedGraph {
@@ -132,7 +200,8 @@ impl WeightedGraph {
         WeightedGraph {
             num_vertices,
             edges: Vec::new(),
-            adjacency: vec![Vec::new(); num_vertices],
+            slots: Vec::new(),
+            rows: vec![Row::default(); num_vertices],
             max_degree: 0,
         }
     }
@@ -144,21 +213,69 @@ impl WeightedGraph {
         WeightedGraph::new(other.num_vertices())
     }
 
-    /// Builds a graph from `(u, v, weight)` triples.
+    /// Builds a graph from `(u, v, weight)` triples, laying every adjacency
+    /// row out once at its exact degree. Edge ids and neighbour order are
+    /// those of adding the triples one by one with
+    /// [`WeightedGraph::add_edge`].
     ///
     /// # Errors
     ///
     /// Returns [`GraphError`] if any endpoint is out of range, any weight is
-    /// non-positive or non-finite, or an edge is a self-loop.
+    /// non-positive or non-finite, or an edge is a self-loop — the error of
+    /// the first invalid triple, exactly as [`WeightedGraph::try_add_edge`]
+    /// would report it.
     pub fn from_edges(
         num_vertices: usize,
         edges: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Result<Self, GraphError> {
-        let mut g = WeightedGraph::new(num_vertices);
+        let edges = edges.into_iter();
+        let mut valid = Vec::with_capacity(edges.size_hint().0);
         for (u, v, w) in edges {
-            g.try_add_edge(VertexId(u), VertexId(v), w)?;
+            let (u, v) = (VertexId(u), VertexId(v));
+            check_edge(num_vertices, u, v, w)?;
+            valid.push(Edge::new(u, v, w));
         }
-        Ok(g)
+        Ok(WeightedGraph::from_valid_edges(num_vertices, valid))
+    }
+
+    /// Lays out a graph over edges the caller has already validated (in
+    /// range, no self-loops, positive finite weights): count degrees, place
+    /// each row at its prefix sum, then fill rows in edge-id order.
+    pub(crate) fn from_valid_edges(num_vertices: usize, edges: Vec<Edge>) -> Self {
+        // A degree never exceeds the edge count, so this bounds every `len`.
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "edge count exceeds u32::MAX"
+        );
+        let mut rows = vec![Row::default(); num_vertices];
+        for e in &edges {
+            rows[e.u.index()].len += 1;
+            rows[e.v.index()].len += 1;
+        }
+        let mut start = 0;
+        let mut max_degree = 0;
+        for row in &mut rows {
+            row.start = start;
+            row.cap = row.len;
+            start += row.len as usize;
+            max_degree = max_degree.max(row.len as usize);
+            row.len = 0;
+        }
+        let mut slots = vec![(VertexId(0), EdgeId(0)); start];
+        for (i, e) in edges.iter().enumerate() {
+            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+                let row = &mut rows[x.index()];
+                slots[row.start + row.len as usize] = (y, EdgeId(i));
+                row.len += 1;
+            }
+        }
+        WeightedGraph {
+            num_vertices,
+            edges,
+            slots,
+            rows,
+            max_degree,
+        }
     }
 
     /// Number of vertices.
@@ -206,7 +323,7 @@ impl WeightedGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adjacency[v.index()]
+        &self.slots[self.rows[v.index()].range()]
     }
 
     /// Degree (number of incident edges) of `v`.
@@ -216,7 +333,7 @@ impl WeightedGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency[v.index()].len()
+        self.rows[v.index()].len as usize
     }
 
     /// Adds an undirected edge and returns its id.
@@ -243,46 +360,55 @@ impl WeightedGraph {
         v: VertexId,
         weight: f64,
     ) -> Result<EdgeId, GraphError> {
-        if u.index() >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: u.index(),
-                num_vertices: self.num_vertices,
-            });
-        }
-        if v.index() >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v.index(),
-                num_vertices: self.num_vertices,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u.index() });
-        }
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(GraphError::InvalidWeight { weight });
-        }
+        check_edge(self.num_vertices, u, v, weight)?;
         let id = EdgeId(self.edges.len());
         self.edges.push(Edge::new(u, v, weight));
-        self.adjacency[u.index()].push((v, id));
-        self.adjacency[v.index()].push((u, id));
-        self.max_degree = self
-            .max_degree
-            .max(self.adjacency[u.index()].len())
-            .max(self.adjacency[v.index()].len());
+        let du = self.push_slot(u, (v, id));
+        let dv = self.push_slot(v, (u, id));
+        self.max_degree = self.max_degree.max(du).max(dv);
         Ok(id)
+    }
+
+    /// Appends `entry` to `x`'s row and returns the new degree.
+    #[inline]
+    fn push_slot(&mut self, x: VertexId, entry: (VertexId, EdgeId)) -> usize {
+        let mut row = self.rows[x.index()];
+        if row.len == row.cap {
+            row = self.grow_row(row);
+        }
+        self.slots[row.start + row.len as usize] = entry;
+        row.len += 1;
+        self.rows[x.index()] = row;
+        row.len as usize
+    }
+
+    /// Doubles a full row's capacity (to at least [`MIN_ROW_CAPACITY`]):
+    /// the row moves to the arena's end, leaving its old window dead, or
+    /// grows in place when it already ends the arena.
+    #[cold]
+    fn grow_row(&mut self, mut row: Row) -> Row {
+        let cap = (2 * row.cap as usize).max(MIN_ROW_CAPACITY);
+        let end = self.slots.len();
+        if row.start + row.cap as usize != end {
+            self.slots.extend_from_within(row.range());
+            row.start = end;
+        }
+        self.slots.resize(row.start + cap, (VertexId(0), EdgeId(0)));
+        row.cap = u32::try_from(cap).expect("vertex degree exceeds u32::MAX");
+        row
     }
 
     /// Adds a fresh isolated vertex and returns its id.
     pub fn add_vertex(&mut self) -> VertexId {
         let id = VertexId(self.num_vertices);
         self.num_vertices += 1;
-        self.adjacency.push(Vec::new());
+        self.rows.push(Row::default());
         id
     }
 
     /// Returns `true` if an edge `{u, v}` exists (any parallel copy counts).
     ///
-    /// Cost: a linear scan of the *smaller* of the two adjacency lists —
+    /// Cost: a linear scan of the *smaller* of the two adjacency rows —
     /// `O(min(deg(u), deg(v)))`, not `O(1)`. Callers doing many membership
     /// tests on a static graph should build their own set keyed by
     /// [`Edge::key`] instead.
@@ -290,14 +416,12 @@ impl WeightedGraph {
         if u.index() >= self.num_vertices || v.index() >= self.num_vertices {
             return false;
         }
-        let (scan, probe) = if self.adjacency[u.index()].len() <= self.adjacency[v.index()].len() {
+        let (scan, probe) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {
             (v, u)
         };
-        self.adjacency[scan.index()]
-            .iter()
-            .any(|&(n, _)| n == probe)
+        self.neighbors(scan).iter().any(|&(n, _)| n == probe)
     }
 
     /// Returns the minimum weight among edges `{u, v}`, if any exists.
@@ -305,7 +429,7 @@ impl WeightedGraph {
         if u.index() >= self.num_vertices {
             return None;
         }
-        self.adjacency[u.index()]
+        self.neighbors(u)
             .iter()
             .filter(|&&(n, _)| n == v)
             .map(|&(_, e)| self.edges[e.index()].weight)
@@ -330,27 +454,33 @@ impl WeightedGraph {
     /// Returns a new graph containing the same vertices and only the edges
     /// whose ids satisfy `keep`.
     pub fn filter_edges(&self, mut keep: impl FnMut(EdgeId, &Edge) -> bool) -> WeightedGraph {
-        let mut g = WeightedGraph::new(self.num_vertices);
-        for (i, e) in self.edges.iter().enumerate() {
-            if keep(EdgeId(i), e) {
-                g.add_edge(e.u, e.v, e.weight);
-            }
-        }
-        g
+        let edges = self
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|&(i, e)| keep(EdgeId(i), e))
+            .map(|(_, e)| *e)
+            .collect();
+        WeightedGraph::from_valid_edges(self.num_vertices, edges)
     }
 
     /// Returns the edge ids sorted by non-decreasing weight (ties broken by
-    /// canonical endpoint order for determinism).
+    /// canonical endpoint order, then by edge id, for determinism).
     pub fn edges_by_weight(&self) -> Vec<EdgeId> {
-        let mut ids: Vec<EdgeId> = (0..self.edges.len()).map(EdgeId).collect();
-        ids.sort_by(|&a, &b| {
-            let ea = &self.edges[a.index()];
-            let eb = &self.edges[b.index()];
-            ea.weight
-                .total_cmp(&eb.weight)
-                .then_with(|| ea.key().cmp(&eb.key()))
-        });
-        ids
+        // Weights are validated positive and finite, so their bit patterns
+        // order exactly like the weights; the unique id makes the unstable
+        // sort of packed keys deterministic.
+        let mut keys: Vec<(u64, usize, usize, usize)> = self
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let (a, b) = e.key();
+                (e.weight.to_bits(), a, b, i)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(.., i)| EdgeId(i)).collect()
     }
 
     /// Returns `true` if every edge of `self` has a corresponding edge (same
@@ -446,6 +576,57 @@ mod tests {
         // Ties broken by endpoint key: (0,1) before (2,3).
         assert_eq!(g.edge(order[2]).key(), (0, 1));
         assert_eq!(g.edge(order[3]).key(), (2, 3));
+    }
+
+    #[test]
+    fn edges_by_weight_matches_the_stable_comparator_sort() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(11);
+        for n in [2usize, 3, 5, 9] {
+            // Integer weights in {1, 2, 3} over few vertices: many equal
+            // weights, many parallel edges, both endpoint orders.
+            let edges: Vec<(usize, usize, f64)> = (0..120)
+                .map(|_| {
+                    let u = rng.gen_range(0..n);
+                    let v = (u + rng.gen_range(1..n)) % n;
+                    (u, v, rng.gen_range(1..4) as f64)
+                })
+                .collect();
+            let g = WeightedGraph::from_edges(n, edges).unwrap();
+            let mut stable: Vec<EdgeId> = (0..g.num_edges()).map(EdgeId).collect();
+            stable.sort_by(|&a, &b| {
+                let (ea, eb) = (g.edge(a), g.edge(b));
+                ea.weight
+                    .total_cmp(&eb.weight)
+                    .then_with(|| ea.key().cmp(&eb.key()))
+            });
+            assert_eq!(g.edges_by_weight(), stable, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn from_edges_reports_the_first_error_of_the_incremental_path() {
+        let bad = f64::NAN;
+        let streams: [&[(usize, usize, f64)]; 6] = [
+            &[(0, 1, 1.0), (1, 1, 2.0), (0, 9, 1.0)],
+            &[(0, 9, 1.0), (1, 1, 2.0)],
+            &[(9, 1, -1.0)],
+            &[(0, 1, 1.0), (2, 7, bad)],
+            &[(0, 1, 0.0), (0, 5, 1.0)],
+            &[(3, 3, bad)],
+        ];
+        for edges in streams {
+            let mut g = WeightedGraph::new(4);
+            let incremental = edges
+                .iter()
+                .map(|&(u, v, w)| g.try_add_edge(VertexId(u), VertexId(v), w))
+                .find_map(Result::err)
+                .expect("every stream holds an invalid edge");
+            let bulk = WeightedGraph::from_edges(4, edges.iter().copied()).unwrap_err();
+            // `NaN != NaN`, so compare the reports.
+            assert_eq!(format!("{bulk:?}"), format!("{incremental:?}"), "{edges:?}");
+        }
     }
 
     #[test]

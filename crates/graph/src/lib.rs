@@ -4,7 +4,11 @@
 //! [`greedy-spanner`](https://example.org/greedy-spanner) need from a graph library:
 //!
 //! * [`WeightedGraph`] — an undirected, positively-weighted multigraph stored as an
-//!   edge list plus adjacency lists, with O(1) edge access by [`EdgeId`].
+//!   edge list plus one flat adjacency arena (a `(start, len, cap)` row per
+//!   vertex into a single slot array), with O(1) edge access by [`EdgeId`].
+//!   Bulk producers ([`WeightedGraph::from_edges`], the generators, …) lay
+//!   every row out once at its exact degree; [`WeightedGraph::add_edge`]
+//!   moves a full row to the arena's end at double its capacity.
 //! * [`CsrGraph`] — the compressed-sparse-row *query substrate*: flat
 //!   `offsets`/`targets`/`weights` arrays built `From<&WeightedGraph>`,
 //!   incrementally appendable ([`csr::CsrGraph::append_edge`]) **and

@@ -7,7 +7,7 @@
 
 use crate::apsp::all_pairs_shortest_paths;
 use crate::error::GraphError;
-use crate::graph::{VertexId, WeightedGraph};
+use crate::graph::WeightedGraph;
 
 /// Builds the metric closure of `graph`: a complete graph on the same vertex
 /// set where the weight of `{u, v}` is `δ_G(u, v)`.
@@ -23,14 +23,14 @@ pub fn metric_closure(graph: &WeightedGraph) -> Result<WeightedGraph, GraphError
         return Err(GraphError::EmptyGraph);
     }
     let m = all_pairs_shortest_paths(graph);
-    let mut closure = WeightedGraph::new(n);
+    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
     for (u, v, d) in m.pairs() {
         if !d.is_finite() {
             return Err(GraphError::Disconnected);
         }
-        closure.add_edge(u, v, d);
+        edges.push((u.index(), v.index(), d));
     }
-    Ok(closure)
+    WeightedGraph::from_edges(n, edges)
 }
 
 /// Builds a complete graph on `n` vertices from an explicit distance oracle.
@@ -49,19 +49,14 @@ pub fn complete_graph_from_distances(
     if n == 0 {
         return Err(GraphError::EmptyGraph);
     }
-    let mut g = WeightedGraph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = distance(i, j);
-            g.try_add_edge(VertexId(i), VertexId(j), d)?;
-        }
-    }
-    Ok(g)
+    let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
+    WeightedGraph::from_edges(n, pairs.map(|(i, j)| (i, j, distance(i, j))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::VertexId;
     use crate::mst::mst_weight;
 
     fn path3() -> WeightedGraph {

@@ -29,7 +29,7 @@
 
 use crate::csr::VertexPerm;
 use crate::error::GraphError;
-use crate::graph::{VertexId, WeightedGraph};
+use crate::graph::{Edge, VertexId, WeightedGraph};
 
 /// Default size-balance cap multiplier: a shard may BFS-claim at most
 /// `ceil(n/k) * DEFAULT_BALANCE` vertices.
@@ -233,10 +233,7 @@ impl Partition {
         let perm = VertexPerm::from_order(&order);
 
         // Induced subgraphs + cut edges, both in input edge order.
-        let mut shard_graphs: Vec<WeightedGraph> = vertex_tables
-            .iter()
-            .map(|table| WeightedGraph::new(table.len()))
-            .collect();
+        let mut shard_edges: Vec<Vec<Edge>> = vec![Vec::new(); k];
         let mut cut_edges = Vec::new();
         let mut boundary_flags: Vec<Vec<bool>> =
             vertex_tables.iter().map(|t| vec![false; t.len()]).collect();
@@ -244,11 +241,11 @@ impl Partition {
             let (ui, vi) = (e.u.index(), e.v.index());
             let (su, sv) = (assignment[ui] as usize, assignment[vi] as usize);
             if su == sv {
-                shard_graphs[su].add_edge(
+                shard_edges[su].push(Edge::new(
                     VertexId(local_of[ui] as usize),
                     VertexId(local_of[vi] as usize),
                     e.weight,
-                );
+                ));
             } else {
                 boundary_flags[su][local_of[ui] as usize] = true;
                 boundary_flags[sv][local_of[vi] as usize] = true;
@@ -262,9 +259,10 @@ impl Partition {
 
         let shards = vertex_tables
             .into_iter()
-            .zip(shard_graphs)
+            .zip(shard_edges)
             .zip(boundary_flags)
-            .map(|((vertices, graph), flags)| {
+            .map(|((vertices, edges), flags)| {
+                let graph = WeightedGraph::from_valid_edges(vertices.len(), edges);
                 let boundary = flags
                     .iter()
                     .enumerate()

@@ -98,20 +98,13 @@ pub trait MetricSpace: Send + Sync {
     /// the first `NaN`, infinite or negative pairwise distance.
     fn try_to_complete_graph(&self) -> Result<WeightedGraph, spanner_graph::GraphError> {
         let n = self.len();
-        let mut g = WeightedGraph::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = self.distance(i, j);
-                if d == 0.0 {
-                    continue; // duplicate points carry no edge
-                }
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(spanner_graph::GraphError::InvalidWeight { weight: d });
-                }
-                g.add_edge(i.into(), j.into(), d);
-            }
-        }
-        Ok(g)
+        let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
+        // Duplicate points (distance 0) carry no edge; `from_edges` stops at
+        // the first remaining pair whose distance is not positive and finite.
+        let edges = pairs
+            .map(|(i, j)| (i, j, self.distance(i, j)))
+            .filter(|&(_, _, d)| d != 0.0);
+        WeightedGraph::from_edges(n, edges)
     }
 }
 
