@@ -31,7 +31,7 @@ const ENGINE_CONFIGS: [(&str, usize); 2] = [("heap", 0), ("heap_alt", 4)];
 
 /// Freezes a fresh server off one shared construction result — the ~1s
 /// n=2000 greedy build runs once per bench invocation, not once per server.
-/// Uses the builder defaults: landmarks, `Auto` relax kernel.
+/// Uses the builder defaults (landmarks included).
 fn build_server(output: &SpannerOutput, threads: usize, cache: usize) -> SpannerServer {
     output
         .clone()

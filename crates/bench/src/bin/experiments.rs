@@ -771,9 +771,6 @@ fn experiment_e10() -> Table {
             "peak frontier",
             "queries",
             "reuse hits",
-            "rows batched",
-            "edges gathered",
-            "committed",
         ],
     );
     let g = random_graph(200, DEFAULT_SEED + 11);
@@ -803,18 +800,12 @@ fn experiment_e10() -> Table {
                 out.stats.peak_frontier.to_string(),
                 out.stats.distance_queries.to_string(),
                 out.stats.workspace_reuse_hits.to_string(),
-                out.stats.kernel.rows_batched.to_string(),
-                out.stats.kernel.edges_gathered.to_string(),
-                out.stats.kernel.candidates_committed.to_string(),
             ]),
             _ => table.add_row(vec![
                 cell.input.clone(),
                 cell.algorithm.clone(),
                 fmt_f(cell.stretch),
                 "failed".to_owned(),
-                "-".to_owned(),
-                "-".to_owned(),
-                "-".to_owned(),
                 "-".to_owned(),
                 "-".to_owned(),
                 "-".to_owned(),
@@ -838,9 +829,6 @@ fn experiment_e10() -> Table {
         "-".to_owned(),
         agg.distance_queries.to_string(),
         agg.workspace_reuse_hits.to_string(),
-        agg.kernel.rows_batched.to_string(),
-        agg.kernel.edges_gathered.to_string(),
-        agg.kernel.candidates_committed.to_string(),
     ]);
     table
 }

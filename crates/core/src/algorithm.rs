@@ -408,10 +408,7 @@ pub struct RunStats {
     /// phases (`1.0` = perfectly balanced or sequential; `0.0` when the
     /// construction reports no utilization).
     pub worker_utilization: f64,
-    /// Batched relax-kernel counters aggregated over every engine the
-    /// construction drove (see [`spanner_graph::RelaxKernel`]); all-zero for
-    /// constructions that issue no engine queries or ran the scalar kernel
-    /// throughout.
+    /// Always zero; see [`KernelStats`].
     pub kernel: KernelStats,
 }
 

@@ -66,7 +66,6 @@ impl SpannerAlgorithm for Greedy {
                 batch_recheck_hits: result.batch_recheck_hits(),
                 threads_used: result.threads_used(),
                 worker_utilization: result.worker_utilization(),
-                kernel: result.kernel_stats(),
                 ..RunStats::default()
             };
             Ok((result.into_spanner(), stats))

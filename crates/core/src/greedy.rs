@@ -80,7 +80,7 @@ use spanner_graph::dijkstra::bounded_distance_with_frontier;
 use spanner_graph::parallel::EnginePool;
 #[cfg(doc)]
 use spanner_graph::DijkstraEngine;
-use spanner_graph::{CsrGraph, EdgeId, KernelStats, UnionFind, VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, EdgeId, UnionFind, VertexId, WeightedGraph};
 
 use crate::error::{validate_stretch, SpannerError};
 
@@ -109,7 +109,6 @@ pub struct GreedySpanner {
     batch_recheck_hits: usize,
     threads_used: usize,
     worker_utilization: f64,
-    kernel: KernelStats,
     added_edge_ids: Vec<EdgeId>,
 }
 
@@ -188,14 +187,6 @@ impl GreedySpanner {
     /// filter phases (1.0 on the sequential path).
     pub fn worker_utilization(&self) -> f64 {
         self.worker_utilization
-    }
-
-    /// Batched relax-kernel counters aggregated over every engine the
-    /// construction drove; all-zero when the scalar kernel ran throughout
-    /// (short-row graphs under `Auto`, or the reference path, which has no
-    /// engine at all).
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel
     }
 
     /// Ids (into the *input* graph) of the edges that were kept, in the order
@@ -445,7 +436,6 @@ pub(crate) fn run_greedy(
         batch_recheck_hits: outcome.recheck_hits,
         threads_used: threads,
         worker_utilization: pool.utilization(),
-        kernel: stats.kernel,
         added_edge_ids: outcome.added.iter().map(|&i| order[i]).collect(),
     })
 }
@@ -489,7 +479,6 @@ pub fn greedy_spanner_reference(
         batch_recheck_hits: 0,
         threads_used: 1,
         worker_utilization: 1.0,
-        kernel: KernelStats::default(),
         added_edge_ids,
     })
 }

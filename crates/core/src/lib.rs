@@ -190,6 +190,18 @@
 //! traffic shapes — uniform pairs, Zipf hotspots, ball sweeps, mixed read
 //! profiles — for benches and tests.
 //!
+//! **Migration note (0.11):** the batched relax kernel is gone; every
+//! engine search runs the one scalar relaxation loop, with unchanged
+//! answers. Removed: `spanner_graph::RelaxKernel` and
+//! `spanner_graph::engine::AUTO_KERNEL_WORKING_SET_BYTES`;
+//! `DijkstraEngine::{set_relax_kernel, relax_kernel}`;
+//! `EnginePool::set_relax_kernel`; `ServeBuilder::relax_kernel`;
+//! `CsrGraph::{edge_liveness_words, has_overflow}`; `ServeStats::kernel`;
+//! `MatrixStats::kernel`; `GreedySpanner::kernel_stats`; and
+//! `KernelStats::{merge, prefetch_distance}`. Delete those calls.
+//! [`spanner_graph::KernelStats`] keeps three always-zero counters in
+//! [`spanner_graph::EngineStats::kernel`] and [`RunStats::kernel`].
+//!
 //! **Migration note (0.8):** `ServeBuilder::reorder`,
 //! `SpannerHandle::reordered` and `SpannerHandle::perm` are gone: a served
 //! spanner keeps the build's vertex numbering (the degree-sorted relayout

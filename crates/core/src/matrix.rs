@@ -64,8 +64,6 @@ pub struct MatrixStats {
     pub batches: usize,
     /// Total batch re-check hits across all successful cells.
     pub batch_recheck_hits: usize,
-    /// Relax-kernel counters summed across all successful cells.
-    pub kernel: spanner_graph::KernelStats,
 }
 
 impl MatrixStats {
@@ -113,7 +111,6 @@ pub fn aggregate_stats(cells: &[MatrixCell]) -> MatrixStats {
                 agg.workspace_reuse_hits += out.stats.workspace_reuse_hits;
                 agg.batches += out.stats.batches;
                 agg.batch_recheck_hits += out.stats.batch_recheck_hits;
-                agg.kernel.merge(&out.stats.kernel);
             }
             Err(_) => agg.failures += 1,
         }

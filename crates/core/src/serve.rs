@@ -163,16 +163,6 @@
 //!   observable. A pair whose source bound already exceeds the query
 //!   bound ([`Landmarks::rules_out`]) settles nothing, and its target
 //!   stays out of the cache's need (see above).
-//! * **Batched relax kernel** ([`ServeBuilder::relax_kernel`]): engine
-//!   searches drain same-cohort queue entries together, gather their
-//!   adjacency rows into a contiguous scratch ring, software-prefetch the
-//!   `dist`/`state` lanes ahead of use, and branchlessly compact the
-//!   surviving candidates before relaxing (see
-//!   [`spanner_graph::RelaxKernel`]). The default `Auto` policy batches
-//!   only when a live server has pending deletions or the spanner's search
-//!   lanes outgrow the cache
-//!   ([`spanner_graph::engine::AUTO_KERNEL_WORKING_SET_BYTES`]);
-//!   [`ServeStats::kernel`] exposes the counters.
 //!
 //! # Quick start
 //!
@@ -196,8 +186,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, RelaxKernel,
-    SptTree, TreeNeed, VertexId, WeightedGraph,
+    CsrGraph, DijkstraEngine, EnginePool, EngineStats, Landmarks, SptTree, TreeNeed, VertexId,
+    WeightedGraph,
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
@@ -575,10 +565,6 @@ pub struct ServeStats {
     pub elapsed: Duration,
     /// Per-query answer latencies.
     pub latency: LatencyHistogram,
-    /// Batched relax-kernel counters aggregated across the server's engine
-    /// pool ([`spanner_graph::KernelStats`]); all-zero while the scalar
-    /// kernel serves every search.
-    pub kernel: KernelStats,
 }
 
 impl ServeStats {
@@ -1156,8 +1142,6 @@ impl SpannerServer {
         self.stats.batches += 1;
         self.stats.epoch = epoch;
         self.stats.elapsed += start.elapsed();
-        // Pool engines accumulate across batches; snapshot rather than add.
-        self.stats.kernel = self.pool.stats().kernel;
         Ok(answers)
     }
 
@@ -1370,7 +1354,6 @@ pub struct ServeBuilder {
     /// `None` = default ([`DEFAULT_LANDMARK_COUNT`] for fresh outputs and
     /// live servers, keep a handle's table).
     landmark_count: Option<usize>,
-    relax_kernel: RelaxKernel,
 }
 
 /// Default number of shortest-path trees the cache holds.
@@ -1397,7 +1380,6 @@ impl ServeBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             baseline: None,
             landmark_count: None,
-            relax_kernel: RelaxKernel::Auto,
         }
     }
 
@@ -1420,18 +1402,6 @@ impl ServeBuilder {
     /// smaller than the graph (see [`SptTree::memory_bytes`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Which relaxation kernel the serving engines run.
-    /// [`RelaxKernel::Auto`] (the default) batches only when the served
-    /// spanner has pending deletions or its search lanes (16 B per vertex)
-    /// exceed [`spanner_graph::engine::AUTO_KERNEL_WORKING_SET_BYTES`], and
-    /// runs the scalar loop on cache-resident spanners; answers, settle
-    /// orders and search counters are bit-identical at every setting —
-    /// this is purely a speed knob.
-    pub fn relax_kernel(mut self, kernel: RelaxKernel) -> Self {
-        self.relax_kernel = kernel;
         self
     }
 
@@ -1512,8 +1482,7 @@ impl ServeBuilder {
                 Served::Live(live) => live.original().num_edges(),
                 Served::Frozen(_) => 0,
             });
-        let mut pool = EnginePool::with_capacity_for(threads, n, m);
-        pool.set_relax_kernel(self.relax_kernel);
+        let pool = EnginePool::with_capacity_for(threads, n, m);
         SpannerServer {
             served,
             baseline,
@@ -2214,41 +2183,31 @@ mod tests {
                 }
             })
             .collect();
-        // Reference: scalar kernel, no landmarks.
+        // Reference: no landmarks.
         let mut reference_server = output
             .clone()
             .serve()
-            .relax_kernel(RelaxKernel::Scalar)
             .landmarks(0)
             .audit_against(&g)
             .finish();
         let reference = reference_server.answer_batch(&queries).unwrap();
-        // Every acceleration combination must reproduce it bit for bit.
-        for (kernel, landmarks) in [
-            (RelaxKernel::Batched, 0),
-            (RelaxKernel::Auto, 0),
-            (RelaxKernel::Scalar, 4),
-            (RelaxKernel::Batched, 4),
-            (RelaxKernel::Auto, 16),
-        ] {
+        // Every landmark count must reproduce it bit for bit, cold and
+        // warm.
+        for landmarks in [0, 4, 16] {
             let mut server = output
                 .clone()
                 .serve()
-                .relax_kernel(kernel)
                 .landmarks(landmarks)
                 .audit_against(&g)
                 .finish();
             let cold = server.answer_batch(&queries).unwrap();
             let warm = server.answer_batch(&queries).unwrap();
-            assert_eq!(cold, reference, "kernel={kernel:?} landmarks={landmarks}");
-            assert_eq!(
-                warm, reference,
-                "warm, kernel={kernel:?} landmarks={landmarks}"
-            );
+            assert_eq!(cold, reference, "landmarks={landmarks}");
+            assert_eq!(warm, reference, "warm, landmarks={landmarks}");
             let engine = server.engine_stats();
             assert_eq!(
                 engine.reuse_hits, engine.queries,
-                "kernel={kernel:?} landmarks={landmarks}: engine allocated"
+                "landmarks={landmarks}: engine allocated"
             );
         }
     }

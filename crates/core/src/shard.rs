@@ -512,7 +512,6 @@ fn build_sharded(
         stats.workspace_reuse_hits += out.stats.workspace_reuse_hits;
         stats.batches += out.stats.batches;
         stats.batch_recheck_hits += out.stats.batch_recheck_hits;
-        stats.kernel.merge(&out.stats.kernel);
     }
     stats.worker_utilization = if shard_outputs.is_empty() {
         0.0

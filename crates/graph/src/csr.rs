@@ -377,16 +377,6 @@ impl CsrGraph {
         !self.overlay.is_dead(id as usize)
     }
 
-    /// The tombstone bitmap as raw 64-bit words, one bit per edge id (a set
-    /// bit marks a deleted edge; ids past the end of the slice are live).
-    /// This is the batch counterpart of [`CsrGraph::is_edge_id_live`]: the
-    /// engine's gather kernel fetches the slice once per row and tests bits
-    /// locally instead of re-borrowing the graph per edge.
-    #[inline]
-    pub fn edge_liveness_words(&self) -> &[u64] {
-        &self.overlay.tombstone
-    }
-
     /// Endpoints and weight of the edge with the given id. The record is
     /// returned even for deleted ids (the ground-truth slot is kept so ids
     /// stay stable); check [`CsrGraph::is_edge_live`] for liveness.
@@ -431,9 +421,7 @@ impl CsrGraph {
     /// Between re-packs the value is a **lower bound**: deleting the
     /// current minimum does not trigger a rescan, so a stale smaller weight
     /// may be reported until the next [`CsrGraph::compact`] makes it exact
-    /// again. The consumer (the batched relax kernel's cohort slack) only
-    /// needs a lower bound — a too-small slack means smaller cohorts, never
-    /// a wrong answer.
+    /// again.
     pub fn min_live_weight(&self) -> Option<f64> {
         (!self.is_edgeless()).then_some(self.min_live_weight)
     }
@@ -751,19 +739,6 @@ impl CsrGraph {
             graph: self,
             chain: self.overlay.head[u.index()],
         }
-    }
-
-    /// Whether `u` has any overflow chain at all — an O(1) emptiness test
-    /// (the chain may still be all-tombstoned; this is the cheap
-    /// conservative check the batched relax kernel uses to decide whether a
-    /// row can be read straight from the packed arrays).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn has_overflow(&self, u: VertexId) -> bool {
-        self.overlay.head[u.index()] != NONE
     }
 
     /// A read-only snapshot view of this graph, frozen for a parallel query
@@ -1360,12 +1335,17 @@ mod tests {
             .collect()
     }
 
+    /// Whether `u` has any overflow chain at all (it may be all-tombstoned).
+    fn has_overflow(csr: &CsrGraph, u: VertexId) -> bool {
+        csr.overlay.head[u.index()] != NONE
+    }
+
     /// Asserts every row of `csr` reads exactly like the packed build of
     /// `g`: same records in the same (edge-id) order, all of them packed.
     fn assert_rows_match_packed_build(csr: &CsrGraph, g: &WeightedGraph) {
         let packed = CsrGraph::from(g);
         for u in (0..g.num_vertices()).map(VertexId) {
-            assert!(!csr.has_overflow(u), "vertex {u:?}");
+            assert!(!has_overflow(csr, u), "vertex {u:?}");
             assert_eq!(
                 csr.neighbors(u).collect::<Vec<_>>(),
                 packed.neighbors(u).collect::<Vec<_>>(),
@@ -1413,7 +1393,7 @@ mod tests {
         assert_rows_match_packed_build(&csr, &g);
         // Tight rows have no room: the next append goes to the overlay.
         csr.append_edge(VertexId(7), VertexId(8), 1.0);
-        assert!(csr.has_overflow(VertexId(7)) && csr.has_overflow(VertexId(8)));
+        assert!(has_overflow(&csr, VertexId(7)) && has_overflow(&csr, VertexId(8)));
         assert!(!csr.is_compact());
     }
 
@@ -1438,9 +1418,9 @@ mod tests {
         }
         assert!(!csr.is_compact());
         assert_eq!(csr.overlay().pending_insertions(), 3);
-        assert!(csr.has_overflow(VertexId(1)) && csr.has_overflow(VertexId(6)));
-        assert!(csr.has_overflow(VertexId(7)) && csr.has_overflow(VertexId(8)));
-        assert!(!csr.has_overflow(VertexId(2)));
+        assert!(has_overflow(&csr, VertexId(1)) && has_overflow(&csr, VertexId(6)));
+        assert!(has_overflow(&csr, VertexId(7)) && has_overflow(&csr, VertexId(8)));
+        assert!(!has_overflow(&csr, VertexId(2)));
         let packed = CsrGraph::from(&grown);
         for u in 0..9 {
             assert_eq!(sorted_neighbors(&csr, u), sorted_neighbors(&packed, u));
@@ -1470,7 +1450,7 @@ mod tests {
         }
         assert_eq!(csr.epoch(), 12);
         assert_eq!(csr.overlay().pending_insertions(), 0);
-        assert!((0..9).all(|u| !csr.has_overflow(VertexId(u))));
+        assert!((0..9).all(|u| !has_overflow(&csr, VertexId(u))));
         let live: Vec<(usize, usize, f64, usize)> = edges
             .iter()
             .enumerate()

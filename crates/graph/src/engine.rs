@@ -21,17 +21,6 @@
 //! * the engine counts queries, workspace-reuse hits (queries that ran
 //!   without growing any buffer), heap pops and the peak frontier, which the
 //!   spanner pipeline surfaces in its run statistics;
-//! * relaxations can run through a batched **gather → filter → commit
-//!   kernel** ([`RelaxKernel`]): whole same-cohort queue drains are staged
-//!   into a contiguous scratch ring, the `dist`/`state` lanes are
-//!   software-prefetched a fixed distance ahead, and candidates are
-//!   branchlessly compacted before the exact relax step — hiding the
-//!   dependent random-access load latency that dominates the scalar loop,
-//!   with answers, settle order and counters bit-identical to it. The
-//!   default [`RelaxKernel::Auto`] keys on working-set size: it batches only
-//!   while deletions are pending or once the `dist`/`state`/`parent` lanes
-//!   (16 B per vertex) outgrow [`AUTO_KERNEL_WORKING_SET_BYTES`], because
-//!   in cache there is no latency to hide;
 //! * point-to-point queries can run **goal-directed** over a [`Landmarks`]
 //!   table ([`DijkstraEngine::bounded_distance_landmarked`],
 //!   [`DijkstraEngine::shortest_path_with`]): an A* search keyed by
@@ -69,64 +58,6 @@ const NO_VERTEX: u32 = u32::MAX;
 /// [`DijkstraEngine::with_capacity_for`]; tables with more landmarks grow
 /// the buffer once (one reuse miss) and stay.
 const LANDMARK_SCRATCH_RESERVE: usize = 32;
-
-/// Staged-edge budget of one gather cohort: a cohort stops accepting rows
-/// once the scratch ring holds this many half-edges (the last row may
-/// overshoot by its own length — the reservation in
-/// [`DijkstraEngine::with_capacity_for`] accounts for that). Sized so the
-/// staged `(target, weight)` lanes (~12 bytes/edge) stay L1/L2-resident.
-const GATHER_RING_CAP: usize = 8192;
-
-/// Row budget of one gather cohort, bounding the per-cohort row metadata.
-const MAX_COHORT_ROWS: usize = 512;
-
-/// How many staged edges ahead the batched kernel prefetches the
-/// `dist`/`state` lanes during the filter pass — far enough to cover
-/// DRAM latency at filter throughput, near enough to stay within the
-/// already-staged (hence certainly-needed) candidates.
-const PREFETCH_DISTANCE: usize = 8;
-
-/// How many rows ahead of the committing row a borrowed row's packed
-/// `(targets, weights)` head lines are prefetched. The targets hold the
-/// *addresses* of the next row's `dist`/`state` prefetches, so they must
-/// land a row earlier than the lanes they unlock; a few rows of lead
-/// covers DRAM latency at commit throughput without outrunning L1.
-const EDGE_PREFETCH_AHEAD: usize = 6;
-
-/// Bytes of per-vertex search state a query touches at random: the `dist`
-/// (8), `state` (4) and `parent` (4) lanes.
-const WORKING_SET_BYTES_PER_VERTEX: usize = 16;
-
-/// [`RelaxKernel::Auto`] picks the batched kernel (absent pending
-/// deletions) once the search lanes, `n × 16 B` (`dist` + `state` +
-/// `parent`), exceed this many bytes. Below it the lanes stay
-/// cache-resident, there is no load latency to hide, and the staging work
-/// only costs.
-///
-/// Measured with `substrate_micro`'s `relax_kernel` group
-/// (`BENCH_RELAX_KERNEL=1 BENCH_RELAX_N=<n>`: an ER-like graph of mean
-/// degree ≈ 12, 128 bounded queries, best of 5 per kernel) on a 2-core
-/// Xeon VM with 2 MiB of L2 per core and a 105 MiB shared L3. Speedup is
-/// scalar time ÷ batched time, three runs per row:
-///
-/// | n | lanes | batched speedup |
-/// |---|---|---|
-/// | 2 k | 32 KiB | 0.55, 0.69, 0.95 |
-/// | 20 k | 0.3 MiB | 0.83, 1.28, 0.81 |
-/// | 50 k | 0.8 MiB | 0.57, 0.92, 1.02 |
-/// | 100 k | 1.5 MiB | 1.17, 1.02, 1.54 |
-/// | 150 k | 2.3 MiB | 1.32, 1.06, 1.15 |
-/// | 200 k | 3.1 MiB | 1.07, 1.26, 1.13 |
-/// | 300 k | 4.6 MiB | 1.45, 1.21, 1.20 |
-/// | 500 k | 7.6 MiB | 1.29, 1.23, 1.33 |
-/// | 1 M | 15 MiB | 1.75, 1.42, 1.46 |
-/// | 4 M | 61 MiB | 1.19, 1.45, 1.55 |
-///
-/// Batched never wins reliably while the lanes fit in one core's L2 and
-/// always wins once they do not, so the crossover is set at the L2 size.
-/// On hardware with a larger L2 the rule errs toward batching slightly
-/// early, which costs little next to the out-of-cache gain.
-pub const AUTO_KERNEL_WORKING_SET_BYTES: usize = 2 << 20;
 
 /// A relative bound on the floating-point error of any shortest-path
 /// distance computed over a path of at most `hops` edges: a computed
@@ -269,112 +200,6 @@ pub(crate) fn search_bound(bound: f64) -> f64 {
     }
 }
 
-/// Requests that the cache line holding `slice[index]` be pulled toward L1.
-/// Bounds-checked and side-effect-free: prefetching cannot fault, cannot
-/// write, and is ignored entirely on non-x86_64 targets — it only hides
-/// memory latency for the load the filter pass will issue a few iterations
-/// later.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn prefetch_read<T>(slice: &[T], index: usize) {
-    if index < slice.len() {
-        // Safety: the pointer is derived from a live slice and in bounds
-        // (checked above); `_mm_prefetch` performs no memory access — it is
-        // a hint with no architectural effect.
-        #[allow(unsafe_code)]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(slice.as_ptr().add(index).cast());
-        }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn prefetch_read<T>(_slice: &[T], _index: usize) {}
-
-/// One drained cohort member awaiting its commit pass: the vertex, its
-/// settled distance, where its gathered edges end in the scratch lanes
-/// (scratch rows are contiguous: this row starts at the previous scratch
-/// row's `end`; a *borrowed* row consumed no scratch and is re-read
-/// straight from the packed CSR arrays at commit time), and its drain
-/// position among the cohort's pops (stale pops included) — the lag term
-/// that keeps `peak_frontier` bit-identical to the scalar path.
-#[derive(Debug, Clone, Copy, Default)]
-struct StagedRow {
-    u: u32,
-    d: f64,
-    end: u32,
-    pos: u32,
-    borrowed: bool,
-}
-
-/// Gather phase of the batched kernel. A *clean* row — no deletions
-/// pending anywhere and no overflow chain on `u` — is recorded as borrowed
-/// and read straight from the packed arrays at commit time: copying it
-/// would only add memory traffic. A dirty row's live half-edges — the
-/// packed row filtered against the raw `liveness` bitmap when deletions
-/// are pending, then the overflow chain, in exactly the scalar loop's
-/// relax order — are appended to the contiguous scratch lanes. The
-/// target's row is staged empty (the scalar loop breaks at its settle
-/// without relaxing anything); returns whether `u` *is* the target, which
-/// ends the drain. `staged_edges` accumulates the row length either way —
-/// the cohort budget counts borrowed work too.
-#[allow(clippy::too_many_arguments)]
-fn stage_cohort_row(
-    graph: &CsrGraph,
-    liveness: &[u64],
-    pending_deletions: bool,
-    target: Option<u32>,
-    gather_targets: &mut Vec<u32>,
-    gather_weights: &mut Vec<f64>,
-    rows: &mut Vec<StagedRow>,
-    staged_edges: &mut usize,
-    u: u32,
-    d: f64,
-    pos: u32,
-) -> bool {
-    let mut borrowed = false;
-    if Some(u) != target {
-        let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-        if !pending_deletions && !graph.has_overflow(VertexId(u as usize)) {
-            *staged_edges += targets.len();
-            borrowed = true;
-        } else {
-            let before = gather_targets.len();
-            if pending_deletions {
-                let ids = graph.packed_neighbor_ids(VertexId(u as usize));
-                for i in 0..targets.len() {
-                    let id = ids[i] as usize;
-                    let dead = liveness
-                        .get(id >> 6)
-                        .is_some_and(|word| (word >> (id & 63)) & 1 == 1);
-                    if !dead {
-                        gather_targets.push(targets[i]);
-                        gather_weights.push(weights[i]);
-                    }
-                }
-            } else {
-                gather_targets.extend_from_slice(targets);
-                gather_weights.extend_from_slice(weights);
-            }
-            for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-                gather_targets.push(v);
-                gather_weights.push(w);
-            }
-            *staged_edges += gather_targets.len() - before;
-        }
-    }
-    rows.push(StagedRow {
-        u,
-        d,
-        end: gather_targets.len() as u32,
-        pos,
-        borrowed,
-    });
-    Some(u) == target
-}
-
 /// Aggregate counters of a [`DijkstraEngine`]; see [`DijkstraEngine::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -428,14 +253,13 @@ pub struct EngineStats {
     /// decides a parent (see [`DijkstraEngine::shortest_path_with`]). The
     /// fallback adds to the search counters but not to `queries`.
     pub path_fallbacks: u64,
-    /// Counters of the batched gather → relax kernel (all zero while every
-    /// query ran the scalar reference path); see [`RelaxKernel`].
+    /// Always zero; see [`KernelStats`].
     pub kernel: KernelStats,
 }
 
 impl EngineStats {
     /// Folds `other` into `self`: counters add, the peak frontier takes the
-    /// maximum, and the kernel block merges with [`KernelStats::merge`].
+    /// maximum (the always-zero kernel block stays zero).
     /// Used by pool and serving layers aggregating per-worker engines.
     pub fn merge(&mut self, other: &EngineStats) {
         self.queries += other.queries;
@@ -448,69 +272,23 @@ impl EngineStats {
         self.bidirectional_fallbacks += other.bidirectional_fallbacks;
         self.reopened += other.reopened;
         self.path_fallbacks += other.path_fallbacks;
-        self.kernel.merge(&other.kernel);
     }
 }
 
-/// Counters of the batched gather → relax kernel (see [`RelaxKernel`]):
-/// how much of the relaxation work ran through the staged, prefetch-
-/// pipelined path, and how sharp its branchless filter was. Purely
-/// observability — the kernel never changes an answer, a settle order, or
-/// any other [`EngineStats`] counter.
+/// Three counters that are always zero. They named the work of a batched
+/// relaxation kernel the engine no longer has; one search loop relaxes
+/// every row now. They stay only because the pipeline benchmark
+/// (`perfbench/`) still reads them through [`EngineStats::kernel`] and
+/// `RunStats::kernel`, and leave with the benchmark's next change
+/// (ROADMAP item 10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Adjacency rows staged and relaxed by the batched kernel (settled
-    /// vertices that went through gather → filter → commit rather than the
-    /// scalar loop).
+    /// Always 0.
     pub rows_batched: u64,
-    /// Half-edges copied into the gather scratch ring across all batched
-    /// rows (tombstoned half-edges are filtered out during the gather and
-    /// never counted).
+    /// Always 0.
     pub edges_gathered: u64,
-    /// Gathered candidates that survived the branchless filter and were
-    /// handed to the exact relax step — `edges_gathered −
-    /// candidates_committed` relaxations were discarded without a branch
-    /// mispredict.
+    /// Always 0.
     pub candidates_committed: u64,
-    /// How many staged edges ahead the kernel prefetches the `state` lane
-    /// (0 until the batched kernel first runs; constant otherwise).
-    pub prefetch_distance: usize,
-}
-
-impl KernelStats {
-    /// Folds `other` into `self`: counters add, the prefetch distance (a
-    /// configuration echo, not a count) takes the maximum. Used by pool and
-    /// serving layers aggregating per-worker engines.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.rows_batched += other.rows_batched;
-        self.edges_gathered += other.edges_gathered;
-        self.candidates_committed += other.candidates_committed;
-        self.prefetch_distance = self.prefetch_distance.max(other.prefetch_distance);
-    }
-}
-
-/// Which relaxation kernel a query runs — the scalar reference loop (one
-/// dependent `dist`/`state` load per half-edge) or the batched gather →
-/// filter → commit kernel (whole same-cohort queue drains staged into a
-/// scratch ring with software prefetch and branchless candidate
-/// compaction). See [`DijkstraEngine::set_relax_kernel`].
-///
-/// Answers, settle order and every non-[`KernelStats`] counter are
-/// bit-identical under every setting — this is purely a performance
-/// choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RelaxKernel {
-    /// Pick per query: the batched kernel when deletions are pending (the
-    /// gather resolves liveness against the raw tombstone bitmap instead of
-    /// per-edge calls) or when the search lanes outgrow the cache
-    /// (`n × 16 B >` [`AUTO_KERNEL_WORKING_SET_BYTES`]), the scalar loop
-    /// otherwise (cache-resident lanes, where staging only adds work).
-    #[default]
-    Auto,
-    /// Always the scalar reference loop.
-    Scalar,
-    /// Always the batched gather → filter → commit kernel.
-    Batched,
 }
 
 /// One priority-queue entry: the key is stored alongside the vertex so
@@ -538,26 +316,6 @@ impl Ord for HeapSlot {
 impl PartialOrd for HeapSlot {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Pops the heap minimum only when its key is strictly below `threshold`
-/// and at most `stop_key` — the batched kernel's cohort drain, which
-/// collects every entry provably settleable in one pass without disturbing
-/// the exact pop order of the rest. An entry past `stop_key` stays queued
-/// for the outer loop, whose pop ends the search exactly where the scalar
-/// loop's does.
-#[inline(always)]
-fn pop_if_below(
-    heap: &mut BinaryHeap<HeapSlot>,
-    threshold: f64,
-    stop_key: f64,
-) -> Option<HeapSlot> {
-    let top = heap.peek()?.dist;
-    if top < threshold && top <= stop_key {
-        heap.pop()
-    } else {
-        None
     }
 }
 
@@ -632,8 +390,7 @@ impl TreeNeed {
     }
 }
 
-/// The stop rule of a need-driven search — one instance per query, shared
-/// by the scalar and the batched loop so both stop at the same pop (see
+/// The stop rule of a need-driven search, one instance per query (see
 /// [`DijkstraEngine::search`]). The need's targets live in the engine's
 /// `need_mark` / `need_bounds` buffers.
 #[derive(Debug, Clone, Copy)]
@@ -755,17 +512,6 @@ pub struct DijkstraEngine {
     /// `(distance, vertex)` order by the entry points that return it (see
     /// [`DijkstraEngine::ball`]).
     ball_buf: Vec<(VertexId, f64)>,
-    /// Batched-kernel gather scratch: the staged `(target, weight)` lanes of
-    /// the current cohort, contiguous across rows so the filter pass can
-    /// prefetch straight through row boundaries. Retained across queries
-    /// like every other buffer (taken/restored around each batched search).
-    gather_targets: Vec<u32>,
-    gather_weights: Vec<f64>,
-    /// Per-row metadata of the current cohort (see [`StagedRow`]).
-    rows: Vec<StagedRow>,
-    /// Candidate indices (into the gather lanes) that survived the
-    /// branchless filter of one row, awaiting the exact relax step.
-    commit: Vec<u32>,
     /// Backward half of [`DijkstraEngine::within_bound`]: distances from
     /// the target, generation-encoded state (same encoding as `state`), and
     /// per vertex the chain step toward the target — the settled vertex
@@ -777,7 +523,6 @@ pub struct DijkstraEngine {
     chain_weight: Vec<f64>,
     /// The backward half's lazy-deletion heap.
     heap_b: BinaryHeap<HeapSlot>,
-    relax_kernel: RelaxKernel,
     generation: u32,
     stats: EngineStats,
     last_frontier: usize,
@@ -826,66 +571,7 @@ impl DijkstraEngine {
         if e.h_scratch.capacity() < LANDMARK_SCRATCH_RESERVE {
             e.h_scratch.reserve_exact(LANDMARK_SCRATCH_RESERVE);
         }
-        // Batched-kernel scratch: a cohort stops accepting rows at
-        // GATHER_RING_CAP staged edges but the last row may overshoot by its
-        // own length, bounded by the longest adjacency row (≤ 2m half-edges).
-        let lane_cap = GATHER_RING_CAP + 2 * num_edges + 2;
-        if e.gather_targets.capacity() < lane_cap {
-            e.gather_targets.reserve_exact(lane_cap);
-        }
-        if e.gather_weights.capacity() < lane_cap {
-            e.gather_weights.reserve_exact(lane_cap);
-        }
-        if e.rows.capacity() < MAX_COHORT_ROWS + 1 {
-            e.rows.reserve_exact(MAX_COHORT_ROWS + 1);
-        }
-        // The commit buffer holds at most one row's candidates.
-        if e.commit.capacity() < 2 * num_edges + 2 {
-            e.commit.reserve_exact(2 * num_edges + 2);
-        }
         e
-    }
-
-    /// Sets the relaxation-kernel policy for subsequent queries (default:
-    /// [`RelaxKernel::Auto`]). Answers, settle order and every
-    /// non-[`KernelStats`] counter are bit-identical under every setting;
-    /// this only trades constant factors.
-    pub fn set_relax_kernel(&mut self, kernel: RelaxKernel) {
-        self.relax_kernel = kernel;
-    }
-
-    /// The current relaxation-kernel policy.
-    pub fn relax_kernel(&self) -> RelaxKernel {
-        self.relax_kernel
-    }
-
-    /// Resolves [`RelaxKernel::Auto`] for one query on `graph`: batched
-    /// when deletions are pending (the gather's bitmap filter beats
-    /// per-edge liveness calls) or the search lanes exceed
-    /// [`AUTO_KERNEL_WORKING_SET_BYTES`] (out of cache, where hiding load
-    /// latency pays).
-    fn use_batched_kernel(&self, graph: &CsrGraph) -> bool {
-        match self.relax_kernel {
-            RelaxKernel::Scalar => false,
-            RelaxKernel::Batched => true,
-            RelaxKernel::Auto => {
-                graph.has_pending_deletions()
-                    || graph
-                        .num_vertices()
-                        .saturating_mul(WORKING_SET_BYTES_PER_VERTEX)
-                        > AUTO_KERNEL_WORKING_SET_BYTES
-            }
-        }
-    }
-
-    /// The combined capacity of the batched kernel's scratch buffers —
-    /// compared before and after a query for the workspace-reuse
-    /// accounting.
-    fn gather_capacity_signature(&self) -> usize {
-        self.gather_targets.capacity()
-            + self.gather_weights.capacity()
-            + self.rows.capacity()
-            + self.commit.capacity()
     }
 
     /// Ensures the heap buffer can hold `entries` entries without
@@ -982,67 +668,6 @@ impl DijkstraEngine {
         self.heap.clear();
     }
 
-    /// Branchless filter pass of the batched kernel over one row's
-    /// `(targets, weights)` candidates: resolves every candidate whose
-    /// scalar outcome is already decidable from `dist`/`state` alone.
-    /// Settled targets and touched candidates the relax step would leave
-    /// alone (no improvement, and — when tracking parents — no distance
-    /// tie that could move the parent) are silent scalar skips (no counter)
-    /// — dropped. Out-of-bound candidates are scalar prunes — dropped here
-    /// with the exact `pruned_by_bound` increment the scalar relax would
-    /// have made (`nd` is the same `d + w` both compute, so the comparison
-    /// is bit-identical). Only the remaining within-bound survivors land in
-    /// `commit` (as indices into the row), for the exact relax to re-check.
-    /// The `state` lane of the candidate [`PREFETCH_DISTANCE`] ahead is
-    /// prefetched while filtering (`dist` stays behind the
-    /// untouched-candidate branch — see below).
-    #[inline(always)]
-    fn filter_row<const TRACK_PARENTS: bool>(
-        &mut self,
-        targets: &[u32],
-        weights: &[f64],
-        d: f64,
-        gen: u32,
-        bound: f64,
-        commit: &mut Vec<u32>,
-    ) {
-        commit.clear();
-        commit.resize(targets.len(), 0);
-        let mut kept = 0usize;
-        let mut pruned = 0u64;
-        for j in 0..targets.len() {
-            let ahead = j + PREFETCH_DISTANCE;
-            if ahead < targets.len() {
-                prefetch_read(&self.state, targets[ahead] as usize);
-            }
-            let v = targets[j] as usize;
-            let nd = d + weights[j];
-            let s = self.state[v];
-            let live = s != gen + 1;
-            let within = nd <= bound;
-            pruned += (live && !within) as u64;
-            // The `dist` load must stay behind a real branch: an untouched
-            // candidate (`s < gen`, the common case) improves by definition,
-            // and a speculation-free `dist[v]` read for every candidate
-            // doubles the kernel's random-line traffic — enough to push the
-            // commit loop from latency-bound to bandwidth-bound.
-            let mut keep = live && within;
-            if keep && s >= gen {
-                keep = if TRACK_PARENTS {
-                    nd <= self.dist[v]
-                } else {
-                    nd < self.dist[v]
-                };
-            }
-            commit[kept] = j as u32;
-            kept += keep as usize;
-        }
-        self.stats.pruned_by_bound += pruned;
-        commit.truncate(kept);
-        self.stats.kernel.edges_gathered += targets.len() as u64;
-        self.stats.kernel.candidates_committed += kept as u64;
-    }
-
     /// The canonical parent rule's tie-break: whether `u`, settled at `d`,
     /// should replace `v`'s current parent when both give `v` the same
     /// distance — true iff `(d, u)` is the smaller pair. The source has no
@@ -1064,11 +689,6 @@ impl DijkstraEngine {
     /// reads parents there), which removes a random store per improvement
     /// from the greedy hot loop. With it on, an equal distance applies the
     /// canonical tie rule ([`DijkstraEngine::better_parent`]).
-    ///
-    /// `lag` is the number of queue entries the batched kernel has drained
-    /// ahead of this row's logical position (0 on the scalar path): the
-    /// scalar reference would still hold those entries when this push
-    /// happens, so `peak_frontier` adds them back to stay bit-identical.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn relax<const TRACK_PARENTS: bool>(
@@ -1080,7 +700,6 @@ impl DijkstraEngine {
         d: f64,
         gen: u32,
         bound: f64,
-        lag: usize,
     ) {
         let s = self.state[v];
         if s == gen + 1 {
@@ -1102,7 +721,7 @@ impl DijkstraEngine {
                 dist: nd,
                 vertex: v as u32,
             });
-            self.last_frontier = self.last_frontier.max(queue.len() + lag);
+            self.last_frontier = self.last_frontier.max(queue.len());
         } else if TRACK_PARENTS && nd == self.dist[v] && self.better_parent(d, u, v) {
             self.parent[v] = u;
         }
@@ -1110,7 +729,7 @@ impl DijkstraEngine {
 
     /// Relaxes every live half-edge of the settled vertex `u` — the packed
     /// row (tombstone-filtered only while deletions are pending) followed by
-    /// the overflow chain. The scalar search's single relaxation body; the
+    /// the overflow chain. The search's single relaxation body; the
     /// pending-deletions and fast paths share it so they cannot drift.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
@@ -1135,21 +754,12 @@ impl DijkstraEngine {
                     continue;
                 }
             }
-            self.relax::<TRACK_PARENTS>(
-                queue,
-                u,
-                targets[i] as usize,
-                weights[i],
-                d,
-                gen,
-                bound,
-                0,
-            );
+            self.relax::<TRACK_PARENTS>(queue, u, targets[i] as usize, weights[i], d, gen, bound);
         }
         // Live overflow half-edges appended since the last re-pack (short;
         // the iterator itself skips tombstoned entries).
         for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-            self.relax::<TRACK_PARENTS>(queue, u, v as usize, w, d, gen, bound, 0);
+            self.relax::<TRACK_PARENTS>(queue, u, v as usize, w, d, gen, bound);
         }
     }
 
@@ -1184,7 +794,7 @@ impl DijkstraEngine {
         rule.pending == 0
     }
 
-    /// The scalar search loop. Settles vertices in non-decreasing distance
+    /// The search loop. Settles vertices in non-decreasing distance
     /// order (heap ties by vertex id; see [`sort_settle_order`] for the
     /// rounding ties it misses); never pushes a vertex whose tentative
     /// distance exceeds `bound`; stops early once `target` settles. When
@@ -1198,8 +808,7 @@ impl DijkstraEngine {
     /// vertex at distance `≤ D` has settled by then, and settled distances
     /// and parents never change — the settled set is a prefix of the full
     /// search's settle order, bit for bit. The pop that stops the search is
-    /// counted in `heap_pops`, before its staleness is checked, identically
-    /// under both kernels.
+    /// counted in `heap_pops`, before its staleness is checked.
     ///
     /// Returns the distance through which the settled set is complete for
     /// a target-free search: `D` when the rule stopped it, `+∞` when the
@@ -1257,303 +866,6 @@ impl DijkstraEngine {
         f64::INFINITY
     }
 
-    /// The batched gather → filter → commit search: behaviorally identical
-    /// to [`DijkstraEngine::search`] — every answer, settle order, and
-    /// non-[`KernelStats`] counter is bit-identical — but restructured to
-    /// hide memory latency:
-    ///
-    /// 1. **Drain.** Pop a *cohort*: the popped minimum plus every further
-    ///    entry whose key is strictly below `key₀ + min live weight`. Any
-    ///    such entry is provably settleable now — every relaxation out of a
-    ///    cohort member pushes a key `≥ key₀ + min weight`, so nothing
-    ///    pushed during the cohort's processing can precede (or tie) a
-    ///    cohort member in the scalar pop order, and nothing can supersede
-    ///    one. Stale entries are recognized in O(1) (`settled`, or key
-    ///    above the vertex's current distance — within one generation every
-    ///    queued key for a vertex is distinct and the freshest equals its
-    ///    distance) and dropped exactly like the scalar loop would.
-    /// 2. **Gather.** Record each cohort member's row. A clean row (no
-    ///    pending deletions, no overflow chain) is *borrowed* — the commit
-    ///    pass reads it straight from the packed arrays, copying nothing. A
-    ///    dirty row's live half-edges — tombstones filtered against the raw
-    ///    liveness bitmap, then the overflow neighbors — are copied into
-    ///    the contiguous scratch lanes so the filter sees one dense stream.
-    /// 3. **Commit.** Per row, in drain order: settle the vertex, then run
-    ///    a branchless filter over its staged candidates (prefetching the
-    ///    `dist`/`state` lanes [`PREFETCH_DISTANCE`] staged edges ahead,
-    ///    across row boundaries), resolving every candidate whose scalar
-    ///    outcome is decidable from `dist`/`state` alone — silent skips are
-    ///    dropped, bound-prunes are dropped *and counted* exactly as the
-    ///    scalar relax counts them — and compacting the improving
-    ///    within-bound survivors into the commit buffer; then relax the
-    ///    survivors through the exact scalar step (which re-checks
-    ///    everything). Dropped candidates
-    ///    are provably scalar no-ops (or exact counted prunes) and stay so
-    ///    under intra-row mutation: distances only decrease, nothing
-    ///    settles mid-row, and the bound comparison is static.
-    ///
-    /// The stop rule ends the drain the way the target exit does: each row
-    /// is counted against the rule when it is *staged* (every staged row
-    /// commits, in settle order), the stop key is set at the row that
-    /// meets the need, the drain never pops a key past it, and the outer
-    /// pop of such a key ends the search — the scalar loop's stopping pop.
-    /// The return value is the scalar loop's.
-    #[allow(clippy::too_many_arguments)]
-    fn search_batched<const TRACK_PARENTS: bool>(
-        &mut self,
-        queue: &mut BinaryHeap<HeapSlot>,
-        graph: &CsrGraph,
-        source: usize,
-        target: Option<u32>,
-        bound: f64,
-        collect: bool,
-        mut rule: StopRule,
-    ) -> f64 {
-        let pending_deletions = graph.has_pending_deletions();
-        let liveness = graph.edge_liveness_words();
-        let gen = self.generation;
-        self.dist[source] = 0.0;
-        if TRACK_PARENTS {
-            self.parent[source] = NO_VERTEX;
-        }
-        self.state[source] = gen;
-        queue.push(HeapSlot {
-            dist: 0.0,
-            vertex: source as u32,
-        });
-        self.last_frontier = self.last_frontier.max(queue.len());
-        // Cohort slack: every queued key strictly below `popped key + slack`
-        // can be drained alongside the popped minimum (see the doc comment).
-        // `min_live_weight` is a lower bound on every live weight between
-        // re-packs, which is exactly what the proof needs; a degenerate 0
-        // just degrades to single-row cohorts.
-        //
-        // Rounding: the comparison `key < fl(d0 + slack)` needs no
-        // tolerance and no `path_rounding_margin`. A cohort member `u` has
-        // key `k_u ≥ d0` and relaxes edges of weight `w ≥ slack`, pushing
-        // `fl(k_u + w)` — the same expression `relax` evaluates. Exact
-        // `k_u + w ≥ d0 + slack`, and round-to-nearest is monotone, so
-        // `fl(k_u + w) ≥ fl(d0 + slack) = threshold`. Every pushed key is
-        // therefore at or above the threshold and strictly above every
-        // cohort key, in floating point exactly as in real arithmetic.
-        let slack = graph.min_live_weight().unwrap_or(0.0).max(0.0);
-        self.stats.kernel.prefetch_distance = PREFETCH_DISTANCE;
-        let mut gather_targets = std::mem::take(&mut self.gather_targets);
-        let mut gather_weights = std::mem::take(&mut self.gather_weights);
-        let mut rows = std::mem::take(&mut self.rows);
-        let mut commit = std::mem::take(&mut self.commit);
-        let mut stop_key = rule.stop_key;
-        let mut complete_through = f64::INFINITY;
-        'outer: while let Some(HeapSlot {
-            dist: d0,
-            vertex: u0,
-            ..
-        }) = queue.pop()
-        {
-            self.stats.heap_pops += 1;
-            if d0 > stop_key {
-                complete_through = stop_key;
-                break; // past the ties at the need's distance
-            }
-            if self.state[u0 as usize] == gen + 1 {
-                continue; // stale lazy-deletion entry
-            }
-            // ---- drain + gather ----
-            rows.clear();
-            gather_targets.clear();
-            gather_weights.clear();
-            let threshold = d0 + slack;
-            // Drain position of the most recent pop, stale pops included —
-            // mirrors the scalar loop's pop sequence for lag accounting.
-            let mut drained = 0u32;
-            let mut staged_edges = 0usize;
-            let mut hit_target = stage_cohort_row(
-                graph,
-                liveness,
-                pending_deletions,
-                target,
-                &mut gather_targets,
-                &mut gather_weights,
-                &mut rows,
-                &mut staged_edges,
-                u0,
-                d0,
-                drained,
-            );
-            if rule.pending != 0 && self.settle_against(&mut rule, u0, d0, gen) {
-                stop_key = d0;
-            }
-            while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
-                let Some(HeapSlot {
-                    dist: d, vertex: u, ..
-                }) = pop_if_below(queue, threshold, stop_key)
-                else {
-                    break;
-                };
-                self.stats.heap_pops += 1;
-                drained += 1;
-                if self.state[u as usize] == gen + 1 || d > self.dist[u as usize] {
-                    continue; // stale lazy-deletion entry
-                }
-                hit_target = stage_cohort_row(
-                    graph,
-                    liveness,
-                    pending_deletions,
-                    target,
-                    &mut gather_targets,
-                    &mut gather_weights,
-                    &mut rows,
-                    &mut staged_edges,
-                    u,
-                    d,
-                    drained,
-                );
-                if rule.pending != 0 && self.settle_against(&mut rule, u, d, gen) {
-                    stop_key = d;
-                }
-            }
-            // ---- commit ----
-            // Two-stage software pipeline over the cohort. A borrowed row's
-            // packed `(targets, weights)` lines are themselves cold (staging
-            // only read `row_offsets` for its length), and the next row's
-            // `dist`/`state` prefetch addresses come FROM its targets — a
-            // serial miss chain if fetched on demand. Knowing every cohort
-            // member up front severs it: the edge lines of row
-            // `r + EDGE_PREFETCH_AHEAD` are requested while row `r` commits,
-            // so by the time row `r+1`'s lane priming needs its target ids
-            // they are already in cache. Scratch rows skip the edge stage —
-            // their lanes were written during the drain and are still hot.
-            for row in rows.iter().take(EDGE_PREFETCH_AHEAD) {
-                if row.borrowed {
-                    let (t, w) = graph.packed_neighbors(VertexId(row.u as usize));
-                    prefetch_read(t, 0);
-                    prefetch_read(w, 0);
-                    prefetch_read(w, 8);
-                }
-            }
-            let mut start = 0usize;
-            for r in 0..rows.len() {
-                if let Some(ahead) = rows.get(r + EDGE_PREFETCH_AHEAD) {
-                    if ahead.borrowed {
-                        let (t, w) = graph.packed_neighbors(VertexId(ahead.u as usize));
-                        prefetch_read(t, 0);
-                        prefetch_read(w, 0);
-                        prefetch_read(w, 8);
-                    }
-                }
-                let StagedRow {
-                    u,
-                    d,
-                    end,
-                    pos,
-                    borrowed,
-                } = rows[r];
-                let end = end as usize;
-                self.state[u as usize] = gen + 1;
-                self.stats.settled_vertices += 1;
-                if collect {
-                    self.ball_buf.push((VertexId(u as usize), d));
-                }
-                if Some(u) == target {
-                    break 'outer;
-                }
-                self.stats.kernel.rows_batched += 1;
-                // Prime the `state` lanes two rows ahead while this row is
-                // filtered and relaxed: a two-row lead covers the lanes'
-                // load latency even once the commit loop itself runs at
-                // prefetched speed, yet stays short enough that the lines
-                // are never evicted before use (staging-time prefetch with
-                // cohort-scale lead measurably thrashes L1 on wide
-                // frontiers). A staged target row is empty, so it primes
-                // nothing.
-                if let Some(next) = rows.get(r + 2) {
-                    let head = if next.borrowed {
-                        graph.packed_neighbors(VertexId(next.u as usize)).0
-                    } else {
-                        &gather_targets[rows[r + 1].end as usize..next.end as usize]
-                    };
-                    // `state` only: most candidates are untouched, so their
-                    // `dist` lines are never read — prefetching them would
-                    // waste half the kernel's memory bandwidth.
-                    for &v in head.iter().take(2 * PREFETCH_DISTANCE) {
-                        prefetch_read(&self.state, v as usize);
-                    }
-                }
-                // The scalar reference has not yet popped the entries this
-                // cohort drained after row `r`'s own pop; its queue is that
-                // much longer when these pushes happen.
-                let lag = (drained - pos) as usize;
-                if borrowed {
-                    let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-                    self.filter_row::<TRACK_PARENTS>(targets, weights, d, gen, bound, &mut commit);
-                    for &j in &commit {
-                        let j = j as usize;
-                        self.relax::<TRACK_PARENTS>(
-                            queue,
-                            u,
-                            targets[j] as usize,
-                            weights[j],
-                            d,
-                            gen,
-                            bound,
-                            lag,
-                        );
-                    }
-                } else {
-                    self.filter_row::<TRACK_PARENTS>(
-                        &gather_targets[start..end],
-                        &gather_weights[start..end],
-                        d,
-                        gen,
-                        bound,
-                        &mut commit,
-                    );
-                    for &j in &commit {
-                        let j = start + j as usize;
-                        self.relax::<TRACK_PARENTS>(
-                            queue,
-                            u,
-                            gather_targets[j] as usize,
-                            gather_weights[j],
-                            d,
-                            gen,
-                            bound,
-                            lag,
-                        );
-                    }
-                    start = end;
-                }
-            }
-        }
-        self.gather_targets = gather_targets;
-        self.gather_weights = gather_weights;
-        self.rows = rows;
-        self.commit = commit;
-        complete_through
-    }
-
-    /// Routes one monomorphized search through the scalar or batched
-    /// kernel; `batched` is resolved once per query by
-    /// [`DijkstraEngine::use_batched_kernel`].
-    #[allow(clippy::too_many_arguments)]
-    fn search_dispatch<const TRACK_PARENTS: bool>(
-        &mut self,
-        batched: bool,
-        queue: &mut BinaryHeap<HeapSlot>,
-        graph: &CsrGraph,
-        source: usize,
-        target: Option<u32>,
-        bound: f64,
-        collect: bool,
-        rule: StopRule,
-    ) -> f64 {
-        if batched {
-            self.search_batched::<TRACK_PARENTS>(queue, graph, source, target, bound, collect, rule)
-        } else {
-            self.search::<TRACK_PARENTS>(queue, graph, source, target, bound, collect, rule)
-        }
-    }
-
     /// Turns a need into the stop rule of the query that just began:
     /// stamps its targets in `need_mark` and sorts their bounds into
     /// `need_bounds`. No need, or an infinite radius, never stops.
@@ -1586,11 +898,10 @@ impl DijkstraEngine {
     }
 
     /// Query entry point: validates, advances the generation, resolves the
-    /// kernel and the need's stop rule, runs the monomorphized search, and
-    /// keeps the workspace-reuse accounting (a query is a reuse hit only if
-    /// **no** buffer — vertex arrays, the heap, or the gather scratch —
-    /// grew). Returns the search's complete-through distance (see
-    /// [`DijkstraEngine::search`]).
+    /// need's stop rule, runs the monomorphized search, and keeps the
+    /// workspace-reuse accounting (a query is a reuse hit only if **no**
+    /// buffer — the vertex arrays or the heap — grew). Returns the search's
+    /// complete-through distance (see [`DijkstraEngine::search`]).
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
         graph: &CsrGraph,
@@ -1615,12 +926,9 @@ impl DijkstraEngine {
         let bound = search_bound(bound);
         let grew = self.begin_query(n);
         let rule = self.stop_rule(need);
-        let batched = self.use_batched_kernel(graph);
-        let gather_cap = self.gather_capacity_signature();
         let mut heap = std::mem::take(&mut self.heap);
         let heap_cap = heap.capacity();
-        let complete_through = self.search_dispatch::<TRACK_PARENTS>(
-            batched,
+        let complete_through = self.search::<TRACK_PARENTS>(
             &mut heap,
             graph,
             source.index(),
@@ -1631,7 +939,6 @@ impl DijkstraEngine {
         );
         let reused = heap.capacity() == heap_cap;
         self.heap = heap;
-        let reused = reused && self.gather_capacity_signature() == gather_cap;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
         if !grew && reused {
             self.stats.reuse_hits += 1;
@@ -1701,8 +1008,7 @@ impl DijkstraEngine {
     /// `goal.target`: pops the smallest key `dist + h`, settles its vertex
     /// at its current distance, and stops at the first pop above the stop
     /// key (see [`relaxed_bound`]). The target's own row is never relaxed: no
-    /// path to the target runs through it. Scalar loop only — the batched
-    /// kernel's cohort argument needs plain distance keys.
+    /// path to the target runs through it.
     fn search_goal_directed<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
@@ -1919,12 +1225,10 @@ impl DijkstraEngine {
     ///   `(bound, B']` — **fall back** to the one-sided search inside the
     ///   same query, counted in [`EngineStats::bidirectional_fallbacks`].
     ///
-    /// Both halves run the scalar relax loop whatever the
-    /// [`RelaxKernel`] setting, skip tombstoned half-edges exactly as the
-    /// one-sided search does, and count into the same search counters;
-    /// `peak_frontier` is the combined length of the two queues. An engine
-    /// from [`DijkstraEngine::with_capacity_for`] answers without
-    /// allocating.
+    /// Both halves skip tombstoned half-edges exactly as the one-sided
+    /// search does and count into the same search counters; `peak_frontier`
+    /// is the combined length of the two queues. An engine from
+    /// [`DijkstraEngine::with_capacity_for`] answers without allocating.
     ///
     /// # Panics
     ///
@@ -2395,12 +1699,11 @@ impl DijkstraEngine {
     /// buffer and is valid until the next query.
     ///
     /// **Tie handling.** Vertices at equal distance appear in ascending
-    /// vertex-id order, identically under every [`RelaxKernel`] setting and
-    /// in [`SptTree::members_within`]. The heap pops ties in vertex-id
-    /// order, but a rounding tie (an edge with `fl(d + w) = d`) can settle
-    /// a smaller id after a larger one at the same distance; the settle
-    /// buffer is re-sorted in place in that case only (an `O(n)` check
-    /// otherwise).
+    /// vertex-id order, as in [`SptTree::members_within`]. The heap pops
+    /// ties in vertex-id order, but a rounding tie (an edge with
+    /// `fl(d + w) = d`) can settle a smaller id after a larger one at the
+    /// same distance; the settle buffer is re-sorted in place in that case
+    /// only (an `O(n)` check otherwise).
     ///
     /// # Panics
     ///
@@ -3119,9 +2422,10 @@ mod tests {
 
     #[test]
     fn deletions_are_invisible_to_queries_before_and_after_repack() {
-        // Delete edges from a CSR graph and compare every query against a
-        // fresh build of the surviving edges — with the tombstones pending
-        // (lingering in the packed arrays) and again after consolidation.
+        // Delete edges from a CSR graph, append one into an overflow chain,
+        // and compare every query against a fresh build of the surviving
+        // edges — with the tombstones pending (lingering in the packed
+        // arrays) and again after consolidation.
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 18;
         let mut edges: Vec<(usize, usize, f64)> = Vec::new();
@@ -3144,6 +2448,8 @@ mod tests {
                 survivors.push(e);
             }
         }
+        csr.append_edge(VertexId(0), VertexId(n - 1), 1.25);
+        survivors.push((0, n - 1, 1.25));
         let reference_graph = WeightedGraph::from_edges(n, survivors).unwrap();
         let reference_csr = CsrGraph::from(&reference_graph);
         let mut reference_engine = DijkstraEngine::new();
@@ -3172,6 +2478,64 @@ mod tests {
                     ball,
                     reference_engine.ball(&reference_csr, VertexId(s), 5.0),
                     "phase {phase}: ball from {s}"
+                );
+                // Distances and parent chains of the whole tree.
+                let tree =
+                    engine.owned_shortest_path_tree(&csr, VertexId(s), &TreeNeed::everything());
+                let reference = reference_engine.owned_shortest_path_tree(
+                    &reference_csr,
+                    VertexId(s),
+                    &TreeNeed::everything(),
+                );
+                for v in (0..n).map(VertexId) {
+                    assert_eq!(
+                        tree.shortest_path(v),
+                        reference.shortest_path(v),
+                        "phase {phase}: path {s} -> {v:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The crate's two relax loops — the engine's and the reference
+    /// [`dijkstra`] module's — build the same shortest-path trees (every
+    /// distance and parent chain) when the engine reads a CSR with
+    /// tombstoned packed rows and an overflow chain and the reference
+    /// reads its compacted [`WeightedGraph`].
+    #[test]
+    fn relax_kernels_agree_on_trees_paths_and_deletions() {
+        let mut rng = SmallRng::seed_from_u64(91_203);
+        let n = 24;
+        let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(0.3) {
+                    edges.push((u, v, rng.gen_range(0.5..4.0)));
+                }
+            }
+        }
+        let g = WeightedGraph::from_edges(n, edges.iter().copied()).unwrap();
+        let mut csr = CsrGraph::from(&g);
+        for i in (0..edges.len()).step_by(4) {
+            csr.remove_edge(crate::graph::EdgeId(i)).unwrap();
+        }
+        csr.append_edge(VertexId(0), VertexId(n - 1), 1.25);
+        assert!(csr.has_pending_deletions());
+        let compacted = csr.to_weighted_graph();
+        assert_eq!(compacted.num_edges(), csr.num_edges());
+        let mut engine = DijkstraEngine::new();
+        for s in (0..n).map(VertexId) {
+            let tree = engine.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+            let reference = dijkstra::shortest_path_tree(&compacted, s);
+            for v in (0..n).map(VertexId) {
+                let want = reference
+                    .distance(v)
+                    .map(|d| (d, reference.path_to(v).unwrap()));
+                assert_eq!(
+                    tree.shortest_path(v),
+                    Some(want),
+                    "distances and parent chains must agree from {s:?} to {v:?}"
                 );
             }
         }
@@ -3398,6 +2762,63 @@ mod tests {
         );
     }
 
+    /// The query mix of the greedy's batched filter-then-commit loop —
+    /// a bidirectional `within_bound` filter pass over a batch, then
+    /// one-sided re-checks of the survivors — on a CSR whose rows carry
+    /// tombstones and overflow chains: a pre-sized engine answers as a
+    /// fresh one does and never allocates.
+    #[test]
+    fn warm_engine_stays_allocation_free_under_the_batched_kernel() {
+        let mut rng = SmallRng::seed_from_u64(4_242);
+        let n = 64;
+        let appends = 16;
+        let mut g = WeightedGraph::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(0.12) {
+                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(0.5..4.0));
+                }
+            }
+        }
+        let mut csr = CsrGraph::from(&g);
+        let mut warm = DijkstraEngine::with_capacity_for(n, csr.num_edges() + appends);
+        for batch in 0..appends {
+            let id = rng.gen_range(0..csr.edge_id_bound());
+            let _ = csr.remove_edge(crate::graph::EdgeId(id));
+            let u = rng.gen_range(0..n);
+            let v = (u + 1 + rng.gen_range(0..n - 1)) % n;
+            csr.append_edge(VertexId(u), VertexId(v), rng.gen_range(0.5..4.0));
+            assert!(csr.has_pending_deletions());
+            let queries: Vec<(VertexId, VertexId, f64)> = (0..8)
+                .map(|_| {
+                    let s = VertexId(rng.gen_range(0..n));
+                    let t = VertexId(rng.gen_range(0..n));
+                    (s, t, rng.gen_range(1.0..6.0))
+                })
+                .collect();
+            let mut fresh = DijkstraEngine::new();
+            for &(s, t, bound) in &queries {
+                let kept = warm.within_bound(&csr, s, t, bound);
+                assert_eq!(
+                    kept,
+                    fresh.bounded_distance(&csr, s, t, bound).is_some(),
+                    "batch {batch}: filter {s:?} -> {t:?} within {bound}"
+                );
+                if !kept {
+                    assert_eq!(
+                        warm.bounded_distance(&csr, s, t, bound),
+                        fresh.bounded_distance(&csr, s, t, bound)
+                    );
+                }
+            }
+        }
+        let stats = warm.stats();
+        assert_eq!(
+            stats.reuse_hits, stats.queries,
+            "a pre-sized engine must never allocate, bidirectional queries included"
+        );
+    }
+
     /// Decimal weights (0.1 steps) sum to values an ulp apart along
     /// different paths, so the rounded landmark bound misorders vertices
     /// and the goal-directed search re-opens them; every answer must still
@@ -3461,114 +2882,6 @@ mod tests {
         assert_eq!(e.stats().queries, 72);
     }
 
-    /// Every search counter must be bit-identical between the scalar and
-    /// batched kernels. The kernel block differs by definition, and
-    /// `reuse_hits` differs for *size-on-demand* engines only (the batched
-    /// kernel's gather scratch grows on its first use, a legitimate reuse
-    /// miss — pre-sized engines hit on every query under both kernels; see
-    /// `warm_engine_stays_allocation_free_under_the_batched_kernel`), so
-    /// both are zeroed before comparing.
-    fn stats_sans_kernel(stats: EngineStats) -> EngineStats {
-        EngineStats {
-            kernel: KernelStats::default(),
-            reuse_hits: 0,
-            ..stats
-        }
-    }
-
-    #[test]
-    fn relax_kernels_agree_bit_identically_on_random_graphs() {
-        let mut rng = SmallRng::seed_from_u64(40_817);
-        for round in 0..8 {
-            let n = 30;
-            let mut g = WeightedGraph::new(n);
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if rng.gen_bool(0.2) {
-                        g.add_edge(VertexId(u), VertexId(v), rng.gen_range(0.25..6.0));
-                    }
-                }
-            }
-            let csr = CsrGraph::from(&g);
-            let mut scalar = DijkstraEngine::new();
-            scalar.set_relax_kernel(RelaxKernel::Scalar);
-            let mut batched = DijkstraEngine::new();
-            batched.set_relax_kernel(RelaxKernel::Batched);
-            assert_eq!(batched.relax_kernel(), RelaxKernel::Batched);
-            for case in 0..40 {
-                let s = VertexId(rng.gen_range(0..n));
-                let t = VertexId(rng.gen_range(0..n));
-                let bound = rng.gen_range(0.1..18.0);
-                assert_eq!(
-                    scalar.bounded_distance(&csr, s, t, bound),
-                    batched.bounded_distance(&csr, s, t, bound),
-                    "round {round} case {case}: distance differs"
-                );
-                let sb = scalar.ball(&csr, s, bound).to_vec();
-                let bb = batched.ball(&csr, s, bound).to_vec();
-                assert_eq!(
-                    sb, bb,
-                    "round {round} case {case}: ball settle order differs"
-                );
-            }
-            assert_eq!(
-                stats_sans_kernel(scalar.stats()),
-                stats_sans_kernel(batched.stats()),
-                "round {round}: pops/settles/prunes/frontier must be bit-identical across kernels"
-            );
-            assert_eq!(scalar.stats().kernel, KernelStats::default());
-            let k = batched.stats().kernel;
-            assert!(k.rows_batched > 0, "batched kernel must have run");
-            assert!(k.candidates_committed <= k.edges_gathered);
-            assert_eq!(k.prefetch_distance, PREFETCH_DISTANCE);
-        }
-    }
-
-    #[test]
-    fn relax_kernels_agree_on_trees_paths_and_deletions() {
-        let mut rng = SmallRng::seed_from_u64(91_203);
-        let n = 24;
-        let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_bool(0.3) {
-                    edges.push((u, v, rng.gen_range(0.5..4.0)));
-                }
-            }
-        }
-        let g = WeightedGraph::from_edges(n, edges.iter().copied()).unwrap();
-        let mut csr_s = CsrGraph::from(&g);
-        let mut csr_b = CsrGraph::from(&g);
-        // Appends (overflow chains) and deletions (tombstoned packed rows)
-        // on both copies, so the gather path sees both shapes.
-        for i in (0..edges.len()).step_by(4) {
-            csr_s.remove_edge(crate::graph::EdgeId(i)).unwrap();
-            csr_b.remove_edge(crate::graph::EdgeId(i)).unwrap();
-        }
-        csr_s.append_edge(VertexId(0), VertexId(n - 1), 1.25);
-        csr_b.append_edge(VertexId(0), VertexId(n - 1), 1.25);
-        assert!(csr_s.has_pending_deletions());
-        let mut scalar = DijkstraEngine::new();
-        scalar.set_relax_kernel(RelaxKernel::Scalar);
-        let mut batched = DijkstraEngine::new();
-        batched.set_relax_kernel(RelaxKernel::Batched);
-        for s in 0..n {
-            let st = scalar.owned_shortest_path_tree(&csr_s, VertexId(s), &TreeNeed::everything());
-            let bt = batched.owned_shortest_path_tree(&csr_b, VertexId(s), &TreeNeed::everything());
-            for v in 0..n {
-                assert_eq!(
-                    st.shortest_path(VertexId(v)),
-                    bt.shortest_path(VertexId(v)),
-                    "distances and parent chains must agree from {s} to {v}"
-                );
-            }
-        }
-        assert_eq!(
-            stats_sans_kernel(scalar.stats()),
-            stats_sans_kernel(batched.stats())
-        );
-    }
-
     /// The rounding-tie chain: `fl(1e17 + 1) = 1e17`, so vertex 3 settles
     /// after vertex 5 at the same distance from 0.
     fn rounding_tie_graph() -> WeightedGraph {
@@ -3610,25 +2923,6 @@ mod tests {
         graphs
     }
 
-    /// One engine per forced relax kernel: every stop rule must hold under
-    /// both, with identical settle and pop counts.
-    fn scalar_and_batched() -> [DijkstraEngine; 2] {
-        [RelaxKernel::Scalar, RelaxKernel::Batched].map(|kernel| {
-            let mut e = DijkstraEngine::new();
-            e.set_relax_kernel(kernel);
-            e
-        })
-    }
-
-    fn assert_kernels_counted_alike(engines: &[DijkstraEngine; 2]) {
-        assert_eq!(
-            stats_sans_kernel(engines[0].stats()),
-            stats_sans_kernel(engines[1].stats()),
-            "settled_vertices / heap_pops must agree across kernels"
-        );
-        assert!(engines[1].stats().kernel.rows_batched > 0);
-    }
-
     #[test]
     fn ball_orders_rounding_ties_by_vertex_id() {
         let csr = CsrGraph::from(&rounding_tie_graph());
@@ -3641,13 +2935,12 @@ mod tests {
             (4, 4e17),
         ]
         .map(|(v, d)| (VertexId(v), d));
-        for mut e in scalar_and_batched() {
-            assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
-            assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
-            assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
-            assert_eq!(tree.members_within(f64::INFINITY), Some(&expected[..]));
-        }
+        let mut e = DijkstraEngine::new();
+        assert_eq!(e.ball(&csr, VertexId(0), f64::INFINITY), &expected[..]);
+        assert_eq!(e.ball(&csr, VertexId(0), 1e17), &expected[..3]);
+        assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 2), &expected[..3]);
+        let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::everything());
+        assert_eq!(tree.members_within(f64::INFINITY), Some(&expected[..]));
     }
 
     #[test]
@@ -3655,16 +2948,11 @@ mod tests {
         for (i, g) in stop_rule_graphs().iter().enumerate() {
             let csr = CsrGraph::from(g);
             let n = g.num_vertices();
-            let mut engines = scalar_and_batched();
+            let mut e = DijkstraEngine::new();
             for s in (0..n).map(VertexId) {
                 for k in 0..=n + 1 {
-                    let [a, b] = engines.each_mut().map(|e| {
-                        let full = e.ball(&csr, s, f64::INFINITY).to_vec();
-                        let prefix = e.k_nearest_with_ties(&csr, s, k).to_vec();
-                        (full, prefix)
-                    });
-                    assert_eq!(a, b, "graph {i} s={s:?} k={k}: kernels disagree");
-                    let (full, prefix) = a;
+                    let full = e.ball(&csr, s, f64::INFINITY).to_vec();
+                    let prefix = e.k_nearest_with_ties(&csr, s, k).to_vec();
                     let head = k.min(full.len());
                     assert_eq!(&prefix[..head.min(prefix.len())], &full[..head]);
                     // Exactly the vertices at or below the k-th distance:
@@ -3680,7 +2968,6 @@ mod tests {
                     assert_eq!(prefix, through_kth, "graph {i} s={s:?} k={k}");
                 }
             }
-            assert_kernels_counted_alike(&engines);
         }
     }
 
@@ -3690,16 +2977,14 @@ mod tests {
         // vertex 3 at key 3 > 2 and stops. k = 0 stops at the first pop.
         let g = WeightedGraph::from_edges(10, (1..10).map(|v| (v - 1, v, 1.0))).unwrap();
         let csr = CsrGraph::from(&g);
-        for mut e in scalar_and_batched() {
-            let before = e.stats();
-            assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 3).len(), 3);
-            assert_eq!(e.stats().settled_vertices - before.settled_vertices, 3);
-            assert_eq!(e.stats().heap_pops - before.heap_pops, 4);
-            let before = e.stats();
-            assert!(e.k_nearest_with_ties(&csr, VertexId(0), 0).is_empty());
-            assert_eq!(e.stats().settled_vertices, before.settled_vertices);
-            assert_eq!(e.stats().heap_pops - before.heap_pops, 1);
-        }
+        let mut e = DijkstraEngine::new();
+        assert_eq!(e.k_nearest_with_ties(&csr, VertexId(0), 3).len(), 3);
+        assert_eq!(e.stats().settled_vertices, 3);
+        assert_eq!(e.stats().heap_pops, 4);
+        let before = e.stats();
+        assert!(e.k_nearest_with_ties(&csr, VertexId(0), 0).is_empty());
+        assert_eq!(e.stats().settled_vertices, before.settled_vertices);
+        assert_eq!(e.stats().heap_pops - before.heap_pops, 1);
     }
 
     #[test]
@@ -3707,27 +2992,24 @@ mod tests {
         for (i, g) in stop_rule_graphs().iter().enumerate() {
             let csr = CsrGraph::from(g);
             let n = g.num_vertices();
-            let mut engines = scalar_and_batched();
+            let mut e = DijkstraEngine::new();
             for s in (0..n).map(VertexId) {
                 for t in (0..n).map(VertexId) {
-                    let [a, b] = engines.each_mut().map(|e| {
-                        let tree = e.shortest_path_tree(&csr, s);
-                        let expected = tree
-                            .distance(t)
-                            .map(|d| (d, tree.path_to(t).expect("reachable")));
-                        (e.shortest_path(&csr, s, t), expected)
-                    });
-                    assert_eq!(a, b, "graph {i} {s:?}->{t:?}: kernels disagree");
-                    assert_eq!(a.0, a.1, "graph {i} {s:?}->{t:?}");
+                    let tree = e.shortest_path_tree(&csr, s);
+                    let expected = tree
+                        .distance(t)
+                        .map(|d| (d, tree.path_to(t).expect("reachable")));
+                    assert_eq!(
+                        e.shortest_path(&csr, s, t),
+                        expected,
+                        "graph {i} {s:?}->{t:?}"
+                    );
                 }
             }
             if i > 0 {
                 // The random graphs' isolated last vertex is unreachable.
-                for e in &mut engines {
-                    assert_eq!(e.shortest_path(&csr, VertexId(0), VertexId(n - 1)), None);
-                }
+                assert_eq!(e.shortest_path(&csr, VertexId(0), VertexId(n - 1)), None);
             }
-            assert_kernels_counted_alike(&engines);
         }
     }
 
@@ -3770,16 +3052,15 @@ mod tests {
     fn owned_tree_from_the_settle_order_equals_the_scan_and_sort_tree() {
         for (i, g) in stop_rule_graphs().iter().enumerate() {
             let csr = CsrGraph::from(g);
-            let mut engines = scalar_and_batched();
+            let mut e = DijkstraEngine::new();
             for s in (0..g.num_vertices()).map(VertexId) {
-                let [a, b] = engines.each_mut().map(|e| {
-                    let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-                    (owned, scan_and_sort(&e.shortest_path_tree(&csr, s)))
-                });
-                assert_eq!(a, b, "graph {i} s={s:?}: kernels disagree");
-                assert_eq!(a.0, a.1, "graph {i} s={s:?}");
+                let owned = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+                assert_eq!(
+                    owned,
+                    scan_and_sort(&e.shortest_path_tree(&csr, s)),
+                    "graph {i} s={s:?}"
+                );
             }
-            assert_kernels_counted_alike(&engines);
         }
     }
 
@@ -3823,16 +3104,13 @@ mod tests {
         for (i, g) in stop_rule_graphs().iter().enumerate() {
             let csr = CsrGraph::from(g);
             let n = g.num_vertices();
-            let mut engines = scalar_and_batched();
+            let mut e = DijkstraEngine::new();
             let mut reference = DijkstraEngine::new();
             for s in (0..n).map(VertexId) {
                 let full = reference.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
                 let all = full.members_within(f64::INFINITY).unwrap();
                 for need in probe_needs(&full, n) {
-                    let [a, b] = engines
-                        .each_mut()
-                        .map(|e| e.owned_shortest_path_tree(&csr, s, &need));
-                    assert_eq!(a, b, "graph {i} s={s:?} {need:?}: kernels disagree");
+                    let a = e.owned_shortest_path_tree(&csr, s, &need);
                     let at = format!("graph {i} s={s:?} {need:?}");
                     let d = a.complete_through();
                     assert!(a.covers(&need), "{at}: a tree must cover its own need");
@@ -3858,7 +3136,6 @@ mod tests {
                     }
                 }
             }
-            assert_kernels_counted_alike(&engines);
         }
     }
 
@@ -3879,190 +3156,59 @@ mod tests {
             need
         };
         let none = f64::NEG_INFINITY;
-        for mut e in scalar_and_batched() {
-            // bound = D: target 5 lies past the bound, resolved at the
-            // settle of 3 (d = 3); the prefix stops at the pop of 4.
-            let before = e.stats();
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none));
-            assert_eq!(e.stats().settled_vertices - before.settled_vertices, 4);
-            assert_eq!(e.stats().heap_pops - before.heap_pops, 5);
-            assert_eq!(tree.complete_through(), 3.0);
-            assert_eq!(tree.distance_within(VertexId(5), 3.0), Some(None));
-            assert_eq!(tree.distance_within(VertexId(3), 3.0), Some(Some(3.0)));
-            assert_eq!(tree.distance_within(VertexId(5), 3.5), None);
-            assert_eq!(tree.distance(VertexId(5)), None);
-            assert_eq!(tree.shortest_path(VertexId(4)), None);
-            // radius = D.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0));
-            assert_eq!(tree.complete_through(), 2.0);
-            assert_eq!(tree.members_within(2.0).map(<[_]>::len), Some(3));
-            assert_eq!(tree.members_within(2.0 + 1e-9), None);
-            assert_eq!(tree.k_nearest_with_ties(3).map(<[_]>::len), Some(3));
-            assert_eq!(tree.k_nearest_with_ties(4), None);
-            // The k-th vertex ties at D: k = 2 from the star's centre
-            // settles 7 at d = 1, then drains the ties 8 and 9.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none));
-            assert_eq!(tree.complete_through(), 1.0);
-            let star = [(6, 0.0), (7, 1.0), (8, 1.0), (9, 1.0)].map(|(v, d)| (VertexId(v), d));
-            for k in 2..=4 {
-                assert_eq!(tree.k_nearest_with_ties(k), Some(&star[..]), "k={k}");
-            }
-            assert_eq!(tree.k_nearest_with_ties(5), None);
-            assert_eq!(tree.distance(VertexId(10)), None);
-            // An unreachable target: the search runs dry, D = ∞, and the
-            // prefix is the whole component.
-            let tree = e.owned_shortest_path_tree(
-                &csr,
-                VertexId(6),
-                &need(&[(11, f64::INFINITY)], 0, none),
-            );
-            assert_eq!(tree.complete_through(), f64::INFINITY);
-            assert_eq!(tree.distance(VertexId(11)), Some(None));
-            assert_eq!(tree.shortest_path(VertexId(11)), Some(None));
-            assert_eq!(tree.k_nearest_with_ties(100).map(<[_]>::len), Some(5));
-            assert!(tree.covers(&TreeNeed::everything()));
-            // Nothing needed: nothing settles, nothing is covered but k = 0.
-            let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new());
-            assert_eq!(tree.complete_through(), f64::NEG_INFINITY);
-            assert_eq!(tree.distance(VertexId(0)), None);
-            assert_eq!(tree.members_within(0.0), None);
-            assert_eq!(tree.k_nearest_with_ties(0), Some(&[][..]));
-            assert!(!tree.covers(&need(&[], 1, none)));
-        }
-    }
-
-    #[test]
-    fn auto_kernel_stays_scalar_on_short_rows_and_flips_on_deletions() {
-        // A path graph's mean degree is < 2: Auto must keep the scalar loop.
-        let n = 12;
-        let g = WeightedGraph::from_edges(n, (1..n).map(|v| (v - 1, v, 1.0))).unwrap();
-        let mut csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
-        assert_eq!(e.relax_kernel(), RelaxKernel::Auto);
-        e.bounded_distance(&csr, VertexId(0), VertexId(n - 1), 100.0);
-        assert_eq!(
-            e.stats().kernel.rows_batched,
-            0,
-            "Auto must pick the scalar loop on short-row graphs"
-        );
-        // Long rows alone do not flip it: a dense graph whose lanes fit in
-        // cache (mean degree ≥ 3, small n) stays scalar too.
-        let mut rng = SmallRng::seed_from_u64(2_000);
-        let dense_n = 200;
-        let mut dense = WeightedGraph::new(dense_n);
-        for u in 0..dense_n {
-            for v in (u + 1)..dense_n {
-                if rng.gen_bool(0.06) {
-                    dense.add_edge(VertexId(u), VertexId(v), rng.gen_range(1.0..10.0));
-                }
-            }
+        // bound = D: target 5 lies past the bound, resolved at the
+        // settle of 3 (d = 3); the prefix stops at the pop of 4.
+        let before = e.stats();
+        let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[(5, 3.0)], 0, none));
+        assert_eq!(e.stats().settled_vertices - before.settled_vertices, 4);
+        assert_eq!(e.stats().heap_pops - before.heap_pops, 5);
+        assert_eq!(tree.complete_through(), 3.0);
+        assert_eq!(tree.distance_within(VertexId(5), 3.0), Some(None));
+        assert_eq!(tree.distance_within(VertexId(3), 3.0), Some(Some(3.0)));
+        assert_eq!(tree.distance_within(VertexId(5), 3.5), None);
+        assert_eq!(tree.distance(VertexId(5)), None);
+        assert_eq!(tree.shortest_path(VertexId(4)), None);
+        // radius = D.
+        let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &need(&[], 0, 2.0));
+        assert_eq!(tree.complete_through(), 2.0);
+        assert_eq!(tree.members_within(2.0).map(<[_]>::len), Some(3));
+        assert_eq!(tree.members_within(2.0 + 1e-9), None);
+        assert_eq!(tree.k_nearest_with_ties(3).map(<[_]>::len), Some(3));
+        assert_eq!(tree.k_nearest_with_ties(4), None);
+        // The k-th vertex ties at D: k = 2 from the star's centre
+        // settles 7 at d = 1, then drains the ties 8 and 9.
+        let tree = e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[], 2, none));
+        assert_eq!(tree.complete_through(), 1.0);
+        let star = [(6, 0.0), (7, 1.0), (8, 1.0), (9, 1.0)].map(|(v, d)| (VertexId(v), d));
+        for k in 2..=4 {
+            assert_eq!(tree.k_nearest_with_ties(k), Some(&star[..]), "k={k}");
         }
-        assert!(2 * dense.num_edges() >= 3 * dense_n, "mean degree ≥ 3");
-        let dense_csr = CsrGraph::from(&dense);
-        let mut dense_engine = DijkstraEngine::new();
-        for i in 0..32 {
-            dense_engine.bounded_distance(&dense_csr, VertexId(i), VertexId(dense_n - 1 - i), 12.0);
-        }
-        assert!(dense_engine.stats().settled_vertices > 32);
-        assert_eq!(
-            dense_engine.stats().kernel.rows_batched,
-            0,
-            "Auto must keep an in-cache dense graph on the scalar loop"
-        );
-        // Pending deletions flip Auto to the batched kernel (bitmap gather).
-        csr.remove_edge(crate::graph::EdgeId(0)).unwrap();
-        assert!(csr.has_pending_deletions());
-        e.bounded_distance(&csr, VertexId(1), VertexId(n - 1), 100.0);
-        assert!(
-            e.stats().kernel.rows_batched > 0,
-            "Auto must pick the batched kernel while deletions are pending"
-        );
-        // Lanes past the working-set crossover flip it too, whatever the
-        // degree: a short path inside a graph just over the threshold.
-        let big_n = AUTO_KERNEL_WORKING_SET_BYTES / WORKING_SET_BYTES_PER_VERTEX + 1;
-        let mut big = CsrGraph::new(big_n);
-        big.append_edge(VertexId(0), VertexId(1), 1.0);
-        big.append_edge(VertexId(1), VertexId(2), 1.0);
-        big.compact();
-        let mut big_engine = DijkstraEngine::new();
-        assert_eq!(
-            big_engine.bounded_distance(&big, VertexId(0), VertexId(2), 10.0),
-            Some(2.0)
-        );
-        assert!(
-            big_engine.stats().kernel.rows_batched > 0,
-            "Auto must pick the batched kernel once the lanes outgrow the cache"
-        );
-        let small = CsrGraph::new(big_n - 1);
-        let mut small_engine = DijkstraEngine::new();
-        small_engine.bounded_distance(&small, VertexId(0), VertexId(1), 10.0);
-        assert_eq!(small_engine.stats().kernel.rows_batched, 0);
-    }
-
-    #[test]
-    fn warm_engine_stays_allocation_free_under_the_batched_kernel() {
-        let mut rng = SmallRng::seed_from_u64(4_242);
-        let n = 64;
-        let mut g = WeightedGraph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_bool(0.12) {
-                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(0.5..4.0));
-                }
-            }
-        }
-        let csr = CsrGraph::from(&g);
-        let lm = Landmarks::farthest_point(&csr, 4);
-        let mut e = DijkstraEngine::with_capacity_for(n, csr.num_edges());
-        e.set_relax_kernel(RelaxKernel::Batched);
-        for i in 0..50 {
-            let s = VertexId((i * 13) % n);
-            let t = VertexId((i * 29 + 7) % n);
-            let bound = 2.0 + (i % 5) as f64;
-            if i % 2 == 0 {
-                e.bounded_distance(&csr, s, t, bound);
-            } else {
-                e.bounded_distance_landmarked(&csr, &lm, s, t, bound);
-            }
-        }
-        let stats = e.stats();
-        assert!(stats.kernel.rows_batched > 0);
-        assert_eq!(
-            stats.reuse_hits, stats.queries,
-            "a pre-sized engine must never allocate, gather scratch included"
-        );
-    }
-
-    #[test]
-    fn kernel_stats_merge_adds_counts_and_maxes_prefetch() {
-        let mut a = KernelStats {
-            rows_batched: 3,
-            edges_gathered: 40,
-            candidates_committed: 11,
-            prefetch_distance: 8,
-        };
-        let b = KernelStats {
-            rows_batched: 2,
-            edges_gathered: 10,
-            candidates_committed: 4,
-            prefetch_distance: 0,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            KernelStats {
-                rows_batched: 5,
-                edges_gathered: 50,
-                candidates_committed: 15,
-                prefetch_distance: 8,
-            }
-        );
+        assert_eq!(tree.k_nearest_with_ties(5), None);
+        assert_eq!(tree.distance(VertexId(10)), None);
+        // An unreachable target: the search runs dry, D = ∞, and the
+        // prefix is the whole component.
+        let tree =
+            e.owned_shortest_path_tree(&csr, VertexId(6), &need(&[(11, f64::INFINITY)], 0, none));
+        assert_eq!(tree.complete_through(), f64::INFINITY);
+        assert_eq!(tree.distance(VertexId(11)), Some(None));
+        assert_eq!(tree.shortest_path(VertexId(11)), Some(None));
+        assert_eq!(tree.k_nearest_with_ties(100).map(<[_]>::len), Some(5));
+        assert!(tree.covers(&TreeNeed::everything()));
+        // Nothing needed: nothing settles, nothing is covered but k = 0.
+        let tree = e.owned_shortest_path_tree(&csr, VertexId(0), &TreeNeed::new());
+        assert_eq!(tree.complete_through(), f64::NEG_INFINITY);
+        assert_eq!(tree.distance(VertexId(0)), None);
+        assert_eq!(tree.members_within(0.0), None);
+        assert_eq!(tree.k_nearest_with_ties(0), Some(&[][..]));
+        assert!(!tree.covers(&need(&[], 1, none)));
     }
 
     #[test]
     fn engine_stats_merge_aggregates_every_field() {
         // Struct literals without `..`: a new counter fails to compile here
-        // until the merge (and this test) account for it.
+        // until the merge (and this test) account for it. The kernel block
+        // is always zero.
         let mut a = EngineStats {
             queries: 1,
             reuse_hits: 2,
@@ -4074,12 +3220,7 @@ mod tests {
             bidirectional_fallbacks: 8,
             reopened: 12,
             path_fallbacks: 13,
-            kernel: KernelStats {
-                rows_batched: 9,
-                edges_gathered: 10,
-                candidates_committed: 11,
-                prefetch_distance: 0,
-            },
+            kernel: KernelStats::default(),
         };
         let b = EngineStats {
             queries: 100,
@@ -4092,12 +3233,7 @@ mod tests {
             bidirectional_fallbacks: 800,
             reopened: 1200,
             path_fallbacks: 1300,
-            kernel: KernelStats {
-                rows_batched: 900,
-                edges_gathered: 1000,
-                candidates_committed: 1100,
-                prefetch_distance: 8,
-            },
+            kernel: KernelStats::default(),
         };
         a.merge(&b);
         assert_eq!(
@@ -4113,12 +3249,7 @@ mod tests {
                 bidirectional_fallbacks: 808,
                 reopened: 1212,
                 path_fallbacks: 1313,
-                kernel: KernelStats {
-                    rows_batched: 909,
-                    edges_gathered: 1010,
-                    candidates_committed: 1111,
-                    prefetch_distance: 8,
-                },
+                kernel: KernelStats::default(),
             }
         );
     }

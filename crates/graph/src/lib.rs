@@ -91,8 +91,9 @@
 //!
 //! Every search runs on one lazy-deletion binary heap that pops in exact
 //! `(distance, vertex)` order, so distances, paths, balls and every
-//! tie-break are deterministic. Two cooperating accelerations keep the
-//! point-query hot path fast while preserving bit-identical answers:
+//! tie-break are deterministic, and every search relaxes a settled
+//! vertex's row in one loop. One acceleration keeps the point-query hot
+//! path fast while preserving bit-identical answers:
 //!
 //! * **Goal-directed point-to-point search** ([`Landmarks`]): an A* search
 //!   keyed by distance plus a max-over-landmarks triangle lower bound
@@ -107,28 +108,8 @@
 //!   mutation; the engine refuses stale tables. A query whose source bound
 //!   already exceeds the query bound ([`Landmarks::rules_out`]) settles
 //!   nothing.
-//! * **Batched relax kernel** ([`RelaxKernel`]): instead of one dependent
-//!   random-access `dist`/`state` load per half-edge, the engine can drain a
-//!   whole same-cohort group of queue entries (every entry whose key is
-//!   strictly below `popped key + min live weight` — provably settleable in
-//!   one pass), stage their packed adjacency rows (clean rows borrowed in
-//!   place, dirty rows compacted into scratch lanes against the raw
-//!   liveness bitmap), software-pipeline the commit pass — edge lines
-//!   prefetched a few rows ahead, `state` lanes primed ahead of the filter —
-//!   branchlessly compact the surviving candidates into a commit buffer and
-//!   only then relax them. Under the default `Auto` policy the batched
-//!   kernel runs when deletions are pending (the bitmap gather beats
-//!   per-edge liveness calls) or when the search lanes (16 B per vertex)
-//!   exceed [`engine::AUTO_KERNEL_WORKING_SET_BYTES`] — out of cache, where
-//!   hiding load latency pays; in cache the scalar loop is faster. Every
-//!   answer, settle order and counter stays bit-identical to the scalar
-//!   reference path.
 
-// `deny` rather than `forbid`: the batched relax kernel's bounds-checked
-// `_mm_prefetch` helper in `engine` carries the crate's only `unsafe` block
-// behind a targeted `allow` (prefetching cannot fault or write — it only
-// warms the cache).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apsp;
@@ -152,8 +133,7 @@ pub mod union_find;
 pub use builder::GraphBuilder;
 pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, DeltaOverlay, VertexPerm};
 pub use engine::{
-    path_rounding_margin, DijkstraEngine, EngineStats, EngineTree, KernelStats, RelaxKernel,
-    SptTree, TreeNeed,
+    path_rounding_margin, DijkstraEngine, EngineStats, EngineTree, KernelStats, SptTree, TreeNeed,
 };
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, VertexId, WeightedGraph};

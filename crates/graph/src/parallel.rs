@@ -50,7 +50,7 @@
 use std::time::{Duration, Instant};
 
 use crate::csr::{CsrGraph, CsrSnapshot};
-use crate::engine::{DijkstraEngine, EngineStats, RelaxKernel};
+use crate::engine::{DijkstraEngine, EngineStats};
 use crate::error::GraphError;
 
 /// Below this many items per worker the pool shrinks the worker count so no
@@ -127,15 +127,6 @@ impl EnginePool {
             total.merge(&e.stats());
         }
         total
-    }
-
-    /// Sets the [`RelaxKernel`] on every engine in the pool (including the
-    /// commit engine). Answers are bit-identical under every kernel; this
-    /// only selects how relaxations are executed.
-    pub fn set_relax_kernel(&mut self, kernel: RelaxKernel) {
-        for e in &mut self.engines {
-            e.set_relax_kernel(kernel);
-        }
     }
 
     /// Resets every engine's counters, the per-worker busy times and the

@@ -1,38 +1,41 @@
 //! Property tests pinning the engine's priority queue to the reference free
-//! functions under both of its pop disciplines — the scalar loop's one pop
-//! per settle and the batched kernel's cohort drain (`pop_if_below`): both
-//! must produce **bit-identical** distances, paths, balls, and tie-breaks,
-//! on Erdős–Rényi, dense, and high-weight-spread graphs, including graphs
-//! with tombstoned edges and live overlay insertions. The goal-directed
-//! (landmark) searches are held to the same answers, adversarial weight
-//! families included.
+//! functions in [`spanner_graph::dijkstra`]: the engine must produce
+//! **bit-identical** distances, paths, balls, and tie-breaks, on
+//! Erdős–Rényi, dense, high-weight-spread and tie-heavy integer-weight
+//! graphs, including graphs with tombstoned edges and live overlay
+//! insertions. The goal-directed (landmark) searches are held to the same
+//! answers, adversarial weight families included.
 
 use proptest::prelude::*;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spanner_graph::dijkstra::{ball, bounded_distance};
+use spanner_graph::dijkstra::{ball, bounded_distance, shortest_path_tree};
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EdgeId, Landmarks, RelaxKernel, TreeNeed, VertexId, WeightedGraph,
+    CsrGraph, DijkstraEngine, EdgeId, Landmarks, TreeNeed, VertexId, WeightedGraph,
 };
 
-/// Graph families whose weight distributions stress the cohort drain
-/// differently: sparse ER (mixed cohort sizes), dense narrow weights (many
-/// keys within one min-weight window), and high spread (weights across
-/// three orders of magnitude, so the min-weight slack is tiny).
+/// Graph families whose weight distributions stress the queue
+/// differently: sparse ER, dense narrow weights (many keys close
+/// together), high spread (weights across three orders of magnitude), and
+/// integers in {1, 2, 3}, where most distances tie and every tie-break is
+/// exercised.
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
-    (2usize..28, 0u64..1000, 0usize..3).prop_map(|(n, seed, family)| {
+    (2usize..28, 0u64..1000, 0usize..4).prop_map(|(n, seed, family)| {
         let mut rng = SmallRng::seed_from_u64(seed ^ (family as u64) << 32);
         let (p, lo, hi) = match family {
             0 => (0.15, 0.5, 6.0),   // ER
             1 => (0.6, 1.0, 2.0),    // dense, narrow weights
-            _ => (0.25, 0.01, 10.0), // high weight spread
+            2 => (0.25, 0.01, 10.0), // high weight spread
+            _ => (0.3, 1.0, 4.0),    // integer weights, tie-heavy
         };
         let mut g = WeightedGraph::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
                 if rng.gen_bool(p) {
-                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(lo..hi));
+                    let w = rng.gen_range(lo..hi);
+                    let w = if family == 3 { w.floor() } else { w };
+                    g.add_edge(VertexId(u), VertexId(v), w);
                 }
             }
         }
@@ -87,7 +90,7 @@ fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng
         .iter()
         .map(|&k| Landmarks::farthest_point(&csr, k))
         .collect();
-    let (mut scalar, mut drain) = engine_pair(n, m);
+    let mut one_sided = DijkstraEngine::with_capacity_for(n, m);
     let mut warm = DijkstraEngine::with_capacity_for(n, m);
     for q in 0..queries {
         let (s, t) = if q < n * n {
@@ -95,14 +98,13 @@ fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng
         } else {
             (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))
         };
-        let path = scalar.shortest_path(&csr, s, t);
-        prop_assert_eq!(&path, &drain.shortest_path(&csr, s, t));
+        let path = one_sided.shortest_path(&csr, s, t);
         let exact = path.as_ref().map(|p| p.0);
         let random = rng.gen_range(0.0..20.0);
         let bounds = [f64::INFINITY, exact.unwrap_or(f64::INFINITY), random];
         let plain: Vec<Option<f64>> = bounds
             .iter()
-            .map(|&b| scalar.bounded_distance(&csr, s, t, b))
+            .map(|&b| one_sided.bounded_distance(&csr, s, t, b))
             .collect();
         prop_assert_eq!(plain[0], exact);
         for lm in &tables {
@@ -142,59 +144,50 @@ fn assert_goal_directed_matches_one_sided(g: &WeightedGraph, queries: usize, rng
     );
 }
 
-/// One engine per pop discipline — the scalar loop and the batched
-/// kernel's cohort drain — both pre-sized so the zero-allocation contract
-/// is co-tested for free.
-fn engine_pair(n: usize, m: usize) -> (DijkstraEngine, DijkstraEngine) {
-    let mut scalar = DijkstraEngine::with_capacity_for(n, m);
-    scalar.set_relax_kernel(RelaxKernel::Scalar);
-    let mut drain = DijkstraEngine::with_capacity_for(n, m);
-    drain.set_relax_kernel(RelaxKernel::Batched);
-    (scalar, drain)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bounded distances: both pop disciplines and the reference free
-    /// function agree exactly for arbitrary (source, target, bound) triples.
+    /// Bounded distances: the engine and the reference free function agree
+    /// exactly for arbitrary (source, target, bound) triples, and a
+    /// pre-sized engine never allocates.
     #[test]
     fn bounded_distances_agree_across_queues(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
+        let mut e = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..20 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..20.0);
-            let via_scalar = scalar.bounded_distance(&csr, s, t, bound);
-            let via_drain = drain.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(via_scalar, via_drain, "s={} t={} bound={}", s, t, bound);
-            prop_assert_eq!(via_scalar, bounded_distance(&g, s, t, bound));
+            prop_assert_eq!(
+                e.bounded_distance(&csr, s, t, bound),
+                bounded_distance(&g, s, t, bound),
+                "s={} t={} bound={}", s, t, bound
+            );
         }
-        prop_assert_eq!(scalar.stats().reuse_hits, scalar.stats().queries);
-        prop_assert_eq!(drain.stats().reuse_hits, drain.stats().queries);
+        prop_assert_eq!(e.stats().reuse_hits, e.stats().queries);
     }
 
     /// Balls: membership AND order (including every equal-distance
-    /// tie-break) are identical across pop disciplines and match the
-    /// reference: equal distances settle in ascending vertex-id order no
-    /// matter how the queue was drained.
+    /// tie-break) match the reference: equal distances settle in ascending
+    /// vertex-id order.
     #[test]
     fn balls_and_ties_agree_across_queues(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
+        let mut e = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..8 {
             let s = VertexId(rng.gen_range(0..n));
             let radius = rng.gen_range(0.0..15.0);
-            let via_scalar = scalar.ball(&csr, s, radius).to_vec();
-            let via_drain = drain.ball(&csr, s, radius).to_vec();
-            prop_assert_eq!(&via_scalar, &via_drain, "s={} radius={}", s, radius);
-            prop_assert_eq!(&via_scalar[..], &ball(&g, s, radius)[..]);
-            for w in via_scalar.windows(2) {
+            let via_engine = e.ball(&csr, s, radius).to_vec();
+            prop_assert_eq!(
+                &via_engine[..],
+                &ball(&g, s, radius)[..],
+                "s={} radius={}", s, radius
+            );
+            for w in via_engine.windows(2) {
                 prop_assert!(
                     w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
                     "ties must be in ascending vertex-id order"
@@ -204,8 +197,8 @@ proptest! {
     }
 
     /// Unit-weight graphs maximize exact distance ties (every vertex at hop
-    /// distance d ties); ball order and k-nearest truncation must still be
-    /// identical across pop disciplines.
+    /// distance d ties); ball order and k-nearest truncation must still
+    /// match the reference.
     #[test]
     fn unit_weight_tie_storms_are_deterministic(n in 3usize..24, seed in 0u64..500) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -218,46 +211,48 @@ proptest! {
             }
         }
         let csr = CsrGraph::from(&g);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
+        let mut e = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_ball = scalar.ball(&csr, s, n as f64).to_vec();
-        let drain_ball = drain.ball(&csr, s, n as f64).to_vec();
-        prop_assert_eq!(&scalar_ball, &drain_ball);
+        let engine_ball = e.ball(&csr, s, n as f64).to_vec();
+        prop_assert_eq!(&engine_ball[..], &ball(&g, s, n as f64)[..]);
         // k_nearest truncation at a tie boundary picks the same vertices.
-        let tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-        for k in 0..=scalar_ball.len() {
-            prop_assert_eq!(&tree.k_nearest_with_ties(k).unwrap()[..k], &scalar_ball[..k]);
+        let tree = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        for k in 0..=engine_ball.len() {
+            prop_assert_eq!(&tree.k_nearest_with_ties(k).unwrap()[..k], &engine_ball[..k]);
         }
-        prop_assert_eq!(tree.members_within(f64::INFINITY), Some(&scalar_ball[..]));
+        prop_assert_eq!(tree.members_within(f64::INFINITY), Some(&engine_ball[..]));
     }
 
-    /// Shortest-path trees agree across pop disciplines after the engines
-    /// have been through bounded queries — i.e. switching query shapes
-    /// mid-stream never corrupts the workspace.
+    /// A shortest-path tree built after the engine has been through
+    /// bounded queries equals a fresh engine's and the reference's,
+    /// distances and parent chains (all three follow one canonical parent
+    /// rule) — i.e. switching query shapes mid-stream never corrupts the
+    /// workspace.
     #[test]
     fn trees_agree_after_mixed_policy_streams(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
         let csr = CsrGraph::from(&g);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
+        let mut warm = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let mut rng = SmallRng::seed_from_u64(seed);
-        // Warm both engines with bounded queries first.
+        // Warm the engine with bounded queries first.
         for _ in 0..5 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.1..10.0);
             prop_assert_eq!(
-                scalar.bounded_distance(&csr, s, t, bound),
-                drain.bounded_distance(&csr, s, t, bound)
+                warm.bounded_distance(&csr, s, t, bound),
+                bounded_distance(&g, s, t, bound)
             );
         }
         let s = VertexId(rng.gen_range(0..n));
-        let scalar_tree = scalar.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-        let drain_tree = drain.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-        for v in 0..n {
-            prop_assert_eq!(
-                scalar_tree.shortest_path(VertexId(v)),
-                drain_tree.shortest_path(VertexId(v))
-            );
+        let warm_tree = warm.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let cold_tree =
+            DijkstraEngine::new().owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
+        let reference = shortest_path_tree(&g, s);
+        for v in (0..n).map(VertexId) {
+            prop_assert_eq!(warm_tree.shortest_path(v), cold_tree.shortest_path(v));
+            let want = reference.distance(v).map(|d| (d, reference.path_to(v).unwrap()));
+            prop_assert_eq!(warm_tree.shortest_path(v), Some(want));
         }
     }
 
@@ -285,15 +280,17 @@ proptest! {
         assert_goal_directed_matches_one_sided(&g, n * n + 8, &mut rng);
     }
 
-    /// Queues agree while the CSR carries tombstoned edges and overlay
-    /// insertions: delete/append churn between query rounds, checking
-    /// against a fresh build of the surviving edge set each round.
+    /// The engine agrees with the reference while the CSR carries
+    /// tombstoned edges and overlay insertions: delete/append churn between
+    /// query rounds, checking distances and balls against a fresh build of
+    /// the surviving edge set each round. The pre-sized engine never
+    /// allocates.
     #[test]
     fn queues_agree_under_tombstones_and_overlays(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut csr = CsrGraph::from(&g);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges() + 24);
+        let mut e = DijkstraEngine::with_capacity_for(n, g.num_edges() + 24);
         let mut surviving: Vec<(VertexId, VertexId, f64)> =
             g.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
         let mut ids: Vec<usize> = (0..g.num_edges()).collect();
@@ -323,24 +320,24 @@ proptest! {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..25.0);
-            let via_scalar = scalar.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(via_scalar, drain.bounded_distance(&csr, s, t, bound),
-                "step {}: pop-discipline divergence under churn", step);
-            prop_assert_eq!(via_scalar, bounded_distance(&reference, s, t, bound),
-                "step {}: engine diverged from fresh rebuild", step);
+            prop_assert_eq!(
+                e.bounded_distance(&csr, s, t, bound),
+                bounded_distance(&reference, s, t, bound),
+                "step {}: engine diverged from fresh rebuild", step
+            );
             let radius = rng.gen_range(0.0..12.0);
             prop_assert_eq!(
-                scalar.ball(&csr, s, radius).to_vec(),
-                drain.ball(&csr, s, radius).to_vec(),
-                "step {}: ball divergence under churn", step
+                e.ball(&csr, s, radius).to_vec(),
+                ball(&reference, s, radius),
+                "step {}: ball diverged from fresh rebuild", step
             );
         }
+        prop_assert_eq!(e.stats().reuse_hits, e.stats().queries);
     }
 
     /// Renumbering the vertices relabels answers but never changes them: a
     /// query answered on a randomly renumbered graph (the way a shard's
-    /// local ids renumber its piece) equals the query on the original,
-    /// under both pop disciplines.
+    /// local ids renumber its piece) equals the query on the original.
     #[test]
     fn reorder_is_answer_preserving_across_queues(g in arb_graph(), seed in 0u64..500) {
         use spanner_graph::VertexPerm;
@@ -357,14 +354,14 @@ proptest! {
             renumbered.add_edge(perm.to_internal(e.u), perm.to_internal(e.v), e.weight);
         }
         let reordered = CsrGraph::from(&renumbered);
-        let (mut scalar, mut drain) = engine_pair(n, g.num_edges());
+        let mut original_engine = DijkstraEngine::with_capacity_for(n, g.num_edges());
         let mut reordered_engine = DijkstraEngine::with_capacity_for(n, g.num_edges());
         for _ in 0..12 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..20.0);
-            let original = scalar.bounded_distance(&csr, s, t, bound);
-            prop_assert_eq!(original, drain.bounded_distance(&csr, s, t, bound));
+            let original = original_engine.bounded_distance(&csr, s, t, bound);
+            prop_assert_eq!(original, bounded_distance(&g, s, t, bound));
             let translated = reordered_engine.bounded_distance(
                 &reordered,
                 perm.to_internal(s),

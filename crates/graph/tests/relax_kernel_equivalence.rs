@@ -1,25 +1,25 @@
-//! Property tests pinning the batched gather → relax kernel to the scalar
-//! reference across the full configuration grid the engine can run:
-//! `RelaxKernel` × CSR layout (original vs degree-sorted relayout) ×
-//! landmarks (none vs goal-directed search) — distances, paths, balls,
-//! settle order, and the search counters must be **bit-identical** in every
-//! cell, including graphs with tombstoned edges and live overlay
-//! insertions.
+//! Property tests pinning the engine's relax loop — its one relaxation
+//! path — to the reference free functions in [`spanner_graph::dijkstra`]
+//! across a small grid of engines: one sized on the fly
+//! ([`DijkstraEngine::new`]) and one pre-sized
+//! ([`DijkstraEngine::with_capacity_for`]). Distances, paths, balls and
+//! k-nearest prefixes must equal the reference **bit for bit** in every
+//! cell, with and without landmarks, and on graphs with tombstoned edges
+//! and overlay overflow chains; the two engines must agree on every
+//! search counter.
 
 use proptest::prelude::*;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spanner_graph::dijkstra::bounded_distance;
+use spanner_graph::dijkstra::{ball, bounded_distance, shortest_path, shortest_path_tree};
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EdgeId, EngineStats, KernelStats, Landmarks, RelaxKernel, TreeNeed,
-    VertexId, WeightedGraph,
+    CsrGraph, DijkstraEngine, EdgeId, EngineStats, Landmarks, TreeNeed, VertexId, WeightedGraph,
 };
 
-/// The queue-equivalence suite's graph families — sparse ER, dense
-/// narrow-weight (long rows — the batched kernel's sweet spot), and high
-/// weight spread (a tiny cohort slack) — plus integer weights in {1, 2, 3},
-/// where most distances tie and every tie-break is exercised.
+/// Sparse ER, dense narrow-weight (long rows), high weight spread, and
+/// integer weights in {1, 2, 3}, where most distances tie and every
+/// tie-break is exercised.
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (2usize..28, 0u64..1000, 0usize..4).prop_map(|(n, seed, family)| {
         let mut rng = SmallRng::seed_from_u64(seed ^ (family as u64) << 32);
@@ -43,25 +43,34 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
-/// One pre-sized engine per kernel, scalar first (the reference).
-/// Pre-sizing co-tests the zero-allocation contract of the gather scratch
-/// for free.
-fn grid_engines(n: usize, m: usize) -> Vec<(RelaxKernel, DijkstraEngine)> {
-    [RelaxKernel::Scalar, RelaxKernel::Batched, RelaxKernel::Auto]
-        .into_iter()
-        .map(|kernel| {
-            let mut e = DijkstraEngine::with_capacity_for(n, m);
-            e.set_relax_kernel(kernel);
-            (kernel, e)
-        })
-        .collect()
+/// The engine grid: sized on the fly first, then pre-sized for `n`
+/// vertices and `m` edges.
+fn grid_engines(n: usize, m: usize) -> [DijkstraEngine; 2] {
+    [
+        DijkstraEngine::new(),
+        DijkstraEngine::with_capacity_for(n, m),
+    ]
 }
 
-/// The kernel block is the only counter allowed to differ across kernels.
+/// Only the allocation counter may differ between the two engines.
 fn comparable(stats: EngineStats) -> EngineStats {
     EngineStats {
-        kernel: KernelStats::default(),
+        reuse_hits: 0,
         ..stats
+    }
+}
+
+/// `ball(g, s, ∞)` cut after the `k`-th member and its distance ties: the
+/// reference answer of `k_nearest_with_ties`.
+fn reference_k_nearest(g: &WeightedGraph, s: VertexId, k: usize) -> Vec<(VertexId, f64)> {
+    let all = ball(g, s, f64::INFINITY);
+    match k {
+        0 => Vec::new(),
+        k if k >= all.len() => all,
+        k => {
+            let kth = all[k - 1].1;
+            all.into_iter().take_while(|&(_, d)| d <= kth).collect()
+        }
     }
 }
 
@@ -69,10 +78,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Bounded distances, balls, k-nearest prefixes and target-terminated
-    /// paths agree across every grid cell (distances also match the
-    /// reference free function); search
-    /// counters are bit-identical between kernels, and pre-sized engines
-    /// never allocate under either kernel.
+    /// paths equal the reference in every grid cell; the search counters
+    /// agree between the cells, and the pre-sized engine never allocates.
     #[test]
     fn kernel_grid_agrees_on_distances_and_balls(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
@@ -83,47 +90,41 @@ proptest! {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..20.0);
-            let want = bounded_distance(&g, s, t, bound);
             let radius = rng.gen_range(0.0..12.0);
             let k = rng.gen_range(0..n + 2);
-            let mut want_ball = None;
-            for (kernel, e) in engines.iter_mut() {
+            let want_distance = bounded_distance(&g, s, t, bound);
+            let want_ball = ball(&g, s, radius);
+            let want_nearest = reference_k_nearest(&g, s, k);
+            let want_path = shortest_path(&g, s, t).ok().map(|path| {
+                let tree = shortest_path_tree(&g, s);
+                (tree.distance(t).unwrap(), path)
+            });
+            for (cell, e) in engines.iter_mut().enumerate() {
                 prop_assert_eq!(
-                    e.bounded_distance(&csr, s, t, bound),
-                    want,
-                    "case {}: {:?} distance diverged", case, kernel
+                    e.bounded_distance(&csr, s, t, bound), want_distance,
+                    "case {}: cell {} distance diverged", case, cell
                 );
-                // The early-stopping searches (k-nearest, target-terminated
-                // path) ride along: same answers, same counters.
-                let got_ball = (
-                    e.ball(&csr, s, radius).to_vec(),
-                    e.k_nearest_with_ties(&csr, s, k).to_vec(),
-                    e.shortest_path(&csr, s, t),
+                prop_assert_eq!(
+                    e.ball(&csr, s, radius), &want_ball[..],
+                    "case {}: cell {} ball diverged", case, cell
                 );
-                match &want_ball {
-                    None => want_ball = Some(got_ball),
-                    Some(w) => prop_assert_eq!(
-                        w, &got_ball,
-                        "case {}: {:?} ball / k-nearest / path diverged", case, kernel
-                    ),
-                }
+                prop_assert_eq!(
+                    e.k_nearest_with_ties(&csr, s, k), &want_nearest[..],
+                    "case {}: cell {} k-nearest diverged", case, cell
+                );
+                prop_assert_eq!(
+                    &e.shortest_path(&csr, s, t), &want_path,
+                    "case {}: cell {} path diverged", case, cell
+                );
             }
         }
-        let stats: Vec<EngineStats> = engines.iter().map(|(_, e)| e.stats()).collect();
-        for s in &stats {
-            prop_assert_eq!(s.reuse_hits, s.queries, "a pre-sized engine must never allocate");
-            prop_assert!(s.kernel.candidates_committed <= s.kernel.edges_gathered);
-        }
-        for s in &stats[1..] {
-            prop_assert_eq!(
-                comparable(stats[0]), comparable(*s),
-                "kernels must agree on every search counter"
-            );
-        }
+        let [cold, warm] = engines.map(|e| e.stats());
+        prop_assert_eq!(warm.reuse_hits, warm.queries, "a pre-sized engine must never allocate");
+        prop_assert_eq!(comparable(cold), comparable(warm), "cells must agree on every search counter");
     }
 
-    /// Shortest-path trees: distances and full parent chains agree across
-    /// the kernel grid (the `TRACK_PARENTS` commit path).
+    /// Shortest-path trees: distances and full parent chains equal the
+    /// reference tree's in every grid cell.
     #[test]
     fn kernel_grid_agrees_on_paths(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
@@ -132,25 +133,22 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..4 {
             let s = VertexId(rng.gen_range(0..n));
-            let reference = {
-                let (_, e) = &mut engines[0];
-                e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything())
-            };
-            for (kernel, e) in engines.iter_mut().skip(1) {
+            let reference = shortest_path_tree(&g, s);
+            for (cell, e) in engines.iter_mut().enumerate() {
                 let tree = e.owned_shortest_path_tree(&csr, s, &TreeNeed::everything());
-                for v in 0..n {
+                for v in (0..n).map(VertexId) {
+                    let want = reference.distance(v).map(|d| (d, reference.path_to(v).unwrap()));
                     prop_assert_eq!(
-                        reference.shortest_path(VertexId(v)),
-                        tree.shortest_path(VertexId(v)),
-                        "{:?}: SPT distance or parent chain diverged", kernel
+                        tree.shortest_path(v), Some(want),
+                        "cell {}: SPT distance or parent chain diverged at {:?}", cell, v
                     );
                 }
             }
         }
     }
 
-    /// The goal-directed (landmark) search — always the scalar loop —
-    /// returns the same distances under every kernel setting.
+    /// The goal-directed (landmark) search returns the reference's bounded
+    /// distances in every grid cell, infinite bounds included.
     #[test]
     fn kernel_grid_agrees_under_landmarks(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
@@ -167,20 +165,21 @@ proptest! {
                 rng.gen_range(0.0..20.0)
             };
             let want = bounded_distance(&g, s, t, bound);
-            for (kernel, e) in engines.iter_mut() {
+            for (cell, e) in engines.iter_mut().enumerate() {
                 prop_assert_eq!(
                     e.bounded_distance_landmarked(&csr, &lm, s, t, bound),
                     want,
-                    "case {}: {:?}+ALT diverged", case, kernel
+                    "case {}: cell {}+ALT diverged", case, cell
                 );
             }
         }
     }
 
-    /// Tombstoned packed rows and overlay overflow chains: the batched
-    /// kernel's bitmap gather must agree with the scalar per-edge liveness
-    /// path and with a fresh rebuild of the surviving edge set, under
-    /// delete/append churn.
+    /// Tombstoned packed rows and overlay overflow chains: under
+    /// delete/append churn the relax loop's per-edge liveness check must
+    /// answer as the reference does on the compacted graph
+    /// ([`CsrGraph::to_weighted_graph`]), which itself equals a fresh
+    /// build of the surviving edge set.
     #[test]
     fn kernel_grid_agrees_under_tombstones_and_overflow(g in arb_graph(), seed in 0u64..500) {
         let n = g.num_vertices();
@@ -206,42 +205,33 @@ proptest! {
                 ids.push(id.index());
                 surviving.push((VertexId(u), VertexId(v), next_weight));
             }
-            let reference = {
-                let mut fresh = WeightedGraph::new(n);
-                for &(u, v, w) in &surviving {
-                    fresh.add_edge(u, v, w);
-                }
-                fresh
-            };
+            let compacted = csr.to_weighted_graph();
+            let mut fresh = WeightedGraph::new(n);
+            for &(u, v, w) in &surviving {
+                fresh.add_edge(u, v, w);
+            }
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.0..25.0);
-            let want = bounded_distance(&reference, s, t, bound);
             let radius = rng.gen_range(0.0..12.0);
-            let mut want_ball: Option<Vec<(VertexId, f64)>> = None;
-            for (kernel, e) in engines.iter_mut() {
+            let want = bounded_distance(&compacted, s, t, bound);
+            let want_ball = ball(&compacted, s, radius);
+            prop_assert_eq!(want, bounded_distance(&fresh, s, t, bound));
+            prop_assert_eq!(&want_ball, &ball(&fresh, s, radius));
+            for (cell, e) in engines.iter_mut().enumerate() {
                 prop_assert_eq!(
                     e.bounded_distance(&csr, s, t, bound),
                     want,
-                    "step {}: {:?} diverged under churn", step, kernel
+                    "step {}: cell {} diverged under churn", step, cell
                 );
-                let got_ball = e.ball(&csr, s, radius).to_vec();
-                match &want_ball {
-                    None => want_ball = Some(got_ball),
-                    Some(w) => prop_assert_eq!(
-                        w, &got_ball,
-                        "step {}: {:?} ball diverged under churn", step, kernel
-                    ),
-                }
+                prop_assert_eq!(
+                    e.ball(&csr, s, radius), &want_ball[..],
+                    "step {}: cell {} ball diverged under churn", step, cell
+                );
             }
         }
-        // With deletions pending, Auto must have routed through the batched
-        // kernel (the bitmap gather).
-        let auto_kernel: u64 = engines
-            .iter()
-            .filter(|(k, _)| *k == RelaxKernel::Auto)
-            .map(|(_, e)| e.stats().kernel.rows_batched)
-            .sum();
-        prop_assert!(auto_kernel > 0, "Auto never took the batched path under churn");
+        let [cold, warm] = engines.map(|e| e.stats());
+        prop_assert_eq!(warm.reuse_hits, warm.queries, "a pre-sized engine must never allocate");
+        prop_assert_eq!(comparable(cold), comparable(warm));
     }
 }

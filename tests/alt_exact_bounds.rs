@@ -79,7 +79,7 @@ fn frozen(output: &SpannerOutput, landmarks: usize, warm: bool) -> SpannerServer
 }
 
 /// A live server over `output`, after one update batch whose deletions stay
-/// pending in the spanner (the batched kernel's tombstone path).
+/// pending in the spanner (the search loop's per-edge liveness path).
 fn live(output: &SpannerOutput, g: &WeightedGraph, landmarks: usize, warm: bool) -> SpannerServer {
     let mut server = output
         .clone()

@@ -1,8 +1,8 @@
 //! Acceptance matrix for the point-query acceleration stack: every engine
-//! variant — goal-directed (landmark) search on or off, under the scalar,
-//! batched, and auto-selected relaxation kernels — must serve answers **bit-identical** to the plain
-//! reference configuration, across thread counts {1, 2, 8} and cache
-//! capacities {0, 64}, cold and warm.
+//! variant — goal-directed (landmark) search off, or on with 4 or 16
+//! landmarks — must serve answers **bit-identical** to the plain reference
+//! configuration, across thread counts {1, 2, 8} and cache capacities
+//! {0, 64}, cold and warm.
 //!
 //! The live half of the matrix drives servers through update batches that
 //! force generation compaction (an epoch bump), so stale landmark tables
@@ -17,60 +17,16 @@ use greedy_spanner::Spanner;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spanner_graph::generators::erdos_renyi_connected;
-use spanner_graph::{RelaxKernel, WeightedGraph};
+use spanner_graph::WeightedGraph;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CACHE_CAPACITIES: [usize; 2] = [0, 64];
 
-/// One engine configuration under test: how many landmarks to derive
-/// (0 = none) and which relaxation kernel the engines run.
-struct Variant {
-    name: &'static str,
-    landmarks: usize,
-    kernel: RelaxKernel,
-}
-
-/// The frozen-handle matrix. `plain/scalar` is the reference: the exact
-/// pre-acceleration serving configuration. The landmark count also decides
-/// which distance targets the table rules out of the cache's trees, so
-/// `alt16/auto` admits different trees than `alt/auto`.
-const FROZEN_VARIANTS: [Variant; 7] = [
-    Variant {
-        name: "plain/scalar",
-        landmarks: 0,
-        kernel: RelaxKernel::Scalar,
-    },
-    Variant {
-        name: "plain/batched",
-        landmarks: 0,
-        kernel: RelaxKernel::Batched,
-    },
-    Variant {
-        name: "plain/auto",
-        landmarks: 0,
-        kernel: RelaxKernel::Auto,
-    },
-    Variant {
-        name: "alt/scalar",
-        landmarks: 4,
-        kernel: RelaxKernel::Scalar,
-    },
-    Variant {
-        name: "alt/batched",
-        landmarks: 4,
-        kernel: RelaxKernel::Batched,
-    },
-    Variant {
-        name: "alt/auto",
-        landmarks: 4,
-        kernel: RelaxKernel::Auto,
-    },
-    Variant {
-        name: "alt16/auto",
-        landmarks: 16,
-        kernel: RelaxKernel::Auto,
-    },
-];
+/// The frozen-handle matrix: a name and how many landmarks to derive
+/// (0 = none). `plain` is also the reference configuration. The landmark
+/// count decides which distance targets the table rules out of the
+/// cache's trees, so `alt16` admits different trees than `alt`.
+const FROZEN_VARIANTS: [(&str, usize); 3] = [("plain", 0), ("alt", 4), ("alt16", 16)];
 
 fn test_graph(n: usize, seed: u64) -> WeightedGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -88,21 +44,20 @@ fn frozen_engine_variants_answer_bit_identically() {
         .seed(0xA17)
         .bound(3.0 * stretch)
         .generate();
-    // The reference: scalar kernel, no landmarks — the
-    // serving configuration that predates the acceleration stack.
+    // The reference: no landmarks, one thread, no cache — the serving
+    // configuration that predates the acceleration stack.
     let reference: Vec<Answer> = {
         let mut server = output
             .clone()
             .serve()
             .threads(1)
             .cache_capacity(0)
-            .relax_kernel(RelaxKernel::Scalar)
             .landmarks(0)
             .audit_against(&g)
             .finish();
         server.answer_batch(&queries).expect("valid batch")
     };
-    for variant in &FROZEN_VARIANTS {
+    for (name, landmarks) in FROZEN_VARIANTS {
         for threads in THREAD_COUNTS {
             for cache in CACHE_CAPACITIES {
                 let mut server = output
@@ -110,27 +65,23 @@ fn frozen_engine_variants_answer_bit_identically() {
                     .serve()
                     .threads(threads)
                     .cache_capacity(cache)
-                    .relax_kernel(variant.kernel)
-                    .landmarks(variant.landmarks)
+                    .landmarks(landmarks)
                     .audit_against(&g)
                     .finish();
                 let cold = server.answer_batch(&queries).expect("valid batch");
                 let warm = server.answer_batch(&queries).expect("valid batch");
                 assert_eq!(
                     cold, reference,
-                    "cold {} threads={threads} cache={cache}",
-                    variant.name
+                    "cold {name} threads={threads} cache={cache}"
                 );
                 assert_eq!(
                     warm, reference,
-                    "warm {} threads={threads} cache={cache}",
-                    variant.name
+                    "warm {name} threads={threads} cache={cache}"
                 );
                 let engine = server.engine_stats();
                 assert_eq!(
                     engine.reuse_hits, engine.queries,
-                    "{} threads={threads} cache={cache}: a serving engine allocated",
-                    variant.name
+                    "{name} threads={threads} cache={cache}: a serving engine allocated"
                 );
             }
         }
@@ -138,9 +89,9 @@ fn frozen_engine_variants_answer_bit_identically() {
 }
 
 /// The from-scratch oracle for a live server: freeze its current spanner
-/// into a fresh frozen handle served with **no** accelerator state — scalar
-/// kernel, inherited (identity) layout, whatever landmark state the handle
-/// carries (none, for a live-born handle) — and a cold cache.
+/// into a fresh frozen handle served with **no** accelerator state —
+/// whatever landmark state the handle carries (none, for a live-born
+/// handle) — and a cold cache.
 fn rebuilt_reference(server: &SpannerServer, queries: &[Query]) -> Vec<Answer> {
     let original = server
         .live()
@@ -150,7 +101,6 @@ fn rebuilt_reference(server: &SpannerServer, queries: &[Query]) -> Vec<Answer> {
     let mut reference = ServeBuilder::from_handle(server.freeze_current())
         .threads(1)
         .cache_capacity(0)
-        .relax_kernel(RelaxKernel::Scalar)
         .audit_against(&original)
         .finish();
     reference.answer_batch(queries).expect("valid batch")
@@ -174,19 +124,10 @@ fn live_engine_variants_survive_compacting_update_batches() {
         .bound(1e6)
         .seed(0xBEE5)
         .generate(&g);
-    // The live matrix varies the
-    // demand-derived landmark table (0 disables it) and the relax kernel.
-    // Tombstoning update batches are exactly what flips `Auto` onto the
-    // batched path mid-stream, so the kernel dimension matters most here.
-    let live_variants: [(&str, usize, RelaxKernel); 6] = [
-        ("plain/scalar", 0, RelaxKernel::Scalar),
-        ("plain/batched", 0, RelaxKernel::Batched),
-        ("plain/auto", 0, RelaxKernel::Auto),
-        ("alt/scalar", 4, RelaxKernel::Scalar),
-        ("alt/batched", 4, RelaxKernel::Batched),
-        ("alt/auto", 4, RelaxKernel::Auto),
-    ];
-    for (name, landmark_count, kernel) in live_variants {
+    // The live matrix varies the demand-derived landmark table (0
+    // disables it).
+    let live_variants: [(&str, usize); 2] = [("plain", 0), ("alt", 4)];
+    for (name, landmark_count) in live_variants {
         for threads in THREAD_COUNTS {
             for cache in CACHE_CAPACITIES {
                 // A near-zero threshold makes every tombstoning batch
@@ -202,7 +143,6 @@ fn live_engine_variants_survive_compacting_update_batches() {
                     .serve()
                     .threads(threads)
                     .cache_capacity(cache)
-                    .relax_kernel(kernel)
                     .landmarks(landmark_count)
                     .finish();
                 let mut compactions = 0usize;
