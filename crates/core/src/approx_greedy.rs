@@ -127,7 +127,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     // The growing output lives in appendable CSR form, its rows reserved at
     // the base's degrees, and a pool of engines — worker 0 doubles as the
     // sequential-path engine — is pre-sized for the worst case (the output
-    // is a subgraph of the base), so the spanner never re-packs and every
+    // is a subgraph of the base), so no spanner row ever moves and every
     // simulation query is allocation-free.
     let mut spanner = spanner_for_candidates(
         n,

@@ -43,9 +43,9 @@
 //! queries, `c` being the number of connected components of the input.
 //!
 //! The spanner is a subgraph of its candidates, so the constructions open
-//! it with each packed row reserved at the vertex's candidate degree
+//! it with each row reserved at the vertex's candidate degree
 //! ([`CsrGraph::with_row_capacity`]): every append writes into its reserved
-//! slots and the growing spanner is never re-packed.
+//! slots and no row of the growing spanner ever moves.
 //!
 //! # The batched filter-then-commit parallel loop
 //!
@@ -374,12 +374,12 @@ pub(crate) fn greedy_into(
     }
 }
 
-/// An edgeless spanner on `num_vertices` vertices whose packed rows are
-/// reserved for the given candidate edges (see
-/// [`CsrGraph::with_row_capacity`]): a greedy output is a subgraph of its
-/// candidates, so it grows without ever re-packing. The reservation costs
-/// 32 bytes per candidate up front, twice the candidate list's own
-/// footprint, however few edges the spanner keeps.
+/// An edgeless spanner on `num_vertices` vertices whose rows are reserved
+/// for the given candidate edges (see [`CsrGraph::with_row_capacity`]): a
+/// greedy output is a subgraph of its candidates, so it grows without ever
+/// moving a row. The reservation costs 32 bytes per candidate up front,
+/// twice the candidate list's own footprint, however few edges the spanner
+/// keeps.
 pub(crate) fn spanner_for_candidates(
     num_vertices: usize,
     candidates: impl IntoIterator<Item = (u32, u32)>,

@@ -110,7 +110,7 @@
 //! bounded queries of Algorithm 1), approximate-greedy and
 //! stretch verification — runs them on `spanner_graph`'s CSR substrate: an
 //! appendable [`spanner_graph::CsrGraph`] holding the growing spanner (its
-//! rows reserved at the candidate degrees, so it never re-packs), and one
+//! rows reserved at the candidate degrees, so no row ever moves), and one
 //! pre-sized [`spanner_graph::DijkstraEngine`] per build whose
 //! generation-stamped workspace answers every query with zero heap
 //! allocation. Greedy queries only the candidates whose endpoints the
@@ -190,6 +190,22 @@
 //! traffic shapes — uniform pairs, Zipf hotspots, ball sweeps, mixed read
 //! profiles — for benches and tests.
 //!
+//! **Migration note (0.12):** `CsrGraph` has no mutation overlay: an
+//! append into a full row moves the row to the end of the slot arrays at
+//! double its capacity, a deletion splices both half-edges out of their
+//! rows, and every row holds exactly its live half-edges in edge-id order,
+//! so answers are unchanged. Removed: `spanner_graph::DeltaOverlay` (with
+//! its `pending_insertions` and `pending_deletions`);
+//! `spanner_graph::csr::OverflowNeighbors`;
+//! `spanner_graph::csr::{REPACK_OVERFLOW_DIVISOR, REPACK_OVERFLOW_SLACK}`;
+//! and `CsrGraph::{overlay, overflow_neighbors, has_pending_deletions,
+//! is_edge_id_live, packed_neighbor_ids, min_live_weight}`. Delete those
+//! calls: [`spanner_graph::CsrGraph::packed_neighbors`] is the whole row
+//! now, and [`spanner_graph::CsrGraph::is_edge_live`] and
+//! [`spanner_graph::CsrGraph::dead_edges`] answer liveness.
+//! [`spanner_graph::CsrGraph::is_compact`] now reports a tight layout:
+//! every slot holds a live half-edge.
+//!
 //! **Migration note (0.11):** the batched relax kernel is gone; every
 //! engine search runs the one scalar relaxation loop, with unchanged
 //! answers. Removed: `spanner_graph::RelaxKernel` and
@@ -238,9 +254,10 @@
 //! The stack is four layers, and as of 0.3 none of them freezes forever:
 //!
 //! 1. **Substrate** (`spanner-graph`): [`spanner_graph::CsrGraph`] is
-//!    appendable *and deletable* — mutations stage in a
-//!    [`spanner_graph::DeltaOverlay`] (overflow chains + tombstone bitmap,
-//!    consolidated on re-pack) and every mutation bumps a monotone
+//!    appendable *and deletable* — an append moves a full row to the end
+//!    of the slot arrays at double its capacity, a deletion splices the
+//!    edge out of both rows, so every row holds exactly its live
+//!    half-edges — and every mutation bumps a monotone
 //!    [`spanner_graph::CsrGraph::epoch`]. Stale views are refused with
 //!    typed [`spanner_graph::GraphError::StaleEpoch`] errors.
 //! 2. **Construction** builds the spanner (unchanged).

@@ -368,7 +368,10 @@ pub struct BatchOutcome {
 #[derive(Debug)]
 pub struct LiveSpanner {
     /// The live original graph (the spanner's reference), mirrored in CSR
-    /// form so deletions are tombstone-cheap.
+    /// form. A deletion splices the edge out of its rows but keeps its id
+    /// dead, so ids stay stable for the WAL, snapshots and
+    /// `LiveSpanner::rebuild`'s `first_insert`, until a generation
+    /// compaction re-densifies them.
     original: CsrGraph,
     /// The live spanner.
     spanner: CsrGraph,

@@ -1,51 +1,40 @@
 //! Compressed-sparse-row view of a weighted graph.
 //!
-//! [`WeightedGraph`] stores adjacency as one `Vec` per vertex — ideal for
-//! construction and mutation, but every Dijkstra relaxation chases a pointer
-//! per vertex and a second one into the edge list. [`CsrGraph`] is the
-//! cache-friendly counterpart: all half-edges live in flat arrays (`targets`
-//! / `weights`, plus the originating edge index) indexed by one
-//! `(start, end)` row per vertex, so a neighbor scan is a contiguous read.
+//! [`WeightedGraph`] serves construction and analysis; [`CsrGraph`] is the
+//! query substrate: all half-edges live in flat arrays (`targets` /
+//! `weights`, plus the originating edge id) indexed by one `(start, end)`
+//! row per vertex, so a neighbor scan is one contiguous read.
 //!
 //! Unlike a classical CSR, this one is *mutable*: spanner constructions grow
 //! their output one edge at a time while querying it, and the live-update
-//! subsystem additionally deletes edges from a long-running spanner.
+//! subsystem additionally deletes edges from a long-running graph. Every row
+//! holds exactly its vertex's live half-edges, in ascending edge-id order —
+//! the order a [`CsrGraph::from`] of the same edges lays out — so a search
+//! reads one slice per vertex and never tests liveness.
 //!
-//! * **Reserved rows.** A construction that knows its output is a subgraph
-//!   of a candidate set opens the graph with
-//!   [`CsrGraph::with_row_capacity`], reserving each vertex's packed row at
-//!   its candidate degree. Each row keeps its own fill end, so
-//!   [`CsrGraph::append_edge`] writes both half-edges straight into their
-//!   reserved slots in `O(1)`: no overflow chain, no re-pack, and every
-//!   scan stays fully packed. Rows list their half-edges in edge-id order,
-//!   exactly as a [`CsrGraph::from`] of the same edges does.
-//! * **Insertions** that do not fit (a full row, or a graph without
-//!   reservations such as [`CsrGraph::new`]) land in the [`DeltaOverlay`]'s
-//!   small per-vertex overflow chains. Once one append has gone there, later
-//!   ones follow it until the next re-pack, so the packed rows always cover
-//!   a prefix of the edge ids.
-//! * **Deletions** ([`CsrGraph::remove_edge`]) set a bit in the overlay's
-//!   tombstone bitmap — the half-edges stay physically present until the
-//!   next re-pack but every scan skips them.
-//! * Once the overlay grows past a constant fraction of the packed region
-//!   (see [`REPACK_OVERFLOW_DIVISOR`] / [`REPACK_OVERFLOW_SLACK`]) the whole
-//!   structure is re-packed in `O(n + m)` into tight rows: chains fold into
-//!   the packed arrays and tombstoned half-edges are dropped.
+//! * **Appends** ([`CsrGraph::append_edge`]) write both half-edges at the
+//!   ends of their rows. Each row has a capacity: a construction whose
+//!   output is a subgraph of known candidates reserves it up front with
+//!   [`CsrGraph::with_row_capacity`] and never moves a row. A full row moves
+//!   to the end of the slot arrays at double its capacity (or grows in
+//!   place when it already ends them), leaving its old window dead — the
+//!   amortized-`O(1)` growth of [`WeightedGraph::add_edge`].
+//! * **Deletions** ([`CsrGraph::remove_edge`]) splice both half-edges out of
+//!   their rows, shifting the rest of each row down one slot, so the freed
+//!   slot takes the row's next append. The id is marked in a dead-id bitmap
+//!   and never reused.
+//! * [`CsrGraph::compact`] re-lays every row out tight, in vertex order,
+//!   dropping unused capacity and the windows moved rows left behind.
 //!
-//! Re-packing is not free when a graph grows from empty through the
-//! overlay: each re-pack grows the packed region by only about 1/8, so a
-//! spanner of `m` edges re-packs `Θ(log_{9/8} m)` times, and every re-pack
-//! pays `O(n)` for the row index on top of the edges it moves. The
-//! 127,629-edge greedy spanner of a 300 × 300 grid re-packs 58 times that
-//! way, each pass touching all 90,000 rows: appending its edges one by one
-//! takes ≈ 60 ms, against ≈ 11 ms into rows reserved at the grid's degrees
-//! (best of 5, release build, 2-core Xeon VM). Reserved rows avoid the
-//! re-packs, which is why the greedy constructions open their output that
-//! way.
+//! Growing from empty costs little more than growing into reserved rows:
+//! appending the 127,629 edges of the greedy 3-spanner of a 300 × 300
+//! jittered grid one by one takes ≈ 9–11 ms through [`CsrGraph::new`]
+//! against ≈ 6–8 ms into rows reserved at the grid's degrees (best of 5,
+//! release build, 2-core Xeon VM).
 //!
 //! # Epochs
 //!
-//! Every *logical* mutation — an append or a removal, never a re-pack —
+//! Every *logical* mutation — an append or a removal, never a re-layout —
 //! bumps a monotonically increasing [`CsrGraph::epoch`] counter. Long-lived
 //! readers (shortest-path-tree caches, serving handles) stamp the epoch they
 //! were built at and detect staleness by comparing stamps:
@@ -59,29 +48,7 @@
 //! `CsrGraph` perform no per-query heap allocation.
 
 use crate::error::GraphError;
-use crate::graph::{Edge, EdgeId, VertexId, WeightedGraph};
-
-/// Sentinel for "no entry" in the overflow chains.
-const NONE: u32 = u32::MAX;
-
-/// Denominator of the re-pack trigger: the overlay may hold up to
-/// `packed_half_edges / REPACK_OVERFLOW_DIVISOR + REPACK_OVERFLOW_SLACK`
-/// pending half-edges (insertions, or deletions still lingering in the
-/// packed arrays) before [`CsrGraph::compact`] runs automatically.
-///
-/// The fraction keeps neighbor scans almost entirely packed: chain-walking
-/// and tombstone-skipping cost every later query, a re-pack costs once. The
-/// price falls on graphs grown from empty through the overlay: the packed
-/// region grows by about 1/8 per re-pack, so reaching `m` edges takes
-/// `Θ(log_{9/8} m)` re-packs of `O(n + m)` each (58 for a 127,629-edge
-/// spanner over 90,000 vertices). Constructions that know their candidate
-/// set skip the overlay altogether with [`CsrGraph::with_row_capacity`].
-pub const REPACK_OVERFLOW_DIVISOR: usize = 8;
-
-/// Additive slack of the re-pack trigger (see [`REPACK_OVERFLOW_DIVISOR`]):
-/// small graphs get a constant grace budget so the first few appends do not
-/// each trigger an `O(n)` re-pack.
-pub const REPACK_OVERFLOW_SLACK: usize = 32;
+use crate::graph::{Edge, EdgeId, VertexId, WeightedGraph, MIN_ROW_CAPACITY};
 
 /// Panics unless `num_vertices` fits the graph's `u32` vertex ids; checked
 /// before any `O(n)` allocation.
@@ -90,6 +57,11 @@ fn assert_vertex_count(num_vertices: usize) {
         num_vertices < u32::MAX as usize,
         "CsrGraph vertex count must fit in u32"
     );
+}
+
+/// A slot offset as stored in the rows.
+fn slot_offset(slot: usize) -> u32 {
+    u32::try_from(slot).expect("CsrGraph slot arrays must fit u32 offsets")
 }
 
 /// A neighbor record produced by [`CsrGraph::neighbors`].
@@ -103,124 +75,52 @@ pub struct CsrNeighbor {
     pub edge: EdgeId,
 }
 
-/// The pending mutations layered over the packed CSR arrays: overflow chains
-/// of appended half-edges plus a tombstone bitmap of deleted edges.
-///
-/// Readers never consult the overlay directly — [`CsrGraph::neighbors`] and
-/// the Dijkstra engine fold it in transparently — but its occupancy is
-/// observable ([`DeltaOverlay::pending_insertions`] /
-/// [`DeltaOverlay::pending_deletions`]) so long-running processes can reason
-/// about when the next consolidation ([`CsrGraph::compact`]) will happen.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaOverlay {
-    /// Per-source chain head into the slot arrays (most recent first).
-    head: Vec<u32>,
-    next: Vec<u32>,
-    target: Vec<u32>,
-    weight: Vec<f64>,
-    edge: Vec<u32>,
-    /// Tombstone bitmap over edge ids; a set bit marks a deleted edge. The
-    /// bitmap is never cleared — a deleted id stays dead forever — but the
-    /// *pending* counter below resets when a re-pack drops the dead
-    /// half-edges from the packed arrays.
-    tombstone: Vec<u64>,
-    /// Dead edges whose half-edges still linger in the packed arrays or in
-    /// the insertion chains; consolidated (reset to 0) by re-packing.
-    pending_deletions: usize,
-    /// Total edges ever deleted (the difference between allocated ids and
-    /// live edges).
-    dead_edges: usize,
-}
-
-impl DeltaOverlay {
-    fn new(num_vertices: usize) -> Self {
-        DeltaOverlay {
-            head: vec![NONE; num_vertices],
-            ..DeltaOverlay::default()
-        }
-    }
-
-    #[inline]
-    fn is_dead(&self, id: usize) -> bool {
-        self.tombstone
-            .get(id >> 6)
-            .is_some_and(|word| (word >> (id & 63)) & 1 == 1)
-    }
-
-    fn mark_dead(&mut self, id: usize) {
-        let word = id >> 6;
-        if word >= self.tombstone.len() {
-            self.tombstone.resize(word + 1, 0);
-        }
-        self.tombstone[word] |= 1 << (id & 63);
-        self.pending_deletions += 1;
-        self.dead_edges += 1;
-    }
-
-    /// Half-edges appended since the last re-pack, as whole edges.
-    pub fn pending_insertions(&self) -> usize {
-        self.target.len() / 2
-    }
-
-    /// Deleted edges whose half-edges still linger in the packed arrays or
-    /// the insertion chains (reset by the next re-pack).
-    pub fn pending_deletions(&self) -> usize {
-        self.pending_deletions
-    }
-}
-
 /// An undirected weighted graph in compressed-sparse-row form, incrementally
 /// appendable and deletable.
 ///
 /// Vertex ids are dense `0..n` and must fit in `u32`; every undirected edge
 /// is stored as two half-edges. Build one with [`CsrGraph::from`] a
-/// [`WeightedGraph`] (fully packed) or grow one from empty with
+/// [`WeightedGraph`] (tight rows) or grow one from empty with
 /// [`CsrGraph::append_edge`] (the greedy-spanner pattern: the spanner under
 /// construction is queried after every append). Long-running processes
 /// additionally delete edges with [`CsrGraph::remove_edge`]; see the
-/// [module docs](crate::csr) for the overlay/epoch model.
+/// [module docs](crate::csr) for the row and epoch model.
 ///
 /// **Id-stability trade-off:** deleted edges keep their `edge_list` slot and
-/// tombstone bit forever so ids never shift, which means the *ground-truth*
-/// arrays (not the packed scan arrays — those drop dead half-edges at every
-/// re-pack) grow with the total number of edges ever appended, not with the
-/// live count. Under unbounded insert/delete churn, periodically start a
-/// fresh **generation** with [`CsrGraph::rebuild_compacted`] — a dense
-/// rebuild from [`CsrGraph::live_edges`] that re-densifies ids (returning
-/// the old-id → new-id remap) and reclaims the dead slots behind a bumped
-/// epoch. The dead-slot pressure is observable in `O(1)` via
-/// [`CsrGraph::dead_edges`] / [`CsrGraph::tombstoned_fraction`], so
-/// long-running owners can trigger the rebuild on a threshold instead of a
-/// scan.
+/// dead-id bit forever so ids never shift, which means the *ground-truth*
+/// arrays grow with the total number of edges ever appended, not with the
+/// live count (the slot arrays, with the windows moved rows leave behind,
+/// grow by at most a constant times the same). Under unbounded
+/// insert/delete churn, periodically start a fresh **generation** with
+/// [`CsrGraph::rebuild_compacted`] — a dense rebuild from
+/// [`CsrGraph::live_edges`] that re-densifies ids (returning the old-id →
+/// new-id remap) and reclaims the dead slots behind a bumped epoch. The
+/// dead-slot pressure is observable in `O(1)` via [`CsrGraph::dead_edges`] /
+/// [`CsrGraph::tombstoned_fraction`], so long-running owners can trigger the
+/// rebuild on a threshold instead of a scan.
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
     num_vertices: usize,
     /// Ground truth: `(u, v, weight)` per edge, in append order — including
-    /// deleted edges, so ids stay stable. Used for re-packing and for
+    /// deleted edges, so ids stay stable. Used for re-layouts and for
     /// materializing a [`WeightedGraph`].
     edge_list: Vec<(u32, u32, f64)>,
-    /// Number of edges covered by the packed arrays (prefix of `edge_list`;
-    /// deleted edges of the prefix are *omitted* from the arrays once a
-    /// re-pack has consolidated them).
-    packed_edges: usize,
-    /// Packed CSR: live half-edges of `edge_list[..packed_edges]` (plus any
-    /// half-edges deleted since the last re-pack, skipped via the overlay's
-    /// tombstone bitmap). Row `u` is filled at `rows[u].0..rows[u].1`; its
-    /// reservation runs to the next row's start (to the array end for the
-    /// last row), and rows are tight — no reservation left — after a
-    /// re-pack.
+    /// Dead-id bitmap over `edge_list`; a set bit marks a deleted edge. Never
+    /// cleared: a deleted id stays dead until the next generation.
+    dead: Vec<u64>,
+    /// Number of set bits in `dead`.
+    dead_edges: usize,
+    /// Row `u` holds `u`'s live half-edges at `rows[u].0..rows[u].1` of the
+    /// slot arrays, in ascending edge-id order.
     rows: Vec<(u32, u32)>,
+    /// Row `u` owns `caps[u]` slots from `rows[u].0`. Only appends read it,
+    /// so the rows the searches read stay 8 bytes.
+    caps: Vec<u32>,
     targets: Vec<u32>,
     weights: Vec<f64>,
     edge_ids: Vec<u32>,
-    /// Pending insertions and deletions since the last re-pack.
-    overlay: DeltaOverlay,
     /// Monotonically increasing mutation counter; see [`CsrGraph::epoch`].
     epoch: u64,
-    /// Running lower bound on the minimum live edge weight
-    /// (`f64::INFINITY` when edgeless); exact after every re-pack. Backs
-    /// the `O(1)` [`CsrGraph::min_live_weight`].
-    min_live_weight: f64,
 }
 
 impl CsrGraph {
@@ -234,16 +134,15 @@ impl CsrGraph {
         Self::with_row_capacity(&vec![0; num_vertices])
     }
 
-    /// Creates an edgeless CSR graph on `capacity.len()` vertices whose
-    /// packed row for vertex `u` is reserved for `capacity[u]` half-edges.
+    /// Creates an edgeless CSR graph on `capacity.len()` vertices whose row
+    /// for vertex `u` is reserved for `capacity[u]` half-edges.
     ///
-    /// [`CsrGraph::append_edge`] fills the reserved slots in `O(1)` without
-    /// touching the overlay, so a graph grown to within its reservations is
-    /// never re-packed and every scan stays packed. A construction whose
-    /// output is a subgraph of known candidates reserves each row at the
-    /// vertex's candidate degree. An append past a full row falls back to
-    /// the overlay (see the [module docs](crate::csr)); [`CsrGraph::compact`]
-    /// drops any unused reservation.
+    /// [`CsrGraph::append_edge`] fills the reserved slots in `O(1)`, so a
+    /// graph grown within its reservations never moves a row. A construction
+    /// whose output is a subgraph of known candidates reserves each row at
+    /// the vertex's candidate degree. An append past a full row moves it
+    /// (see the [module docs](crate::csr)); [`CsrGraph::compact`] drops any
+    /// unused reservation.
     ///
     /// # Panics
     ///
@@ -263,15 +162,12 @@ impl CsrGraph {
         let slots = start as usize;
         CsrGraph {
             num_vertices,
-            edge_list: Vec::new(),
-            packed_edges: 0,
             rows,
+            caps: capacity.to_vec(),
             targets: vec![0; slots],
             weights: vec![0.0; slots],
             edge_ids: vec![0; slots],
-            overlay: DeltaOverlay::new(num_vertices),
-            epoch: 0,
-            min_live_weight: f64::INFINITY,
+            ..CsrGraph::default()
         }
     }
 
@@ -284,7 +180,7 @@ impl CsrGraph {
     /// Number of live (undirected) edges — deleted edges are not counted.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edge_list.len() - self.overlay.dead_edges
+        self.edge_list.len() - self.dead_edges
     }
 
     /// Upper bound (exclusive) on edge ids ever allocated, including deleted
@@ -300,16 +196,16 @@ impl CsrGraph {
         self.num_edges() == 0
     }
 
-    /// Number of dead (tombstoned) edge slots in the ground-truth arrays —
-    /// the difference between [`CsrGraph::edge_id_bound`] and
+    /// Number of dead (deleted) edge slots in the ground-truth arrays — the
+    /// difference between [`CsrGraph::edge_id_bound`] and
     /// [`CsrGraph::num_edges`]. `O(1)`: the counter is maintained by
     /// [`CsrGraph::remove_edge`], never recomputed by scanning.
     #[inline]
     pub fn dead_edges(&self) -> usize {
-        self.overlay.dead_edges
+        self.dead_edges
     }
 
-    /// Fraction of allocated edge slots that are tombstoned
+    /// Fraction of allocated edge slots that are dead
     /// (`dead_edges / edge_id_bound`; `0.0` for an edgeless graph). `O(1)`,
     /// from the same maintained counters as [`CsrGraph::dead_edges`] — the
     /// threshold long-running owners watch to decide when a
@@ -319,15 +215,15 @@ impl CsrGraph {
         if self.edge_list.is_empty() {
             0.0
         } else {
-            self.overlay.dead_edges as f64 / self.edge_list.len() as f64
+            self.dead_edges as f64 / self.edge_list.len() as f64
         }
     }
 
     /// The graph's epoch: a monotonically increasing counter bumped by every
     /// logical mutation ([`CsrGraph::append_edge`] /
-    /// [`CsrGraph::remove_edge`]; re-packing is a representation change and
-    /// does **not** bump it). Long-lived readers stamp the epoch they were
-    /// built at and compare with [`CsrGraph::verify_epoch`].
+    /// [`CsrGraph::remove_edge`]; [`CsrGraph::compact`] is a representation
+    /// change and does **not** bump it). Long-lived readers stamp the epoch
+    /// they were built at and compare with [`CsrGraph::verify_epoch`].
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -351,30 +247,26 @@ impl CsrGraph {
         }
     }
 
-    /// The pending-mutation overlay (observability only; scans fold it in
-    /// transparently).
-    pub fn overlay(&self) -> &DeltaOverlay {
-        &self.overlay
+    #[inline]
+    fn is_dead(&self, id: usize) -> bool {
+        self.dead
+            .get(id >> 6)
+            .is_some_and(|word| (word >> (id & 63)) & 1 == 1)
     }
 
-    /// Returns `true` if deleted half-edges still linger in the packed
-    /// arrays or chains (i.e. scans must consult the tombstone bitmap).
-    #[inline]
-    pub fn has_pending_deletions(&self) -> bool {
-        self.overlay.pending_deletions > 0
+    fn mark_dead(&mut self, id: usize) {
+        let word = id >> 6;
+        if word >= self.dead.len() {
+            self.dead.resize(word + 1, 0);
+        }
+        self.dead[word] |= 1 << (id & 63);
+        self.dead_edges += 1;
     }
 
     /// Returns `true` if the id names a live (never-deleted, in-range) edge.
     #[inline]
     pub fn is_edge_live(&self, id: EdgeId) -> bool {
-        id.index() < self.edge_list.len() && !self.overlay.is_dead(id.index())
-    }
-
-    /// Raw liveness check by packed edge-id word — the Dijkstra engine's
-    /// inner-loop form of [`CsrGraph::is_edge_live`].
-    #[inline]
-    pub fn is_edge_id_live(&self, id: u32) -> bool {
-        !self.overlay.is_dead(id as usize)
+        id.index() < self.edge_list.len() && !self.is_dead(id.index())
     }
 
     /// Endpoints and weight of the edge with the given id. The record is
@@ -392,7 +284,7 @@ impl CsrGraph {
     /// Iterates over the live edges as `(id, u, v, weight)` in append order.
     ///
     /// **Cost:** a full ground-truth scan — `O(edge_id_bound())`, which
-    /// includes every dead slot ever tombstoned, not `O(num_edges())`. Keep
+    /// includes every dead slot ever deleted, not `O(num_edges())`. Keep
     /// it out of per-mutation hot paths; batch owners needing only the
     /// *counts* should read the `O(1)` [`CsrGraph::num_edges`] /
     /// [`CsrGraph::dead_edges`] counters instead, and owners facing
@@ -402,7 +294,7 @@ impl CsrGraph {
         self.edge_list
             .iter()
             .enumerate()
-            .filter(|&(id, _)| !self.overlay.is_dead(id))
+            .filter(|&(id, _)| !self.is_dead(id))
             .map(|(id, &(u, v, w))| (EdgeId(id), VertexId(u as usize), VertexId(v as usize), w))
     }
 
@@ -415,35 +307,18 @@ impl CsrGraph {
         self.live_edges().map(|(_, _, _, w)| w).sum()
     }
 
-    /// Smallest live edge weight, or `None` for an edgeless graph. `O(1)`
-    /// from a maintained counter.
-    ///
-    /// Between re-packs the value is a **lower bound**: deleting the
-    /// current minimum does not trigger a rescan, so a stale smaller weight
-    /// may be reported until the next [`CsrGraph::compact`] makes it exact
-    /// again.
-    pub fn min_live_weight(&self) -> Option<f64> {
-        (!self.is_edgeless()).then_some(self.min_live_weight)
-    }
-
-    /// Returns `true` if the overlay is empty: every live half-edge lives in
-    /// the packed arrays (no overflow chains, no lingering tombstoned
-    /// half-edges). Rows may still hold unused reservations (see
-    /// [`CsrGraph::with_row_capacity`]).
+    /// Returns `true` if every slot of the arrays holds a live half-edge:
+    /// no unused capacity, no slot freed by a deletion and no window left
+    /// behind by a moved row (see [`CsrGraph::compact`]).
     pub fn is_compact(&self) -> bool {
-        self.packed_edges == self.edge_list.len() && self.overlay.pending_deletions == 0
+        self.targets.len() == 2 * self.num_edges()
     }
 
     /// Appends an undirected edge and returns its id.
     ///
-    /// When both endpoints' rows have reserved room (see
-    /// [`CsrGraph::with_row_capacity`]) and no earlier append went to the
-    /// overlay, the half-edges are written straight into the packed rows.
-    /// Otherwise they land in the overlay's overflow chains; once the
-    /// overlay grows past a constant fraction of the packed region (see
-    /// [`REPACK_OVERFLOW_DIVISOR`]) the graph re-packs itself, so a growing
-    /// spanner stays cache-friendly without the caller ever re-building.
-    /// Bumps the epoch.
+    /// Both half-edges go at the ends of their rows; a full row first moves
+    /// to the end of the slot arrays at double its capacity (see the
+    /// [module docs](crate::csr)). Bumps the epoch.
     ///
     /// # Panics
     ///
@@ -496,49 +371,52 @@ impl CsrGraph {
             "too many edges for u32 ids"
         );
         self.edge_list.push((ui as u32, vi as u32, weight));
-        if weight < self.min_live_weight {
-            self.min_live_weight = weight;
-        }
         self.epoch += 1;
-        // The packed rows must keep covering a prefix of the ids, so the
-        // reserved slots are used only while no append sits in the overlay.
-        if self.packed_edges == id && self.has_room(ui) && self.has_room(vi) {
-            for (a, b) in [(ui, vi), (vi, ui)] {
-                let slot = self.rows[a].1 as usize;
-                self.rows[a].1 += 1;
-                self.targets[slot] = b as u32;
-                self.weights[slot] = weight;
-                self.edge_ids[slot] = id as u32;
-            }
-            self.packed_edges += 1;
-            return Ok(EdgeId(id));
-        }
-        for (a, b) in [(ui, vi), (vi, ui)] {
-            let slot = self.overlay.target.len() as u32;
-            self.overlay.target.push(b as u32);
-            self.overlay.weight.push(weight);
-            self.overlay.edge.push(id as u32);
-            self.overlay.next.push(self.overlay.head[a]);
-            self.overlay.head[a] = slot;
-        }
-        self.maybe_compact();
+        // The new id exceeds every stored one, so the rows stay in id order.
+        self.push_half_edge(ui, vi as u32, weight, id as u32);
+        self.push_half_edge(vi, ui as u32, weight, id as u32);
         Ok(EdgeId(id))
     }
 
-    /// Whether row `u` has an unused reserved slot.
+    /// Writes a half-edge at the end of row `a`, moving the row first if it
+    /// is full.
     #[inline]
-    fn has_room(&self, u: usize) -> bool {
-        let reserved_end = self
-            .rows
-            .get(u + 1)
-            .map_or(self.targets.len(), |&(next, _)| next as usize);
-        (self.rows[u].1 as usize) < reserved_end
+    fn push_half_edge(&mut self, a: usize, to: u32, weight: f64, id: u32) {
+        let (start, end) = self.rows[a];
+        if end - start == self.caps[a] {
+            self.grow_row(a);
+        }
+        let slot = self.rows[a].1 as usize;
+        self.targets[slot] = to;
+        self.weights[slot] = weight;
+        self.edge_ids[slot] = id;
+        self.rows[a].1 += 1;
     }
 
-    /// Deletes the edge with the given id: its tombstone bit is set, every
-    /// scan skips it from now on, and the next re-pack drops its half-edges
-    /// physically. The id stays allocated (never reused) so other ids remain
-    /// stable. Bumps the epoch.
+    /// Doubles a full row's capacity (to at least [`MIN_ROW_CAPACITY`]):
+    /// the row moves to the end of the slot arrays, leaving its old window
+    /// dead, or grows in place when it already ends them.
+    #[cold]
+    fn grow_row(&mut self, a: usize) {
+        let (start, end) = (self.rows[a].0 as usize, self.rows[a].1 as usize);
+        let cap = (2 * self.caps[a] as usize).max(MIN_ROW_CAPACITY);
+        let mut new_start = start;
+        if start + self.caps[a] as usize != self.targets.len() {
+            new_start = self.targets.len();
+            self.targets.extend_from_within(start..end);
+            self.weights.extend_from_within(start..end);
+            self.edge_ids.extend_from_within(start..end);
+        }
+        self.rows[a] = (slot_offset(new_start), slot_offset(new_start + end - start));
+        self.caps[a] = slot_offset(cap);
+        self.targets.resize(new_start + cap, 0);
+        self.weights.resize(new_start + cap, 0.0);
+        self.edge_ids.resize(new_start + cap, 0);
+    }
+
+    /// Deletes the edge with the given id: both half-edges are spliced out
+    /// of their rows, so no scan sees them again. The id stays allocated
+    /// (never reused) so other ids remain stable. Bumps the epoch.
     ///
     /// # Errors
     ///
@@ -548,12 +426,26 @@ impl CsrGraph {
         if !self.is_edge_live(id) {
             return Err(GraphError::UnknownEdge { edge: id.index() });
         }
-        // The minimum is left possibly stale-low until the next re-pack
-        // (see `min_live_weight`).
-        self.overlay.mark_dead(id.index());
+        let (u, v, _) = self.edge_list[id.index()];
+        self.splice_out(u as usize, id.index() as u32);
+        self.splice_out(v as usize, id.index() as u32);
+        self.mark_dead(id.index());
         self.epoch += 1;
-        self.maybe_compact();
         Ok(())
+    }
+
+    /// Removes the half-edge of edge `id` from row `a`, shifting the rest of
+    /// the row down one slot so it stays contiguous and in id order.
+    fn splice_out(&mut self, a: usize, id: u32) {
+        let (start, end) = (self.rows[a].0 as usize, self.rows[a].1 as usize);
+        let at = start
+            + self.edge_ids[start..end]
+                .binary_search(&id)
+                .expect("a live edge sits in both of its endpoints' rows");
+        self.targets.copy_within(at + 1..end, at);
+        self.weights.copy_within(at + 1..end, at);
+        self.edge_ids.copy_within(at + 1..end, at);
+        self.rows[a].1 -= 1;
     }
 
     /// The lowest live edge id connecting `u` and `v`, if any.
@@ -562,10 +454,7 @@ impl CsrGraph {
     ///
     /// Panics if `u` is out of range.
     pub fn find_edge(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        self.neighbors(u)
-            .filter(|nb| nb.to == v)
-            .map(|nb| nb.edge)
-            .min()
+        self.neighbors(u).find(|nb| nb.to == v).map(|nb| nb.edge)
     }
 
     /// Deletes the lowest live edge id connecting `u` and `v` and returns
@@ -592,58 +481,36 @@ impl CsrGraph {
         Ok(id)
     }
 
-    /// Runs the re-pack trigger shared by appends and removals: the overlay
-    /// (overflow half-edges plus lingering dead half-edges) is bounded by a
-    /// constant fraction of the packed region plus a constant — see
-    /// [`REPACK_OVERFLOW_DIVISOR`] / [`REPACK_OVERFLOW_SLACK`].
-    fn maybe_compact(&mut self) {
-        let pending = self.overlay.target.len() + 2 * self.overlay.pending_deletions;
-        if pending >= self.targets.len() / REPACK_OVERFLOW_DIVISOR + REPACK_OVERFLOW_SLACK {
-            self.compact();
-        }
-    }
-
-    /// Re-packs every live half-edge into tight flat CSR rows
-    /// (`O(n + m)`), consolidating the overlay: overflow chains fold into the
-    /// packed arrays, tombstoned half-edges are dropped and unused row
-    /// reservations are released. Called automatically by
-    /// [`CsrGraph::append_edge`] / [`CsrGraph::remove_edge`]; exposed for
-    /// callers that want a fully packed view before a query burst. Does
-    /// **not** bump the epoch (a re-pack changes the representation, never
-    /// an answer).
+    /// Re-lays every row out tight, in vertex order (`O(n + m)`, `m` the
+    /// edge-id bound), releasing unused capacity and the windows moved rows
+    /// left behind; a no-op when the graph [is compact](Self::is_compact).
+    /// Exposed for callers that want a tight layout before a query burst.
+    /// Does **not** bump the epoch (a re-layout changes the representation,
+    /// never an answer).
     pub fn compact(&mut self) {
-        if self.is_compact() && self.targets.len() == 2 * self.num_edges() {
+        if self.is_compact() {
             return;
         }
         let n = self.num_vertices;
-        let m = self.edge_list.len();
-        let half = 2 * (m - self.overlay.dead_edges);
-        // Counting sort of live half-edges by source vertex.
+        // Counting sort of live half-edges by source vertex; filling in id
+        // order keeps every row in id order.
         let mut counts = vec![0u32; n + 1];
-        // The live scan doubles as the exact resync of the incremental
-        // minimum weight (every constructor that fills `edge_list` directly
-        // funnels through here).
-        let mut min_weight = f64::INFINITY;
-        for (id, &(u, v, w)) in self.edge_list.iter().enumerate() {
-            if self.overlay.is_dead(id) {
-                continue;
-            }
-            counts[u as usize + 1] += 1;
-            counts[v as usize + 1] += 1;
-            if w < min_weight {
-                min_weight = w;
+        for (id, &(u, v, _)) in self.edge_list.iter().enumerate() {
+            if !self.is_dead(id) {
+                counts[u as usize + 1] += 1;
+                counts[v as usize + 1] += 1;
             }
         }
-        self.min_live_weight = min_weight;
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
+        let half = counts[n] as usize;
         let mut cursor = counts.clone();
         let mut targets = vec![0u32; half];
         let mut weights = vec![0.0f64; half];
         let mut edge_ids = vec![0u32; half];
         for (id, &(u, v, w)) in self.edge_list.iter().enumerate() {
-            if self.overlay.is_dead(id) {
+            if self.is_dead(id) {
                 continue;
             }
             for (a, b) in [(u, v), (v, u)] {
@@ -657,51 +524,42 @@ impl CsrGraph {
         self.rows.clear();
         self.rows
             .extend(counts.windows(2).map(|pair| (pair[0], pair[1])));
+        self.caps.clear();
+        self.caps
+            .extend(counts.windows(2).map(|pair| pair[1] - pair[0]));
         self.targets = targets;
         self.weights = weights;
         self.edge_ids = edge_ids;
-        self.packed_edges = m;
-        self.overlay.head.clear();
-        self.overlay.head.resize(n, NONE);
-        self.overlay.next.clear();
-        self.overlay.target.clear();
-        self.overlay.weight.clear();
-        self.overlay.edge.clear();
-        self.overlay.pending_deletions = 0;
     }
 
-    /// Iterates over the live neighbors of `u` as [`CsrNeighbor`] records:
-    /// first the packed half-edges (contiguous), then any overflow appends.
-    /// Half-edges of deleted edges are skipped.
+    /// Iterates over the live neighbors of `u` as [`CsrNeighbor`] records,
+    /// in ascending edge-id order.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn neighbors(&self, u: VertexId) -> Neighbors<'_> {
-        let ui = u.index();
-        assert!(ui < self.num_vertices, "vertex out of range");
-        let (pos, end) = self.rows[ui];
+        let (start, end) = self.rows[u.index()];
         Neighbors {
             graph: self,
-            pos: pos as usize,
-            end: end as usize,
-            chain: self.overlay.head[ui],
+            slots: start as usize..end as usize,
         }
     }
 
     /// Degree of `u` (number of live incident half-edges).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
     pub fn degree(&self, u: VertexId) -> usize {
-        self.neighbors(u).count()
+        let (start, end) = self.rows[u.index()];
+        (end - start) as usize
     }
 
-    /// The packed portion of `u`'s neighbors as parallel `(targets, weights)`
-    /// slices — the zero-overhead view the Dijkstra engine's inner loop
-    /// iterates. Half-edges appended since the last re-pack are *not*
-    /// included (follow up with [`CsrGraph::overflow_neighbors`]), and
-    /// half-edges *deleted* since the last re-pack **are** still included —
-    /// when [`CsrGraph::has_pending_deletions`] reports `true`, filter with
-    /// [`CsrGraph::packed_neighbor_ids`] + [`CsrGraph::is_edge_id_live`].
+    /// `u`'s row as parallel `(targets, weights)` slices, in ascending
+    /// edge-id order: exactly the live half-edges, the view every search
+    /// loop scans.
     ///
     /// # Panics
     ///
@@ -711,34 +569,6 @@ impl CsrGraph {
         let (a, b) = self.rows[u.index()];
         let (a, b) = (a as usize, b as usize);
         (&self.targets[a..b], &self.weights[a..b])
-    }
-
-    /// The edge ids parallel to [`CsrGraph::packed_neighbors`], for
-    /// tombstone filtering when deletions are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn packed_neighbor_ids(&self, u: VertexId) -> &[u32] {
-        let (a, b) = self.rows[u.index()];
-        &self.edge_ids[a as usize..b as usize]
-    }
-
-    /// The overflow portion of `u`'s live neighbors (half-edges appended
-    /// since the last re-pack, minus any deleted since) as
-    /// `(target, weight)` pairs. Usually empty or very short — see
-    /// [`CsrGraph::append_edge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn overflow_neighbors(&self, u: VertexId) -> OverflowNeighbors<'_> {
-        OverflowNeighbors {
-            graph: self,
-            chain: self.overlay.head[u.index()],
-        }
     }
 
     /// A read-only snapshot view of this graph, frozen for a parallel query
@@ -768,12 +598,12 @@ impl CsrGraph {
         WeightedGraph::from_valid_edges(self.num_vertices, edges)
     }
 
-    /// Starts a fresh **generation**: a fully packed graph rebuilt from the
-    /// live edges only, with ids re-densified in append order, plus the
+    /// Starts a fresh **generation**: a tight graph rebuilt from the live
+    /// edges only, with ids re-densified in append order, plus the
     /// old-id → new-id remap. This is the bounded-memory escape hatch for
     /// the id-stability trade-off documented on the struct: the rebuilt
     /// graph's ground-truth arrays hold exactly [`CsrGraph::num_edges`]
-    /// slots, with every dead slot (and its tombstone bit) reclaimed.
+    /// slots, with every dead slot (and its dead-id bit) reclaimed.
     ///
     /// Unlike [`CsrGraph::compact`] — a pure representation change — a
     /// generation rebuild is *logically observable* (edge ids shift), so the
@@ -781,15 +611,15 @@ impl CsrGraph {
     /// (shortest-path-tree caches, serving handles) see the swap as one
     /// mutation and lazily refresh, exactly like any other staleness.
     ///
-    /// Because the remap preserves append order, packed scan order over live
-    /// edges — and therefore every answer — is unchanged; only the ids and
-    /// the epoch move.
+    /// Because the remap preserves append order, every row keeps its order
+    /// over the live edges — and therefore every answer is unchanged; only
+    /// the ids and the epoch move.
     pub fn rebuild_compacted(&self) -> CompactedRebuild {
         let mut graph = CsrGraph::new(self.num_vertices);
         graph.edge_list.reserve(self.num_edges());
         let mut remap = vec![None; self.edge_list.len()];
         for (id, &(u, v, w)) in self.edge_list.iter().enumerate() {
-            if self.overlay.is_dead(id) {
+            if self.is_dead(id) {
                 continue;
             }
             remap[id] = Some(EdgeId(graph.edge_list.len()));
@@ -802,15 +632,15 @@ impl CsrGraph {
 
     /// Reconstructs a graph from externally stored parts — the
     /// deserialization counterpart of [`CsrGraph::live_edges`] plus the
-    /// tombstone bitmap, used by the persistence layer to reproduce a graph
+    /// dead-id bitmap, used by the persistence layer to reproduce a graph
     /// **bit-identically**: same edge ids (dead slots included, so ids stay
     /// stable across a save/load cycle), same weights, same epoch.
     ///
     /// `edges` yields `(u, v, weight, live)` records in edge-id order; a
-    /// `live = false` record re-creates a tombstoned slot. Every record is
+    /// `live = false` record re-creates a dead slot. Every record is
     /// validated like [`CsrGraph::try_append_edge`] (dead ones too — they
     /// passed validation when first appended, so a failure here means the
-    /// stored data is corrupt). The result is fully packed.
+    /// stored data is corrupt). The result's rows are tight.
     ///
     /// # Errors
     ///
@@ -853,7 +683,7 @@ impl CsrGraph {
             );
             graph.edge_list.push((ui as u32, vi as u32, weight));
             if !live {
-                graph.overlay.mark_dead(id);
+                graph.mark_dead(id);
             }
         }
         graph.compact();
@@ -991,7 +821,7 @@ impl VertexPerm {
 #[derive(Debug, Clone)]
 pub struct CompactedRebuild {
     /// The rebuilt graph: live edges only, ids densified in append order,
-    /// fully packed, at epoch `old + 1`.
+    /// tight rows, at epoch `old + 1`.
     pub graph: CsrGraph,
     /// Old edge id → new edge id; `None` for slots that were dead (their
     /// ids have no successor in the new generation).
@@ -999,7 +829,7 @@ pub struct CompactedRebuild {
 }
 
 impl From<&WeightedGraph> for CsrGraph {
-    /// Builds a fully packed CSR view of `graph` at epoch 0. Edge ids
+    /// Builds a tight CSR view of `graph` at epoch 0. Edge ids
     /// coincide with the source graph's [`EdgeId`]s.
     fn from(graph: &WeightedGraph) -> Self {
         let mut csr = CsrGraph::new(graph.num_vertices());
@@ -1059,43 +889,12 @@ const _: fn() = || {
     assert_sync::<CsrSnapshot<'static>>();
 };
 
-/// Iterator over the live overflow half-edges of one vertex; see
-/// [`CsrGraph::overflow_neighbors`].
-#[derive(Debug, Clone)]
-pub struct OverflowNeighbors<'a> {
-    graph: &'a CsrGraph,
-    chain: u32,
-}
-
-impl Iterator for OverflowNeighbors<'_> {
-    type Item = (u32, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, f64)> {
-        while self.chain != NONE {
-            let i = self.chain as usize;
-            self.chain = self.graph.overlay.next[i];
-            if self
-                .graph
-                .overlay
-                .is_dead(self.graph.overlay.edge[i] as usize)
-            {
-                continue;
-            }
-            return Some((self.graph.overlay.target[i], self.graph.overlay.weight[i]));
-        }
-        None
-    }
-}
-
 /// Iterator over the live neighbors of one vertex; see
 /// [`CsrGraph::neighbors`].
 #[derive(Debug, Clone)]
 pub struct Neighbors<'a> {
     graph: &'a CsrGraph,
-    pos: usize,
-    end: usize,
-    chain: u32,
+    slots: std::ops::Range<usize>,
 }
 
 impl Iterator for Neighbors<'_> {
@@ -1103,33 +902,11 @@ impl Iterator for Neighbors<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<CsrNeighbor> {
-        while self.pos < self.end {
-            let i = self.pos;
-            self.pos += 1;
-            let id = self.graph.edge_ids[i] as usize;
-            if self.graph.overlay.is_dead(id) {
-                continue;
-            }
-            return Some(CsrNeighbor {
-                to: VertexId(self.graph.targets[i] as usize),
-                weight: self.graph.weights[i],
-                edge: EdgeId(id),
-            });
-        }
-        while self.chain != NONE {
-            let i = self.chain as usize;
-            self.chain = self.graph.overlay.next[i];
-            let id = self.graph.overlay.edge[i] as usize;
-            if self.graph.overlay.is_dead(id) {
-                continue;
-            }
-            return Some(CsrNeighbor {
-                to: VertexId(self.graph.overlay.target[i] as usize),
-                weight: self.graph.overlay.weight[i],
-                edge: EdgeId(id),
-            });
-        }
-        None
+        self.slots.next().map(|i| CsrNeighbor {
+            to: VertexId(self.graph.targets[i] as usize),
+            weight: self.graph.weights[i],
+            edge: EdgeId(self.graph.edge_ids[i] as usize),
+        })
     }
 }
 
@@ -1150,6 +927,56 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Asserts every row of `csr` reads exactly like a fresh
+    /// [`CsrGraph::from`] of its live edges: the same records in the same
+    /// (edge-id) order, with the fresh build's dense ids mapped back to
+    /// `csr`'s, and the same `(targets, weights)` slices and degrees.
+    fn assert_rows_match_a_fresh_build(csr: &CsrGraph) {
+        let live: Vec<EdgeId> = csr.live_edges().map(|(id, _, _, _)| id).collect();
+        let fresh = CsrGraph::from(&csr.to_weighted_graph());
+        for u in (0..csr.num_vertices()).map(VertexId) {
+            let expected: Vec<CsrNeighbor> = fresh
+                .neighbors(u)
+                .map(|nb| CsrNeighbor {
+                    edge: live[nb.edge.index()],
+                    ..nb
+                })
+                .collect();
+            assert_eq!(
+                csr.neighbors(u).collect::<Vec<_>>(),
+                expected,
+                "vertex {u:?}"
+            );
+            assert_eq!(
+                csr.packed_neighbors(u),
+                fresh.packed_neighbors(u),
+                "vertex {u:?}"
+            );
+            assert_eq!(csr.degree(u), fresh.degree(u), "vertex {u:?}");
+        }
+        assert_eq!(csr.num_edges(), fresh.num_edges());
+    }
+
+    /// Where `u`'s row starts in memory: it changes exactly when the row
+    /// (or, as it grows, the whole slot array) moves.
+    fn row_address(csr: &CsrGraph, u: usize) -> *const u32 {
+        csr.packed_neighbors(VertexId(u)).0.as_ptr()
+    }
+
+    /// The growth bound of the slot arrays: reservations, plus at most
+    /// `2 · MIN_ROW_CAPACITY` slots per vertex and four per half-edge ever
+    /// appended — every window a row outgrew was at most half its next one,
+    /// and a row outgrows capacity `c` only while holding `c` half-edges.
+    fn assert_slots_bounded(csr: &CsrGraph, reserved: usize) {
+        let bound =
+            reserved + 2 * MIN_ROW_CAPACITY * csr.num_vertices() + 4 * 2 * csr.edge_id_bound();
+        assert!(
+            csr.targets.len() <= bound,
+            "{} slots exceed the growth bound {bound}",
+            csr.targets.len()
+        );
     }
 
     #[test]
@@ -1180,12 +1007,14 @@ mod tests {
             let id = csr.append_edge(e.u, e.v, e.weight);
             assert_eq!(id.index(), i);
         }
-        // Overflow path must already answer correctly…
+        // Rows grown from empty must already answer correctly…
+        assert!(!csr.is_compact(), "grown rows keep spare capacity");
+        assert_rows_match_a_fresh_build(&csr);
         let before: Vec<_> = (0..4).map(|u| sorted_neighbors(&csr, u)).collect();
         let epoch_before = csr.epoch();
         csr.compact();
         assert!(csr.is_compact());
-        assert_eq!(csr.epoch(), epoch_before, "re-packing never bumps epochs");
+        assert_eq!(csr.epoch(), epoch_before, "re-layouts never bump epochs");
         // …and compaction must not change anything.
         for (u, b) in before.iter().enumerate() {
             assert_eq!(&sorted_neighbors(&csr, u), b);
@@ -1195,8 +1024,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_keeps_many_appends_correct() {
-        // Enough appends to cross the overflow threshold repeatedly.
+    fn many_appends_from_empty_keep_rows_in_id_order() {
+        // Enough appends that every row moves several times.
         let n = 50usize;
         let mut csr = CsrGraph::new(n);
         let mut reference = WeightedGraph::new(n);
@@ -1213,27 +1042,25 @@ mod tests {
         }
         assert_eq!(csr.num_edges(), reference.num_edges());
         assert_eq!(csr.epoch(), reference.num_edges() as u64);
-        for u in 0..n {
-            let mut expected: Vec<_> = reference
-                .neighbors(VertexId(u))
-                .iter()
-                .map(|&(v, e)| (v.index(), reference.edge(e).weight.to_bits(), e.index()))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(sorted_neighbors(&csr, u), expected, "vertex {u}");
+        let packed = CsrGraph::from(&reference);
+        for u in (0..n).map(VertexId) {
+            assert_eq!(
+                csr.neighbors(u).collect::<Vec<_>>(),
+                packed.neighbors(u).collect::<Vec<_>>(),
+                "vertex {u:?}"
+            );
         }
+        assert_slots_bounded(&csr, 0);
     }
 
-    /// The documented re-pack trigger in action: force repeated
-    /// append/delete/re-pack cycles and assert the packed arrays, the
-    /// overlay, and the reference adjacency stay consistent throughout.
+    /// Append/delete churn with a re-layout every few dozen rounds: after
+    /// every mutation each row holds exactly the live half-edges in id
+    /// order, and the slot arrays stay within their growth bound.
     #[test]
-    fn repeated_repack_cycles_keep_packed_arrays_consistent_with_overlay() {
+    fn repeated_repack_cycles_keep_rows_consistent_with_the_live_edges() {
         let n = 24usize;
         let mut csr = CsrGraph::new(n);
         let mut live: Vec<(usize, usize, f64, usize)> = Vec::new(); // (u, v, w, id)
-        let mut compactions_observed = 0usize;
-        let mut was_compact = csr.is_compact();
         let mut next = 0usize;
         for round in 0..400 {
             if round % 5 == 4 && !live.is_empty() {
@@ -1252,58 +1079,30 @@ mod tests {
                 let id = csr.append_edge(VertexId(u), VertexId(v), w);
                 live.push((u, v, w, id.index()));
             }
-            // Observe re-packs via the is_compact transition.
-            let compact_now = csr.is_compact();
-            if compact_now && !was_compact {
-                compactions_observed += 1;
+            if round % 50 == 49 {
+                csr.compact();
+                assert!(csr.is_compact(), "round {round}");
             }
-            was_compact = compact_now;
-            // The trigger bound must hold after every mutation: the overlay
-            // stays below the documented fraction of the packed region
-            // (packed half-edges = 2 · (live − pending inserts + pending
-            // deletes), since the packed arrays reflect the last re-pack).
-            let (pi, pd) = (
-                csr.overlay().pending_insertions(),
-                csr.overlay().pending_deletions(),
-            );
-            let packed_half = 2 * (csr.num_edges() + pd - pi);
-            assert!(
-                2 * pi + 2 * pd < packed_half / REPACK_OVERFLOW_DIVISOR + REPACK_OVERFLOW_SLACK + 2,
-                "round {round}: overlay {} outgrew the documented trigger",
-                2 * pi + 2 * pd
-            );
-            // Full adjacency equivalence every few rounds (packed + overlay
-            // vs. the live reference list).
-            if round % 7 == 0 {
-                assert_eq!(csr.num_edges(), live.len());
-                for u in 0..n {
-                    let mut expected: Vec<(usize, u64, usize)> = live
-                        .iter()
-                        .flat_map(|&(a, b, w, id)| {
-                            let mut h = Vec::new();
-                            if a == u {
-                                h.push((b, w.to_bits(), id));
-                            }
-                            if b == u {
-                                h.push((a, w.to_bits(), id));
-                            }
-                            h
-                        })
-                        .collect();
-                    expected.sort_unstable();
-                    assert_eq!(
-                        sorted_neighbors(&csr, u),
-                        expected,
-                        "round {round} vertex {u}"
-                    );
-                }
+            assert_slots_bounded(&csr, 0);
+            assert_eq!(csr.num_edges(), live.len());
+            for u in 0..n {
+                let mut expected: Vec<(usize, u64, usize)> = live
+                    .iter()
+                    .flat_map(|&(a, b, w, id)| {
+                        [(a, b), (b, a)]
+                            .into_iter()
+                            .filter(move |&(from, _)| from == u)
+                            .map(move |(_, to)| (to, w.to_bits(), id))
+                    })
+                    .collect();
+                expected.sort_unstable_by_key(|&(_, _, id)| id);
+                let row: Vec<(usize, u64, usize)> = csr
+                    .neighbors(VertexId(u))
+                    .map(|nb| (nb.to.index(), nb.weight.to_bits(), nb.edge.index()))
+                    .collect();
+                assert_eq!(row, expected, "round {round} vertex {u}");
             }
         }
-        assert!(
-            compactions_observed >= 3,
-            "the cycle must cross the re-pack threshold repeatedly \
-             (observed {compactions_observed})"
-        );
     }
 
     /// Edges on 9 vertices with parallel copies, weight ties and isolated
@@ -1335,47 +1134,33 @@ mod tests {
             .collect()
     }
 
-    /// Whether `u` has any overflow chain at all (it may be all-tombstoned).
-    fn has_overflow(csr: &CsrGraph, u: VertexId) -> bool {
-        csr.overlay.head[u.index()] != NONE
-    }
-
-    /// Asserts every row of `csr` reads exactly like the packed build of
-    /// `g`: same records in the same (edge-id) order, all of them packed.
-    fn assert_rows_match_packed_build(csr: &CsrGraph, g: &WeightedGraph) {
-        let packed = CsrGraph::from(g);
-        for u in (0..g.num_vertices()).map(VertexId) {
-            assert!(!has_overflow(csr, u), "vertex {u:?}");
-            assert_eq!(
-                csr.neighbors(u).collect::<Vec<_>>(),
-                packed.neighbors(u).collect::<Vec<_>>(),
-                "vertex {u:?}"
-            );
-            assert_eq!(csr.packed_neighbors(u), packed.packed_neighbors(u));
-            assert_eq!(csr.packed_neighbor_ids(u), packed.packed_neighbor_ids(u));
-        }
-    }
-
     #[test]
     fn reserved_rows_read_like_a_packed_build_in_id_order() {
         let g = reserved_fixture();
         let mut csr = CsrGraph::with_row_capacity(&degrees(&g));
         assert_eq!(csr.num_vertices(), 9);
+        let addresses: Vec<_> = (0..9).map(|u| row_address(&csr, u)).collect();
         for (i, e) in g.edges().iter().enumerate() {
             let id = csr.append_edge(e.u, e.v, e.weight);
             assert_eq!(id.index(), i);
             assert_eq!(csr.epoch(), i as u64 + 1, "every append bumps the epoch");
-            assert!(csr.is_compact(), "a reserved append never uses the overlay");
         }
-        assert_eq!(csr.overlay().pending_insertions(), 0);
-        assert_eq!(csr.min_live_weight(), Some(0.25));
-        assert_rows_match_packed_build(&csr, &g);
+        let moved: Vec<_> = (0..9)
+            .filter(|&u| row_address(&csr, u) != addresses[u])
+            .collect();
+        assert_eq!(
+            moved,
+            Vec::<usize>::new(),
+            "a reserved append never moves a row"
+        );
+        // Reserved exactly at the degrees, the rows end up tight.
+        assert!(csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
         assert_eq!(csr.to_weighted_graph(), g);
-        // Reserved exactly at the degrees, the rows are already tight.
         let epoch = csr.epoch();
         csr.compact();
         assert_eq!(csr.epoch(), epoch);
-        assert_rows_match_packed_build(&csr, &g);
+        assert_rows_match_a_fresh_build(&csr);
         assert!(CsrGraph::with_row_capacity(&[]).is_edgeless());
     }
 
@@ -1387,48 +1172,52 @@ mod tests {
         for e in g.edges() {
             csr.append_edge(e.u, e.v, e.weight);
         }
-        assert!(csr.is_compact());
-        assert_rows_match_packed_build(&csr, &g);
-        csr.compact();
-        assert_rows_match_packed_build(&csr, &g);
-        // Tight rows have no room: the next append goes to the overlay.
-        csr.append_edge(VertexId(7), VertexId(8), 1.0);
-        assert!(has_overflow(&csr, VertexId(7)) && has_overflow(&csr, VertexId(8)));
         assert!(!csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
+        csr.compact();
+        assert!(csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
+        // Tight rows have no room: the next append moves both rows.
+        csr.append_edge(VertexId(7), VertexId(8), 1.0);
+        assert!(!csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
     }
 
     #[test]
-    fn appends_past_a_full_row_fall_back_to_the_overlay() {
+    fn appends_past_a_full_row_relocate_it_and_keep_id_order() {
         let g = reserved_fixture();
         // Vertex 1 is reserved one slot short, so its last edge (1, 6),
-        // id 9, overflows; so does everything appended after it, even into
-        // rows with room, which keeps the packed rows an id prefix.
+        // id 9, moves its row; the rows of 7 and 8 have room to spare.
         let mut capacity = degrees(&g);
         capacity[1] -= 1;
         capacity[7] = 4;
         capacity[8] = 4;
         let mut csr = CsrGraph::with_row_capacity(&capacity);
-        for e in g.edges() {
+        let edges = g.edges();
+        for e in &edges[..9] {
             csr.append_edge(e.u, e.v, e.weight);
         }
+        let addresses: Vec<_> = (0..9).map(|u| row_address(&csr, u)).collect();
+        let e = &edges[9];
+        csr.append_edge(e.u, e.v, e.weight);
+        assert_ne!(row_address(&csr, 1), addresses[1], "the full row moves");
         let mut grown = g.clone();
-        for (u, v, w) in [(7, 8, 1.0), (0, 7, 2.0)] {
+        for (u, v, w) in [(7, 8, 1.0), (0, 7, 2.0), (1, 7, 0.5)] {
             csr.append_edge(VertexId(u), VertexId(v), w);
             grown.add_edge(VertexId(u), VertexId(v), w);
         }
+        // The moved row took the next append at its new home, in id order.
+        let row_1: Vec<usize> = csr
+            .neighbors(VertexId(1))
+            .map(|nb| nb.edge.index())
+            .collect();
+        assert_eq!(row_1, vec![0, 1, 4, 9, 12]);
         assert!(!csr.is_compact());
-        assert_eq!(csr.overlay().pending_insertions(), 3);
-        assert!(has_overflow(&csr, VertexId(1)) && has_overflow(&csr, VertexId(6)));
-        assert!(has_overflow(&csr, VertexId(7)) && has_overflow(&csr, VertexId(8)));
-        assert!(!has_overflow(&csr, VertexId(2)));
-        let packed = CsrGraph::from(&grown);
-        for u in 0..9 {
-            assert_eq!(sorted_neighbors(&csr, u), sorted_neighbors(&packed, u));
-        }
+        assert_rows_match_a_fresh_build(&csr);
         assert_eq!(csr.to_weighted_graph(), grown);
         csr.compact();
         assert!(csr.is_compact());
-        assert_rows_match_packed_build(&csr, &grown);
+        assert_rows_match_a_fresh_build(&csr);
     }
 
     #[test]
@@ -1444,49 +1233,58 @@ mod tests {
         csr.remove_edge(EdgeId(0)).unwrap();
         csr.remove_edge(EdgeId(3)).unwrap();
         assert_eq!(csr.epoch(), 8);
-        assert!(csr.has_pending_deletions());
+        assert_eq!(csr.dead_edges(), 2);
+        assert_rows_match_a_fresh_build(&csr);
+        let addresses: Vec<_> = (0..9).map(|u| row_address(&csr, u)).collect();
         for e in &edges[6..] {
             csr.append_edge(e.u, e.v, e.weight);
         }
         assert_eq!(csr.epoch(), 12);
-        assert_eq!(csr.overlay().pending_insertions(), 0);
-        assert!((0..9).all(|u| !has_overflow(&csr, VertexId(u))));
-        let live: Vec<(usize, usize, f64, usize)> = edges
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| id != 0 && id != 3)
-            .map(|(id, e)| (e.u.index(), e.v.index(), e.weight, id))
-            .collect();
-        let expected = |u: usize| {
-            let mut h: Vec<(usize, u64, usize)> = live
-                .iter()
-                .flat_map(|&(a, b, w, id)| {
-                    [(a, b), (b, a)]
-                        .into_iter()
-                        .filter(move |&(from, _)| from == u)
-                        .map(move |(_, to)| (to, w.to_bits(), id))
-                })
-                .collect();
-            h.sort_unstable();
-            h
-        };
-        for u in 0..9 {
-            assert_eq!(sorted_neighbors(&csr, u), expected(u), "vertex {u}");
-        }
+        assert!(
+            (0..9).all(|u| row_address(&csr, u) == addresses[u]),
+            "the reservations hold every append: no row moves"
+        );
+        assert!(!csr.is_compact(), "the deleted edges' slots stay free");
+        assert_rows_match_a_fresh_build(&csr);
         assert_eq!(csr.find_edge(VertexId(0), VertexId(1)), Some(EdgeId(4)));
         assert_eq!(csr.num_edges(), 8);
         csr.compact();
-        assert!(csr.is_compact() && !csr.has_pending_deletions());
-        for u in 0..9 {
-            assert_eq!(sorted_neighbors(&csr, u), expected(u), "vertex {u}");
-            assert!(csr
-                .packed_neighbor_ids(VertexId(u))
-                .iter()
-                .all(|&id| id != 0 && id != 3));
-        }
+        assert!(csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
+        assert!(csr
+            .live_edges()
+            .all(|(id, _, _, _)| id != EdgeId(0) && id != EdgeId(3)));
         let survivors = csr.to_weighted_graph();
         assert_eq!(survivors.num_edges(), 8);
         assert!(!survivors.has_edge(VertexId(2), VertexId(3)));
+    }
+
+    /// A deletion from a full reserved row frees a slot that the row's next
+    /// append takes: the row neither moves nor grows the slot arrays.
+    #[test]
+    fn a_deletion_frees_a_slot_that_the_next_append_reuses() {
+        let g = reserved_fixture();
+        let mut csr = CsrGraph::with_row_capacity(&degrees(&g));
+        for e in g.edges() {
+            csr.append_edge(e.u, e.v, e.weight);
+        }
+        assert!(csr.is_compact(), "every reserved row is full");
+        let slots = csr.targets.len();
+        let address = row_address(&csr, 0);
+        // Vertex 0's row holds ids 0, 2, 4; delete the middle one.
+        csr.remove_edge(EdgeId(2)).unwrap();
+        assert_rows_match_a_fresh_build(&csr);
+        let id = csr.append_edge(VertexId(0), VertexId(2), 0.75);
+        assert_eq!(id, EdgeId(10), "ids are never reused");
+        assert_eq!(row_address(&csr, 0), address, "the row stays in place");
+        assert_eq!(csr.targets.len(), slots, "the freed slot is reused");
+        let row_0: Vec<usize> = csr
+            .neighbors(VertexId(0))
+            .map(|nb| nb.edge.index())
+            .collect();
+        assert_eq!(row_0, vec![0, 4, 10]);
+        assert!(csr.is_compact());
+        assert_rows_match_a_fresh_build(&csr);
     }
 
     #[test]
@@ -1514,10 +1312,12 @@ mod tests {
         assert!(!csr.is_edge_live(EdgeId(2)));
         assert!(csr.is_edge_live(EdgeId(0)));
         assert_eq!(csr.edge_id_bound(), 4, "dead ids stay allocated");
-        assert!(csr.has_pending_deletions());
+        assert_eq!(csr.dead_edges(), 1);
+        assert!(!csr.is_compact(), "the spliced-out slots stay free");
         assert!(sorted_neighbors(&csr, 0).iter().all(|&(to, _, _)| to != 2));
         assert_eq!(csr.degree(VertexId(0)), 1);
         assert!((csr.total_weight() - 4.0).abs() < 1e-12);
+        assert_rows_match_a_fresh_build(&csr);
         // Double delete and out-of-range ids are typed errors.
         assert_eq!(
             csr.remove_edge(EdgeId(2)),
@@ -1527,12 +1327,12 @@ mod tests {
             csr.remove_edge(EdgeId(99)),
             Err(GraphError::UnknownEdge { edge: 99 })
         );
-        // Consolidation drops the dead half-edges physically; answers are
-        // unchanged and the live edges survive a round trip.
+        // Compaction releases the free slots; answers are unchanged and the
+        // live edges survive a round trip.
         let before: Vec<_> = (0..4).map(|u| sorted_neighbors(&csr, u)).collect();
         csr.compact();
-        assert!(!csr.has_pending_deletions());
         assert!(csr.is_compact());
+        assert_eq!(csr.dead_edges(), 1, "compaction keeps ids and dead slots");
         for (u, b) in before.iter().enumerate() {
             assert_eq!(&sorted_neighbors(&csr, u), b);
         }
@@ -1610,6 +1410,7 @@ mod tests {
     #[test]
     fn dead_edge_counters_match_a_full_scan() {
         let mut csr = CsrGraph::new(10);
+        assert!(csr.is_edgeless());
         assert_eq!(csr.dead_edges(), 0);
         assert_eq!(csr.tombstoned_fraction(), 0.0, "edgeless graph");
         let mut ids = Vec::new();
@@ -1620,38 +1421,30 @@ mod tests {
             }
             ids.push(csr.append_edge(VertexId(u), VertexId(v), 1.0 + i as f64));
         }
-        for (k, id) in ids.iter().enumerate() {
-            if k % 3 == 0 {
-                csr.remove_edge(*id).unwrap();
-            }
+        let check = |csr: &CsrGraph| {
             let scanned_live = csr.live_edges().count();
             assert_eq!(csr.num_edges(), scanned_live);
             assert_eq!(csr.dead_edges(), csr.edge_id_bound() - scanned_live);
             let expected = csr.dead_edges() as f64 / csr.edge_id_bound() as f64;
             assert_eq!(csr.tombstoned_fraction().to_bits(), expected.to_bits());
+        };
+        for (k, id) in ids.iter().enumerate() {
+            if k % 3 == 0 {
+                csr.remove_edge(*id).unwrap();
+            }
+            check(&csr);
         }
         assert!(csr.dead_edges() > 0, "the loop must delete something");
-    }
-
-    /// The `O(1)` live-weight statistic declines (`None`) instead of
-    /// reporting a ghost weight — on a fresh edgeless graph and on one
-    /// re-emptied by tombstoning every edge.
-    #[test]
-    fn live_weight_stats_decline_on_edgeless_graphs() {
-        let mut csr = CsrGraph::new(4);
+        // Deleting every remaining edge empties the graph again.
+        for (k, id) in ids.iter().enumerate() {
+            if k % 3 != 0 {
+                csr.remove_edge(*id).unwrap();
+            }
+        }
+        check(&csr);
         assert!(csr.is_edgeless());
-        assert_eq!(csr.min_live_weight(), None);
-        assert_eq!(csr.tombstoned_fraction(), 0.0);
-        let a = csr.append_edge(VertexId(0), VertexId(1), 2.0);
-        let b = csr.append_edge(VertexId(1), VertexId(2), 4.0);
-        assert_eq!(csr.min_live_weight(), Some(2.0));
-        csr.remove_edge(a).unwrap();
-        csr.remove_edge(b).unwrap();
-        // Zero live edges again: the maintained minimum is stale — the stat
-        // must refuse, not report a ghost weight.
-        assert_eq!(csr.num_edges(), 0);
-        assert!(csr.is_edgeless());
-        assert_eq!(csr.min_live_weight(), None);
+        assert_eq!(csr.tombstoned_fraction(), 1.0);
+        assert!((0..10).all(|u| csr.degree(VertexId(u)) == 0));
     }
 
     #[test]
@@ -1708,25 +1501,13 @@ mod tests {
             assert_eq!((nu.index(), nv.index()), (u, v));
             assert_eq!(nw.to_bits(), w.to_bits());
         }
-        // Adjacency (and thus every answer) is unchanged modulo ids.
-        for u in 0..6 {
-            let before: Vec<(usize, u64)> = {
-                let mut v: Vec<_> = csr
-                    .neighbors(VertexId(u))
-                    .map(|nb| (nb.to.index(), nb.weight.to_bits()))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            let after: Vec<(usize, u64)> = {
-                let mut v: Vec<_> = fresh
-                    .neighbors(VertexId(u))
-                    .map(|nb| (nb.to.index(), nb.weight.to_bits()))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(before, after, "vertex {u}");
+        // Rows (and thus every answer) are unchanged modulo ids.
+        for u in (0..6).map(VertexId) {
+            assert_eq!(
+                csr.packed_neighbors(u),
+                fresh.packed_neighbors(u),
+                "vertex {u:?}"
+            );
         }
         // A rebuild of an already dense graph is an identity remap.
         let again = fresh.rebuild_compacted();
@@ -1757,7 +1538,7 @@ mod tests {
         assert_eq!(restored.edge_id_bound(), csr.edge_id_bound());
         assert_eq!(restored.num_edges(), csr.num_edges());
         assert_eq!(restored.dead_edges(), csr.dead_edges());
-        assert!(restored.is_compact(), "from_parts packs fully");
+        assert!(restored.is_compact(), "from_parts lays out tight rows");
         for id in 0..csr.edge_id_bound() {
             let id = EdgeId(id);
             assert_eq!(restored.is_edge_live(id), csr.is_edge_live(id));
@@ -1766,8 +1547,11 @@ mod tests {
             assert_eq!((ru, rv), (u, v));
             assert_eq!(rw.to_bits(), w.to_bits());
         }
-        for u in 0..5 {
-            assert_eq!(sorted_neighbors(&restored, u), sorted_neighbors(&csr, u));
+        for u in (0..5).map(VertexId) {
+            assert_eq!(
+                restored.neighbors(u).collect::<Vec<_>>(),
+                csr.neighbors(u).collect::<Vec<_>>()
+            );
         }
     }
 
@@ -1838,37 +1622,5 @@ mod tests {
         assert_eq!(csr.degree(VertexId(2)), 0);
         let ok = csr.try_append_edge(VertexId(1), VertexId(2), 2.0).unwrap();
         assert_eq!(ok, EdgeId(1));
-    }
-
-    #[test]
-    fn weight_statistics_track_mutations_and_resync_at_compaction() {
-        let mut csr = CsrGraph::new(4);
-        assert_eq!(csr.min_live_weight(), None, "edgeless: no statistics");
-        csr.append_edge(VertexId(0), VertexId(1), 2.0);
-        csr.append_edge(VertexId(1), VertexId(2), 0.5);
-        csr.append_edge(VertexId(2), VertexId(3), 3.5);
-        assert_eq!(csr.min_live_weight(), Some(0.5));
-        // Deleting the minimum leaves the reported minimum as a (stale)
-        // lower bound until the next re-pack.
-        csr.remove_edge(EdgeId(1)).unwrap();
-        assert!(csr.min_live_weight().unwrap() <= 2.0);
-        csr.compact();
-        assert_eq!(csr.min_live_weight(), Some(2.0), "exact after re-pack");
-        // All constructors that bypass append_edge resync via compact().
-        let from_parts = CsrGraph::from_parts(
-            4,
-            7,
-            [
-                (VertexId(0), VertexId(1), 2.0, true),
-                (VertexId(1), VertexId(2), 9.0, false),
-                (VertexId(2), VertexId(3), 3.5, true),
-            ],
-        )
-        .unwrap();
-        assert_eq!(from_parts.min_live_weight(), Some(2.0));
-        let rebuilt = csr.rebuild_compacted().graph;
-        assert_eq!(rebuilt.min_live_weight(), Some(2.0));
-        let from_weighted = CsrGraph::from(&diamond());
-        assert_eq!(from_weighted.min_live_weight(), Some(1.0));
     }
 }

@@ -727,12 +727,9 @@ impl DijkstraEngine {
         }
     }
 
-    /// Relaxes every live half-edge of the settled vertex `u` — the packed
-    /// row (tombstone-filtered only while deletions are pending) followed by
-    /// the overflow chain. The search's single relaxation body; the
-    /// pending-deletions and fast paths share it so they cannot drift.
+    /// Relaxes every half-edge of the settled vertex `u`: its row, two
+    /// parallel slices holding exactly the live half-edges.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn relax_row<const TRACK_PARENTS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
@@ -741,24 +738,9 @@ impl DijkstraEngine {
         d: f64,
         gen: u32,
         bound: f64,
-        check_live: bool,
     ) {
-        // Packed half-edges: two parallel slices, no per-neighbor branch on
-        // the deletion-free fast path (`ids` is `None` there and the
-        // liveness test constant-folds away).
         let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-        let ids = check_live.then(|| graph.packed_neighbor_ids(VertexId(u as usize)));
-        for i in 0..targets.len() {
-            if let Some(ids) = ids {
-                if !graph.is_edge_id_live(ids[i]) {
-                    continue;
-                }
-            }
-            self.relax::<TRACK_PARENTS>(queue, u, targets[i] as usize, weights[i], d, gen, bound);
-        }
-        // Live overflow half-edges appended since the last re-pack (short;
-        // the iterator itself skips tombstoned entries).
-        for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
+        for (&v, &w) in targets.iter().zip(weights) {
             self.relax::<TRACK_PARENTS>(queue, u, v as usize, w, d, gen, bound);
         }
     }
@@ -824,9 +806,6 @@ impl DijkstraEngine {
         collect: bool,
         mut rule: StopRule,
     ) -> f64 {
-        // Tombstoned half-edges linger in the packed arrays until the next
-        // re-pack; only then does the scan pay for the liveness check.
-        let pending_deletions = graph.has_pending_deletions();
         let gen = self.generation;
         self.dist[source] = 0.0;
         if TRACK_PARENTS {
@@ -861,7 +840,7 @@ impl DijkstraEngine {
             if Some(u) == target {
                 break;
             }
-            self.relax_row::<TRACK_PARENTS>(queue, graph, u, d, gen, bound, pending_deletions);
+            self.relax_row::<TRACK_PARENTS>(queue, graph, u, d, gen, bound);
         }
         f64::INFINITY
     }
@@ -1022,7 +1001,6 @@ impl DijkstraEngine {
             self.stats.pruned_by_bound += 1;
             return;
         };
-        let pending_deletions = graph.has_pending_deletions();
         self.dist[source] = 0.0;
         if TRACK_PARENTS {
             self.parent[source] = NO_VERTEX;
@@ -1053,24 +1031,7 @@ impl DijkstraEngine {
             }
             let d = self.dist[u as usize];
             let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-            let ids = pending_deletions.then(|| graph.packed_neighbor_ids(VertexId(u as usize)));
-            for i in 0..targets.len() {
-                if let Some(ids) = ids {
-                    if !graph.is_edge_id_live(ids[i]) {
-                        continue;
-                    }
-                }
-                self.relax_goal_directed::<TRACK_PARENTS>(
-                    queue,
-                    goal,
-                    u,
-                    targets[i] as usize,
-                    weights[i],
-                    d,
-                    gen,
-                );
-            }
-            for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
+            for (&v, &w) in targets.iter().zip(weights) {
                 self.relax_goal_directed::<TRACK_PARENTS>(queue, goal, u, v as usize, w, d, gen);
             }
         }
@@ -1225,9 +1186,9 @@ impl DijkstraEngine {
     ///   `(bound, B']` — **fall back** to the one-sided search inside the
     ///   same query, counted in [`EngineStats::bidirectional_fallbacks`].
     ///
-    /// Both halves skip tombstoned half-edges exactly as the one-sided
-    /// search does and count into the same search counters; `peak_frontier`
-    /// is the combined length of the two queues. An engine from
+    /// Both halves scan the same rows as the one-sided search and count
+    /// into the same search counters; `peak_frontier` is the combined
+    /// length of the two queues. An engine from
     /// [`DijkstraEngine::with_capacity_for`] answers without allocating.
     ///
     /// # Panics
@@ -1298,7 +1259,6 @@ impl DijkstraEngine {
         bound: f64,
     ) -> Option<bool> {
         let relaxed = relaxed_bound(bound, graph.num_vertices());
-        let pending_deletions = graph.has_pending_deletions();
         let gen = self.generation;
         self.dist[s as usize] = 0.0;
         self.state[s as usize] = gen;
@@ -1338,16 +1298,7 @@ impl DijkstraEngine {
             let accepted = if backward {
                 self.state_b[u as usize] = gen + 1;
                 self.meet_row::<true>(
-                    queue,
-                    other_len,
-                    graph,
-                    u,
-                    d,
-                    gen,
-                    bound,
-                    relaxed,
-                    pending_deletions,
-                    &mut band,
+                    queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
                 )
             } else {
                 self.state[u as usize] = gen + 1;
@@ -1357,16 +1308,7 @@ impl DijkstraEngine {
                     return Some(d <= bound);
                 }
                 self.meet_row::<false>(
-                    queue,
-                    other_len,
-                    graph,
-                    u,
-                    d,
-                    gen,
-                    bound,
-                    relaxed,
-                    pending_deletions,
-                    &mut band,
+                    queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
                 )
             };
             if accepted {
@@ -1376,11 +1318,10 @@ impl DijkstraEngine {
         (!band).then_some(false)
     }
 
-    /// Scans every live half-edge of `u`, just settled by one half at
-    /// distance `d` — the packed row (tombstone-filtered while deletions
-    /// are pending) then the overflow chain, as [`DijkstraEngine::relax_row`]
-    /// does — through [`DijkstraEngine::meet_or_relax`]. Returns whether a
-    /// meeting path was certified within `bound`.
+    /// Scans the row of `u`, just settled by one half at distance `d`, as
+    /// [`DijkstraEngine::relax_row`] does, through
+    /// [`DijkstraEngine::meet_or_relax`]. Returns whether a meeting path was
+    /// certified within `bound`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn meet_row<const BACKWARD: bool>(
@@ -1393,25 +1334,10 @@ impl DijkstraEngine {
         gen: u32,
         bound: f64,
         relaxed: f64,
-        check_live: bool,
         band: &mut bool,
     ) -> bool {
         let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-        let ids = check_live.then(|| graph.packed_neighbor_ids(VertexId(u as usize)));
-        for i in 0..targets.len() {
-            if let Some(ids) = ids {
-                if !graph.is_edge_id_live(ids[i]) {
-                    continue;
-                }
-            }
-            let v = targets[i] as usize;
-            if self.meet_or_relax::<BACKWARD>(
-                queue, other_len, u, v, weights[i], d, gen, bound, relaxed, band,
-            ) {
-                return true;
-            }
-        }
-        for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
+        for (&v, &w) in targets.iter().zip(weights) {
             if self.meet_or_relax::<BACKWARD>(
                 queue, other_len, u, v as usize, w, d, gen, bound, relaxed, band,
             ) {
@@ -2085,6 +2011,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// Appends an edge and reports whether one of its endpoints' rows moved
+    /// (its slice now starts elsewhere), i.e. a full row outgrew its window.
+    fn append_moves_a_row(csr: &mut CsrGraph, u: usize, v: usize, w: f64) -> bool {
+        let starts = |csr: &CsrGraph| [u, v].map(|x| csr.packed_neighbors(VertexId(x)).0.as_ptr());
+        let before = starts(csr);
+        csr.append_edge(VertexId(u), VertexId(v), w);
+        starts(csr) != before
+    }
+
     fn diamond() -> WeightedGraph {
         WeightedGraph::from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0), (2, 3, 2.0)]).unwrap()
     }
@@ -2422,10 +2357,10 @@ mod tests {
 
     #[test]
     fn deletions_are_invisible_to_queries_before_and_after_repack() {
-        // Delete edges from a CSR graph, append one into an overflow chain,
-        // and compare every query against a fresh build of the surviving
-        // edges — with the tombstones pending (lingering in the packed
-        // arrays) and again after consolidation.
+        // Append an edge to a CSR graph (moving its endpoints' full rows),
+        // delete edges, and compare every query against a fresh build of
+        // the surviving edges — with the freed slots and moved rows in
+        // place, and again after compaction.
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 18;
         let mut edges: Vec<(usize, usize, f64)> = Vec::new();
@@ -2439,6 +2374,7 @@ mod tests {
         let g = WeightedGraph::from_edges(n, edges.iter().copied()).unwrap();
         let mut csr = CsrGraph::from(&g);
         let mut engine = DijkstraEngine::new();
+        assert!(append_moves_a_row(&mut csr, 0, n - 1, 1.25));
         // Delete every third edge.
         let mut survivors = Vec::new();
         for (i, &e) in edges.iter().enumerate() {
@@ -2448,7 +2384,6 @@ mod tests {
                 survivors.push(e);
             }
         }
-        csr.append_edge(VertexId(0), VertexId(n - 1), 1.25);
         survivors.push((0, n - 1, 1.25));
         let reference_graph = WeightedGraph::from_edges(n, survivors).unwrap();
         let reference_csr = CsrGraph::from(&reference_graph);
@@ -2456,9 +2391,9 @@ mod tests {
         for phase in 0..2 {
             if phase == 1 {
                 csr.compact();
-                assert!(!csr.has_pending_deletions());
+                assert!(csr.is_compact());
             } else {
-                assert!(csr.has_pending_deletions());
+                assert!(csr.dead_edges() > 0 && !csr.is_compact());
             }
             for s in 0..n {
                 for t in 0..n {
@@ -2500,9 +2435,9 @@ mod tests {
 
     /// The crate's two relax loops — the engine's and the reference
     /// [`dijkstra`] module's — build the same shortest-path trees (every
-    /// distance and parent chain) when the engine reads a CSR with
-    /// tombstoned packed rows and an overflow chain and the reference
-    /// reads its compacted [`WeightedGraph`].
+    /// distance and parent chain) when the engine reads a CSR with a moved
+    /// row and deleted edges and the reference reads its compacted
+    /// [`WeightedGraph`].
     #[test]
     fn relax_kernels_agree_on_trees_paths_and_deletions() {
         let mut rng = SmallRng::seed_from_u64(91_203);
@@ -2517,11 +2452,11 @@ mod tests {
         }
         let g = WeightedGraph::from_edges(n, edges.iter().copied()).unwrap();
         let mut csr = CsrGraph::from(&g);
+        assert!(append_moves_a_row(&mut csr, 0, n - 1, 1.25));
         for i in (0..edges.len()).step_by(4) {
             csr.remove_edge(crate::graph::EdgeId(i)).unwrap();
         }
-        csr.append_edge(VertexId(0), VertexId(n - 1), 1.25);
-        assert!(csr.has_pending_deletions());
+        assert!(csr.dead_edges() > 0);
         let compacted = csr.to_weighted_graph();
         assert_eq!(compacted.num_edges(), csr.num_edges());
         let mut engine = DijkstraEngine::new();
@@ -2597,8 +2532,8 @@ mod tests {
                         csr.append_edge(VertexId(u), VertexId(v), w);
                     }
                 }
-                // Interleave queries with appends so overflow chains and
-                // compactions are both exercised mid-growth.
+                // Interleave queries with appends so rows are queried
+                // between their moves, mid-growth.
                 let s = VertexId(rng.gen_range(0..n));
                 let t = VertexId(rng.gen_range(0..n));
                 let bound = rng.gen_range(0.1..12.0);
@@ -2764,9 +2699,9 @@ mod tests {
 
     /// The query mix of the greedy's batched filter-then-commit loop —
     /// a bidirectional `within_bound` filter pass over a batch, then
-    /// one-sided re-checks of the survivors — on a CSR whose rows carry
-    /// tombstones and overflow chains: a pre-sized engine answers as a
-    /// fresh one does and never allocates.
+    /// one-sided re-checks of the survivors — on a CSR whose rows move and
+    /// lose deleted edges: a pre-sized engine answers as a fresh one does
+    /// and never allocates.
     #[test]
     fn warm_engine_stays_allocation_free_under_the_batched_kernel() {
         let mut rng = SmallRng::seed_from_u64(4_242);
@@ -2782,13 +2717,14 @@ mod tests {
         }
         let mut csr = CsrGraph::from(&g);
         let mut warm = DijkstraEngine::with_capacity_for(n, csr.num_edges() + appends);
+        let mut moved = false;
         for batch in 0..appends {
             let id = rng.gen_range(0..csr.edge_id_bound());
             let _ = csr.remove_edge(crate::graph::EdgeId(id));
             let u = rng.gen_range(0..n);
             let v = (u + 1 + rng.gen_range(0..n - 1)) % n;
-            csr.append_edge(VertexId(u), VertexId(v), rng.gen_range(0.5..4.0));
-            assert!(csr.has_pending_deletions());
+            moved |= append_moves_a_row(&mut csr, u, v, rng.gen_range(0.5..4.0));
+            assert!(csr.dead_edges() > 0);
             let queries: Vec<(VertexId, VertexId, f64)> = (0..8)
                 .map(|_| {
                     let s = VertexId(rng.gen_range(0..n));
@@ -2812,6 +2748,7 @@ mod tests {
                 }
             }
         }
+        assert!(moved, "some append must move a full row");
         let stats = warm.stats();
         assert_eq!(
             stats.reuse_hits, stats.queries,

@@ -157,7 +157,7 @@ impl Row {
 }
 
 /// Smallest capacity a row takes when it first outgrows its window.
-const MIN_ROW_CAPACITY: usize = 4;
+pub(crate) const MIN_ROW_CAPACITY: usize = 4;
 
 /// Rows are a pure function of the vertex count and the edge sequence, so
 /// two graphs are equal exactly when those agree — dead arena slots and row

@@ -9,17 +9,18 @@
 //!   Bulk producers ([`WeightedGraph::from_edges`], the generators, …) lay
 //!   every row out once at its exact degree; [`WeightedGraph::add_edge`]
 //!   moves a full row to the arena's end at double its capacity.
-//! * [`CsrGraph`] — the compressed-sparse-row *query substrate*: flat
-//!   `offsets`/`targets`/`weights` arrays built `From<&WeightedGraph>`,
-//!   incrementally appendable ([`csr::CsrGraph::append_edge`]) **and
-//!   deletable** ([`csr::CsrGraph::remove_edge`]) through a
-//!   [`csr::DeltaOverlay`] of pending mutations (overflow chains +
-//!   tombstone bitmap, consolidated on re-pack), so a spanner can grow while
-//!   being queried and a long-running one can take live updates. Every
-//!   mutation bumps a monotone [`csr::CsrGraph::epoch`]; stale views are
-//!   refused with a typed [`error::GraphError::StaleEpoch`]. Under
-//!   unbounded insert/delete churn,
-//!   [`csr::CsrGraph::rebuild_compacted`] starts a fresh dense *generation*
+//! * [`CsrGraph`] — the compressed-sparse-row *query substrate*: one
+//!   `(start, end)` row per vertex into flat `targets`/`weights` arrays,
+//!   built `From<&WeightedGraph>`, incrementally appendable
+//!   ([`csr::CsrGraph::append_edge`]: a full row moves to the arrays' end at
+//!   double its capacity) **and deletable** ([`csr::CsrGraph::remove_edge`]:
+//!   both half-edges are spliced out of their rows), so a spanner can grow
+//!   while being queried and a long-running one can take live updates.
+//!   Every row holds exactly its live half-edges in edge-id order, so a
+//!   search reads one slice per vertex. Every mutation bumps a monotone
+//!   [`csr::CsrGraph::epoch`]; stale views are refused with a typed
+//!   [`error::GraphError::StaleEpoch`]. Under unbounded insert/delete
+//!   churn, [`csr::CsrGraph::rebuild_compacted`] starts a fresh dense *generation*
 //!   (ids re-densified behind a bumped epoch, with an id-remap table) so the
 //!   ground-truth arrays stay proportional to the live edge count, and
 //!   [`csr::CsrGraph::from_parts`] reconstructs a graph bit-identically from
@@ -131,7 +132,7 @@ pub mod properties;
 pub mod union_find;
 
 pub use builder::GraphBuilder;
-pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, DeltaOverlay, VertexPerm};
+pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, VertexPerm};
 pub use engine::{
     path_rounding_margin, DijkstraEngine, EngineStats, EngineTree, KernelStats, SptTree, TreeNeed,
 };

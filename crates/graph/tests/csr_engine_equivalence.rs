@@ -2,8 +2,8 @@
 //! functions: on random seeded graphs, [`DijkstraEngine`] over a [`CsrGraph`]
 //! must return exactly the same distances, paths and ball memberships as the
 //! allocation-per-query reference implementations in `spanner_graph::dijkstra`
-//! — including mid-growth, when part of the CSR still lives in its overflow
-//! chains.
+//! — including mid-growth, while appends move full rows to the end of the
+//! slot arrays.
 
 use proptest::prelude::*;
 
@@ -102,9 +102,9 @@ proptest! {
         }
     }
 
-    /// Queries against an incrementally grown CSR (overflow chains, periodic
-    /// re-packs) match queries against the equivalently grown WeightedGraph
-    /// at every growth step.
+    /// Queries against an incrementally grown CSR (rows moving as they fill)
+    /// match queries against the equivalently grown WeightedGraph at every
+    /// growth step.
     #[test]
     fn incremental_appends_match_legacy(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();
@@ -130,8 +130,8 @@ proptest! {
     }
 
     /// Queries against a CSR with interleaved appends *and* deletions match
-    /// queries against a fresh build of the surviving edge set — while
-    /// tombstones linger in the packed arrays and across consolidations.
+    /// queries against a fresh build of the surviving edge set, while rows
+    /// lose deleted edges and move under appends.
     #[test]
     fn interleaved_deletions_match_a_fresh_build(g in arb_graph(), seed in 0u64..1000) {
         let n = g.num_vertices();

@@ -2,8 +2,8 @@
 //! functions in [`spanner_graph::dijkstra`]: the engine must produce
 //! **bit-identical** distances, paths, balls, and tie-breaks, on
 //! Erdős–Rényi, dense, high-weight-spread and tie-heavy integer-weight
-//! graphs, including graphs with tombstoned edges and live overlay
-//! insertions. The goal-directed (landmark) searches are held to the same
+//! graphs, including graphs whose rows lost deleted edges or moved under
+//! appends. The goal-directed (landmark) searches are held to the same
 //! answers, adversarial weight families included.
 
 use proptest::prelude::*;
@@ -280,8 +280,8 @@ proptest! {
         assert_goal_directed_matches_one_sided(&g, n * n + 8, &mut rng);
     }
 
-    /// The engine agrees with the reference while the CSR carries
-    /// tombstoned edges and overlay insertions: delete/append churn between
+    /// The engine agrees with the reference while the CSR's rows lose
+    /// deleted edges and move under appends: delete/append churn between
     /// query rounds, checking distances and balls against a fresh build of
     /// the surviving edge set each round. The pre-sized engine never
     /// allocates.

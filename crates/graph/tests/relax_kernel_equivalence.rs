@@ -4,8 +4,8 @@
 //! ([`DijkstraEngine::new`]) and one pre-sized
 //! ([`DijkstraEngine::with_capacity_for`]). Distances, paths, balls and
 //! k-nearest prefixes must equal the reference **bit for bit** in every
-//! cell, with and without landmarks, and on graphs with tombstoned edges
-//! and overlay overflow chains; the two engines must agree on every
+//! cell, with and without landmarks, and on graphs whose rows lost deleted
+//! edges or moved under appends; the two engines must agree on every
 //! search counter.
 
 use proptest::prelude::*;
@@ -175,9 +175,9 @@ proptest! {
         }
     }
 
-    /// Tombstoned packed rows and overlay overflow chains: under
-    /// delete/append churn the relax loop's per-edge liveness check must
-    /// answer as the reference does on the compacted graph
+    /// Rows that lose deleted edges and rows moved by appends: under
+    /// delete/append churn the relax loop must answer as the reference
+    /// does on the compacted graph
     /// ([`CsrGraph::to_weighted_graph`]), which itself equals a fresh
     /// build of the surviving edge set.
     #[test]

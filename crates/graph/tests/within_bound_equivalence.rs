@@ -10,7 +10,8 @@
 //!   whose sums round differently in different association orders;
 //! * weights near `1e±300`, including paths whose `d + w` overflows to `∞`;
 //! * 1- and 2-vertex graphs and `source == target`;
-//! * overflow chains and pending deletions (live-update graphs);
+//! * rows moved by appends and rows that lost deleted edges (live-update
+//!   graphs);
 //! * the generation-wrap reset.
 //!
 //! The decimal-weight path at `next_down(D)` drives the rounding-band
@@ -148,8 +149,8 @@ proptest! {
         pair.finish(&format!("family {family}, n {n}, seed {seed}"));
     }
 
-    /// Live-update graphs: packed rows with tombstones pending and overflow
-    /// chains from appended edges, queried after every mutation.
+    /// Live-update graphs: rows that lose deleted edges and rows moved by
+    /// appends past their capacity, queried after every mutation.
     #[test]
     fn within_bound_matches_under_deletions_and_overflow_chains(
         seed in 0u64..100_000,
@@ -159,30 +160,36 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_graph(n, 0.35, &mut rng, |r| family_weight(family, r));
         let mut csr = CsrGraph::from(&g);
-        // Deletions take packed edges first (tombstones in the packed
-        // rows), then appended ones (overflow-chain entries).
-        let mut packed: Vec<usize> = (0..g.num_edges()).collect();
+        // Deletions take edges of the initial build first, then appended
+        // ones. The first step appends into the tight rows of the build,
+        // which moves a row.
+        let mut built: Vec<usize> = (0..g.num_edges()).collect();
         let mut appended: Vec<usize> = Vec::new();
-        let mut saw_tombstones = false;
+        let mut moved = false;
         let mut pair = Pair::new(n, g.num_edges() + 16);
         for step in 0..16 {
-            let pool = if packed.is_empty() { &mut appended } else { &mut packed };
-            if step % 2 == 0 && !pool.is_empty() {
+            let pool = if built.is_empty() { &mut appended } else { &mut built };
+            if step % 2 == 1 && !pool.is_empty() {
                 let id = pool.swap_remove(rng.gen_range(0..pool.len()));
                 csr.remove_edge(EdgeId(id)).unwrap();
             } else {
                 let u = rng.gen_range(0..n);
                 let v = (u + rng.gen_range(1..n)) % n;
                 let w = family_weight(family, &mut rng);
+                let starts = |csr: &CsrGraph| {
+                    [u, v].map(|x| csr.packed_neighbors(VertexId(x)).0.as_ptr())
+                };
+                let before = starts(&csr);
                 appended.push(csr.append_edge(VertexId(u), VertexId(v), w).index());
+                moved |= starts(&csr) != before;
             }
-            saw_tombstones |= csr.has_pending_deletions();
             for _ in 0..4 {
                 let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 pair.ask_tight(&csr, s, t, &mut rng, 2);
             }
         }
-        prop_assert!(saw_tombstones || g.num_edges() == 0);
+        prop_assert!(csr.dead_edges() > 0);
+        prop_assert!(moved);
         pair.finish(&format!("churn, family {family}, n {n}, seed {seed}"));
     }
 

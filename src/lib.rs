@@ -123,9 +123,9 @@
 //!
 //! The stack is four layers — **substrate → construction → serving →
 //! updates** — and nothing freezes forever. Every
-//! [`CsrGraph`](spanner_graph::CsrGraph) mutation (append or tombstone
-//! delete, staged in a [`DeltaOverlay`](spanner_graph::csr::DeltaOverlay)
-//! and consolidated on re-pack) bumps a monotone epoch; stale views are
+//! [`CsrGraph`](spanner_graph::CsrGraph) mutation (an append, which moves
+//! a full row to the end of the slot arrays, or a delete, which splices
+//! the edge out of both rows) bumps a monotone epoch; stale views are
 //! refused with typed errors, never answered silently. A built spanner
 //! opens for updates with
 //! [`SpannerOutput::live`](greedy_spanner::SpannerOutput::live): insertions
@@ -257,8 +257,8 @@ pub mod prelude {
     };
     pub use greedy_spanner::{PersistError, Recovered, RecoveryReport};
     pub use spanner_graph::{
-        CsrGraph, CsrSnapshot, DeltaOverlay, DijkstraEngine, EnginePool, EngineStats, GraphBuilder,
-        SptTree, TreeNeed, VertexId, WeightedGraph,
+        CsrGraph, CsrSnapshot, DijkstraEngine, EnginePool, EngineStats, GraphBuilder, SptTree,
+        TreeNeed, VertexId, WeightedGraph,
     };
     pub use spanner_metric::{EuclideanSpace, MetricSpace, Point};
 }
