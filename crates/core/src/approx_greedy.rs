@@ -157,7 +157,13 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
 
     // Step 3: one greedy pass over the heavy edges, on top of the light
     // ones, with exact admission queries.
-    let outcome = greedy_into(&mut spanner, &mut pool, &heavy, params.simulation_stretch());
+    let outcome = greedy_into(
+        &mut spanner,
+        &mut pool,
+        &heavy,
+        params.simulation_stretch(),
+        None,
+    );
     let engine_stats = pool.stats();
     Ok(ApproxGreedySpanner {
         spanner: spanner.to_weighted_graph(),

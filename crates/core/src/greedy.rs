@@ -42,6 +42,21 @@
 //! the sequential path the construction therefore issues `m − (n − c)`
 //! queries, `c` being the number of connected components of the input.
 //!
+//! # Stored witnesses skip the query too
+//!
+//! A live rebuild (see [`crate::update`]) runs greedy again over an input
+//! that differs from the last one by a few edges. Its sequential loop gets
+//! a `WitnessReuse`: for each candidate the last rebuild rejected, the
+//! covering walk [`DijkstraEngine::within_bound_witness`] certified, as
+//! edge ids of the live original. A candidate whose stored walk uses only
+//! candidates already admitted in this run, and whose left-to-right weight
+//! sum `W` from the candidate's first endpoint is `≤ fl(t·w)`, is rejected
+//! with no query. This is the second query-free rule, and as exact as the
+//! first: the walk lies in the spanner, and the query's `D` is the minimum
+//! over walks of exactly such sums (the accept-certificate argument of
+//! `greedy_into`), so `D ≤ W ≤ fl(t·w)` and the query would reject too.
+//! Fresh builds pass no witnesses and run the plain query.
+//!
 //! The spanner is a subgraph of its candidates, so the constructions open
 //! it with each row reserved at the vertex's candidate degree
 //! ([`CsrGraph::with_row_capacity`]): every append writes into its reserved
@@ -309,6 +324,157 @@ fn filter_commit_greedy(
     }
 }
 
+/// Longest witness a [`WitnessStore`] keeps, in edges. Covering paths of a
+/// `t`-spanner's rejected candidates are short (2–8 edges, none longer, on
+/// the `live-churn` benchmark's ER 2-spanner); a longer one is simply not
+/// stored, and its candidate is queried at the next rebuild.
+const MAX_WITNESS_EDGES: usize = 8;
+
+/// Covering paths ("witnesses") of rejected greedy candidates, keyed by
+/// the candidate's edge id in a live original: each is a walk of edge ids
+/// from the candidate's first endpoint to its second, as
+/// [`DijkstraEngine::within_bound_witness`] certified it (see the module
+/// docs). The live spanner keeps one across rebuilds and remaps its ids at
+/// every generation compaction.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WitnessStore {
+    /// `spans[id]` is the range of `path` holding edge `id`'s witness
+    /// (empty: none stored).
+    spans: Vec<(u32, u32)>,
+    path: Vec<u32>,
+}
+
+impl WitnessStore {
+    /// An empty store for edge ids below `id_bound`.
+    fn with_ids(id_bound: usize) -> Self {
+        WitnessStore {
+            spans: vec![(0, 0); id_bound],
+            path: Vec::new(),
+        }
+    }
+
+    /// Edge `id`'s witness; empty when none is stored.
+    fn get(&self, id: u32) -> &[u32] {
+        self.spans
+            .get(id as usize)
+            .map_or(&[], |&(a, b)| &self.path[a as usize..b as usize])
+    }
+
+    /// Stores `walk` as edge `id`'s witness.
+    fn push(&mut self, id: u32, walk: impl IntoIterator<Item = u32>) {
+        let start = self.path.len() as u32;
+        self.path.extend(walk);
+        self.spans[id as usize] = (start, self.path.len() as u32);
+    }
+
+    /// The store under a generation compaction's old-id → new-id `remap`
+    /// (see [`CsrGraph::rebuild_compacted`]): every witness keyed and
+    /// spelled in the new ids. A witness through an edge the compaction
+    /// dropped could never be reused, so it is dropped too.
+    pub(crate) fn remap(&self, remap: &[Option<EdgeId>]) -> WitnessStore {
+        let new_id = |old: u32| Some(remap.get(old as usize).copied()??.index() as u32);
+        let mut next = WitnessStore::with_ids(remap.iter().flatten().count());
+        for (old, new) in remap.iter().enumerate() {
+            let walk = self.get(old as u32);
+            let renamed: Option<Vec<u32>> = walk.iter().map(|&e| new_id(e)).collect();
+            if let (Some(new), Some(renamed)) = (new, renamed) {
+                if !renamed.is_empty() {
+                    next.push(new.index() as u32, renamed);
+                }
+            }
+        }
+        next
+    }
+}
+
+/// One live rebuild's witness reuse: the previous store, read by the
+/// sequential loop of [`greedy_into`] to reject candidates without a
+/// search, and the store the rebuild leaves behind.
+pub(crate) struct WitnessReuse<'a> {
+    /// Edge id (in the live original) of each candidate.
+    ids: &'a [u32],
+    /// Candidate index of each edge id; `u32::MAX` for an id that is no
+    /// candidate (a deleted edge).
+    rank: Vec<u32>,
+    /// Whether each candidate was admitted so far.
+    kept: Vec<bool>,
+    previous: WitnessStore,
+    /// The witnesses of this rebuild's rejections, reused or fresh.
+    pub(crate) next: WitnessStore,
+    /// Candidates rejected through `previous`, without a search.
+    pub(crate) skips: usize,
+}
+
+impl<'a> WitnessReuse<'a> {
+    /// Reuse for candidates whose edge ids are `ids` (all below
+    /// `id_bound`), reading the `previous` store.
+    pub(crate) fn new(ids: &'a [u32], id_bound: usize, previous: WitnessStore) -> Self {
+        let mut rank = vec![u32::MAX; id_bound];
+        for (i, &id) in ids.iter().enumerate() {
+            rank[id as usize] = i as u32;
+        }
+        WitnessReuse {
+            ids,
+            rank,
+            kept: vec![false; ids.len()],
+            previous,
+            next: WitnessStore::with_ids(id_bound),
+            skips: 0,
+        }
+    }
+
+    /// Whether candidate `i`'s stored witness still covers it: every edge
+    /// already admitted (earlier in this run) and the left-to-right weight
+    /// sum `W` within `bound = fl(t·w)`. Then `D ≤ W ≤ bound` (see the
+    /// module docs), exactly the rejection the query would return; the
+    /// witness carries over to the next store.
+    fn covers(&mut self, i: usize, candidates: &[(u32, u32, f64)], bound: f64) -> bool {
+        let walk = self.previous.get(self.ids[i]);
+        if walk.is_empty() {
+            return false;
+        }
+        let mut sum = 0.0;
+        for &e in walk {
+            match self.rank.get(e as usize) {
+                Some(&r) if r != u32::MAX && self.kept[r as usize] => {
+                    sum += candidates[r as usize].2;
+                }
+                _ => return false,
+            }
+        }
+        // The query's `search_bound`: a sum that overflowed is no path.
+        // Neither side is NaN: weights are positive, `t·w` is positive.
+        if sum > bound.min(f64::MAX) {
+            return false;
+        }
+        debug_assert!(
+            {
+                let (u, v, _) = candidates[i];
+                let end = walk.iter().try_fold(u, |at, &e| {
+                    let (a, b, _) = candidates[self.rank[e as usize] as usize];
+                    (at == a).then_some(b).or((at == b).then_some(a))
+                });
+                end == Some(v)
+            },
+            "a stored witness is not a walk between its candidate's endpoints"
+        );
+        self.next.push(self.ids[i], walk.iter().copied());
+        self.skips += 1;
+        true
+    }
+
+    /// Stores the covering walk a query certified for candidate `i`, given
+    /// as ids of a spanner grown from empty (spanner edge `k` is candidate
+    /// `added[k]`).
+    fn record(&mut self, i: usize, walk: &[EdgeId], added: &[usize]) {
+        if !walk.is_empty() && walk.len() <= MAX_WITNESS_EDGES {
+            let ids = self.ids;
+            self.next
+                .push(ids[i], walk.iter().map(|e| ids[added[e.index()]]));
+        }
+    }
+}
+
 /// The greedy loop over `candidates` already in greedy order (the contract
 /// of [`filter_commit_greedy`]), appending the kept edges to `spanner`: the
 /// plain sequential loop on the commit engine of a one-worker pool, the
@@ -318,6 +484,13 @@ fn filter_commit_greedy(
 /// spanner's live edges. Shared by [`run_greedy`],
 /// [`greedy_over_candidates`], approximate greedy's simulation and the live
 /// spanner's rebuilds and insertions.
+///
+/// With `witnesses` (a live rebuild into an empty `spanner`), the
+/// sequential loop rejects a candidate whose stored witness still covers
+/// it without a query, and asks every other connected candidate through
+/// [`DijkstraEngine::within_bound_witness`], storing the walk behind each
+/// rejection. The filter-then-commit loop ignores them: it neither reads
+/// nor writes a witness.
 ///
 /// # The admission comparison `d ≤ t·w`
 ///
@@ -349,7 +522,12 @@ pub(crate) fn greedy_into(
     pool: &mut EnginePool,
     candidates: &[(u32, u32, f64)],
     t: f64,
+    mut witnesses: Option<&mut WitnessReuse<'_>>,
 ) -> FilterCommitOutcome {
+    assert!(
+        witnesses.is_none() || spanner.edge_id_bound() == 0,
+        "witnesses map spanner edges to candidates, so the spanner must start empty"
+    );
     let mut components = UnionFind::new(spanner.num_vertices());
     for (_, u, v, _) in spanner.live_edges() {
         components.union(u.index(), v.index());
@@ -359,12 +537,27 @@ pub(crate) fn greedy_into(
     }
     let engine = pool.commit_engine();
     let mut added = Vec::new();
+    let mut walk = Vec::new();
     for (i, &(u, v, w)) in candidates.iter().enumerate() {
         let across = components.union(u as usize, v as usize);
         let (u, v) = (VertexId(u as usize), VertexId(v as usize));
-        if across || !engine.within_bound(spanner, u, v, t * w) {
+        let covered = !across
+            && match witnesses.as_deref_mut() {
+                None => engine.within_bound(spanner, u, v, t * w),
+                Some(witnesses) => {
+                    witnesses.covers(i, candidates, t * w) || {
+                        let covered = engine.within_bound_witness(spanner, u, v, t * w, &mut walk);
+                        witnesses.record(i, &walk, &added);
+                        covered
+                    }
+                }
+            };
+        if !covered {
             spanner.append_edge(u, v, w);
             added.push(i);
+            if let Some(witnesses) = witnesses.as_deref_mut() {
+                witnesses.kept[i] = true;
+            }
         }
     }
     FilterCommitOutcome {
@@ -422,7 +615,7 @@ pub(crate) fn run_greedy(
         candidates.iter().map(|&(u, v, _)| (u, v)),
     );
     let mut pool = EnginePool::with_capacity_for(threads, graph.num_vertices(), graph.num_edges());
-    let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t);
+    let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t, None);
     let stats = pool.stats();
     Ok(GreedySpanner {
         spanner: spanner.to_weighted_graph(),
@@ -520,7 +713,7 @@ pub fn greedy_over_candidates(
     }
     let mut spanner = spanner_for_candidates(num_vertices, kept.iter().map(|&(u, v, _)| (u, v)));
     let mut pool = EnginePool::with_capacity_for(1, num_vertices, kept.len());
-    greedy_into(&mut spanner, &mut pool, &kept, t);
+    greedy_into(&mut spanner, &mut pool, &kept, t, None);
     Ok(spanner.to_weighted_graph())
 }
 
@@ -949,6 +1142,30 @@ mod tests {
         for t in [1.0, 1.5, 2.0, 4.0] {
             assert_matches_reference(&g, t);
         }
+    }
+
+    #[test]
+    fn a_remapped_store_renames_witnesses_and_drops_dead_ones() {
+        let mut store = WitnessStore::with_ids(6);
+        store.push(1, [0, 2]);
+        store.push(3, [2, 4, 5]);
+        store.push(4, [0, 5]);
+        // Ids 1 and 5 die; the survivors densify in order.
+        let remap: Vec<Option<EdgeId>> = [Some(0), None, Some(1), Some(2), Some(3), None]
+            .into_iter()
+            .map(|id| id.map(EdgeId))
+            .collect();
+        let next = store.remap(&remap);
+        assert_eq!(next.spans.len(), 4);
+        assert_eq!(next.get(0), &[] as &[u32]);
+        assert_eq!(next.get(1), &[] as &[u32], "id 2 had no witness");
+        assert_eq!(next.get(2), &[] as &[u32], "its walk used dead id 5");
+        assert_eq!(next.get(3), &[] as &[u32], "its walk used dead id 5");
+        assert_eq!(next.get(9), &[] as &[u32], "out of range reads empty");
+        let mut store = WitnessStore::with_ids(4);
+        store.push(3, [0, 2]);
+        let next = store.remap(&remap[..4]);
+        assert_eq!(next.get(2), &[0, 1]);
     }
 
     #[test]

@@ -20,12 +20,20 @@
 //!   greedy rebuilds and compaction are pure functions of state and batch,
 //!   the recovered spanner answers every query **bit-identically** to the
 //!   instance that was killed. Replaying a batch that rebuilt the spanner
-//!   rebuilds it again, so replay costs what the original batches cost.
+//!   rebuilds it again. A recovered spanner starts with an empty witness
+//!   store (see the [update module](crate::update)), so the first replayed
+//!   rebuild queries every connected candidate and later ones reuse the
+//!   witnesses it records — the same decisions, since a witness only ever
+//!   rejects what the query would reject.
 //!
 //! What a snapshot's opaque `meta` section holds (this module's codec,
 //! version 2): stretch and compaction threshold (as raw `f64` bits), the
-//! full cumulative [`UpdateStats`], and the construction [`Provenance`] — so
-//! a recovered spanner reports the same history it had before the crash.
+//! cumulative [`UpdateStats`] counters, and the construction [`Provenance`]
+//! — so a recovered spanner reports the same history it had before the
+//! crash. The two wall-clock fields, [`UpdateStats::repair_time`] and
+//! [`UpdateStats::elapsed`], are written as zero, so one update stream
+//! applied twice writes the same snapshot bytes (and the same WAL): a
+//! recovered spanner's durations count only the work of its own process.
 //! A snapshot with any other meta version (version 1 had an extra stats
 //! field) is unreadable, and recovery skips it like any other unusable
 //! candidate. The worker-thread count is deliberately
@@ -177,11 +185,8 @@ fn put_string(out: &mut ByteWriter, s: &str) {
     out.put_bytes(s.as_bytes());
 }
 
-fn put_duration(out: &mut ByteWriter, d: Duration) {
-    out.put_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-}
-
-/// Encodes the owner metadata a snapshot carries for a live spanner.
+/// Encodes the owner metadata a snapshot carries for a live spanner, with
+/// its wall-clock durations zeroed (see the module docs).
 fn encode_meta(live: &LiveSpanner) -> Vec<u8> {
     let stats = live.stats();
     let provenance = live.provenance();
@@ -196,10 +201,10 @@ fn encode_meta(live: &LiveSpanner) -> Vec<u8> {
     out.put_u64(stats.deletions);
     out.put_u64(stats.reweights);
     out.put_u64(stats.repaired);
-    put_duration(&mut out, stats.repair_time);
+    out.put_u64(0); // repair_time, in nanoseconds
     out.put_u64(stats.epochs_advanced);
     out.put_u64(stats.recertifications);
-    put_duration(&mut out, stats.elapsed);
+    out.put_u64(0); // elapsed, in nanoseconds
     out.put_u64(stats.compactions);
     out.put_u64(stats.snapshots_written);
     out.put_u64(stats.snapshot_failures);
@@ -597,7 +602,16 @@ mod tests {
             parts.compaction_threshold.to_bits(),
             live.compaction_threshold().to_bits()
         );
-        assert_eq!(&parts.stats, live.stats());
+        // Every counter round-trips; the wall-clock durations read zero.
+        assert_eq!(
+            parts.stats,
+            UpdateStats {
+                repair_time: Duration::ZERO,
+                elapsed: Duration::ZERO,
+                ..*live.stats()
+            }
+        );
+        assert!(live.stats().elapsed > Duration::ZERO);
         assert_eq!(parts.provenance.algorithm, live.provenance().algorithm);
         assert_eq!(parts.provenance.parameters, live.provenance().parameters);
         assert_eq!(parts.provenance.input, live.provenance().input);

@@ -23,6 +23,45 @@
 //! Reweights are a deletion followed by an insertion of the new weight, in
 //! that order, within the same batch.
 //!
+//! # What a rebuild costs, and the witnesses that cut it
+//!
+//! A rebuild is a full greedy pass over the live original: a sort of its
+//! `m` live edges, then one admission query per candidate whose endpoints
+//! the growing spanner already connects. The queries dominate. Yet one
+//! batch changes little: on the perfbench `live-churn` stream (ER
+//! `n = 800`, `t = 2`, batches of 32 updates) a rebuild changes about 6 of
+//! 2,461 spanner edges, and most rejected candidates are covered by the
+//! same short path as last time.
+//!
+//! So the live spanner keeps a *witness store*: for every candidate the
+//! last rebuild rejected, the covering walk the query certified
+//! ([`spanner_graph::DijkstraEngine::within_bound_witness`]), as original
+//! edge ids from the candidate's first endpoint to its second (walks of
+//! more than a few edges are not stored). The next rebuild rejects a
+//! candidate `(u, v)` of weight `w` without a search when every edge of its
+//! witness was already re-admitted earlier in this rebuild and the
+//! witness's left-to-right weight sum `W` satisfies `W ≤ fl(t·w)`.
+//!
+//! That is exact. The re-admitted edges are in the growing spanner, so the
+//! witness is a `u`–`v` walk in it. The query decides on `D`, the minimum
+//! over walks of such left-to-right sums (the one-sided search's distance;
+//! see `greedy_into`), so `D ≤ W ≤ fl(t·w)`: the query would have rejected
+//! the candidate too. Every other connected candidate is queried as before
+//! and, when covered, records a fresh witness. The rebuilt spanner is
+//! therefore still `Spanner::greedy()` of the live original, bit for bit;
+//! only the work changes. On `live-churn` about two thirds of the rebuild
+//! queries are skipped.
+//!
+//! The store's ids are original edge ids, so it follows the original
+//! through every generation compaction (remapped with
+//! [`spanner_graph::CompactedRebuild::remap`]; a witness through a dropped
+//! edge is dropped). It starts empty after [`LiveSpanner::new`] and after
+//! recovery: skipping is a pure speed-up whose decisions equal the query's,
+//! so a replayed history reproduces every decision with or without it. The
+//! filter-then-commit loop of a multi-worker pool ignores the store; its
+//! rebuilds neither read nor write witnesses. [`BatchOutcome::witness_skips`]
+//! counts the skipped queries.
+//!
 //! Between rebuilds the spanner can carry edges that later insertions made
 //! redundant, so it may be larger than the greedy spanner of the current
 //! graph; the next rebuild drops them. A wrapped output from a construction
@@ -73,10 +112,10 @@ use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use spanner_graph::{CsrGraph, EnginePool, VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, EdgeId, EnginePool, VertexId, WeightedGraph};
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::greedy::{greedy_into, spanner_for_candidates};
+use crate::greedy::{greedy_into, spanner_for_candidates, WitnessReuse, WitnessStore};
 
 /// One mutation of the original graph, applied through [`LiveSpanner::apply`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,7 +343,9 @@ pub struct UpdateStats {
     /// Edges of rebuilt spanners that the spanner before the rebuild lacked,
     /// not counting the rebuilding batch's own insertions.
     pub repaired: u64,
-    /// Wall time spent in greedy rebuilds.
+    /// Wall time spent in greedy rebuilds by this process: snapshots store
+    /// it as zero, so after a recovery it counts only the replayed and later
+    /// rebuilds.
     pub repair_time: Duration,
     /// Spanner epochs advanced by updates: one per admitted insertion on an
     /// incremental batch, one per rebuild. Original-graph-only mutations do
@@ -313,7 +354,8 @@ pub struct UpdateStats {
     /// Greedy rebuilds run: one per batch that deleted or reweighted a
     /// spanner edge.
     pub recertifications: u64,
-    /// Total wall time spent inside [`LiveSpanner::apply`].
+    /// Total wall time spent inside [`LiveSpanner::apply`] (and WAL replay)
+    /// by this process; like `repair_time`, snapshots store it as zero.
     pub elapsed: Duration,
     /// Generation compactions of the original graph: a tombstone-dominated
     /// original re-packed so memory stays bounded under unbounded churn.
@@ -355,6 +397,12 @@ pub struct BatchOutcome {
     /// Generation compactions of the original graph this batch triggered
     /// (0 or 1).
     pub compactions: usize,
+    /// Rebuild candidates rejected through the witness of the previous
+    /// rebuild, without a search (0 unless the batch rebuilt on one worker;
+    /// see the [module docs](crate::update)). A pure function of the
+    /// store's history, so it is not persisted: the first rebuild after
+    /// [`LiveSpanner::new`] or a recovery skips nothing.
+    pub witness_skips: usize,
 }
 
 /// A built spanner held open for live updates; see the
@@ -384,6 +432,10 @@ pub struct LiveSpanner {
     compaction_threshold: f64,
     /// The attached store (WAL + snapshot directory), when persisting.
     durability: Option<crate::persist::Durability>,
+    /// The covering paths of the last rebuild's rejected candidates, keyed
+    /// by `original` edge id: written by every rebuild, remapped at every
+    /// generation compaction, and empty after construction and recovery.
+    witnesses: WitnessStore,
 }
 
 impl LiveSpanner {
@@ -452,6 +504,7 @@ impl LiveSpanner {
             provenance,
             compaction_threshold,
             durability: None,
+            witnesses: WitnessStore::default(),
         }
     }
 
@@ -622,12 +675,14 @@ impl LiveSpanner {
                 .append_edge(VertexId(u as usize), VertexId(v as usize), w);
         }
         let mut repaired = 0usize;
+        let mut witness_skips = 0usize;
         let mut repair_time = Duration::ZERO;
         let admitted = if rebuild {
             let t0 = Instant::now();
-            let (admitted, fresh) = self.rebuild(first_insert);
+            let (admitted, fresh, skips) = self.rebuild(first_insert);
             repair_time = t0.elapsed();
             repaired = fresh;
+            witness_skips = skips;
             self.stats.recertifications += 1;
             self.stats.repair_time += repair_time;
             admitted
@@ -636,9 +691,15 @@ impl LiveSpanner {
                 a.2.total_cmp(&b.2)
                     .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
             });
-            greedy_into(&mut self.spanner, &mut self.pool, &inserts, self.stretch)
-                .added
-                .len()
+            greedy_into(
+                &mut self.spanner,
+                &mut self.pool,
+                &inserts,
+                self.stretch,
+                None,
+            )
+            .added
+            .len()
         };
         let rejected = inserts.len() - admitted;
 
@@ -647,10 +708,13 @@ impl LiveSpanner {
         // generation (order-preserving id densification, so the greedy
         // order of a later rebuild is unchanged). The trigger is a pure
         // function of graph state, so every thread count and every WAL
-        // replay compacts at exactly the same batches.
+        // replay compacts at exactly the same batches. The witness store
+        // follows the ids into the new generation.
         let mut compactions = 0usize;
         if should_compact(&self.original, self.compaction_threshold) {
-            self.original = self.original.rebuild_compacted().graph;
+            let rebuilt = self.original.rebuild_compacted();
+            self.witnesses = self.witnesses.remap(&rebuilt.remap);
+            self.original = rebuilt.graph;
             compactions += 1;
         }
 
@@ -675,32 +739,44 @@ impl LiveSpanner {
             repair_time,
             full_certification: rebuild,
             compactions,
+            witness_skips,
         }
     }
 
     /// Replaces the spanner with the greedy spanner of the live original,
-    /// stamped one epoch past the spanner it replaces. Returns how many
-    /// rebuilt edges are this batch's insertions (original ids at or past
-    /// `first_insert`) and how many others the replaced spanner lacked.
-    fn rebuild(&mut self, first_insert: usize) -> (usize, usize) {
-        // The order `Spanner::greedy()` gives `original.to_weighted_graph()`:
-        // non-decreasing weight, ties by canonical endpoints, then by edge
-        // id (the sort is stable, and `to_weighted_graph` keeps id order).
-        let mut order: Vec<(usize, (u32, u32, f64))> = self
-            .original
-            .live_edges()
-            .map(|(id, u, v, w)| (id.index(), (u.index() as u32, v.index() as u32, w)))
+    /// stamped one epoch past the spanner it replaces, and the witness
+    /// store with the rebuild's. Returns how many rebuilt edges are this
+    /// batch's insertions (original ids at or past `first_insert`), how
+    /// many others the replaced spanner lacked, and how many candidates a
+    /// stored witness rejected.
+    fn rebuild(&mut self, first_insert: usize) -> (usize, usize, usize) {
+        let ids = greedy_order(&self.original);
+        let candidates: Vec<(u32, u32, f64)> = ids
+            .iter()
+            .map(|&id| {
+                let (u, v, w) = self.original.edge(EdgeId(id as usize));
+                (u.index() as u32, v.index() as u32, w)
+            })
             .collect();
-        order.sort_by(|(_, a), (_, b)| {
-            a.2.total_cmp(&b.2)
-                .then_with(|| canonical(a.0, a.1).cmp(&canonical(b.0, b.1)))
-        });
-        let candidates: Vec<(u32, u32, f64)> = order.iter().map(|&(_, c)| c).collect();
         let mut spanner = spanner_for_candidates(
             self.original.num_vertices(),
             candidates.iter().map(|&(u, v, _)| (u, v)),
         );
-        let added = greedy_into(&mut spanner, &mut self.pool, &candidates, self.stretch).added;
+        let mut witnesses = WitnessReuse::new(
+            &ids,
+            self.original.edge_id_bound(),
+            std::mem::take(&mut self.witnesses),
+        );
+        let added = greedy_into(
+            &mut spanner,
+            &mut self.pool,
+            &candidates,
+            self.stretch,
+            Some(&mut witnesses),
+        )
+        .added;
+        let skips = witnesses.skips;
+        self.witnesses = witnesses.next;
 
         let mut before: HashMap<(u32, u32, u64), usize> = HashMap::new();
         for (_, u, v, w) in self.spanner.live_edges() {
@@ -709,8 +785,8 @@ impl LiveSpanner {
         }
         let (mut admitted, mut repaired) = (0usize, 0usize);
         for &i in &added {
-            let (id, (u, v, w)) = order[i];
-            if id >= first_insert {
+            let (u, v, w) = candidates[i];
+            if ids[i] as usize >= first_insert {
                 admitted += 1;
                 continue;
             }
@@ -728,7 +804,7 @@ impl LiveSpanner {
             spanner.live_edges().map(|(_, u, v, w)| (u, v, w, true)),
         )
         .expect("greedy keeps valid original edges");
-        (admitted, repaired)
+        (admitted, repaired, skips)
     }
 
     /// Pre-validates a batch against a simulation of its own effects, so
@@ -794,6 +870,24 @@ impl LiveSpanner {
 /// counts and WAL replays.
 fn should_compact(graph: &CsrGraph, threshold: f64) -> bool {
     graph.dead_edges() >= COMPACTION_MIN_DEAD && graph.tombstoned_fraction() >= threshold
+}
+
+/// The live edge ids of `original` in the order `Spanner::greedy()` gives
+/// `original.to_weighted_graph()`: non-decreasing weight, ties by canonical
+/// endpoints, then by edge id (that sort is stable, and `to_weighted_graph`
+/// keeps id order). Weights are positive and finite, so their bit patterns
+/// order like the weights, and ids are unique, so an unstable sort of
+/// packed keys gives exactly that order.
+fn greedy_order(original: &CsrGraph) -> Vec<u32> {
+    let mut keys: Vec<(u64, u32, u32, u32)> = original
+        .live_edges()
+        .map(|(id, u, v, w)| {
+            let (a, b) = canonical(u.index() as u32, v.index() as u32);
+            (w.to_bits(), a, b, id.index() as u32)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(.., id)| id).collect()
 }
 
 /// Canonical unordered key of a vertex pair.
@@ -1121,6 +1215,37 @@ mod tests {
                 assert_invariant(&live);
                 assert_is_greedy_of_original(&live);
             }
+        }
+    }
+
+    #[test]
+    fn packed_key_order_equals_the_stable_comparator_order() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        for n in [2usize, 3, 5, 9] {
+            // Integer weights in {1, 2, 3} over few vertices: many ties,
+            // many parallel edges, both endpoint orders; deletions leave
+            // dead ids between the live ones.
+            let mut original = CsrGraph::new(n);
+            for _ in 0..150 {
+                let u = rng.gen_range(0..n);
+                let v = (u + rng.gen_range(1..n)) % n;
+                original.append_edge(VertexId(u), VertexId(v), rng.gen_range(1..4) as f64);
+            }
+            for id in 0..150 {
+                if rng.gen_bool(0.3) {
+                    original.remove_edge(EdgeId(id)).unwrap();
+                }
+            }
+            let mut stable: Vec<(u32, (u32, u32, f64))> = original
+                .live_edges()
+                .map(|(id, u, v, w)| (id.index() as u32, (u.index() as u32, v.index() as u32, w)))
+                .collect();
+            stable.sort_by(|(_, a), (_, b)| {
+                a.2.total_cmp(&b.2)
+                    .then_with(|| canonical(a.0, a.1).cmp(&canonical(b.0, b.1)))
+            });
+            let stable: Vec<u32> = stable.into_iter().map(|(id, _)| id).collect();
+            assert_eq!(greedy_order(&original), stable, "n = {n}");
         }
     }
 

@@ -571,6 +571,23 @@ impl CsrGraph {
         (&self.targets[a..b], &self.weights[a..b])
     }
 
+    /// [`CsrGraph::packed_neighbors`] with the slot index of the row's first
+    /// half-edge, for searches that record slots (see
+    /// [`CsrGraph::slot_edge`]).
+    #[inline]
+    pub(crate) fn packed_row(&self, u: VertexId) -> (usize, &[u32], &[f64]) {
+        let (a, b) = self.rows[u.index()];
+        let (a, b) = (a as usize, b as usize);
+        (a, &self.targets[a..b], &self.weights[a..b])
+    }
+
+    /// The id of the edge whose half-edge sits at `slot` (valid until the
+    /// next mutation).
+    #[inline]
+    pub(crate) fn slot_edge(&self, slot: usize) -> EdgeId {
+        EdgeId(self.edge_ids[slot] as usize)
+    }
+
     /// A read-only snapshot view of this graph, frozen for a parallel query
     /// phase (see [`crate::parallel::EnginePool::map_batch`]) and stamped
     /// with the epoch it froze at ([`CsrSnapshot::epoch`]).

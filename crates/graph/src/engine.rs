@@ -49,7 +49,7 @@
 use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::csr::CsrGraph;
-use crate::graph::VertexId;
+use crate::graph::{EdgeId, VertexId};
 use crate::landmarks::Landmarks;
 
 const NO_VERTEX: u32 = u32::MAX;
@@ -516,11 +516,25 @@ pub struct DijkstraEngine {
     /// the target, generation-encoded state (same encoding as `state`), and
     /// per vertex the chain step toward the target — the settled vertex
     /// that last improved it and the weight of that edge — which the
-    /// meeting certificate sums along. Retained across queries.
+    /// meeting certificate sums along. Retained across queries, and sized
+    /// only by the first admission query (see
+    /// [`DijkstraEngine::size_bidirectional`]), so engines that never run
+    /// one never touch them.
     dist_b: Vec<f64>,
     state_b: Vec<u32>,
     chain_vertex: Vec<u32>,
     chain_weight: Vec<f64>,
+    /// Witness recording of [`DijkstraEngine::within_bound_witness`]: per
+    /// vertex, the slot of the half-edge that last improved its forward
+    /// distance, and the slot of its backward chain step. Sized only by the
+    /// first witness query.
+    parent_slot: Vec<u32>,
+    chain_slot: Vec<u32>,
+    /// Where the last accepted witness query's meeting path joined its two
+    /// halves: the forward end `x`, the slot of the joining half-edge
+    /// ([`NO_VERTEX`] when the forward half reached the target itself) and
+    /// the backward end `y`.
+    meet: Option<(u32, u32, u32)>,
     /// The backward half's lazy-deletion heap.
     heap_b: BinaryHeap<HeapSlot>,
     generation: u32,
@@ -559,9 +573,21 @@ impl DijkstraEngine {
     /// once). Such an engine performs **zero heap allocations on every
     /// query** — including the first — which is the contract the greedy
     /// construction asserts through its workspace-reuse counter.
+    ///
+    /// The arrays of the bidirectional admission query and of its witness
+    /// recording are reserved here but written only by the first such query,
+    /// so an engine that never runs one (a serving or landmark engine)
+    /// touches 20 bytes per vertex, not 52.
     pub fn with_capacity_for(num_vertices: usize, num_edges: usize) -> Self {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
+        let n = num_vertices;
+        e.dist_b.reserve_exact(n);
+        e.state_b.reserve_exact(n);
+        e.chain_vertex.reserve_exact(n);
+        e.chain_weight.reserve_exact(n);
+        e.parent_slot.reserve_exact(n);
+        e.chain_slot.reserve_exact(n);
         e.reserve_heap(2 * num_edges + 2);
         // Each half of a bidirectional query pushes at most as often as a
         // one-sided query does.
@@ -597,10 +623,6 @@ impl DijkstraEngine {
         self.parent.resize(n, NO_VERTEX);
         self.state.resize(n, 0);
         self.need_mark.resize(n, 0);
-        self.dist_b.resize(n, f64::INFINITY);
-        self.state_b.resize(n, 0);
-        self.chain_vertex.resize(n, NO_VERTEX);
-        self.chain_weight.resize(n, 0.0);
         if self.ball_buf.capacity() < n {
             // `reserve_exact` takes *additional* elements beyond the current
             // length, so subtract the length, not the capacity.
@@ -609,6 +631,30 @@ impl DijkstraEngine {
         if self.need_bounds.capacity() < n {
             self.need_bounds.reserve_exact(n - self.need_bounds.len());
         }
+    }
+
+    /// Sizes the bidirectional arrays (and, with `witness`, the witness
+    /// slots) for an `n`-vertex graph on an admission query's first use.
+    /// Returns `true` if that allocated, i.e. outgrew the reservation of
+    /// [`DijkstraEngine::with_capacity_for`]. New stamps read as untouched.
+    fn size_bidirectional(&mut self, n: usize, witness: bool) -> bool {
+        fn size<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) -> bool {
+            let allocated = v.capacity() < n;
+            v.resize(n, fill);
+            allocated
+        }
+        let mut allocated = false;
+        if self.dist_b.len() < n {
+            allocated |= size(&mut self.dist_b, n, f64::INFINITY);
+            allocated |= size(&mut self.state_b, n, 0);
+            allocated |= size(&mut self.chain_vertex, n, NO_VERTEX);
+            allocated |= size(&mut self.chain_weight, n, 0.0);
+        }
+        if witness && self.parent_slot.len() < n {
+            allocated |= size(&mut self.parent_slot, n, NO_VERTEX);
+            allocated |= size(&mut self.chain_slot, n, NO_VERTEX);
+        }
+        allocated
     }
 
     /// Generation values at or above this threshold trigger a stamp reset on
@@ -1201,11 +1247,56 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
     ) -> bool {
+        self.decide::<false>(graph, source, target, bound)
+    }
+
+    /// [`DijkstraEngine::within_bound`], also recording the covering walk
+    /// behind an accept: the same verdict, bit for bit, from the same
+    /// search, which additionally writes the slot of every forward
+    /// improvement and backward chain step (a separate monomorphization,
+    /// so `within_bound` itself stores nothing extra).
+    ///
+    /// When the bidirectional search certifies a meeting path, `witness`
+    /// receives its edge ids in order from `source` to `target`: a walk in
+    /// `graph` whose left-to-right weight sum from `source` is exactly the
+    /// certificate, `≤ bound`. Any other answer leaves `witness` empty — a
+    /// rejection, `source == target`, and an accept that fell back to the
+    /// one-sided search (which records no path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either vertex is out of range.
+    pub fn within_bound_witness(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        target: VertexId,
+        bound: f64,
+        witness: &mut Vec<EdgeId>,
+    ) -> bool {
+        witness.clear();
+        self.meet = None;
+        let within = self.decide::<true>(graph, source, target, bound);
+        if let Some((x, join, y)) = self.meet.filter(|_| within) {
+            self.write_witness(graph, source.index() as u32, x, join, y, witness);
+        }
+        within
+    }
+
+    /// The admission query behind [`DijkstraEngine::within_bound`] and
+    /// [`DijkstraEngine::within_bound_witness`].
+    fn decide<const WITNESS: bool>(
+        &mut self,
+        graph: &CsrGraph,
+        source: VertexId,
+        target: VertexId,
+        bound: f64,
+    ) -> bool {
         let n = graph.num_vertices();
         assert!(source.index() < n, "source vertex out of range");
         assert!(target.index() < n, "target vertex out of range");
         let bound = search_bound(bound);
-        let grew = self.begin_query(n);
+        let grew = self.begin_query(n) | self.size_bidirectional(n, WITNESS);
         let mut fwd = std::mem::take(&mut self.heap);
         let mut bwd = std::mem::take(&mut self.heap_b);
         bwd.clear();
@@ -1216,7 +1307,7 @@ impl DijkstraEngine {
             // sum above a negative (or NaN) bound.
             Some(s == t && 0.0 <= bound)
         } else {
-            self.bidirectional(&mut fwd, &mut bwd, graph, s, t, bound)
+            self.bidirectional::<WITNESS>(&mut fwd, &mut bwd, graph, s, t, bound)
         };
         let within = verdict.unwrap_or_else(|| {
             self.stats.bidirectional_fallbacks += 1;
@@ -1248,8 +1339,9 @@ impl DijkstraEngine {
     /// `Some(verdict)` when decided, `None` when a meeting path fell in the
     /// rounding band and only the one-sided search can decide. The side
     /// with the shorter queue expands next (Pohl's cardinality rule), ties
-    /// to the smaller queue top, then to the forward side.
-    fn bidirectional(
+    /// to the smaller queue top, then to the forward side. With `WITNESS`,
+    /// an accept leaves its meeting point in `meet`.
+    fn bidirectional<const WITNESS: bool>(
         &mut self,
         fwd: &mut BinaryHeap<HeapSlot>,
         bwd: &mut BinaryHeap<HeapSlot>,
@@ -1297,7 +1389,7 @@ impl DijkstraEngine {
             self.stats.settled_vertices += 1;
             let accepted = if backward {
                 self.state_b[u as usize] = gen + 1;
-                self.meet_row::<true>(
+                self.meet_row::<true, WITNESS>(
                     queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
                 )
             } else {
@@ -1305,9 +1397,12 @@ impl DijkstraEngine {
                 if u == t {
                     // The forward half is the one-sided search pruned at
                     // `B' ≥ bound`: its distance at the target is `D`.
+                    if WITNESS {
+                        self.meet = Some((t, NO_VERTEX, t));
+                    }
                     return Some(d <= bound);
                 }
-                self.meet_row::<false>(
+                self.meet_row::<false, WITNESS>(
                     queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
                 )
             };
@@ -1324,7 +1419,7 @@ impl DijkstraEngine {
     /// certified within `bound`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn meet_row<const BACKWARD: bool>(
+    fn meet_row<const BACKWARD: bool, const WITNESS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
         other_len: usize,
@@ -1336,10 +1431,20 @@ impl DijkstraEngine {
         relaxed: f64,
         band: &mut bool,
     ) -> bool {
-        let (targets, weights) = graph.packed_neighbors(VertexId(u as usize));
-        for (&v, &w) in targets.iter().zip(weights) {
-            if self.meet_or_relax::<BACKWARD>(
-                queue, other_len, u, v as usize, w, d, gen, bound, relaxed, band,
+        let (start, targets, weights) = graph.packed_row(VertexId(u as usize));
+        for (i, (&v, &w)) in targets.iter().zip(weights).enumerate() {
+            if self.meet_or_relax::<BACKWARD, WITNESS>(
+                queue,
+                other_len,
+                u,
+                v as usize,
+                w,
+                (start + i) as u32,
+                d,
+                gen,
+                bound,
+                relaxed,
+                band,
             ) {
                 return true;
             }
@@ -1347,24 +1452,26 @@ impl DijkstraEngine {
         false
     }
 
-    /// One bidirectional relaxation of the half-edge `u → v` of weight `w`,
-    /// `u` settled by the forward (or, with `BACKWARD`, the backward) half
-    /// at distance `d`. Sums above the relaxed bound are pruned. If the
-    /// other half has reached `v`, the meeting estimate is checked against
-    /// the relaxed bound and, within it, the meeting path's exact
-    /// certificate against `bound` (returning `true` on success; a failed
-    /// certificate marks the band). Then `v` is relaxed as in
+    /// One bidirectional relaxation of the half-edge `u → v` of weight `w`
+    /// at `slot`, `u` settled by the forward (or, with `BACKWARD`, the
+    /// backward) half at distance `d`. Sums above the relaxed bound are
+    /// pruned. If the other half has reached `v`, the meeting estimate is
+    /// checked against the relaxed bound and, within it, the meeting path's
+    /// exact certificate against `bound` (returning `true` on success; a
+    /// failed certificate marks the band). Then `v` is relaxed as in
     /// [`DijkstraEngine::relax`]; the backward half also records `v`'s
-    /// chain step.
+    /// chain step. With `WITNESS`, an improvement also records its slot and
+    /// an accept its meeting point.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn meet_or_relax<const BACKWARD: bool>(
+    fn meet_or_relax<const BACKWARD: bool, const WITNESS: bool>(
         &mut self,
         queue: &mut BinaryHeap<HeapSlot>,
         other_len: usize,
         u: u32,
         v: usize,
         w: f64,
+        slot: u32,
         d: f64,
         gen: u32,
         bound: f64,
@@ -1384,12 +1491,15 @@ impl DijkstraEngine {
         if other_state[v] >= gen && nd + other_dist[v] <= relaxed {
             // The meeting path `s ⇝ x — y ⇝ t`: forward distance at `x`,
             // the edge, then `y`'s chain to the target.
-            let (head, y) = if BACKWARD {
-                (self.dist[v] + w, u)
+            let (head, x, y) = if BACKWARD {
+                (self.dist[v] + w, v as u32, u)
             } else {
-                (nd, v as u32)
+                (nd, u, v as u32)
             };
             if self.chain_sum(head, y) <= bound {
+                if WITNESS {
+                    self.meet = Some((x, slot, y));
+                }
                 return true;
             }
             *band = true;
@@ -1410,6 +1520,13 @@ impl DijkstraEngine {
                 self.chain_vertex[v] = u;
                 self.chain_weight[v] = w;
             }
+            if WITNESS {
+                if BACKWARD {
+                    self.chain_slot[v] = slot;
+                } else {
+                    self.parent_slot[v] = slot;
+                }
+            }
             queue.push(HeapSlot {
                 dist: nd,
                 vertex: v as u32,
@@ -1417,6 +1534,40 @@ impl DijkstraEngine {
             self.last_frontier = self.last_frontier.max(queue.len() + other_len);
         }
         false
+    }
+
+    /// Writes the meeting path `s ⇝ x — y ⇝ t` of the last accepted witness
+    /// query into `witness` as edge ids from `s`: the forward parents of
+    /// `x` (each slot's edge leads back to the other endpoint, a vertex
+    /// settled earlier, so the walk ends at `s`), the joining half-edge,
+    /// then `y`'s chain. Every recorded step is the one that set its
+    /// vertex's current distance, so the walk's left-to-right sum is the
+    /// certificate the query accepted.
+    fn write_witness(
+        &self,
+        graph: &CsrGraph,
+        s: u32,
+        x: u32,
+        join: u32,
+        y: u32,
+        witness: &mut Vec<EdgeId>,
+    ) {
+        let mut v = x;
+        while v != s {
+            let id = graph.slot_edge(self.parent_slot[v as usize] as usize);
+            witness.push(id);
+            let (a, b, _) = graph.edge(id);
+            v = if a.index() as u32 == v { b } else { a }.index() as u32;
+        }
+        witness.reverse();
+        if join != NO_VERTEX {
+            witness.push(graph.slot_edge(join as usize));
+        }
+        let mut y = y;
+        while self.chain_vertex[y as usize] != NO_VERTEX {
+            witness.push(graph.slot_edge(self.chain_slot[y as usize] as usize));
+            y = self.chain_vertex[y as usize];
+        }
     }
 
     /// Continues the left-to-right sum `head` from `y` along the backward
@@ -3208,6 +3359,41 @@ mod tests {
         e.reset_stats();
         let within = e.within_bound(&csr, s, t, bound_of(d));
         (d, within, e.stats())
+    }
+
+    #[test]
+    fn only_admission_queries_size_the_bidirectional_arrays() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let g = crate::generators::erdos_renyi_connected(60, 0.1, 1.0..10.0, &mut rng);
+        let csr = CsrGraph::from(&g);
+        let mut engine = DijkstraEngine::with_capacity_for(60, g.num_edges());
+        // A serving engine: trees, balls and point queries touch only the
+        // 20 bytes per vertex of the one-sided search.
+        engine.shortest_path_tree(&csr, VertexId(3));
+        engine.ball(&csr, VertexId(5), 4.0);
+        engine.bounded_distance(&csr, VertexId(1), VertexId(40), 9.0);
+        assert_eq!(engine.dist_b.len(), 0);
+        assert_eq!(engine.parent_slot.len(), 0);
+        // An admission query sizes the bidirectional arrays, a witness
+        // query the witness slots too, all inside the reservation.
+        engine.within_bound(&csr, VertexId(1), VertexId(40), 9.0);
+        assert_eq!(engine.state_b.len(), 60);
+        assert_eq!(engine.chain_slot.len(), 0);
+        let mut walk = Vec::new();
+        engine.within_bound_witness(&csr, VertexId(1), VertexId(40), 9.0, &mut walk);
+        assert_eq!(engine.chain_slot.len(), 60);
+        let stats = engine.stats();
+        assert_eq!(
+            stats.reuse_hits, stats.queries,
+            "a pre-sized engine allocated"
+        );
+        // The wrap reset clears exactly the sized stamps, and answers hold.
+        engine.force_generation_wrap();
+        let want = engine.bounded_distance(&csr, VertexId(7), VertexId(50), 12.0);
+        engine.force_generation_wrap();
+        let got = engine.within_bound_witness(&csr, VertexId(7), VertexId(50), 12.0, &mut walk);
+        assert_eq!(got, want.is_some());
+        assert_eq!(engine.stats().generation_wraps, 2);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!
 //! The decimal-weight path at `next_down(D)` drives the rounding-band
 //! fallback, which the suite asserts actually runs.
+//!
+//! Every question is also put to `within_bound_witness` on a third engine:
+//! its verdict must equal `within_bound`'s, and the walk it records behind
+//! an accept must be a `source`–`target` walk of live edges whose
+//! left-to-right weight sum is within the bound (no walk only for
+//! `source == target` and for an accept the fallback decided).
 
 use proptest::prelude::*;
 
@@ -30,6 +36,11 @@ use spanner_graph::{CsrGraph, DijkstraEngine, EdgeId, VertexId, WeightedGraph};
 struct Pair {
     reference: DijkstraEngine,
     tested: DijkstraEngine,
+    /// Answers the same questions through `within_bound_witness`.
+    witness: DijkstraEngine,
+    walk: Vec<EdgeId>,
+    /// Accepts that recorded a walk.
+    walks: usize,
     disagreements: Vec<String>,
 }
 
@@ -38,6 +49,9 @@ impl Pair {
         Pair {
             reference: DijkstraEngine::new(),
             tested: DijkstraEngine::with_capacity_for(n, m),
+            witness: DijkstraEngine::with_capacity_for(n, m),
+            walk: Vec::new(),
+            walks: 0,
             disagreements: Vec::new(),
         }
     }
@@ -50,6 +64,25 @@ impl Pair {
         if want != got {
             self.disagreements.push(format!(
                 "{s:?} -> {t:?} at bound {bound:e}: within_bound {got}, bounded_distance {want}"
+            ));
+        }
+        let fallbacks = self.witness.stats().bidirectional_fallbacks;
+        let witnessed = self
+            .witness
+            .within_bound_witness(csr, s, t, bound, &mut self.walk);
+        let fell_back = self.witness.stats().bidirectional_fallbacks > fallbacks;
+        self.walks += usize::from(!self.walk.is_empty());
+        if let Some(fault) = walk_fault(csr, s, t, bound, witnessed, fell_back, &self.walk) {
+            self.disagreements.push(format!(
+                "{s:?} -> {t:?} at bound {bound:e}: within_bound_witness {witnessed} \
+                 (within_bound {got}), walk {:?}: {fault}",
+                self.walk
+            ));
+        }
+        if witnessed != got {
+            self.disagreements.push(format!(
+                "{s:?} -> {t:?} at bound {bound:e}: within_bound_witness {witnessed}, \
+                 within_bound {got}"
             ));
         }
     }
@@ -93,8 +126,54 @@ impl Pair {
         );
         let stats = self.tested.stats();
         assert_eq!(stats.reuse_hits, stats.queries, "{what}: allocated");
+        let stats = self.witness.stats();
+        assert_eq!(
+            stats.reuse_hits, stats.queries,
+            "{what}: witness engine allocated"
+        );
         self.tested
     }
+}
+
+/// What is wrong with the walk `within_bound_witness` recorded, if
+/// anything: an accept decided by the bidirectional search (`s ≠ t`, no
+/// fallback) must record a walk of live edges from `s` to `t` whose
+/// left-to-right weight sum from `s` is within the bound (an overflowed
+/// sum is no path); every other answer records none.
+fn walk_fault(
+    csr: &CsrGraph,
+    s: VertexId,
+    t: VertexId,
+    bound: f64,
+    within: bool,
+    fell_back: bool,
+    walk: &[EdgeId],
+) -> Option<String> {
+    if !within || s == t || fell_back {
+        return (!walk.is_empty()).then(|| "a walk without a bidirectional accept".into());
+    }
+    if walk.is_empty() {
+        return Some("an accept recorded no walk".into());
+    }
+    let (mut at, mut sum) = (s, 0.0);
+    for &id in walk {
+        if !csr.is_edge_live(id) {
+            return Some(format!("edge {id:?} is not live"));
+        }
+        let (a, b, w) = csr.edge(id);
+        at = if at == a {
+            b
+        } else if at == b {
+            a
+        } else {
+            return Some(format!("edge {id:?} does not continue the walk at {at:?}"));
+        };
+        sum += w;
+    }
+    if at != t {
+        return Some(format!("the walk ends at {at:?}"));
+    }
+    (sum > bound.min(f64::MAX)).then(|| format!("the walk sums to {sum:e}"))
 }
 
 /// An `n`-vertex graph with edge probability `p` and weights from `weight`.
@@ -205,6 +284,7 @@ proptest! {
             let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
             pair.ask_tight(&csr, s, t, &mut rng, 3);
         }
+        prop_assert!(pair.walks > 0, "no accept recorded a walk");
         pair.finish(&format!("er, n {n}, seed {seed}"));
     }
 }
@@ -297,8 +377,10 @@ fn within_bound_matches_after_a_generation_wrap() {
     // Pollute both lanes' stamps, then force the wrap reset mid-stream.
     pair.ask_all_pairs(&csr, &mut rng, 1);
     pair.tested.force_generation_wrap();
+    pair.witness.force_generation_wrap();
     pair.ask_all_pairs(&csr, &mut rng, 1);
     pair.tested.force_generation_wrap();
+    pair.witness.force_generation_wrap();
     pair.ask_all_pairs(&csr, &mut rng, 1);
     let tested = pair.finish("generation wrap");
     assert_eq!(tested.stats().generation_wraps, 2);

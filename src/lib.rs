@@ -131,7 +131,9 @@
 //! [`SpannerOutput::live`](greedy_spanner::SpannerOutput::live): insertions
 //! run the greedy admission rule against the current spanner, and a batch
 //! that deletes or reweights a spanner edge rebuilds it with greedy over
-//! the live original, so the stretch-`t` invariant holds after every batch
+//! the live original (rejecting, without a search, each candidate whose
+//! covering walk from the last rebuild survives), so the stretch-`t`
+//! invariant holds after every batch
 //! ([`UpdateStats`](greedy_spanner::UpdateStats)). A live
 //! [`SpannerServer`](greedy_spanner::SpannerServer) interleaves query and
 //! update batches, lazily invalidating epoch-stamped cached trees — and

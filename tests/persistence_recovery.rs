@@ -271,3 +271,57 @@ fn checkpoints_shorten_replay() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every file of a store, by name, with its bytes.
+fn store_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("readable store file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Snapshots carry no wall-clock values: one stream applied to two fresh
+/// stores (rebuilds, compaction-triggered snapshots and a checkpoint
+/// included) writes the same files, byte for byte.
+#[test]
+fn one_stream_writes_byte_identical_stores() {
+    let mut rng = SmallRng::seed_from_u64(13);
+    let g = erdos_renyi_connected(30, 0.3, 1.0..10.0, &mut rng);
+    let batches = update_stream(&g, 24, 8, 0xB17E);
+    let run = |name: &str| {
+        let dir = fresh_dir(name);
+        let mut live = live_for(&g, 2.0, 1).with_compaction_threshold(0.1);
+        live.persist_to(&dir).expect("fresh store");
+        for (i, batch) in batches.iter().enumerate() {
+            live.apply(batch).expect("valid batch");
+            if i == batches.len() / 2 {
+                let name = spanner_store::snapshot_file_name(live.stats().batches, live.epoch());
+                live.checkpoint(&dir.join(name)).expect("checkpoint");
+            }
+        }
+        assert!(live.stats().recertifications > 0, "no batch rebuilt");
+        assert!(live.stats().compactions > 0, "no batch compacted");
+        drop(live);
+        let files = store_files(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        files
+    };
+    let (first, second) = (run("bytes-a"), run("bytes-b"));
+    let names: Vec<&str> = first.iter().map(|(name, _)| name.as_str()).collect();
+    assert!(
+        names.len() >= 4,
+        "expected a WAL and several snapshots: {names:?}"
+    );
+    assert!(names.contains(&spanner_store::WAL_FILE_NAME), "{names:?}");
+    for ((name_a, bytes_a), (name_b, bytes_b)) in first.iter().zip(&second) {
+        assert_eq!(name_a, name_b);
+        assert!(bytes_a == bytes_b, "{name_a} differs between the two runs");
+    }
+    assert_eq!(first.len(), second.len());
+}
