@@ -2,7 +2,8 @@
 //! algorithm that consumes planar point sets, via the unified pipeline, plus
 //! the CSR-substrate headline: greedy construction wall time on an
 //! Erdős–Rényi n = 2000 workload, engine-backed vs the legacy
-//! allocation-per-query path, in the same run's report.
+//! allocation-per-query path, in the same run's report, and the
+//! parallel-scaling rows of exact metric greedy.
 
 use std::time::Instant;
 
@@ -101,28 +102,33 @@ fn bench_er2000_legacy_vs_csr(c: &mut Criterion) {
     );
 }
 
-/// The parallel-scaling headline: greedy construction of the er2000
-/// workload through the batched filter-then-commit loop at 1/2/4/8
-/// threads. The BENCH_JSON rows (`parallel_scaling/er2000_greedy_threads/k`)
-/// are the artifact CI archives as `bench-parallel-scaling.jsonl`; the
-/// speedup is mean(threads=1) / mean(threads=k). The outputs are asserted
-/// identical across thread counts — the determinism guarantee is part of
-/// what this bench certifies.
+/// The parallel-scaling headline: exact metric greedy on 400 uniform
+/// points at `t = 1.5` through the batched filter-then-commit loop at
+/// 1/2/4/8 threads — the one input kind that runs it (graph inputs run the
+/// sequential loop at every thread count). The BENCH_JSON rows
+/// (`parallel_scaling/metric400_greedy_threads/k`) are the artifact CI
+/// archives as `bench-parallel-scaling.jsonl`; the speedup is
+/// mean(threads=1) / mean(threads=k). The outputs are asserted identical
+/// across thread counts — the determinism guarantee is part of what this
+/// bench certifies.
 fn bench_parallel_scaling(c: &mut Criterion) {
-    let n = 2000usize;
-    let g = random_graph(n, DEFAULT_SEED);
-    let stretch = 2.0;
+    let n = 400usize;
+    let points = uniform_square(n, DEFAULT_SEED);
+    // Materialized once, outside the timed region.
+    let complete = points.to_complete_graph();
+    let input = SpannerInput::prepared_euclidean2(&points, &complete);
+    let stretch = 1.5;
     let thread_counts = [1usize, 2, 4, 8];
 
     let mut group = c.benchmark_group("parallel_scaling");
     group.sample_size(5);
     for &threads in &thread_counts {
-        group.bench_function(BenchmarkId::new("er2000_greedy_threads", threads), |b| {
+        group.bench_function(BenchmarkId::new("metric400_greedy_threads", threads), |b| {
             b.iter(|| {
                 Spanner::greedy()
                     .stretch(stretch)
                     .threads(threads)
-                    .build(&g)
+                    .build(input)
                     .expect("valid stretch")
                     .spanner
                     .num_edges()
@@ -141,20 +147,19 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         let out = Spanner::greedy()
             .stretch(stretch)
             .threads(threads)
-            .build(&g)
+            .build(input)
             .unwrap();
         let elapsed = start.elapsed();
-        let baseline_edges = *baseline.get_or_insert(out.spanner.num_edges());
+        let baseline_spanner = baseline.get_or_insert_with(|| out.spanner.clone());
         assert_eq!(
-            out.spanner.num_edges(),
-            baseline_edges,
+            &out.spanner, baseline_spanner,
             "thread count changed the greedy output"
         );
         let speedup =
             one_thread_time.get_or_insert(elapsed).as_secs_f64() / elapsed.as_secs_f64().max(1e-12);
         println!(
-            "parallel_scaling er2000 greedy t={stretch} threads={threads}: {elapsed:?} \
-             ({speedup:.2}x vs 1 thread), {} batches, {} recheck hits, {} queries, \
+            "parallel_scaling metric greedy (n={n} uniform points, t={stretch}) threads={threads}: \
+             {elapsed:?} ({speedup:.2}x vs 1 thread), {} batches, {} recheck hits, {} queries, \
              utilization {:.2}",
             out.stats.batches,
             out.stats.batch_recheck_hits,

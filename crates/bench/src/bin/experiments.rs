@@ -20,9 +20,10 @@
 //!
 //! **Threads.** Every construction honors the `SPANNER_THREADS` environment
 //! variable (the tables use configs that leave `threads` at 0, so
-//! [`SpannerConfig::resolve_threads`] reads the env): single builds run the
-//! batched filter-then-commit loop with that many workers, and the E10
-//! batch runner spends the same budget on cell-level parallelism. Outputs
+//! [`SpannerConfig::resolve_threads`] reads the env): greedy and
+//! approximate greedy on metric inputs run the batched filter-then-commit
+//! loop with that many workers (graph inputs run the sequential loop), and
+//! the E10 batch runner spends the same budget on cell-level parallelism. Outputs
 //! are bit-identical at every thread count — `SPANNER_THREADS=8` changes
 //! how fast the tables regenerate, never a number in them (wall-time
 //! columns aside).

@@ -263,11 +263,11 @@ pub struct SpannerConfig {
     pub seed: u64,
     /// Hub vertex for the star baseline.
     pub hub: usize,
-    /// Worker threads for the parallel filter-then-commit constructions and
-    /// the batch runner. `0` (the default) means *auto*: the
-    /// `SPANNER_THREADS` environment variable if set, otherwise 1. The
-    /// output is bit-identical at every thread count, so this is purely a
-    /// throughput knob; see [`SpannerConfig::resolve_threads`].
+    /// Worker threads for the filter-then-commit loop of metric inputs
+    /// (greedy on a graph runs the sequential loop at every count), the
+    /// batch runner and sharded builds. `0` (the default) means *auto*:
+    /// `SPANNER_THREADS` if set, otherwise one. Outputs are bit-identical
+    /// at every count; see [`SpannerConfig::resolve_threads`].
     pub threads: usize,
 }
 
@@ -391,18 +391,19 @@ pub struct RunStats {
     /// workspace, so this equals [`RunStats::distance_queries`] for them; a
     /// shortfall means the substrate allocated mid-construction.
     pub workspace_reuse_hits: usize,
-    /// Weight-class batches the parallel filter-then-commit loop processed;
-    /// zero on the sequential (`threads = 1`) path and for constructions
-    /// without a batched loop. Batch boundaries depend only on the candidate
-    /// weights, never on the thread count.
+    /// Weight-class batches the filter-then-commit loop processed; zero on
+    /// the sequential path (every graph input, and `threads = 1`) and for
+    /// constructions without a batched loop. Batch boundaries depend only
+    /// on the candidate weights, never on the thread count.
     pub batches: usize,
     /// Filter survivors the sequential commit phase re-checked and rejected
     /// because an edge committed *earlier in the same batch* already covered
     /// them — the price of filtering against a frozen snapshot, and the
     /// reason the parallel output still equals the sequential one exactly.
     pub batch_recheck_hits: usize,
-    /// Worker threads the construction ran with (1 = sequential path; 0 for
-    /// constructions that do not report a thread count).
+    /// Worker threads the construction ran with (1 = sequential path, which
+    /// greedy on a graph input always runs; 0 for constructions that do not
+    /// report a thread count).
     pub threads_used: usize,
     /// Mean busy fraction of the worker pool across the parallel filter
     /// phases (`1.0` = perfectly balanced or sequential; `0.0` when the

@@ -54,8 +54,10 @@ impl SpannerAlgorithm for Greedy {
             if input.as_metric().is_some() && input.is_empty() {
                 return Err(SpannerError::EmptyInput);
             }
+            // Graph inputs run the sequential loop (see `greedy`'s docs).
+            let threads = input.as_metric().map_or(1, |_| config.resolve_threads());
             let graph = input.try_to_graph()?;
-            let result = run_greedy(&graph, config.stretch, config.resolve_threads())?;
+            let result = run_greedy(&graph, config.stretch, threads)?;
             let stats = RunStats {
                 edges_examined: result.edges_examined(),
                 edges_added: result.edges_added(),
@@ -525,21 +527,17 @@ mod tests {
     #[test]
     fn threads_config_changes_no_output_and_surfaces_parallel_stats() {
         let mut rng = SmallRng::seed_from_u64(19);
-        let g = erdos_renyi_connected(50, 0.3, 1.0..10.0, &mut rng);
-        let input = SpannerInput::from(&g);
-        let sequential = Greedy
-            .build(
-                &input,
-                &SpannerConfig {
-                    threads: 1,
-                    ..SpannerConfig::for_stretch(2.0)
-                },
-            )
-            .unwrap();
+        let points = uniform_points::<2, _>(50, &mut rng);
+        let input = SpannerInput::from(&points);
+        let one_thread = |t| SpannerConfig {
+            threads: 1,
+            ..SpannerConfig::for_stretch(t)
+        };
+        let sequential = Greedy.build(&input, &one_thread(1.5)).unwrap();
         for threads in [2, 4, 8] {
             let config = SpannerConfig {
                 threads,
-                ..SpannerConfig::for_stretch(2.0)
+                ..SpannerConfig::for_stretch(1.5)
             };
             let parallel = Greedy.build(&input, &config).unwrap();
             assert_eq!(parallel.spanner, sequential.spanner, "threads = {threads}");
@@ -552,6 +550,22 @@ mod tests {
             assert!(config.describe().contains(&format!("threads={threads}")));
         }
         assert_eq!(sequential.stats.batches, 0, "sequential path never batches");
+
+        // A graph input runs the sequential loop at every thread count.
+        let g = erdos_renyi_connected(50, 0.3, 1.0..10.0, &mut rng);
+        let graph_input = SpannerInput::from(&g);
+        let reference = Greedy.build(&graph_input, &one_thread(2.0)).unwrap();
+        for threads in [2, 8] {
+            let config = SpannerConfig {
+                threads,
+                ..SpannerConfig::for_stretch(2.0)
+            };
+            let out = Greedy.build(&graph_input, &config).unwrap();
+            assert_eq!(out.spanner, reference.spanner, "threads = {threads}");
+            assert_eq!(out.stats.threads_used, 1);
+            assert_eq!(out.stats.batches, 0);
+            assert_eq!(out.stats.distance_queries, reference.stats.distance_queries);
+        }
     }
 
     #[test]

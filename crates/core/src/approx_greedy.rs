@@ -33,7 +33,7 @@ use spanner_metric::MetricSpace;
 
 use crate::bounded_degree::bounded_degree_spanner;
 use crate::error::{validate_epsilon, SpannerError};
-use crate::greedy::{greedy_into, spanner_for_candidates};
+use crate::greedy::{greedy_pass, spanner_for_candidates};
 
 /// Fraction of the ε budget spent on the base spanner (the split used
 /// throughout Section 5); the greedy simulation gets the rest.
@@ -120,8 +120,6 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     if n == 0 {
         return Err(SpannerError::EmptyInput);
     }
-    let threads = params.threads.max(1);
-
     // Step 1: bounded-degree base spanner.
     let base = bounded_degree_spanner(metric, params.base_epsilon())?;
     // The growing output lives in appendable CSR form, its rows reserved at
@@ -135,7 +133,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             .iter()
             .map(|e| (e.u.index() as u32, e.v.index() as u32)),
     );
-    let mut pool = EnginePool::with_capacity_for(threads, n, base.num_edges());
+    let mut pool = EnginePool::with_capacity_for(params.threads, n, base.num_edges());
 
     // Step 2: light edges go straight to the output.
     let heaviest = base.edges().iter().map(|e| e.weight).fold(0.0f64, f64::max);
@@ -157,26 +155,20 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
 
     // Step 3: one greedy pass over the heavy edges, on top of the light
     // ones, with exact admission queries.
-    let outcome = greedy_into(
-        &mut spanner,
-        &mut pool,
-        &heavy,
-        params.simulation_stretch(),
-        None,
-    );
+    let pass = greedy_pass(&mut spanner, &mut pool, &heavy, params.simulation_stretch());
     let engine_stats = pool.stats();
     Ok(ApproxGreedySpanner {
         spanner: spanner.to_weighted_graph(),
         base,
         light_edges,
         simulated_edges: heavy.len(),
-        simulated_added: outcome.added.len(),
+        simulated_added: pass.added.len(),
         distance_queries: engine_stats.queries as usize,
         workspace_reuse_hits: engine_stats.reuse_hits as usize,
         peak_frontier: engine_stats.peak_frontier,
-        batches: outcome.batches,
-        batch_recheck_hits: outcome.recheck_hits,
-        threads_used: threads,
+        batches: pass.batches,
+        batch_recheck_hits: pass.recheck_hits,
+        threads_used: pool.workers(),
         worker_utilization: pool.utilization(),
     })
 }

@@ -122,11 +122,11 @@ impl SpannerBuilder {
         self
     }
 
-    /// Sets the worker-thread count for the parallel filter-then-commit
-    /// constructions (`Spanner::greedy().threads(8)`); `0` restores the
-    /// default auto behavior (`SPANNER_THREADS` env var, else 1). The
-    /// output is bit-identical at every thread count — this is purely a
-    /// throughput knob.
+    /// Sets the worker-thread count for the filter-then-commit loop that
+    /// metric inputs run (`Spanner::greedy().threads(8)`; graph inputs run
+    /// the sequential loop at every count); `0` restores the default auto
+    /// behavior (`SPANNER_THREADS` env var, else 1). The output is
+    /// bit-identical at every thread count: a pure throughput knob.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -202,14 +202,22 @@ mod tests {
     #[test]
     fn threads_setter_reaches_the_config_and_keeps_output_stable() {
         let mut rng = SmallRng::seed_from_u64(24);
-        let g = erdos_renyi_connected(40, 0.3, 1.0..10.0, &mut rng);
-        let builder = Spanner::greedy().stretch(2.0).threads(8);
+        let points = uniform_points::<2, _>(40, &mut rng);
+        let builder = Spanner::greedy().stretch(1.5).threads(8);
         assert_eq!(builder.current_config().threads, 8);
-        let parallel = builder.build(&g).unwrap();
-        let sequential = Spanner::greedy().stretch(2.0).threads(1).build(&g).unwrap();
+        let parallel = builder.build(&points).unwrap();
+        let sequential = Spanner::greedy()
+            .stretch(1.5)
+            .threads(1)
+            .build(&points)
+            .unwrap();
         assert_eq!(parallel.spanner, sequential.spanner);
         assert_eq!(parallel.stats.threads_used, 8);
         assert_eq!(sequential.stats.threads_used, 1);
+        // A graph input runs the sequential loop at every thread count.
+        let g = erdos_renyi_connected(40, 0.3, 1.0..10.0, &mut rng);
+        let graph_build = builder.build(&g).unwrap();
+        assert_eq!(graph_build.stats.threads_used, 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! # Stored witnesses skip the query too
 //!
 //! A live rebuild (see [`crate::update`]) runs greedy again over an input
-//! that differs from the last one by a few edges. Its sequential loop gets
+//! that differs from the last one by a few edges. Its loop gets
 //! a `WitnessReuse`: for each candidate the last rebuild rejected, the
 //! covering walk [`DijkstraEngine::within_bound_witness`] certified, as
 //! edge ids of the live original. A candidate whose stored walk uses only
@@ -62,13 +62,17 @@
 //! ([`CsrGraph::with_row_capacity`]): every append writes into its reserved
 //! slots and no row of the growing spanner ever moves.
 //!
-//! # The batched filter-then-commit parallel loop
+//! # The batched filter-then-commit loop, for metric inputs
 //!
-//! The sequential loop is inherently serial — each verdict depends on every
-//! earlier commit — but commits are *rare* (most candidates are rejected),
-//! and rejections are monotone: adding edges only shrinks distances, so a
-//! candidate covered by a *frozen* snapshot of the spanner is certainly
-//! covered by every later state. The parallel loop exploits exactly that:
+//! Graph inputs (plain, sharded and live) run the sequential loop at every
+//! thread count: their queries cost microseconds, and the parallel loop
+//! lost to it on every graph measured. Metric inputs (exact metric greedy,
+//! approximate greedy's simulation) ask far costlier queries, and with more
+//! than one worker run `filter_commit_greedy`. It exploits that commits
+//! are *rare* (most candidates are rejected) and rejections are monotone:
+//! adding edges only shrinks distances, so a candidate covered by a
+//! *frozen* snapshot of the spanner is certainly covered by every later
+//! state.
 //!
 //! 1. **Batch.** Cut the sorted candidates into weight-class batches
 //!    (weights within a constant ratio, capped in size — boundaries depend
@@ -93,9 +97,7 @@
 
 use spanner_graph::dijkstra::bounded_distance_with_frontier;
 use spanner_graph::parallel::EnginePool;
-#[cfg(doc)]
-use spanner_graph::DijkstraEngine;
-use spanner_graph::{CsrGraph, EdgeId, UnionFind, VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, DijkstraEngine, EdgeId, UnionFind, VertexId, WeightedGraph};
 
 use crate::error::{validate_stretch, SpannerError};
 
@@ -182,7 +184,7 @@ impl GreedySpanner {
     }
 
     /// Weight-class batches the filter-then-commit loop processed (zero on
-    /// the sequential `threads = 1` path).
+    /// the sequential loop, which every graph input runs).
     pub fn batches(&self) -> usize {
         self.batches
     }
@@ -211,34 +213,59 @@ impl GreedySpanner {
     }
 }
 
-/// What one [`filter_commit_greedy`] run added and counted.
-pub(crate) struct FilterCommitOutcome {
+/// What one greedy pass ([`greedy_pass`]) added and counted.
+pub(crate) struct GreedyPass {
     /// Indices (into the candidate slice) of the kept edges, in commit
     /// order.
     pub added: Vec<usize>,
-    /// Weight-class batches processed.
+    /// Weight-class batches processed (0 on the sequential loop).
     pub batches: usize,
     /// Survivors rejected by the exact commit re-check.
     pub recheck_hits: usize,
 }
 
-/// The batched filter-then-commit greedy loop that [`greedy_into`] runs on a
-/// pool of more than one worker, with `components` the union-find over
-/// `spanner`'s components.
-///
-/// `candidates` are `(u, v, weight)` triples sorted by non-decreasing
-/// weight with deterministic tie-breaks; every endpoint must be in range
-/// for `spanner` and every weight positive and finite (the callers
-/// guarantee both). Kept edges are appended to `spanner` in candidate
-/// order, exactly as the sequential greedy would — see the module docs for
-/// why the output is identical at every worker count.
-fn filter_commit_greedy(
+/// The greedy pass of a construction over `candidates` (the contract of
+/// [`greedy_into`]), appending the kept edges to `spanner`: the sequential
+/// loop on the commit engine of a one-worker `pool`, [`filter_commit_greedy`]
+/// otherwise — the same edges either way. Only metric inputs open a pool of
+/// more than one worker (see the module docs).
+pub(crate) fn greedy_pass(
     spanner: &mut CsrGraph,
-    components: &mut UnionFind,
     pool: &mut EnginePool,
     candidates: &[(u32, u32, f64)],
     t: f64,
-) -> FilterCommitOutcome {
+) -> GreedyPass {
+    if pool.workers() > 1 {
+        return filter_commit_greedy(spanner, pool, candidates, t);
+    }
+    GreedyPass {
+        added: greedy_into(spanner, pool.commit_engine(), candidates, t, None),
+        batches: 0,
+        recheck_hits: 0,
+    }
+}
+
+/// A union-find over `spanner`'s components, seeded from its live edges.
+fn components_of(spanner: &CsrGraph) -> UnionFind {
+    let mut components = UnionFind::new(spanner.num_vertices());
+    for (_, u, v, _) in spanner.live_edges() {
+        components.union(u.index(), v.index());
+    }
+    components
+}
+
+/// The batched filter-then-commit greedy loop (see the module docs) on
+/// `pool`, over `candidates` in greedy order (the contract of
+/// [`greedy_into`]). Kept edges are appended to `spanner` in candidate
+/// order, exactly as the sequential greedy would, and a candidate across
+/// the spanner's components is admitted without a query.
+fn filter_commit_greedy(
+    spanner: &mut CsrGraph,
+    pool: &mut EnginePool,
+    candidates: &[(u32, u32, f64)],
+    t: f64,
+) -> GreedyPass {
+    let mut components = components_of(spanner);
     let mut added = Vec::new();
     let mut covered: Vec<bool> = Vec::new();
     let mut connected: Vec<usize> = Vec::new();
@@ -317,7 +344,7 @@ fn filter_commit_greedy(
         batches += 1;
         start = end;
     }
-    FilterCommitOutcome {
+    GreedyPass {
         added,
         batches,
         recheck_hits,
@@ -475,22 +502,21 @@ impl<'a> WitnessReuse<'a> {
     }
 }
 
-/// The greedy loop over `candidates` already in greedy order (the contract
-/// of [`filter_commit_greedy`]), appending the kept edges to `spanner`: the
-/// plain sequential loop on the commit engine of a one-worker pool, the
-/// filter-then-commit loop otherwise — the same edges either way. Both
-/// admit a candidate across the spanner's components without a query (see
-/// the module docs), tracking components in a union-find seeded from the
-/// spanner's live edges. Shared by [`run_greedy`],
-/// [`greedy_over_candidates`], approximate greedy's simulation and the live
-/// spanner's rebuilds and insertions.
+/// The sequential greedy loop — Algorithm 1 — on `engine`, appending the
+/// kept edges to `spanner` and returning their indices into `candidates`.
 ///
-/// With `witnesses` (a live rebuild into an empty `spanner`), the
-/// sequential loop rejects a candidate whose stored witness still covers
-/// it without a query, and asks every other connected candidate through
+/// `candidates` are `(u, v, weight)` triples sorted by non-decreasing
+/// weight with deterministic tie-breaks; every endpoint must be in range
+/// for `spanner` and every weight positive and finite (the callers
+/// guarantee both). A candidate across the spanner's components is admitted
+/// without a query (see the module docs), tracking components in a
+/// union-find seeded from the spanner's live edges.
+///
+/// With `witnesses` (a live rebuild into an empty `spanner`), the loop
+/// rejects a candidate whose stored witness still covers it without a
+/// query, and asks every other connected candidate through
 /// [`DijkstraEngine::within_bound_witness`], storing the walk behind each
-/// rejection. The filter-then-commit loop ignores them: it neither reads
-/// nor writes a witness.
+/// rejection.
 ///
 /// # The admission comparison `d ≤ t·w`
 ///
@@ -519,23 +545,16 @@ impl<'a> WitnessReuse<'a> {
 /// stretch guarantee.
 pub(crate) fn greedy_into(
     spanner: &mut CsrGraph,
-    pool: &mut EnginePool,
+    engine: &mut DijkstraEngine,
     candidates: &[(u32, u32, f64)],
     t: f64,
     mut witnesses: Option<&mut WitnessReuse<'_>>,
-) -> FilterCommitOutcome {
+) -> Vec<usize> {
     assert!(
         witnesses.is_none() || spanner.edge_id_bound() == 0,
         "witnesses map spanner edges to candidates, so the spanner must start empty"
     );
-    let mut components = UnionFind::new(spanner.num_vertices());
-    for (_, u, v, _) in spanner.live_edges() {
-        components.union(u.index(), v.index());
-    }
-    if pool.workers() > 1 {
-        return filter_commit_greedy(spanner, &mut components, pool, candidates, t);
-    }
-    let engine = pool.commit_engine();
+    let mut components = components_of(spanner);
     let mut added = Vec::new();
     let mut walk = Vec::new();
     for (i, &(u, v, w)) in candidates.iter().enumerate() {
@@ -560,11 +579,7 @@ pub(crate) fn greedy_into(
             }
         }
     }
-    FilterCommitOutcome {
-        added,
-        batches: 0,
-        recheck_hits: 0,
-    }
+    added
 }
 
 /// An edgeless spanner on `num_vertices` vertices whose rows are reserved
@@ -587,21 +602,20 @@ pub(crate) fn spanner_for_candidates(
 
 /// The greedy construction engine behind the `Greedy` implementation of
 /// [`crate::algorithm::SpannerAlgorithm`] (reach it through
-/// `Spanner::greedy().stretch(t).threads(n).build(&graph)`).
+/// `Spanner::greedy().stretch(t).build(&graph)`).
 ///
 /// The growing spanner is held as an appendable [`CsrGraph`] and every
 /// admission query runs through a pre-sized [`EnginePool`], so the hot loop
-/// performs zero per-query heap allocations. With `threads <= 1` this is
-/// the sequential loop; with `threads > 1` the batched filter-then-commit
-/// loop (see the module docs) — same output, bit for bit, at every thread
-/// count (see [`greedy_into`]).
+/// performs zero per-query heap allocations. With `threads <= 1` this is the
+/// sequential loop; with `threads > 1` — which only metric inputs ask for —
+/// the batched filter-then-commit loop (see the module docs), with the
+/// same output, bit for bit.
 pub(crate) fn run_greedy(
     graph: &WeightedGraph,
     t: f64,
     threads: usize,
 ) -> Result<GreedySpanner, SpannerError> {
     validate_stretch(t)?;
-    let threads = threads.max(1);
     let order = graph.edges_by_weight();
     let candidates: Vec<(u32, u32, f64)> = order
         .iter()
@@ -615,21 +629,21 @@ pub(crate) fn run_greedy(
         candidates.iter().map(|&(u, v, _)| (u, v)),
     );
     let mut pool = EnginePool::with_capacity_for(threads, graph.num_vertices(), graph.num_edges());
-    let outcome = greedy_into(&mut spanner, &mut pool, &candidates, t, None);
+    let pass = greedy_pass(&mut spanner, &mut pool, &candidates, t);
     let stats = pool.stats();
     Ok(GreedySpanner {
         spanner: spanner.to_weighted_graph(),
         stretch: t,
         edges_examined: order.len(),
-        edges_added: outcome.added.len(),
+        edges_added: pass.added.len(),
         peak_frontier: stats.peak_frontier,
         distance_queries: stats.queries as usize,
         workspace_reuse_hits: stats.reuse_hits as usize,
-        batches: outcome.batches,
-        batch_recheck_hits: outcome.recheck_hits,
-        threads_used: threads,
+        batches: pass.batches,
+        batch_recheck_hits: pass.recheck_hits,
+        threads_used: pool.workers(),
         worker_utilization: pool.utilization(),
-        added_edge_ids: outcome.added.iter().map(|&i| order[i]).collect(),
+        added_edge_ids: pass.added.iter().map(|&i| order[i]).collect(),
     })
 }
 
@@ -712,8 +726,8 @@ pub fn greedy_over_candidates(
         kept.push((u as u32, v as u32, w));
     }
     let mut spanner = spanner_for_candidates(num_vertices, kept.iter().map(|&(u, v, _)| (u, v)));
-    let mut pool = EnginePool::with_capacity_for(1, num_vertices, kept.len());
-    greedy_into(&mut spanner, &mut pool, &kept, t, None);
+    let mut engine = DijkstraEngine::with_capacity_for(num_vertices, kept.len());
+    greedy_into(&mut spanner, &mut engine, &kept, t, None);
     Ok(spanner.to_weighted_graph())
 }
 

@@ -3,10 +3,11 @@
 //! In metric spaces (Sections 4–5 of the paper) the greedy algorithm examines
 //! all `n·(n−1)/2` interpoint distances in non-decreasing order. This module
 //! materializes the metric as a complete weighted graph and reuses the graph
-//! greedy construction (including its batched filter-then-commit parallel
-//! path), which is exactly the classical `O(n² · (n log n))`-style
-//! implementation the paper refers to (the [BCF+10] near-quadratic
-//! refinements change the constant factors, not the output).
+//! greedy construction (at `threads > 1` its filter-then-commit loop, which
+//! only metric inputs run), which is exactly the classical
+//! `O(n² · (n log n))`-style implementation the paper refers to (the
+//! [BCF+10] near-quadratic refinements change the constant factors, not the
+//! output).
 //!
 //! Reach it through the unified pipeline —
 //! `Spanner::greedy().stretch(t).threads(n).build(&metric)` — which skips the

@@ -125,10 +125,12 @@
 //!
 //! # The threading model
 //!
-//! The greedy constructions (and the batch runner) parallelize with a
-//! **batched filter-then-commit** loop over
-//! [`spanner_graph::EnginePool`] — per-worker Dijkstra workspaces fanned
-//! over a frozen snapshot of the growing spanner on scoped `std::thread`s:
+//! Greedy on a graph (plain, sharded or live) runs the sequential loop at
+//! every thread count. Greedy and approximate greedy on a *metric* input,
+//! whose queries cost far more, parallelize with a **batched
+//! filter-then-commit** loop over [`spanner_graph::EnginePool`] —
+//! per-worker Dijkstra workspaces fanned over a frozen snapshot of the
+//! growing spanner on scoped `std::thread`s:
 //!
 //! * **Determinism.** Work is dealt to workers by item index and survivors are
 //!   committed sequentially with an exact re-check, so the output is
@@ -189,6 +191,14 @@
 //! one-shot `dijkstra` free functions). [`workload`] generates realistic
 //! traffic shapes — uniform pairs, Zipf hotspots, ball sweeps, mixed read
 //! profiles — for benches and tests.
+//!
+//! **Migration note (0.13):** greedy on a graph input runs the sequential
+//! loop at every thread count, so a graph build reports `threads_used = 1`
+//! and no batches, shards build on the sequential loop, and live rebuilds
+//! reuse witnesses at every thread count; `threads` still selects the
+//! filter-then-commit loop for metric inputs. The outputs are unchanged.
+//! Removed: `LiveSpanner::threads`. Deprecated: `LiveSpanner::with_threads`,
+//! now a no-op; delete the call.
 //!
 //! **Migration note (0.12):** `CsrGraph` has no mutation overlay: an
 //! append into a full row moves the row to the end of the slot arrays at
@@ -315,8 +325,8 @@
 //!    stable global↔local [`spanner_graph::VertexPerm`] mapping; edges
 //!    between shards form the cut list.
 //! 2. **Per-shard builds** ([`ShardedSpanner`] → [`ShardedBuilder`]): each
-//!    shard runs the ordinary [`SpannerAlgorithm`] pipeline, with the
-//!    thread budget split deterministically across shards.
+//!    shard runs the ordinary [`SpannerAlgorithm`] pipeline, and the
+//!    thread budget builds up to that many shards concurrently.
 //! 3. **Stitch**: cut endpoints
 //!    become a contracted **boundary skeleton** ([`BoundarySkeleton`])
 //!    holding exact per-shard spanner distances between boundary pairs

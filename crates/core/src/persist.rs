@@ -36,9 +36,7 @@
 //! recovered spanner's durations count only the work of its own process.
 //! A snapshot with any other meta version (version 1 had an extra stats
 //! field) is unreadable, and recovery skips it like any other unusable
-//! candidate. The worker-thread count is deliberately
-//! *not* persisted: it is a throughput knob with no effect on results, and
-//! the recovering host may have different parallelism available.
+//! candidate.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -8,11 +8,11 @@
 //!    a size-balance cap — yielding per-shard induced subgraphs in local id
 //!    space plus the cut-edge list.
 //! 2. **Per-shard builds.** Each shard's spanner is built through the
-//!    ordinary [`SpannerAlgorithm`] pipeline (the same engines, pools and
-//!    filter-then-commit machinery as an unsharded build). The thread
-//!    budget is split deterministically: with `T` resolved threads and `k`
-//!    shards, up to `min(T, k)` shards build concurrently with
-//!    `max(1, T/k)` threads each. Thread counts never change any output.
+//!    ordinary [`SpannerAlgorithm`] pipeline, exactly as an unsharded build
+//!    of that shard (a shard is a graph input, so greedy runs its
+//!    sequential loop). With `T` resolved threads and `k` shards, up to
+//!    `min(T, k)` shards build concurrently. Thread counts never change
+//!    any output.
 //! 3. **Stitching.** The boundary vertices (endpoints of cut edges) become
 //!    a *contracted boundary skeleton*: for every shard, the exact
 //!    shard-spanner distances between its boundary vertices are added as
@@ -144,7 +144,8 @@ impl ShardedBuilder {
         self
     }
 
-    /// Sets the total worker-thread budget (split across shards).
+    /// Sets the worker-thread budget: up to that many shards build
+    /// concurrently, and the stitch fans its searches over as many workers.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -415,20 +416,14 @@ fn build_sharded(
     };
     let k = partition.num_shards();
     let threads_total = config.resolve_threads();
-    let per_shard_threads = (threads_total / k).max(1);
-    let outer_workers = threads_total.min(k);
 
     // Per-shard builds through the ordinary pipeline. The fan-out is
     // chunk-partitioned by shard index, so results land in shard order
     // regardless of scheduling.
-    let shard_config = SpannerConfig {
-        threads: per_shard_threads,
-        ..config.clone()
-    };
     let mut slots: Vec<Option<Result<SpannerOutput, SpannerError>>> = vec![None; k];
-    fill_chunked(outer_workers, &mut slots, |s| {
+    fill_chunked(threads_total.min(k), &mut slots, |s| {
         let piece = partition.shard(s);
-        Some(algorithm.build(&SpannerInput::Graph(piece.graph()), &shard_config))
+        Some(algorithm.build(&SpannerInput::Graph(piece.graph()), config))
     });
     let mut shard_outputs = Vec::with_capacity(k);
     for slot in slots {
@@ -510,18 +505,7 @@ fn build_sharded(
         stats.peak_frontier = stats.peak_frontier.max(out.stats.peak_frontier);
         stats.distance_queries += out.stats.distance_queries;
         stats.workspace_reuse_hits += out.stats.workspace_reuse_hits;
-        stats.batches += out.stats.batches;
-        stats.batch_recheck_hits += out.stats.batch_recheck_hits;
     }
-    stats.worker_utilization = if shard_outputs.is_empty() {
-        0.0
-    } else {
-        shard_outputs
-            .iter()
-            .map(|o| o.stats.worker_utilization)
-            .sum::<f64>()
-            / shard_outputs.len() as f64
-    };
     stats.distance_queries += stitch.skeleton_vertices + 2 * stitch.cut_edges;
     stats.wall_time = total_start.elapsed();
 

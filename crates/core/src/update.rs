@@ -57,10 +57,8 @@
 //! [`spanner_graph::CompactedRebuild::remap`]; a witness through a dropped
 //! edge is dropped). It starts empty after [`LiveSpanner::new`] and after
 //! recovery: skipping is a pure speed-up whose decisions equal the query's,
-//! so a replayed history reproduces every decision with or without it. The
-//! filter-then-commit loop of a multi-worker pool ignores the store; its
-//! rebuilds neither read nor write witnesses. [`BatchOutcome::witness_skips`]
-//! counts the skipped queries.
+//! so a replayed history reproduces every decision with or without it.
+//! [`BatchOutcome::witness_skips`] counts the skipped queries.
 //!
 //! Between rebuilds the spanner can carry edges that later insertions made
 //! redundant, so it may be larger than the greedy spanner of the current
@@ -112,9 +110,9 @@ use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use spanner_graph::{CsrGraph, EdgeId, EnginePool, VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, DijkstraEngine, EdgeId, VertexId, WeightedGraph};
 
-use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
+use crate::algorithm::{Provenance, SpannerOutput};
 use crate::greedy::{greedy_into, spanner_for_candidates, WitnessReuse, WitnessStore};
 
 /// One mutation of the original graph, applied through [`LiveSpanner::apply`].
@@ -398,8 +396,8 @@ pub struct BatchOutcome {
     /// (0 or 1).
     pub compactions: usize,
     /// Rebuild candidates rejected through the witness of the previous
-    /// rebuild, without a search (0 unless the batch rebuilt on one worker;
-    /// see the [module docs](crate::update)). A pure function of the
+    /// rebuild, without a search (0 unless the batch rebuilt; see the
+    /// [module docs](crate::update)). A pure function of the
     /// store's history, so it is not persisted: the first rebuild after
     /// [`LiveSpanner::new`] or a recovery skips nothing.
     pub witness_skips: usize,
@@ -424,8 +422,9 @@ pub struct LiveSpanner {
     /// The live spanner.
     spanner: CsrGraph,
     stretch: f64,
-    threads: usize,
-    pool: EnginePool,
+    /// The engine every admission query of a rebuild or insertion runs on,
+    /// pre-sized for the original at construction.
+    engine: DijkstraEngine,
     stats: UpdateStats,
     provenance: Provenance,
     /// Tombstoned-slot fraction that triggers generation compaction.
@@ -440,9 +439,6 @@ pub struct LiveSpanner {
 
 impl LiveSpanner {
     /// Wraps a built output and its original graph for live maintenance.
-    /// Worker threads resolve like construction threads do (the
-    /// `SPANNER_THREADS` environment variable, else 1); override with
-    /// [`LiveSpanner::with_threads`].
     ///
     /// The output is trusted to be a stretch-`t` spanner of `original` for
     /// its construction's guaranteed `t`; nothing is re-checked here (use
@@ -491,15 +487,13 @@ impl LiveSpanner {
         provenance: Provenance,
         compaction_threshold: f64,
     ) -> Self {
-        let threads = SpannerConfig::default().resolve_threads();
-        let n = original.num_vertices();
-        let m = original.num_edges();
+        let engine =
+            DijkstraEngine::with_capacity_for(original.num_vertices(), original.num_edges());
         LiveSpanner {
             original,
             spanner,
             stretch,
-            threads,
-            pool: EnginePool::with_capacity_for(threads, n, m),
+            engine,
             stats,
             provenance,
             compaction_threshold,
@@ -523,18 +517,13 @@ impl LiveSpanner {
         &mut self.stats
     }
 
-    /// Sets the worker-thread count used by the parallel admission filter
-    /// (purely a throughput knob — outputs are identical at every count).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        let threads = SpannerConfig {
-            threads,
-            ..SpannerConfig::default()
-        }
-        .resolve_threads();
-        let n = self.original.num_vertices();
-        let m = self.original.num_edges();
-        self.threads = threads;
-        self.pool = EnginePool::with_capacity_for(threads, n, m);
+    /// Does nothing: rebuilds and insertions run the sequential greedy loop
+    /// at every thread count.
+    #[deprecated(
+        since = "0.13.0",
+        note = "live updates run one sequential loop; delete the call"
+    )]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -583,11 +572,6 @@ impl LiveSpanner {
     /// Cumulative update statistics.
     pub fn stats(&self) -> &UpdateStats {
         &self.stats
-    }
-
-    /// Worker threads of the admission filter.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Applies one update batch: deletions first (batch order), then the
@@ -693,12 +677,11 @@ impl LiveSpanner {
             });
             greedy_into(
                 &mut self.spanner,
-                &mut self.pool,
+                &mut self.engine,
                 &inserts,
                 self.stretch,
                 None,
             )
-            .added
             .len()
         };
         let rejected = inserts.len() - admitted;
@@ -707,8 +690,8 @@ impl LiveSpanner {
         // original's ground-truth array, re-pack it into a dense new
         // generation (order-preserving id densification, so the greedy
         // order of a later rebuild is unchanged). The trigger is a pure
-        // function of graph state, so every thread count and every WAL
-        // replay compacts at exactly the same batches. The witness store
+        // function of graph state, so every WAL replay compacts at exactly
+        // the same batches. The witness store
         // follows the ids into the new generation.
         let mut compactions = 0usize;
         if should_compact(&self.original, self.compaction_threshold) {
@@ -769,12 +752,11 @@ impl LiveSpanner {
         );
         let added = greedy_into(
             &mut spanner,
-            &mut self.pool,
+            &mut self.engine,
             &candidates,
             self.stretch,
             Some(&mut witnesses),
-        )
-        .added;
+        );
         let skips = witnesses.skips;
         self.witnesses = witnesses.next;
 
@@ -866,8 +848,8 @@ impl LiveSpanner {
 
 /// The generation-compaction trigger: enough dead slots to matter
 /// ([`COMPACTION_MIN_DEAD`]) *and* a tombstoned fraction at or above the
-/// threshold. A pure function of graph state — deterministic across thread
-/// counts and WAL replays.
+/// threshold. A pure function of graph state — deterministic across WAL
+/// replays.
 fn should_compact(graph: &CsrGraph, threshold: f64) -> bool {
     graph.dead_edges() >= COMPACTION_MIN_DEAD && graph.tombstoned_fraction() >= threshold
 }
@@ -1012,20 +994,18 @@ mod tests {
         // the paths and is admitted without a query.
         let g = WeightedGraph::from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
             .unwrap();
-        for threads in [1, 2] {
-            let mut live = live_for(&g, 2.0).with_threads(threads);
-            let outcome = live
-                .apply(
-                    &UpdateBatch::new()
-                        .insert(VertexId(0), VertexId(2), 1.5)
-                        .insert(VertexId(2), VertexId(3), 5.0)
-                        .insert(VertexId(5), VertexId(0), 6.0),
-                )
-                .unwrap();
-            assert_eq!(outcome.admitted, 1, "threads = {threads}");
-            assert_eq!(outcome.rejected, 2, "threads = {threads}");
-            assert_is_greedy_of_original(&live);
-        }
+        let mut live = live_for(&g, 2.0);
+        let outcome = live
+            .apply(
+                &UpdateBatch::new()
+                    .insert(VertexId(0), VertexId(2), 1.5)
+                    .insert(VertexId(2), VertexId(3), 5.0)
+                    .insert(VertexId(5), VertexId(0), 6.0),
+            )
+            .unwrap();
+        assert_eq!(outcome.admitted, 1);
+        assert_eq!(outcome.rejected, 2);
+        assert_is_greedy_of_original(&live);
     }
 
     #[test]
@@ -1200,21 +1180,19 @@ mod tests {
         // is not covered, on the admission path and on the rebuild path.
         for (w, t) in [(f64::MAX, 1.5), (1e308, 2.0)] {
             let g = WeightedGraph::from_edges(3, [(0, 1, w), (1, 2, w)]).unwrap();
-            for threads in [1, 2] {
-                let mut live = live_for(&g, t).with_threads(threads);
-                let outcome = live
-                    .apply(&UpdateBatch::new().insert(VertexId(0), VertexId(2), w))
-                    .unwrap();
-                assert_eq!(outcome.admitted, 1, "w = {w}, t = {t}, threads = {threads}");
-                assert_invariant(&live);
-                let outcome = live
-                    .apply(&UpdateBatch::new().reweight(VertexId(0), VertexId(1), w))
-                    .unwrap();
-                assert!(outcome.full_certification);
-                assert_eq!(live.spanner().num_edges(), 3);
-                assert_invariant(&live);
-                assert_is_greedy_of_original(&live);
-            }
+            let mut live = live_for(&g, t);
+            let outcome = live
+                .apply(&UpdateBatch::new().insert(VertexId(0), VertexId(2), w))
+                .unwrap();
+            assert_eq!(outcome.admitted, 1, "w = {w}, t = {t}");
+            assert_invariant(&live);
+            let outcome = live
+                .apply(&UpdateBatch::new().reweight(VertexId(0), VertexId(1), w))
+                .unwrap();
+            assert!(outcome.full_certification);
+            assert_eq!(live.spanner().num_edges(), 3);
+            assert_invariant(&live);
+            assert_is_greedy_of_original(&live);
         }
     }
 
@@ -1246,43 +1224,6 @@ mod tests {
             });
             let stable: Vec<u32> = stable.into_iter().map(|(id, _)| id).collect();
             assert_eq!(greedy_order(&original), stable, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn updates_are_identical_at_every_thread_count() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let g = erdos_renyi_connected(30, 0.3, 1.0..8.0, &mut rng);
-        let batches: Vec<UpdateBatch> = (0..4)
-            .flat_map(|i| {
-                [
-                    UpdateBatch::new()
-                        .insert(VertexId(i), VertexId(20 + i), 0.4 + i as f64)
-                        .insert(VertexId(i + 5), VertexId(15 + i), 3.0),
-                    UpdateBatch::new().delete(VertexId(i), VertexId(20 + i)),
-                ]
-            })
-            .collect();
-        let run = |threads: usize| {
-            let mut live = Spanner::greedy()
-                .stretch(2.0)
-                .build(&g)
-                .unwrap()
-                .live(&g)
-                .unwrap()
-                .with_threads(threads);
-            for b in &batches {
-                live.apply(b).unwrap();
-            }
-            (
-                live.spanner().to_weighted_graph(),
-                live.stats().admitted,
-                live.stats().repaired,
-            )
-        };
-        let reference = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
         }
     }
 }

@@ -6,7 +6,9 @@
 //! queries are independent *against a frozen snapshot* of the spanner, so
 //! they can run concurrently — the batched filter-then-commit loop in the
 //! `greedy-spanner` crate freezes the spanner, fans the batch's queries
-//! across this pool, and then commits survivors sequentially.
+//! across this pool, and then commits survivors sequentially (metric
+//! inputs only: greedy on a graph runs a plain sequential loop). Serving
+//! and the sharded build's stitch fan their batches over this pool too.
 //!
 //! Design constraints, in order:
 //!

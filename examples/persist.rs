@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.num_edges(),
         output.spanner.num_edges()
     );
-    let mut live = output.live(&graph)?.with_threads(2);
+    let mut live = output.live(&graph)?;
     live.persist_to(&store)?;
     println!("store opened at {}", store.display());
 
@@ -46,11 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             StreamEvent::Queries(_) => None,
         })
         .collect();
-    let mut twin = Spanner::greedy()
-        .stretch(2.0)
-        .build(&graph)?
-        .live(&graph)?
-        .with_threads(2);
+    let mut twin = Spanner::greedy().stretch(2.0).build(&graph)?.live(&graph)?;
 
     let kill_after = 7;
     for (round, batch) in batches.iter().enumerate() {
@@ -85,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => String::new(),
         }
     );
-    let mut revived = recovered.live.with_threads(2);
+    let mut revived = recovered.live;
 
     // 4. Finish the stream and compare against the twin that never died.
     for batch in &batches[kill_after..] {

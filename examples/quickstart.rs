@@ -93,15 +93,18 @@ fn main() -> Result<(), SpannerError> {
         );
     }
 
-    // 5. Parallel construction: `threads(k)` runs the batched
-    //    filter-then-commit loop over a pool of per-worker engines. The
-    //    output is bit-identical at every thread count (the determinism
-    //    guarantee), so this is purely a throughput knob — also settable
-    //    globally via the SPANNER_THREADS environment variable.
-    let parallel = Spanner::greedy().stretch(3.0).threads(4).build(&graph)?;
-    assert_eq!(parallel.spanner, greedy.spanner);
+    // 5. Parallel construction: on a metric input, `threads(k)` runs the
+    //    batched filter-then-commit loop over a pool of per-worker engines.
+    //    The output is bit-identical at every thread count (the
+    //    determinism guarantee), so this is purely a throughput knob — also
+    //    settable globally via the SPANNER_THREADS environment variable.
+    //    Graph inputs, whose queries are cheap, run the sequential loop at
+    //    every thread count.
+    let parallel = Spanner::greedy().stretch(1.5).threads(4).build(input)?;
+    assert_eq!(parallel.spanner, metric_result.spanner);
+    assert!(parallel.stats.batches > 0);
     println!(
-        "\nsame spanner rebuilt with 4 threads in {:.1} ms: {} batches, \
+        "\nsame metric spanner rebuilt with 4 threads in {:.1} ms: {} batches, \
          {} recheck hits, utilization {:.2}",
         parallel.stats.wall_time.as_secs_f64() * 1e3,
         parallel.stats.batches,

@@ -55,7 +55,9 @@
 //!
 //! # The threading model
 //!
-//! The greedy constructions and the batch runner parallelize over
+//! Greedy on a graph (plain, sharded or live) runs the sequential loop at
+//! every thread count. Greedy and approximate greedy on a *metric* input,
+//! whose queries cost far more, parallelize over
 //! [`EnginePool`](spanner_graph::EnginePool) — per-worker Dijkstra
 //! workspaces fanned across scoped `std::thread`s against a frozen
 //! [`CsrSnapshot`](spanner_graph::CsrSnapshot) of the growing spanner, in a
@@ -73,11 +75,12 @@
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let mut rng = SmallRng::seed_from_u64(9);
-//! let g = spanner_graph::generators::erdos_renyi_connected(60, 0.3, 1.0..4.0, &mut rng);
-//! let one = Spanner::greedy().stretch(2.0).threads(1).build(&g)?;
-//! let four = Spanner::greedy().stretch(2.0).threads(4).build(&g)?;
+//! let points = spanner_metric::generators::uniform_points::<2, _>(60, &mut rng);
+//! let one = Spanner::greedy().stretch(1.5).threads(1).build(&points)?;
+//! let four = Spanner::greedy().stretch(1.5).threads(4).build(&points)?;
 //! assert_eq!(one.spanner, four.spanner); // determinism guarantee
 //! assert_eq!(four.stats.threads_used, 4);
+//! assert!(four.stats.batches > 0);
 //! # Ok::<(), greedy_spanner::SpannerError>(())
 //! ```
 //!

@@ -4,12 +4,12 @@
 //! arrays.
 //!
 //! Two servers are driven through the same forced append/delete/compact
-//! cycles at every thread count {1, 2, 8} × cache capacity {0, 64}. After
-//! every batch the suite asserts the live edge content (endpoints and
-//! exact `f64` weight bits), the served answers to a fixed query batch,
-//! and the rebuild decisions are bit-identical across the generation swap
-//! — and at the end, that compaction really fired and really shrank the
-//! original's ground-truth arrays. (Only the original compacts: the
+//! cycles at every serving thread count {1, 2, 8} × cache capacity
+//! {0, 64}. After every batch the suite asserts the live edge content
+//! (endpoints and exact `f64` weight bits), the served answers to a fixed
+//! query batch, and the rebuild decisions are bit-identical across the
+//! generation swap — and at the end, that compaction really fired and
+//! really shrank the original's ground-truth arrays. (Only the original compacts: the
 //! spanner is never tombstoned, since rebuilds replace it whole.)
 
 use greedy_spanner::serve::SpannerServer;
@@ -41,7 +41,6 @@ fn server_for(g: &WeightedGraph, threshold: f64, threads: usize, cache: usize) -
         .expect("valid stretch")
         .live(g)
         .expect("greedy guarantees a stretch")
-        .with_threads(threads)
         .with_compaction_threshold(threshold)
         .serve()
         .threads(threads)

@@ -196,9 +196,10 @@ fn facade_prelude_is_usable() {
 
 #[test]
 fn parallel_pipeline_is_thread_count_invariant_end_to_end() {
-    // The determinism guarantee of the filter-then-commit loop, exercised
-    // across all three crates: graph and metric inputs, every thread count,
-    // bit-identical spanners — and the reference loop agrees too.
+    // The determinism guarantee across all three crates: graph inputs run
+    // the sequential loop and metric inputs the filter-then-commit loop at
+    // every thread count, with bit-identical spanners — and the reference
+    // loop agrees too.
     let mut rng = SmallRng::seed_from_u64(8);
     let g = erdos_renyi_connected(60, 0.2, 1.0..10.0, &mut rng);
     let reference = greedy_spanner::greedy::greedy_spanner_reference(&g, 2.0).unwrap();
@@ -213,7 +214,8 @@ fn parallel_pipeline_is_thread_count_invariant_end_to_end() {
             *reference.spanner(),
             "threads = {threads}: graph greedy must match the reference"
         );
-        assert_eq!(out.stats.threads_used, threads);
+        assert_eq!(out.stats.threads_used, 1, "graph inputs run one loop");
+        assert_eq!(out.stats.batches, 0);
         assert_eq!(
             out.stats.workspace_reuse_hits, out.stats.distance_queries,
             "threads = {threads}: every query must be allocation-free"
@@ -233,6 +235,7 @@ fn parallel_pipeline_is_thread_count_invariant_end_to_end() {
         parallel.stats.edges_examined
     );
     assert!(parallel.stats.batches >= 1);
+    assert_eq!(parallel.stats.threads_used, 8);
 }
 
 #[test]

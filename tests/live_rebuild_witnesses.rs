@@ -10,10 +10,10 @@
 //!    (parallel edges included), deletions, reweights, tie-heavy integer
 //!    weights, generation compactions, and a kill followed by recovery —
 //!    the live spanner equals `Spanner::greedy()` of the live original,
-//!    edge for edge, after every rebuild batch, at threads 1 and 2.
-//! 2. **Skips happen.** On one worker the streams' rebuilds skip searches
-//!    ([`BatchOutcome::witness_skips`]); the filter-then-commit loop of
-//!    more workers ignores witnesses and skips none.
+//!    edge for edge, after every rebuild batch.
+//! 2. **Skips happen.** The streams' rebuilds skip searches
+//!    ([`BatchOutcome::witness_skips`]) whatever `SPANNER_THREADS` says:
+//!    every rebuild runs the one sequential loop that reads witnesses.
 //! 3. **Compaction keeps witnesses.** A generation compaction re-densifies
 //!    the original's edge ids; the store follows them, so the rebuild after
 //!    a compaction reuses as much as the one before it.
@@ -35,14 +35,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn live_for(g: &WeightedGraph, t: f64, threads: usize) -> LiveSpanner {
+fn live_for(g: &WeightedGraph, t: f64) -> LiveSpanner {
     Spanner::greedy()
         .stretch(t)
         .build(g)
         .expect("valid stretch")
         .live(g)
         .expect("greedy guarantees a stretch")
-        .with_threads(threads)
         .with_compaction_threshold(0.1)
 }
 
@@ -113,14 +112,13 @@ fn churn_batch(live: &LiveSpanner, size: usize, integer: bool, rng: &mut SmallRn
 fn churn_with_recovery(
     g: &WeightedGraph,
     t: f64,
-    threads: usize,
     integer: bool,
     seed: u64,
     kill_after: usize,
 ) -> (usize, u64) {
     let rounds = 24;
-    let dir = fresh_dir(&format!("churn-{seed}-{threads}"));
-    let mut live = live_for(g, t, threads);
+    let dir = fresh_dir(&format!("churn-{seed}"));
+    let mut live = live_for(g, t);
     live.persist_to(&dir).expect("fresh store");
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut skips = 0;
@@ -128,15 +126,12 @@ fn churn_with_recovery(
         if round == kill_after {
             let before = live.spanner().to_weighted_graph();
             drop(live);
-            live = LiveSpanner::recover(&dir)
-                .expect("store recovers")
-                .live
-                .with_threads(threads);
+            live = LiveSpanner::recover(&dir).expect("store recovers").live;
             assert_eq!(live.spanner().to_weighted_graph(), before, "recovery");
         }
         let batch = churn_batch(&live, 6, integer, &mut rng);
         let outcome = live.apply(&batch).expect("valid batch");
-        let context = format!("seed {seed}, t {t}, threads {threads}, round {round}");
+        let context = format!("seed {seed}, t {t}, round {round}");
         assert_rebuild_is_greedy(&live, &outcome, &context);
         assert!(
             outcome.full_certification || outcome.witness_skips == 0,
@@ -166,11 +161,9 @@ proptest! {
         let integer = integer == 1;
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, 1.0..10.0, &mut rng);
-        let (skips, compactions) = churn_with_recovery(&g, t, 1, integer, seed, kill_after);
+        let (skips, compactions) = churn_with_recovery(&g, t, integer, seed, kill_after);
         prop_assert!(skips > 0, "no rebuild reused a witness");
         prop_assert!(compactions > 0, "the stream never compacted");
-        let (parallel_skips, _) = churn_with_recovery(&g, t, 2, integer, seed, kill_after);
-        prop_assert_eq!(parallel_skips, 0, "the filter-then-commit loop used a witness");
     }
 }
 
@@ -189,7 +182,7 @@ fn delete_a_spanner_edge(live: &mut LiveSpanner) -> BatchOutcome {
 fn a_compaction_keeps_the_witnesses_reusable() {
     let mut rng = SmallRng::seed_from_u64(2016);
     let g = erdos_renyi_connected(80, 0.15, 1.0..10.0, &mut rng);
-    let mut live = live_for(&g, 2.0, 1);
+    let mut live = live_for(&g, 2.0);
     // The first rebuild has no witnesses yet; the second reuses the first's.
     assert_eq!(delete_a_spanner_edge(&mut live).witness_skips, 0);
     let before = delete_a_spanner_edge(&mut live);

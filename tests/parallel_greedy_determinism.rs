@@ -1,17 +1,25 @@
-//! Property suite for the determinism guarantee of the batched
-//! filter-then-commit parallel greedy: across random graphs, stretch
-//! values, weight families (uniform, dense near-uniform, high-spread,
-//! tie-heavy integers, 0.1-step decimals) and thread counts {1, 2, 4, 8},
-//! the pipeline's output must be **byte-identical** to the sequential
-//! reference loop (`greedy_spanner_reference`) — same edges, same
-//! insertion order, same exact weights.
+//! Property suite for the determinism guarantee of the greedy pipeline at
+//! every thread count {1, 2, 4, 8}: the output must be **byte-identical**
+//! to the sequential reference loop (`greedy_spanner_reference`) — same
+//! edges, same insertion order, same exact weights.
 //!
-//! The last property targets the component skip: candidates whose
-//! endpoints lie in different components of the growing spanner are
-//! admitted without a query. It draws disconnected inputs (random trees,
-//! tie-heavy components, isolated vertices, parallel bridges) and also
-//! drives a live spanner over them, whose insertions start the skip from a
-//! non-empty spanner.
+//! Graph inputs run the one sequential loop at every thread count. Across
+//! random graphs, stretch values and weight families (uniform, dense
+//! near-uniform, high-spread, tie-heavy integers, 0.1-step decimals), each
+//! build also trips a wire if the filter-then-commit loop ever runs on a
+//! graph: it must report no batches and exactly `m − (n − c)` distance
+//! queries, `c` the number of connected components.
+//!
+//! Metric inputs run the batched filter-then-commit loop at more than one
+//! thread. Over uniform points and integer-grid points (whose distances tie
+//! exactly), the output must equal the reference loop over the complete
+//! distance graph, with batches at every thread count above one.
+//!
+//! The component-skip property targets candidates whose endpoints lie in
+//! different components of the growing spanner, admitted without a query.
+//! It draws disconnected inputs (random trees, tie-heavy components,
+//! isolated vertices, parallel bridges) and also drives a live spanner over
+//! them, whose insertions start the skip from a non-empty spanner.
 
 use greedy_spanner::greedy::greedy_spanner_reference;
 use greedy_spanner::{LiveSpanner, Spanner, UpdateBatch};
@@ -21,13 +29,17 @@ use rand::{Rng, SeedableRng};
 use spanner_graph::connectivity::connected_components;
 use spanner_graph::generators::{complete_graph_with_weights, erdos_renyi_connected};
 use spanner_graph::{VertexId, WeightedGraph};
+use spanner_metric::generators::uniform_points;
+use spanner_metric::{EuclideanSpace, MetricSpace, Point};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Asserts the pipeline output equals the reference bit for bit at every
-/// thread count.
+/// thread count, and that every build ran the sequential loop: no batches,
+/// one thread, and one query per candidate that joins no two components.
 fn assert_thread_count_invariant(g: &WeightedGraph, stretch: f64) {
     let reference = greedy_spanner_reference(g, stretch).expect("valid stretch");
+    let tree = g.num_vertices() - connected_components(g).1;
     for threads in THREAD_COUNTS {
         let out = Spanner::greedy()
             .stretch(stretch)
@@ -45,12 +57,62 @@ fn assert_thread_count_invariant(g: &WeightedGraph, stretch: f64) {
             g.num_edges()
         );
         assert_eq!(out.stats.edges_added, reference.edges_added());
+        assert!(
+            out.stats.batches == 0 && out.stats.distance_queries == g.num_edges() - tree,
+            "threads = {threads}: a graph build left the sequential loop \
+             ({} batches, {} queries)",
+            out.stats.batches,
+            out.stats.distance_queries
+        );
+        assert_eq!(out.stats.threads_used, 1, "threads = {threads}");
+        assert_eq!(
+            out.stats.workspace_reuse_hits, out.stats.distance_queries,
+            "threads = {threads}: the engine allocated mid-construction"
+        );
+    }
+}
+
+/// Asserts exact metric greedy over `points` equals the reference loop over
+/// their complete distance graph at every thread count, and that every
+/// count above one ran the filter-then-commit loop.
+fn assert_metric_thread_count_invariant(points: &EuclideanSpace<2>, stretch: f64) {
+    let reference =
+        greedy_spanner_reference(&points.to_complete_graph(), stretch).expect("valid stretch");
+    for threads in THREAD_COUNTS {
+        let out = Spanner::greedy()
+            .stretch(stretch)
+            .threads(threads)
+            .build(points)
+            .expect("valid stretch");
+        assert_eq!(
+            out.spanner,
+            *reference.spanner(),
+            "threads = {threads}, t = {stretch}, n = {}",
+            points.len()
+        );
         assert_eq!(out.stats.threads_used, threads);
+        if threads > 1 {
+            assert!(out.stats.batches > 0, "threads = {threads}: no batch ran");
+        } else {
+            assert_eq!(out.stats.batches, 0);
+        }
         assert_eq!(
             out.stats.workspace_reuse_hits, out.stats.distance_queries,
             "threads = {threads}: a pool engine allocated mid-construction"
         );
     }
+}
+
+/// `n` distinct points of the `side × side` integer grid: many pairwise
+/// distances tie exactly (1, √2, 2, …), and so do many detours.
+fn integer_grid_points(rng: &mut SmallRng, n: usize, side: usize) -> EuclideanSpace<2> {
+    let mut cells: Vec<usize> = (0..side * side).collect();
+    let mut points = Vec::with_capacity(n);
+    for _ in 0..n.min(cells.len()) {
+        let cell = cells.swap_remove(rng.gen_range(0..cells.len()));
+        points.push(Point::new([(cell % side) as f64, (cell / side) as f64]));
+    }
+    EuclideanSpace::new(points)
 }
 
 proptest! {
@@ -68,9 +130,8 @@ proptest! {
         assert_thread_count_invariant(&g, stretch);
     }
 
-    /// Dense graphs with near-uniform weights: many candidates share one
-    /// weight-class batch, which maximizes snapshot staleness and exercises
-    /// the commit re-check path hard.
+    /// Dense graphs with near-uniform weights: almost every candidate has a
+    /// detour near its admission bound.
     #[test]
     fn parallel_greedy_matches_reference_on_dense_uniform_weights(
         seed in 0u64..10_000,
@@ -82,8 +143,8 @@ proptest! {
         assert_thread_count_invariant(&g, stretch);
     }
 
-    /// High-spread weights: many tiny weight-class batches, exercising the
-    /// batch-boundary logic and the inline small-batch path.
+    /// High-spread weights: a light detour covers almost every heavy
+    /// candidate.
     #[test]
     fn parallel_greedy_matches_reference_on_high_spread_weights(
         seed in 0u64..10_000,
@@ -127,12 +188,26 @@ proptest! {
         assert_thread_count_invariant(&g, stretch as f64);
     }
 
+    /// Metric inputs: uniform points and integer-grid points with exact
+    /// distance ties, at `t ∈ {1.5, 2}`.
+    #[test]
+    fn parallel_metric_greedy_matches_reference_on_uniform_and_grid_points(
+        seed in 0u64..10_000,
+        n in 3usize..40,
+        stretch in 0usize..2,
+    ) {
+        let t = [1.5, 2.0][stretch];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        assert_metric_thread_count_invariant(&uniform_points::<2, _>(n, &mut rng), t);
+        assert_metric_thread_count_invariant(&integer_grid_points(&mut rng, n, 7), t);
+    }
+
     /// Disconnected inputs, where many candidates join two components of
     /// the spanner and are admitted without a query: the output still
-    /// equals the reference at every thread count, the sequential path
-    /// queries exactly the other candidates, and a live spanner over the
-    /// input stays the greedy spanner of its original through heavier
-    /// insertions and through deletions.
+    /// equals the reference at every thread count, the loop queries exactly
+    /// the other candidates, and a live spanner over the input stays the
+    /// greedy spanner of its original through heavier insertions and
+    /// through deletions.
     #[test]
     fn component_skip_matches_reference_on_disconnected_graphs(
         seed in 0u64..10_000,
@@ -144,12 +219,7 @@ proptest! {
         let g = disconnected_graph(&mut rng, parts, size);
         let t = stretch as f64;
         assert_thread_count_invariant(&g, t);
-        let sequential = Spanner::greedy().stretch(t).threads(1).build(&g).unwrap();
-        let tree = g.num_vertices() - connected_components(&g).1;
-        prop_assert_eq!(sequential.stats.distance_queries, g.num_edges() - tree);
-        for threads in [1, 2, 8] {
-            assert_live_stays_greedy(&g, t, threads, seed);
-        }
+        assert_live_stays_greedy(&g, t, seed);
     }
 }
 
@@ -208,15 +278,14 @@ fn disconnected_graph(rng: &mut SmallRng, parts: usize, size: usize) -> Weighted
 /// The insertions are heavier than every original edge, so the greedy
 /// spanner of the grown original decides them last, against exactly the
 /// spanner the admission path starts from.
-fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, threads: usize, seed: u64) {
+fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     let mut live = Spanner::greedy()
         .stretch(t)
         .build(g)
         .unwrap()
         .live(g)
-        .unwrap()
-        .with_threads(threads);
+        .unwrap();
     let n = g.num_vertices();
     if n < 2 {
         return;
@@ -233,7 +302,7 @@ fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, threads: usize, seed: u64
     }
     let outcome = live.apply(&inserts).unwrap();
     assert!(!outcome.full_certification);
-    assert_is_greedy_of_original(&live, threads);
+    assert_is_greedy_of_original(&live);
     let spanner_edges: Vec<(VertexId, VertexId)> = live
         .spanner()
         .live_edges()
@@ -244,23 +313,18 @@ fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, threads: usize, seed: u64
         deletes = deletes.delete(u, v);
     }
     live.apply(&deletes).unwrap();
-    assert_is_greedy_of_original(&live, threads);
+    assert_is_greedy_of_original(&live);
 }
 
 /// The live spanner equals `Spanner::greedy()` of the live original, edge
 /// for edge and in order.
-fn assert_is_greedy_of_original(live: &LiveSpanner, threads: usize) {
+fn assert_is_greedy_of_original(live: &LiveSpanner) {
     let original = live.original().to_weighted_graph();
     let greedy = Spanner::greedy()
         .stretch(live.stretch())
-        .threads(1)
         .build(&original)
         .unwrap();
-    assert_eq!(
-        live.spanner().to_weighted_graph(),
-        greedy.spanner,
-        "threads = {threads}"
-    );
+    assert_eq!(live.spanner().to_weighted_graph(), greedy.spanner);
 }
 
 /// `g`'s topology with every weight replaced by `weight(old weight)`.

@@ -4,7 +4,7 @@
 //!    store, applies part of an update stream, is killed (dropped without
 //!    ceremony) and recovered, then applies the rest of the stream, must
 //!    answer a held-out query batch **bit-identically** to an uninterrupted
-//!    twin that never touched disk — at worker-thread counts {1, 2, 8}.
+//!    twin that never touched disk — served at thread counts {1, 2, 8}.
 //! 2. **Bounded memory under churn.** Unbounded insert/delete churn must
 //!    trigger generation compaction, keeping the ground-truth edge array
 //!    within a constant factor of the live edge count — and the
@@ -30,14 +30,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn live_for(g: &WeightedGraph, t: f64, threads: usize) -> LiveSpanner {
+fn live_for(g: &WeightedGraph, t: f64) -> LiveSpanner {
     Spanner::greedy()
         .stretch(t)
         .build(g)
         .expect("valid stretch")
         .live(g)
         .expect("greedy guarantees a stretch")
-        .with_threads(threads)
 }
 
 /// A deterministic mixed insert/delete stream, valid for sequential
@@ -99,7 +98,7 @@ fn killed_and_recovered_run_answers_bit_identically_to_uninterrupted() {
 
     for threads in THREAD_COUNTS {
         // The uninterrupted twin: never touches disk.
-        let mut uninterrupted = live_for(&g, 2.0, threads);
+        let mut uninterrupted = live_for(&g, 2.0);
         for batch in &batches {
             uninterrupted.apply(batch).expect("valid batch");
         }
@@ -107,7 +106,7 @@ fn killed_and_recovered_run_answers_bit_identically_to_uninterrupted() {
         // The victim: persists, applies a prefix, is killed (dropped).
         let dir = fresh_dir(&format!("kill-restart-{threads}"));
         {
-            let mut victim = live_for(&g, 2.0, threads);
+            let mut victim = live_for(&g, 2.0);
             victim.persist_to(&dir).expect("fresh store");
             for batch in &batches[..kill_after] {
                 victim.apply(batch).expect("valid batch");
@@ -123,7 +122,7 @@ fn killed_and_recovered_run_answers_bit_identically_to_uninterrupted() {
             kill_after as u64,
             "snapshot + replay must cover exactly the applied prefix"
         );
-        let mut revived = recovered.live.with_threads(threads);
+        let mut revived = recovered.live;
         for batch in &batches[kill_after..] {
             revived.apply(batch).expect("valid batch");
         }
@@ -173,7 +172,7 @@ fn killed_and_recovered_run_answers_bit_identically_to_uninterrupted() {
 fn churn_is_bounded_by_compaction_and_recovers_exactly() {
     let g = WeightedGraph::from_edges(16, (1..16).map(|v| (v - 1, v, 1.0))).unwrap();
     let dir = fresh_dir("bounded-churn");
-    let mut live = live_for(&g, 2.0, 2);
+    let mut live = live_for(&g, 2.0);
     live.persist_to(&dir).expect("fresh store");
 
     // 30 rounds of insert-8 / delete-8: ~240 slots of churn over a graph
@@ -251,7 +250,7 @@ fn checkpoints_shorten_replay() {
     let batches = update_stream(&g, 8, 5, 0xC0FFEE);
     let dir = fresh_dir("checkpointed");
 
-    let mut live = live_for(&g, 2.0, 1);
+    let mut live = live_for(&g, 2.0);
     live.persist_to(&dir).expect("fresh store");
     for batch in &batches[..6] {
         live.apply(batch).expect("valid batch");
@@ -296,7 +295,7 @@ fn one_stream_writes_byte_identical_stores() {
     let batches = update_stream(&g, 24, 8, 0xB17E);
     let run = |name: &str| {
         let dir = fresh_dir(name);
-        let mut live = live_for(&g, 2.0, 1).with_compaction_threshold(0.1);
+        let mut live = live_for(&g, 2.0).with_compaction_threshold(0.1);
         live.persist_to(&dir).expect("fresh store");
         for (i, batch) in batches.iter().enumerate() {
             live.apply(batch).expect("valid batch");
