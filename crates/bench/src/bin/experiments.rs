@@ -604,7 +604,8 @@ fn experiment_e11() -> Table {
 /// E12 — live updates: one greedy 2-spanner opened for updates and served
 /// while a mixed query/update stream runs against it. Update rounds report
 /// the admission counters, whether the batch rebuilt the spanner (it
-/// deleted or reweighted a spanner edge) and the epoch; query rounds
+/// inserted or reweighted an edge or deleted a spanner edge) and the
+/// epoch; query rounds
 /// report serving statistics (including stale-tree evictions and the exact
 /// latency maximum) and are checked bit-for-bit against a server rebuilt
 /// from scratch at the current epoch.
@@ -656,13 +657,13 @@ fn experiment_e12() -> Table {
     // Only the live server's own work is timed — `apply_updates` and
     // `answer_batch` — so the stream total compares like with like against
     // one rebuild; the per-round rebuild oracle stays outside the clock.
-    let mut incremental = Duration::ZERO;
+    let mut live_time = Duration::ZERO;
     for (round, event) in stream.iter().enumerate() {
         match event {
             StreamEvent::Updates(batch) => {
                 let t0 = Instant::now();
                 let outcome = server.apply_updates(batch).expect("valid stream");
-                incremental += t0.elapsed();
+                live_time += t0.elapsed();
                 table.add_row(vec![
                     round.to_string(),
                     format!("update x{}", batch.len()),
@@ -698,7 +699,7 @@ fn experiment_e12() -> Table {
                 let expected = rebuilt.answer_batch(queries).expect("valid batch");
                 let t0 = Instant::now();
                 let got = server.answer_batch(queries).expect("valid batch");
-                incremental += t0.elapsed();
+                live_time += t0.elapsed();
                 let identical = got == expected;
                 let stats = server.stats();
                 table.add_row(vec![
@@ -736,7 +737,7 @@ fn experiment_e12() -> Table {
         "(total)".to_owned(),
         format!(
             "stream {:.1} ms vs 1 rebuild {:.1} ms",
-            incremental.as_secs_f64() * 1e3,
+            live_time.as_secs_f64() * 1e3,
             one_rebuild.as_secs_f64() * 1e3
         ),
         updates.admitted.to_string(),

@@ -276,11 +276,10 @@
 //!    record their build epoch and are **lazily invalidated** on the first
 //!    post-update touch ([`serve::ServeStats::stale_evictions`]).
 //! 4. **Updates** ([`update`]): [`update::LiveSpanner`] applies
-//!    [`update::UpdateBatch`]es — insertions through the greedy admission
-//!    rule against the current spanner; a batch that deletes or reweights
-//!    a spanner edge reruns greedy over the live original and swaps the
-//!    result in — so the stretch-`t` invariant holds after every batch by
-//!    construction ([`update::UpdateStats`]).
+//!    [`update::UpdateBatch`]es — a batch that inserts or reweights an
+//!    edge or deletes a spanner edge reruns greedy over the live original
+//!    and swaps the result in — so after every batch the live spanner is
+//!    the greedy spanner of the live original ([`update::UpdateStats`]).
 //!
 //! A live server ([`update::LiveSpanner::serve`]) interleaves
 //! query batches and update batches and stays **bit-identical to a server

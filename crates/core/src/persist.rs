@@ -16,8 +16,8 @@
 //! * [`LiveSpanner::recover`] loads the newest snapshot this build can use
 //!   (falling back past corrupt or unreadable candidates), replays the WAL
 //!   suffix through the *same* deterministic apply path live batches use,
-//!   truncates any torn tail, and reattaches the log. Because admission,
-//!   greedy rebuilds and compaction are pure functions of state and batch,
+//!   truncates any torn tail, and reattaches the log. Because greedy
+//!   rebuilds and compaction are pure functions of state and batch,
 //!   the recovered spanner answers every query **bit-identically** to the
 //!   instance that was killed. Replaying a batch that rebuilt the spanner
 //!   rebuilds it again. A recovered spanner starts with an empty witness
@@ -27,16 +27,20 @@
 //!   rejects what the query would reject.
 //!
 //! What a snapshot's opaque `meta` section holds (this module's codec,
-//! version 2): stretch and compaction threshold (as raw `f64` bits), the
+//! version 3): stretch and compaction threshold (as raw `f64` bits), the
 //! cumulative [`UpdateStats`] counters, and the construction [`Provenance`]
 //! — so a recovered spanner reports the same history it had before the
 //! crash. The two wall-clock fields, [`UpdateStats::repair_time`] and
 //! [`UpdateStats::elapsed`], are written as zero, so one update stream
 //! applied twice writes the same snapshot bytes (and the same WAL): a
 //! recovered spanner's durations count only the work of its own process.
-//! A snapshot with any other meta version (version 1 had an extra stats
-//! field) is unreadable, and recovery skips it like any other unusable
-//! candidate.
+//! A snapshot with any other meta version is unreadable, and recovery skips
+//! it like any other unusable candidate. Version 1 had an extra stats
+//! field. Version 2 has version 3's layout but was written when insert-only
+//! batches admitted edges into the spanner without a rebuild: its spanner
+//! may carry edges the greedy spanner drops, and its WAL tail replays
+//! differently under today's rule (version 2 advanced one epoch per
+//! admitted insertion, so a replay ends at another epoch or spanner).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,7 +58,7 @@ use crate::algorithm::Provenance;
 use crate::update::{LiveSpanner, Update, UpdateBatch, UpdateStats};
 
 /// Version of the owner-defined `meta` payload inside snapshots.
-const META_VERSION: u32 = 2;
+const META_VERSION: u32 = 3;
 
 /// Update tags in WAL batch payloads.
 const TAG_INSERT: u8 = 0;
@@ -758,7 +762,10 @@ mod tests {
                 context, detail, ..
             }) => {
                 assert_eq!(context, "snapshot meta");
-                assert!(detail.contains("meta version 1"), "{detail}");
+                assert!(
+                    detail.contains(&format!("meta version {}", META_VERSION - 1)),
+                    "{detail}"
+                );
             }
             other => panic!("expected a typed Corrupt error, got {other:?}"),
         }

@@ -936,8 +936,8 @@ impl SpannerServer {
     }
 
     /// Applies an update batch to the served [`LiveSpanner`]: deletions,
-    /// then admission-filtered insertions or, when a spanner edge was
-    /// deleted, a greedy rebuild (see [`crate::update`]). Cached
+    /// then insertions, then a greedy rebuild when the batch inserted an
+    /// edge or deleted a spanner edge (see [`crate::update`]). Cached
     /// shortest-path trees from earlier epochs are invalidated lazily by
     /// subsequent query batches.
     ///

@@ -2,23 +2,21 @@
 //! insertions, deletions and reweights.
 //!
 //! The paper's greedy spanner is existentially optimal, and a from-scratch
-//! greedy run is cheap, so the live spanner does not patch itself after a
-//! damaging update: it runs greedy again. Each batch takes one of two paths:
+//! greedy run is cheap, so the live spanner does not patch itself after an
+//! update: it runs greedy again. A batch *rebuilds* when it inserts any edge
+//! (reweights included) or removes an edge the spanner carries. Its removals
+//! and insertions are applied to the original graph, then the greedy loop
+//! runs over the live original in the order [`crate::Spanner::greedy`]
+//! uses, and the result replaces the spanner one epoch past the old one.
 //!
-//! * **Incremental admission** — batches that delete or reweight no edge the
-//!   spanner carries. Insertions run the greedy admission rule
-//!   `d_spanner(u, v) > t · w(u, v)` against the *current* spanner, in
-//!   non-decreasing weight order, through the construction's greedy loop.
-//!   An admitted edge has stretch 1 by membership; a rejected edge was
-//!   covered within `t · w`, and spanner distances only shrink as later
-//!   edges commit, so the stretch-`t` invariant holds by construction.
-//!   Deleting an edge the spanner does not carry only removes a constraint.
-//! * **Greedy rebuild** — batches that delete or reweight a spanner edge.
-//!   The batch's removals and insertions are applied to the original graph,
-//!   then the greedy loop runs over the live original in the order
-//!   [`crate::Spanner::greedy`] uses, and the result replaces the spanner
-//!   one epoch past the old one. After such a batch the live spanner *is*
-//!   `Spanner::greedy().stretch(t).build(&original)`, edge for edge.
+//! A batch that only removes edges the spanner does not carry leaves the
+//! spanner as it is, and that is exact too. Greedy's decision on an edge
+//! depends only on the lighter edges (in greedy order) it kept. A removed
+//! edge the spanner does not carry was never kept, so no decision depended
+//! on it, and removing it leaves the relative order of the rest unchanged
+//! (generation compaction preserves that order as well). So after every
+//! batch the live spanner *is* `Spanner::greedy().stretch(t).build(&original)`,
+//! edge for edge and in order.
 //!
 //! Reweights are a deletion followed by an insertion of the new weight, in
 //! that order, within the same batch.
@@ -60,11 +58,9 @@
 //! so a replayed history reproduces every decision with or without it.
 //! [`BatchOutcome::witness_skips`] counts the skipped queries.
 //!
-//! Between rebuilds the spanner can carry edges that later insertions made
-//! redundant, so it may be larger than the greedy spanner of the current
-//! graph; the next rebuild drops them. A wrapped output from a construction
-//! other than greedy is kept as it is by incremental batches and becomes the
-//! greedy spanner at its first rebuild.
+//! A wrapped output from a construction other than greedy is kept as it is
+//! until the first batch that rebuilds; from then on the live spanner is the
+//! greedy spanner.
 //!
 //! [`UpdateStats`] and [`BatchOutcome`] count admissions, rejections,
 //! rebuilds and the spanner epochs each batch advanced. Some counters keep
@@ -89,11 +85,15 @@
 //! let outcome = live.apply(
 //!     &UpdateBatch::new()
 //!         .insert(VertexId(0), VertexId(2), 5.0) // covered: 0-1-2 has length 2 <= 2*5
-//!         .insert(VertexId(1), VertexId(3), 0.4), // admitted: shortcut
+//!         .insert(VertexId(1), VertexId(3), 0.4), // kept: the lightest edge
 //! )?;
 //! assert_eq!(outcome.admitted, 1);
 //! assert_eq!(outcome.rejected, 1);
-//! assert!(!outcome.full_certification, "no spanner edge was deleted");
+//! assert!(outcome.full_certification, "every insertion rebuilds");
+//! // The shortcut makes (2, 3) redundant (2-1-3 has length 1.4 <= 2*1), so
+//! // the rebuild drops it.
+//! assert_eq!(live.spanner().num_edges(), 3);
+//! assert!(!live.spanner().neighbors(VertexId(2)).any(|nb| nb.to == VertexId(3)));
 //!
 //! // Deleting a spanner edge rebuilds: the result is the greedy spanner of
 //! // the updated graph.
@@ -118,7 +118,8 @@ use crate::greedy::{greedy_into, spanner_for_candidates, WitnessReuse, WitnessSt
 /// One mutation of the original graph, applied through [`LiveSpanner::apply`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Update {
-    /// Insert a new edge; it is run through the greedy admission rule.
+    /// Insert a new edge; the batch's greedy rebuild decides whether the
+    /// spanner keeps it.
     Insert {
         /// One endpoint.
         u: VertexId,
@@ -135,7 +136,7 @@ pub enum Update {
         v: VertexId,
     },
     /// Change the weight of the lowest-id live edge between the endpoints:
-    /// a deletion followed by an admission-filtered insertion.
+    /// a deletion followed by an insertion.
     Reweight {
         /// One endpoint.
         u: VertexId,
@@ -149,11 +150,10 @@ pub enum Update {
 /// An ordered batch of [`Update`]s; the unit [`LiveSpanner::apply`] consumes.
 ///
 /// Within a batch, deletions (and the removal half of reweights) apply
-/// first in batch order, then all insertions are admitted in non-decreasing
-/// weight order — the deterministic schedule the incremental guarantee is
-/// stated over. A consequence: deletions reference edges that were live
-/// *before* the batch (minus earlier same-batch removals); an edge inserted
-/// by the same batch cannot be deleted by it.
+/// first in batch order, then all insertions join the original in batch
+/// order. A consequence: deletions reference edges that were live *before*
+/// the batch (minus earlier same-batch removals); an edge inserted by the
+/// same batch cannot be deleted by it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct UpdateBatch {
     updates: Vec<Update>,
@@ -329,8 +329,7 @@ pub struct UpdateStats {
     pub batches: u64,
     /// Insertions processed (including the insertion half of reweights).
     pub insertions: u64,
-    /// Insertions kept in the spanner, by the admission rule or by the
-    /// batch's rebuild.
+    /// Insertions the batch's rebuild kept in the spanner.
     pub admitted: u64,
     /// Insertions left out of the spanner (covered within `t · w`).
     pub rejected: u64,
@@ -345,12 +344,11 @@ pub struct UpdateStats {
     /// it as zero, so after a recovery it counts only the replayed and later
     /// rebuilds.
     pub repair_time: Duration,
-    /// Spanner epochs advanced by updates: one per admitted insertion on an
-    /// incremental batch, one per rebuild. Original-graph-only mutations do
-    /// not advance it.
+    /// Spanner epochs advanced by updates: one per rebuild. A batch that
+    /// only removes edges the spanner does not carry advances none.
     pub epochs_advanced: u64,
-    /// Greedy rebuilds run: one per batch that deleted or reweighted a
-    /// spanner edge.
+    /// Greedy rebuilds run: one per batch that inserted or reweighted an
+    /// edge or deleted a spanner edge.
     pub recertifications: u64,
     /// Total wall time spent inside [`LiveSpanner::apply`] (and WAL replay)
     /// by this process; like `repair_time`, snapshots store it as zero.
@@ -372,8 +370,7 @@ pub struct UpdateStats {
 /// What one [`LiveSpanner::apply`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOutcome {
-    /// Insertions kept in the spanner: by the admission rule, or on a
-    /// rebuild batch by the rebuild.
+    /// Insertions the rebuild kept in the spanner.
     pub admitted: usize,
     /// Insertions left out of the spanner.
     pub rejected: usize,
@@ -388,9 +385,9 @@ pub struct BatchOutcome {
     pub epochs_advanced: u64,
     /// Wall time of the greedy rebuild (zero unless the batch rebuilt).
     pub repair_time: Duration,
-    /// `true` when this batch deleted or reweighted a spanner edge and so
-    /// rebuilt the spanner; the spanner is then the greedy spanner of the
-    /// updated original.
+    /// `true` when this batch rebuilt the spanner: it inserted or reweighted
+    /// an edge, or deleted a spanner edge. Either way the spanner is the
+    /// greedy spanner of the updated original.
     pub full_certification: bool,
     /// Generation compactions of the original graph this batch triggered
     /// (0 or 1).
@@ -422,8 +419,8 @@ pub struct LiveSpanner {
     /// The live spanner.
     spanner: CsrGraph,
     stretch: f64,
-    /// The engine every admission query of a rebuild or insertion runs on,
-    /// pre-sized for the original at construction.
+    /// The engine every admission query of a rebuild runs on, pre-sized
+    /// for the original at construction.
     engine: DijkstraEngine,
     stats: UpdateStats,
     provenance: Provenance,
@@ -443,8 +440,8 @@ impl LiveSpanner {
     /// The output is trusted to be a stretch-`t` spanner of `original` for
     /// its construction's guaranteed `t`; nothing is re-checked here (use
     /// [`crate::analysis::is_t_spanner`] to check). Any construction with a
-    /// guaranteed stretch can be wrapped; the first batch that deletes or
-    /// reweights one of its edges replaces it with the greedy spanner.
+    /// guaranteed stretch can be wrapped; the first batch that rebuilds
+    /// replaces it with the greedy spanner.
     ///
     /// # Errors
     ///
@@ -517,8 +514,8 @@ impl LiveSpanner {
         &mut self.stats
     }
 
-    /// Does nothing: rebuilds and insertions run the sequential greedy loop
-    /// at every thread count.
+    /// Does nothing: rebuilds run the sequential greedy loop at every thread
+    /// count.
     #[deprecated(
         since = "0.13.0",
         note = "live updates run one sequential loop; delete the call"
@@ -575,10 +572,9 @@ impl LiveSpanner {
     }
 
     /// Applies one update batch: deletions first (batch order), then the
-    /// insertions — through the greedy admission filter in non-decreasing
-    /// weight order, or, when a deletion removed a spanner edge, through a
-    /// greedy rebuild of the whole spanner — then generation compaction of
-    /// the original when tombstones dominate. See the
+    /// insertions, then — when the batch inserted anything or deleted a
+    /// spanner edge — a greedy rebuild of the whole spanner, then generation
+    /// compaction of the original when tombstones dominate. See the
     /// [module docs](crate::update).
     ///
     /// With a store attached ([`LiveSpanner::persist_to`]), the batch is
@@ -622,8 +618,9 @@ impl LiveSpanner {
         let spanner_epoch_before = self.spanner.epoch();
 
         // Phase 1 — deletions and the removal half of reweights, in batch
-        // order, on the original. Removing an edge the spanner carries
-        // makes this a rebuild batch; queue reweight re-insertions.
+        // order, on the original; queue every insertion. The batch rebuilds
+        // when it inserts anything or removes an edge the spanner carries
+        // (the module docs say why skipping every other batch is exact).
         let mut rebuild = false;
         let mut deletions = 0usize;
         let mut reweights = 0usize;
@@ -649,40 +646,25 @@ impl LiveSpanner {
                 }
             }
         }
+        rebuild |= !inserts.is_empty();
 
-        // Phase 2 — insertions join the original, then either rebuild the
-        // spanner or run the admission rule over the sorted insertions
-        // against the current spanner.
+        // Phase 2 — insertions join the original, and a rebuilding batch
+        // runs greedy over the whole live original.
         let first_insert = self.original.edge_id_bound();
         for &(u, v, w) in &inserts {
             self.original
                 .append_edge(VertexId(u as usize), VertexId(v as usize), w);
         }
-        let mut repaired = 0usize;
-        let mut witness_skips = 0usize;
         let mut repair_time = Duration::ZERO;
-        let admitted = if rebuild {
+        let (admitted, repaired, witness_skips) = if rebuild {
             let t0 = Instant::now();
-            let (admitted, fresh, skips) = self.rebuild(first_insert);
+            let counts = self.rebuild(first_insert);
             repair_time = t0.elapsed();
-            repaired = fresh;
-            witness_skips = skips;
             self.stats.recertifications += 1;
             self.stats.repair_time += repair_time;
-            admitted
+            counts
         } else {
-            inserts.sort_by(|a, b| {
-                a.2.total_cmp(&b.2)
-                    .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
-            });
-            greedy_into(
-                &mut self.spanner,
-                &mut self.engine,
-                &inserts,
-                self.stretch,
-                None,
-            )
-            .len()
+            (0, 0, 0)
         };
         let rejected = inserts.len() - admitted;
 
@@ -926,7 +908,7 @@ mod tests {
         );
     }
 
-    /// The spanner a rebuild batch must leave: greedy over the live original.
+    /// The spanner every batch must leave: greedy over the live original.
     fn assert_is_greedy_of_original(live: &LiveSpanner) {
         let original = live.original().to_weighted_graph();
         let greedy = Spanner::greedy()
@@ -980,11 +962,12 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.admitted, 1);
         assert_eq!(outcome.rejected, 1);
-        assert!(!outcome.full_certification);
-        assert_eq!(outcome.epochs_advanced, 1, "one spanner append");
+        assert!(outcome.full_certification, "an insertion rebuilds");
+        assert_eq!(outcome.epochs_advanced, 1, "a rebuild is one epoch");
         assert_eq!(live.original().num_edges(), 5);
         assert_eq!(live.spanner().num_edges(), 4);
         assert_invariant(&live);
+        assert_is_greedy_of_original(&live);
     }
 
     #[test]
@@ -1039,6 +1022,7 @@ mod tests {
         assert_eq!(outcome2.repaired, 0);
         assert_eq!(outcome2.epochs_advanced, 0, "the spanner never changed");
         assert_invariant(&live2);
+        assert_is_greedy_of_original(&live2);
     }
 
     #[test]
@@ -1161,9 +1145,7 @@ mod tests {
                 }
                 let outcome = live.apply(&batch).unwrap();
                 assert_invariant(&live);
-                if outcome.full_certification {
-                    assert_is_greedy_of_original(&live);
-                }
+                assert_is_greedy_of_original(&live);
                 assert!(
                     outcome.full_certification || outcome.repaired == 0,
                     "round {round}, t = {t}: only rebuilds count repaired edges"
@@ -1177,7 +1159,8 @@ mod tests {
     #[test]
     fn a_detour_that_overflows_to_infinity_does_not_cover_an_insertion() {
         // t·w and the only detour 0-1-2 both overflow to +∞: the insertion
-        // is not covered, on the admission path and on the rebuild path.
+        // is not covered, neither in its own batch's rebuild nor in a later
+        // one.
         for (w, t) in [(f64::MAX, 1.5), (1e308, 2.0)] {
             let g = WeightedGraph::from_edges(3, [(0, 1, w), (1, 2, w)]).unwrap();
             let mut live = live_for(&g, t);

@@ -37,11 +37,10 @@
 //! Every *logical* mutation — an append or a removal, never a re-layout —
 //! bumps a monotonically increasing [`CsrGraph::epoch`] counter. Long-lived
 //! readers (shortest-path-tree caches, serving handles) stamp the epoch they
-//! were built at and detect staleness by comparing stamps:
-//! [`CsrGraph::verify_epoch`] returns [`GraphError::StaleEpoch`] on
-//! mismatch, and [`CsrSnapshot`] carries the epoch it froze at so batch
-//! executors can refuse stale views with a typed error instead of silently
-//! answering against old data.
+//! were built at and detect staleness by comparing stamps: [`CsrSnapshot`]
+//! carries the epoch it froze at so batch executors can refuse stale views
+//! with [`GraphError::StaleEpoch`] instead of silently answering against
+//! old data.
 //!
 //! The companion query type is [`crate::engine::DijkstraEngine`], which owns
 //! the per-query workspace so repeated shortest-path queries against a
@@ -223,28 +222,10 @@ impl CsrGraph {
     /// logical mutation ([`CsrGraph::append_edge`] /
     /// [`CsrGraph::remove_edge`]; [`CsrGraph::compact`] is a representation
     /// change and does **not** bump it). Long-lived readers stamp the epoch
-    /// they were built at and compare with [`CsrGraph::verify_epoch`].
+    /// they were built at and compare it with this one.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Checks a caller's epoch stamp against the current epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::StaleEpoch`] if the stamps differ — the
-    /// caller's view predates (or, for a corrupted stamp, postdates) some
-    /// mutation and must be refreshed before querying.
-    pub fn verify_epoch(&self, stamped: u64) -> Result<(), GraphError> {
-        if stamped == self.epoch {
-            Ok(())
-        } else {
-            Err(GraphError::StaleEpoch {
-                stamped,
-                current: self.epoch,
-            })
-        }
     }
 
     #[inline]
@@ -1385,22 +1366,13 @@ mod tests {
     }
 
     #[test]
-    fn epochs_advance_per_mutation_and_stale_stamps_are_typed_errors() {
+    fn epochs_advance_per_logical_mutation() {
         let mut csr = CsrGraph::new(3);
-        let stamp = csr.epoch();
-        assert!(csr.verify_epoch(stamp).is_ok());
         let snap_epoch = csr.snapshot().epoch();
         assert_eq!(snap_epoch, 0);
         csr.append_edge(VertexId(0), VertexId(1), 1.0);
         csr.append_edge(VertexId(1), VertexId(2), 1.0);
         assert_eq!(csr.epoch(), 2);
-        assert_eq!(
-            csr.verify_epoch(stamp),
-            Err(GraphError::StaleEpoch {
-                stamped: 0,
-                current: 2
-            })
-        );
         csr.remove_edge(EdgeId(0)).unwrap();
         assert_eq!(csr.epoch(), 3);
         assert_eq!(csr.snapshot().epoch(), 3);

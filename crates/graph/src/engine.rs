@@ -1823,53 +1823,6 @@ impl DijkstraEngine {
         sort_settle_order(&mut self.ball_buf);
         &self.ball_buf
     }
-
-    /// Epoch-checked [`DijkstraEngine::bounded_distance`]: the caller passes
-    /// the epoch its view of `graph` was stamped at
-    /// ([`CsrGraph::epoch`]), and the engine **refuses to answer against a
-    /// mutated graph** — a stale stamp is a typed error, never a silent
-    /// answer computed over data the caller has not seen.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::StaleEpoch`] when `stamped` differs from
-    /// the graph's current epoch. The workspace is untouched in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vertex is out of range.
-    pub fn checked_bounded_distance(
-        &mut self,
-        graph: &CsrGraph,
-        stamped: u64,
-        source: VertexId,
-        target: VertexId,
-        bound: f64,
-    ) -> Result<Option<f64>, crate::GraphError> {
-        graph.verify_epoch(stamped)?;
-        Ok(self.bounded_distance(graph, source, target, bound))
-    }
-
-    /// Epoch-checked [`DijkstraEngine::shortest_path_tree`]; see
-    /// [`DijkstraEngine::checked_bounded_distance`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::StaleEpoch`] when `stamped` differs from
-    /// the graph's current epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    pub fn checked_shortest_path_tree<'a>(
-        &'a mut self,
-        graph: &CsrGraph,
-        stamped: u64,
-        source: VertexId,
-    ) -> Result<EngineTree<'a>, crate::GraphError> {
-        graph.verify_epoch(stamped)?;
-        Ok(self.shortest_path_tree(graph, source))
-    }
 }
 
 /// A borrowed view of the last [`DijkstraEngine::shortest_path_tree`] result.
@@ -2625,46 +2578,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn checked_queries_refuse_stale_epochs() {
-        let g = diamond();
-        let mut csr = CsrGraph::from(&g);
-        let mut e = DijkstraEngine::new();
-        let stamp = csr.epoch();
-        assert_eq!(
-            e.checked_bounded_distance(&csr, stamp, VertexId(0), VertexId(3), 10.0)
-                .unwrap(),
-            Some(4.0)
-        );
-        assert!(e
-            .checked_shortest_path_tree(&csr, stamp, VertexId(0))
-            .is_ok());
-        let queries_before = e.stats().queries;
-        csr.append_edge(VertexId(0), VertexId(3), 0.5);
-        assert_eq!(
-            e.checked_bounded_distance(&csr, stamp, VertexId(0), VertexId(3), 10.0),
-            Err(crate::GraphError::StaleEpoch {
-                stamped: stamp,
-                current: stamp + 1
-            })
-        );
-        assert!(matches!(
-            e.checked_shortest_path_tree(&csr, stamp, VertexId(0)),
-            Err(crate::GraphError::StaleEpoch { .. })
-        ));
-        assert_eq!(
-            e.stats().queries,
-            queries_before,
-            "refused queries never touch the workspace"
-        );
-        // A refreshed stamp answers against the mutated graph.
-        assert_eq!(
-            e.checked_bounded_distance(&csr, csr.epoch(), VertexId(0), VertexId(3), 10.0)
-                .unwrap(),
-            Some(0.5)
-        );
     }
 
     #[test]

@@ -131,12 +131,11 @@
 //! the edge out of both rows) bumps a monotone epoch; stale views are
 //! refused with typed errors, never answered silently. A built spanner
 //! opens for updates with
-//! [`SpannerOutput::live`](greedy_spanner::SpannerOutput::live): insertions
-//! run the greedy admission rule against the current spanner, and a batch
-//! that deletes or reweights a spanner edge rebuilds it with greedy over
-//! the live original (rejecting, without a search, each candidate whose
-//! covering walk from the last rebuild survives), so the stretch-`t`
-//! invariant holds after every batch
+//! [`SpannerOutput::live`](greedy_spanner::SpannerOutput::live): a batch
+//! that inserts or reweights an edge or deletes a spanner edge rebuilds it
+//! with greedy over the live original (rejecting, without a search, each
+//! candidate whose covering walk from the last rebuild survives), so after
+//! every batch the live spanner is the greedy spanner of the live original
 //! ([`UpdateStats`](greedy_spanner::UpdateStats)). A live
 //! [`SpannerServer`](greedy_spanner::SpannerServer) interleaves query and
 //! update batches, lazily invalidating epoch-stamped cached trees — and

@@ -276,8 +276,7 @@ fn disconnected_graph(rng: &mut SmallRng, parts: usize, size: usize) -> Weighted
 /// Opens a live spanner over `g` and checks it is the greedy spanner of
 /// its original after an insert-only batch and after a deletion batch.
 /// The insertions are heavier than every original edge, so the greedy
-/// spanner of the grown original decides them last, against exactly the
-/// spanner the admission path starts from.
+/// spanner of the grown original decides them last.
 fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     let mut live = Spanner::greedy()
@@ -300,8 +299,7 @@ fn assert_live_stays_greedy(g: &WeightedGraph, t: f64, seed: u64) {
             inserts = inserts.insert(VertexId(u), VertexId(v), w);
         }
     }
-    let outcome = live.apply(&inserts).unwrap();
-    assert!(!outcome.full_certification);
+    live.apply(&inserts).unwrap();
     assert_is_greedy_of_original(&live);
     let spanner_edges: Vec<(VertexId, VertexId)> = live
         .spanner()
