@@ -1,12 +1,13 @@
-//! Live-update throughput: witness-reusing live rebuilds vs. cold rebuilds
-//! on small-update workloads.
+//! Live-update throughput: certificate-reusing live rebuilds vs. cold
+//! rebuilds on small-update workloads.
 //!
 //! The load-bearing comparison is `live_stream` vs. `full_rebuild_stream`.
 //! Both leave the greedy spanner of the updated graph after every batch;
-//! a [`LiveSpanner`] gets there by rebuilding with the covering walks of
-//! its previous rebuild, a cold rebuild runs `Spanner::greedy()` from
-//! scratch. The `live_vs_rebuild` line printed by this bench records the
-//! measured ratio (the live stream must beat the cold rebuilds — the gate
+//! a [`LiveSpanner`] gets there by rebuilding with the covering walks and
+//! read sets of its previous rebuild, a cold rebuild runs
+//! `Spanner::greedy()` from scratch. The `live_vs_rebuild` line printed by
+//! this bench records the measured ratio, the best of interleaved rounds
+//! of each side (the live stream must beat the cold rebuilds — the gate
 //! asserts speedup > 1x), and CI archives the JSON summary (`BENCH_JSON`)
 //! as the live-update perf trajectory.
 //!
@@ -144,19 +145,20 @@ fn bench_live_update(c: &mut Criterion) {
     group.finish();
 
     // The acceptance ratio, measured directly so the artifact carries it
-    // even when per-bench samples are noisy. The live side includes
-    // LiveSpanner construction to keep the comparison honest about total
-    // cost.
-    let rounds = 3;
-    let mut live_time = Duration::ZERO;
-    let mut rebuild = Duration::ZERO;
-    for _ in 0..rounds {
+    // even when per-bench samples are noisy: the best of `ROUNDS`
+    // interleaved rounds per side, so one preempted round cannot decide
+    // the gate. The live side includes LiveSpanner construction to keep
+    // the comparison honest about total cost.
+    const ROUNDS: usize = 7;
+    let mut live_time = Duration::MAX;
+    let mut rebuild = Duration::MAX;
+    for _ in 0..ROUNDS {
         let t0 = Instant::now();
         let mut live = LiveSpanner::new(output.clone(), &g).expect("valid");
         for batch in &batches {
             live.apply(batch).expect("valid stream");
         }
-        live_time += t0.elapsed();
+        live_time = live_time.min(t0.elapsed());
         let t1 = Instant::now();
         for state in &states {
             Spanner::greedy()
@@ -164,12 +166,12 @@ fn bench_live_update(c: &mut Criterion) {
                 .build(state)
                 .expect("valid stretch");
         }
-        rebuild += t1.elapsed();
+        rebuild = rebuild.min(t1.elapsed());
     }
     let speedup = rebuild.as_secs_f64() / live_time.as_secs_f64().max(1e-12);
     println!(
         "live_vs_rebuild: rebuild {rebuild:?} / live {live_time:?} = \
-         {speedup:.2}x over {BATCHES} batches (n = {N})"
+         {speedup:.2}x over {BATCHES} batches (n = {N}, best of {ROUNDS} rounds)"
     );
     assert!(
         speedup > 1.0,

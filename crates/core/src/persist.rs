@@ -20,11 +20,13 @@
 //!   rebuilds and compaction are pure functions of state and batch,
 //!   the recovered spanner answers every query **bit-identically** to the
 //!   instance that was killed. Replaying a batch that rebuilt the spanner
-//!   rebuilds it again. A recovered spanner starts with an empty witness
-//!   store (see the [update module](crate::update)), so the first replayed
-//!   rebuild queries every connected candidate and later ones reuse the
-//!   witnesses it records — the same decisions, since a witness only ever
-//!   rejects what the query would reject.
+//!   rebuilds it again. A recovered spanner starts with an empty
+//!   certificate store (see the [update module](crate::update)), so the
+//!   first replayed rebuild queries every connected candidate and later
+//!   ones reuse the witnesses and read sets it records. Replay makes the
+//!   same decisions with or without them: a witness only ever rejects what
+//!   the query would reject, and a read set only admits what it would
+//!   admit.
 //!
 //! What a snapshot's opaque `meta` section holds (this module's codec,
 //! version 3): stretch and compaction threshold (as raw `f64` bits), the

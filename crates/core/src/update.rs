@@ -21,7 +21,7 @@
 //! Reweights are a deletion followed by an insertion of the new weight, in
 //! that order, within the same batch.
 //!
-//! # What a rebuild costs, and the witnesses that cut it
+//! # What a rebuild costs, and the certificates that cut it
 //!
 //! A rebuild is a full greedy pass over the live original: a sort of its
 //! `m` live edges, then one admission query per candidate whose endpoints
@@ -44,19 +44,34 @@
 //! witness is a `u`–`v` walk in it. The query decides on `D`, the minimum
 //! over walks of such left-to-right sums (the one-sided search's distance;
 //! see `greedy_into`), so `D ≤ W ≤ fl(t·w)`: the query would have rejected
-//! the candidate too. Every other connected candidate is queried as before
-//! and, when covered, records a fresh witness. The rebuilt spanner is
-//! therefore still `Spanner::greedy()` of the live original, bit for bit;
-//! only the work changes. On `live-churn` about two thirds of the rebuild
-//! queries are skipped.
+//! the candidate too.
+//!
+//! The store also keeps, for every candidate the last rebuild admitted
+//! through a search, the vertices whose rows that search read before it
+//! rejected (its *read set*, at most 64 rows). The next rebuild marks both
+//! endpoints of every edge it admits that the last rebuild did not, and
+//! admits a candidate with no search when its read set holds no marked
+//! vertex: the old search would read the same rows, and reject again, on
+//! the old spanner plus the newly admitted edges, which contains the
+//! current one (the argument is in [`crate::greedy`]'s module docs).
+//!
+//! Every other connected candidate is queried as before and records a
+//! fresh witness or read set. The rebuilt spanner is therefore still
+//! `Spanner::greedy()` of the live original, bit for bit; only the work
+//! changes. On `live-churn` (seed 20160722) the median rebuild has 5,649
+//! candidates: 3,096 are rejected by a witness, 1,212 admitted by a read
+//! set, and 553 searched, where 1,748 were searched with witnesses alone
+//! (the cold first rebuild searches 4,774).
 //!
 //! The store's ids are original edge ids, so it follows the original
 //! through every generation compaction (remapped with
 //! [`spanner_graph::CompactedRebuild::remap`]; a witness through a dropped
-//! edge is dropped). It starts empty after [`LiveSpanner::new`] and after
-//! recovery: skipping is a pure speed-up whose decisions equal the query's,
-//! so a replayed history reproduces every decision with or without it.
-//! [`BatchOutcome::witness_skips`] counts the skipped queries.
+//! edge is dropped; read sets hold vertices and keep theirs). It starts
+//! empty after [`LiveSpanner::new`] and after recovery: skipping is a pure
+//! speed-up whose decisions equal the query's, so a replayed history
+//! reproduces every decision with or without it.
+//! [`BatchOutcome::witness_skips`] and [`BatchOutcome::admit_skips`] count
+//! the skipped queries.
 //!
 //! A wrapped output from a construction other than greedy is kept as it is
 //! until the first batch that rebuilds; from then on the live spanner is the
@@ -398,6 +413,10 @@ pub struct BatchOutcome {
     /// store's history, so it is not persisted: the first rebuild after
     /// [`LiveSpanner::new`] or a recovery skips nothing.
     pub witness_skips: usize,
+    /// Rebuild candidates admitted through the read set of the previous
+    /// rebuild's search, without a search (0 unless the batch rebuilt; not
+    /// persisted, like [`BatchOutcome::witness_skips`]).
+    pub admit_skips: usize,
 }
 
 /// A built spanner held open for live updates; see the
@@ -428,9 +447,10 @@ pub struct LiveSpanner {
     compaction_threshold: f64,
     /// The attached store (WAL + snapshot directory), when persisting.
     durability: Option<crate::persist::Durability>,
-    /// The covering paths of the last rebuild's rejected candidates, keyed
-    /// by `original` edge id: written by every rebuild, remapped at every
-    /// generation compaction, and empty after construction and recovery.
+    /// The covering paths of the last rebuild's rejected candidates and the
+    /// read sets of its admitted ones, keyed by `original` edge id: written
+    /// by every rebuild, remapped at every generation compaction, and empty
+    /// after construction and recovery.
     witnesses: WitnessStore,
 }
 
@@ -656,7 +676,7 @@ impl LiveSpanner {
                 .append_edge(VertexId(u as usize), VertexId(v as usize), w);
         }
         let mut repair_time = Duration::ZERO;
-        let (admitted, repaired, witness_skips) = if rebuild {
+        let (admitted, repaired, witness_skips, admit_skips) = if rebuild {
             let t0 = Instant::now();
             let counts = self.rebuild(first_insert);
             repair_time = t0.elapsed();
@@ -664,7 +684,7 @@ impl LiveSpanner {
             self.stats.repair_time += repair_time;
             counts
         } else {
-            (0, 0, 0)
+            (0, 0, 0, 0)
         };
         let rejected = inserts.len() - admitted;
 
@@ -705,6 +725,7 @@ impl LiveSpanner {
             full_certification: rebuild,
             compactions,
             witness_skips,
+            admit_skips,
         }
     }
 
@@ -712,9 +733,9 @@ impl LiveSpanner {
     /// stamped one epoch past the spanner it replaces, and the witness
     /// store with the rebuild's. Returns how many rebuilt edges are this
     /// batch's insertions (original ids at or past `first_insert`), how
-    /// many others the replaced spanner lacked, and how many candidates a
-    /// stored witness rejected.
-    fn rebuild(&mut self, first_insert: usize) -> (usize, usize, usize) {
+    /// many others the replaced spanner lacked, how many candidates a
+    /// stored witness rejected and how many a stored read set admitted.
+    fn rebuild(&mut self, first_insert: usize) -> (usize, usize, usize, usize) {
         let ids = greedy_order(&self.original);
         let candidates: Vec<(u32, u32, f64)> = ids
             .iter()
@@ -730,6 +751,7 @@ impl LiveSpanner {
         let mut witnesses = WitnessReuse::new(
             &ids,
             self.original.edge_id_bound(),
+            self.original.num_vertices(),
             std::mem::take(&mut self.witnesses),
         );
         let added = greedy_into(
@@ -739,7 +761,7 @@ impl LiveSpanner {
             self.stretch,
             Some(&mut witnesses),
         );
-        let skips = witnesses.skips;
+        let skips = (witnesses.witness_skips, witnesses.admit_skips);
         self.witnesses = witnesses.next;
 
         let mut before: HashMap<(u32, u32, u64), usize> = HashMap::new();
@@ -768,7 +790,7 @@ impl LiveSpanner {
             spanner.live_edges().map(|(_, u, v, w)| (u, v, w, true)),
         )
         .expect("greedy keeps valid original edges");
-        (admitted, repaired, skips)
+        (admitted, repaired, skips.0, skips.1)
     }
 
     /// Pre-validates a batch against a simulation of its own effects, so

@@ -530,6 +530,10 @@ pub struct DijkstraEngine {
     /// first witness query.
     parent_slot: Vec<u32>,
     chain_slot: Vec<u32>,
+    /// The vertices whose rows the last witness query scanned, in scan
+    /// order (a vertex settled by both halves appears twice). Reserved for
+    /// the `2n` scans a query can make.
+    read_rows: Vec<u32>,
     /// Where the last accepted witness query's meeting path joined its two
     /// halves: the forward end `x`, the slot of the joining half-edge
     /// ([`NO_VERTEX`] when the forward half reached the target itself) and
@@ -577,7 +581,8 @@ impl DijkstraEngine {
     /// The arrays of the bidirectional admission query and of its witness
     /// recording are reserved here but written only by the first such query,
     /// so an engine that never runs one (a serving or landmark engine)
-    /// touches 20 bytes per vertex, not 52.
+    /// touches 20 bytes per vertex, not the 52 of an admission engine (plus
+    /// up to 8 for the rows a witness query records reading).
     pub fn with_capacity_for(num_vertices: usize, num_edges: usize) -> Self {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
@@ -588,6 +593,7 @@ impl DijkstraEngine {
         e.chain_weight.reserve_exact(n);
         e.parent_slot.reserve_exact(n);
         e.chain_slot.reserve_exact(n);
+        e.read_rows.reserve_exact(2 * n);
         e.reserve_heap(2 * num_edges + 2);
         // Each half of a bidirectional query pushes at most as often as a
         // one-sided query does.
@@ -653,6 +659,10 @@ impl DijkstraEngine {
         if witness && self.parent_slot.len() < n {
             allocated |= size(&mut self.parent_slot, n, NO_VERTEX);
             allocated |= size(&mut self.chain_slot, n, NO_VERTEX);
+            if self.read_rows.capacity() < 2 * n {
+                self.read_rows.reserve_exact(2 * n - self.read_rows.len());
+                allocated = true;
+            }
         }
         allocated
     }
@@ -1250,11 +1260,12 @@ impl DijkstraEngine {
         self.decide::<false>(graph, source, target, bound)
     }
 
-    /// [`DijkstraEngine::within_bound`], also recording the covering walk
-    /// behind an accept: the same verdict, bit for bit, from the same
+    /// [`DijkstraEngine::within_bound`], also recording the certificate
+    /// behind the verdict: the same verdict, bit for bit, from the same
     /// search, which additionally writes the slot of every forward
-    /// improvement and backward chain step (a separate monomorphization,
-    /// so `within_bound` itself stores nothing extra).
+    /// improvement and backward chain step and the vertex of every scanned
+    /// row (a separate monomorphization, so `within_bound` itself stores
+    /// nothing extra).
     ///
     /// When the bidirectional search certifies a meeting path, `witness`
     /// receives its edge ids in order from `source` to `target`: a walk in
@@ -1262,6 +1273,15 @@ impl DijkstraEngine {
     /// certificate, `≤ bound`. Any other answer leaves `witness` empty — a
     /// rejection, `source == target`, and an accept that fell back to the
     /// one-sided search (which records no path).
+    ///
+    /// When the bidirectional search rejects without falling back, `reads`
+    /// receives the vertices whose rows it scanned, in scan order (a vertex
+    /// both halves settled appears twice). The search reads nothing else of
+    /// `graph` but its vertex count, so on any graph with the same vertex
+    /// count and identical rows (same neighbours, weights and order) at
+    /// those vertices it takes the same steps and rejects too. Any other
+    /// answer leaves `reads` empty — an accept, and a rejection that fell
+    /// back to the one-sided search.
     ///
     /// # Panics
     ///
@@ -1273,12 +1293,18 @@ impl DijkstraEngine {
         target: VertexId,
         bound: f64,
         witness: &mut Vec<EdgeId>,
+        reads: &mut Vec<VertexId>,
     ) -> bool {
         witness.clear();
+        reads.clear();
         self.meet = None;
+        self.read_rows.clear();
         let within = self.decide::<true>(graph, source, target, bound);
         if let Some((x, join, y)) = self.meet.filter(|_| within) {
             self.write_witness(graph, source.index() as u32, x, join, y, witness);
+        }
+        if !within {
+            reads.extend(self.read_rows.iter().map(|&v| VertexId(v as usize)));
         }
         within
     }
@@ -1311,6 +1337,11 @@ impl DijkstraEngine {
         };
         let within = verdict.unwrap_or_else(|| {
             self.stats.bidirectional_fallbacks += 1;
+            if WITNESS {
+                // The one-sided search decides: the halves' rows certify
+                // nothing.
+                self.read_rows.clear();
+            }
             self.advance_generation();
             fwd.clear();
             self.search::<false>(
@@ -1340,7 +1371,8 @@ impl DijkstraEngine {
     /// rounding band and only the one-sided search can decide. The side
     /// with the shorter queue expands next (Pohl's cardinality rule), ties
     /// to the smaller queue top, then to the forward side. With `WITNESS`,
-    /// an accept leaves its meeting point in `meet`.
+    /// an accept leaves its meeting point in `meet`, and every row scanned
+    /// is pushed onto `read_rows` first.
     fn bidirectional<const WITNESS: bool>(
         &mut self,
         fwd: &mut BinaryHeap<HeapSlot>,
@@ -1389,6 +1421,9 @@ impl DijkstraEngine {
             self.stats.settled_vertices += 1;
             let accepted = if backward {
                 self.state_b[u as usize] = gen + 1;
+                if WITNESS {
+                    self.read_rows.push(u);
+                }
                 self.meet_row::<true, WITNESS>(
                     queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
                 )
@@ -1401,6 +1436,9 @@ impl DijkstraEngine {
                         self.meet = Some((t, NO_VERTEX, t));
                     }
                     return Some(d <= bound);
+                }
+                if WITNESS {
+                    self.read_rows.push(u);
                 }
                 self.meet_row::<false, WITNESS>(
                     queue, other_len, graph, u, d, gen, bound, relaxed, &mut band,
@@ -3292,8 +3330,8 @@ mod tests {
         engine.within_bound(&csr, VertexId(1), VertexId(40), 9.0);
         assert_eq!(engine.state_b.len(), 60);
         assert_eq!(engine.chain_slot.len(), 0);
-        let mut walk = Vec::new();
-        engine.within_bound_witness(&csr, VertexId(1), VertexId(40), 9.0, &mut walk);
+        let (mut walk, mut reads) = (Vec::new(), Vec::new());
+        engine.within_bound_witness(&csr, VertexId(1), VertexId(40), 9.0, &mut walk, &mut reads);
         assert_eq!(engine.chain_slot.len(), 60);
         let stats = engine.stats();
         assert_eq!(
@@ -3304,7 +3342,14 @@ mod tests {
         engine.force_generation_wrap();
         let want = engine.bounded_distance(&csr, VertexId(7), VertexId(50), 12.0);
         engine.force_generation_wrap();
-        let got = engine.within_bound_witness(&csr, VertexId(7), VertexId(50), 12.0, &mut walk);
+        let got = engine.within_bound_witness(
+            &csr,
+            VertexId(7),
+            VertexId(50),
+            12.0,
+            &mut walk,
+            &mut reads,
+        );
         assert_eq!(got, want.is_some());
         assert_eq!(engine.stats().generation_wraps, 2);
     }

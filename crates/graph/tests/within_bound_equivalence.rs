@@ -21,7 +21,11 @@
 //! its verdict must equal `within_bound`'s, and the walk it records behind
 //! an accept must be a `source`–`target` walk of live edges whose
 //! left-to-right weight sum is within the bound (no walk only for
-//! `source == target` and for an accept the fallback decided).
+//! `source == target` and for an accept the fallback decided). The rows it
+//! reports behind a rejection the bidirectional search decided must
+//! certify it: chaining every unread vertex with edges of the least
+//! positive weight leaves the same search reading the same rows and
+//! rejecting again.
 
 use proptest::prelude::*;
 
@@ -39,8 +43,13 @@ struct Pair {
     /// Answers the same questions through `within_bound_witness`.
     witness: DijkstraEngine,
     walk: Vec<EdgeId>,
+    reads: Vec<VertexId>,
+    /// Re-asks rejections on graphs changed outside their read rows.
+    recheck: DijkstraEngine,
     /// Accepts that recorded a walk.
     walks: usize,
+    /// Rejections whose read rows were re-checked on a changed graph.
+    certified: usize,
     disagreements: Vec<String>,
 }
 
@@ -51,7 +60,10 @@ impl Pair {
             tested: DijkstraEngine::with_capacity_for(n, m),
             witness: DijkstraEngine::with_capacity_for(n, m),
             walk: Vec::new(),
+            reads: Vec::new(),
+            recheck: DijkstraEngine::new(),
             walks: 0,
+            certified: 0,
             disagreements: Vec::new(),
         }
     }
@@ -67,9 +79,9 @@ impl Pair {
             ));
         }
         let fallbacks = self.witness.stats().bidirectional_fallbacks;
-        let witnessed = self
-            .witness
-            .within_bound_witness(csr, s, t, bound, &mut self.walk);
+        let witnessed =
+            self.witness
+                .within_bound_witness(csr, s, t, bound, &mut self.walk, &mut self.reads);
         let fell_back = self.witness.stats().bidirectional_fallbacks > fallbacks;
         self.walks += usize::from(!self.walk.is_empty());
         if let Some(fault) = walk_fault(csr, s, t, bound, witnessed, fell_back, &self.walk) {
@@ -79,12 +91,61 @@ impl Pair {
                 self.walk
             ));
         }
+        if let Some(fault) = self.reads_fault(csr, s, t, bound, witnessed, fell_back) {
+            self.disagreements.push(format!(
+                "{s:?} -> {t:?} at bound {bound:e}: within_bound_witness {witnessed}, \
+                 reads {:?}: {fault}",
+                self.reads
+            ));
+        }
         if witnessed != got {
             self.disagreements.push(format!(
                 "{s:?} -> {t:?} at bound {bound:e}: within_bound_witness {witnessed}, \
                  within_bound {got}"
             ));
         }
+    }
+
+    /// What is wrong with the rows the witness engine reported reading, if
+    /// anything. A rejection the bidirectional search decided (`s ≠ t`, a
+    /// non-negative bound, no fallback) reads at least one row, and the
+    /// same search on a graph whose other rows gained a chain of
+    /// least-weight edges through every unread vertex reads the same rows
+    /// and rejects too. Every other answer reports no rows.
+    fn reads_fault(
+        &mut self,
+        csr: &CsrGraph,
+        s: VertexId,
+        t: VertexId,
+        bound: f64,
+        within: bool,
+        fell_back: bool,
+    ) -> Option<String> {
+        if within || fell_back || s == t || bound.is_nan() || bound < 0.0 {
+            return (!self.reads.is_empty()).then(|| "rows without a bidirectional reject".into());
+        }
+        if self.reads.is_empty() {
+            return Some("a rejection read no row".into());
+        }
+        let mut read = vec![false; csr.num_vertices()];
+        for v in &self.reads {
+            read[v.index()] = true;
+        }
+        let unread: Vec<usize> = (0..csr.num_vertices()).filter(|&v| !read[v]).collect();
+        let mut changed = csr.clone();
+        for pair in unread.windows(2) {
+            changed.append_edge(VertexId(pair[0]), VertexId(pair[1]), f64::MIN_POSITIVE);
+        }
+        let mut walk = Vec::new();
+        let mut reads = Vec::new();
+        let again = self
+            .recheck
+            .within_bound_witness(&changed, s, t, bound, &mut walk, &mut reads);
+        self.certified += 1;
+        if again {
+            return Some(format!("a chain through {unread:?} makes it accept"));
+        }
+        (reads != self.reads).then(|| format!("the changed graph reads {reads:?}"))
     }
 
     /// The tight bounds around the computed distance — `D`, one ulp either
@@ -285,6 +346,7 @@ proptest! {
             pair.ask_tight(&csr, s, t, &mut rng, 3);
         }
         prop_assert!(pair.walks > 0, "no accept recorded a walk");
+        prop_assert!(pair.certified > 0, "no rejection's rows were re-checked");
         pair.finish(&format!("er, n {n}, seed {seed}"));
     }
 }

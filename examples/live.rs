@@ -6,7 +6,9 @@
 //!
 //! The example asserts its invariants and exits non-zero on a violation:
 //! after every update batch the live spanner equals a from-scratch greedy
-//! build of the live original, and at the end it is a 2-spanner of it.
+//! build of the live original, the rebuilds after the first admit some
+//! candidates through a stored read set without a search, and at the end
+//! the spanner is a 2-spanner of the live original.
 //!
 //! Run with `cargo run --release --example live`.
 
@@ -45,10 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .updates_per_batch(24)
         .seed(3)
         .generate(&graph);
+    let mut admit_skips = 0;
     for (round, event) in stream.iter().enumerate() {
         match event {
             StreamEvent::Updates(batch) => {
                 let outcome = server.apply_updates(batch)?;
+                admit_skips += outcome.admit_skips;
                 println!(
                     "round {round}: applied {} updates — {} admitted, {} rejected, \
                      epoch -> {}{}",
@@ -58,8 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     server.epoch(),
                     if outcome.full_certification {
                         format!(
-                            " (rebuilt in {:?}, {} new edges)",
-                            outcome.repair_time, outcome.repaired
+                            " (rebuilt in {:?}, {} new edges; searches skipped: \
+                             {} by witness, {} by read set)",
+                            outcome.repair_time,
+                            outcome.repaired,
+                            outcome.witness_skips,
+                            outcome.admit_skips
                         )
                     } else {
                         String::new()
@@ -87,6 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
+
+    // Every rebuild after the first reuses the previous one's read sets.
+    assert!(
+        admit_skips > 0,
+        "no rebuild admitted a candidate through a stored read set"
+    );
 
     // 4. The scoreboard: serving and update statistics side by side.
     let stats = *server.stats();
